@@ -3,14 +3,17 @@
 A record matches when every constraint it populates is satisfied: set
 membership for extension and format profile, exact string equality for codec
 id / video format profile / encoder, exact pair membership for resolutions
-(a wildcard always passes), and the marker rules (required subset present,
-forbidden set absent).  Image resolutions match within the record's pixel
-tolerance, and colliding image candidates are disambiguated by byte-size
-bands.  Chain records yield (N-th app, N+1st app) hypotheses for two-hop
-relays.
+(a wildcard always passes), and the marker rule (no marker outside the
+record's set, unless it allows any).  Image resolutions match within the
+record's pixel tolerance, and colliding image candidates are disambiguated
+by byte-size bands.  Chain records yield (N-th app, N+1st app) hypotheses
+for two-hop relays.
 
 Everything here is stateless over an immutable KnowledgeBase and safe for
-concurrent queries.
+concurrent queries.  A KnowledgeBase compiles its query indexes (candidate
+records per media kind and hop, overwritten chains, records by id) when it is
+built, so queries touch only the records that can match: load it once and
+reuse it for many queries.
 """
 
 from __future__ import annotations
@@ -21,12 +24,10 @@ from dataclasses import dataclass
 from .attributes import ImageAttributes, MediaKind, OS, VideoAttributes
 from .kb import (
     FingerprintRecord,
-    Hop,
     ImageConstraints,
     KnowledgeBase,
     OriginalProfile,
     VideoConstraints,
-    records_equal_constraints,
 )
 
 
@@ -34,7 +35,6 @@ class Outcome(str, enum.Enum):
     IDENTIFIED = "Identified"
     NARROWED = "Narrowed"
     ORIGINAL_LIKE = "OriginalLike"
-    INDISTINGUISHABLE = "Indistinguishable"
     UNKNOWN = "Unknown"
 
 
@@ -116,8 +116,6 @@ def satisfies_video(
         if not any(_encoder_matches(want, attrs.encoder, prefix_match) for want in c.encoders):
             return None
         matched.append("encoder")
-    if frozenset(c.required_markers) - attrs.markers:
-        return None
     if c.forbidden_markers & attrs.markers:
         return None
     if attrs.markers and not c.markers_any and (attrs.markers & frozenset(c.markers)):
@@ -198,15 +196,13 @@ def classify_outcome(
     candidates: list[Candidate] | tuple[Candidate, ...],
     chains: list[ChainHypothesis] | tuple[ChainHypothesis, ...] = (),
     original_like: bool = False,
-    placeholder_only: bool = False,
 ) -> Outcome:
     """Map the evidence draft to an outcome class.
 
     Distinct explanations are the candidate apps plus the chain (nth, n+1)
     pairs: exactly one means Identified, several mean Narrowed.  With no
     explanation, an exact original profile match reports OriginalLike;
-    a draft whose only matches were placeholder (distinguishable=false)
-    records reports Indistinguishable; anything else is Unknown.
+    anything else is Unknown.
     """
     explanations = {("single", c.app) for c in candidates}
     explanations |= {("chain", h.nth_app, h.nplus1_app) for h in chains}
@@ -216,8 +212,6 @@ def classify_outcome(
         return Outcome.NARROWED
     if original_like:
         return Outcome.ORIGINAL_LIKE
-    if placeholder_only:
-        return Outcome.INDISTINGUISHABLE
     return Outcome.UNKNOWN
 
 
@@ -231,9 +225,7 @@ def _rank(pairs: list[tuple[FingerprintRecord, Candidate]]) -> list[Candidate]:
 def match_image(attrs: ImageAttributes, kb: KnowledgeBase) -> Verdict:
     """Match an image against the KB: resolution within tolerance, then size bands."""
     pairs: list[tuple[FingerprintRecord, Candidate]] = []
-    for rec in kb.records:
-        if rec.media_kind is not MediaKind.IMAGE or not rec.distinguishable:
-            continue
+    for rec in kb.image_records:
         matched = satisfies_image(rec.constraints, attrs)
         if matched is not None:
             pairs.append((rec, _candidate(rec, matched)))
@@ -248,33 +240,16 @@ def match_image(attrs: ImageAttributes, kb: KnowledgeBase) -> Verdict:
 def is_overwritten_chain(rec: FingerprintRecord, kb: KnowledgeBase) -> bool:
     """True when a chain record is indistinguishable from a single hop.
 
-    That happens when the N+1st messenger's re-encode overwrote every trace
-    of the N-th hop: the chain constraints equal a single-hop record of the
-    same (N+1) app and OS, so the single-hop verdict stands on its own.
+    The KB decides this once, when it is built; see
+    ``KnowledgeBase.overwritten_chain_ids``.
     """
-    if rec.hop is not Hop.CHAIN or not rec.distinguishable:
-        return False
-    for other in kb.records:
-        if (
-            other.hop is Hop.SINGLE
-            and other.app == rec.app
-            and other.os is rec.os
-            and records_equal_constraints(rec, other)
-        ):
-            return True
-    return False
+    return rec.record_id in kb.overwritten_chain_ids
 
 
 def infer_chain(attrs: VideoAttributes, kb: KnowledgeBase) -> list[ChainHypothesis]:
     """All (N-th, N+1st) relay paths consistent with the attributes."""
     hypotheses: list[ChainHypothesis] = []
-    for rec in kb.records:
-        if rec.hop is not Hop.CHAIN or rec.media_kind is not MediaKind.VIDEO:
-            continue
-        if not rec.distinguishable:
-            continue
-        if is_overwritten_chain(rec, kb):
-            continue
+    for rec in kb.video_chains:
         matched = satisfies_video(rec.constraints, attrs, kb.encoder_prefix_match)
         if matched is not None:
             hypotheses.append(ChainHypothesis(
@@ -290,11 +265,7 @@ def infer_chain(attrs: VideoAttributes, kb: KnowledgeBase) -> list[ChainHypothes
 def match_video(attrs: VideoAttributes, kb: KnowledgeBase, chains: bool = True) -> Verdict:
     """Match a video against single-hop records and, optionally, relay chains."""
     pairs: list[tuple[FingerprintRecord, Candidate]] = []
-    for rec in kb.records:
-        if rec.media_kind is not MediaKind.VIDEO or not rec.distinguishable:
-            continue
-        if rec.hop is not Hop.SINGLE:
-            continue
+    for rec in kb.video_singles:
         matched = satisfies_video(rec.constraints, attrs, kb.encoder_prefix_match)
         if matched is not None:
             pairs.append((rec, _candidate(rec, matched)))

@@ -70,8 +70,7 @@ class VideoConstraints:
 
     ``markers`` is the characteristic marker set of the transformed file:
     matching allows exactly those markers and forbids the rest, unless
-    ``markers_any`` lifts the constraint entirely.  ``required_markers`` adds
-    a must-be-present condition on top (unused by the shipped KB).
+    ``markers_any`` lifts the constraint entirely.
     """
 
     extensions: tuple[str, ...] = ()
@@ -83,7 +82,6 @@ class VideoConstraints:
     encoders: tuple[str, ...] = ()
     markers: tuple[Marker, ...] = ()
     markers_any: bool = False
-    required_markers: tuple[Marker, ...] = ()
 
     @property
     def forbidden_markers(self) -> frozenset[Marker]:
@@ -161,16 +159,72 @@ class OriginalProfile:
 
 @dataclass(frozen=True)
 class KnowledgeBase:
+    """The loaded records plus query indexes compiled from them.
+
+    The indexes depend only on ``records``, so they are built once, in
+    ``__post_init__``: every construction path (``load_kb``, a direct call,
+    ``dataclasses.replace``) compiles them, and queries never rescan the
+    records.  The candidate tuples keep KB file order, which rank
+    tie-breaking relies on.
+    """
+
     records: tuple[FingerprintRecord, ...]
     originals: tuple[OriginalProfile, ...] = ()
     manifest: tuple[tuple[str, int], ...] | None = None
     encoder_prefix_match: bool = False
 
-    def record(self, record_id: str) -> FingerprintRecord:
+    # Compiled indexes; not part of equality, repr or the constructor.
+    image_records: tuple[FingerprintRecord, ...] = field(init=False, repr=False, compare=False)
+    video_singles: tuple[FingerprintRecord, ...] = field(init=False, repr=False, compare=False)
+    video_chains: tuple[FingerprintRecord, ...] = field(init=False, repr=False, compare=False)
+    overwritten_chain_ids: frozenset[str] = field(init=False, repr=False, compare=False)
+    _by_id: dict[str, FingerprintRecord] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        by_id: dict[str, FingerprintRecord] = {}
+        images: list[FingerprintRecord] = []
+        singles: list[FingerprintRecord] = []
+        relays: list[FingerprintRecord] = []
+        single_keys = set()
         for rec in self.records:
-            if rec.record_id == record_id:
-                return rec
-        raise KeyError(record_id)
+            by_id.setdefault(rec.record_id, rec)
+            if not rec.distinguishable:
+                continue
+            if rec.media_kind is MediaKind.IMAGE:
+                images.append(rec)
+            if rec.hop is Hop.SINGLE:
+                single_keys.add(_overwrite_key(rec))
+                if rec.media_kind is MediaKind.VIDEO:
+                    singles.append(rec)
+            else:
+                relays.append(rec)
+        # A chain record is overwritten when the N+1st messenger's re-encode
+        # erased every trace of the N-th hop: its constraints equal a
+        # single-hop record of the same (N+1) app and OS, so the single-hop
+        # verdict stands on its own.
+        overwritten: set[str] = set()
+        chains: list[FingerprintRecord] = []
+        for rec in relays:
+            if _overwrite_key(rec) in single_keys:
+                overwritten.add(rec.record_id)
+            elif rec.media_kind is MediaKind.VIDEO:
+                chains.append(rec)
+        compiled = {
+            "_by_id": by_id,
+            "overwritten_chain_ids": frozenset(overwritten),
+            "image_records": tuple(images),
+            "video_singles": tuple(singles),
+            "video_chains": tuple(chains),
+        }
+        for name, value in compiled.items():
+            object.__setattr__(self, name, value)
+
+    def record(self, record_id: str) -> FingerprintRecord:
+        return self._by_id[record_id]
+
+
+def _overwrite_key(rec: FingerprintRecord) -> tuple:
+    return (rec.media_kind, rec.app, rec.os, rec.constraints)
 
 
 _GROUP_RE = re.compile(r"^t(\d+)$")
@@ -194,11 +248,11 @@ _RECORD_KEYS = frozenset({
     "media", "app", "os", "quality", "hop", "nth_app", "indistinguishable",
     "extension", "format_profile", "codec_id", "video_format_profile",
     "resolution", "resolution_tolerance", "size_band", "encoder",
-    "markers", "markers_required",
+    "markers",
 })
 _VIDEO_ONLY_KEYS = frozenset({
     "extension", "format_profile", "codec_id", "video_format_profile",
-    "encoder", "markers", "markers_required",
+    "encoder", "markers",
 })
 _IMAGE_ONLY_KEYS = frozenset({"resolution_tolerance", "size_band"})
 _ORIGINAL_KEYS = frozenset({
@@ -377,7 +431,6 @@ def _build_record(block: _Block, index: int) -> FingerprintRecord:
             encoders=tuple(_parse_list(f["encoder"])) if "encoder" in f else (),
             markers=() if markers_any else _parse_markers(markers_value, where) if markers_value else (),
             markers_any=markers_any,
-            required_markers=_parse_markers(f["markers_required"], where) if "markers_required" in f else (),
         )
         if constraints.is_empty():
             raise SchemaError(f"{where}: distinguishable video record carries no constraints")
@@ -576,8 +629,6 @@ def render_kb(kb: KnowledgeBase) -> str:
                 lines.append("markers = any")
             elif c.markers:
                 lines.append(f"markers = {', '.join(m.value for m in c.markers)}")
-            if c.required_markers:
-                lines.append(f"markers_required = {', '.join(m.value for m in c.required_markers)}")
         lines.append("")
     for orig in kb.originals:
         lines.append(f"[original {orig.profile_id}]")
@@ -686,20 +737,11 @@ def list_records(
     return out
 
 
-def records_equal_constraints(a: FingerprintRecord, b: FingerprintRecord) -> bool:
-    return (
-        a.media_kind is b.media_kind
-        and a.distinguishable
-        and b.distinguishable
-        and a.constraints == b.constraints
-    )
-
-
 __all__ = [
     "DEFAULT_RESOLUTION_TOLERANCE", "KB_ENV_VAR", "ALL_MARKERS",
     "KbError", "SchemaError", "ManifestMismatch",
     "Hop", "ImageConstraints", "VideoConstraints", "FingerprintRecord",
     "OriginalProfile", "KnowledgeBase", "Finding", "ValidationReport",
     "group_key", "load_kb", "load_kb_path", "default_kb_path", "render_kb",
-    "validate_kb", "list_records", "records_equal_constraints",
+    "validate_kb", "list_records",
 ]

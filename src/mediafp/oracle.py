@@ -25,7 +25,6 @@ from .attributes import (
     parse_video_format_profile,
 )
 from .container import codec_id_brands, classify_format_profile, FtypInfo, UnknownBrand
-from .engine import is_overwritten_chain
 from .kb import (
     FingerprintRecord,
     Hop,
@@ -96,7 +95,7 @@ def expected_attributes(rec: FingerprintRecord) -> VideoAttributes | ImageAttrib
         width=width,
         length=length,
         encoder=c.encoders[0] if c.encoders else None,
-        markers=frozenset(c.markers) | frozenset(c.required_markers),
+        markers=frozenset(c.markers),
         byte_size=SYNTH_CONTAINER_SIZE,
     )
 
@@ -180,7 +179,7 @@ def generate_corpus(kb: KnowledgeBase) -> tuple[CorpusEntry, ...]:
     for rec in kb.records:
         if not rec.distinguishable:
             continue
-        if rec.hop is Hop.CHAIN and is_overwritten_chain(rec, kb):
+        if rec.record_id in kb.overwritten_chain_ids:
             continue
         if rec.hop is Hop.CHAIN:
             label: SingleLabel | ChainLabel = ChainLabel(rec.nth_app or "", rec.app, rec.os)

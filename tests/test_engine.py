@@ -231,9 +231,6 @@ class TestClassifyOutcome:
     def test_original_like_checked_before_unknown(self):
         assert classify_outcome([], [], original_like=True) is Outcome.ORIGINAL_LIKE
 
-    def test_placeholder_only_reports_indistinguishable(self):
-        assert classify_outcome([], [], placeholder_only=True) is Outcome.INDISTINGUISHABLE
-
     def test_match_beats_original_flag(self):
         assert classify_outcome([self.CAND], [], original_like=True) is Outcome.IDENTIFIED
 

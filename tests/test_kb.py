@@ -1,9 +1,13 @@
+import dataclasses
+
 import pytest
 
-from mediafp.attributes import MediaKind, OS
+from mediafp.attributes import FormatProfile, MediaKind, OS
 from mediafp.kb import (
+    FingerprintRecord,
     Hop,
     ImageConstraints,
+    KnowledgeBase,
     ManifestMismatch,
     SchemaError,
     VideoConstraints,
@@ -79,6 +83,7 @@ def test_manifest_accepts_exact_counts():
     ("os = iOS", "resolution = 12x", "", "bad resolution"),
     ("os = iOS", "resolution = 100x100", "markers = MovieSomething", "unknown marker"),
     ("os = iOS", "resolution = 100x100", "hop = triple", "hop"),
+    ("os = iOS", "resolution = 100x100", "markers_required = Copyright", "unknown keys"),
 ])
 def test_schema_errors(os_line, resolution_line, extra, needle):
     text = f"""
@@ -222,7 +227,6 @@ codec_id = "mp42 (isom/mp42)"
 video_format_profile = "High@L3.1"
 resolution = 960x544, 544x960
 markers = Copyright, MovieMore
-markers_required = Copyright
 
 [record t6-banded]
 media = image
@@ -295,3 +299,95 @@ class TestShippedInvariants:
         v2 = kb.record("t7-kakaotalk-general-v2")
         assert (v1.app, v1.os, v1.quality) == (v2.app, v2.os, v2.quality)
         assert v1.constraints != v2.constraints
+
+
+def _brute_force_indexes(kb):
+    """The per-record filters queries ran before the KB compiled them."""
+    overwritten = frozenset(
+        rec.record_id for rec in kb.records
+        if rec.hop is Hop.CHAIN and rec.distinguishable and any(
+            other.hop is Hop.SINGLE
+            and other.app == rec.app
+            and other.os is rec.os
+            and other.media_kind is rec.media_kind
+            and other.distinguishable
+            and other.constraints == rec.constraints
+            for other in kb.records
+        )
+    )
+    usable = [rec for rec in kb.records if rec.distinguishable]
+    return {
+        "overwritten_chain_ids": overwritten,
+        "image_records": tuple(r for r in usable if r.media_kind is MediaKind.IMAGE),
+        "video_singles": tuple(
+            r for r in usable if r.media_kind is MediaKind.VIDEO and r.hop is Hop.SINGLE
+        ),
+        "video_chains": tuple(
+            r for r in usable
+            if r.media_kind is MediaKind.VIDEO and r.hop is Hop.CHAIN and r.record_id not in overwritten
+        ),
+    }
+
+
+def _compiled_indexes(kb):
+    return {name: getattr(kb, name) for name in _brute_force_indexes(kb)}
+
+
+def _hand_built_kb():
+    c1 = VideoConstraints(
+        extensions=("mp4",), format_profiles=(FormatProfile.BASE_MEDIA,),
+        codec_ids=("isom (isom/iso2/avc1/mp41)",), resolutions=((1280, 720),),
+    )
+    c2 = dataclasses.replace(c1, resolutions=((640, 360),))
+
+    def video(rid, app, os, constraints, nth_app=None, distinguishable=True):
+        return FingerprintRecord(
+            rid, MediaKind.VIDEO, app, os, "Default",
+            hop=Hop.CHAIN if nth_app else Hop.SINGLE, nth_app=nth_app,
+            distinguishable=distinguishable, constraints=constraints,
+        )
+
+    records = (
+        video("t8-b", "B", OS.IOS, c1),
+        FingerprintRecord("t6-img", MediaKind.IMAGE, "B", OS.IOS, "Default",
+                          constraints=ImageConstraints(((100, 100),))),
+        # A placeholder that still carries constraints can only be built directly.
+        video("t8-d", "D", OS.IOS, c2, distinguishable=False),
+        video("t9-equal", "B", OS.IOS, c1, nth_app="A"),
+        video("t9-other-os", "B", OS.ANDROID_ANY, c1, nth_app="A"),
+        video("t9-placeholder-single", "D", OS.IOS, c2, nth_app="A"),
+        # Relay matching covers videos only; image queries still see it.
+        FingerprintRecord("t10-img", MediaKind.IMAGE, "B", OS.IOS, "Default", hop=Hop.CHAIN,
+                          nth_app="A", constraints=ImageConstraints(((200, 200),))),
+    )
+    return KnowledgeBase(tuple(dataclasses.replace(r, index=i) for i, r in enumerate(records)))
+
+
+class TestCompiledIndexes:
+    def test_shipped_kb_matches_brute_force(self, kb):
+        assert _compiled_indexes(kb) == _brute_force_indexes(kb)
+        assert kb.overwritten_chain_ids  # the shipped KB has overwritten chains to skip
+
+    def test_hand_built_kb_matches_brute_force(self):
+        kb = _hand_built_kb()
+        assert kb.overwritten_chain_ids == {"t9-equal"}
+        assert [r.record_id for r in kb.video_chains] == ["t9-other-os", "t9-placeholder-single"]
+        assert [r.record_id for r in kb.video_singles] == ["t8-b"]
+        assert [r.record_id for r in kb.image_records] == ["t6-img", "t10-img"]
+        assert _compiled_indexes(kb) == _brute_force_indexes(kb)
+
+    def test_record_lookup(self, kb):
+        assert kb.record("t7-discord-default").record_id == "t7-discord-default"
+        with pytest.raises(KeyError):
+            kb.record("nope")
+
+    def test_replace_rebuilds_indexes(self):
+        kb = _hand_built_kb()
+        without_single = dataclasses.replace(kb, records=kb.records[1:])
+        assert without_single.overwritten_chain_ids == frozenset()
+        assert [r.record_id for r in without_single.video_chains] == [
+            "t9-equal", "t9-other-os", "t9-placeholder-single",
+        ]
+        assert _compiled_indexes(without_single) == _brute_force_indexes(without_single)
+        with pytest.raises(KeyError):
+            without_single.record("t8-b")
