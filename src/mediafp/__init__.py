@@ -70,6 +70,7 @@ from .oracle import (
     generate_corpus,
     parse_corpus,
     render_corpus,
+    replay_corpus,
     synthesize_container,
 )
 from .report import FileReport, render_report, scan_file, sniff_media_kind

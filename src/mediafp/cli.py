@@ -17,8 +17,6 @@ import click
 
 from . import kb as kb_mod
 from . import oracle, report
-from .attributes import MediaKind
-from .engine import match_image, match_video
 
 
 def _load_kb(kb_path: str | None) -> kb_mod.KnowledgeBase:
@@ -109,19 +107,6 @@ def list_cmd(app: str | None, os_token: str | None, kind: str | None, kb_path: s
     click.echo(f"{len(selected)} records")
 
 
-def _label_satisfied(entry: oracle.CorpusEntry, verdict) -> bool:
-    label = entry.label
-    if isinstance(label, oracle.SingleLabel):
-        return any(
-            c.app == label.app and c.os is label.os and c.quality == label.quality
-            for c in verdict.candidates
-        )
-    return any(
-        h.nth_app == label.nth_app and h.nplus1_app == label.nplus1_app and h.os is label.os
-        for h in verdict.chain_hypotheses
-    )
-
-
 @main.command()
 @click.option("--kb", "kb_path", type=str, default=None, help="Knowledge base file or directory.")
 @click.option("--corpus", "corpus_path", type=click.Path(exists=True, path_type=Path),
@@ -145,18 +130,12 @@ def selftest(kb_path: str | None, corpus_path: Path | None, dump_path: Path | No
     else:
         entries = oracle.generate_corpus(knowledge)
 
-    failures = 0
-    for entry in entries:
-        if entry.media_kind is MediaKind.IMAGE:
-            verdict = match_image(entry.attributes, knowledge)
-        else:
-            verdict = match_video(entry.attributes, knowledge)
-        if not _label_satisfied(entry, verdict):
-            failures += 1
-            click.echo(f"FAIL {entry.record_id}: expected {entry.label.render()}, "
-                       f"got outcome {verdict.outcome.value}")
-    click.echo(f"{len(entries)} cases, {failures} failures")
-    sys.exit(0 if failures == 0 else 1)
+    misses = oracle.replay_corpus(knowledge, entries)
+    for entry, verdict in misses:
+        click.echo(f"FAIL {entry.record_id}: expected {entry.label.render()}, "
+                   f"got outcome {verdict.outcome.value}")
+    click.echo(f"{len(entries)} cases, {len(misses)} failures")
+    sys.exit(0 if not misses else 1)
 
 
 if __name__ == "__main__":

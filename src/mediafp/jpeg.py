@@ -2,12 +2,15 @@
 
 Scans the marker-segment stream up to the first start-of-frame header and
 reads the stored dimensions from it (ITU T.81 layout: precision byte, then
-16-bit lines and samples-per-line).  Entropy-coded data and padding segments
-are skipped by segment length; nothing is decoded.
+16-bit lines and samples-per-line).  Marker segments are skipped by their
+declared length; entropy-coded data after a start-of-scan is searched for the
+next real marker.  Entropy data and fill-byte runs are crossed by compiled
+regex searches, not by a Python step per byte.  Nothing is decoded.
 """
 
 from __future__ import annotations
 
+import re
 import struct
 
 from .attributes import ImageAttributes
@@ -19,6 +22,10 @@ _SOF_MARKERS = frozenset(range(0xC0, 0xD0)) - {0xC4, 0xC8, 0xCC}
 _STANDALONE = frozenset({0x01}) | frozenset(range(0xD0, 0xD8))  # TEM, RST0-7
 _EOI = 0xD9
 _SOS = 0xDA
+# Inside entropy-coded data a 0xFF is always followed by 0x00 stuffing, TEM or
+# a restart marker; a 0xFF followed by anything else is the next real marker.
+_NEXT_MARKER = re.compile(rb"\xff[^\x00\x01\xd0-\xd7]")
+_FILL_RUN = re.compile(rb"\xff+")
 
 
 class JpegError(Exception):
@@ -34,14 +41,9 @@ class NoFrameHeader(JpegError):
 
 
 def _skip_entropy(data, pos: int) -> int:
-    # Inside entropy-coded data a 0xFF is always followed by 0x00 stuffing or
-    # a restart marker; anything else is the next real marker.
-    end = len(data)
-    while pos < end - 1:
-        if data[pos] == 0xFF and data[pos + 1] not in (0x00,) and data[pos + 1] not in _STANDALONE:
-            return pos
-        pos += 1
-    return end
+    """Offset of the next real marker at or after ``pos``, or ``len(data)``."""
+    match = _NEXT_MARKER.search(data, pos)
+    return len(data) if match is None else match.start()
 
 
 def extract_image_attributes(data, byte_size: int | None = None) -> ImageAttributes:
@@ -59,8 +61,7 @@ def extract_image_attributes(data, byte_size: int | None = None) -> ImageAttribu
     while pos < end:
         if data[pos] != 0xFF:
             raise NoFrameHeader(f"expected marker at offset {pos}")
-        while pos < end and data[pos] == 0xFF:  # fill bytes before the code
-            pos += 1
+        pos = _FILL_RUN.match(data, pos).end()  # fill bytes before the code
         if pos >= end:
             break
         marker = data[pos]

@@ -1,11 +1,12 @@
 """Forward simulator over the knowledge base.
 
-Three jobs: predict the attribute vector a given (app, OS, quality) choice
+Four jobs: predict the attribute vector a given (app, OS, quality) choice
 imposes on an original, emit a labeled test corpus covering every trackable
-fingerprint, and synthesize minimal valid container bytes whose extraction
-reproduces a requested attribute vector exactly.  Synthesized files carry
-empty sample tables and no media data: fingerprints never depend on frame
-payloads, so fixtures stay tiny and deterministic.
+fingerprint, replay such a corpus through the matcher, and synthesize
+minimal valid container bytes whose extraction reproduces a requested
+attribute vector exactly.  Synthesized files carry empty sample tables and
+no media data: fingerprints never depend on frame payloads, so fixtures stay
+tiny and deterministic.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .attributes import (
     parse_video_format_profile,
 )
 from .container import codec_id_brands, classify_format_profile, FtypInfo, UnknownBrand
+from .engine import Verdict, match_image, match_video
 from .kb import (
     FingerprintRecord,
     Hop,
@@ -269,6 +271,33 @@ def parse_corpus(text: str) -> tuple[CorpusEntry, ...]:
     return tuple(entries)
 
 
+def _label_satisfied(label: SingleLabel | ChainLabel, verdict: Verdict) -> bool:
+    if isinstance(label, SingleLabel):
+        return any(
+            c.app == label.app and c.os is label.os and c.quality == label.quality
+            for c in verdict.candidates
+        )
+    return any(
+        h.nth_app == label.nth_app and h.nplus1_app == label.nplus1_app and h.os is label.os
+        for h in verdict.chain_hypotheses
+    )
+
+
+def replay_corpus(
+    kb: KnowledgeBase, entries: tuple[CorpusEntry, ...] | list[CorpusEntry]
+) -> list[tuple[CorpusEntry, Verdict]]:
+    """Match every entry; return the (entry, verdict) pairs missing their label, in order."""
+    misses = []
+    for entry in entries:
+        if entry.media_kind is MediaKind.IMAGE:
+            verdict = match_image(entry.attributes, kb)
+        else:
+            verdict = match_video(entry.attributes, kb)
+        if not _label_satisfied(entry.label, verdict):
+            misses.append((entry, verdict))
+    return misses
+
+
 # ---------------------------------------------------------------------------
 # container synthesis
 
@@ -404,5 +433,6 @@ __all__ = [
     "OracleError", "UnknownTransform", "InconsistentAttrs", "TransformResult",
     "expected_attributes", "apply_transform",
     "SingleLabel", "ChainLabel", "CorpusEntry", "CorpusFormatError",
-    "generate_corpus", "render_corpus", "parse_corpus", "synthesize_container",
+    "generate_corpus", "render_corpus", "parse_corpus", "replay_corpus",
+    "synthesize_container",
 ]

@@ -12,6 +12,7 @@ import json
 import mmap
 from dataclasses import dataclass
 from pathlib import Path
+from typing import BinaryIO
 
 from . import container, jpeg
 from .attributes import ImageAttributes, MediaKind, VideoAttributes
@@ -19,7 +20,12 @@ from .engine import Verdict, match_image, match_video
 from .kb import KnowledgeBase
 
 SCHEMA_VERSION = 1
-# JPEG dimensions always precede entropy data; one head window is plenty.
+# A JPEG is parsed from a short head first; the frame header of a real photo
+# sits well inside it.  Only when the head parse finds no frame header and the
+# head came back full is the file re-read from offset 0, up to the head
+# window, and parsed again.  The parser scans forward, so a success or NotJpeg
+# on the head is what the full window would give too.
+JPEG_FIRST_READ = 64 * 1024
 JPEG_HEAD_WINDOW = 16 * 1024 * 1024
 # Above this size the container scan runs over a memory map instead of a copy.
 MMAP_THRESHOLD = 16 * 1024 * 1024
@@ -42,6 +48,18 @@ def sniff_media_kind(head: bytes) -> MediaKind:
     return MediaKind.IMAGE if head[:2] == jpeg.SOI else MediaKind.VIDEO
 
 
+def _read_jpeg(handle: BinaryIO, size: int) -> ImageAttributes:
+    data = handle.read(JPEG_FIRST_READ)
+    try:
+        return jpeg.extract_image_attributes(data, byte_size=size)
+    except jpeg.NoFrameHeader:
+        if len(data) < JPEG_FIRST_READ:
+            raise
+    # Re-read rather than append, so the head and a joined copy never coexist.
+    handle.seek(0)
+    return jpeg.extract_image_attributes(handle.read(JPEG_HEAD_WINDOW), byte_size=size)
+
+
 def scan_file(path: Path, kb: KnowledgeBase, chains: bool = True) -> FileReport:
     """Parse and match one file; parse and I/O failures become per-file errors."""
     kind: MediaKind | None = None
@@ -52,10 +70,7 @@ def scan_file(path: Path, kb: KnowledgeBase, chains: bool = True) -> FileReport:
             handle.seek(0)
             kind = sniff_media_kind(head)
             if kind is MediaKind.IMAGE:
-                data = handle.read(JPEG_HEAD_WINDOW)
-                attrs: VideoAttributes | ImageAttributes = jpeg.extract_image_attributes(
-                    data, byte_size=size
-                )
+                attrs: VideoAttributes | ImageAttributes = _read_jpeg(handle, size)
                 verdict = match_image(attrs, kb)
             elif size > MMAP_THRESHOLD:
                 with mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ) as mapped:
@@ -164,7 +179,7 @@ def render_report(reports: list[FileReport], fmt: str = "text", timestamp: str |
 
 
 __all__ = [
-    "SCHEMA_VERSION", "JPEG_HEAD_WINDOW", "FileReport",
+    "SCHEMA_VERSION", "JPEG_FIRST_READ", "JPEG_HEAD_WINDOW", "FileReport",
     "sniff_media_kind", "scan_file", "report_to_dict",
     "render_json", "render_text", "render_report",
 ]

@@ -5,8 +5,10 @@ fails the suite.
 """
 
 import random
+import struct
 import time
 
+import pytest
 from click.testing import CliRunner
 
 from mediafp import container, jpeg
@@ -20,8 +22,10 @@ from mediafp.oracle import (
     expected_attributes,
     parse_corpus,
     render_corpus,
+    replay_corpus,
     synthesize_container,
 )
+from mediafp.report import JPEG_HEAD_WINDOW, scan_file
 
 from conftest import make_jpeg
 
@@ -50,32 +54,12 @@ def test_criterion_1_kb_completeness():
     print(f"PASS criterion 1: KB loads clean, manifest matches audit ({elapsed * 1000:.0f} ms)")
 
 
-def _verdict_contains(entry, verdict):
-    label = entry.label
-    if entry.media_kind is MediaKind.IMAGE or not hasattr(label, "nth_app"):
-        return any(
-            c.app == label.app and c.os is label.os and c.quality == label.quality
-            for c in verdict.candidates
-        )
-    return any(
-        h.nth_app == label.nth_app and h.nplus1_app == label.nplus1_app and h.os is label.os
-        for h in verdict.chain_hypotheses
-    )
-
-
 def test_criterion_2_selftest_exhaustive(kb):
     start = time.perf_counter()
     generated = generate_corpus(kb)
     frozen = parse_corpus((default_kb_path() / "corpus.tsv").read_text(encoding="utf-8"))
     assert render_corpus(generated) == render_corpus(frozen)
-    misses = []
-    for entry in generated:
-        if entry.media_kind is MediaKind.IMAGE:
-            verdict = match_image(entry.attributes, kb)
-        else:
-            verdict = match_video(entry.attributes, kb)
-        if not _verdict_contains(entry, verdict):
-            misses.append(entry.record_id)
+    misses = [entry.record_id for entry, _ in replay_corpus(kb, generated)]
     elapsed = time.perf_counter() - start
     assert misses == [], f"ground truth missing for {misses}"
     assert len(generated) == 100
@@ -241,3 +225,30 @@ def test_criterion_8_scan_determinism(tmp_path, kb):
     assert first.output == second.output
     assert first.output.encode("utf-8") == second.output.encode("utf-8")
     print("PASS criterion 8: scan --format json is byte-deterministic")
+
+
+def test_criterion_9_hostile_jpeg_parse_time(tmp_path, kb):
+    rng = random.Random(0x5CA9)
+    sos = b"\xff\xda" + struct.pack(">HB", 8, 1) + bytes([1, 0x00, 0, 63, 0])
+    entropy = rng.randbytes(JPEG_HEAD_WINDOW).replace(b"\xff", b"\xff\x00")
+    hostile = {
+        "scan-before-frame": (b"\xff\xd8" + sos + entropy)[:JPEG_HEAD_WINDOW],
+        "fill-run": b"\xff\xd8" + b"\xff" * JPEG_HEAD_WINDOW,
+    }
+    timings = []
+    for name, data in hostile.items():
+        start = time.perf_counter()
+        with pytest.raises(jpeg.NoFrameHeader):
+            jpeg.extract_image_attributes(data)
+        parse_s = time.perf_counter() - start
+
+        path = tmp_path / f"{name}.jpg"
+        path.write_bytes(data)
+        start = time.perf_counter()
+        report = scan_file(path, kb)
+        scan_s = time.perf_counter() - start
+        assert report.error is not None and report.error.startswith("NoFrameHeader:"), name
+        assert parse_s < 0.25, f"{name}: parse took {parse_s:.3f}s"
+        assert scan_s < 0.25, f"{name}: scan_file took {scan_s:.3f}s"
+        timings.append(f"{name} {parse_s * 1000:.0f}/{scan_s * 1000:.0f} ms")
+    print(f"PASS criterion 9: 16 MiB hostile JPEGs rejected fast, parse/scan_file: {', '.join(timings)}")

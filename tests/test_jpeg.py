@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mediafp.jpeg import JpegError, NoFrameHeader, NotJpeg, extract_image_attributes
+from mediafp.jpeg import JpegError, NoFrameHeader, NotJpeg, _skip_entropy, extract_image_attributes
 
 from conftest import make_jpeg
 
@@ -73,3 +73,39 @@ def test_fuzz_mutated_jpeg(offset, value):
         extract_image_attributes(bytes(data))
     except JpegError:
         pass
+
+
+def test_fill_bytes_before_a_marker_are_skipped():
+    data = make_jpeg(640, 480)
+    padded = data[:2] + b"\xff" * 1000 + data[2:]
+    attrs = extract_image_attributes(padded)
+    assert (attrs.width, attrs.length) == (640, 480)
+
+
+def test_fill_bytes_to_end_of_stream():
+    with pytest.raises(NoFrameHeader, match="no start-of-frame"):
+        extract_image_attributes(b"\xff\xd8" + b"\xff" * 5000)
+
+
+def _reference_skip_entropy(data, pos):
+    # One byte at a time: stop at a 0xFF whose next byte is neither 0x00
+    # stuffing, TEM (0x01) nor a restart marker (0xD0-0xD7).
+    end = len(data)
+    while pos < end - 1:
+        if data[pos] == 0xFF and data[pos + 1] not in (0x00, 0x01, *range(0xD0, 0xD8)):
+            return pos
+        pos += 1
+    return end
+
+
+_ENTROPY_BYTES = st.one_of(
+    st.sampled_from([0x00, 0x01, *range(0xD0, 0xD8), 0xD8, 0xD9, 0xDA, 0xFF, 0xFF, 0xFF]),
+    st.integers(min_value=0, max_value=255),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(_ENTROPY_BYTES, max_size=48).map(bytes))
+def test_skip_entropy_matches_byte_walk(data):
+    for pos in range(len(data) + 1):
+        assert _skip_entropy(data, pos) == _reference_skip_entropy(data, pos), pos
