@@ -9,6 +9,7 @@ default KB is the data directory bundled with the package, overridable with
 
 from __future__ import annotations
 
+import os
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -28,6 +29,31 @@ def _load_kb(kb_path: str | None) -> kb_mod.KnowledgeBase:
     except kb_mod.KbError as exc:
         click.echo(f"{type(exc).__name__}: {exc}", err=True)
         sys.exit(1)
+
+
+def _files_under(root: Path) -> list[Path]:
+    """Every file below ``root``, in no particular order.
+
+    Symlinked files are kept; symlinked directories are not entered and
+    broken links are dropped; unreadable directories are skipped.  A
+    directory entry already says whether it is a directory or a plain file,
+    so only symlinks cost a stat.
+    """
+    files: list[Path] = []
+    pending = [root]
+    while pending:
+        directory = pending.pop()
+        try:
+            with os.scandir(directory) as it:
+                entries = list(it)
+        except PermissionError:
+            continue
+        for entry in entries:
+            if entry.is_dir(follow_symlinks=False):
+                pending.append(directory / entry.name)
+            elif entry.is_file():
+                files.append(directory / entry.name)
+    return files
 
 
 @click.group()
@@ -57,7 +83,7 @@ def scan(paths: tuple[Path, ...], fmt: str, kb_path: str | None,
     files: list[Path] = []
     for path in paths:
         if path.is_dir():
-            files.extend(p for p in path.rglob("*") if p.is_file())
+            files.extend(_files_under(path))
         else:
             files.append(path)
     files.sort(key=str)

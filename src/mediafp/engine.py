@@ -11,9 +11,12 @@ for two-hop relays.
 
 Everything here is stateless over an immutable KnowledgeBase and safe for
 concurrent queries.  A KnowledgeBase compiles its query indexes (candidate
-records per media kind and hop, overwritten chains, records by id) when it is
-built, so queries touch only the records that can match: load it once and
-reuse it for many queries.
+records per media kind and hop, overwritten chains, records by id, originals
+by their exact fields) when it is built.  A video is checked only against
+the single-hop and chain records the KB looks up by its codec id and video
+format profile, since every other record rejects one of those two fields;
+the verdict is the one a check against every record would give.  Load the KB
+once and reuse it for many queries.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .attributes import ImageAttributes, MediaKind, OS, VideoAttributes
+from .attributes import ImageAttributes, OS, VideoAttributes
 from .kb import (
     FingerprintRecord,
     ImageConstraints,
@@ -118,7 +121,7 @@ def satisfies_video(
         matched.append("encoder")
     if c.forbidden_markers & attrs.markers:
         return None
-    if attrs.markers and not c.markers_any and (attrs.markers & frozenset(c.markers)):
+    if attrs.markers and not c.markers_any and (attrs.markers & c.marker_set):
         matched.append("markers")
     return tuple(matched)
 
@@ -144,25 +147,14 @@ def _candidate(rec: FingerprintRecord, matched: tuple[str, ...], used_band: bool
 
 
 def find_image_original(attrs: ImageAttributes, kb: KnowledgeBase) -> OriginalProfile | None:
-    for orig in kb.originals:
-        if orig.media_kind is MediaKind.IMAGE and orig.resolution == (attrs.width, attrs.length):
-            return orig
-    return None
+    return kb.image_originals.get((attrs.width, attrs.length))
 
 
 def find_video_original(attrs: VideoAttributes, kb: KnowledgeBase) -> OriginalProfile | None:
-    for orig in kb.originals:
-        if orig.media_kind is not MediaKind.VIDEO:
-            continue
-        if (
-            orig.extension == attrs.extension
-            and orig.format_profile is attrs.format_profile
-            and orig.codec_id == attrs.codec_id
-            and orig.video_format_profile == attrs.video_format_profile
-            and orig.resolution == (attrs.width, attrs.length)
-        ):
-            return orig
-    return None
+    return kb.video_originals.get((
+        attrs.extension, attrs.format_profile, attrs.codec_id,
+        attrs.video_format_profile, (attrs.width, attrs.length),
+    ))
 
 
 def disambiguate_by_size(
@@ -249,7 +241,8 @@ def is_overwritten_chain(rec: FingerprintRecord, kb: KnowledgeBase) -> bool:
 def infer_chain(attrs: VideoAttributes, kb: KnowledgeBase) -> list[ChainHypothesis]:
     """All (N-th, N+1st) relay paths consistent with the attributes."""
     hypotheses: list[ChainHypothesis] = []
-    for rec in kb.video_chains:
+    _, chains = kb.video_candidates(attrs.codec_id, attrs.video_format_profile)
+    for rec in chains:
         matched = satisfies_video(rec.constraints, attrs, kb.encoder_prefix_match)
         if matched is not None:
             hypotheses.append(ChainHypothesis(
@@ -265,7 +258,8 @@ def infer_chain(attrs: VideoAttributes, kb: KnowledgeBase) -> list[ChainHypothes
 def match_video(attrs: VideoAttributes, kb: KnowledgeBase, chains: bool = True) -> Verdict:
     """Match a video against single-hop records and, optionally, relay chains."""
     pairs: list[tuple[FingerprintRecord, Candidate]] = []
-    for rec in kb.video_singles:
+    singles, _ = kb.video_candidates(attrs.codec_id, attrs.video_format_profile)
+    for rec in singles:
         matched = satisfies_video(rec.constraints, attrs, kb.encoder_prefix_match)
         if matched is not None:
             pairs.append((rec, _candidate(rec, matched)))

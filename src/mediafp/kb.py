@@ -19,6 +19,7 @@ import enum
 import os as _os
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 from .attributes import (
@@ -83,11 +84,17 @@ class VideoConstraints:
     markers: tuple[Marker, ...] = ()
     markers_any: bool = False
 
-    @property
+    # The marker sets are computed on first use and kept, so matching does
+    # not rebuild them per call and loading a KB does not pay for them.
+    @cached_property
+    def marker_set(self) -> frozenset[Marker]:
+        return frozenset(self.markers)
+
+    @cached_property
     def forbidden_markers(self) -> frozenset[Marker]:
         if self.markers_any:
             return frozenset()
-        return ALL_MARKERS - frozenset(self.markers)
+        return ALL_MARKERS - self.marker_set
 
     def is_empty(self) -> bool:
         return not (
@@ -157,15 +164,25 @@ class OriginalProfile:
         )
 
 
+# Records per codec id, then per video format profile, each bucket in KB
+# file order; a level's second element serves values no record names.
+_ProfileLevel = tuple[dict[str, tuple[FingerprintRecord, ...]], tuple[FingerprintRecord, ...]]
+_VideoIndex = tuple[dict[str, _ProfileLevel], _ProfileLevel]
+
+
 @dataclass(frozen=True)
 class KnowledgeBase:
     """The loaded records plus query indexes compiled from them.
 
-    The indexes depend only on ``records``, so they are built once, in
-    ``__post_init__``: every construction path (``load_kb``, a direct call,
-    ``dataclasses.replace``) compiles them, and queries never rescan the
-    records.  The candidate tuples keep KB file order, which rank
-    tie-breaking relies on.
+    The indexes depend only on ``records`` and ``originals``, so they are
+    built once, in ``__post_init__``: every construction path (``load_kb``, a
+    direct call, ``dataclasses.replace``) compiles them, and queries never
+    rescan the records.  The candidate tuples keep KB file order, which rank
+    tie-breaking relies on.  ``video_candidates`` narrows the video records
+    to those whose codec id and video format profile can match.
+    ``image_originals`` is keyed by resolution, ``video_originals`` by
+    (extension, format profile, codec id, video format profile, resolution);
+    each keeps the first original in file order.
     """
 
     records: tuple[FingerprintRecord, ...]
@@ -178,7 +195,11 @@ class KnowledgeBase:
     video_singles: tuple[FingerprintRecord, ...] = field(init=False, repr=False, compare=False)
     video_chains: tuple[FingerprintRecord, ...] = field(init=False, repr=False, compare=False)
     overwritten_chain_ids: frozenset[str] = field(init=False, repr=False, compare=False)
+    image_originals: dict[tuple[int, int], OriginalProfile] = field(init=False, repr=False, compare=False)
+    video_originals: dict[tuple, OriginalProfile] = field(init=False, repr=False, compare=False)
     _by_id: dict[str, FingerprintRecord] = field(init=False, repr=False, compare=False)
+    _single_index: _VideoIndex = field(init=False, repr=False, compare=False)
+    _chain_index: _VideoIndex = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         by_id: dict[str, FingerprintRecord] = {}
@@ -209,18 +230,95 @@ class KnowledgeBase:
                 overwritten.add(rec.record_id)
             elif rec.media_kind is MediaKind.VIDEO:
                 chains.append(rec)
+        image_originals: dict[tuple[int, int], OriginalProfile] = {}
+        video_originals: dict[tuple, OriginalProfile] = {}
+        for orig in self.originals:
+            if orig.media_kind is MediaKind.IMAGE:
+                image_originals.setdefault(orig.resolution, orig)
+            else:
+                key = (orig.extension, orig.format_profile, orig.codec_id,
+                       orig.video_format_profile, orig.resolution)
+                video_originals.setdefault(key, orig)
         compiled = {
             "_by_id": by_id,
             "overwritten_chain_ids": frozenset(overwritten),
             "image_records": tuple(images),
             "video_singles": tuple(singles),
             "video_chains": tuple(chains),
+            "image_originals": image_originals,
+            "video_originals": video_originals,
+            "_single_index": _compile_video_index(singles),
+            "_chain_index": _compile_video_index(chains),
         }
         for name, value in compiled.items():
             object.__setattr__(self, name, value)
 
     def record(self, record_id: str) -> FingerprintRecord:
         return self._by_id[record_id]
+
+    def video_candidates(
+        self, codec_id: str, video_format_profile: str
+    ) -> tuple[tuple[FingerprintRecord, ...], tuple[FingerprintRecord, ...]]:
+        """(single-hop, chain) records a video with these two fields can match.
+
+        Every other video record constrains codec id or video format profile
+        to values that exclude these, so it cannot match.  Both tuples keep
+        KB file order.
+        """
+        return (
+            _lookup(self._single_index, codec_id, video_format_profile),
+            _lookup(self._chain_index, codec_id, video_format_profile),
+        )
+
+
+def _lookup(index: _VideoIndex, codec_id: str, video_format_profile: str) -> tuple[FingerprintRecord, ...]:
+    by_codec, any_codec = index
+    by_profile, any_profile = by_codec.get(codec_id, any_codec)
+    return by_profile.get(video_format_profile, any_profile)
+
+
+def _compile_video_index(records: list[FingerprintRecord]) -> _VideoIndex:
+    """Bucket video records by codec id, then by video format profile.
+
+    A record that leaves a field empty is a wildcard for it: it joins every
+    bucket of that level and the level's default bucket, which serves values
+    no record names.  A bucket created mid-pass starts as a copy of its
+    level's default, so one pass keeps every bucket in KB file order.
+    Nearly every record names one value per field, so the duplicate filter
+    (``dict.fromkeys``) runs only on longer lists.
+    """
+    by_codec: dict[str, tuple[dict[str, list], list]] = {}
+    any_codec: tuple[dict[str, list], list] = ({}, [])
+    for rec in records:
+        codecs = rec.constraints.codec_ids
+        if codecs:
+            levels = []
+            for codec in codecs if len(codecs) == 1 else dict.fromkeys(codecs):
+                level = by_codec.get(codec)
+                if level is None:
+                    by_profile, any_profile = any_codec
+                    level = by_codec[codec] = ({p: leaf[:] for p, leaf in by_profile.items()}, any_profile[:])
+                levels.append(level)
+        else:
+            levels = (any_codec, *by_codec.values())
+        profiles = rec.constraints.video_format_profiles
+        for by_profile, any_profile in levels:
+            if profiles:
+                for profile in profiles if len(profiles) == 1 else dict.fromkeys(profiles):
+                    leaf = by_profile.get(profile)
+                    if leaf is None:
+                        leaf = by_profile[profile] = any_profile[:]
+                    leaf.append(rec)
+            else:
+                any_profile.append(rec)
+                for leaf in by_profile.values():
+                    leaf.append(rec)
+
+    def freeze(level: tuple[dict[str, list], list]) -> _ProfileLevel:
+        by_profile, any_profile = level
+        return {p: tuple(leaf) for p, leaf in by_profile.items()}, tuple(any_profile)
+
+    return {codec: freeze(level) for codec, level in by_codec.items()}, freeze(any_codec)
 
 
 def _overwrite_key(rec: FingerprintRecord) -> tuple:

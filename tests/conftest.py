@@ -14,7 +14,9 @@ def make_jpeg(width, length, total_size=None, progressive=False, leading_segment
     """Minimal JPEG stream: SOI, optional padding segments, SOF, SOS, EOI.
 
     With total_size set, comment segments pad the stream to that exact byte
-    count (before the frame header, to prove segment skipping works).
+    count (before the frame header, to prove segment skipping works).  A
+    comment segment takes 4 to 65537 bytes, so a pad of 1 to 3 bytes cannot
+    be filled and raises ValueError.
     """
     sof_marker = 0xC2 if progressive else 0xC0
     sof = bytes([0xFF, sof_marker]) + struct.pack(">HBHHB", 11, 8, length, width, 1) + bytes([1, 0x11, 0])
@@ -30,10 +32,12 @@ def make_jpeg(width, length, total_size=None, progressive=False, leading_segment
         pad = total_size - base
         if pad < 0:
             raise ValueError(f"total_size {total_size} below minimum {base}")
+        if 0 < pad < 4:  # a comment segment needs marker + length
+            raise ValueError(f"total_size {total_size} leaves {pad} bytes, too few for a segment")
         while pad > 0:
             chunk = min(pad, 65535)
-            if chunk < 4:  # a comment segment needs marker + length
-                chunk = 4
+            if 0 < pad - chunk < 4:
+                chunk = pad - 4  # leave room for one more whole segment
             payload = chunk - 4
             segments += bytes([0xFF, 0xFE]) + struct.pack(">H", payload + 2) + b"\x00" * payload
             pad -= chunk

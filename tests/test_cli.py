@@ -1,5 +1,6 @@
 import json
 import shutil
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -43,6 +44,32 @@ class TestScan:
         assert by_name["photo.jpg"]["kind"] == "image"
         assert {c["app"] for c in by_name["photo.jpg"]["candidates"]} == {"KakaoTalk"}
         assert all(c["used_size_band"] for c in by_name["photo.jpg"]["candidates"])
+
+    @pytest.mark.parametrize("relative", [False, True])
+    def test_directory_walk_keeps_file_links_only(self, runner, tmp_path, monkeypatch, relative):
+        outside = tmp_path / "outside"
+        outside.mkdir()
+        (outside / "x.jpg").write_bytes(make_jpeg(720, 960))
+        tree = tmp_path / "tree"
+        (tree / "sub" / "deeper").mkdir(parents=True)
+        (tree / "empty").mkdir()
+        for name in ("a.jpg", ".hidden.jpg", "sub/b.jpg", "sub/deeper/c.jpg"):
+            (tree / name).write_bytes(make_jpeg(720, 960))
+        (tree / "file-link.jpg").symlink_to(outside / "x.jpg")
+        (tree / "sub" / "dir-link").symlink_to(outside, target_is_directory=True)
+        (tree / "broken.jpg").symlink_to(tmp_path / "nope.jpg")
+        root = tree
+        if relative:
+            monkeypatch.chdir(tree)
+            root = Path(".")
+        reference = sorted((str(p) for p in root.rglob("*") if p.is_file()))
+        prefix = "" if relative else f"{tree}/"
+        assert reference == [prefix + name for name in (
+            ".hidden.jpg", "a.jpg", "file-link.jpg", "sub/b.jpg", "sub/deeper/c.jpg",
+        )]
+        result = runner.invoke(main, ["scan", str(root), "--format", "json"])
+        assert result.exit_code == 0
+        assert [r["path"] for r in json.loads(result.output)["reports"]] == reference
 
     def test_report_object_shape(self, runner, fixture_dir):
         result = runner.invoke(main, ["scan", str(fixture_dir / "discord.mov"), "--format", "json"])

@@ -272,3 +272,115 @@ def test_fuzz_mutated_container(offset, value):
         extract_video_attributes(bytes(data), name_hint="m.mov")
     except ParseError:
         pass
+
+
+# Generated box trees.  A node is (box type, header, children or payload):
+# header "32" is the classic size, "64" the extended size, "0" a size of
+# zero, which runs to the end of the enclosing box (valid on a last box).
+_PARSED_CONTAINERS = (b"moov", b"trak", b"mdia", b"minf", b"stbl", b"udta")
+_LEAF_TYPES = (b"ftyp", b"hdlr", b"tkhd", b"stsd", b"avcC", b"vmhd", b"free",
+               b"\xa9nam", b"\xa9cpy", b"\xa9too", b"data", b"keys", b"mdat")
+
+
+def _encode(node, last=True):
+    box_type, header, body = node
+    if isinstance(body, bytes):
+        payload = body
+    else:
+        payload = b"".join(_encode(child, i == len(body) - 1) for i, child in enumerate(body))
+        if box_type == b"meta-iso":
+            payload = b"\x00\x00\x00\x00" + payload  # full box version and flags
+    box_type = box_type[:4]
+    if header == "0" and last:
+        return struct.pack(">I", 0) + box_type + payload
+    if header == "64":
+        return struct.pack(">I", 1) + box_type + struct.pack(">Q", 16 + len(payload)) + payload
+    return struct.pack(">I", 8 + len(payload)) + box_type + payload
+
+
+def _shape(node):
+    """(type, children) as parse_box_tree should report the node."""
+    box_type, _, body = node
+    children = [] if isinstance(body, bytes) else [_shape(c) for c in body]
+    return box_type[:4].decode("latin-1"), children
+
+
+_headers = st.sampled_from(["32", "32", "64", "0"])
+_leaves = st.tuples(st.sampled_from(_LEAF_TYPES), _headers, st.binary(max_size=96))
+
+
+def _containers(children):
+    plain = st.tuples(st.sampled_from(_PARSED_CONTAINERS), _headers, st.lists(children, max_size=4))
+    iso_meta = st.tuples(st.just(b"meta-iso"), _headers, st.lists(children, max_size=3))
+    # A QuickTime meta has no version field; a parser tells it apart by the
+    # child type (hdlr, keys or ilst) where an ISO meta keeps a child's size.
+    first = st.tuples(st.sampled_from([b"hdlr", b"keys", b"ilst"]), _headers, st.binary(max_size=32))
+    qt_meta = st.tuples(st.just(b"meta"), _headers,
+                        st.builds(lambda f, rest: [f, *rest], first, st.lists(children, max_size=2)))
+    return plain | iso_meta | qt_meta
+
+
+_trees = st.lists(st.recursive(_leaves, _containers, max_leaves=12), min_size=1, max_size=4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_trees)
+def test_generated_box_trees_parse_to_their_shape(tree):
+    data = b"".join(_encode(node, i == len(tree) - 1) for i, node in enumerate(tree))
+    parsed = parse_box_tree(data)
+
+    def shape(box):
+        return box.box_type, [shape(child) for child in box.children]
+
+    assert [shape(box) for box in parsed] == [_shape(node) for node in tree]
+
+
+def _movie(hdlr_type, tkhd, entry_body, avcc, udta):
+    # moov/trak with a video track skeleton; payloads of the leaves the
+    # extractor reads (tkhd, stsd entry, avcC) are arbitrary bytes.
+    entry = b"avc1" + entry_body + _encode((b"avcC", "32", avcc))
+    stsd = b"\x00" * 4 + struct.pack(">I", 1) + struct.pack(">I", 4 + len(entry)) + entry
+    hdlr = b"\x00" * 8 + hdlr_type + b"\x00" * 12
+    stbl = (b"stbl", "32", [(b"stsd", "32", stsd)])
+    mdia = (b"mdia", "32", [(b"hdlr", "32", hdlr), (b"minf", "32", [stbl])])
+    trak = (b"trak", "32", [(b"tkhd", "32", tkhd), mdia])
+    return [(b"moov", "32", [trak, (b"udta", "32", udta)])]
+
+
+_movies = st.builds(
+    _movie,
+    st.sampled_from([b"vide", b"soun"]),
+    st.binary(max_size=100),
+    st.binary(max_size=40) | st.binary(min_size=78, max_size=90),  # short, or reaching avcC
+    st.binary(max_size=8),
+    st.lists(st.one_of(_leaves, _containers(_leaves)), max_size=3),
+)
+_BRANDS = [b"qt  ", b"mp42", b"isom", b"avc1", b"XXXX"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(st.none(), st.tuples(st.sampled_from(_BRANDS), st.lists(st.sampled_from(_BRANDS), max_size=3))),
+    _trees | _movies,
+    st.lists(st.tuples(st.integers(min_value=0, max_value=4096),
+                       st.sampled_from([0, 1, 7, 8, 15, 16, 0xFF, 0xFFFFFFFF])), max_size=3),
+    # A header cut short after the last box: 32-bit, or 64-bit with its size.
+    st.sampled_from([b"", struct.pack(">I", 1) + b"mdat"]).flatmap(
+        lambda head: st.binary(max_size=7).map(lambda rest: head + rest)),
+    st.integers(min_value=0, max_value=64),
+)
+def test_hostile_box_trees_raise_only_declared_errors(ftyp, tree, size_edits, tail, cut):
+    # Well-formed trees, then declared sizes overwritten at random offsets
+    # (zero, one, below the header, huge) and the end cut off.
+    head = ftyp_bytes(ftyp[0], ftyp[1]) if ftyp else b""
+    body = b"".join(_encode(node, i == len(tree) - 1) for i, node in enumerate(tree))
+    data = bytearray(head + body + tail)
+    for offset, size in size_edits:
+        offset %= max(1, len(data) - 3)
+        data[offset:offset + 4] = struct.pack(">I", size)
+    data = bytes(data[:len(data) - cut] if cut < len(data) else data)
+    for parse in (parse_box_tree, lambda d: extract_video_attributes(d, name_hint="g.mp4")):
+        try:
+            parse(data)
+        except ParseError:
+            pass

@@ -2,13 +2,15 @@ import dataclasses
 
 from hypothesis import given, settings, strategies as st
 
-from mediafp.attributes import FormatProfile, ImageAttributes, Marker, OS, VideoAttributes
+from mediafp.attributes import EXTENSIONS, FormatProfile, ImageAttributes, Marker, OS, VideoAttributes
 from mediafp.engine import (
     Candidate,
     ChainHypothesis,
     Outcome,
     classify_outcome,
     disambiguate_by_size,
+    find_image_original,
+    find_video_original,
     infer_chain,
     is_overwritten_chain,
     match_image,
@@ -16,7 +18,16 @@ from mediafp.engine import (
     satisfies_image,
     satisfies_video,
 )
-from mediafp.kb import Hop, ImageConstraints, MediaKind
+from mediafp.kb import (
+    FingerprintRecord,
+    Hop,
+    ImageConstraints,
+    KnowledgeBase,
+    MediaKind,
+    OriginalProfile,
+    VideoConstraints,
+    load_kb_path,
+)
 
 
 def video(ext, profile, codec, vfp, w, l, encoder=None, markers=(), size=4096):
@@ -127,6 +138,26 @@ class TestMatchVideo:
                   852, 480, encoder="Lavf57.56.999"), lenient
         )
         assert "t8-kakaotalk-general-v1" in {c.record_id for c in verdict.candidates}
+
+
+class TestFindOriginal:
+    def test_first_original_in_file_order_wins(self):
+        def orig(pid, kind, codec=None):
+            return OriginalProfile(pid, kind, OS.IOS, (1920, 1080), 1_000_000, extension="MOV",
+                                   format_profile=FormatProfile.QUICKTIME, codec_id=codec,
+                                   video_format_profile="High@L4" if codec else None)
+        kb = KnowledgeBase((), originals=(
+            orig("img-1", MediaKind.IMAGE), orig("vid-other", MediaKind.VIDEO, "mp42"),
+            orig("vid-1", MediaKind.VIDEO, "qt"), orig("img-2", MediaKind.IMAGE),
+            orig("vid-2", MediaKind.VIDEO, "qt"),
+        ))
+        assert find_image_original(ImageAttributes(1920, 1080, 5000), kb).profile_id == "img-1"
+        assert find_image_original(ImageAttributes(1080, 1920, 5000), kb) is None
+        attrs = video("MOV", FormatProfile.QUICKTIME, "qt", "High@L4", 1920, 1080)
+        assert find_video_original(attrs, kb).profile_id == "vid-1"
+        for changed in (dict(extension="mp4"), dict(format_profile=FormatProfile.BASE_MEDIA),
+                        dict(codec_id="isom"), dict(video_format_profile="High@L4.1"), dict(width=1921)):
+            assert find_video_original(dataclasses.replace(attrs, **changed), kb) is None
 
 
 class TestDisambiguateBySize:
@@ -284,3 +315,102 @@ class TestProperties:
     def test_chain_records_only_for_experimented_first_hops(self, kb):
         first_hops = {r.nth_app for r in kb.records if r.hop is Hop.CHAIN}
         assert first_hops == {"KakaoTalk", "Facebook Messenger"}
+
+
+class _LinearKb:
+    """A KB whose candidate lookup hands back every video record."""
+
+    def __init__(self, kb):
+        self._kb = kb
+
+    def __getattr__(self, name):
+        return getattr(self._kb, name)
+
+    def video_candidates(self, codec_id, video_format_profile):
+        return self._kb.video_singles, self._kb.video_chains
+
+
+def _assert_index_is_exact(kb, attrs):
+    linear = _LinearKb(kb)
+    assert match_video(attrs, kb) == match_video(attrs, linear)
+    assert infer_chain(attrs, kb) == infer_chain(attrs, linear)
+
+
+_OUTSIDE_CODECS = ("avc1 (avc1/isom)", "")
+_OUTSIDE_PROFILES = ("Main@L5.1", "")
+
+
+def _video_attrs(codecs, profiles, resolutions, encoders):
+    return st.builds(
+        VideoAttributes,
+        extension=st.sampled_from(EXTENSIONS),
+        format_profile=st.sampled_from(FormatProfile),
+        codec_id=st.sampled_from(codecs + _OUTSIDE_CODECS),
+        video_format_profile=st.sampled_from(profiles + _OUTSIDE_PROFILES),
+        width=st.sampled_from([w for w, _ in resolutions] + [333]),
+        length=st.sampled_from([l for _, l in resolutions] + [777]),
+        encoder=st.sampled_from(encoders + (None, "Lavf99.1.100")),
+        markers=st.frozensets(st.sampled_from(Marker)),
+    )
+
+
+def _shipped_values(kb):
+    records = kb.video_singles + kb.video_chains
+    values = {"codec_ids": set(), "video_format_profiles": set(), "resolutions": set(), "encoders": set()}
+    for rec in records:
+        for name, seen in values.items():
+            seen.update(getattr(rec.constraints, name))
+    return {name: tuple(sorted(seen)) for name, seen in values.items()}
+
+
+_SHIPPED = _shipped_values(load_kb_path())
+
+_CODECS = ("qt", "mp42 (isom/mp42)", "isom (isom/iso2/avc1/mp41)")
+_PROFILES = ("Main@L3.1", "High@L4", "Baseline@L3")
+_RESOLUTIONS = ((1280, 720), (640, 360))
+
+
+@st.composite
+def _hand_built_kbs(draw):
+    records = []
+    for i in range(draw(st.integers(min_value=1, max_value=12))):
+        chain = draw(st.booleans())
+        constraints = VideoConstraints(
+            codec_ids=tuple(draw(st.lists(st.sampled_from(_CODECS), max_size=3))),
+            video_format_profiles=tuple(draw(st.lists(st.sampled_from(_PROFILES), max_size=3))),
+            resolutions=tuple(draw(st.lists(st.sampled_from(_RESOLUTIONS), max_size=2, unique=True))),
+            markers=tuple(draw(st.lists(st.sampled_from(Marker), max_size=2, unique=True))),
+        )
+        records.append(FingerprintRecord(
+            f"t9-r{i}", MediaKind.VIDEO, draw(st.sampled_from(["A", "B"])), OS.IOS, "Default",
+            hop=Hop.CHAIN if chain else Hop.SINGLE, nth_app="N" if chain else None,
+            distinguishable=draw(st.booleans()),
+            constraints=constraints, index=i,
+        ))
+    return KnowledgeBase(tuple(records))
+
+
+class TestCandidateIndex:
+    """Matching through the codec id / video format profile index gives the
+    verdict, candidate order and chain order a scan of every record gives."""
+
+    @given(_video_attrs(_SHIPPED["codec_ids"], _SHIPPED["video_format_profiles"],
+                        _SHIPPED["resolutions"], _SHIPPED["encoders"]))
+    @settings(max_examples=300, deadline=None)
+    def test_shipped_kb(self, kb, attrs):
+        _assert_index_is_exact(kb, attrs)
+
+    def test_every_shipped_record_against_its_own_fields(self, kb):
+        for rec in kb.video_singles + kb.video_chains:
+            c = rec.constraints
+            attrs = video("mp4", FormatProfile.BASE_MEDIA, c.codec_ids[0], c.video_format_profiles[0],
+                          *(c.resolutions[0] if c.resolutions else (640, 360)),
+                          encoder=c.encoders[0] if c.encoders else None, markers=c.markers)
+            _assert_index_is_exact(kb, attrs)
+
+    @given(_hand_built_kbs(), st.lists(_video_attrs(_CODECS, _PROFILES, _RESOLUTIONS, ()),
+                                       min_size=1, max_size=8))
+    @settings(max_examples=150, deadline=None)
+    def test_hand_built_kbs_with_wildcards_and_lists(self, kb, queries):
+        for attrs in queries:
+            _assert_index_is_exact(kb, attrs)

@@ -37,6 +37,23 @@ def test_byte_size_override_for_head_window():
     assert extract_image_attributes(data, byte_size=123_456).byte_size == 123_456
 
 
+_BASE = len(make_jpeg(1, 1))
+
+
+@pytest.mark.parametrize("pad", [4, 5, 65535, 65536, 65537, 65538, 65539,
+                                 2 * 65535 + 1, 2 * 65535 + 3, 2 * 65535 + 4])
+def test_make_jpeg_pads_to_every_size(pad):
+    data = make_jpeg(1, 1, total_size=_BASE + pad)
+    assert len(data) == _BASE + pad
+    assert extract_image_attributes(data).byte_size == _BASE + pad
+
+
+@pytest.mark.parametrize("pad", [1, 2, 3])
+def test_make_jpeg_rejects_a_pad_no_segment_fills(pad):
+    with pytest.raises(ValueError):
+        make_jpeg(1, 1, total_size=_BASE + pad)
+
+
 def test_no_frame_header():
     with pytest.raises(NoFrameHeader):
         extract_image_attributes(b"\xff\xd8\xff\xd9")

@@ -333,6 +333,26 @@ def _compiled_indexes(kb):
     return {name: getattr(kb, name) for name in _brute_force_indexes(kb)}
 
 
+def _assert_candidates_match_brute_force(kb):
+    """``video_candidates`` equals filtering the video tuples by the two fields."""
+    named = [(c.codec_ids, c.video_format_profiles)
+             for c in (r.constraints for r in kb.video_singles + kb.video_chains)]
+    codecs = {v for codec_ids, _ in named for v in codec_ids} | {"no such codec"}
+    profiles = {v for _, vfps in named for v in vfps} | {"no such profile"}
+
+    def admits(rec, codec, profile):
+        c = rec.constraints
+        return (not c.codec_ids or codec in c.codec_ids) and (
+            not c.video_format_profiles or profile in c.video_format_profiles)
+
+    for codec in codecs:
+        for profile in profiles:
+            assert kb.video_candidates(codec, profile) == (
+                tuple(r for r in kb.video_singles if admits(r, codec, profile)),
+                tuple(r for r in kb.video_chains if admits(r, codec, profile)),
+            ), (codec, profile)
+
+
 def _hand_built_kb():
     c1 = VideoConstraints(
         extensions=("mp4",), format_profiles=(FormatProfile.BASE_MEDIA,),
@@ -367,6 +387,7 @@ class TestCompiledIndexes:
     def test_shipped_kb_matches_brute_force(self, kb):
         assert _compiled_indexes(kb) == _brute_force_indexes(kb)
         assert kb.overwritten_chain_ids  # the shipped KB has overwritten chains to skip
+        _assert_candidates_match_brute_force(kb)
 
     def test_hand_built_kb_matches_brute_force(self):
         kb = _hand_built_kb()
@@ -375,6 +396,7 @@ class TestCompiledIndexes:
         assert [r.record_id for r in kb.video_singles] == ["t8-b"]
         assert [r.record_id for r in kb.image_records] == ["t6-img", "t10-img"]
         assert _compiled_indexes(kb) == _brute_force_indexes(kb)
+        _assert_candidates_match_brute_force(kb)
 
     def test_record_lookup(self, kb):
         assert kb.record("t7-discord-default").record_id == "t7-discord-default"
@@ -391,3 +413,23 @@ class TestCompiledIndexes:
         assert _compiled_indexes(without_single) == _brute_force_indexes(without_single)
         with pytest.raises(KeyError):
             without_single.record("t8-b")
+
+    def test_replace_rebuilds_candidate_index(self):
+        kb = _hand_built_kb()
+        codec = kb.record("t8-b").constraints.codec_ids[0]
+        assert kb.video_candidates(codec, "") == (
+            (kb.record("t8-b"),), (kb.record("t9-other-os"), kb.record("t9-placeholder-single")),
+        )
+        # A wildcard record appended later joins every bucket and the default.
+        wildcard = FingerprintRecord(
+            "t8-any", MediaKind.VIDEO, "E", OS.IOS, "Default",
+            constraints=VideoConstraints(resolutions=((640, 360),)),
+        )
+        widened = dataclasses.replace(kb, records=kb.records + (wildcard,))
+        assert widened.video_candidates(codec, "")[0] == (kb.record("t8-b"), wildcard)
+        assert widened.video_candidates("no such codec", "") == ((wildcard,), ())
+        assert kb.video_candidates("no such codec", "") == ((), ())
+        _assert_candidates_match_brute_force(widened)
+        narrowed = dataclasses.replace(kb, records=kb.records[1:])
+        assert narrowed.video_candidates(codec, "")[0] == ()
+        _assert_candidates_match_brute_force(narrowed)

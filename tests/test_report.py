@@ -24,7 +24,9 @@ def test_frame_header_beyond_the_first_read(tmp_path, kb):
     assert report.attributes == extract_image_attributes(data)
 
 
-@pytest.mark.parametrize("sof_start", range(JPEG_FIRST_READ - 13, JPEG_FIRST_READ + 1))
+# Past the first read, the padding crosses make_jpeg's 65535-byte comment
+# chunk, so a short comment segment straddles the boundary instead.
+@pytest.mark.parametrize("sof_start", range(JPEG_FIRST_READ - 13, JPEG_FIRST_READ + 8))
 def test_frame_header_straddling_the_first_read(tmp_path, kb, sof_start):
     data = make_jpeg(1600, 1200, total_size=sof_start + _TAIL_LEN)
     assert data[sof_start:sof_start + 2] == b"\xff\xc0"
