@@ -34,8 +34,9 @@ def _load_kb(kb_path: str | None) -> kb_mod.KnowledgeBase:
 def _files_under(root: Path) -> list[Path]:
     """Every file below ``root``, in no particular order.
 
-    Symlinked files are kept; symlinked directories are not entered and
-    broken links are dropped; unreadable directories are skipped.  A
+    Symlinked files are kept; symlinked directories are not entered;
+    links that are broken, loop or pass through a file are dropped, as
+    ``Path.is_file`` drops them; unreadable directories are skipped.  A
     directory entry already says whether it is a directory or a plain file,
     so only symlinks cost a stat.
     """
@@ -49,10 +50,11 @@ def _files_under(root: Path) -> list[Path]:
         except PermissionError:
             continue
         for entry in entries:
+            path = directory / entry.name
             if entry.is_dir(follow_symlinks=False):
-                pending.append(directory / entry.name)
-            elif entry.is_file():
-                files.append(directory / entry.name)
+                pending.append(path)
+            elif path.is_file() if entry.is_symlink() else entry.is_file(follow_symlinks=False):
+                files.append(path)
     return files
 
 

@@ -58,6 +58,8 @@ class TestScan:
         (tree / "file-link.jpg").symlink_to(outside / "x.jpg")
         (tree / "sub" / "dir-link").symlink_to(outside, target_is_directory=True)
         (tree / "broken.jpg").symlink_to(tmp_path / "nope.jpg")
+        (tree / "loop.jpg").symlink_to("loop.jpg")
+        (tree / "sub" / "through-file.jpg").symlink_to(tree / "a.jpg" / "x.jpg")
         root = tree
         if relative:
             monkeypatch.chdir(tree)
