@@ -9,7 +9,10 @@ codec payload is ever decoded.  Layout references:
 * Apple QuickTime File Format (classic udta text atoms, ilst metadata)
 
 All functions are pure, bounds-checked and never read outside the supplied
-buffer; hostile input fails with one of the declared exceptions below.
+buffer; hostile input fails with one of the declared exceptions below.  The
+box walk reads inside each box's own payload only: a child's header within
+its parent, the QuickTime-or-ISO 'meta' sniff within the meta box.  The
+buffer may be bytes, a bytearray or a memory map.
 """
 
 from __future__ import annotations
@@ -54,12 +57,16 @@ class UnknownBrand(ParseError):
     """Major brand outside the known qt/mp42/iso lineages."""
 
 
-# Boxes whose payload is a plain sequence of child boxes.
-_CONTAINERS = frozenset({"moov", "trak", "mdia", "minf", "stbl", "udta", "meta"})
+# Boxes whose payload is a plain sequence of child boxes, by raw fourcc.
+_CONTAINERS = frozenset({b"moov", b"trak", b"mdia", b"minf", b"stbl", b"udta", b"meta"})
+# First child types of a QuickTime 'meta', which has no full-box header.
+_QT_META_CHILDREN = frozenset({b"hdlr", b"keys", b"ilst"})
 _MAX_DEPTH = 32
+_BOX_HEADER = struct.Struct(">I4s")
+_EXTENDED_SIZE = struct.Struct(">Q")
 
 
-@dataclass
+@dataclass(slots=True)
 class BoxNode:
     """One box: type, payload window into the original buffer, children."""
 
@@ -73,9 +80,9 @@ class BoxNode:
         return self.payload_offset + self.payload_length
 
 
-def _decode_fourcc(raw: bytes) -> str:
+def _decode_fourcc(raw) -> str:
     # latin-1 never fails and round-trips arbitrary bytes, incl. 0xA9 "(c)".
-    return raw.decode("latin-1")
+    return str(raw, "latin-1")
 
 
 def _scan_boxes(data, start: int, end: int, depth: int) -> list[BoxNode]:
@@ -84,46 +91,50 @@ def _scan_boxes(data, start: int, end: int, depth: int) -> list[BoxNode]:
     boxes: list[BoxNode] = []
     pos = start
     while pos < end:
-        if end - pos < 8:
+        remain = end - pos
+        if remain < 8:
             # A short all-zero tail is the classic user-data terminator /
             # padding; anything else is a broken header.
-            if bytes(data[pos:end]).count(0) == end - pos:
+            if bytes(data[pos:end]).count(0) == remain:
                 break
-            raise MalformedBox(f"{end - pos} trailing bytes at offset {pos}, need 8 for a header")
-        size = struct.unpack_from(">I", data, pos)[0]
-        box_type = _decode_fourcc(bytes(data[pos + 4:pos + 8]))
+            raise MalformedBox(f"{remain} trailing bytes at offset {pos}, need 8 for a header")
+        size, raw_type = _BOX_HEADER.unpack_from(data, pos)
         header = 8
-        if size == 0:
-            size = end - pos  # box runs to the end of its container
-        elif size == 1:
-            if end - pos < 16:
-                raise TruncatedFile(f"extended size header at offset {pos} exceeds buffer")
-            size = struct.unpack_from(">Q", data, pos + 8)[0]
-            header = 16
-            if size < 16:
-                raise MalformedBox(f"extended size {size} at offset {pos} is below header size")
-        elif size < 8:
-            raise MalformedBox(f"box size {size} at offset {pos} is below header size")
-        if size > end - pos:
+        if size < 8:
+            if size == 0:
+                size = remain  # box runs to the end of its container
+            elif size == 1:
+                if remain < 16:
+                    raise TruncatedFile(f"extended size header at offset {pos} exceeds buffer")
+                size = _EXTENDED_SIZE.unpack_from(data, pos + 8)[0]
+                header = 16
+                if size < 16:
+                    raise MalformedBox(f"extended size {size} at offset {pos} is below header size")
+            else:
+                raise MalformedBox(f"box size {size} at offset {pos} is below header size")
+        if size > remain:
             raise TruncatedFile(
-                f"box {box_type!r} at offset {pos} declares {size} bytes, {end - pos} remain"
+                f"box {_decode_fourcc(raw_type)!r} at offset {pos} declares {size} bytes, {remain} remain"
             )
-        node = BoxNode(box_type, pos + header, size - header)
-        if box_type in _CONTAINERS:
-            child_start = node.payload_offset + _fullbox_skip(data, node)
-            node.children = _scan_boxes(data, child_start, node.payload_end, depth + 1)
-        boxes.append(node)
+        payload_offset = pos + header
         pos += size
+        if raw_type in _CONTAINERS:
+            child_start = payload_offset
+            if raw_type == b"meta":
+                child_start += _fullbox_skip(data, payload_offset, pos)
+            children = _scan_boxes(data, child_start, pos, depth + 1)
+        else:
+            children = []
+        boxes.append(BoxNode(raw_type.decode("latin-1"), payload_offset, size - header, children))
     return boxes
 
 
-def _fullbox_skip(data, node: BoxNode) -> int:
+def _fullbox_skip(data, payload_offset: int, payload_end: int) -> int:
     # 'meta' is a full box in ISO files but a bare container in QuickTime
-    # ones; sniff by checking where a plausible first child type sits.
-    if node.box_type != "meta":
-        return 0
-    payload = data[node.payload_offset:node.payload_offset + 12]
-    if len(payload) >= 8 and bytes(payload[4:8]) in (b"hdlr", b"keys", b"ilst"):
+    # ones; sniff by checking where a plausible first child type sits.  Only
+    # a payload of 8 bytes or more can hold that type.
+    if payload_end - payload_offset >= 8 and \
+            bytes(data[payload_offset + 4:payload_offset + 8]) in _QT_META_CHILDREN:
         return 0
     return 4
 
@@ -178,12 +189,10 @@ def read_ftyp(tree: list[BoxNode], data) -> FtypInfo:
     payload = data[node.payload_offset:node.payload_end]
     if len(payload) < 8:
         raise MalformedBox("ftyp payload shorter than 8 bytes")
-    major = _decode_fourcc(bytes(payload[0:4]))
+    major = _decode_fourcc(payload[0:4])
     minor = struct.unpack_from(">I", payload, 4)[0]
-    brands = tuple(
-        _decode_fourcc(bytes(payload[i:i + 4]))
-        for i in range(8, len(payload) - 3, 4)
-    )
+    text = _decode_fourcc(payload[8:8 + (len(payload) - 8) // 4 * 4])
+    brands = tuple(text[i:i + 4] for i in range(0, len(text), 4))
     return FtypInfo(major, minor, brands)
 
 
@@ -253,7 +262,7 @@ def _parse_hdlr_type(data, node: BoxNode) -> str | None:
     # FullBox(4) + pre_defined(4) + handler_type(4)
     if node.payload_length < 12:
         return None
-    return _decode_fourcc(bytes(data[node.payload_offset + 8:node.payload_offset + 12]))
+    return _decode_fourcc(data[node.payload_offset + 8:node.payload_offset + 12])
 
 
 def _stsd_video_entry(data, stsd: BoxNode) -> tuple[int, int, AvcSignal | None] | None:

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import json
 import mmap
+import os
 from dataclasses import dataclass
+from io import FileIO
 from pathlib import Path
-from typing import BinaryIO
 
 from . import container, jpeg
 from .attributes import ImageAttributes, MediaKind, VideoAttributes
@@ -20,12 +21,17 @@ from .engine import Verdict, match_image, match_video
 from .kb import KnowledgeBase
 
 SCHEMA_VERSION = 1
-# A JPEG is parsed from a short head first; the frame header of a real photo
-# sits well inside it.  Only when the head parse finds no frame header and the
-# head came back full is the file re-read from offset 0, up to the head
-# window, and parsed again.  The parser scans forward, so a success or NotJpeg
-# on the head is what the full window would give too.
-JPEG_FIRST_READ = 64 * 1024
+# Each file is opened once, unbuffered, and sized by fstat on that descriptor.
+# One head read of up to HEAD_READ bytes serves every use: sniffing the kind,
+# the JPEG head parse, and the whole file for a video no larger than the head.
+# A larger video reads only the rest of the file, into a buffer sized for the
+# whole, so its bytes are never held twice.
+HEAD_READ = 64 * 1024
+# The frame header of a real photo sits well inside the head.  Only when the
+# head parse finds no frame header and the head came back full is the file
+# re-read from offset 0, up to the head window, and parsed again.  The parser
+# scans forward, so a success or NotJpeg on the head is what the full window
+# would give too.
 JPEG_HEAD_WINDOW = 16 * 1024 * 1024
 # Above this size the container scan runs over a memory map instead of a copy.
 MMAP_THRESHOLD = 16 * 1024 * 1024
@@ -48,36 +54,60 @@ def sniff_media_kind(head: bytes) -> MediaKind:
     return MediaKind.IMAGE if head[:2] == jpeg.SOI else MediaKind.VIDEO
 
 
-def _read_jpeg(handle: BinaryIO, size: int) -> ImageAttributes:
-    data = handle.read(JPEG_FIRST_READ)
+def _read_upto(handle: FileIO, limit: int, size: int) -> bytes:
+    # An unbuffered read may return short; read on until the buffer holds
+    # `limit` bytes or all `size` bytes fstat reported, or the file ends.
+    data = handle.read(limit)
+    while len(data) < min(limit, size):
+        more = handle.read(limit - len(data))
+        if not more:
+            break
+        data += more
+    return data
+
+
+def _read_rest(handle: FileIO, head: bytes, size: int) -> bytearray:
+    data = bytearray(size)
+    filled = len(head)
+    data[:filled] = head
+    with memoryview(data) as view:
+        while filled < size:
+            count = handle.readinto(view[filled:])
+            if not count:
+                break
+            filled += count
+    del data[filled:]  # the file shrank after fstat
+    return data
+
+
+def _read_jpeg(handle: FileIO, head: bytes, size: int) -> ImageAttributes:
     try:
-        return jpeg.extract_image_attributes(data, byte_size=size)
+        return jpeg.extract_image_attributes(head, byte_size=size)
     except jpeg.NoFrameHeader:
-        if len(data) < JPEG_FIRST_READ:
+        if len(head) < HEAD_READ:
             raise
     # Re-read rather than append, so the head and a joined copy never coexist.
     handle.seek(0)
-    return jpeg.extract_image_attributes(handle.read(JPEG_HEAD_WINDOW), byte_size=size)
+    return jpeg.extract_image_attributes(_read_upto(handle, JPEG_HEAD_WINDOW, size), byte_size=size)
 
 
 def scan_file(path: Path, kb: KnowledgeBase, chains: bool = True) -> FileReport:
     """Parse and match one file; parse and I/O failures become per-file errors."""
     kind: MediaKind | None = None
     try:
-        size = path.stat().st_size
-        with path.open("rb") as handle:
-            head = handle.read(4)
-            handle.seek(0)
+        with open(path, "rb", buffering=0) as handle:
+            size = os.fstat(handle.fileno()).st_size
+            head = _read_upto(handle, HEAD_READ, size)
             kind = sniff_media_kind(head)
             if kind is MediaKind.IMAGE:
-                attrs: VideoAttributes | ImageAttributes = _read_jpeg(handle, size)
+                attrs: VideoAttributes | ImageAttributes = _read_jpeg(handle, head, size)
                 verdict = match_image(attrs, kb)
             elif size > MMAP_THRESHOLD:
                 with mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ) as mapped:
                     attrs = container.extract_video_attributes(mapped, name_hint=path.name)
                 verdict = match_video(attrs, kb, chains=chains)
             else:
-                data = handle.read()
+                data = head if len(head) >= size else _read_rest(handle, head, size)
                 attrs = container.extract_video_attributes(data, name_hint=path.name)
                 verdict = match_video(attrs, kb, chains=chains)
     except (container.ParseError, jpeg.JpegError, OSError) as exc:
@@ -179,7 +209,7 @@ def render_report(reports: list[FileReport], fmt: str = "text", timestamp: str |
 
 
 __all__ = [
-    "SCHEMA_VERSION", "JPEG_FIRST_READ", "JPEG_HEAD_WINDOW", "FileReport",
+    "SCHEMA_VERSION", "HEAD_READ", "JPEG_HEAD_WINDOW", "FileReport",
     "sniff_media_kind", "scan_file", "report_to_dict",
     "render_json", "render_text", "render_report",
 ]

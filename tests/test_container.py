@@ -1,9 +1,20 @@
 import struct
+from dataclasses import dataclass, field, replace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from mediafp.attributes import FormatProfile, Marker, VideoAttributes
+from mediafp.attributes import (
+    AVC_PROFILES,
+    EXT_MOV,
+    EXT_MP4,
+    EXT_OTHER,
+    EXTENSIONS,
+    AvcSignal,
+    FormatProfile,
+    Marker,
+    VideoAttributes,
+)
 from mediafp.container import (
     FtypInfo,
     MalformedBox,
@@ -19,7 +30,7 @@ from mediafp.container import (
     read_ftyp,
     render_codec_id,
 )
-from mediafp.oracle import synthesize_container
+from mediafp.oracle import InconsistentAttrs, synthesize_container
 
 
 def box(box_type: bytes, payload: bytes) -> bytes:
@@ -67,6 +78,12 @@ class TestBoxTree:
         data = struct.pack(">I", 1) + b"mdat" + struct.pack(">Q", 16 + len(payload)) + payload
         tree = parse_box_tree(data)
         assert tree[0].payload_length == len(payload)
+
+    @pytest.mark.parametrize("size", [0, 8, 15])
+    def test_extended_size_below_header_is_malformed(self, size):
+        data = struct.pack(">I", 1) + b"mdat" + struct.pack(">Q", size) + b"\x00" * 16
+        with pytest.raises(MalformedBox, match=f"extended size {size} at offset 0 is below header size"):
+            parse_box_tree(data)
 
     def test_classic_udta_zero_terminator_tolerated(self):
         data = box(b"udta", box(b"\xa9nam", b"\x00\x04\x00\x00name") + b"\x00\x00\x00\x00")
@@ -358,19 +375,8 @@ _movies = st.builds(
 _BRANDS = [b"qt  ", b"mp42", b"isom", b"avc1", b"XXXX"]
 
 
-@settings(max_examples=300, deadline=None)
-@given(
-    st.one_of(st.none(), st.tuples(st.sampled_from(_BRANDS), st.lists(st.sampled_from(_BRANDS), max_size=3))),
-    _trees | _movies,
-    st.lists(st.tuples(st.integers(min_value=0, max_value=4096),
-                       st.sampled_from([0, 1, 7, 8, 15, 16, 0xFF, 0xFFFFFFFF])), max_size=3),
-    # A header cut short after the last box: 32-bit, or 64-bit with its size.
-    st.sampled_from([b"", struct.pack(">I", 1) + b"mdat"]).flatmap(
-        lambda head: st.binary(max_size=7).map(lambda rest: head + rest)),
-    st.integers(min_value=0, max_value=64),
-)
-def test_hostile_box_trees_raise_only_declared_errors(ftyp, tree, size_edits, tail, cut):
-    # Well-formed trees, then declared sizes overwritten at random offsets
+def _hostile_buffer(ftyp, tree, size_edits, tail, cut):
+    # A well-formed tree, then declared sizes overwritten at random offsets
     # (zero, one, below the header, huge) and the end cut off.
     head = ftyp_bytes(ftyp[0], ftyp[1]) if ftyp else b""
     body = b"".join(_encode(node, i == len(tree) - 1) for i, node in enumerate(tree))
@@ -378,9 +384,221 @@ def test_hostile_box_trees_raise_only_declared_errors(ftyp, tree, size_edits, ta
     for offset, size in size_edits:
         offset %= max(1, len(data) - 3)
         data[offset:offset + 4] = struct.pack(">I", size)
-    data = bytes(data[:len(data) - cut] if cut < len(data) else data)
+    return bytes(data[:len(data) - cut] if cut < len(data) else data)
+
+
+_hostile_buffers = st.builds(
+    _hostile_buffer,
+    st.one_of(st.none(), st.tuples(st.sampled_from(_BRANDS), st.lists(st.sampled_from(_BRANDS), max_size=3))),
+    _trees | _movies,
+    st.lists(st.tuples(st.integers(min_value=0, max_value=4096),
+                       st.sampled_from([0, 1, 7, 8, 15, 16, 0xFF, 0xFFFFFFFF])), max_size=3),
+    # A header cut short after the last box: 32-bit, or 64-bit with its size,
+    # or a whole 64-bit header whose size is zero, below 16, or past the end.
+    st.one_of(
+        st.sampled_from([b"", struct.pack(">I", 1) + b"mdat"]),
+        st.sampled_from([0, 8, 12, 15, 16, 17, 2**64 - 1]).map(
+            lambda size: struct.pack(">I", 1) + b"mdat" + struct.pack(">Q", size)),
+    ).flatmap(lambda head: st.binary(max_size=7).map(lambda rest: head + rest)),
+    st.integers(min_value=0, max_value=64),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_hostile_buffers)
+def test_hostile_box_trees_raise_only_declared_errors(data):
     for parse in (parse_box_tree, lambda d: extract_video_attributes(d, name_hint="g.mp4")):
         try:
             parse(data)
         except ParseError:
             pass
+
+
+# A plain box walk, kept as the reference the walk under test must match:
+# the same shapes, offsets and error messages (reports carry them).  Like the
+# walk under test, its 'meta' sniff reads only inside the meta payload.
+@dataclass
+class _ReferenceNode:
+    box_type: str
+    payload_offset: int
+    payload_length: int
+    children: list = field(default_factory=list)
+
+    @property
+    def payload_end(self) -> int:
+        return self.payload_offset + self.payload_length
+
+
+_REFERENCE_CONTAINERS = frozenset({"moov", "trak", "mdia", "minf", "stbl", "udta", "meta"})
+
+
+def _reference_scan_boxes(data, start, end, depth):
+    if depth > 32:
+        raise MalformedBox("box nesting deeper than 32")
+    boxes = []
+    pos = start
+    while pos < end:
+        if end - pos < 8:
+            if bytes(data[pos:end]).count(0) == end - pos:
+                break
+            raise MalformedBox(f"{end - pos} trailing bytes at offset {pos}, need 8 for a header")
+        size = struct.unpack_from(">I", data, pos)[0]
+        box_type = bytes(data[pos + 4:pos + 8]).decode("latin-1")
+        header = 8
+        if size == 0:
+            size = end - pos
+        elif size == 1:
+            if end - pos < 16:
+                raise TruncatedFile(f"extended size header at offset {pos} exceeds buffer")
+            size = struct.unpack_from(">Q", data, pos + 8)[0]
+            header = 16
+            if size < 16:
+                raise MalformedBox(f"extended size {size} at offset {pos} is below header size")
+        elif size < 8:
+            raise MalformedBox(f"box size {size} at offset {pos} is below header size")
+        if size > end - pos:
+            raise TruncatedFile(
+                f"box {box_type!r} at offset {pos} declares {size} bytes, {end - pos} remain"
+            )
+        node = _ReferenceNode(box_type, pos + header, size - header)
+        if box_type in _REFERENCE_CONTAINERS:
+            child_start = node.payload_offset + _reference_fullbox_skip(data, node)
+            node.children = _reference_scan_boxes(data, child_start, node.payload_end, depth + 1)
+        boxes.append(node)
+        pos += size
+    return boxes
+
+
+def _reference_fullbox_skip(data, node):
+    if node.box_type != "meta":
+        return 0
+    payload = data[node.payload_offset:min(node.payload_offset + 12, node.payload_end)]
+    if len(payload) >= 8 and bytes(payload[4:8]) in (b"hdlr", b"keys", b"ilst"):
+        return 0
+    return 4
+
+
+def _reference_parse_box_tree(data):
+    if len(data) < 8:
+        raise MalformedBox("input shorter than one box header")
+    return _reference_scan_boxes(data, 0, len(data), 0)
+
+
+def _outcome(parse, data):
+    """A parse as comparable data: every node's type, offsets and children, or the error."""
+
+    def layout(box):
+        return box.box_type, box.payload_offset, box.payload_length, [layout(c) for c in box.children]
+
+    try:
+        return [layout(box) for box in parse(data)]
+    except ParseError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_hostile_buffers)
+def test_box_walk_matches_the_reference_walk(data):
+    expected = _outcome(_reference_parse_box_tree, data)
+    assert _outcome(parse_box_tree, data) == expected
+    assert _outcome(parse_box_tree, bytearray(data)) == expected
+
+
+def _short_meta(length, child):
+    # A 'meta' with a `length`-byte payload inside a moov, then a sibling
+    # whose bytes spell `child` where the sniff for a QuickTime meta looks
+    # (payload offset 4..8); where the declared size allows, the sibling is
+    # completed into a well-formed box.
+    inside = max(0, length - 4)
+    payload = b"\x01" * min(length, 4) + child[:inside]
+    sibling = bytearray(8)
+    sibling[max(0, 4 - length):8 - length] = child[inside:]
+    size = int.from_bytes(sibling[:4], "big")
+    if 8 <= size <= 1 << 24:
+        sibling += bytes(size - 8)
+    return payload, bytes(sibling)
+
+
+@pytest.mark.parametrize("child", [b"hdlr", b"keys", b"ilst"])
+@pytest.mark.parametrize("length", range(8))
+def test_short_meta_payload_is_read_on_its_own(length, child):
+    payload, sibling = _short_meta(length, child)
+    alone = _outcome(parse_box_tree, box(b"moov", box(b"meta", payload)))
+    beside = _outcome(parse_box_tree, box(b"moov", box(b"meta", payload) + sibling))
+    neutral = _outcome(parse_box_tree, box(b"moov", box(b"free", payload) + sibling))
+    if isinstance(alone, tuple):
+        assert beside == alone  # the meta's own error, whatever follows it
+    elif isinstance(neutral, tuple):
+        assert beside == neutral  # the sibling's own error
+    else:
+        (_, _, _, [meta]), = alone
+        (moov_type, offset, length_, [_, *rest]), = neutral
+        assert beside == [(moov_type, offset, length_, [meta, *rest])]
+
+
+def test_short_meta_before_a_sibling_spelling_hdlr():
+    # moov[meta(01 02), box(size 0x6864, "lrxx")]: the sibling's size and
+    # type read "hdlr" at meta payload offset 4.
+    sibling = struct.pack(">I", 0x6864) + b"lrxx" + bytes(0x6864 - 8)
+    tree = parse_box_tree(box(b"moov", box(b"meta", b"\x01\x02") + sibling))
+    assert [(b.box_type, b.payload_length, b.children) for b in tree[0].children] == [
+        ("meta", 2, []), ("lrxx", 0x6864 - 8, []),
+    ]
+
+
+# Generated attribute vectors for the synthesize → extract round trip:
+# brand lines, AVC profiles and levels, resolutions, encoders, marker sets
+# and byte sizes well beyond the KB's own vectors.
+_MAJORS = ["qt  ", "mp42", "isom", "iso2", "iso6", "avc1", "mp41", "3gp4", "M4V ", "zzzz"]
+_brand = st.one_of(
+    st.sampled_from(_MAJORS),
+    st.text(alphabet="abcdefghijklmnopqrstuvwxyz0123456789", min_size=1, max_size=4).map(lambda b: b.ljust(4)),
+)
+
+
+@st.composite
+def _video_attributes(draw):
+    major = draw(st.sampled_from(_MAJORS))
+    codec_id = render_codec_id(FtypInfo(major, 0, tuple(draw(st.lists(_brand, max_size=5)))))
+    try:
+        derived = classify_format_profile(FtypInfo(major, 0, ()))
+    except UnknownBrand:
+        derived = FormatProfile.QUICKTIME
+    profile = draw(st.sampled_from([derived, derived, *FormatProfile]))
+    vfp = draw(st.one_of(st.just(""), st.builds(
+        lambda name, tenths, suffix: AvcSignal(name, tenths / 10.0, suffix).render(),
+        st.sampled_from(sorted(AVC_PROFILES.values())),
+        st.integers(min_value=0, max_value=255),
+        st.sampled_from([None, "@Main"]),
+    )))
+    encoder = draw(st.none() | st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=40)
+                   .filter(lambda text: not text.endswith("\x00")))
+    return VideoAttributes(
+        extension=draw(st.sampled_from(EXTENSIONS)),
+        format_profile=profile,
+        codec_id=codec_id,
+        video_format_profile=vfp,
+        width=draw(st.integers(min_value=1, max_value=0xFFFF)),
+        length=draw(st.integers(min_value=1, max_value=0xFFFF)),
+        encoder=encoder,
+        markers=frozenset(draw(st.sets(st.sampled_from(Marker)))),
+        byte_size=draw(st.integers(min_value=0, max_value=1 << 18)),
+    )
+
+
+_HINT_FOR = {EXT_MP4: "clip.mp4", EXT_MOV: "clip.MOV", EXT_OTHER: "clip.dat"}
+
+
+@settings(max_examples=300, deadline=None)
+@given(_video_attributes())
+def test_synthesized_containers_extract_to_their_vector(attrs):
+    try:
+        data = synthesize_container(attrs)
+    except InconsistentAttrs:
+        assume(False)
+    # A free box pads the file to byte_size when there is room for one.
+    natural = len(synthesize_container(replace(attrs, byte_size=0)))
+    assert len(data) == (attrs.byte_size if attrs.byte_size >= natural + 8 else natural)
+    extracted = extract_video_attributes(data, name_hint=_HINT_FOR[attrs.extension])
+    assert extracted == replace(attrs, byte_size=len(data))
+    assert extract_video_attributes(bytearray(data), name_hint=_HINT_FOR[attrs.extension]) == extracted

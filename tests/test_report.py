@@ -1,9 +1,14 @@
+import dataclasses
+import io
 import struct
 
 import pytest
 
+from mediafp import report
+from mediafp.container import extract_video_attributes, parse_box_tree
 from mediafp.jpeg import NoFrameHeader, extract_image_attributes
-from mediafp.report import JPEG_FIRST_READ, scan_file
+from mediafp.oracle import expected_attributes, synthesize_container
+from mediafp.report import HEAD_READ, scan_file
 
 from conftest import make_jpeg
 
@@ -26,7 +31,7 @@ def test_frame_header_beyond_the_first_read(tmp_path, kb):
 
 # Past the first read, the padding crosses make_jpeg's 65535-byte comment
 # chunk, so a short comment segment straddles the boundary instead.
-@pytest.mark.parametrize("sof_start", range(JPEG_FIRST_READ - 13, JPEG_FIRST_READ + 8))
+@pytest.mark.parametrize("sof_start", range(HEAD_READ - 13, HEAD_READ + 8))
 def test_frame_header_straddling_the_first_read(tmp_path, kb, sof_start):
     data = make_jpeg(1600, 1200, total_size=sof_start + _TAIL_LEN)
     assert data[sof_start:sof_start + 2] == b"\xff\xc0"
@@ -39,7 +44,7 @@ def test_scan_before_frame_error_matches_whole_file_parse(tmp_path, kb):
     # SOS, then entropy data running past the first read into a segment
     # whose length overruns the file: only the whole file names that offset.
     sos = b"\xff\xda" + struct.pack(">HB", 8, 1) + bytes([1, 0x00, 0, 63, 0])
-    data = b"\xff\xd8" + sos + b"\x5a" * (3 * JPEG_FIRST_READ) + b"\xff\xe0\xff\xff"
+    data = b"\xff\xd8" + sos + b"\x5a" * (3 * HEAD_READ) + b"\xff\xe0\xff\xff"
     with pytest.raises(NoFrameHeader) as whole:
         extract_image_attributes(data)
     assert f"at offset {len(data) - 2} breaks" in str(whole.value)
@@ -55,6 +60,85 @@ def test_short_file_failure_is_final(tmp_path, kb):
 
 
 def test_byte_size_is_the_file_size(tmp_path, kb):
-    data = make_jpeg(720, 960) + b"\x00" * (2 * JPEG_FIRST_READ)
+    data = make_jpeg(720, 960) + b"\x00" * (2 * HEAD_READ)
     report = _scan(tmp_path, kb, data)
     assert report.attributes.byte_size == len(data)
+
+
+class _ShortReads(io.FileIO):
+    """A file whose reads return at most 1000 bytes at a time."""
+
+    def read(self, size=-1):
+        return super().read(1000 if size < 0 else min(size, 1000))
+
+    def readinto(self, buffer):
+        with memoryview(buffer) as view:
+            return super().readinto(view[:1000])
+
+
+@pytest.fixture(params=[False, True], ids=["whole-reads", "short-reads"])
+def short_reads(request, monkeypatch):
+    if request.param:
+        monkeypatch.setattr(report, "open", lambda path, mode, buffering: _ShortReads(path, mode),
+                            raising=False)
+    return request.param
+
+
+def _scan_video(tmp_path, kb, data, name="clip.mov"):
+    path = tmp_path / name
+    path.write_bytes(data)
+    result = scan_file(path, kb)
+    assert result.error is None, result.error
+    assert result.attributes == extract_video_attributes(data, name_hint=name)
+    assert result.attributes.byte_size == len(data) == path.stat().st_size
+    return result
+
+
+def _discord(kb, byte_size):
+    attrs = expected_attributes(kb.record("t7-discord-default"))
+    return synthesize_container(dataclasses.replace(attrs, byte_size=byte_size))
+
+
+@pytest.mark.parametrize("size", [4096, HEAD_READ - 1, HEAD_READ, HEAD_READ + 1, 3 * HEAD_READ + 5])
+def test_video_read_around_the_head(tmp_path, kb, short_reads, size):
+    data = _discord(kb, size)
+    assert len(data) == size
+    assert _scan_video(tmp_path, kb, data).verdict.outcome.value == "Identified"
+
+
+def test_moov_after_a_large_mdat(tmp_path, kb, short_reads):
+    data = _discord(kb, 0)
+    ftyp_end = parse_box_tree(data)[0].payload_end
+    mdat = struct.pack(">I", 8 + 5 * HEAD_READ) + b"mdat" + b"\x5a" * (5 * HEAD_READ)
+    moved = data[:ftyp_end] + mdat + data[ftyp_end:]
+    result = _scan_video(tmp_path, kb, moved)
+    assert (result.attributes.width, result.attributes.length) == (960, 540)
+
+
+@pytest.mark.parametrize("data,kind,error", [
+    (b"", "video", "MalformedBox: input shorter than one box header"),
+    (b"\xff", "video", "MalformedBox: input shorter than one box header"),
+    (b"abc", "video", "MalformedBox: input shorter than one box header"),
+    (b"\xff\xd8", "image", "NoFrameHeader: no start-of-frame segment before end of stream"),
+    (b"\xff\xd8\xff", "image", "NoFrameHeader: no start-of-frame segment before end of stream"),
+])
+def test_tiny_files_keep_their_errors(tmp_path, kb, short_reads, data, kind, error):
+    path = tmp_path / "tiny"
+    path.write_bytes(data)
+    result = scan_file(path, kb)
+    assert (result.media_kind.value, result.error) == (kind, error)
+
+
+def test_jpeg_frame_header_beyond_the_head_across_reads(tmp_path, kb, short_reads):
+    data = make_jpeg(720, 960, total_size=3 * HEAD_READ)
+    result = _scan(tmp_path, kb, data)
+    assert result.attributes == extract_image_attributes(data)
+
+
+def test_file_shorter_than_its_fstat_size(tmp_path, kb, monkeypatch):
+    # A file that shrinks between fstat and the read is parsed as read.
+    data = _discord(kb, 2 * HEAD_READ)
+    real_fstat = report.os.fstat
+    monkeypatch.setattr(report.os, "fstat",
+                        lambda fd: type("Stat", (), {"st_size": real_fstat(fd).st_size + 100})())
+    _scan_video(tmp_path, kb, data)
