@@ -4,10 +4,10 @@ A record matches when every constraint it populates is satisfied: set
 membership for extension and format profile, exact string equality for codec
 id / video format profile / encoder, exact pair membership for resolutions
 (a wildcard always passes), and the marker rule (no marker outside the
-record's set, unless it allows any).  Image resolutions match within the
-record's pixel tolerance, and colliding image candidates are disambiguated
-by byte-size bands.  Chain records yield (N-th app, N+1st app) hypotheses
-for two-hop relays.
+record's set, unless it allows any).  Image resolutions match within
+±10 px (``RESOLUTION_TOLERANCE``) in width and in length, and colliding image
+candidates are disambiguated by byte-size bands.  Chain records yield (N-th
+app, N+1st app) hypotheses for two-hop relays.
 
 Everything here is stateless over an immutable KnowledgeBase and safe for
 concurrent queries.  A KnowledgeBase compiles its query indexes (candidate
@@ -32,6 +32,8 @@ from .kb import (
     OriginalProfile,
     VideoConstraints,
 )
+
+RESOLUTION_TOLERANCE = 10  # pixels, in width and in length
 
 
 class Outcome(str, enum.Enum):
@@ -67,22 +69,7 @@ class Verdict:
     chain_hypotheses: tuple[ChainHypothesis, ...] = ()
 
 
-def _encoder_matches(wanted: str, actual: str, prefix_match: bool) -> bool:
-    if wanted == actual:
-        return True
-    if prefix_match and wanted.startswith("Lavf") and actual.startswith("Lavf"):
-        # Lenient mode compares only the Lavf major.minor component.
-        want_parts = wanted[4:].split(".")
-        got_parts = actual[4:].split(".")
-        return want_parts[:2] == got_parts[:2] and len(want_parts) >= 2 and len(got_parts) >= 2
-    return False
-
-
-def satisfies_video(
-    constraints: VideoConstraints,
-    attrs: VideoAttributes,
-    prefix_match: bool = False,
-) -> tuple[str, ...] | None:
+def satisfies_video(constraints: VideoConstraints, attrs: VideoAttributes) -> tuple[str, ...] | None:
     """Evaluate one video constraint set; returns matched field names or None.
 
     A field counts as matched evidence only when the record constrains it and
@@ -107,16 +94,12 @@ def satisfies_video(
         if attrs.video_format_profile not in c.video_format_profiles:
             return None
         matched.append("video_format_profile")
-    if c.resolution_wildcard:
-        pass
-    elif c.resolutions:
+    if c.resolutions and not c.resolution_wildcard:
         if (attrs.width, attrs.length) not in c.resolutions:
             return None
         matched.append("resolution")
     if c.encoders:
-        if attrs.encoder is None:
-            return None
-        if not any(_encoder_matches(want, attrs.encoder, prefix_match) for want in c.encoders):
+        if attrs.encoder not in c.encoders:
             return None
         matched.append("encoder")
     if c.forbidden_markers & attrs.markers:
@@ -127,8 +110,8 @@ def satisfies_video(
 
 
 def satisfies_image(constraints: ImageConstraints, attrs: ImageAttributes) -> tuple[str, ...] | None:
-    """Within-tolerance resolution membership; size bands never reject here."""
-    tol = constraints.resolution_tolerance
+    """Resolution membership within RESOLUTION_TOLERANCE; size bands never reject here."""
+    tol = RESOLUTION_TOLERANCE
     for width, length in constraints.resolutions:
         if abs(attrs.width - width) <= tol and abs(attrs.length - length) <= tol:
             return ("resolution",)
@@ -229,21 +212,12 @@ def match_image(attrs: ImageAttributes, kb: KnowledgeBase) -> Verdict:
     return Verdict(tuple(candidates), outcome, ())
 
 
-def is_overwritten_chain(rec: FingerprintRecord, kb: KnowledgeBase) -> bool:
-    """True when a chain record is indistinguishable from a single hop.
-
-    The KB decides this once, when it is built; see
-    ``KnowledgeBase.overwritten_chain_ids``.
-    """
-    return rec.record_id in kb.overwritten_chain_ids
-
-
 def infer_chain(attrs: VideoAttributes, kb: KnowledgeBase) -> list[ChainHypothesis]:
     """All (N-th, N+1st) relay paths consistent with the attributes."""
     hypotheses: list[ChainHypothesis] = []
     _, chains = kb.video_candidates(attrs.codec_id, attrs.video_format_profile)
     for rec in chains:
-        matched = satisfies_video(rec.constraints, attrs, kb.encoder_prefix_match)
+        matched = satisfies_video(rec.constraints, attrs)
         if matched is not None:
             hypotheses.append(ChainHypothesis(
                 nth_app=rec.nth_app or "",
@@ -260,7 +234,7 @@ def match_video(attrs: VideoAttributes, kb: KnowledgeBase, chains: bool = True) 
     pairs: list[tuple[FingerprintRecord, Candidate]] = []
     singles, _ = kb.video_candidates(attrs.codec_id, attrs.video_format_profile)
     for rec in singles:
-        matched = satisfies_video(rec.constraints, attrs, kb.encoder_prefix_match)
+        matched = satisfies_video(rec.constraints, attrs)
         if matched is not None:
             pairs.append((rec, _candidate(rec, matched)))
     candidates = _rank(pairs)
@@ -274,5 +248,5 @@ __all__ = [
     "Outcome", "Candidate", "ChainHypothesis", "Verdict",
     "satisfies_video", "satisfies_image", "disambiguate_by_size",
     "classify_outcome", "match_image", "match_video", "infer_chain",
-    "is_overwritten_chain", "find_image_original", "find_video_original",
+    "find_image_original", "find_video_original", "RESOLUTION_TOLERANCE",
 ]

@@ -2,7 +2,7 @@
 
 The KB is plain text, line oriented.  A block starts with ``[record <id>]``
 (one messenger fingerprint), ``[original <id>]`` (an untouched-camera
-profile), ``[options]`` or ``[manifest]``, followed by ``key = value`` lines.
+profile) or ``[manifest]``, followed by ``key = value`` lines.
 List values are comma separated, resolution pairs are ``WxH``, strings that
 must match exactly (codec ids, format-profile strings, encoders) are quoted.
 Whole lines starting with ``#`` are comments.  Encoding UTF-8, LF endings.
@@ -33,7 +33,6 @@ from .attributes import (
     parse_os,
 )
 
-DEFAULT_RESOLUTION_TOLERANCE = 10
 KB_ENV_VAR = "MEDIAFP_KB"
 
 ALL_MARKERS = frozenset(Marker)
@@ -61,7 +60,6 @@ class ImageConstraints:
     """Evidence an image fingerprint matches on."""
 
     resolutions: tuple[tuple[int, int], ...]
-    resolution_tolerance: int = DEFAULT_RESOLUTION_TOLERANCE
     size_band: tuple[int, int] | None = None  # (center, tolerance) in bytes
 
 
@@ -188,7 +186,6 @@ class KnowledgeBase:
     records: tuple[FingerprintRecord, ...]
     originals: tuple[OriginalProfile, ...] = ()
     manifest: tuple[tuple[str, int], ...] | None = None
-    encoder_prefix_match: bool = False
 
     # Compiled indexes; not part of equality, repr or the constructor.
     image_records: tuple[FingerprintRecord, ...] = field(init=False, repr=False, compare=False)
@@ -339,21 +336,21 @@ def group_key(record_id: str) -> str:
 # ---------------------------------------------------------------------------
 # parsing
 
-_SECTION_RE = re.compile(r"^\[(record|original|options|manifest)(?:\s+(\S+))?\]$")
+_SECTION_RE = re.compile(r"^\[(\w+)(?:\s+(\S+))?\]$")
 _RESOLUTION_RE = re.compile(r"^(\d+)x(\d+)$")
 _SIZE_BAND_RE = re.compile(r"^(\d+)\s*\+-\s*(\d+)$")
 
 _RECORD_KEYS = frozenset({
     "media", "app", "os", "quality", "hop", "nth_app", "indistinguishable",
     "extension", "format_profile", "codec_id", "video_format_profile",
-    "resolution", "resolution_tolerance", "size_band", "encoder",
+    "resolution", "size_band", "encoder",
     "markers",
 })
 _VIDEO_ONLY_KEYS = frozenset({
     "extension", "format_profile", "codec_id", "video_format_profile",
     "encoder", "markers",
 })
-_IMAGE_ONLY_KEYS = frozenset({"resolution_tolerance", "size_band"})
+_IMAGE_ONLY_KEYS = frozenset({"size_band"})
 _ORIGINAL_KEYS = frozenset({
     "media", "os", "extension", "format_profile", "codec_id",
     "video_format_profile", "resolution", "nominal_size",
@@ -418,8 +415,7 @@ class _Block:
         self.kind = kind
         self.name = name
         self.line_no = line_no
-        self.fields: dict[str, str] = {}
-        self.order: list[str] = []
+        self.fields: dict[str, str] = {}  # in file order
 
     def where(self) -> str:
         label = self.name or self.kind
@@ -436,6 +432,8 @@ def _split_blocks(text: str) -> list[_Block]:
         m = _SECTION_RE.match(line)
         if m:
             kind, name = m.group(1), m.group(2)
+            if kind not in ("record", "original", "manifest"):
+                raise SchemaError(f"line {line_no}: unknown block {line!r}")
             if kind in ("record", "original") and not name:
                 raise SchemaError(f"line {line_no}: [{kind}] block needs an id")
             current = _Block(kind, name, line_no)
@@ -450,7 +448,6 @@ def _split_blocks(text: str) -> list[_Block]:
         if key in current.fields:
             raise SchemaError(f"{current.where()}: duplicate key {key!r}")
         current.fields[key] = value.strip()
-        current.order.append(key)
     return blocks
 
 
@@ -498,18 +495,13 @@ def _build_record(block: _Block, index: int) -> FingerprintRecord:
         resolutions = _parse_resolutions(require("resolution"), where)
         if not resolutions:
             raise SchemaError(f"{where}: image records need at least one resolution")
-        tolerance = DEFAULT_RESOLUTION_TOLERANCE
-        if "resolution_tolerance" in f:
-            tolerance = int(f["resolution_tolerance"])
-            if tolerance < 0:
-                raise SchemaError(f"{where}: resolution_tolerance must be >= 0")
         size_band = None
         if "size_band" in f:
             m = _SIZE_BAND_RE.match(f["size_band"])
             if m is None:
                 raise SchemaError(f"{where}: size_band must look like '100000 +- 10000'")
             size_band = (int(m.group(1)), int(m.group(2)))
-        constraints = ImageConstraints(resolutions, tolerance, size_band)
+        constraints = ImageConstraints(resolutions, size_band)
     else:
         wildcard = False
         resolutions: tuple[tuple[int, int], ...] = ()
@@ -557,11 +549,6 @@ def _build_original(block: _Block) -> OriginalProfile:
     for key in ("media", "os", "resolution", "nominal_size"):
         if key not in f:
             raise SchemaError(f"{where}: missing key {key!r}")
-    try:
-        media = MediaKind(f["media"])
-        os_source = parse_os(f["os"])
-    except ValueError as exc:
-        raise SchemaError(f"{where}: {exc}") from None
     pairs = _parse_resolutions(f["resolution"], where)
     if len(pairs) != 1:
         raise SchemaError(f"{where}: originals carry exactly one resolution")
@@ -571,17 +558,24 @@ def _build_original(block: _Block) -> OriginalProfile:
         if len(fp) != 1:
             raise SchemaError(f"{where}: originals carry exactly one format profile")
         fp = fp[0]
-    return OriginalProfile(
-        profile_id=block.name or "",
-        media_kind=media,
-        os_source=os_source,
-        resolution=pairs[0],
-        nominal_size=int(f["nominal_size"]),
-        extension=_unquote(f["extension"]) if "extension" in f else None,
-        format_profile=fp,
-        codec_id=_unquote(f["codec_id"]) if "codec_id" in f else None,
-        video_format_profile=_unquote(f["video_format_profile"]) if "video_format_profile" in f else None,
-    )
+    if not f["nominal_size"].isdecimal():
+        raise SchemaError(f"{where}: nominal_size must be a byte count, got {f['nominal_size']!r}")
+    try:
+        profile = OriginalProfile(
+            profile_id=block.name or "",
+            media_kind=MediaKind(f["media"]),
+            os_source=parse_os(f["os"]),
+            resolution=pairs[0],
+            nominal_size=int(f["nominal_size"]),
+            extension=_unquote(f["extension"]) if "extension" in f else None,
+            format_profile=fp,
+            codec_id=_unquote(f["codec_id"]) if "codec_id" in f else None,
+            video_format_profile=_unquote(f["video_format_profile"]) if "video_format_profile" in f else None,
+        )
+        profile.attributes  # builds the vector the oracle replays, so an invalid one fails here
+    except ValueError as exc:
+        raise SchemaError(f"{where}: {exc}") from None
+    return profile
 
 
 def load_kb(text: str) -> KnowledgeBase:
@@ -593,26 +587,21 @@ def load_kb(text: str) -> KnowledgeBase:
     records: list[FingerprintRecord] = []
     originals: list[OriginalProfile] = []
     manifest: list[tuple[str, int]] | None = None
-    options: dict[str, str] | None = None
 
     for block in _split_blocks(text):
         if block.kind == "record":
             records.append(_build_record(block, index=len(records)))
         elif block.kind == "original":
             originals.append(_build_original(block))
-        elif block.kind == "manifest":
+        else:  # manifest
             if manifest is not None:
                 raise SchemaError(f"{block.where()}: duplicate manifest block")
             manifest = []
-            for key in block.order:
+            for key, value in block.fields.items():
                 try:
-                    manifest.append((key, int(block.fields[key])))
+                    manifest.append((key, int(value)))
                 except ValueError:
                     raise SchemaError(f"{block.where()}: count for {key!r} is not an integer") from None
-        else:  # options
-            if options is not None:
-                raise SchemaError(f"{block.where()}: duplicate options block")
-            options = dict(block.fields)
 
     seen: set[str] = set()
     for rec in records:
@@ -620,18 +609,10 @@ def load_kb(text: str) -> KnowledgeBase:
             raise SchemaError(f"duplicate record id {rec.record_id!r}")
         seen.add(rec.record_id)
 
-    prefix_match = False
-    if options:
-        unknown = set(options) - {"encoder_prefix_match"}
-        if unknown:
-            raise SchemaError(f"[options]: unknown keys {sorted(unknown)}")
-        prefix_match = _parse_bool(options["encoder_prefix_match"], "[options]")
-
     kb = KnowledgeBase(
         records=tuple(records),
         originals=tuple(originals),
         manifest=tuple(manifest) if manifest is not None else None,
-        encoder_prefix_match=prefix_match,
     )
     if manifest is not None:
         _verify_manifest(kb)
@@ -665,14 +646,24 @@ def load_kb_path(path: str | Path | None = None) -> KnowledgeBase:
 
     Directory files concatenate in sorted name order, which fixes the record
     order (and therefore rank tie-breaking) independently of the filesystem.
+    Raises only KbError, also for a file that cannot be read or is not UTF-8.
     """
     target = Path(path) if path is not None else default_kb_path()
     if target.is_dir():
-        parts = [p.read_text(encoding="utf-8") for p in sorted(target.glob("*.kb"))]
+        parts = [_read_text(p) for p in sorted(target.glob("*.kb"))]
         if not parts:
             raise KbError(f"no .kb files under {target}")
         return load_kb("\n".join(parts))
-    return load_kb(target.read_text(encoding="utf-8"))
+    return load_kb(_read_text(target))
+
+
+def _read_text(path: Path) -> str:
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from None
+    except OSError as exc:
+        raise KbError(f"{path}: {exc.strerror or exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -688,8 +679,6 @@ def _render_resolutions(pairs: tuple[tuple[int, int], ...]) -> str:
 
 def render_kb(kb: KnowledgeBase) -> str:
     lines: list[str] = []
-    if kb.encoder_prefix_match:
-        lines += ["[options]", "encoder_prefix_match = true", ""]
     for rec in kb.records:
         lines.append(f"[record {rec.record_id}]")
         lines.append(f"media = {rec.media_kind.value}")
@@ -704,8 +693,6 @@ def render_kb(kb: KnowledgeBase) -> str:
         elif isinstance(rec.constraints, ImageConstraints):
             c = rec.constraints
             lines.append(f"resolution = {_render_resolutions(c.resolutions)}")
-            if c.resolution_tolerance != DEFAULT_RESOLUTION_TOLERANCE:
-                lines.append(f"resolution_tolerance = {c.resolution_tolerance}")
             if c.size_band is not None:
                 lines.append(f"size_band = {c.size_band[0]} +- {c.size_band[1]}")
         elif isinstance(rec.constraints, VideoConstraints):
@@ -837,7 +824,7 @@ def list_records(
 
 
 __all__ = [
-    "DEFAULT_RESOLUTION_TOLERANCE", "KB_ENV_VAR", "ALL_MARKERS",
+    "KB_ENV_VAR", "ALL_MARKERS",
     "KbError", "SchemaError", "ManifestMismatch",
     "Hop", "ImageConstraints", "VideoConstraints", "FingerprintRecord",
     "OriginalProfile", "KnowledgeBase", "Finding", "ValidationReport",

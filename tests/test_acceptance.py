@@ -14,7 +14,7 @@ from click.testing import CliRunner
 from mediafp import container, jpeg
 from mediafp.attributes import FormatProfile, ImageAttributes, Marker, MediaKind, OS, VideoAttributes
 from mediafp.cli import main
-from mediafp.engine import Outcome, match_image, match_video
+from mediafp.engine import RESOLUTION_TOLERANCE, Outcome, match_image, match_video
 from mediafp.kb import ImageConstraints, default_kb_path, load_kb_path, validate_kb
 from mediafp.oracle import (
     InconsistentAttrs,
@@ -114,8 +114,8 @@ def test_criterion_4_size_disambiguation(kb):
 
 
 def _within_any_record(query, records):
+    tol = RESOLUTION_TOLERANCE
     for rec in records:
-        tol = rec.constraints.resolution_tolerance
         for pair in rec.constraints.resolutions:
             if abs(query[0] - pair[0]) <= tol and abs(query[1] - pair[1]) <= tol:
                 return True

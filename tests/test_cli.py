@@ -185,6 +185,15 @@ class TestKbCommands:
         assert result.exit_code == 1
         assert "ManifestMismatch" in result.output
 
+    @pytest.mark.parametrize("bad_line", [b"nominal_size = big", b"nominal_size = 2\xff000"])
+    def test_validate_malformed_original_exits_1_without_traceback(self, runner, tmp_path, bad_line):
+        broken = tmp_path / "broken.kb"
+        broken.write_bytes(b"[original o-img]\nmedia = image\nos = iOS\nresolution = 10x10\n" + bad_line + b"\n")
+        result = runner.invoke(main, ["kb", "validate", "--kb", str(broken)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)  # not an exception escaping the command
+        assert result.output.startswith("SchemaError: ")
+
     def test_list_telegram_ios(self, runner):
         result = runner.invoke(main, ["kb", "list", "--app", "Telegram", "--os", "ios", "--kind", "video"])
         assert result.exit_code == 0

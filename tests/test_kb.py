@@ -7,6 +7,7 @@ from mediafp.kb import (
     FingerprintRecord,
     Hop,
     ImageConstraints,
+    KbError,
     KnowledgeBase,
     ManifestMismatch,
     SchemaError,
@@ -14,6 +15,7 @@ from mediafp.kb import (
     group_key,
     list_records,
     load_kb,
+    load_kb_path,
     render_kb,
     validate_kb,
 )
@@ -28,14 +30,30 @@ resolution = 1600x1200, 1200x1600
 """
 
 
+IMAGE_RECORD = """
+[record t6-y]
+media = image
+app = Y
+os = iOS
+quality = Default
+resolution = 100x100
+"""
+
+IMAGE_ORIGINAL = """
+[original o-img]
+media = image
+os = iOS
+resolution = 100x100
+"""
+
+
 def test_image_record_block():
     kb = load_kb(WHATSAPP_IMAGE_BLOCK)
     assert len(kb.records) == 1
     rec = kb.records[0]
     assert rec.app == "WhatsApp"
     assert rec.media_kind is MediaKind.IMAGE
-    assert rec.constraints.resolutions == ((1600, 1200), (1200, 1600))
-    assert rec.constraints.resolution_tolerance == 10
+    assert rec.constraints == ImageConstraints(((1600, 1200), (1200, 1600)))
 
 
 def test_indistinguishable_record_has_no_constraints():
@@ -84,8 +102,22 @@ def test_manifest_accepts_exact_counts():
     ("os = iOS", "resolution = 100x100", "markers = MovieSomething", "unknown marker"),
     ("os = iOS", "resolution = 100x100", "hop = triple", "hop"),
     ("os = iOS", "resolution = 100x100", "markers_required = Copyright", "unknown keys"),
+    pytest.param("os = iOS", "resolution = 100x100", "[options]\nencoder_prefix_match = true",
+                 r"unknown block '\[options\]'", id="options-block"),
+    pytest.param("os = iOS", "resolution = 100x100", IMAGE_RECORD + "resolution_tolerance = 4",
+                 r"unknown keys \['resolution_tolerance'\]", id="resolution-tolerance"),
+    pytest.param("os = iOS", "resolution = 100x100", IMAGE_ORIGINAL + "nominal_size = big",
+                 "nominal_size must be a byte count", id="nominal-size-not-integer"),
+    pytest.param("os = iOS", "resolution = 100x100", IMAGE_ORIGINAL + "nominal_size = -5",
+                 "nominal_size must be a byte count", id="nominal-size-negative"),
+    pytest.param("os = iOS", "resolution = 100x100", IMAGE_ORIGINAL + "nominal_size = 3",
+                 "byte_size must be >= 4", id="nominal-size-below-image-minimum"),
+    pytest.param("os = iOS", "resolution = 100x100", 'encoder = "Lavf\udcff"',
+                 "not UTF-8 text", id="not-utf8"),
 ])
-def test_schema_errors(os_line, resolution_line, extra, needle):
+def test_schema_errors(tmp_path, os_line, resolution_line, extra, needle):
+    # Through a file, so text that is not UTF-8 (written here from a lone
+    # surrogate) reaches the decoder.
     text = f"""
 [record t7-x]
 media = video
@@ -99,8 +131,19 @@ video_format_profile = "Main@L3"
 {resolution_line}
 {extra}
 """
+    path = tmp_path / "bad.kb"
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))
     with pytest.raises(SchemaError, match=needle):
-        load_kb(text)
+        load_kb_path(path)
+
+
+def test_unreadable_kb_raises_kb_error(tmp_path):
+    with pytest.raises(KbError, match="missing.kb"):
+        load_kb_path(tmp_path / "missing.kb")
+    (tmp_path / "table06.kb").write_text(WHATSAPP_IMAGE_BLOCK, encoding="utf-8")
+    (tmp_path / "sub.kb").mkdir()
+    with pytest.raises(KbError, match="sub.kb"):
+        load_kb_path(tmp_path)
 
 
 def test_chain_without_nth_app_rejected():
@@ -200,9 +243,6 @@ class TestRoundTrip:
 
     def test_edge_kb_round_trips(self):
         kb = load_kb("""
-[options]
-encoder_prefix_match = true
-
 [record t8-wild]
 media = video
 app = X
@@ -234,7 +274,6 @@ app = Z
 os = Android169
 quality = High
 resolution = 1440x810
-resolution_tolerance = 4
 size_band = 500000 +- 100000
 
 [original o-img]
@@ -248,7 +287,6 @@ table8 = 2
 table6 = 1
 originals = 1
 """)
-        assert kb.encoder_prefix_match is True
         wild = kb.records[0].constraints
         assert wild.resolution_wildcard is True and wild.markers_any is True
         assert load_kb(render_kb(kb)) == kb
