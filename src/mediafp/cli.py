@@ -21,11 +21,8 @@ from . import oracle, report
 
 
 def _load_kb(kb_path: str | None) -> kb_mod.KnowledgeBase:
-    target = Path(kb_path) if kb_path else kb_mod.default_kb_path()
-    if not target.exists():
-        raise click.UsageError(f"knowledge base not found: {target}")
     try:
-        return kb_mod.load_kb_path(target)
+        return kb_mod.load_kb_path(kb_path or None)
     except kb_mod.KbError as exc:
         click.echo(f"{type(exc).__name__}: {exc}", err=True)
         sys.exit(1)

@@ -4,20 +4,25 @@ Files are routed to the right parser by magic bytes, never by name: JPEG
 streams start with the start-of-image marker, everything else is treated as
 an ISO-family container.  Report output is byte-deterministic for a fixed
 input set and knowledge base; timestamps only appear when asked for.
+
+The JSON report is written straight from the reports by per-object
+templates, and its bytes are exactly those of ``json.dumps(doc, indent=2)``
+over the equivalent dict (``tests/test_report.py`` pins this against a
+frozen dict form).
 """
 
 from __future__ import annotations
 
-import json
 import mmap
 import os
 from dataclasses import dataclass
 from io import FileIO
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from . import container, jpeg
 from .attributes import ImageAttributes, MediaKind, VideoAttributes
-from .engine import Verdict, match_image, match_video
+from .engine import Candidate, ChainHypothesis, Verdict, match_image, match_video
 from .kb import KnowledgeBase
 
 SCHEMA_VERSION = 1
@@ -115,58 +120,113 @@ def scan_file(path: Path, kb: KnowledgeBase, chains: bool = True) -> FileReport:
     return FileReport(str(path), kind, attrs, verdict, None)
 
 
-def _attributes_dict(attrs: VideoAttributes | ImageAttributes) -> dict:
-    if isinstance(attrs, VideoAttributes):
-        return {
-            "extension": attrs.extension,
-            "format_profile": attrs.format_profile.value,
-            "codec_id": attrs.codec_id,
-            "video_format_profile": attrs.video_format_profile,
-            "width": attrs.width,
-            "length": attrs.length,
-            "encoder": attrs.encoder,
-            "markers": sorted(m.value for m in attrs.markers),
-            "byte_size": attrs.byte_size,
-        }
-    return {
-        "extension": attrs.extension,
-        "width": attrs.width,
-        "length": attrs.length,
-        "byte_size": attrs.byte_size,
-    }
+# The report schema is fixed, so each object kind has one template at its
+# fixed indent depth, giving what ``json.dumps(doc, indent=2)`` gives:
+# ASCII-escaped strings, fixed key order, "," and ": " separators, "[]" for
+# an empty list.  json.dumps itself is not used because with any indent set
+# it falls back to its pure-Python encoder, which cost about as much per file
+# as scanning a JPEG; the templates keep only the C string escaper that
+# json.dumps uses under its default ensure_ascii=True.
+_str = encode_basestring_ascii
 
 
-def report_to_dict(report: FileReport) -> dict:
-    verdict = report.verdict
-    return {
-        "path": report.path,
-        "kind": report.media_kind.value if report.media_kind else None,
-        "attributes": _attributes_dict(report.attributes) if report.attributes else None,
-        "outcome": verdict.outcome.value if verdict else None,
-        "candidates": [
-            {
-                "app": c.app,
-                "os": c.os.value,
-                "quality": c.quality,
-                "matched_fields": list(c.matched_fields),
-                "used_size_band": c.used_size_band,
-            }
-            for c in (verdict.candidates if verdict else ())
-        ],
-        "chains": [
-            {"nth": h.nth_app, "nplus1": h.nplus1_app, "os": h.os.value}
-            for h in (verdict.chain_hypotheses if verdict else ())
-        ],
-        "error": report.error,
-    }
+def _nullable(text: str | None) -> str:
+    return "null" if text is None else _str(text)
+
+
+def _array(items: list[str], indent: str) -> str:
+    """A JSON array of already-rendered items, each one level below ``indent``."""
+    if not items:
+        return "[]"
+    inner = ",\n" + indent + "  "
+    return "[\n" + indent + "  " + inner.join(items) + "\n" + indent + "]"
+
+
+def _video_json(a: VideoAttributes) -> str:
+    markers = _array([_str(m) for m in sorted(m.value for m in a.markers)], "        ")
+    return (
+        "{\n"
+        f'        "extension": {_str(a.extension)},\n'
+        f'        "format_profile": {_str(a.format_profile.value)},\n'
+        f'        "codec_id": {_str(a.codec_id)},\n'
+        f'        "video_format_profile": {_str(a.video_format_profile)},\n'
+        f'        "width": {a.width},\n'
+        f'        "length": {a.length},\n'
+        f'        "encoder": {_nullable(a.encoder)},\n'
+        f'        "markers": {markers},\n'
+        f'        "byte_size": {a.byte_size}\n'
+        "      }"
+    )
+
+
+def _image_json(a: ImageAttributes) -> str:
+    return (
+        "{\n"
+        f'        "extension": {_str(a.extension)},\n'
+        f'        "width": {a.width},\n'
+        f'        "length": {a.length},\n'
+        f'        "byte_size": {a.byte_size}\n'
+        "      }"
+    )
+
+
+def _candidate_json(c: Candidate) -> str:
+    fields = _array([_str(f) for f in c.matched_fields], "          ")
+    band = "true" if c.used_size_band else "false"
+    return (
+        "{\n"
+        f'          "app": {_str(c.app)},\n'
+        f'          "os": {_str(c.os.value)},\n'
+        f'          "quality": {_str(c.quality)},\n'
+        f'          "matched_fields": {fields},\n'
+        f'          "used_size_band": {band}\n'
+        "        }"
+    )
+
+
+def _chain_json(h: ChainHypothesis) -> str:
+    return (
+        "{\n"
+        f'          "nth": {_str(h.nth_app)},\n'
+        f'          "nplus1": {_str(h.nplus1_app)},\n'
+        f'          "os": {_str(h.os.value)}\n'
+        "        }"
+    )
+
+
+def _report_json(r: FileReport) -> str:
+    attrs = r.attributes
+    if attrs is None:
+        attributes = "null"
+    elif isinstance(attrs, VideoAttributes):
+        attributes = _video_json(attrs)
+    else:
+        attributes = _image_json(attrs)
+    verdict = r.verdict
+    if verdict is None:
+        outcome, candidates, chains = "null", "[]", "[]"
+    else:
+        outcome = _str(verdict.outcome.value)
+        candidates = _array([_candidate_json(c) for c in verdict.candidates], "      ")
+        chains = _array([_chain_json(h) for h in verdict.chain_hypotheses], "      ")
+    kind = "null" if r.media_kind is None else _str(r.media_kind.value)
+    return (
+        "{\n"
+        f'      "path": {_str(r.path)},\n'
+        f'      "kind": {kind},\n'
+        f'      "attributes": {attributes},\n'
+        f'      "outcome": {outcome},\n'
+        f'      "candidates": {candidates},\n'
+        f'      "chains": {chains},\n'
+        f'      "error": {_nullable(r.error)}\n'
+        "    }"
+    )
 
 
 def render_json(reports: list[FileReport], timestamp: str | None = None) -> str:
-    doc: dict = {"schema_version": SCHEMA_VERSION}
-    if timestamp is not None:
-        doc["generated_at"] = timestamp
-    doc["reports"] = [report_to_dict(r) for r in reports]
-    return json.dumps(doc, indent=2) + "\n"
+    stamp = "" if timestamp is None else f'  "generated_at": {_str(timestamp)},\n'
+    body = _array([_report_json(r) for r in reports], "  ")
+    return f'{{\n  "schema_version": {SCHEMA_VERSION},\n{stamp}  "reports": {body}\n}}\n'
 
 
 def _top_candidate(verdict: Verdict) -> str:
@@ -210,6 +270,6 @@ def render_report(reports: list[FileReport], fmt: str = "text", timestamp: str |
 
 __all__ = [
     "SCHEMA_VERSION", "HEAD_READ", "JPEG_HEAD_WINDOW", "FileReport",
-    "sniff_media_kind", "scan_file", "report_to_dict",
+    "sniff_media_kind", "scan_file",
     "render_json", "render_text", "render_report",
 ]

@@ -1,4 +1,5 @@
 import json
+import os
 import shutil
 from pathlib import Path
 
@@ -147,6 +148,27 @@ class TestScan:
         result = runner.invoke(main, ["scan", str(relay)])
         assert result.output.count("chain: Facebook Messenger ->") == 8
 
+    @pytest.mark.parametrize("timestamps", [[], ["--timestamps"]], ids=["plain", "timestamps"])
+    def test_json_is_json_dumps_indent_2(self, runner, tmp_path, kb, timestamps):
+        media = tmp_path / "media"
+        media.mkdir()
+        (media / "fotó-日本-😀.jpg").write_bytes(make_jpeg(720, 960, total_size=100_000))
+        undecodable = os.fsdecode(b"clip-\xff\xfe.mov")
+        (media / undecodable).write_bytes(
+            synthesize_container(expected_attributes(kb.record("t7-discord-default"))))
+        (media / "hostile.mp4").write_bytes(b"\x00\x00\x00\x10ftypisom" + b"\xff" * 40)
+        (media / "relay.mp4").write_bytes(synthesize_container(expected_attributes(kb.record("t9-wechat"))))
+        result = runner.invoke(main, ["scan", str(media), "--format", "json", *timestamps])
+        assert result.exit_code == 1  # the hostile file
+        doc = json.loads(result.output)
+        assert result.output == json.dumps(doc, indent=2) + "\n"
+        assert ("generated_at" in doc) == bool(timestamps)
+        by_name = {r["path"].rsplit("/", 1)[-1]: r for r in doc["reports"]}
+        assert set(by_name) == {"fotó-日本-😀.jpg", undecodable, "hostile.mp4", "relay.mp4"}
+        assert by_name[undecodable]["outcome"] == "Identified"
+        assert by_name["hostile.mp4"]["error"] is not None
+        assert by_name["relay.mp4"]["chains"] != []
+
     def test_nonexistent_path_is_usage_error(self, runner):
         result = runner.invoke(main, ["scan", "/no/such/file"])
         assert result.exit_code == 2
@@ -215,6 +237,23 @@ resolution = 10x10
         result = runner.invoke(main, ["kb", "list"])
         assert "OnlyApp" in result.output
         assert "1 records" in result.output
+
+
+@pytest.mark.parametrize("command", [
+    ["scan", "."], ["kb", "validate"], ["kb", "list"], ["selftest"],
+], ids=" ".join)
+@pytest.mark.parametrize("via_env", [False, True], ids=["option", "env"])
+def test_missing_kb_is_a_kb_error(runner, tmp_path, monkeypatch, command, via_env):
+    missing = tmp_path / "missing.kb"
+    monkeypatch.chdir(tmp_path)
+    if via_env:
+        monkeypatch.setenv("MEDIAFP_KB", str(missing))
+    else:
+        command = [*command, "--kb", str(missing)]
+    result = runner.invoke(main, command)
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)  # not an exception escaping the command
+    assert result.output == f"KbError: {missing}: No such file or directory\n"
 
 
 class TestSelftest:

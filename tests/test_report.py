@@ -1,14 +1,21 @@
 import dataclasses
 import io
+import json
+import os
 import struct
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from mediafp import report
+from mediafp.attributes import (
+    EXTENSIONS, OS, FormatProfile, ImageAttributes, Marker, MediaKind, VideoAttributes,
+)
 from mediafp.container import extract_video_attributes, parse_box_tree
+from mediafp.engine import Candidate, ChainHypothesis, Outcome, Verdict
 from mediafp.jpeg import NoFrameHeader, extract_image_attributes
 from mediafp.oracle import expected_attributes, synthesize_container
-from mediafp.report import HEAD_READ, scan_file
+from mediafp.report import HEAD_READ, FileReport, render_json, scan_file
 
 from conftest import make_jpeg
 
@@ -142,3 +149,129 @@ def test_file_shorter_than_its_fstat_size(tmp_path, kb, monkeypatch):
     monkeypatch.setattr(report.os, "fstat",
                         lambda fd: type("Stat", (), {"st_size": real_fstat(fd).st_size + 100})())
     _scan_video(tmp_path, kb, data)
+
+
+# Frozen reference for the JSON report: the dict form the report had when it
+# was rendered by json.dumps(doc, indent=2).  The writer must give its bytes.
+
+def _reference_attributes(attrs):
+    if isinstance(attrs, VideoAttributes):
+        return {
+            "extension": attrs.extension,
+            "format_profile": attrs.format_profile.value,
+            "codec_id": attrs.codec_id,
+            "video_format_profile": attrs.video_format_profile,
+            "width": attrs.width,
+            "length": attrs.length,
+            "encoder": attrs.encoder,
+            "markers": sorted(m.value for m in attrs.markers),
+            "byte_size": attrs.byte_size,
+        }
+    return {
+        "extension": attrs.extension,
+        "width": attrs.width,
+        "length": attrs.length,
+        "byte_size": attrs.byte_size,
+    }
+
+
+def _reference_report(report):
+    verdict = report.verdict
+    return {
+        "path": report.path,
+        "kind": report.media_kind.value if report.media_kind else None,
+        "attributes": _reference_attributes(report.attributes) if report.attributes else None,
+        "outcome": verdict.outcome.value if verdict else None,
+        "candidates": [
+            {
+                "app": c.app,
+                "os": c.os.value,
+                "quality": c.quality,
+                "matched_fields": list(c.matched_fields),
+                "used_size_band": c.used_size_band,
+            }
+            for c in (verdict.candidates if verdict else ())
+        ],
+        "chains": [
+            {"nth": h.nth_app, "nplus1": h.nplus1_app, "os": h.os.value}
+            for h in (verdict.chain_hypotheses if verdict else ())
+        ],
+        "error": report.error,
+    }
+
+
+def reference_doc(reports, timestamp=None):
+    doc = {"schema_version": 1}
+    if timestamp is not None:
+        doc["generated_at"] = timestamp
+    doc["reports"] = [_reference_report(r) for r in reports]
+    return doc
+
+
+# Strings with everything JSON must escape: quotes, backslashes, control
+# characters, non-ASCII and non-BMP characters, and lone surrogates.
+_texts = st.text(
+    st.one_of(
+        st.characters(),
+        st.sampled_from('"\\/\x00\x08\t\n\x0c\r\x1f\x7f\x80\u2028\ufeff'),
+        st.characters(min_codepoint=0x10000),
+        st.integers(0xD800, 0xDFFF).map(chr),
+    ),
+    max_size=12,
+)
+# A non-UTF-8 file name decodes to lone surrogates.
+_paths = st.one_of(_texts, st.binary(max_size=12).map(os.fsdecode))
+_sizes = st.integers(1, 2**40)
+
+_video_attributes = st.builds(
+    VideoAttributes,
+    extension=st.sampled_from(EXTENSIONS),
+    format_profile=st.sampled_from(FormatProfile),
+    codec_id=_texts,
+    video_format_profile=_texts,
+    width=_sizes,
+    length=_sizes,
+    encoder=st.none() | _texts,
+    markers=st.frozensets(st.sampled_from(Marker)),
+    byte_size=st.integers(0, 2**40),
+)
+_image_attributes = st.builds(
+    ImageAttributes, width=_sizes, length=_sizes, byte_size=st.integers(4, 2**40), extension=_texts,
+)
+_candidates = st.builds(
+    Candidate,
+    record_id=_texts,
+    app=_texts,
+    os=st.sampled_from(OS),
+    quality=_texts,
+    matched_fields=st.lists(_texts, max_size=3).map(tuple),
+    used_size_band=st.booleans(),
+)
+_chains = st.builds(
+    ChainHypothesis,
+    nth_app=_texts,
+    nplus1_app=_texts,
+    os=st.sampled_from(OS),
+    quality=_texts,
+    evidence_fields=st.lists(_texts, max_size=2).map(tuple),
+)
+_verdicts = st.builds(
+    Verdict,
+    candidates=st.lists(_candidates, max_size=3).map(tuple),
+    outcome=st.sampled_from(Outcome),
+    chain_hypotheses=st.lists(_chains, max_size=3).map(tuple),
+)
+_reports = st.builds(
+    lambda path, kind, attributes, result: FileReport(path, kind, attributes, *result),
+    _paths,
+    st.none() | st.sampled_from(MediaKind),
+    st.none() | _image_attributes | _video_attributes,
+    _verdicts.map(lambda v: (v, None)) | _texts.map(lambda e: (None, e)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_reports, max_size=3), st.none() | _texts)
+@example([], None)
+def test_json_writer_matches_json_dumps(reports, timestamp):
+    assert render_json(reports, timestamp) == json.dumps(reference_doc(reports, timestamp), indent=2) + "\n"
