@@ -55,6 +55,19 @@ def _files_under(root: Path) -> list[Path]:
     return files
 
 
+def _directories_or_files(ctx: click.Context, param: click.Parameter,
+                          paths: tuple[Path, ...]) -> tuple[Path, ...]:
+    # A FIFO, socket or device passes click's existence check, but opening
+    # one can block forever, so only directories and regular files (after
+    # following links) are scanned.
+    for path in paths:
+        if not (path.is_dir() or path.is_file()):
+            raise click.BadParameter(
+                f"{click.format_filename(path)!r} is neither a directory nor a regular file.",
+                ctx, param)
+    return paths
+
+
 @click.group()
 @click.version_option(package_name="mediafp")
 def main() -> None:
@@ -63,7 +76,7 @@ def main() -> None:
 
 @main.command()
 @click.argument("paths", nargs=-1, required=True,
-                type=click.Path(exists=True, path_type=Path))
+                type=click.Path(exists=True, path_type=Path), callback=_directories_or_files)
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text",
               show_default=True, help="Report format.")
 @click.option("--kb", "kb_path", type=str, default=None, help="Knowledge base file or directory.")

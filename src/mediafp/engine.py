@@ -5,18 +5,20 @@ membership for extension and format profile, exact string equality for codec
 id / video format profile / encoder, exact pair membership for resolutions
 (a wildcard always passes), and the marker rule (no marker outside the
 record's set, unless it allows any).  Image resolutions match within
-±10 px (``RESOLUTION_TOLERANCE``) in width and in length, and colliding image
-candidates are disambiguated by byte-size bands.  Chain records yield (N-th
-app, N+1st app) hypotheses for two-hop relays.
+±10 px (``RESOLUTION_TOLERANCE``, defined in ``kb``) in width and in length,
+and colliding image candidates are disambiguated by byte-size bands.  Chain
+records yield (N-th app, N+1st app) hypotheses for two-hop relays.
 
 Everything here is stateless over an immutable KnowledgeBase and safe for
 concurrent queries.  A KnowledgeBase compiles its query indexes (candidate
 records per media kind and hop, overwritten chains, records by id, originals
 by their exact fields) when it is built.  A video is checked only against
 the single-hop and chain records the KB looks up by its codec id and video
-format profile, since every other record rejects one of those two fields;
-the verdict is the one a check against every record would give.  Load the KB
-once and reuse it for many queries.
+format profile, since every other record rejects one of those two fields.
+An image is checked only against the records the KB lists in the grid cell
+its resolution falls in, since every other record's resolutions lie beyond
+the tolerance.  Either way the verdict is the one a check against every
+record would give.  Load the KB once and reuse it for many queries.
 """
 
 from __future__ import annotations
@@ -26,14 +28,13 @@ from dataclasses import dataclass
 
 from .attributes import ImageAttributes, OS, VideoAttributes
 from .kb import (
+    RESOLUTION_TOLERANCE,
     FingerprintRecord,
     ImageConstraints,
     KnowledgeBase,
     OriginalProfile,
     VideoConstraints,
 )
-
-RESOLUTION_TOLERANCE = 10  # pixels, in width and in length
 
 
 class Outcome(str, enum.Enum):
@@ -200,7 +201,7 @@ def _rank(pairs: list[tuple[FingerprintRecord, Candidate]]) -> list[Candidate]:
 def match_image(attrs: ImageAttributes, kb: KnowledgeBase) -> Verdict:
     """Match an image against the KB: resolution within tolerance, then size bands."""
     pairs: list[tuple[FingerprintRecord, Candidate]] = []
-    for rec in kb.image_records:
+    for rec in kb.image_candidates(attrs.width, attrs.length):
         matched = satisfies_image(rec.constraints, attrs)
         if matched is not None:
             pairs.append((rec, _candidate(rec, matched)))

@@ -11,6 +11,11 @@ Record ids carry a group prefix (``t7-...``); the ``[manifest]`` block pins
 the expected record count per group (``table7 = 20``) so any row lost or
 gained while editing the data files fails the load instead of silently
 shifting verdicts.
+
+A loaded ``KnowledgeBase`` compiles the indexes queries use.  Image
+resolutions match within ``RESOLUTION_TOLERANCE`` pixels; the constant lives
+here because the image candidate cells are sized from it, and ``engine``'s
+matcher reads the same name.
 """
 
 from __future__ import annotations
@@ -36,6 +41,12 @@ from .attributes import (
 KB_ENV_VAR = "MEDIAFP_KB"
 
 ALL_MARKERS = frozenset(Marker)
+
+RESOLUTION_TOLERANCE = 10  # pixels an image may differ by, in width and in length
+# Side of the square cells that index image records by resolution.  The
+# +-RESOLUTION_TOLERANCE square around a resolution spans exactly one side on
+# each axis, so it overlaps at most 2x2 cells.
+_CELL_SIDE = 2 * RESOLUTION_TOLERANCE + 1
 
 
 class KbError(Exception):
@@ -177,7 +188,9 @@ class KnowledgeBase:
     direct call, ``dataclasses.replace``) compiles them, and queries never
     rescan the records.  The candidate tuples keep KB file order, which rank
     tie-breaking relies on.  ``video_candidates`` narrows the video records
-    to those whose codec id and video format profile can match.
+    to those whose codec id and video format profile can match, and
+    ``image_candidates`` narrows the image records to those listed in the
+    resolution's cell of a square grid.
     ``image_originals`` is keyed by resolution, ``video_originals`` by
     (extension, format profile, codec id, video format profile, resolution);
     each keeps the first original in file order.
@@ -197,13 +210,18 @@ class KnowledgeBase:
     _by_id: dict[str, FingerprintRecord] = field(init=False, repr=False, compare=False)
     _single_index: _VideoIndex = field(init=False, repr=False, compare=False)
     _chain_index: _VideoIndex = field(init=False, repr=False, compare=False)
+    _image_cells: dict[tuple[int, int], tuple[FingerprintRecord, ...]] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         by_id: dict[str, FingerprintRecord] = {}
         images: list[FingerprintRecord] = []
         singles: list[FingerprintRecord] = []
         relays: list[FingerprintRecord] = []
-        single_keys = set()
+        # Single-hop constraints by (media kind, app, OS).  A relay's
+        # constraints are compared by equality within its own bucket, so no
+        # constraints dataclass is hashed: its generated hash runs in Python.
+        single_constraints: dict[tuple, list[Constraints | None]] = {}
         for rec in self.records:
             by_id.setdefault(rec.record_id, rec)
             if not rec.distinguishable:
@@ -211,7 +229,7 @@ class KnowledgeBase:
             if rec.media_kind is MediaKind.IMAGE:
                 images.append(rec)
             if rec.hop is Hop.SINGLE:
-                single_keys.add(_overwrite_key(rec))
+                single_constraints.setdefault((rec.media_kind, rec.app, rec.os), []).append(rec.constraints)
                 if rec.media_kind is MediaKind.VIDEO:
                     singles.append(rec)
             else:
@@ -223,7 +241,7 @@ class KnowledgeBase:
         overwritten: set[str] = set()
         chains: list[FingerprintRecord] = []
         for rec in relays:
-            if _overwrite_key(rec) in single_keys:
+            if rec.constraints in single_constraints.get((rec.media_kind, rec.app, rec.os), ()):
                 overwritten.add(rec.record_id)
             elif rec.media_kind is MediaKind.VIDEO:
                 chains.append(rec)
@@ -246,6 +264,7 @@ class KnowledgeBase:
             "video_originals": video_originals,
             "_single_index": _compile_video_index(singles),
             "_chain_index": _compile_video_index(chains),
+            "_image_cells": _compile_image_cells(images),
         }
         for name, value in compiled.items():
             object.__setattr__(self, name, value)
@@ -266,6 +285,15 @@ class KnowledgeBase:
             _lookup(self._single_index, codec_id, video_format_profile),
             _lookup(self._chain_index, codec_id, video_format_profile),
         )
+
+    def image_candidates(self, width: int, length: int) -> tuple[FingerprintRecord, ...]:
+        """Image records that may hold a resolution within tolerance of this one.
+
+        Every record with a resolution within RESOLUTION_TOLERANCE on both
+        axes is listed in the cell this resolution falls in; the tuple keeps
+        KB file order.
+        """
+        return self._image_cells.get((width // _CELL_SIDE, length // _CELL_SIDE), ())
 
 
 def _lookup(index: _VideoIndex, codec_id: str, video_format_profile: str) -> tuple[FingerprintRecord, ...]:
@@ -319,8 +347,23 @@ def _compile_video_index(records: list[FingerprintRecord]) -> _VideoIndex:
     return {codec: freeze(level) for codec, level in by_codec.items()}, freeze(any_codec)
 
 
-def _overwrite_key(rec: FingerprintRecord) -> tuple:
-    return (rec.media_kind, rec.app, rec.os, rec.constraints)
+def _compile_image_cells(records: list[FingerprintRecord]) -> dict[tuple[int, int], tuple[FingerprintRecord, ...]]:
+    """Register each record once in every cell its tolerance squares overlap.
+
+    Records are visited in KB file order, so every cell lists them in that
+    order.
+    """
+    tol, side = RESOLUTION_TOLERANCE, _CELL_SIDE
+    cells: dict[tuple[int, int], list[FingerprintRecord]] = {}
+    for rec in records:
+        keys = set()
+        for width, length in rec.constraints.resolutions:
+            x0, x1 = (width - tol) // side, (width + tol) // side
+            y0, y1 = (length - tol) // side, (length + tol) // side
+            keys.update(((x0, y0), (x0, y1), (x1, y0), (x1, y1)))
+        for key in keys:
+            cells.setdefault(key, []).append(rec)
+    return {key: tuple(cell) for key, cell in cells.items()}
 
 
 _GROUP_RE = re.compile(r"^t(\d+)$")
@@ -824,7 +867,7 @@ def list_records(
 
 
 __all__ = [
-    "KB_ENV_VAR", "ALL_MARKERS",
+    "KB_ENV_VAR", "ALL_MARKERS", "RESOLUTION_TOLERANCE",
     "KbError", "SchemaError", "ManifestMismatch",
     "Hop", "ImageConstraints", "VideoConstraints", "FingerprintRecord",
     "OriginalProfile", "KnowledgeBase", "Finding", "ValidationReport",

@@ -1,11 +1,14 @@
 import json
 import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import mediafp
 from mediafp.cli import main
 from mediafp.kb import default_kb_path, load_kb_path
 from mediafp.oracle import expected_attributes, synthesize_container
@@ -173,6 +176,28 @@ class TestScan:
         result = runner.invoke(main, ["scan", "/no/such/file"])
         assert result.exit_code == 2
 
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+    @pytest.mark.parametrize("through_link", [False, True])
+    def test_fifo_argument_is_usage_error(self, tmp_path, through_link):
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        target = fifo
+        if through_link:
+            target = tmp_path / "pipe-link"
+            target.symlink_to(fifo)
+        result = _scan_in_subprocess(target)
+        assert result.returncode == 2
+        assert f"'{target}' is neither a directory nor a regular file" in result.stderr
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+    def test_directory_holding_a_fifo_is_scanned(self, tmp_path):
+        os.mkfifo(tmp_path / "pipe")
+        (tmp_path / "photo.jpg").write_bytes(make_jpeg(720, 960, total_size=100_000))
+        result = _scan_in_subprocess(tmp_path)
+        assert result.returncode == 0, result.stderr
+        assert "photo.jpg" in result.stdout
+        assert str(tmp_path / "pipe") not in result.stdout
+
     def test_oversized_file_takes_the_mapped_path(self, runner, tmp_path, kb):
         import dataclasses
         from mediafp.report import MMAP_THRESHOLD
@@ -187,6 +212,14 @@ class TestScan:
         report = json.loads(result.output)["reports"][0]
         assert report["outcome"] == "Identified"
         assert report["attributes"]["byte_size"] == MMAP_THRESHOLD + 4096
+
+
+def _scan_in_subprocess(path):
+    # In a child with a timeout, so a scan that blocks on a path fails the
+    # test instead of hanging the suite.
+    env = dict(os.environ, PYTHONPATH=str(Path(mediafp.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-m", "mediafp.cli", "scan", str(path)],
+                          capture_output=True, text=True, timeout=60, env=env)
 
 
 class TestKbCommands:

@@ -16,11 +16,13 @@ from mediafp.engine import (
     infer_chain,
     match_image,
     match_video,
+    satisfies_image,
     satisfies_video,
 )
 from mediafp.kb import (
     FingerprintRecord,
     Hop,
+    ImageConstraints,
     KnowledgeBase,
     MediaKind,
     OriginalProfile,
@@ -344,9 +346,18 @@ class TestTracedNames:
         assert len(calls) == 1
         assert {c.app for c in calls[0][0]} == {"KakaoTalk", "Facebook"}
 
+    def test_image_matching_checks_each_indexed_candidate_once(self, kb, monkeypatch):
+        attrs = ImageAttributes(720, 960, 98_000)
+        expected = match_image(attrs, kb)
+        indexed = kb.image_candidates(attrs.width, attrs.length)
+        calls = self._count(monkeypatch, "satisfies_image")
+        assert match_image(attrs, kb) == expected
+        assert [args[0] for args in calls] == [rec.constraints for rec in indexed]
+        assert 2 <= len(indexed) < len(kb.image_records)
+
 
 class _LinearKb:
-    """A KB whose candidate lookup hands back every video record."""
+    """A KB whose candidate lookups hand back every video or image record."""
 
     def __init__(self, kb):
         self._kb = kb
@@ -356,6 +367,9 @@ class _LinearKb:
 
     def video_candidates(self, codec_id, video_format_profile):
         return self._kb.video_singles, self._kb.video_chains
+
+    def image_candidates(self, width, length):
+        return self._kb.image_records
 
 
 def _assert_index_is_exact(kb, attrs):
@@ -442,3 +456,107 @@ class TestCandidateIndex:
     def test_hand_built_kbs_with_wildcards_and_lists(self, kb, queries):
         for attrs in queries:
             _assert_index_is_exact(kb, attrs)
+
+
+_T = RESOLUTION_TOLERANCE
+_SIDE = 2 * _T + 1  # the side of the KB's resolution cells
+
+
+def _assert_image_index_is_exact(kb, attrs):
+    assert match_image(attrs, kb) == match_image(attrs, _LinearKb(kb))
+
+    def hits(records):
+        return [rec for rec in records if satisfies_image(rec.constraints, attrs) is not None]
+
+    # The records that match, in the order the index hands them over.
+    assert hits(kb.image_candidates(attrs.width, attrs.length)) == hits(kb.image_records)
+
+
+def _near(coord):
+    """coord +- 0..T+2, and both sides of every cell border in that span; all >= 1."""
+    near = set(range(coord - _T - 2, coord + _T + 3))
+    for cell in range((coord - _T - 2) // _SIDE, (coord + _T + 2) // _SIDE + 2):
+        near.update((cell * _SIDE - 1, cell * _SIDE))
+    return sorted(c for c in near if c >= 1)
+
+
+def _band_edge_sizes(kb):
+    sizes = {4, 150_000}
+    for rec in kb.image_records:
+        if rec.constraints.size_band is not None:
+            center, tol = rec.constraints.size_band
+            sizes.update(center + sign * (tol + d) for sign in (-1, 1) for d in (-1, 0, 1))
+    return sorted(size for size in sizes if size >= 4)
+
+
+def _image_queries(kb):
+    resolutions = sorted({res for rec in kb.image_records for res in rec.constraints.resolutions})
+    sizes = st.sampled_from(_band_edge_sizes(kb))
+    return st.sampled_from(resolutions).flatmap(lambda res: st.builds(
+        ImageAttributes,
+        width=st.sampled_from(_near(res[0])),
+        length=st.sampled_from(_near(res[1])),
+        byte_size=sizes,
+    ))
+
+
+@st.composite
+def _image_resolutions(draw):
+    side = st.one_of(st.integers(min_value=1, max_value=4 * _SIDE), st.integers(min_value=1, max_value=5000))
+    pairs = []
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        shape = draw(st.sampled_from(("any", "near-square", "repeat")))
+        if shape == "near-square":
+            # Both orientations of a pair whose sides share a cell index,
+            # so (w, h) and (h, w) fall in the same cell.
+            cell = draw(st.integers(min_value=0, max_value=8))
+            w, h = (draw(st.integers(min_value=max(cell * _SIDE, 1), max_value=cell * _SIDE + _SIDE - 1))
+                    for _ in range(2))
+            pairs += [(w, h), (h, w)]
+        elif shape == "repeat" and pairs:
+            pairs.append(draw(st.sampled_from(pairs)))
+        else:
+            pairs.append((draw(side), draw(side)))
+    return tuple(pairs)
+
+
+@st.composite
+def _image_kbs(draw):
+    records = []
+    for i in range(draw(st.integers(min_value=1, max_value=10))):
+        chain = draw(st.booleans())
+        band = draw(st.one_of(st.none(), st.tuples(st.sampled_from((50_000, 200_000)),
+                                                   st.sampled_from((10_000, 100_000)))))
+        records.append(FingerprintRecord(
+            f"t6-r{i}", MediaKind.IMAGE, draw(st.sampled_from(["A", "B", "C"])), OS.IOS, "Default",
+            hop=Hop.CHAIN if chain else Hop.SINGLE, nth_app="N" if chain else None,
+            distinguishable=i == 0 or draw(st.booleans()),
+            constraints=ImageConstraints(draw(_image_resolutions()), band), index=i,
+        ))
+    return KnowledgeBase(tuple(records))
+
+
+class TestImageCandidateIndex:
+    """Matching through the resolution cells gives the verdict and candidate
+    order a check of every image record gives."""
+
+    @given(_image_queries(load_kb_path()))
+    @settings(max_examples=500, deadline=None)
+    def test_shipped_kb(self, kb, attrs):
+        _assert_image_index_is_exact(kb, attrs)
+
+    def test_every_shipped_resolution_at_every_offset(self, kb):
+        sizes = _band_edge_sizes(kb)
+        for rec in kb.image_records:
+            for width, length in rec.constraints.resolutions:
+                for dw in range(-_T - 2, _T + 3):
+                    for dl in range(-_T - 2, _T + 3):
+                        size = sizes[(dw + dl) % len(sizes)]
+                        _assert_image_index_is_exact(kb, ImageAttributes(width + dw, length + dl, size))
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_generated_kbs(self, data):
+        kb = data.draw(_image_kbs())
+        for attrs in data.draw(st.lists(_image_queries(kb), min_size=1, max_size=10)):
+            _assert_image_index_is_exact(kb, attrs)

@@ -1,7 +1,19 @@
+import io
+import struct
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mediafp.jpeg import JpegError, NoFrameHeader, NotJpeg, _skip_entropy, extract_image_attributes
+from mediafp import report
+from mediafp.jpeg import (
+    _SOF_MARKERS,
+    JpegError,
+    NoFrameHeader,
+    NotJpeg,
+    _skip_entropy,
+    extract_image_attributes,
+)
 
 from conftest import make_jpeg
 
@@ -126,3 +138,110 @@ _ENTROPY_BYTES = st.one_of(
 def test_skip_entropy_matches_byte_walk(data):
     for pos in range(len(data) + 1):
         assert _skip_entropy(data, pos) == _reference_skip_entropy(data, pos), pos
+
+
+# Segment streams: APPn, DQT, DHT and COM segments and scans (SOS plus entropy
+# data) before a start-of-frame segment, each marker behind a run of fill bytes.
+_SKIPPED_MARKERS = [*range(0xE0, 0xF0), 0xDB, 0xC4, 0xFE]
+_FILL = st.integers(min_value=0, max_value=3).map(lambda n: b"\xff" * n)
+# Entropy-coded data: any byte but 0xFF, stuffed 0xFF00 and restart markers.
+_ENTROPY = st.lists(st.one_of(
+    st.integers(min_value=0, max_value=0xFE).map(lambda b: bytes([b])),
+    st.just(b"\xff\x00"),
+    st.sampled_from([bytes([0xFF, rst]) for rst in range(0xD0, 0xD8)]),
+), max_size=12).map(b"".join)
+
+
+def _segment(marker, payload, declared=None):
+    length = len(payload) + 2 if declared is None else declared
+    return bytes([0xFF, marker]) + struct.pack(">H", length) + payload
+
+
+def _frame_header(marker, width, height, components):
+    return _segment(marker, struct.pack(">BHHB", 8, height, width, components) + bytes(3 * components))
+
+
+@st.composite
+def _well_formed_streams(draw):
+    """A stream, the offset where its frame header ends, and its dimensions."""
+    out = bytearray(b"\xff\xd8")
+    for _ in range(draw(st.integers(min_value=0, max_value=5))):
+        out += draw(_FILL)
+        if draw(st.booleans()):
+            out += _segment(0xDA, draw(st.binary(max_size=10))) + draw(_ENTROPY)
+        else:
+            out += _segment(draw(st.sampled_from(_SKIPPED_MARKERS)), draw(st.binary(max_size=24)))
+    width, height = draw(st.integers(min_value=1, max_value=0xFFFF)), draw(st.integers(min_value=1, max_value=0xFFFF))
+    out += draw(_FILL) + _frame_header(draw(st.sampled_from(sorted(_SOF_MARKERS))), width, height,
+                                       draw(st.integers(min_value=1, max_value=3)))
+    frame_end = len(out)
+    if draw(st.booleans()):
+        out += _segment(0xDA, draw(st.binary(max_size=10))) + draw(_ENTROPY) + b"\xff\xd9"
+    return bytes(out), frame_end, (width, height)
+
+
+@st.composite
+def _segment_streams(draw):
+    """Segments of any declared length, stray bytes between them, and entropy
+    data with any bytes; often a well-formed stream with a few bytes changed."""
+    if draw(st.booleans()):
+        out = bytearray(draw(_well_formed_streams())[0])
+        for _ in range(draw(st.integers(min_value=1, max_value=3))):
+            out[draw(st.integers(min_value=0, max_value=len(out) - 1))] = draw(st.integers(0, 255))
+        return bytes(out)
+    out = bytearray(draw(st.sampled_from([b"\xff\xd8", b"\xff\xd8", b"\xff\xd9", b""])))
+    for _ in range(draw(st.integers(min_value=0, max_value=6))):
+        out += draw(_FILL)
+        kind = draw(st.sampled_from(("segment", "frame", "scan", "standalone", "stray")))
+        if kind == "stray":
+            out += draw(st.binary(min_size=1, max_size=4))
+            continue
+        if kind == "standalone":
+            out += bytes([0xFF, draw(st.sampled_from([0x00, 0x01, 0xD0, 0xD7, 0xD8, 0xD9]))])
+            continue
+        marker = {"segment": st.sampled_from(_SKIPPED_MARKERS), "frame": st.sampled_from(sorted(_SOF_MARKERS)),
+                  "scan": st.just(0xDA)}[kind]
+        payload = draw(st.binary(max_size=16))
+        declared = draw(st.one_of(st.none(), st.integers(min_value=0, max_value=0xFFFF)))
+        out += _segment(draw(marker), payload, declared)
+        if kind == "scan":
+            out += draw(st.one_of(_ENTROPY, st.binary(max_size=12)))
+    return bytes(out)
+
+
+def _outcome(parse, *args):
+    try:
+        return parse(*args)
+    except JpegError as exc:
+        return type(exc), str(exc)
+
+
+def _head_first(data, head_len):
+    """What ``report.scan_file`` gets for a file of ``data`` with a head of ``head_len``."""
+    handle = io.BytesIO(data)
+    with mock.patch.object(report, "HEAD_READ", head_len):
+        head = report._read_upto(handle, head_len, len(data))
+        return _outcome(report._read_jpeg, handle, head, len(data))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_well_formed_streams())
+def test_well_formed_stream_yields_its_frame_dimensions_at_every_cut(stream):
+    data, frame_end, dims = stream
+    for cut in range(len(data) + 1):
+        if cut >= frame_end:
+            attrs = extract_image_attributes(data[:cut])
+            assert ((attrs.width, attrs.length), attrs.byte_size) == (dims, cut)
+        else:
+            with pytest.raises(NotJpeg if cut < 2 else NoFrameHeader):
+                extract_image_attributes(data[:cut])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_segment_streams())
+def test_any_segment_stream_raises_only_jpeg_errors_and_head_first_equals_whole(data):
+    for cut in range(len(data) + 1):
+        _outcome(extract_image_attributes, data[:cut])
+    whole = _outcome(extract_image_attributes, data)
+    for head_len in range(2, len(data) + 1):
+        assert _head_first(data, head_len) == whole, head_len

@@ -4,6 +4,7 @@ import pytest
 
 from mediafp.attributes import FormatProfile, MediaKind, OS
 from mediafp.kb import (
+    RESOLUTION_TOLERANCE,
     FingerprintRecord,
     Hop,
     ImageConstraints,
@@ -354,9 +355,11 @@ def _brute_force_indexes(kb):
         )
     )
     usable = [rec for rec in kb.records if rec.distinguishable]
+    images = tuple(r for r in usable if r.media_kind is MediaKind.IMAGE)
     return {
         "overwritten_chain_ids": overwritten,
-        "image_records": tuple(r for r in usable if r.media_kind is MediaKind.IMAGE),
+        "image_records": images,
+        "_image_cells": _brute_force_image_cells(images),
         "video_singles": tuple(
             r for r in usable if r.media_kind is MediaKind.VIDEO and r.hop is Hop.SINGLE
         ),
@@ -365,6 +368,24 @@ def _brute_force_indexes(kb):
             if r.media_kind is MediaKind.VIDEO and r.hop is Hop.CHAIN and r.record_id not in overwritten
         ),
     }
+
+
+def _brute_force_image_cells(images):
+    """Each grid cell that some record's +-tolerance square overlaps, mapped
+    to every such record in file order; cells a square only borders stay out."""
+    tol, side = RESOLUTION_TOLERANCE, 2 * RESOLUTION_TOLERANCE + 1
+
+    def overlaps(rec, x, y):
+        return any(x * side - tol <= w <= x * side + side - 1 + tol
+                   and y * side - tol <= h <= y * side + side - 1 + tol
+                   for w, h in rec.constraints.resolutions)
+
+    near = {(x, y)
+            for rec in images for w, h in rec.constraints.resolutions
+            for x in range((w - tol) // side - 1, (w + tol) // side + 2)
+            for y in range((h - tol) // side - 1, (h + tol) // side + 2)}
+    cells = {cell: tuple(rec for rec in images if overlaps(rec, *cell)) for cell in near}
+    return {cell: members for cell, members in cells.items() if members}
 
 
 def _compiled_indexes(kb):
@@ -451,6 +472,20 @@ class TestCompiledIndexes:
         assert _compiled_indexes(without_single) == _brute_force_indexes(without_single)
         with pytest.raises(KeyError):
             without_single.record("t8-b")
+
+    def test_replace_rebuilds_image_cells(self):
+        kb = _hand_built_kb()
+        img = kb.record("t6-img")
+        assert kb.image_candidates(100, 100) == (img,)
+        near = FingerprintRecord("t6-near", MediaKind.IMAGE, "C", OS.IOS, "Default", index=len(kb.records),
+                                 constraints=ImageConstraints(((110, 90), (90, 110))))
+        widened = dataclasses.replace(kb, records=kb.records + (near,))
+        assert widened.image_candidates(100, 100) == (img, near)
+        assert _compiled_indexes(widened) == _brute_force_indexes(widened)
+        narrowed = dataclasses.replace(widened, records=widened.records[2:])
+        assert narrowed.image_candidates(100, 100) == (near,)
+        assert narrowed.image_candidates(200, 200) == (kb.record("t10-img"),)
+        assert _compiled_indexes(narrowed) == _brute_force_indexes(narrowed)
 
     def test_replace_rebuilds_candidate_index(self):
         kb = _hand_built_kb()
