@@ -274,15 +274,15 @@ def _stsd_video_entry(data, stsd: BoxNode) -> tuple[int, int, AvcSignal | None] 
         return None
     entry_off = payload_start + 8
     entry_size = struct.unpack_from(">I", data, entry_off)[0]
-    if entry_size < 8 or entry_off + entry_size > stsd.payload_end:
+    end = entry_off + entry_size
+    if entry_size < 8 or end > stsd.payload_end:
         return None
     body = entry_off + 8
-    if body + 28 > stsd.payload_end:
+    if body + 28 > end:
         return None
     width, height = struct.unpack_from(">HH", data, body + 24)
     signal = None
     pos = body + 78
-    end = entry_off + entry_size
     while pos + 8 <= end:
         child_size = struct.unpack_from(">I", data, pos)[0]
         if child_size < 8 or pos + child_size > end:

@@ -22,8 +22,10 @@ _SOF_MARKERS = frozenset(range(0xC0, 0xD0)) - {0xC4, 0xC8, 0xCC}
 _STANDALONE = frozenset({0x01}) | frozenset(range(0xD0, 0xD8))  # TEM, RST0-7
 _EOI = 0xD9
 _SOS = 0xDA
-# Inside entropy-coded data a 0xFF is always followed by 0x00 stuffing, TEM or
-# a restart marker; a 0xFF followed by anything else is the next real marker.
+# Inside entropy-coded data a 0xFF, alone or ending a run of 0xFF fill bytes,
+# is always followed by 0x00 stuffing, TEM or a restart marker.  A 0xFF
+# followed by anything else is a real marker or starts a fill run, which
+# _skip_entropy crosses to see what follows it.
 _NEXT_MARKER = re.compile(rb"\xff[^\x00\x01\xd0-\xd7]")
 _FILL_RUN = re.compile(rb"\xff+")
 
@@ -41,9 +43,20 @@ class NoFrameHeader(JpegError):
 
 
 def _skip_entropy(data, pos: int) -> int:
-    """Offset of the next real marker at or after ``pos``, or ``len(data)``."""
-    match = _NEXT_MARKER.search(data, pos)
-    return len(data) if match is None else match.start()
+    """Offset of the next real marker, or of the fill run before it, at or
+    after ``pos``; ``len(data)`` when there is none.
+
+    A fill run that ends in stuffing, TEM or a restart marker is still entropy
+    data (T.81 B.1.1.2), so the search resumes after it.  Each search starts
+    past the previous run, which keeps the walk linear in the input.
+    """
+    while True:
+        match = _NEXT_MARKER.search(data, pos)
+        if match is None:
+            return len(data)
+        pos = _FILL_RUN.match(data, match.start()).end()
+        if pos == len(data) or not (data[pos] == 0x00 or data[pos] in _STANDALONE):
+            return match.start()
 
 
 def extract_image_attributes(data, byte_size: int | None = None) -> ImageAttributes:

@@ -173,12 +173,6 @@ class OriginalProfile:
         )
 
 
-# Records per codec id, then per video format profile, each bucket in KB
-# file order; a level's second element serves values no record names.
-_ProfileLevel = tuple[dict[str, tuple[FingerprintRecord, ...]], tuple[FingerprintRecord, ...]]
-_VideoIndex = tuple[dict[str, _ProfileLevel], _ProfileLevel]
-
-
 @dataclass(frozen=True)
 class KnowledgeBase:
     """The loaded records plus query indexes compiled from them.
@@ -208,8 +202,8 @@ class KnowledgeBase:
     image_originals: dict[tuple[int, int], OriginalProfile] = field(init=False, repr=False, compare=False)
     video_originals: dict[tuple, OriginalProfile] = field(init=False, repr=False, compare=False)
     _by_id: dict[str, FingerprintRecord] = field(init=False, repr=False, compare=False)
-    _single_index: _VideoIndex = field(init=False, repr=False, compare=False)
-    _chain_index: _VideoIndex = field(init=False, repr=False, compare=False)
+    _video_index: dict[str | None, dict[str | None, tuple[tuple[FingerprintRecord, ...], ...]]] = field(
+        init=False, repr=False, compare=False)
     _image_cells: dict[tuple[int, int], tuple[FingerprintRecord, ...]] = field(
         init=False, repr=False, compare=False)
 
@@ -262,8 +256,7 @@ class KnowledgeBase:
             "video_chains": tuple(chains),
             "image_originals": image_originals,
             "video_originals": video_originals,
-            "_single_index": _compile_video_index(singles),
-            "_chain_index": _compile_video_index(chains),
+            "_video_index": _compile_video_index(singles, chains),
             "_image_cells": _compile_image_cells(images),
         }
         for name, value in compiled.items():
@@ -279,12 +272,11 @@ class KnowledgeBase:
 
         Every other video record constrains codec id or video format profile
         to values that exclude these, so it cannot match.  Both tuples keep
-        KB file order.
+        KB file order.  A value no record names falls to its level's ``None``
+        bucket.
         """
-        return (
-            _lookup(self._single_index, codec_id, video_format_profile),
-            _lookup(self._chain_index, codec_id, video_format_profile),
-        )
+        by_profile = self._video_index.get(codec_id) or self._video_index[None]
+        return by_profile.get(video_format_profile) or by_profile[None]
 
     def image_candidates(self, width: int, length: int) -> tuple[FingerprintRecord, ...]:
         """Image records that may hold a resolution within tolerance of this one.
@@ -296,55 +288,35 @@ class KnowledgeBase:
         return self._image_cells.get((width // _CELL_SIDE, length // _CELL_SIDE), ())
 
 
-def _lookup(index: _VideoIndex, codec_id: str, video_format_profile: str) -> tuple[FingerprintRecord, ...]:
-    by_codec, any_codec = index
-    by_profile, any_profile = by_codec.get(codec_id, any_codec)
-    return by_profile.get(video_format_profile, any_profile)
+def _compile_video_index(singles: list[FingerprintRecord], chains: list[FingerprintRecord]) -> dict:
+    """(single-hop, chain) candidates by codec id, then by video format profile.
 
-
-def _compile_video_index(records: list[FingerprintRecord]) -> _VideoIndex:
-    """Bucket video records by codec id, then by video format profile.
-
-    A record that leaves a field empty is a wildcard for it: it joins every
-    bucket of that level and the level's default bucket, which serves values
-    no record names.  A bucket created mid-pass starts as a copy of its
-    level's default, so one pass keeps every bucket in KB file order.
-    Nearly every record names one value per field, so the duplicate filter
-    (``dict.fromkeys``) runs only on longer lists: on every list it costs
-    about 0.3 µs a call and 50 µs a build of the shipped KB, nearly doubling it.
+    At each level, the bucket for a value some record names holds every
+    record that names it or leaves the field empty; the ``None`` bucket holds
+    only the records that leave the field empty and serves every value no
+    record names.  Buckets keep KB file order.
     """
-    by_codec: dict[str, tuple[dict[str, list], list]] = {}
-    any_codec: tuple[dict[str, list], list] = ({}, [])
-    for rec in records:
-        codecs = rec.constraints.codec_ids
-        if codecs:
-            levels = []
-            for codec in codecs if len(codecs) == 1 else dict.fromkeys(codecs):
-                level = by_codec.get(codec)
-                if level is None:
-                    by_profile, any_profile = any_codec
-                    level = by_codec[codec] = ({p: leaf[:] for p, leaf in by_profile.items()}, any_profile[:])
-                levels.append(level)
-        else:
-            levels = (any_codec, *by_codec.values())
-        profiles = rec.constraints.video_format_profiles
-        for by_profile, any_profile in levels:
-            if profiles:
-                for profile in profiles if len(profiles) == 1 else dict.fromkeys(profiles):
-                    leaf = by_profile.get(profile)
-                    if leaf is None:
-                        leaf = by_profile[profile] = any_profile[:]
-                    leaf.append(rec)
-            else:
-                any_profile.append(rec)
-                for leaf in by_profile.values():
-                    leaf.append(rec)
+    index = {}
+    for codec, pair in _split_by((singles, chains), "codec_ids").items():
+        by_profile = _split_by(pair, "video_format_profiles")
+        index[codec] = {profile: (tuple(single), tuple(chain)) for profile, (single, chain) in by_profile.items()}
+    return index
 
-    def freeze(level: tuple[dict[str, list], list]) -> _ProfileLevel:
-        by_profile, any_profile = level
-        return {p: tuple(leaf) for p, leaf in by_profile.items()}, tuple(any_profile)
 
-    return {codec: freeze(level) for codec, level in by_codec.items()}, freeze(any_codec)
+def _split_by(pair: tuple[list, list], name: str) -> dict[str | None, tuple[list, list]]:
+    """Split (singles, chains) into one such pair per value of constraint field ``name``.
+
+    A record joins the bucket of each value it names, or every bucket when it
+    names none; ``set`` keeps a value listed twice from adding it twice.
+    """
+    named = (value for records in pair for rec in records for value in getattr(rec.constraints, name))
+    buckets = {value: ([], []) for value in named}
+    buckets[None] = ([], [])
+    for side, records in enumerate(pair):
+        for rec in records:
+            for value in set(getattr(rec.constraints, name)) or buckets:
+                buckets[value][side].append(rec)
+    return buckets
 
 
 def _compile_image_cells(records: list[FingerprintRecord]) -> dict[tuple[int, int], tuple[FingerprintRecord, ...]]:
@@ -787,7 +759,7 @@ def render_kb(kb: KnowledgeBase) -> str:
 
 @dataclass(frozen=True)
 class Finding:
-    kind: str  # collision | empty-constraints | orphan-chain
+    kind: str  # collision | orphan-chain
     message: str
     record_ids: tuple[str, ...]
 
@@ -801,10 +773,13 @@ class ValidationReport:
 
 
 def validate_kb(kb: KnowledgeBase) -> ValidationReport:
-    """Report collision groups, empty constraint sets and orphan chains.
+    """Report collision groups and orphan chains.
 
     Collision groups (several records matching byte-identical evidence) are
-    expected for deliberately ambiguous rows and are informational.
+    expected for deliberately ambiguous rows and are informational.  Records
+    that match nothing are not reported: the loader already rejects an image
+    record without a resolution and a distinguishable video record without
+    constraints.
     """
     findings: list[Finding] = []
 
@@ -821,17 +796,6 @@ def validate_kb(kb: KnowledgeBase) -> ValidationReport:
                 f"{len(members)} {media.value} {hop.value} records match identical evidence",
                 ids,
             ))
-
-    for rec in kb.records:
-        if not rec.distinguishable or rec.constraints is None:
-            continue
-        empty = (
-            rec.constraints.is_empty()
-            if isinstance(rec.constraints, VideoConstraints)
-            else not rec.constraints.resolutions
-        )
-        if empty:
-            findings.append(Finding("empty-constraints", "record matches nothing", (rec.record_id,)))
 
     single_apps = {r.app for r in kb.records if r.hop is Hop.SINGLE and r.media_kind is MediaKind.VIDEO}
     for rec in kb.records:

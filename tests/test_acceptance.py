@@ -15,7 +15,7 @@ from mediafp import container, jpeg
 from mediafp.attributes import FormatProfile, ImageAttributes, Marker, MediaKind, OS, VideoAttributes
 from mediafp.cli import main
 from mediafp.engine import RESOLUTION_TOLERANCE, Outcome, match_image, match_video
-from mediafp.kb import ImageConstraints, default_kb_path, load_kb_path, validate_kb
+from mediafp.kb import ImageConstraints, VideoConstraints, default_kb_path, load_kb_path, validate_kb
 from mediafp.oracle import (
     InconsistentAttrs,
     generate_corpus,
@@ -49,7 +49,13 @@ def test_criterion_1_kb_completeness():
     elapsed = time.perf_counter() - start
     assert kb.manifest == EXPECTED_MANIFEST
     assert report.by_kind("orphan-chain") == []
-    assert report.by_kind("empty-constraints") == []
+    for rec in kb.records:
+        if not rec.distinguishable:
+            continue
+        if rec.media_kind is MediaKind.IMAGE:
+            assert isinstance(rec.constraints, ImageConstraints) and rec.constraints.resolutions, rec.record_id
+        else:
+            assert isinstance(rec.constraints, VideoConstraints) and not rec.constraints.is_empty(), rec.record_id
     assert elapsed < 1.0, f"KB load took {elapsed:.3f}s"
     print(f"PASS criterion 1: KB loads clean, manifest matches audit ({elapsed * 1000:.0f} ms)")
 
@@ -234,6 +240,7 @@ def test_criterion_9_hostile_jpeg_parse_time(tmp_path, kb):
     hostile = {
         "scan-before-frame": (b"\xff\xd8" + sos + entropy)[:JPEG_HEAD_WINDOW],
         "fill-run": b"\xff\xd8" + b"\xff" * JPEG_HEAD_WINDOW,
+        "fill-run-after-scan": b"\xff\xd8" + sos + b"\xff" * JPEG_HEAD_WINDOW,
     }
     timings = []
     for name, data in hostile.items():

@@ -270,6 +270,21 @@ class TestExtraction:
         assert (attrs.width, attrs.length) == (640, 360)
         assert attrs.video_format_profile == ""
 
+    @pytest.mark.parametrize("declared", [8, 16, 35])
+    def test_tkhd_fallback_when_stsd_entry_is_too_short(self, declared):
+        # The entry is 86 bytes long and holds 1280x720 at body offsets
+        # 24/26, but declares fewer bytes than its visual fields need: those
+        # bytes lie outside it, so dimensions come from the track header.
+        tkhd = box(b"tkhd", b"\x00" * 76 + struct.pack(">II", 640 << 16, 360 << 16))
+        hdlr = box(b"hdlr", b"\x00" * 8 + b"vide" + b"\x00" * 12)
+        entry = struct.pack(">I", declared) + b"avc1" + bytes(24) + struct.pack(">HH", 1280, 720) + bytes(50)
+        stsd = box(b"stsd", struct.pack(">II", 0, 1) + entry)
+        mdia = box(b"mdia", hdlr + box(b"minf", box(b"stbl", stsd)))
+        data = ftyp_bytes(b"isom", [b"isom"]) + box(b"moov", box(b"trak", tkhd + mdia))
+        attrs = extract_video_attributes(data, name_hint="x.mp4")
+        assert (attrs.width, attrs.length) == (640, 360)
+        assert attrs.video_format_profile == ""
+
 
 @settings(max_examples=300, deadline=None)
 @given(st.binary(min_size=0, max_size=512))

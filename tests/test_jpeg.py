@@ -117,14 +117,15 @@ def test_fill_bytes_to_end_of_stream():
 
 
 def _reference_skip_entropy(data, pos):
-    # One byte at a time: stop at a 0xFF whose next byte is neither 0x00
-    # stuffing, TEM (0x01) nor a restart marker (0xD0-0xD7).
-    end = len(data)
-    while pos < end - 1:
-        if data[pos] == 0xFF and data[pos + 1] not in (0x00, 0x01, *range(0xD0, 0xD8)):
-            return pos
-        pos += 1
-    return end
+    # One byte at a time: stop at a 0xFF, short of the last byte, unless the
+    # first byte after its run of 0xFF fill bytes is 0x00 stuffing, TEM (0x01)
+    # or a restart marker (0xD0-0xD7).
+    for i in range(pos, len(data) - 1):
+        if data[i] == 0xFF:
+            after = next((b for b in data[i + 1:] if b != 0xFF), None)
+            if after not in (0x00, 0x01, *range(0xD0, 0xD8)):
+                return i
+    return len(data)
 
 
 _ENTROPY_BYTES = st.one_of(
@@ -144,11 +145,11 @@ def test_skip_entropy_matches_byte_walk(data):
 # data) before a start-of-frame segment, each marker behind a run of fill bytes.
 _SKIPPED_MARKERS = [*range(0xE0, 0xF0), 0xDB, 0xC4, 0xFE]
 _FILL = st.integers(min_value=0, max_value=3).map(lambda n: b"\xff" * n)
-# Entropy-coded data: any byte but 0xFF, stuffed 0xFF00 and restart markers.
+# Entropy-coded data: any byte but 0xFF, stuffed 0xFF00 and restart markers,
+# the last two sometimes behind a run of fill bytes.
 _ENTROPY = st.lists(st.one_of(
     st.integers(min_value=0, max_value=0xFE).map(lambda b: bytes([b])),
-    st.just(b"\xff\x00"),
-    st.sampled_from([bytes([0xFF, rst]) for rst in range(0xD0, 0xD8)]),
+    st.tuples(_FILL, st.sampled_from([bytes([0xFF, code]) for code in (0x00, *range(0xD0, 0xD8))])).map(b"".join),
 ), max_size=12).map(b"".join)
 
 
@@ -245,3 +246,12 @@ def test_any_segment_stream_raises_only_jpeg_errors_and_head_first_equals_whole(
     whole = _outcome(extract_image_attributes, data)
     for head_len in range(2, len(data) + 1):
         assert _head_first(data, head_len) == whole, head_len
+
+
+@pytest.mark.parametrize("entropy", [b"\x12\xff\xd0\x34", b"\x12\xff\xff\xd0\x34", b"\x12\xff\xff\x00\x34",
+                                     b"\x12\xff\xff\xff\x01\x34"])
+def test_fill_bytes_inside_entropy_data_stay_in_the_scan(entropy):
+    # T.81 B.1.1.2 allows fill bytes before any marker, restart markers too.
+    scan = _segment(0xDA, bytes([1, 1, 0x00, 0, 63, 0])) + entropy
+    attrs = extract_image_attributes(b"\xff\xd8" + scan + _frame_header(0xC0, 640, 480, 1))
+    assert (attrs.width, attrs.length) == (640, 480)

@@ -115,6 +115,12 @@ def test_manifest_accepts_exact_counts():
                  "byte_size must be >= 4", id="nominal-size-below-image-minimum"),
     pytest.param("os = iOS", "resolution = 100x100", 'encoder = "Lavf\udcff"',
                  "not UTF-8 text", id="not-utf8"),
+    pytest.param("os = iOS", "resolution = 100x100", IMAGE_RECORD.replace("resolution = 100x100", ""),
+                 "missing key 'resolution'", id="image-without-resolution"),
+    pytest.param("os = iOS", "resolution = 100x100", IMAGE_RECORD.replace("100x100", ""),
+                 "at least one resolution", id="image-with-empty-resolution"),
+    pytest.param("os = iOS", "", "[record t7-z]\nmedia = video\napp = Z\nos = iOS\nquality = Default",
+                 "carries no constraints", id="video-without-constraints"),
 ])
 def test_schema_errors(tmp_path, os_line, resolution_line, extra, needle):
     # Through a file, so text that is not UTF-8 (written here from a lone
@@ -209,10 +215,8 @@ resolution = 720x404
         orphans = validate_kb(kb).by_kind("orphan-chain")
         assert [f.record_ids for f in orphans] == [("t9-orphan",)]
 
-    def test_shipped_kb_has_no_orphans_or_empties(self, kb):
-        report = validate_kb(kb)
-        assert report.by_kind("orphan-chain") == []
-        assert report.by_kind("empty-constraints") == []
+    def test_shipped_kb_has_no_orphans(self, kb):
+        assert validate_kb(kb).by_kind("orphan-chain") == []
 
     def test_shipped_collision_groups_are_the_expected_ambiguities(self, kb):
         groups = {f.record_ids for f in validate_kb(kb).by_kind("collision")}
