@@ -13,6 +13,7 @@ import os
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import NoReturn
 
 import click
 
@@ -20,12 +21,16 @@ from . import kb as kb_mod
 from . import oracle, report
 
 
+def _fail(exc: Exception) -> NoReturn:
+    click.echo(f"{type(exc).__name__}: {exc}", err=True)
+    sys.exit(1)
+
+
 def _load_kb(kb_path: str | None) -> kb_mod.KnowledgeBase:
     try:
         return kb_mod.load_kb_path(kb_path or None)
     except kb_mod.KbError as exc:
-        click.echo(f"{type(exc).__name__}: {exc}", err=True)
-        sys.exit(1)
+        _fail(exc)
 
 
 def _files_under(root: Path) -> list[Path]:
@@ -98,8 +103,10 @@ def scan(paths: tuple[Path, ...], fmt: str, kb_path: str | None,
             files.extend(_files_under(path))
         else:
             files.append(path)
-    files.sort(key=str)
-    reports = [report.scan_file(path, knowledge, chains=chains) for path in files]
+    # A file named by overlapping arguments (a directory and a file below it)
+    # is scanned once.
+    unique = {str(path): path for path in files}
+    reports = [report.scan_file(unique[name], knowledge, chains=chains) for name in sorted(unique)]
     stamp = datetime.now(timezone.utc).isoformat() if timestamps else None
     click.echo(report.render_report(reports, fmt, stamp), nl=False)
     sys.exit(1 if any(r.error for r in reports) else 0)
@@ -154,19 +161,25 @@ def list_cmd(app: str | None, os_token: str | None, kind: str | None, kb_path: s
 def selftest(kb_path: str | None, corpus_path: Path | None, dump_path: Path | None) -> None:
     """Replay the labeled corpus through the matcher; exit 0 only on 100% hits.
 
+    A corpus file that cannot be read or parsed, or a dump path that cannot
+    be written, is one error line and exit 1.
+
     With the bundled KB the frozen corpus ships alongside the data files and
     is used by default, so edits that drift from it fail here.
     """
     knowledge = _load_kb(kb_path)
-    if dump_path is not None:
-        dump_path.write_text(oracle.render_corpus(oracle.generate_corpus(knowledge)), encoding="utf-8")
-        click.echo(f"corpus written to {dump_path}")
-    if corpus_path is not None:
-        entries = oracle.parse_corpus(corpus_path.read_text(encoding="utf-8"))
-    elif kb_path is None and (kb_mod.default_kb_path() / "corpus.tsv").exists():
-        entries = oracle.parse_corpus((kb_mod.default_kb_path() / "corpus.tsv").read_text(encoding="utf-8"))
-    else:
-        entries = oracle.generate_corpus(knowledge)
+    try:
+        if dump_path is not None:
+            dump_path.write_text(oracle.render_corpus(oracle.generate_corpus(knowledge)), encoding="utf-8")
+            click.echo(f"corpus written to {dump_path}")
+        if corpus_path is not None:
+            entries = oracle.parse_corpus(corpus_path.read_text(encoding="utf-8"))
+        elif kb_path is None and (kb_mod.default_kb_path() / "corpus.tsv").exists():
+            entries = oracle.parse_corpus((kb_mod.default_kb_path() / "corpus.tsv").read_text(encoding="utf-8"))
+        else:
+            entries = oracle.generate_corpus(knowledge)
+    except (oracle.CorpusFormatError, UnicodeDecodeError, OSError) as exc:
+        _fail(exc)
 
     misses = oracle.replay_corpus(knowledge, entries)
     for entry, verdict in misses:

@@ -11,8 +11,10 @@ codec payload is ever decoded.  Layout references:
 All functions are pure, bounds-checked and never read outside the supplied
 buffer; hostile input fails with one of the declared exceptions below.  The
 box walk reads inside each box's own payload only: a child's header within
-its parent, the QuickTime-or-ISO 'meta' sniff within the meta box.  The
-buffer may be bytes, a bytearray or a memory map.
+its parent, the QuickTime-or-ISO 'meta' sniff within the meta box, a leaf
+reader within its own payload, slicing no more of it than its structure
+calls for.  The buffer is only sliced and measured by len(), so it may be
+bytes, a bytearray or a view that reads a large file on demand.
 """
 
 from __future__ import annotations
@@ -95,10 +97,10 @@ def _scan_boxes(data, start: int, end: int, depth: int) -> list[BoxNode]:
         if remain < 8:
             # A short all-zero tail is the classic user-data terminator /
             # padding; anything else is a broken header.
-            if bytes(data[pos:end]).count(0) == remain:
+            if data[pos:end].count(0) == remain:
                 break
             raise MalformedBox(f"{remain} trailing bytes at offset {pos}, need 8 for a header")
-        size, raw_type = _BOX_HEADER.unpack_from(data, pos)
+        size, raw_type = _BOX_HEADER.unpack(data[pos:pos + 8])
         header = 8
         if size < 8:
             if size == 0:
@@ -106,7 +108,7 @@ def _scan_boxes(data, start: int, end: int, depth: int) -> list[BoxNode]:
             elif size == 1:
                 if remain < 16:
                     raise TruncatedFile(f"extended size header at offset {pos} exceeds buffer")
-                size = _EXTENDED_SIZE.unpack_from(data, pos + 8)[0]
+                size = _EXTENDED_SIZE.unpack(data[pos + 8:pos + 16])[0]
                 header = 16
                 if size < 16:
                     raise MalformedBox(f"extended size {size} at offset {pos} is below header size")
@@ -267,30 +269,26 @@ def _parse_hdlr_type(data, node: BoxNode) -> str | None:
 
 def _stsd_video_entry(data, stsd: BoxNode) -> tuple[int, int, AvcSignal | None] | None:
     # stsd: FullBox(4) + entry_count(4), then sample entries. A visual sample
-    # entry holds width/height at payload offsets 24/26 and its codec config
-    # boxes from offset 78 on.
-    payload_start = stsd.payload_offset
-    if stsd.payload_length < 16:
+    # entry holds width/height at entry offsets 32/34 and its codec config
+    # boxes from entry offset 86 on.  Reads stay inside the first entry.
+    entry = stsd.payload_offset + 8
+    fields = data[entry:min(entry + 36, stsd.payload_end)]
+    if len(fields) < 36:
         return None
-    entry_off = payload_start + 8
-    entry_size = struct.unpack_from(">I", data, entry_off)[0]
-    end = entry_off + entry_size
-    if entry_size < 8 or end > stsd.payload_end:
+    entry_size = struct.unpack_from(">I", fields)[0]
+    end = entry + entry_size
+    if entry_size < 36 or end > stsd.payload_end:
         return None
-    body = entry_off + 8
-    if body + 28 > end:
-        return None
-    width, height = struct.unpack_from(">HH", data, body + 24)
+    width, height = struct.unpack_from(">HH", fields, 32)
     signal = None
-    pos = body + 78
+    pos = entry + 86
     while pos + 8 <= end:
-        child_size = struct.unpack_from(">I", data, pos)[0]
+        child_size, child_type = _BOX_HEADER.unpack(data[pos:pos + 8])
         if child_size < 8 or pos + child_size > end:
             break
-        child_type = bytes(data[pos + 4:pos + 8])
         if child_type == b"avcC":
             try:
-                signal = parse_avc_config(bytes(data[pos + 8:pos + child_size]))
+                signal = parse_avc_config(data[pos + 8:pos + min(child_size, 12)])
             except MalformedBox:
                 signal = None
             break
@@ -303,13 +301,11 @@ def _stsd_video_entry(data, stsd: BoxNode) -> tuple[int, int, AvcSignal | None] 
 def _tkhd_dimensions(data, tkhd: BoxNode) -> tuple[int, int] | None:
     # Track header stores 16.16 fixed-point width/height as its last fields:
     # offsets 76/80 in version 0, 88/92 in version 1.
-    if tkhd.payload_length < 4:
+    payload = data[tkhd.payload_offset:tkhd.payload_offset + min(tkhd.payload_length, 96)]
+    offset = 88 if payload[:1] == b"\x01" else 76
+    if len(payload) < offset + 8:
         return None
-    version = data[tkhd.payload_offset]
-    offset = 88 if version == 1 else 76
-    if tkhd.payload_length < offset + 8:
-        return None
-    w_fixed, h_fixed = struct.unpack_from(">II", data, tkhd.payload_offset + offset)
+    w_fixed, h_fixed = struct.unpack_from(">II", payload, offset)
     width, height = round(w_fixed / 65536), round(h_fixed / 65536)
     if width < 1 or height < 1:
         return None
@@ -347,18 +343,18 @@ def _ilst_encoder(data, ilst: BoxNode) -> str | None:
     # payload is type(4) + locale(4) + utf-8 text.
     pos, end = ilst.payload_offset, ilst.payload_end
     while pos + 8 <= end:
-        size = struct.unpack_from(">I", data, pos)[0]
+        size, item_type = _BOX_HEADER.unpack(data[pos:pos + 8])
         if size < 8 or pos + size > end:
             return None
-        if bytes(data[pos + 4:pos + 8]) == b"\xa9too":
+        if item_type == b"\xa9too":
             inner, inner_end = pos + 8, pos + size
             while inner + 8 <= inner_end:
-                d_size = struct.unpack_from(">I", data, inner)[0]
+                d_size, d_type = _BOX_HEADER.unpack(data[inner:inner + 8])
                 if d_size < 8 or inner + d_size > inner_end:
                     return None
-                if bytes(data[inner + 4:inner + 8]) == b"data" and d_size >= 16:
-                    raw = bytes(data[inner + 16:inner + d_size])
-                    return raw.decode("utf-8", errors="replace").rstrip("\x00") or None
+                if d_type == b"data" and d_size >= 16:
+                    text = data[inner + 16:inner + d_size].decode("utf-8", errors="replace")
+                    return text.rstrip("\x00") or None
                 inner += d_size
             return None
         pos += size

@@ -13,7 +13,6 @@ frozen dict form).
 
 from __future__ import annotations
 
-import mmap
 import os
 from dataclasses import dataclass
 from io import FileIO
@@ -28,9 +27,9 @@ from .kb import KnowledgeBase
 SCHEMA_VERSION = 1
 # Each file is opened once, unbuffered, and sized by fstat on that descriptor.
 # One head read of up to HEAD_READ bytes serves every use: sniffing the kind,
-# the JPEG head parse, and the whole file for a video no larger than the head.
-# A larger video reads only the rest of the file, into a buffer sized for the
-# whole, so its bytes are never held twice.
+# the JPEG head parse, and the whole file for a video no larger than the head
+# (or cut short by its end).  A larger video is parsed through a _FileView,
+# which reads only what the box walk asks for: its cost follows box structure.
 HEAD_READ = 64 * 1024
 # The frame header of a real photo sits well inside the head.  Only when the
 # head parse finds no frame header and the head came back full is the file
@@ -38,8 +37,6 @@ HEAD_READ = 64 * 1024
 # scans forward, so a success or NotJpeg on the head is what the full window
 # would give too.
 JPEG_HEAD_WINDOW = 16 * 1024 * 1024
-# Above this size the container scan runs over a memory map instead of a copy.
-MMAP_THRESHOLD = 16 * 1024 * 1024
 
 
 @dataclass(frozen=True)
@@ -71,18 +68,25 @@ def _read_upto(handle: FileIO, limit: int, size: int) -> bytes:
     return data
 
 
-def _read_rest(handle: FileIO, head: bytes, size: int) -> bytearray:
-    data = bytearray(size)
-    filled = len(head)
-    data[:filled] = head
-    with memoryview(data) as view:
-        while filled < size:
-            count = handle.readinto(view[filled:])
-            if not count:
-                break
-            filled += count
-    del data[filled:]  # the file shrank after fstat
-    return data
+class _FileView:
+    """A video of fstat size: slices inside the head come from the head,
+    others are read when asked for, and a short read is a TruncatedFile."""
+
+    def __init__(self, handle: FileIO, head: bytes, size: int) -> None:
+        self._handle, self._head, self._size = handle, head, size
+
+    def __len__(self) -> int:
+        return self._size
+
+    def __getitem__(self, index: slice) -> bytes:
+        start, stop, _ = index.indices(self._size)
+        if stop <= len(self._head) or stop <= start:
+            return self._head[start:stop]
+        self._handle.seek(start)
+        data = _read_upto(self._handle, stop - start, stop - start)
+        if len(data) < stop - start:
+            raise container.TruncatedFile(f"file ends before offset {stop}, short of its size {self._size}")
+        return data
 
 
 def _read_jpeg(handle: FileIO, head: bytes, size: int) -> ImageAttributes:
@@ -107,12 +111,8 @@ def scan_file(path: Path, kb: KnowledgeBase, chains: bool = True) -> FileReport:
             if kind is MediaKind.IMAGE:
                 attrs: VideoAttributes | ImageAttributes = _read_jpeg(handle, head, size)
                 verdict = match_image(attrs, kb)
-            elif size > MMAP_THRESHOLD:
-                with mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ) as mapped:
-                    attrs = container.extract_video_attributes(mapped, name_hint=path.name)
-                verdict = match_video(attrs, kb, chains=chains)
             else:
-                data = head if len(head) >= size else _read_rest(handle, head, size)
+                data = _FileView(handle, head, size) if HEAD_READ <= len(head) < size else head
                 attrs = container.extract_video_attributes(data, name_hint=path.name)
                 verdict = match_video(attrs, kb, chains=chains)
     except (container.ParseError, jpeg.JpegError, OSError) as exc:

@@ -1,3 +1,4 @@
+import os
 import struct
 
 import pytest
@@ -45,3 +46,18 @@ def make_jpeg(width, length, total_size=None, progressive=False, leading_segment
     if total_size is not None:
         assert len(data) == total_size, (len(data), total_size)
     return data
+
+
+def write_sparse_video(path, movie, mdat_size, moov_last):
+    """Write `movie` (ftyp first, as synthesize_container makes it) to `path`
+    with an `mdat_size`-byte mdat after the ftyp box or at the end.  The mdat
+    payload is seeked over, so the file holds a hole where its bytes would
+    be and costs little disk."""
+    ftyp_end = struct.unpack_from(">I", movie)[0]
+    rest = movie[ftyp_end:]
+    with open(path, "wb") as handle:
+        handle.write(movie[:ftyp_end] + (b"" if moov_last else rest))
+        handle.write(struct.pack(">I", 8 + mdat_size) + b"mdat")
+        handle.seek(mdat_size, os.SEEK_CUR)
+        handle.write(rest if moov_last else b"")
+        handle.truncate()

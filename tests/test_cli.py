@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import shutil
@@ -9,11 +10,12 @@ import pytest
 from click.testing import CliRunner
 
 import mediafp
+from mediafp import report
 from mediafp.cli import main
 from mediafp.kb import default_kb_path, load_kb_path
 from mediafp.oracle import expected_attributes, synthesize_container
 
-from conftest import make_jpeg
+from conftest import make_jpeg, write_sparse_video
 
 
 @pytest.fixture()
@@ -198,20 +200,53 @@ class TestScan:
         assert "photo.jpg" in result.stdout
         assert str(tmp_path / "pipe") not in result.stdout
 
-    def test_oversized_file_takes_the_mapped_path(self, runner, tmp_path, kb):
-        import dataclasses
-        from mediafp.report import MMAP_THRESHOLD
-        attrs = dataclasses.replace(
-            expected_attributes(kb.record("t7-discord-default")),
-            byte_size=MMAP_THRESHOLD + 4096,
-        )
+    def test_oversized_file_is_read_through_the_view(self, runner, tmp_path, kb, monkeypatch):
+        # A video far larger than the head is walked through a file view,
+        # and byte_size is still the file's size.
+        size = 16 * 1024 * 1024 + 4096
+        attrs = dataclasses.replace(expected_attributes(kb.record("t7-discord-default")), byte_size=size)
         big = tmp_path / "big.mov"
         big.write_bytes(synthesize_container(attrs))
-        assert big.stat().st_size > MMAP_THRESHOLD
+        views, view_type = [], report._FileView
+        monkeypatch.setattr(report, "_FileView", lambda *args: views.append(args) or view_type(*args))
         result = runner.invoke(main, ["scan", str(big), "--format", "json"])
-        report = json.loads(result.output)["reports"][0]
-        assert report["outcome"] == "Identified"
-        assert report["attributes"]["byte_size"] == MMAP_THRESHOLD + 4096
+        assert len(views) == 1
+        scanned = json.loads(result.output)["reports"][0]
+        assert scanned["outcome"] == "Identified"
+        assert scanned["attributes"]["byte_size"] == size == big.stat().st_size
+
+    def test_video_truncated_before_the_walk_is_a_per_file_error(self, tmp_path, kb):
+        # The file shrinks after its head is read and before the walk reaches
+        # its moov, 16 MiB further on.  That is the file's own TruncatedFile;
+        # the scan runs in a child, so a crash (a memory-mapped file dies of
+        # SIGBUS) fails the test and not the suite.
+        big = tmp_path / "big.mp4"
+        movie = synthesize_container(expected_attributes(kb.record("t7-discord-default")))
+        write_sparse_video(big, movie, 16 * 1024 * 1024, moov_last=True)
+        script = (
+            "import os, sys\n"
+            "from mediafp import cli, container\n"
+            "walk = container.extract_video_attributes\n"
+            "def shrink_then_walk(data, name_hint=None):\n"
+            "    os.truncate(sys.argv[1], 2 * 65536)\n"
+            "    return walk(data, name_hint)\n"
+            "container.extract_video_attributes = shrink_then_walk\n"
+            "cli.main(['scan', sys.argv[1]])\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(mediafp.__file__).parents[1]))
+        result = subprocess.run([sys.executable, "-c", script, str(big)],
+                                capture_output=True, text=True, timeout=60, env=env)
+        assert result.returncode == 1, result.stderr
+        assert "TruncatedFile: file ends before offset" in result.stdout
+
+    def test_overlapping_arguments_scan_each_file_once(self, runner, tmp_path, kb):
+        sub = tmp_path / "sub"
+        sub.mkdir()
+        clip = sub / "a.mov"
+        clip.write_bytes(synthesize_container(expected_attributes(kb.record("t7-discord-default"))))
+        result = runner.invoke(main, ["scan", str(tmp_path), f"{sub}/", str(sub), str(clip), "--format", "json"])
+        assert result.exit_code == 0
+        assert [r["path"] for r in json.loads(result.output)["reports"]] == [str(clip)]
 
 
 def _scan_in_subprocess(path):
@@ -317,6 +352,24 @@ class TestSelftest:
         result = runner.invoke(main, ["selftest", "--kb", str(empty)])
         assert result.exit_code == 0
         assert "0 cases, 0 failures" in result.output
+
+    @pytest.mark.parametrize("content,error", [
+        (b"r1\tsound\t1\n", "CorpusFormatError: line 1: unknown media kind or field count"),
+        (b"\xff\xfe\n", "UnicodeDecodeError: 'utf-8' codec can't decode byte 0xff in position 0"),
+    ], ids=["malformed", "not-utf-8"])
+    def test_bad_corpus_is_one_error_line(self, runner, tmp_path, content, error):
+        corpus = tmp_path / "corpus.tsv"
+        corpus.write_bytes(content)
+        result = runner.invoke(main, ["selftest", "--corpus", str(corpus)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)  # not an exception escaping the command
+        assert result.output.startswith(error) and result.output.count("\n") == 1
+
+    def test_dump_corpus_into_a_directory_is_one_error_line(self, runner, tmp_path):
+        result = runner.invoke(main, ["selftest", "--dump-corpus", str(tmp_path)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.output == f"IsADirectoryError: [Errno 21] Is a directory: '{tmp_path}'\n"
 
     def test_dump_corpus_round_trips(self, runner, tmp_path):
         out = tmp_path / "dump.tsv"

@@ -16,6 +16,7 @@ from mediafp.attributes import (
     VideoAttributes,
 )
 from mediafp.container import (
+    BoxNode,
     FtypInfo,
     MalformedBox,
     MissingFtyp,
@@ -29,6 +30,10 @@ from mediafp.container import (
     parse_box_tree,
     read_ftyp,
     render_codec_id,
+    _ilst_encoder,
+    _parse_hdlr_type,
+    _stsd_video_entry,
+    _tkhd_dimensions,
 )
 from mediafp.oracle import InconsistentAttrs, synthesize_container
 
@@ -559,6 +564,69 @@ def test_short_meta_before_a_sibling_spelling_hdlr():
     assert [(b.box_type, b.payload_length, b.children) for b in tree[0].children] == [
         ("meta", 2, []), ("lrxx", 0x6864 - 8, []),
     ]
+
+
+# Leaf payloads, and hostile bytes to follow them: box headers with any
+# declared size, and look-alikes of the boxes the leaf readers search for,
+# well-formed ones among them.
+_LOOK_ALIKES = (b"avcC", b"data", b"\xa9too", b"ilst", b"stsd", b"tkhd", b"hdlr", b"vide")
+_hostile_boxes = st.builds(
+    lambda size, box_type, body: struct.pack(">I", size) + box_type + body,
+    st.integers(min_value=0, max_value=96) | st.just(0xFFFFFFFF),
+    st.sampled_from(_LOOK_ALIKES),
+    st.binary(max_size=40),
+) | st.sampled_from([
+    box(b"avcC", b"\x01\x4d\x40\x1e"),
+    box(b"\xa9too", box(b"data", bytes(8) + b"sibling")),
+    box(b"hdlr", bytes(8) + b"vide" + bytes(12)),
+])
+_hostile_bytes = st.lists(_hostile_boxes | st.binary(max_size=12), max_size=4).map(b"".join)
+
+
+def _cut(payloads):
+    # A payload whole, cut anywhere, or cut close to its end.
+    cuts = st.none() | st.integers(min_value=0, max_value=256) | st.integers(min_value=-12, max_value=-1)
+    return st.tuples(payloads, cuts).map(lambda p: p[0][:p[1]])
+
+
+_hdlr_payloads = _cut(st.builds(lambda handler, rest: bytes(8) + handler + rest,
+                                st.sampled_from([b"vide", b"soun"]), st.binary(max_size=8)))
+_tkhd_payloads = _cut(st.builds(lambda version, dims: bytes([version]) + bytes(87 if version == 1 else 75) + dims,
+                                st.sampled_from([0, 1]), st.binary(min_size=8, max_size=12)))
+_entry_children = st.lists(_hostile_boxes | st.just(box(b"avcC", b"\x01\x64\x40\x1f")), max_size=3)
+_stsd_payloads = _cut(st.builds(
+    lambda declared, dims, children: (
+        struct.pack(">III", 0, 1, 8 + 78 + len(children) if declared is None else declared)
+        + b"avc1" + bytes(24) + dims + bytes(50) + children),
+    st.none() | st.integers(min_value=0, max_value=160),
+    st.binary(min_size=4, max_size=4),
+    _entry_children.map(b"".join),
+))
+_data_boxes = st.binary(max_size=16).map(lambda text: box(b"data", bytes(8) + text))
+_ilst_payloads = _cut(st.lists(
+    st.lists(_data_boxes | _hostile_boxes, max_size=2).map(lambda inner: box(b"\xa9too", b"".join(inner)))
+    | _hostile_boxes,
+    max_size=3,
+).map(b"".join))
+_LEAF_READERS = {
+    b"hdlr": (_parse_hdlr_type, _hdlr_payloads),
+    b"tkhd": (_tkhd_dimensions, _tkhd_payloads),
+    b"stsd": (_stsd_video_entry, _stsd_payloads),
+    b"ilst": (_ilst_encoder, _ilst_payloads),
+}
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(sorted(_LEAF_READERS)).flatmap(
+    lambda box_type: st.tuples(st.just(box_type), _LEAF_READERS[box_type][1])), _hostile_bytes)
+def test_leaf_readers_read_only_their_own_payload(leaf, sibling):
+    # A box, alone and then followed by hostile bytes: the reader sees the
+    # same payload either way, so it must give the same result.
+    box_type, payload = leaf
+    reader = _LEAF_READERS[box_type][0]
+    node = BoxNode(box_type.decode("latin-1"), 8, len(payload))
+    alone = box(box_type, payload)
+    assert reader(alone + sibling, node) == reader(alone, node)
 
 
 # Generated attribute vectors for the synthesize → extract round trip:

@@ -5,19 +5,20 @@ import os
 import struct
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from mediafp import report
 from mediafp.attributes import (
     EXTENSIONS, OS, FormatProfile, ImageAttributes, Marker, MediaKind, VideoAttributes,
 )
-from mediafp.container import extract_video_attributes, parse_box_tree
+from mediafp.container import ParseError, extract_video_attributes, parse_box_tree
 from mediafp.engine import Candidate, ChainHypothesis, Outcome, Verdict
 from mediafp.jpeg import NoFrameHeader, extract_image_attributes
 from mediafp.oracle import expected_attributes, synthesize_container
 from mediafp.report import HEAD_READ, FileReport, render_json, scan_file
 
-from conftest import make_jpeg
+from conftest import make_jpeg, write_sparse_video
+from test_container import _hostile_buffers
 
 # make_jpeg ends with SOF (13 bytes), SOS (10 bytes) and EOI (2 bytes).
 _TAIL_LEN = 25
@@ -72,23 +73,39 @@ def test_byte_size_is_the_file_size(tmp_path, kb):
     assert report.attributes.byte_size == len(data)
 
 
-class _ShortReads(io.FileIO):
-    """A file whose reads return at most 1000 bytes at a time."""
+class _Handle(io.FileIO):
+    """An unbuffered file that adds the bytes each read returns to `read_total`.
+
+    With `short` set, a read returns at most half of what it asks for and
+    never more than 1000 bytes, so every reader must read on.
+    """
+
+    short = False
+    read_total = 0
+
+    def _allowed(self, size):
+        if not self.short:
+            return size
+        return 1000 if size < 0 else min(max(1, size // 2), 1000)
 
     def read(self, size=-1):
-        return super().read(1000 if size < 0 else min(size, 1000))
+        data = super().read(self._allowed(size))
+        type(self).read_total += len(data)
+        return data
 
     def readinto(self, buffer):
         with memoryview(buffer) as view:
-            return super().readinto(view[:1000])
+            count = super().readinto(view[:self._allowed(len(view))])
+        type(self).read_total += count or 0
+        return count
 
 
 @pytest.fixture(params=[False, True], ids=["whole-reads", "short-reads"])
 def short_reads(request, monkeypatch):
-    if request.param:
-        monkeypatch.setattr(report, "open", lambda path, mode, buffering: _ShortReads(path, mode),
-                            raising=False)
-    return request.param
+    """The handle type scan_file opens files with: whole or short reads."""
+    handle = type("Handle", (_Handle,), {"short": request.param})
+    monkeypatch.setattr(report, "open", lambda path, mode, buffering: handle(path, mode), raising=False)
+    return handle
 
 
 def _scan_video(tmp_path, kb, data, name="clip.mov"):
@@ -142,13 +159,78 @@ def test_jpeg_frame_header_beyond_the_head_across_reads(tmp_path, kb, short_read
     assert result.attributes == extract_image_attributes(data)
 
 
-def test_file_shorter_than_its_fstat_size(tmp_path, kb, monkeypatch):
-    # A file that shrinks between fstat and the read is parsed as read.
-    data = _discord(kb, 2 * HEAD_READ)
+def _grow_fstat_size(monkeypatch, extra):
     real_fstat = report.os.fstat
     monkeypatch.setattr(report.os, "fstat",
-                        lambda fd: type("Stat", (), {"st_size": real_fstat(fd).st_size + 100})())
-    _scan_video(tmp_path, kb, data)
+                        lambda fd: type("Stat", (), {"st_size": real_fstat(fd).st_size + extra})())
+
+
+def test_file_shorter_than_its_fstat_size(tmp_path, kb, monkeypatch):
+    # A video larger than the head that ends before its fstat size fails
+    # where the walk reads past its end.
+    path = tmp_path / "clip.mov"
+    path.write_bytes(_discord(kb, 2 * HEAD_READ))
+    _grow_fstat_size(monkeypatch, 100)
+    assert scan_file(path, kb).error == (
+        f"TruncatedFile: file ends before offset {2 * HEAD_READ + 8}, short of its size {2 * HEAD_READ + 100}")
+
+
+def test_file_ending_inside_the_head_is_parsed_as_read(tmp_path, kb, monkeypatch):
+    # fstat reports more than the head holds, but the head read met the end
+    # of the file: the head is the whole file.
+    _grow_fstat_size(monkeypatch, HEAD_READ)
+    _scan_video(tmp_path, kb, _discord(kb, 4096))
+
+
+@pytest.mark.parametrize("moov_last", [False, True], ids=["moov-first", "moov-last"])
+@pytest.mark.parametrize("mib", [1, 4, 15, 32])
+def test_sparse_mdat_is_never_read(tmp_path, kb, short_reads, mib, moov_last):
+    # Read cost follows the boxes: the head, then only the headers and leaf
+    # payloads the walk asks for past it, whatever the size of the mdat.
+    path = tmp_path / "clip.mov"
+    write_sparse_video(path, _discord(kb, 0), mib << 20, moov_last)
+    result = scan_file(path, kb)
+    assert short_reads.read_total < 2 * HEAD_READ
+    assert result.error is None, result.error
+    assert result.attributes == extract_video_attributes(path.read_bytes(), name_hint=path.name)
+    assert result.attributes.byte_size == path.stat().st_size > mib << 20
+
+
+def test_boxes_straddling_the_end_of_the_head(tmp_path, kb, short_reads):
+    # The moov slides across the end of the head, so that each of its box
+    # headers and leaf payloads in turn starts inside the head and ends past it.
+    movie = _discord(kb, 0)
+    ftyp_end = parse_box_tree(movie)[0].payload_end
+    moov = movie[ftyp_end:]
+    path = tmp_path / "clip.mov"
+    for moov_start in range(HEAD_READ - len(moov), HEAD_READ + 1):
+        mdat = struct.pack(">I", moov_start - ftyp_end) + b"mdat" + bytes(moov_start - ftyp_end - 8)
+        data = movie[:ftyp_end] + mdat + moov
+        path.write_bytes(data)
+        result = scan_file(path, kb)
+        assert result.error is None, (moov_start, result.error)
+        assert result.attributes == extract_video_attributes(data, name_hint=path.name)
+
+
+_MDAT_PAST_THE_HEAD = struct.pack(">I", 8 + HEAD_READ) + b"mdat" + bytes(HEAD_READ)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_hostile_buffers, st.booleans())
+def test_hostile_trees_past_the_head_scan_as_whole_buffers(tmp_path, kb, tree, tree_first):
+    # A tree behind an mdat lies past the head; one before it makes the file
+    # larger than the head.  Either way the scan through the file view gives
+    # what the whole buffer gives: the attributes, or the same error string.
+    data = tree + _MDAT_PAST_THE_HEAD if tree_first else _MDAT_PAST_THE_HEAD + tree
+    path = tmp_path / "g.mp4"
+    path.write_bytes(data)
+    result = scan_file(path, kb)
+    try:
+        expected = extract_video_attributes(data, name_hint="g.mp4")
+    except ParseError as exc:
+        assert (result.attributes, result.error) == (None, f"{type(exc).__name__}: {exc}")
+    else:
+        assert (result.attributes, result.error) == (expected, None)
 
 
 # Frozen reference for the JSON report: the dict form the report had when it
