@@ -122,13 +122,13 @@ def kb_group() -> None:
 def validate(kb_path: str | None) -> None:
     """Load the KB, verify its manifest, and print the validation report."""
     knowledge = _load_kb(kb_path)
-    validation = kb_mod.validate_kb(knowledge)
+    findings = kb_mod.validate_kb(knowledge)
     click.echo(f"{len(knowledge.records)} records, {len(knowledge.originals)} original profiles")
     if knowledge.manifest is not None:
         click.echo("manifest verified: " + ", ".join(f"{k}={v}" for k, v in knowledge.manifest))
-    for finding in validation.findings:
+    for finding in findings:
         click.echo(f"[{finding.kind}] {finding.message}: {', '.join(finding.record_ids)}")
-    click.echo(f"{len(validation.findings)} findings")
+    click.echo(f"{len(findings)} findings")
 
 
 @kb_group.command(name="list")

@@ -13,8 +13,11 @@ buffer; hostile input fails with one of the declared exceptions below.  The
 box walk reads inside each box's own payload only: a child's header within
 its parent, the QuickTime-or-ISO 'meta' sniff within the meta box, a leaf
 reader within its own payload, slicing no more of it than its structure
-calls for.  The buffer is only sliced and measured by len(), so it may be
-bytes, a bytearray or a view that reads a large file on demand.
+calls for.  The two leaf payloads read whole, the ftyp brand list and the
+encoder text, are refused as MalformedBox above 4 KiB, so no declared size
+makes a reader slice more than that.  The buffer is only sliced and
+measured by len(), so it may be bytes, a bytearray or a view that reads a
+large file on demand.
 """
 
 from __future__ import annotations
@@ -31,7 +34,6 @@ from .attributes import (
     FormatProfile,
     Marker,
     VideoAttributes,
-    render_level,
 )
 
 
@@ -64,6 +66,9 @@ _CONTAINERS = frozenset({b"moov", b"trak", b"mdia", b"minf", b"stbl", b"udta", b
 # First child types of a QuickTime 'meta', which has no full-box header.
 _QT_META_CHILDREN = frozenset({b"hdlr", b"keys", b"ilst"})
 _MAX_DEPTH = 32
+# Longest ftyp payload or encoder text read.  A real brand list holds a few
+# brands and a real encoder string a few dozen bytes.
+_MAX_TEXT_PAYLOAD = 4096
 _BOX_HEADER = struct.Struct(">I4s")
 _EXTENDED_SIZE = struct.Struct(">Q")
 
@@ -188,6 +193,8 @@ def read_ftyp(tree: list[BoxNode], data) -> FtypInfo:
     node = find_box(tree, "ftyp")
     if node is None:
         raise MissingFtyp("no ftyp box; bare QuickTime lineage")
+    if node.payload_length > _MAX_TEXT_PAYLOAD:
+        raise MalformedBox(f"ftyp payload of {node.payload_length} bytes exceeds {_MAX_TEXT_PAYLOAD}")
     payload = data[node.payload_offset:node.payload_end]
     if len(payload) < 8:
         raise MalformedBox("ftyp payload shorter than 8 bytes")
@@ -353,6 +360,8 @@ def _ilst_encoder(data, ilst: BoxNode) -> str | None:
                 if d_size < 8 or inner + d_size > inner_end:
                     return None
                 if d_type == b"data" and d_size >= 16:
+                    if d_size - 16 > _MAX_TEXT_PAYLOAD:
+                        raise MalformedBox(f"encoder text of {d_size - 16} bytes exceeds {_MAX_TEXT_PAYLOAD}")
                     text = data[inner + 16:inner + d_size].decode("utf-8", errors="replace")
                     return text.rstrip("\x00") or None
                 inner += d_size

@@ -32,7 +32,6 @@ from .kb import (
     FingerprintRecord,
     ImageConstraints,
     KnowledgeBase,
-    OriginalProfile,
     VideoConstraints,
 )
 
@@ -130,17 +129,6 @@ def _candidate(rec: FingerprintRecord, matched: tuple[str, ...], used_band: bool
     )
 
 
-def find_image_original(attrs: ImageAttributes, kb: KnowledgeBase) -> OriginalProfile | None:
-    return kb.image_originals.get((attrs.width, attrs.length))
-
-
-def find_video_original(attrs: VideoAttributes, kb: KnowledgeBase) -> OriginalProfile | None:
-    return kb.video_originals.get((
-        attrs.extension, attrs.format_profile, attrs.codec_id,
-        attrs.video_format_profile, (attrs.width, attrs.length),
-    ))
-
-
 def disambiguate_by_size(
     candidates: list[Candidate],
     byte_size: int,
@@ -208,8 +196,7 @@ def match_image(attrs: ImageAttributes, kb: KnowledgeBase) -> Verdict:
     candidates = _rank(pairs)
     if len(candidates) > 1:
         candidates = disambiguate_by_size(candidates, attrs.byte_size, kb)
-    original = find_image_original(attrs, kb)
-    outcome = classify_outcome(candidates, (), original_like=original is not None)
+    outcome = classify_outcome(candidates, (), original_like=kb.image_original(attrs) is not None)
     return Verdict(tuple(candidates), outcome, ())
 
 
@@ -240,8 +227,7 @@ def match_video(attrs: VideoAttributes, kb: KnowledgeBase, chains: bool = True) 
             pairs.append((rec, _candidate(rec, matched)))
     candidates = _rank(pairs)
     hypotheses = infer_chain(attrs, kb) if chains else []
-    original = find_video_original(attrs, kb)
-    outcome = classify_outcome(candidates, hypotheses, original_like=original is not None)
+    outcome = classify_outcome(candidates, hypotheses, original_like=kb.video_original(attrs) is not None)
     return Verdict(tuple(candidates), outcome, tuple(hypotheses))
 
 
@@ -249,5 +235,5 @@ __all__ = [
     "Outcome", "Candidate", "ChainHypothesis", "Verdict",
     "satisfies_video", "satisfies_image", "disambiguate_by_size",
     "classify_outcome", "match_image", "match_video", "infer_chain",
-    "find_image_original", "find_video_original", "RESOLUTION_TOLERANCE",
+    "RESOLUTION_TOLERANCE",
 ]

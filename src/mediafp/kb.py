@@ -184,10 +184,9 @@ class KnowledgeBase:
     tie-breaking relies on.  ``video_candidates`` narrows the video records
     to those whose codec id and video format profile can match, and
     ``image_candidates`` narrows the image records to those listed in the
-    resolution's cell of a square grid.
-    ``image_originals`` is keyed by resolution, ``video_originals`` by
-    (extension, format profile, codec id, video format profile, resolution);
-    each keeps the first original in file order.
+    resolution's cell of a square grid.  ``image_original`` and
+    ``video_original`` look up the camera original a file's fields equal,
+    each with one dict lookup.
     """
 
     records: tuple[FingerprintRecord, ...]
@@ -199,8 +198,8 @@ class KnowledgeBase:
     video_singles: tuple[FingerprintRecord, ...] = field(init=False, repr=False, compare=False)
     video_chains: tuple[FingerprintRecord, ...] = field(init=False, repr=False, compare=False)
     overwritten_chain_ids: frozenset[str] = field(init=False, repr=False, compare=False)
-    image_originals: dict[tuple[int, int], OriginalProfile] = field(init=False, repr=False, compare=False)
-    video_originals: dict[tuple, OriginalProfile] = field(init=False, repr=False, compare=False)
+    _image_originals: dict[tuple[int, int], OriginalProfile] = field(init=False, repr=False, compare=False)
+    _video_originals: dict[tuple, OriginalProfile] = field(init=False, repr=False, compare=False)
     _by_id: dict[str, FingerprintRecord] = field(init=False, repr=False, compare=False)
     _video_index: dict[str | None, dict[str | None, tuple[tuple[FingerprintRecord, ...], ...]]] = field(
         init=False, repr=False, compare=False)
@@ -254,8 +253,8 @@ class KnowledgeBase:
             "image_records": tuple(images),
             "video_singles": tuple(singles),
             "video_chains": tuple(chains),
-            "image_originals": image_originals,
-            "video_originals": video_originals,
+            "_image_originals": image_originals,
+            "_video_originals": video_originals,
             "_video_index": _compile_video_index(singles, chains),
             "_image_cells": _compile_image_cells(images),
         }
@@ -264,6 +263,21 @@ class KnowledgeBase:
 
     def record(self, record_id: str) -> FingerprintRecord:
         return self._by_id[record_id]
+
+    def image_original(self, attrs: ImageAttributes) -> OriginalProfile | None:
+        """The first image original, in file order, with this resolution."""
+        return self._image_originals.get((attrs.width, attrs.length))
+
+    def video_original(self, attrs: VideoAttributes) -> OriginalProfile | None:
+        """The first video original, in file order, whose key fields all equal these.
+
+        The key is (extension, format profile, codec id, video format
+        profile, resolution), built in the same order in ``__post_init__``.
+        """
+        return self._video_originals.get((
+            attrs.extension, attrs.format_profile, attrs.codec_id,
+            attrs.video_format_profile, (attrs.width, attrs.length),
+        ))
 
     def video_candidates(
         self, codec_id: str, video_format_profile: str
@@ -587,7 +601,7 @@ def _build_original(block: _Block) -> OriginalProfile:
             codec_id=_unquote(f["codec_id"]) if "codec_id" in f else None,
             video_format_profile=_unquote(f["video_format_profile"]) if "video_format_profile" in f else None,
         )
-        profile.attributes  # builds the vector the oracle replays, so an invalid one fails here
+        profile.attributes  # an extension or size the attribute vector rejects fails the load here
     except ValueError as exc:
         raise SchemaError(f"{where}: {exc}") from None
     return profile
@@ -682,79 +696,6 @@ def _read_text(path: Path) -> str:
 
 
 # ---------------------------------------------------------------------------
-# rendering (canonical form; load_kb(render_kb(kb)) reproduces kb)
-
-def _quote(value: str) -> str:
-    return f'"{value}"'
-
-
-def _render_resolutions(pairs: tuple[tuple[int, int], ...]) -> str:
-    return ", ".join(f"{w}x{h}" for w, h in pairs)
-
-
-def render_kb(kb: KnowledgeBase) -> str:
-    lines: list[str] = []
-    for rec in kb.records:
-        lines.append(f"[record {rec.record_id}]")
-        lines.append(f"media = {rec.media_kind.value}")
-        if rec.hop is Hop.CHAIN:
-            lines.append("hop = chain")
-            lines.append(f"nth_app = {rec.nth_app}")
-        lines.append(f"app = {rec.app}")
-        lines.append(f"os = {rec.os.value}")
-        lines.append(f"quality = {rec.quality}")
-        if not rec.distinguishable:
-            lines.append("indistinguishable = true")
-        elif isinstance(rec.constraints, ImageConstraints):
-            c = rec.constraints
-            lines.append(f"resolution = {_render_resolutions(c.resolutions)}")
-            if c.size_band is not None:
-                lines.append(f"size_band = {c.size_band[0]} +- {c.size_band[1]}")
-        elif isinstance(rec.constraints, VideoConstraints):
-            c = rec.constraints
-            if c.extensions:
-                lines.append(f"extension = {', '.join(c.extensions)}")
-            if c.format_profiles:
-                lines.append(f"format_profile = {', '.join(p.value for p in c.format_profiles)}")
-            if c.codec_ids:
-                lines.append(f"codec_id = {', '.join(_quote(s) for s in c.codec_ids)}")
-            if c.video_format_profiles:
-                lines.append(f"video_format_profile = {', '.join(_quote(s) for s in c.video_format_profiles)}")
-            if c.resolution_wildcard:
-                lines.append("resolution = irregular")
-            elif c.resolutions:
-                lines.append(f"resolution = {_render_resolutions(c.resolutions)}")
-            if c.encoders:
-                lines.append(f"encoder = {', '.join(_quote(s) for s in c.encoders)}")
-            if c.markers_any:
-                lines.append("markers = any")
-            elif c.markers:
-                lines.append(f"markers = {', '.join(m.value for m in c.markers)}")
-        lines.append("")
-    for orig in kb.originals:
-        lines.append(f"[original {orig.profile_id}]")
-        lines.append(f"media = {orig.media_kind.value}")
-        lines.append(f"os = {orig.os_source.value}")
-        if orig.extension is not None:
-            lines.append(f"extension = {orig.extension}")
-        if orig.format_profile is not None:
-            lines.append(f"format_profile = {orig.format_profile.value}")
-        if orig.codec_id is not None:
-            lines.append(f"codec_id = {_quote(orig.codec_id)}")
-        if orig.video_format_profile is not None:
-            lines.append(f"video_format_profile = {_quote(orig.video_format_profile)}")
-        lines.append(f"resolution = {_render_resolutions((orig.resolution,))}")
-        lines.append(f"nominal_size = {orig.nominal_size}")
-        lines.append("")
-    if kb.manifest is not None:
-        lines.append("[manifest]")
-        for key, count in kb.manifest:
-            lines.append(f"{key} = {count}")
-        lines.append("")
-    return "\n".join(lines)
-
-
-# ---------------------------------------------------------------------------
 # validation and queries
 
 @dataclass(frozen=True)
@@ -764,16 +705,8 @@ class Finding:
     record_ids: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    findings: tuple[Finding, ...]
-
-    def by_kind(self, kind: str) -> list[Finding]:
-        return [f for f in self.findings if f.kind == kind]
-
-
-def validate_kb(kb: KnowledgeBase) -> ValidationReport:
-    """Report collision groups and orphan chains.
+def validate_kb(kb: KnowledgeBase) -> tuple[Finding, ...]:
+    """Collision groups and orphan chains, in that order.
 
     Collision groups (several records matching byte-identical evidence) are
     expected for deliberately ambiguous rows and are informational.  Records
@@ -806,7 +739,7 @@ def validate_kb(kb: KnowledgeBase) -> ValidationReport:
                 (rec.record_id,),
             ))
 
-    return ValidationReport(tuple(findings))
+    return tuple(findings)
 
 
 def list_records(
@@ -834,7 +767,7 @@ __all__ = [
     "KB_ENV_VAR", "ALL_MARKERS", "RESOLUTION_TOLERANCE",
     "KbError", "SchemaError", "ManifestMismatch",
     "Hop", "ImageConstraints", "VideoConstraints", "FingerprintRecord",
-    "OriginalProfile", "KnowledgeBase", "Finding", "ValidationReport",
-    "group_key", "load_kb", "load_kb_path", "default_kb_path", "render_kb",
+    "OriginalProfile", "KnowledgeBase", "Finding",
+    "group_key", "load_kb", "load_kb_path", "default_kb_path",
     "validate_kb", "list_records",
 ]

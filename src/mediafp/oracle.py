@@ -1,12 +1,11 @@
 """Forward simulator over the knowledge base.
 
-Four jobs: predict the attribute vector a given (app, OS, quality) choice
-imposes on an original, emit a labeled test corpus covering every trackable
-fingerprint, replay such a corpus through the matcher, and synthesize
-minimal valid container bytes whose extraction reproduces a requested
-attribute vector exactly.  Synthesized files carry empty sample tables and
-no media data: fingerprints never depend on frame payloads, so fixtures stay
-tiny and deterministic.
+Three jobs: emit a labeled test corpus holding the representative attribute
+vector of every trackable fingerprint, replay such a corpus through the
+matcher, and synthesize minimal valid container bytes whose extraction
+reproduces a requested attribute vector exactly.  Synthesized files carry
+empty sample tables and no media data: fingerprints never depend on frame
+payloads, so fixtures stay tiny and deterministic.
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ from .kb import (
     Hop,
     ImageConstraints,
     KnowledgeBase,
-    OriginalProfile,
     VideoConstraints,
 )
 
@@ -53,20 +51,8 @@ class OracleError(Exception):
     pass
 
 
-class UnknownTransform(OracleError):
-    """No record for the requested (app, OS, quality)."""
-
-
 class InconsistentAttrs(OracleError):
     """Attribute vector contradicts itself; nothing could extract to it."""
-
-
-@dataclass(frozen=True)
-class TransformResult:
-    """apply_transform output: expected vectors, or an untouched pass-through."""
-
-    indistinguishable: bool
-    variants: tuple[VideoAttributes | ImageAttributes, ...]
 
 
 def expected_attributes(rec: FingerprintRecord) -> VideoAttributes | ImageAttributes:
@@ -99,43 +85,6 @@ def expected_attributes(rec: FingerprintRecord) -> VideoAttributes | ImageAttrib
         encoder=c.encoders[0] if c.encoders else None,
         markers=frozenset(c.markers),
         byte_size=SYNTH_CONTAINER_SIZE,
-    )
-
-
-def apply_transform(
-    original: OriginalProfile,
-    app: str,
-    os: OS | str,
-    quality: str,
-    kb: KnowledgeBase,
-) -> TransformResult:
-    """Expected post-transmission attributes for one (app, OS, quality) choice.
-
-    Two-variant rows return both vectors; placeholder rows return an
-    indistinguishable result whose attributes equal the original's.  Raises
-    UnknownTransform when the KB has no such record.
-    """
-    wanted_os = parse_os(os) if isinstance(os, str) else os
-    if wanted_os is not original.os_source:
-        raise UnknownTransform(
-            f"original is {original.os_source.value}, no {wanted_os.value} transform applies"
-        )
-    matches = [
-        rec for rec in kb.records
-        if rec.media_kind is original.media_kind
-        and rec.hop is Hop.SINGLE
-        and rec.app.lower() == app.lower()
-        and rec.os is wanted_os
-        and rec.quality.lower() == quality.lower()
-    ]
-    if not matches:
-        raise UnknownTransform(f"no record for ({app}, {wanted_os.value}, {quality})")
-    trackable = [rec for rec in matches if rec.distinguishable]
-    if not trackable:
-        return TransformResult(indistinguishable=True, variants=(original.attributes,))
-    return TransformResult(
-        indistinguishable=False,
-        variants=tuple(expected_attributes(rec) for rec in trackable),
     )
 
 
@@ -430,8 +379,7 @@ def synthesize_container(attrs: VideoAttributes) -> bytes:
 
 __all__ = [
     "SYNTH_CONTAINER_SIZE", "DEFAULT_IMAGE_BYTES", "WILDCARD_RESOLUTION",
-    "OracleError", "UnknownTransform", "InconsistentAttrs", "TransformResult",
-    "expected_attributes", "apply_transform",
+    "OracleError", "InconsistentAttrs", "expected_attributes",
     "SingleLabel", "ChainLabel", "CorpusEntry", "CorpusFormatError",
     "generate_corpus", "render_corpus", "parse_corpus", "replay_corpus",
     "synthesize_container",

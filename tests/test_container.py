@@ -291,6 +291,47 @@ class TestExtraction:
         assert attrs.video_format_profile == ""
 
 
+class _RecordingBuffer:
+    """Bytes that record the longest slice a reader asks them for."""
+
+    def __init__(self, data):
+        self.data, self.longest = data, 0
+
+    def __len__(self):
+        return len(self.data)
+
+    def __getitem__(self, index):
+        start, stop, _ = index.indices(len(self.data))
+        self.longest = max(self.longest, stop - start)
+        return self.data[index]
+
+
+class TestTextPayloadBound:
+    # The ftyp brand list and the encoder text are the two payloads read
+    # whole; past 4 KiB they are refused before they are sliced.
+    @pytest.mark.parametrize("brands,refused", [(1022, False), (1023, True), (1 << 18, True)])
+    def test_ftyp_brand_list(self, brands, refused):
+        movie = synthesize_container(discord_attrs())
+        ftyp_end = struct.unpack_from(">I", movie)[0]
+        data = _RecordingBuffer(ftyp_bytes(b"qt  ", [b"qt  "] * brands) + movie[ftyp_end:])
+        if refused:
+            with pytest.raises(MalformedBox, match=f"ftyp payload of {8 + 4 * brands} bytes exceeds 4096"):
+                extract_video_attributes(data)
+        else:
+            assert extract_video_attributes(data).codec_id == f"qt ({'/'.join(['qt'] * brands)})"
+        assert data.longest <= 4096
+
+    @pytest.mark.parametrize("length,refused", [(4096, False), (4097, True), (1 << 20, True)])
+    def test_encoder_text(self, length, refused):
+        data = _RecordingBuffer(synthesize_container(replace(discord_attrs(), encoder="e" * length)))
+        if refused:
+            with pytest.raises(MalformedBox, match=f"encoder text of {length} bytes exceeds 4096"):
+                extract_video_attributes(data)
+        else:
+            assert extract_video_attributes(data).encoder == "e" * length
+        assert data.longest <= 4096
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.binary(min_size=0, max_size=512))
 def test_fuzz_only_declared_errors(data):

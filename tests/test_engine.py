@@ -11,8 +11,6 @@ from mediafp.engine import (
     Outcome,
     classify_outcome,
     disambiguate_by_size,
-    find_image_original,
-    find_video_original,
     infer_chain,
     match_image,
     match_video,
@@ -153,13 +151,13 @@ class TestFindOriginal:
             orig("vid-1", MediaKind.VIDEO, "qt"), orig("img-2", MediaKind.IMAGE),
             orig("vid-2", MediaKind.VIDEO, "qt"),
         ))
-        assert find_image_original(ImageAttributes(1920, 1080, 5000), kb).profile_id == "img-1"
-        assert find_image_original(ImageAttributes(1080, 1920, 5000), kb) is None
+        assert kb.image_original(ImageAttributes(1920, 1080, 5000)).profile_id == "img-1"
+        assert kb.image_original(ImageAttributes(1080, 1920, 5000)) is None
         attrs = video("MOV", FormatProfile.QUICKTIME, "qt", "High@L4", 1920, 1080)
-        assert find_video_original(attrs, kb).profile_id == "vid-1"
+        assert kb.video_original(attrs).profile_id == "vid-1"
         for changed in (dict(extension="mp4"), dict(format_profile=FormatProfile.BASE_MEDIA),
                         dict(codec_id="isom"), dict(video_format_profile="High@L4.1"), dict(width=1921)):
-            assert find_video_original(dataclasses.replace(attrs, **changed), kb) is None
+            assert kb.video_original(dataclasses.replace(attrs, **changed)) is None
 
 
 class TestDisambiguateBySize:

@@ -8,8 +8,6 @@ from mediafp.oracle import (
     InconsistentAttrs,
     SYNTH_CONTAINER_SIZE,
     SingleLabel,
-    UnknownTransform,
-    apply_transform,
     expected_attributes,
     generate_corpus,
     parse_corpus,
@@ -18,64 +16,16 @@ from mediafp.oracle import (
 )
 
 
-def original(kb, profile_id):
-    return next(o for o in kb.originals if o.profile_id == profile_id)
-
-
-class TestApplyTransform:
-    def test_telegram_480p_ios(self, kb):
-        result = apply_transform(original(kb, "orig-video-ios"), "Telegram", OS.IOS, "480p", kb)
-        assert result.indistinguishable is False
-        (attrs,) = result.variants
-        assert attrs.extension == "MOV"
-        assert attrs.format_profile is FormatProfile.BASE_MEDIA_V2
-        assert attrs.codec_id == "mp42 (isom/mp41/mp42)"
-        assert attrs.video_format_profile == "High@L3.1"
-        assert (attrs.width, attrs.length) == (848, 464)
-
-    def test_wickrme_android_untouched(self, kb):
-        result = apply_transform(original(kb, "orig-video-android"), "Wickr Me", "android", "Default", kb)
-        assert result.indistinguishable is True
-        (attrs,) = result.variants
-        assert attrs == original(kb, "orig-video-android").attributes
-
-    def test_kakaotalk_image_first_orientation(self, kb):
-        result = apply_transform(original(kb, "orig-image-ios"), "KakaoTalk", OS.IOS, "General", kb)
-        (attrs,) = result.variants
-        assert (attrs.width, attrs.length) in {(960, 720), (720, 960)}
-
-    def test_two_variant_row_returns_both(self, kb):
-        result = apply_transform(original(kb, "orig-video-ios"), "KakaoTalk", OS.IOS, "General", kb)
-        assert len(result.variants) == 2
-        assert {v.format_profile for v in result.variants} == {
-            FormatProfile.BASE_MEDIA, FormatProfile.BASE_MEDIA_V2,
-        }
-
-    def test_dual_outcome_image_row_returns_both_alternatives(self, kb):
-        result = apply_transform(
-            original(kb, "orig-image-android169"), "Facebook Messenger", OS.ANDROID169, "Default", kb
-        )
-        assert result.indistinguishable is False
-        assert [(v.width, v.length) for v in result.variants] == [(2048, 1152), (3984, 2241)]
-
-    def test_unknown_transform(self, kb):
-        with pytest.raises(UnknownTransform):
-            apply_transform(original(kb, "orig-video-ios"), "Telegram", OS.IOS, "4K", kb)
-
-    def test_os_mismatch_rejected(self, kb):
-        with pytest.raises(UnknownTransform):
-            apply_transform(original(kb, "orig-video-ios"), "Telegram", OS.ANDROID_ANY, "High", kb)
-
-    def test_output_satisfies_own_record(self, kb):
-        from mediafp.engine import satisfies_image, satisfies_video
-        for rec in kb.records:
-            if not rec.distinguishable:
-                continue
-            attrs = expected_attributes(rec)
-            if rec.media_kind is MediaKind.VIDEO:
-                assert satisfies_video(rec.constraints, attrs) is not None, rec.record_id
-            else:
-                assert satisfies_image(rec.constraints, attrs) is not None, rec.record_id
+def test_output_satisfies_own_record(kb):
+    from mediafp.engine import satisfies_image, satisfies_video
+    for rec in kb.records:
+        if not rec.distinguishable:
+            continue
+        attrs = expected_attributes(rec)
+        if rec.media_kind is MediaKind.VIDEO:
+            assert satisfies_video(rec.constraints, attrs) is not None, rec.record_id
+        else:
+            assert satisfies_image(rec.constraints, attrs) is not None, rec.record_id
 
 
 class TestCorpus:

@@ -1,0 +1,48 @@
+"""The README's library example runs, and the package exports what it documents."""
+
+import os
+import re
+import subprocess
+import sys
+import types
+from pathlib import Path
+
+import mediafp
+from mediafp.oracle import expected_attributes, synthesize_container
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+SUBMODULES = ("attributes", "container", "engine", "jpeg", "kb", "oracle", "report")
+
+
+def test_library_example_runs(tmp_path, kb, monkeypatch, capsys):
+    example = re.search(r"^## Library\n.*?^```python\n(.*?)^```", README, re.M | re.S).group(1)
+    movie = synthesize_container(expected_attributes(kb.record("t9-wechat")))
+    (tmp_path / "clip.mp4").write_bytes(movie)
+    monkeypatch.chdir(tmp_path)
+    exec(compile(example, "README.md", "exec"), {})
+    assert capsys.readouterr().out.splitlines()[1:] == ["possible relay: KakaoTalk -> WeChat (iOS)"]
+
+
+def test_every_name_the_readme_gives_resolves():
+    dotted = set(re.findall(r"\bmediafp((?:\.\w+)+)", README))
+    assert {".generate_corpus", ".oracle.expected_attributes", ".__all__"} <= dotted
+    for path in dotted:
+        value = mediafp
+        for name in path.split(".")[1:]:
+            value = getattr(value, name)
+
+
+def test_all_lists_exactly_the_exported_names():
+    exported = {name for name, value in vars(mediafp).items()
+                if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert len(set(mediafp.__all__)) == len(mediafp.__all__)
+    assert set(mediafp.__all__) == exported
+    assert {"BoxNode", "read_ftyp", "render_codec_id", "classify_outcome", "disambiguate_by_size"}.isdisjoint(exported)
+
+
+def test_import_exposes_every_submodule():
+    # In a fresh interpreter, so no other test's imports can supply them.
+    code = f"import mediafp; print(all(isinstance(getattr(mediafp, n), type(mediafp)) for n in {SUBMODULES!r}))"
+    env = dict(os.environ, PYTHONPATH=str(Path(mediafp.__file__).parents[1]))
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert result.stdout == "True\n"

@@ -196,6 +196,21 @@ def test_sparse_mdat_is_never_read(tmp_path, kb, short_reads, mib, moov_last):
     assert result.attributes.byte_size == path.stat().st_size > mib << 20
 
 
+def test_ftyp_declaring_16_mib_is_refused_unread(tmp_path, kb, short_reads):
+    # The ftyp payload is a hole the file view would read whole; a brand
+    # list that long is refused as the file's own error instead.
+    movie = _discord(kb, 0)
+    ftyp_end = struct.unpack_from(">I", movie)[0]
+    path = tmp_path / "clip.mov"
+    with open(path, "wb") as handle:
+        handle.write(struct.pack(">I", 8 + (16 << 20)) + b"ftypqt  " + bytes(4))
+        handle.seek(8 + (16 << 20))
+        handle.write(movie[ftyp_end:])
+    result = scan_file(path, kb)
+    assert result.error == f"MalformedBox: ftyp payload of {16 << 20} bytes exceeds 4096"
+    assert short_reads.read_total < 2 * HEAD_READ
+
+
 def test_boxes_straddling_the_end_of_the_head(tmp_path, kb, short_reads):
     # The moov slides across the end of the head, so that each of its box
     # headers and leaf payloads in turn starts inside the head and ends past it.
