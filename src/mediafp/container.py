@@ -8,6 +8,20 @@ codec payload is ever decoded.  Layout references:
 * ISO/IEC 14496-15 (AVCDecoderConfigurationRecord inside avcC)
 * Apple QuickTime File Format (classic udta text atoms, ilst metadata)
 
+One walker, ``_walk``, reads every box header in the buffer, depth first and
+in file order, and checks each one: a box that is cut short, too small for
+its header or nested too deep fails the whole file, wherever it sits, before
+any field is read.  It records each box as one flat ``(parent index, raw
+type, payload offset, payload end)`` tuple, and indexes the first child of
+each type under each parent by ``(parent index, raw type)``.  Extraction
+then reads only what the fingerprint needs: by lookups in that index, the
+root ftyp and moov, each trak's mdia/hdlr handler (or mdia/minf/vmhd), the
+video trak's mdia/minf/stbl/stsd and tkhd, and the ilst under udta/meta,
+then under moov/meta; and, by a scan of their stretch of the flat list, the
+traks of moov in order and the children of moov/udta.  The ftyp payload
+goes straight to the format profile and codec id.  ``parse_box_tree``
+builds its node tree from the same walk.
+
 All functions are pure, bounds-checked and never read outside the supplied
 buffer; hostile input fails with one of the declared exceptions below.  The
 box walk reads inside each box's own payload only: a child's header within
@@ -24,6 +38,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .attributes import (
     AVC_PROFILES,
@@ -71,6 +86,108 @@ _MAX_DEPTH = 32
 _MAX_TEXT_PAYLOAD = 4096
 _BOX_HEADER = struct.Struct(">I4s")
 _EXTENDED_SIZE = struct.Struct(">Q")
+# Parent index of a root box.
+_ROOT = -1
+
+
+def _decode_fourcc(raw) -> str:
+    # latin-1 never fails and round-trips arbitrary bytes, incl. 0xA9 "(c)".
+    return str(raw, "latin-1")
+
+
+def _walk(data) -> tuple[list[tuple[int, bytes, int, int]], dict[tuple[int, bytes], int]]:
+    """Every box of the buffer, depth first in file order, and its first-child index.
+
+    Each box is ``(parent index, raw type, payload offset, payload end)``,
+    with parent index ``_ROOT`` for a root box; the index maps ``(parent
+    index, raw type)`` to the first such child.  Raises TruncatedFile /
+    MalformedBox on the first structurally broken box.
+    """
+    end = len(data)
+    if end < 8:
+        raise MalformedBox("input shorter than one box header")
+    boxes: list[tuple[int, bytes, int, int]] = []
+    first: dict[tuple[int, bytes], int] = {}
+    # Where to go on in each enclosing container: (pos, end, parent, depth).
+    resume: list[tuple[int, int, int, int]] = []
+    pos, parent, depth = 0, _ROOT, 0
+    while True:
+        while pos < end:
+            remain = end - pos
+            if remain < 8:
+                # A short all-zero tail is the classic user-data terminator /
+                # padding; anything else is a broken header.
+                if data[pos:end].count(0) == remain:
+                    break
+                raise MalformedBox(f"{remain} trailing bytes at offset {pos}, need 8 for a header")
+            size, raw_type = _BOX_HEADER.unpack(data[pos:pos + 8])
+            header = 8
+            if size < 8:
+                if size == 0:
+                    size = remain  # box runs to the end of its container
+                elif size == 1:
+                    if remain < 16:
+                        raise TruncatedFile(f"extended size header at offset {pos} exceeds buffer")
+                    size = _EXTENDED_SIZE.unpack(data[pos + 8:pos + 16])[0]
+                    header = 16
+                    if size < 16:
+                        raise MalformedBox(f"extended size {size} at offset {pos} is below header size")
+                else:
+                    raise MalformedBox(f"box size {size} at offset {pos} is below header size")
+            if size > remain:
+                raise TruncatedFile(
+                    f"box {_decode_fourcc(raw_type)!r} at offset {pos} declares {size} bytes, {remain} remain"
+                )
+            index = len(boxes)
+            payload_offset = pos + header
+            pos += size
+            boxes.append((parent, raw_type, payload_offset, pos))
+            first.setdefault((parent, raw_type), index)
+            if raw_type in _CONTAINERS:
+                if raw_type == b"meta":
+                    payload_offset += _fullbox_skip(data, payload_offset, pos)
+                if depth >= _MAX_DEPTH:
+                    raise MalformedBox(f"box nesting deeper than {_MAX_DEPTH}")
+                resume.append((pos, end, parent, depth))
+                pos, end, parent, depth = payload_offset, pos, index, depth + 1
+        if not resume:
+            return boxes, first
+        pos, end, parent, depth = resume.pop()
+
+
+def _fullbox_skip(data, payload_offset: int, payload_end: int) -> int:
+    # 'meta' is a full box in ISO files but a bare container in QuickTime
+    # ones; sniff by checking where a plausible first child type sits.  Only
+    # a payload of 8 bytes or more can hold that type.
+    if payload_end - payload_offset >= 8 and \
+            bytes(data[payload_offset + 4:payload_offset + 8]) in _QT_META_CHILDREN:
+        return 0
+    return 4
+
+
+def _children(boxes: list[tuple[int, bytes, int, int]], parent: int):
+    """Indexes of the direct children of box `parent`, in file order.
+
+    A box's subtree follows it in the walk and ends at the first box whose
+    parent comes before it.
+    """
+    for index in range(parent + 1, len(boxes)):
+        owner = boxes[index][0]
+        if owner < parent:
+            return
+        if owner == parent:
+            yield index
+
+
+def _lookup(first: dict[tuple[int, bytes], int], index: int | None, *path: bytes) -> int | None:
+    """Follow first children along `path` from box `index`.
+
+    No key has a parent of None, so once one box is missing every later
+    lookup gives None too.
+    """
+    for raw_type in path:
+        index = first.get((index, raw_type))
+    return index
 
 
 @dataclass(slots=True)
@@ -87,96 +204,19 @@ class BoxNode:
         return self.payload_offset + self.payload_length
 
 
-def _decode_fourcc(raw) -> str:
-    # latin-1 never fails and round-trips arbitrary bytes, incl. 0xA9 "(c)".
-    return str(raw, "latin-1")
-
-
-def _scan_boxes(data, start: int, end: int, depth: int) -> list[BoxNode]:
-    if depth > _MAX_DEPTH:
-        raise MalformedBox(f"box nesting deeper than {_MAX_DEPTH}")
-    boxes: list[BoxNode] = []
-    pos = start
-    while pos < end:
-        remain = end - pos
-        if remain < 8:
-            # A short all-zero tail is the classic user-data terminator /
-            # padding; anything else is a broken header.
-            if data[pos:end].count(0) == remain:
-                break
-            raise MalformedBox(f"{remain} trailing bytes at offset {pos}, need 8 for a header")
-        size, raw_type = _BOX_HEADER.unpack(data[pos:pos + 8])
-        header = 8
-        if size < 8:
-            if size == 0:
-                size = remain  # box runs to the end of its container
-            elif size == 1:
-                if remain < 16:
-                    raise TruncatedFile(f"extended size header at offset {pos} exceeds buffer")
-                size = _EXTENDED_SIZE.unpack(data[pos + 8:pos + 16])[0]
-                header = 16
-                if size < 16:
-                    raise MalformedBox(f"extended size {size} at offset {pos} is below header size")
-            else:
-                raise MalformedBox(f"box size {size} at offset {pos} is below header size")
-        if size > remain:
-            raise TruncatedFile(
-                f"box {_decode_fourcc(raw_type)!r} at offset {pos} declares {size} bytes, {remain} remain"
-            )
-        payload_offset = pos + header
-        pos += size
-        if raw_type in _CONTAINERS:
-            child_start = payload_offset
-            if raw_type == b"meta":
-                child_start += _fullbox_skip(data, payload_offset, pos)
-            children = _scan_boxes(data, child_start, pos, depth + 1)
-        else:
-            children = []
-        boxes.append(BoxNode(raw_type.decode("latin-1"), payload_offset, size - header, children))
-    return boxes
-
-
-def _fullbox_skip(data, payload_offset: int, payload_end: int) -> int:
-    # 'meta' is a full box in ISO files but a bare container in QuickTime
-    # ones; sniff by checking where a plausible first child type sits.  Only
-    # a payload of 8 bytes or more can hold that type.
-    if payload_end - payload_offset >= 8 and \
-            bytes(data[payload_offset + 4:payload_offset + 8]) in _QT_META_CHILDREN:
-        return 0
-    return 4
-
-
 def parse_box_tree(data) -> list[BoxNode]:
     """Parse a buffer into its root-level boxes, recursing into containers.
 
     Unknown box types are kept as leaves with their payload skipped.  Raises
     TruncatedFile / MalformedBox on structurally broken input.
     """
-    if len(data) < 8:
-        raise MalformedBox("input shorter than one box header")
-    return _scan_boxes(data, 0, len(data), 0)
-
-
-def find_boxes(boxes: list[BoxNode], box_type: str) -> list[BoxNode]:
-    return [b for b in boxes if b.box_type == box_type]
-
-
-def find_box(boxes: list[BoxNode], box_type: str) -> BoxNode | None:
-    for b in boxes:
-        if b.box_type == box_type:
-            return b
-    return None
-
-
-def walk_path(boxes: list[BoxNode], *path: str) -> BoxNode | None:
-    node_list = boxes
-    node = None
-    for box_type in path:
-        node = find_box(node_list, box_type)
-        if node is None:
-            return None
-        node_list = node.children
-    return node
+    roots: list[BoxNode] = []
+    nodes: list[BoxNode] = []
+    for parent, raw_type, offset, end in _walk(data)[0]:
+        node = BoxNode(_decode_fourcc(raw_type), offset, end - offset)
+        nodes.append(node)
+        (roots if parent == _ROOT else nodes[parent].children).append(node)
+    return roots
 
 
 @dataclass(frozen=True)
@@ -188,21 +228,33 @@ class FtypInfo:
     compatible_brands: tuple[str, ...]
 
 
-def read_ftyp(tree: list[BoxNode], data) -> FtypInfo:
-    """Extract major brand, minor version and compatible brands in file order."""
-    node = find_box(tree, "ftyp")
-    if node is None:
-        raise MissingFtyp("no ftyp box; bare QuickTime lineage")
-    if node.payload_length > _MAX_TEXT_PAYLOAD:
-        raise MalformedBox(f"ftyp payload of {node.payload_length} bytes exceeds {_MAX_TEXT_PAYLOAD}")
-    payload = data[node.payload_offset:node.payload_end]
+def _ftyp_fields(data, offset: int, end: int) -> tuple[str, int, list[str]]:
+    """Major brand, minor version and compatible brands in file order."""
+    if end - offset > _MAX_TEXT_PAYLOAD:
+        raise MalformedBox(f"ftyp payload of {end - offset} bytes exceeds {_MAX_TEXT_PAYLOAD}")
+    payload = data[offset:end]
     if len(payload) < 8:
         raise MalformedBox("ftyp payload shorter than 8 bytes")
-    major = _decode_fourcc(payload[0:4])
-    minor = struct.unpack_from(">I", payload, 4)[0]
-    text = _decode_fourcc(payload[8:8 + (len(payload) - 8) // 4 * 4])
-    brands = tuple(text[i:i + 4] for i in range(0, len(text), 4))
-    return FtypInfo(major, minor, brands)
+    text = _decode_fourcc(payload)
+    brands = [text[i:i + 4] for i in range(8, len(text) - 3, 4)]
+    return text[:4], int.from_bytes(payload[4:8], "big"), brands
+
+
+def read_ftyp(tree: list[BoxNode], data) -> FtypInfo:
+    """Extract major brand, minor version and compatible brands in file order."""
+    for node in tree:
+        if node.box_type == "ftyp":
+            major, minor, brands = _ftyp_fields(data, node.payload_offset, node.payload_end)
+            return FtypInfo(major, minor, tuple(brands))
+    raise MissingFtyp("no ftyp box; bare QuickTime lineage")
+
+
+def _brand_line(major: str, compatible: list[str] | tuple[str, ...]) -> str:
+    major = major.strip()
+    brands = [b.strip() for b in compatible]
+    if not brands or brands == [major]:
+        return major
+    return f"{major} ({'/'.join(brands)})"
 
 
 def render_codec_id(info: FtypInfo) -> str:
@@ -211,11 +263,7 @@ def render_codec_id(info: FtypInfo) -> str:
     A lone major brand (no compatible brands, or just itself) renders bare
     ("qt"); otherwise "MAJOR (b1/b2/...)" with brands in file order.
     """
-    major = info.major_brand.strip()
-    brands = [b.strip() for b in info.compatible_brands]
-    if not brands or brands == [major]:
-        return major
-    return f"{major} ({'/'.join(brands)})"
+    return _brand_line(info.major_brand, info.compatible_brands)
 
 
 def codec_id_brands(codec_id: str) -> tuple[str, tuple[str, ...]]:
@@ -240,9 +288,7 @@ def codec_id_brands(codec_id: str) -> tuple[str, tuple[str, ...]]:
 _ISO_BRANDS = frozenset({"avc1", "mp41", "mp71", "3gp4", "3gp5", "3gp6", "3g2a", "M4V ", "M4A "})
 
 
-def classify_format_profile(info: FtypInfo) -> FormatProfile:
-    """Major brand alone decides the analyzer-level format profile."""
-    major = info.major_brand
+def _major_profile(major: str) -> FormatProfile:
     if major == "qt  ":
         return FormatProfile.QUICKTIME
     if major == "mp42":
@@ -250,6 +296,11 @@ def classify_format_profile(info: FtypInfo) -> FormatProfile:
     if major.startswith("iso") or major in _ISO_BRANDS:
         return FormatProfile.BASE_MEDIA
     raise UnknownBrand(f"unrecognized major brand {major!r}")
+
+
+def classify_format_profile(info: FtypInfo) -> FormatProfile:
+    """Major brand alone decides the analyzer-level format profile."""
+    return _major_profile(info.major_brand)
 
 
 def parse_avc_config(payload: bytes) -> AvcSignal:
@@ -267,88 +318,77 @@ def parse_avc_config(payload: bytes) -> AvcSignal:
     return AvcSignal(profile_name=name, level=level_idc / 10.0, constraint_suffix=suffix)
 
 
-def _parse_hdlr_type(data, node: BoxNode) -> str | None:
-    # FullBox(4) + pre_defined(4) + handler_type(4)
-    if node.payload_length < 12:
+def _parse_hdlr_type(data, offset: int, end: int) -> bytes | None:
+    # FullBox(4) + pre_defined(4) + handler_type(4), as raw bytes.
+    if end - offset < 12:
         return None
-    return _decode_fourcc(data[node.payload_offset + 8:node.payload_offset + 12])
+    return data[offset + 8:offset + 12]
 
 
-def _stsd_video_entry(data, stsd: BoxNode) -> tuple[int, int, AvcSignal | None] | None:
+@lru_cache(maxsize=256)
+def _render_avc_config(config: bytes) -> str:
+    # A few dozen profile/level combinations occur, so each renders once.
+    return parse_avc_config(config).render()
+
+
+def _stsd_video_entry(data, offset: int, stsd_end: int) -> tuple[int, int, str] | None:
     # stsd: FullBox(4) + entry_count(4), then sample entries. A visual sample
     # entry holds width/height at entry offsets 32/34 and its codec config
-    # boxes from entry offset 86 on.  Reads stay inside the first entry.
-    entry = stsd.payload_offset + 8
-    fields = data[entry:min(entry + 36, stsd.payload_end)]
+    # boxes from entry offset 86 on.  Reads stay inside the first entry.  The
+    # video format profile is rendered from avcC, or "" when there is none.
+    entry = offset + 8
+    fields = data[entry:min(entry + 36, stsd_end)]
     if len(fields) < 36:
         return None
     entry_size = struct.unpack_from(">I", fields)[0]
     end = entry + entry_size
-    if entry_size < 36 or end > stsd.payload_end:
+    if entry_size < 36 or end > stsd_end:
         return None
     width, height = struct.unpack_from(">HH", fields, 32)
-    signal = None
+    profile = ""
     pos = entry + 86
     while pos + 8 <= end:
         child_size, child_type = _BOX_HEADER.unpack(data[pos:pos + 8])
         if child_size < 8 or pos + child_size > end:
             break
         if child_type == b"avcC":
-            try:
-                signal = parse_avc_config(data[pos + 8:pos + min(child_size, 12)])
-            except MalformedBox:
-                signal = None
+            if child_size >= 12:
+                profile = _render_avc_config(bytes(data[pos + 8:pos + 12]))
             break
         pos += child_size
     if width < 1 or height < 1:
         return None
-    return width, height, signal
+    return width, height, profile
 
 
-def _tkhd_dimensions(data, tkhd: BoxNode) -> tuple[int, int] | None:
+def _tkhd_dimensions(data, offset: int, end: int) -> tuple[int, int] | None:
     # Track header stores 16.16 fixed-point width/height as its last fields:
     # offsets 76/80 in version 0, 88/92 in version 1.
-    payload = data[tkhd.payload_offset:tkhd.payload_offset + min(tkhd.payload_length, 96)]
-    offset = 88 if payload[:1] == b"\x01" else 76
-    if len(payload) < offset + 8:
+    payload = data[offset:offset + min(end - offset, 96)]
+    field_offset = 88 if payload[:1] == b"\x01" else 76
+    if len(payload) < field_offset + 8:
         return None
-    w_fixed, h_fixed = struct.unpack_from(">II", payload, offset)
+    w_fixed, h_fixed = struct.unpack_from(">II", payload, field_offset)
     width, height = round(w_fixed / 65536), round(h_fixed / 65536)
     if width < 1 or height < 1:
         return None
     return width, height
 
 
-def _is_video_track(data, trak: BoxNode) -> bool:
-    hdlr = walk_path(trak.children, "mdia", "hdlr")
-    if hdlr is not None:
-        return _parse_hdlr_type(data, hdlr) == "vide"
-    return walk_path(trak.children, "mdia", "minf", "vmhd") is not None
-
-
 # udta atoms that identify a specific marker; 0xA9 is the classic "(c)" prefix.
 _MARKER_ATOMS = {
-    "\xa9nam": Marker.MOVIE_NAME,
-    "\xa9cpy": Marker.COPYRIGHT,
-    "\xa9day": Marker.RECORDED_DATE,
+    b"\xa9nam": Marker.MOVIE_NAME,
+    b"\xa9cpy": Marker.COPYRIGHT,
+    b"\xa9day": Marker.RECORDED_DATE,
 }
 # udta machinery that is not evidence of anything.
-_NON_MARKER_ATOMS = frozenset({"meta", "free", "skip"})
+_NON_MARKER_ATOMS = frozenset({b"meta", b"free", b"skip"})
 
 
-def _collect_markers(udta: BoxNode) -> frozenset[Marker]:
-    markers: set[Marker] = set()
-    for child in udta.children:
-        if child.box_type in _NON_MARKER_ATOMS:
-            continue
-        markers.add(_MARKER_ATOMS.get(child.box_type, Marker.MOVIE_MORE))
-    return frozenset(markers)
-
-
-def _ilst_encoder(data, ilst: BoxNode) -> str | None:
+def _ilst_encoder(data, offset: int, end: int) -> str | None:
     # ilst items: size/type pairs; the (c)too item wraps a 'data' box whose
     # payload is type(4) + locale(4) + utf-8 text.
-    pos, end = ilst.payload_offset, ilst.payload_end
+    pos = offset
     while pos + 8 <= end:
         size, item_type = _BOX_HEADER.unpack(data[pos:pos + 8])
         if size < 8 or pos + size > end:
@@ -367,18 +407,6 @@ def _ilst_encoder(data, ilst: BoxNode) -> str | None:
                 inner += d_size
             return None
         pos += size
-    return None
-
-
-def _find_encoder(data, moov: BoxNode) -> str | None:
-    for parent in (walk_path(moov.children, "udta"), moov):
-        if parent is None:
-            continue
-        ilst = walk_path(parent.children, "meta", "ilst")
-        if ilst is not None:
-            encoder = _ilst_encoder(data, ilst)
-            if encoder:
-                return encoder
     return None
 
 
@@ -405,51 +433,66 @@ def extract_video_attributes(data, name_hint: str | None = None) -> VideoAttribu
     track header's fixed-point values.  Files without an ftyp box are treated
     as bare QuickTime.  Raises NoVideoTrack and propagates parser errors.
     """
-    tree = parse_box_tree(data)
-    try:
-        ftyp = read_ftyp(tree, data)
-        profile = classify_format_profile(ftyp)
-        codec_id = render_codec_id(ftyp)
-    except MissingFtyp:
-        profile = FormatProfile.QUICKTIME
-        codec_id = "qt"
+    boxes, first = _walk(data)
+    ftyp = first.get((_ROOT, b"ftyp"))
+    if ftyp is None:
+        profile, codec_id = FormatProfile.QUICKTIME, "qt"
+    else:
+        major, _, brands = _ftyp_fields(data, *boxes[ftyp][2:])
+        profile, codec_id = _major_profile(major), _brand_line(major, brands)
 
-    moov = find_box(tree, "moov")
+    moov = first.get((_ROOT, b"moov"))
     if moov is None:
         raise NoVideoTrack("no moov box")
-    video_trak = None
-    for trak in find_boxes(moov.children, "trak"):
-        if _is_video_track(data, trak):
-            video_trak = trak
+    for trak in _children(boxes, moov):
+        if boxes[trak][1] != b"trak":
+            continue
+        # The first mdia's hdlr names the handler; without one, a vmhd
+        # (video media header) marks a video track.
+        mdia = first.get((trak, b"mdia"))
+        hdlr = first.get((mdia, b"hdlr"))
+        if hdlr is not None:
+            if _parse_hdlr_type(data, *boxes[hdlr][2:]) == b"vide":
+                break
+        elif _lookup(first, mdia, b"minf", b"vmhd") is not None:
             break
-    if video_trak is None:
+    else:
         raise NoVideoTrack("no video track in moov")
 
-    dims_signal = None
-    stsd = walk_path(video_trak.children, "mdia", "minf", "stbl", "stsd")
-    if stsd is not None:
-        dims_signal = _stsd_video_entry(data, stsd)
-    if dims_signal is None:
-        tkhd = walk_path(video_trak.children, "tkhd")
-        fallback = _tkhd_dimensions(data, tkhd) if tkhd is not None else None
+    stsd = _lookup(first, mdia, b"minf", b"stbl", b"stsd")
+    entry = _stsd_video_entry(data, *boxes[stsd][2:]) if stsd is not None else None
+    if entry is None:
+        tkhd = first.get((trak, b"tkhd"))
+        fallback = _tkhd_dimensions(data, *boxes[tkhd][2:]) if tkhd is not None else None
         if fallback is None:
             raise NoVideoTrack("video track carries no usable dimensions")
         width, height = fallback
-        signal = None
+        video_format_profile = ""
     else:
-        width, height, signal = dims_signal
+        width, height, video_format_profile = entry
 
-    udta = walk_path(moov.children, "udta")
-    markers = _collect_markers(udta) if udta is not None else frozenset()
+    udta = first.get((moov, b"udta"))
+    markers = frozenset() if udta is None else frozenset(
+        _MARKER_ATOMS.get(boxes[child][1], Marker.MOVIE_MORE)
+        for child in _children(boxes, udta)
+        if boxes[child][1] not in _NON_MARKER_ATOMS
+    )
+    encoder = None
+    for parent in (udta, moov):
+        ilst = _lookup(first, parent, b"meta", b"ilst")
+        if ilst is not None:
+            encoder = _ilst_encoder(data, *boxes[ilst][2:])
+            if encoder:
+                break
 
     return VideoAttributes(
         extension=extension_from_hint(name_hint, profile),
         format_profile=profile,
         codec_id=codec_id,
-        video_format_profile=signal.render() if signal is not None else "",
+        video_format_profile=video_format_profile,
         width=width,
         length=height,
-        encoder=_find_encoder(data, moov),
+        encoder=encoder,
         markers=markers,
         byte_size=len(data),
     )

@@ -239,22 +239,38 @@ def _top_candidate(verdict: Verdict) -> str:
     return label
 
 
+def _text_path(path: str) -> str:
+    """A path as one text-report cell.
+
+    A file name may hold line breaks or terminal controls, which would
+    forge rows; those characters are written as backslash escapes, and a
+    literal backslash in such a path is doubled so no escape is misread.
+    A printable path is written as it is.
+    """
+    if path.isprintable():
+        return path
+    return "".join(
+        c if c.isprintable() and c != "\\" else c.encode("unicode_escape").decode("ascii") for c in path
+    )
+
+
 def render_text(reports: list[FileReport], timestamp: str | None = None) -> str:
     lines: list[str] = []
     if timestamp is not None:
         lines.append(f"generated at {timestamp}")
-    width = max([len(r.path) for r in reports], default=4)
+    paths = [_text_path(r.path) for r in reports]
+    width = max([len(p) for p in paths], default=4)
     width = max(width, len("PATH"))
     lines.append(f"{'PATH'.ljust(width)}  {'KIND':5}  {'OUTCOME':17}  TOP CANDIDATE")
-    for report in reports:
+    for report, path in zip(reports, paths):
         if report.error is not None:
             kind = report.media_kind.value if report.media_kind else '-'
-            lines.append(f"{report.path.ljust(width)}  {kind:5}  {'error':17}  {report.error}")
+            lines.append(f"{path.ljust(width)}  {kind:5}  {'error':17}  {report.error}")
             continue
         verdict = report.verdict
         assert verdict is not None
         lines.append(
-            f"{report.path.ljust(width)}  {report.media_kind.value if report.media_kind else '-':5}  "
+            f"{path.ljust(width)}  {report.media_kind.value if report.media_kind else '-':5}  "
             f"{verdict.outcome.value:17}  {_top_candidate(verdict)}"
         )
         for h in verdict.chain_hypotheses:

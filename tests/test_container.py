@@ -16,7 +16,6 @@ from mediafp.attributes import (
     VideoAttributes,
 )
 from mediafp.container import (
-    BoxNode,
     FtypInfo,
     MalformedBox,
     MissingFtyp,
@@ -26,7 +25,9 @@ from mediafp.container import (
     UnknownBrand,
     classify_format_profile,
     codec_id_brands,
+    extension_from_hint,
     extract_video_attributes,
+    parse_avc_config,
     parse_box_tree,
     read_ftyp,
     render_codec_id,
@@ -665,9 +666,9 @@ def test_leaf_readers_read_only_their_own_payload(leaf, sibling):
     # same payload either way, so it must give the same result.
     box_type, payload = leaf
     reader = _LEAF_READERS[box_type][0]
-    node = BoxNode(box_type.decode("latin-1"), 8, len(payload))
     alone = box(box_type, payload)
-    assert reader(alone + sibling, node) == reader(alone, node)
+    end = len(alone)
+    assert reader(alone + sibling, 8, end) == reader(alone, 8, end)
 
 
 # Generated attribute vectors for the synthesize → extract round trip:
@@ -726,3 +727,215 @@ def test_synthesized_containers_extract_to_their_vector(attrs):
     extracted = extract_video_attributes(data, name_hint=_HINT_FOR[attrs.extension])
     assert extracted == replace(attrs, byte_size=len(data))
     assert extract_video_attributes(bytearray(data), name_hint=_HINT_FOR[attrs.extension]) == extracted
+
+
+# The tree-based extraction the indexed one replaced, kept as its reference:
+# it searches the frozen reference walk's node tree box by box.  Leaf readers
+# whose bytes did not change are shared; the ftyp and stsd readers are kept
+# as they were.
+def _reference_find(boxes, box_type):
+    return next((b for b in boxes if b.box_type == box_type), None)
+
+
+def _reference_path(boxes, *path):
+    node = None
+    for box_type in path:
+        node = _reference_find(boxes, box_type)
+        if node is None:
+            return None
+        boxes = node.children
+    return node
+
+
+def _reference_ftyp(data, node):
+    if node.payload_length > 4096:
+        raise MalformedBox(f"ftyp payload of {node.payload_length} bytes exceeds 4096")
+    payload = data[node.payload_offset:node.payload_end]
+    if len(payload) < 8:
+        raise MalformedBox("ftyp payload shorter than 8 bytes")
+    text = bytes(payload[8:8 + (len(payload) - 8) // 4 * 4]).decode("latin-1")
+    brands = tuple(text[i:i + 4] for i in range(0, len(text), 4))
+    return FtypInfo(bytes(payload[0:4]).decode("latin-1"), struct.unpack_from(">I", payload, 4)[0], brands)
+
+
+def _reference_stsd(data, stsd):
+    entry = stsd.payload_offset + 8
+    fields = data[entry:min(entry + 36, stsd.payload_end)]
+    if len(fields) < 36:
+        return None
+    entry_size = struct.unpack_from(">I", fields)[0]
+    end = entry + entry_size
+    if entry_size < 36 or end > stsd.payload_end:
+        return None
+    width, height = struct.unpack_from(">HH", fields, 32)
+    signal = None
+    pos = entry + 86
+    while pos + 8 <= end:
+        child_size, child_type = struct.unpack(">I4s", data[pos:pos + 8])
+        if child_size < 8 or pos + child_size > end:
+            break
+        if child_type == b"avcC":
+            try:
+                signal = parse_avc_config(data[pos + 8:pos + min(child_size, 12)])
+            except MalformedBox:
+                signal = None
+            break
+        pos += child_size
+    if width < 1 or height < 1:
+        return None
+    return width, height, signal
+
+
+def _reference_is_video(data, trak):
+    hdlr = _reference_path(trak.children, "mdia", "hdlr")
+    if hdlr is not None:
+        return _parse_hdlr_type(data, hdlr.payload_offset, hdlr.payload_end) == b"vide"
+    return _reference_path(trak.children, "mdia", "minf", "vmhd") is not None
+
+
+_REFERENCE_MARKERS = {"\xa9nam": Marker.MOVIE_NAME, "\xa9cpy": Marker.COPYRIGHT, "\xa9day": Marker.RECORDED_DATE}
+
+
+def _reference_extract(data, name_hint=None):
+    tree = _reference_parse_box_tree(data)
+    ftyp = _reference_find(tree, "ftyp")
+    if ftyp is None:
+        profile, codec_id = FormatProfile.QUICKTIME, "qt"
+    else:
+        info = _reference_ftyp(data, ftyp)
+        profile, codec_id = classify_format_profile(info), render_codec_id(info)
+    moov = _reference_find(tree, "moov")
+    if moov is None:
+        raise NoVideoTrack("no moov box")
+    video = next((t for t in moov.children if t.box_type == "trak" and _reference_is_video(data, t)), None)
+    if video is None:
+        raise NoVideoTrack("no video track in moov")
+    stsd = _reference_path(video.children, "mdia", "minf", "stbl", "stsd")
+    entry = _reference_stsd(data, stsd) if stsd is not None else None
+    if entry is None:
+        tkhd = _reference_find(video.children, "tkhd")
+        fallback = _tkhd_dimensions(data, tkhd.payload_offset, tkhd.payload_end) if tkhd is not None else None
+        if fallback is None:
+            raise NoVideoTrack("video track carries no usable dimensions")
+        (width, height), signal = fallback, None
+    else:
+        width, height, signal = entry
+    udta = _reference_find(moov.children, "udta")
+    markers = frozenset(_REFERENCE_MARKERS.get(c.box_type, Marker.MOVIE_MORE) for c in udta.children
+                        if c.box_type not in ("meta", "free", "skip")) if udta is not None else frozenset()
+    encoder = None
+    for parent in (udta, moov):
+        ilst = _reference_path(parent.children, "meta", "ilst") if parent is not None else None
+        if ilst is not None:
+            encoder = _ilst_encoder(data, ilst.payload_offset, ilst.payload_end)
+            if encoder:
+                break
+    return VideoAttributes(
+        extension=extension_from_hint(name_hint, profile),
+        format_profile=profile,
+        codec_id=codec_id,
+        video_format_profile=signal.render() if signal is not None else "",
+        width=width,
+        length=height,
+        encoder=encoder,
+        markers=markers,
+        byte_size=len(data),
+    )
+
+
+def _extracted(extract, data):
+    try:
+        return extract(data, name_hint="g.mp4")
+    except ParseError as exc:
+        return type(exc), str(exc)
+
+
+# Movies of several traks, each a video, sound, text or vmhd-only track, some
+# with no handler at all and some holding a second mdia with another handler;
+# udta and moov/meta may carry ilst encoder items.
+_HANDLERS = [b"vide", b"vide", b"soun", b"text", b"vmhd", b"none"]
+
+
+def _media(handler, entry_body, avcc):
+    entry = b"avc1" + entry_body + box(b"avcC", avcc)
+    stsd = struct.pack(">III", 0, 1, 4 + len(entry)) + entry
+    minf = [(b"stbl", "32", [(b"stsd", "32", stsd)])]
+    if handler == b"vmhd":
+        minf.insert(0, (b"vmhd", "32", bytes(12)))
+    children = [(b"minf", "32", minf)]
+    if handler in (b"vide", b"soun", b"text"):
+        children.insert(0, (b"hdlr", "32", bytes(8) + handler + bytes(12)))
+    return b"mdia", "32", children
+
+
+def _track(handlers, tkhd_dims, entry_body, avcc):
+    tkhd = (b"tkhd", "32", bytes(76) + struct.pack(">II", tkhd_dims[0] << 16, tkhd_dims[1] << 16))
+    return b"trak", "32", [tkhd, *(_media(h, entry_body, avcc) for h in handlers)]
+
+
+_tracks = st.builds(
+    _track,
+    st.lists(st.sampled_from(_HANDLERS), max_size=2),
+    st.tuples(st.integers(min_value=0, max_value=4000), st.integers(min_value=0, max_value=4000)),
+    st.binary(max_size=40) | st.binary(min_size=78, max_size=80),  # short, or reaching avcC
+    st.binary(max_size=6),
+)
+_encoder_boxes = st.text(alphabet="Lavf0123456789.", min_size=1, max_size=8).map(
+    lambda text: box(b"data", bytes(8) + text.encode()))
+_ilsts = st.lists(_encoder_boxes | _data_boxes | _hostile_boxes, min_size=1, max_size=2).map(
+    lambda inner: (b"ilst", "32", box(b"\xa9too", b"".join(inner))))
+_qt_metas = _ilsts.map(lambda ilst: (b"meta", "32", [(b"hdlr", "32", bytes(20)), ilst]))
+_udtas = st.tuples(st.just(b"udta"), st.just("32"), st.lists(_leaves | _qt_metas, max_size=3))
+_iso_metas = _ilsts.map(lambda ilst: (b"meta-iso", "32", [ilst]))
+_multi_track_movies = st.builds(
+    lambda traks, udta, meta, tail: [(b"moov", "32", traks + udta + meta)] + tail,
+    st.lists(_tracks, min_size=1, max_size=3),
+    st.lists(_udtas, max_size=1),
+    st.lists(_iso_metas, max_size=1),
+    st.lists(_leaves, max_size=1),
+)
+
+
+def _synthesized(attrs):
+    try:
+        return synthesize_container(attrs)
+    except InconsistentAttrs:
+        return synthesize_container(replace(attrs, format_profile=FormatProfile.QUICKTIME, codec_id="qt"))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(
+    _hostile_buffers,
+    st.builds(_hostile_buffer, st.just((b"isom", [b"isom"])), _movies | _multi_track_movies,
+              st.just([]), st.just(b""), st.just(0)),
+    _video_attributes().map(_synthesized),
+))
+def test_indexed_extraction_matches_the_reference_extraction(data):
+    # The same attributes, or the same error class and message, as the
+    # tree-based extraction, over bytes and over a bytearray.
+    expected = _extracted(_reference_extract, data)
+    assert _extracted(extract_video_attributes, data) == expected
+    assert _extracted(extract_video_attributes, bytearray(data)) == expected
+
+
+def test_reference_extraction_covers_the_track_shapes():
+    # A sound trak before the video trak, a trak found by its vmhd alone,
+    # and a trak whose first of two mdia boxes decides its handler.
+    def movie(*traks):
+        tree = [(b"moov", "32", list(traks))]
+        return ftyp_bytes(b"isom", [b"isom"]) + b"".join(_encode(node) for node in tree)
+
+    entry = bytes(24) + struct.pack(">HH", 640, 360) + bytes(50)
+    sound_then_video = movie(_track([b"soun"], (1, 1), entry, b"\x01\x4d\x40\x1f"),
+                             _track([b"vide"], (1, 1), entry, b"\x01\x64\x00\x28"))
+    vmhd_only = movie(_track([b"vmhd"], (1, 1), entry, b"\x01\x42\x00\x1e"))
+    sound_first_mdia = movie(_track([b"soun", b"vide"], (1, 1), entry, b"\x01\x64\x00\x28"))
+    video_first_mdia = movie(_track([b"vide", b"soun"], (1, 1), entry, b"\x01\x64\x00\x28"))
+    assert extract_video_attributes(sound_then_video).video_format_profile == "High@L4"
+    assert extract_video_attributes(vmhd_only).video_format_profile == "Baseline@L3"
+    with pytest.raises(NoVideoTrack, match="no video track in moov"):
+        extract_video_attributes(sound_first_mdia)
+    attrs = extract_video_attributes(video_first_mdia)
+    assert (attrs.width, attrs.length) == (640, 360)
+    for data in (sound_then_video, vmhd_only, sound_first_mdia, video_first_mdia):
+        assert _extracted(extract_video_attributes, data) == _extracted(_reference_extract, data)

@@ -7,7 +7,7 @@ import struct
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from mediafp import report
+from mediafp import container, report
 from mediafp.attributes import (
     EXTENSIONS, OS, FormatProfile, ImageAttributes, Marker, MediaKind, VideoAttributes,
 )
@@ -248,6 +248,25 @@ def test_hostile_trees_past_the_head_scan_as_whole_buffers(tmp_path, kb, tree, t
         assert (result.attributes, result.error) == (expected, None)
 
 
+class TestTracedNames:
+    """``perfbench/tracer.py`` times the container layer by rebinding
+    ``mediafp.container.extract_video_attributes``; a scan that bound it
+    locally would leave every ``container.*`` metric at 0."""
+
+    @pytest.mark.parametrize("size", [4096, 3 * HEAD_READ])
+    def test_scan_file_reaches_extract_video_attributes(self, tmp_path, kb, monkeypatch, size):
+        calls = []
+        original = container.extract_video_attributes
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(container, "extract_video_attributes", counted)
+        assert _scan_video(tmp_path, kb, _discord(kb, size)).verdict.outcome.value == "Identified"
+        assert len(calls) == 1
+
+
 # Frozen reference for the JSON report: the dict form the report had when it
 # was rendered by json.dumps(doc, indent=2).  The writer must give its bytes.
 
@@ -372,3 +391,60 @@ _reports = st.builds(
 @example([], None)
 def test_json_writer_matches_json_dumps(reports, timestamp):
     assert render_json(reports, timestamp) == json.dumps(reference_doc(reports, timestamp), indent=2) + "\n"
+
+
+# The text report as it was before paths were escaped, kept as the reference
+# for every path that needs no escape.
+def _reference_render_text(reports, timestamp=None):
+    lines = [] if timestamp is None else [f"generated at {timestamp}"]
+    width = max(max([len(r.path) for r in reports], default=4), len("PATH"))
+    lines.append(f"{'PATH'.ljust(width)}  {'KIND':5}  {'OUTCOME':17}  TOP CANDIDATE")
+    for r in reports:
+        kind = r.media_kind.value if r.media_kind else "-"
+        if r.error is not None:
+            lines.append(f"{r.path.ljust(width)}  {kind:5}  {'error':17}  {r.error}")
+            continue
+        lines.append(f"{r.path.ljust(width)}  {kind:5}  {r.verdict.outcome.value:17}  "
+                     f"{report._top_candidate(r.verdict)}")
+        for h in r.verdict.chain_hypotheses:
+            lines.append(f"{''.ljust(width)}  chain: {h.nth_app} -> {h.nplus1_app} ({h.os.value})")
+    return "\n".join(lines) + "\n"
+
+
+# Paths of the characters str.isprintable() accepts: none of the "Other" or
+# separator categories but the space.
+_printable_paths = st.text(
+    st.characters(blacklist_categories=("Cc", "Cf", "Cs", "Co", "Cn", "Zl", "Zp", "Zs")) | st.sampled_from(" \\/"),
+    max_size=20,
+)
+_printable_reports = st.builds(
+    lambda path, kind, result: FileReport(path, kind, None, *result),
+    _printable_paths,
+    st.none() | st.sampled_from(MediaKind),
+    _verdicts.map(lambda v: (v, None)) | _texts.map(lambda e: (None, e)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_printable_reports, max_size=4), st.none() | _texts)
+def test_text_report_of_printable_paths_is_unchanged(reports, timestamp):
+    assert all(r.path.isprintable() for r in reports)
+    assert report.render_text(reports, timestamp) == _reference_render_text(reports, timestamp)
+
+
+_FORGED_ROW = "∕evidence∕fake.jpg  image  Identified         WhatsApp (iOS, HQ)"
+
+
+@pytest.mark.parametrize("char,escape", [
+    ("\n", "\\n"), ("\r", "\\r"), ("\t", "\\t"), ("\x1b", "\\x1b"), ("\u2028", "\\u2028"),
+])
+def test_unprintable_path_renders_as_one_escaped_row(char, escape):
+    path = f"a\\b.mov{char}{_FORGED_ROW}"
+    error = FileReport(path, MediaKind.VIDEO, None, None, "MalformedBox: x")
+    text = report.render_text([error, FileReport("short", MediaKind.IMAGE, None, None, "NoFrameHeader: y")])
+    lines = text.split("\n")
+    assert text.splitlines() == lines[:-1] and len(lines) == 4 and lines[-1] == ""
+    cell = f"a\\\\b.mov{escape}{_FORGED_ROW}"
+    assert lines[1] == f"{cell}  video  {'error':17}  MalformedBox: x"
+    assert lines[2].startswith("short".ljust(len(cell)) + "  image")
+    assert lines[0].startswith("PATH".ljust(len(cell)) + "  KIND")
