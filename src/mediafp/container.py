@@ -19,8 +19,7 @@ root ftyp and moov, each trak's mdia/hdlr handler (or mdia/minf/vmhd), the
 video trak's mdia/minf/stbl/stsd and tkhd, and the ilst under udta/meta,
 then under moov/meta; and, by a scan of their stretch of the flat list, the
 traks of moov in order and the children of moov/udta.  The ftyp payload
-goes straight to the format profile and codec id.  ``parse_box_tree``
-builds its node tree from the same walk.
+goes straight to the format profile and codec id.
 
 All functions are pure, bounds-checked and never read outside the supplied
 buffer; hostile input fails with one of the declared exceptions below.  The
@@ -37,7 +36,7 @@ large file on demand.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 from .attributes import (
@@ -62,10 +61,6 @@ class TruncatedFile(ParseError):
 
 class MalformedBox(ParseError):
     """A box header is structurally impossible (size < 8, bad extended size)."""
-
-
-class MissingFtyp(ParseError):
-    """No ftyp box anywhere in the tree."""
 
 
 class NoVideoTrack(ParseError):
@@ -190,38 +185,9 @@ def _lookup(first: dict[tuple[int, bytes], int], index: int | None, *path: bytes
     return index
 
 
-@dataclass(slots=True)
-class BoxNode:
-    """One box: type, payload window into the original buffer, children."""
-
-    box_type: str
-    payload_offset: int
-    payload_length: int
-    children: list["BoxNode"] = field(default_factory=list)
-
-    @property
-    def payload_end(self) -> int:
-        return self.payload_offset + self.payload_length
-
-
-def parse_box_tree(data) -> list[BoxNode]:
-    """Parse a buffer into its root-level boxes, recursing into containers.
-
-    Unknown box types are kept as leaves with their payload skipped.  Raises
-    TruncatedFile / MalformedBox on structurally broken input.
-    """
-    roots: list[BoxNode] = []
-    nodes: list[BoxNode] = []
-    for parent, raw_type, offset, end in _walk(data)[0]:
-        node = BoxNode(_decode_fourcc(raw_type), offset, end - offset)
-        nodes.append(node)
-        (roots if parent == _ROOT else nodes[parent].children).append(node)
-    return roots
-
-
 @dataclass(frozen=True)
 class FtypInfo:
-    """File-type box contents: lineage declaration of the container."""
+    """File-type box contents as ``render_codec_id`` takes them; the library never reads one from a file."""
 
     major_brand: str  # 4 chars, trailing spaces preserved ("qt  ")
     minor_version: int
@@ -238,15 +204,6 @@ def _ftyp_fields(data, offset: int, end: int) -> tuple[str, int, list[str]]:
     text = _decode_fourcc(payload)
     brands = [text[i:i + 4] for i in range(8, len(text) - 3, 4)]
     return text[:4], int.from_bytes(payload[4:8], "big"), brands
-
-
-def read_ftyp(tree: list[BoxNode], data) -> FtypInfo:
-    """Extract major brand, minor version and compatible brands in file order."""
-    for node in tree:
-        if node.box_type == "ftyp":
-            major, minor, brands = _ftyp_fields(data, node.payload_offset, node.payload_end)
-            return FtypInfo(major, minor, tuple(brands))
-    raise MissingFtyp("no ftyp box; bare QuickTime lineage")
 
 
 def _brand_line(major: str, compatible: list[str] | tuple[str, ...]) -> str:
@@ -288,7 +245,8 @@ def codec_id_brands(codec_id: str) -> tuple[str, tuple[str, ...]]:
 _ISO_BRANDS = frozenset({"avc1", "mp41", "mp71", "3gp4", "3gp5", "3gp6", "3g2a", "M4V ", "M4A "})
 
 
-def _major_profile(major: str) -> FormatProfile:
+def classify_format_profile(major: str) -> FormatProfile:
+    """Major brand alone decides the analyzer-level format profile."""
     if major == "qt  ":
         return FormatProfile.QUICKTIME
     if major == "mp42":
@@ -296,11 +254,6 @@ def _major_profile(major: str) -> FormatProfile:
     if major.startswith("iso") or major in _ISO_BRANDS:
         return FormatProfile.BASE_MEDIA
     raise UnknownBrand(f"unrecognized major brand {major!r}")
-
-
-def classify_format_profile(info: FtypInfo) -> FormatProfile:
-    """Major brand alone decides the analyzer-level format profile."""
-    return _major_profile(info.major_brand)
 
 
 def parse_avc_config(payload: bytes) -> AvcSignal:
@@ -439,7 +392,7 @@ def extract_video_attributes(data, name_hint: str | None = None) -> VideoAttribu
         profile, codec_id = FormatProfile.QUICKTIME, "qt"
     else:
         major, _, brands = _ftyp_fields(data, *boxes[ftyp][2:])
-        profile, codec_id = _major_profile(major), _brand_line(major, brands)
+        profile, codec_id = classify_format_profile(major), _brand_line(major, brands)
 
     moov = first.get((_ROOT, b"moov"))
     if moov is None:

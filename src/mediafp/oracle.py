@@ -24,7 +24,7 @@ from .attributes import (
     parse_os,
     parse_video_format_profile,
 )
-from .container import codec_id_brands, classify_format_profile, FtypInfo, UnknownBrand
+from .container import codec_id_brands, classify_format_profile, UnknownBrand
 from .engine import Verdict, match_image, match_video
 from .kb import (
     FingerprintRecord,
@@ -324,7 +324,7 @@ def synthesize_container(attrs: VideoAttributes) -> bytes:
     """
     major, brands = codec_id_brands(attrs.codec_id)
     try:
-        derived_profile = classify_format_profile(FtypInfo(major, 0, brands))
+        derived_profile = classify_format_profile(major)
     except UnknownBrand:
         raise InconsistentAttrs(f"codec id {attrs.codec_id!r} has no known lineage") from None
     if derived_profile is not attrs.format_profile:

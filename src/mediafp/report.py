@@ -243,11 +243,12 @@ def _text_path(path: str) -> str:
     """A path as one text-report cell.
 
     A file name may hold line breaks or terminal controls, which would
-    forge rows; those characters are written as backslash escapes, and a
-    literal backslash in such a path is doubled so no escape is misread.
-    A printable path is written as it is.
+    forge rows; those characters are written as backslash escapes.  In any
+    path that holds one, or a backslash, each literal backslash is doubled,
+    so no escape is misread and no two paths share a cell.  A printable
+    path without a backslash is written as it is.
     """
-    if path.isprintable():
+    if path.isprintable() and "\\" not in path:
         return path
     return "".join(
         c if c.isprintable() and c != "\\" else c.encode("unicode_escape").decode("ascii") for c in path

@@ -18,7 +18,6 @@ from mediafp.attributes import (
 from mediafp.container import (
     FtypInfo,
     MalformedBox,
-    MissingFtyp,
     NoVideoTrack,
     ParseError,
     TruncatedFile,
@@ -28,13 +27,14 @@ from mediafp.container import (
     extension_from_hint,
     extract_video_attributes,
     parse_avc_config,
-    parse_box_tree,
-    read_ftyp,
     render_codec_id,
+    _ROOT,
+    _ftyp_fields,
     _ilst_encoder,
     _parse_hdlr_type,
     _stsd_video_entry,
     _tkhd_dimensions,
+    _walk,
 )
 from mediafp.oracle import InconsistentAttrs, synthesize_container
 
@@ -51,15 +51,11 @@ class TestBoxTree:
     def test_single_ftyp_leaf(self):
         data = ftyp_bytes(b"qt  ", [b"qt  ", b"qt  "])
         assert len(data) == 24
-        tree = parse_box_tree(data)
-        assert [b.box_type for b in tree] == ["ftyp"]
-        assert tree[0].children == []
+        assert _walk(data) == ([(_ROOT, b"ftyp", 8, 24)], {(_ROOT, b"ftyp"): 0})
 
     def test_moov_with_trak_child(self):
         data = box(b"moov", box(b"trak", b""))
-        tree = parse_box_tree(data)
-        assert tree[0].box_type == "moov"
-        assert [b.box_type for b in tree[0].children] == ["trak"]
+        assert _walk(data)[0] == [(_ROOT, b"moov", 8, 16), (0, b"trak", 16, 16)]
 
     def test_declared_size_exceeds_file(self):
         # Start from a valid synthesized container, then inflate the first
@@ -67,77 +63,53 @@ class TestBoxTree:
         data = bytearray(synthesize_container(discord_attrs()))
         struct.pack_into(">I", data, 0, 1000 + len(data))
         with pytest.raises(TruncatedFile):
-            parse_box_tree(bytes(data))
+            _walk(bytes(data))
 
     def test_size_below_header_is_malformed(self):
         data = struct.pack(">I", 4) + b"abcd" + b"\x00" * 8
         with pytest.raises(MalformedBox):
-            parse_box_tree(data)
+            _walk(data)
 
     def test_size_zero_runs_to_end(self):
         data = struct.pack(">I", 0) + b"mdat" + b"\x00" * 100
-        tree = parse_box_tree(data)
-        assert tree[0].payload_length == 100
+        assert _walk(data)[0] == [(_ROOT, b"mdat", 8, 108)]
 
     def test_64_bit_extended_size(self):
         payload = b"\x00" * 10
         data = struct.pack(">I", 1) + b"mdat" + struct.pack(">Q", 16 + len(payload)) + payload
-        tree = parse_box_tree(data)
-        assert tree[0].payload_length == len(payload)
+        assert _walk(data)[0] == [(_ROOT, b"mdat", 16, 16 + len(payload))]
 
     @pytest.mark.parametrize("size", [0, 8, 15])
     def test_extended_size_below_header_is_malformed(self, size):
         data = struct.pack(">I", 1) + b"mdat" + struct.pack(">Q", size) + b"\x00" * 16
         with pytest.raises(MalformedBox, match=f"extended size {size} at offset 0 is below header size"):
-            parse_box_tree(data)
+            _walk(data)
 
     def test_classic_udta_zero_terminator_tolerated(self):
         data = box(b"udta", box(b"\xa9nam", b"\x00\x04\x00\x00name") + b"\x00\x00\x00\x00")
-        tree = parse_box_tree(data)
-        assert [b.box_type for b in tree[0].children] == ["\xa9nam"]
+        assert [box_type for _, box_type, _, _ in _walk(data)[0]] == [b"udta", b"\xa9nam"]
 
     def test_unknown_box_skipped_not_recursed(self):
         data = box(b"wxyz", box(b"trak", b""))
-        tree = parse_box_tree(data)
-        assert tree[0].children == []
+        assert _walk(data)[0] == [(_ROOT, b"wxyz", 8, 16)]
 
-    def test_children_contained_in_parent(self):
-        data = synthesize_container(discord_attrs())
 
-        def check(node, lo, hi):
-            assert lo <= node.payload_offset and node.payload_end <= hi
-            prev_end = node.payload_offset
-            for child in node.children:
-                assert child.payload_offset - 8 >= prev_end - 8
-                check(child, node.payload_offset, node.payload_end)
-                prev_end = child.payload_end
-
-        for root in parse_box_tree(data):
-            check(root, 0, len(data))
+def _ftyp(data):
+    """The root ftyp's fields, found the way extraction finds them."""
+    boxes, first = _walk(data)
+    return _ftyp_fields(data, *boxes[first[_ROOT, b"ftyp"]][2:])
 
 
 class TestFtyp:
     def test_qt_major(self):
-        tree_data = ftyp_bytes(b"qt  ", [b"qt  "])
-        info = read_ftyp(parse_box_tree(tree_data), tree_data)
-        assert info.major_brand == "qt  "
-        assert info.compatible_brands == ("qt  ",)
+        assert _ftyp(ftyp_bytes(b"qt  ", [b"qt  "])) == ("qt  ", 0, ["qt  "])
 
     def test_mp42_brands_in_order(self):
-        data = ftyp_bytes(b"mp42", [b"isom", b"mp42"])
-        info = read_ftyp(parse_box_tree(data), data)
-        assert info.major_brand == "mp42"
-        assert info.compatible_brands == ("isom", "mp42")
+        assert _ftyp(ftyp_bytes(b"mp42", [b"isom", b"mp42"])) == ("mp42", 0, ["isom", "mp42"])
 
     def test_four_compat_brands_preserved(self):
         data = ftyp_bytes(b"isom", [b"isom", b"iso2", b"avc1", b"mp41"])
-        info = read_ftyp(parse_box_tree(data), data)
-        assert info.compatible_brands == ("isom", "iso2", "avc1", "mp41")
-
-    def test_missing_ftyp(self):
-        data = box(b"moov", b"")
-        with pytest.raises(MissingFtyp):
-            read_ftyp(parse_box_tree(data), data)
+        assert _ftyp(data)[2] == ["isom", "iso2", "avc1", "mp41"]
 
 
 class TestCodecId:
@@ -175,11 +147,11 @@ class TestFormatProfile:
         ("avc1", FormatProfile.BASE_MEDIA),
     ])
     def test_brand_mapping(self, major, expected):
-        assert classify_format_profile(FtypInfo(major, 0, ())) is expected
+        assert classify_format_profile(major) is expected
 
     def test_unknown_brand(self):
         with pytest.raises(UnknownBrand):
-            classify_format_profile(FtypInfo("zzzz", 0, ()))
+            classify_format_profile("zzzz")
 
 
 def discord_attrs() -> VideoAttributes:
@@ -255,9 +227,9 @@ class TestExtraction:
         # Bare QuickTime files legitimately omit ftyp; everything after the
         # first box of a synthesized qt file is such a container.
         data = synthesize_container(discord_attrs())
-        tree = parse_box_tree(data)
-        assert tree[0].box_type == "ftyp"
-        stripped = data[tree[0].payload_end:]
+        _, box_type, _, ftyp_end = _walk(data)[0][0]
+        assert box_type == b"ftyp"
+        stripped = data[ftyp_end:]
         attrs = extract_video_attributes(stripped)
         assert attrs.format_profile is FormatProfile.QUICKTIME
         assert attrs.codec_id == "qt"
@@ -337,7 +309,7 @@ class TestTextPayloadBound:
 @given(st.binary(min_size=0, max_size=512))
 def test_fuzz_only_declared_errors(data):
     try:
-        parse_box_tree(data)
+        _walk(data)
     except ParseError:
         pass
 
@@ -377,11 +349,19 @@ def _encode(node, last=True):
     return struct.pack(">I", 8 + len(payload)) + box_type + payload
 
 
-def _shape(node):
-    """(type, children) as parse_box_tree should report the node."""
-    box_type, _, body = node
-    children = [] if isinstance(body, bytes) else [_shape(c) for c in body]
-    return box_type[:4].decode("latin-1"), children
+def _encode_tree(tree):
+    return b"".join(_encode(node, i == len(tree) - 1) for i, node in enumerate(tree))
+
+
+def _flat_shape(tree, parent=_ROOT, out=None):
+    """(parent index, type) of every node, depth first, as _walk lists them."""
+    out = [] if out is None else out
+    for box_type, _, body in tree:
+        index = len(out)
+        out.append((parent, box_type[:4]))
+        if not isinstance(body, bytes):
+            _flat_shape(body, index, out)
+    return out
 
 
 _headers = st.sampled_from(["32", "32", "64", "0"])
@@ -405,13 +385,8 @@ _trees = st.lists(st.recursive(_leaves, _containers, max_leaves=12), min_size=1,
 @settings(max_examples=200, deadline=None)
 @given(_trees)
 def test_generated_box_trees_parse_to_their_shape(tree):
-    data = b"".join(_encode(node, i == len(tree) - 1) for i, node in enumerate(tree))
-    parsed = parse_box_tree(data)
-
-    def shape(box):
-        return box.box_type, [shape(child) for child in box.children]
-
-    assert [shape(box) for box in parsed] == [_shape(node) for node in tree]
+    boxes, _ = _walk(_encode_tree(tree))
+    assert [(parent, box_type) for parent, box_type, _, _ in boxes] == _flat_shape(tree)
 
 
 def _movie(hdlr_type, tkhd, entry_body, avcc, udta):
@@ -441,8 +416,7 @@ def _hostile_buffer(ftyp, tree, size_edits, tail, cut):
     # A well-formed tree, then declared sizes overwritten at random offsets
     # (zero, one, below the header, huge) and the end cut off.
     head = ftyp_bytes(ftyp[0], ftyp[1]) if ftyp else b""
-    body = b"".join(_encode(node, i == len(tree) - 1) for i, node in enumerate(tree))
-    data = bytearray(head + body + tail)
+    data = bytearray(head + _encode_tree(tree) + tail)
     for offset, size in size_edits:
         offset %= max(1, len(data) - 3)
         data[offset:offset + 4] = struct.pack(">I", size)
@@ -469,7 +443,7 @@ _hostile_buffers = st.builds(
 @settings(max_examples=300, deadline=None)
 @given(_hostile_buffers)
 def test_hostile_box_trees_raise_only_declared_errors(data):
-    for parse in (parse_box_tree, lambda d: extract_video_attributes(d, name_hint="g.mp4")):
+    for parse in (_walk, lambda d: extract_video_attributes(d, name_hint="g.mp4")):
         try:
             parse(data)
         except ParseError:
@@ -546,24 +520,59 @@ def _reference_parse_box_tree(data):
     return _reference_scan_boxes(data, 0, len(data), 0)
 
 
-def _outcome(parse, data):
-    """A parse as comparable data: every node's type, offsets and children, or the error."""
+def _reference_boxes(data):
+    """The reference tree flattened the way _walk lists its boxes."""
+    boxes = []
 
-    def layout(box):
-        return box.box_type, box.payload_offset, box.payload_length, [layout(c) for c in box.children]
+    def visit(nodes, parent):
+        for node in nodes:
+            boxes.append((parent, node.box_type.encode("latin-1"), node.payload_offset, node.payload_end))
+            visit(node.children, len(boxes) - 1)
 
+    visit(_reference_parse_box_tree(data), _ROOT)
+    return boxes
+
+
+def _outcome(walk, data):
+    """A walk as comparable data: its flat box list, or the error."""
     try:
-        return [layout(box) for box in parse(data)]
+        return walk(data)
     except ParseError as exc:
         return type(exc), str(exc)
+
+
+def _boxes(data):
+    return _walk(data)[0]
 
 
 @settings(max_examples=500, deadline=None)
 @given(_hostile_buffers)
 def test_box_walk_matches_the_reference_walk(data):
-    expected = _outcome(_reference_parse_box_tree, data)
-    assert _outcome(parse_box_tree, data) == expected
-    assert _outcome(parse_box_tree, bytearray(data)) == expected
+    expected = _outcome(_reference_boxes, data)
+    assert _outcome(_boxes, data) == expected
+    assert _outcome(_boxes, bytearray(data)) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(_hostile_buffers | _trees.map(_encode_tree))
+def test_first_child_index_and_box_nesting(data):
+    # The index maps each (parent, type) to its lowest box index and holds
+    # nothing else; each box lies in its parent's payload, after the end of
+    # its previous sibling and a header of at least 8 bytes.
+    try:
+        boxes, first = _walk(data)
+    except ParseError:
+        return
+    lowest = {}
+    for index, (parent, box_type, _, _) in enumerate(boxes):
+        lowest.setdefault((parent, box_type), index)
+    assert first == lowest
+    previous_end = {}
+    for index, (parent, _, offset, end) in enumerate(boxes):
+        lo, hi = (0, len(data)) if parent == _ROOT else boxes[parent][2:]
+        assert parent < index
+        assert previous_end.get(parent, lo) + 8 <= offset <= end <= hi
+        previous_end[parent] = end
 
 
 def _short_meta(length, child):
@@ -585,26 +594,28 @@ def _short_meta(length, child):
 @pytest.mark.parametrize("length", range(8))
 def test_short_meta_payload_is_read_on_its_own(length, child):
     payload, sibling = _short_meta(length, child)
-    alone = _outcome(parse_box_tree, box(b"moov", box(b"meta", payload)))
-    beside = _outcome(parse_box_tree, box(b"moov", box(b"meta", payload) + sibling))
-    neutral = _outcome(parse_box_tree, box(b"moov", box(b"free", payload) + sibling))
+    alone = _outcome(_boxes, box(b"moov", box(b"meta", payload)))
+    beside = _outcome(_boxes, box(b"moov", box(b"meta", payload) + sibling))
+    neutral = _outcome(_boxes, box(b"moov", box(b"free", payload) + sibling))
     if isinstance(alone, tuple):
         assert beside == alone  # the meta's own error, whatever follows it
     elif isinstance(neutral, tuple):
         assert beside == neutral  # the sibling's own error
     else:
-        (_, _, _, [meta]), = alone
-        (moov_type, offset, length_, [_, *rest]), = neutral
-        assert beside == [(moov_type, offset, length_, [meta, *rest])]
+        # A payload under 8 bytes holds no child box, so the meta is a leaf
+        # and the sibling's boxes keep their indexes.
+        _, meta = alone
+        moov, _, *rest = neutral
+        assert beside == [moov, meta, *rest]
 
 
 def test_short_meta_before_a_sibling_spelling_hdlr():
     # moov[meta(01 02), box(size 0x6864, "lrxx")]: the sibling's size and
     # type read "hdlr" at meta payload offset 4.
     sibling = struct.pack(">I", 0x6864) + b"lrxx" + bytes(0x6864 - 8)
-    tree = parse_box_tree(box(b"moov", box(b"meta", b"\x01\x02") + sibling))
-    assert [(b.box_type, b.payload_length, b.children) for b in tree[0].children] == [
-        ("meta", 2, []), ("lrxx", 0x6864 - 8, []),
+    boxes = _boxes(box(b"moov", box(b"meta", b"\x01\x02") + sibling))
+    assert [(parent, box_type, end - offset) for parent, box_type, offset, end in boxes[1:]] == [
+        (0, b"meta", 2), (0, b"lrxx", 0x6864 - 8),
     ]
 
 
@@ -686,7 +697,7 @@ def _video_attributes(draw):
     major = draw(st.sampled_from(_MAJORS))
     codec_id = render_codec_id(FtypInfo(major, 0, tuple(draw(st.lists(_brand, max_size=5)))))
     try:
-        derived = classify_format_profile(FtypInfo(major, 0, ()))
+        derived = classify_format_profile(major)
     except UnknownBrand:
         derived = FormatProfile.QUICKTIME
     profile = draw(st.sampled_from([derived, derived, *FormatProfile]))
@@ -803,7 +814,7 @@ def _reference_extract(data, name_hint=None):
         profile, codec_id = FormatProfile.QUICKTIME, "qt"
     else:
         info = _reference_ftyp(data, ftyp)
-        profile, codec_id = classify_format_profile(info), render_codec_id(info)
+        profile, codec_id = classify_format_profile(info.major_brand), render_codec_id(info)
     moov = _reference_find(tree, "moov")
     if moov is None:
         raise NoVideoTrack("no moov box")

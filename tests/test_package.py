@@ -1,5 +1,7 @@
 """The README's library example runs, and the package exports what it documents."""
 
+import ast
+import importlib
 import os
 import re
 import subprocess
@@ -11,6 +13,7 @@ import mediafp
 from mediafp.oracle import expected_attributes, synthesize_container
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 SUBMODULES = ("attributes", "container", "engine", "jpeg", "kb", "oracle", "report")
 
 
@@ -37,7 +40,7 @@ def test_all_lists_exactly_the_exported_names():
                 if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     assert len(set(mediafp.__all__)) == len(mediafp.__all__)
     assert set(mediafp.__all__) == exported
-    assert {"BoxNode", "read_ftyp", "render_codec_id", "classify_outcome", "disambiguate_by_size"}.isdisjoint(exported)
+    assert {"FtypInfo", "classify_format_profile", "render_codec_id", "classify_outcome", "disambiguate_by_size"}.isdisjoint(exported)
 
 
 def test_import_exposes_every_submodule():
@@ -46,3 +49,21 @@ def test_import_exposes_every_submodule():
     env = dict(os.environ, PYTHONPATH=str(Path(mediafp.__file__).parents[1]))
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert result.stdout == "True\n"
+
+
+def test_every_library_name_the_benchmark_reaches_resolves():
+    # The benchmark scripts are read, not run.  A name they use that the
+    # package lost fails only the benchmark; a span target it lost leaves
+    # that span's timings at 0 with no error at all.
+    reached = set()
+    for script in PERFBENCH.glob("*.py"):
+        source = script.read_text(encoding="utf-8")
+        reached |= {(f"mediafp.{module}", name) for module, name in re.findall(r"\bmf\.(\w+)\.(\w+)", source)}
+    for node in ast.parse((PERFBENCH / "tracer.py").read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["SPAN_TARGETS"]:
+            reached |= {(module, name) for module, name, _ in ast.literal_eval(node.value)}
+    assert {("mediafp.container", "render_codec_id"), ("mediafp.container", "FtypInfo"),
+            ("mediafp.engine", "infer_chain")} <= reached
+    missing = [f"{module}.{name}" for module, name in sorted(reached)
+               if not hasattr(importlib.import_module(module), name)]
+    assert missing == []

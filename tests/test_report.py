@@ -11,7 +11,7 @@ from mediafp import container, report
 from mediafp.attributes import (
     EXTENSIONS, OS, FormatProfile, ImageAttributes, Marker, MediaKind, VideoAttributes,
 )
-from mediafp.container import ParseError, extract_video_attributes, parse_box_tree
+from mediafp.container import ParseError, extract_video_attributes
 from mediafp.engine import Candidate, ChainHypothesis, Outcome, Verdict
 from mediafp.jpeg import NoFrameHeader, extract_image_attributes
 from mediafp.oracle import expected_attributes, synthesize_container
@@ -132,7 +132,7 @@ def test_video_read_around_the_head(tmp_path, kb, short_reads, size):
 
 def test_moov_after_a_large_mdat(tmp_path, kb, short_reads):
     data = _discord(kb, 0)
-    ftyp_end = parse_box_tree(data)[0].payload_end
+    ftyp_end = struct.unpack_from(">I", data)[0]
     mdat = struct.pack(">I", 8 + 5 * HEAD_READ) + b"mdat" + b"\x5a" * (5 * HEAD_READ)
     moved = data[:ftyp_end] + mdat + data[ftyp_end:]
     result = _scan_video(tmp_path, kb, moved)
@@ -215,7 +215,7 @@ def test_boxes_straddling_the_end_of_the_head(tmp_path, kb, short_reads):
     # The moov slides across the end of the head, so that each of its box
     # headers and leaf payloads in turn starts inside the head and ends past it.
     movie = _discord(kb, 0)
-    ftyp_end = parse_box_tree(movie)[0].payload_end
+    ftyp_end = struct.unpack_from(">I", movie)[0]
     moov = movie[ftyp_end:]
     path = tmp_path / "clip.mov"
     for moov_start in range(HEAD_READ - len(moov), HEAD_READ + 1):
@@ -411,10 +411,11 @@ def _reference_render_text(reports, timestamp=None):
     return "\n".join(lines) + "\n"
 
 
-# Paths of the characters str.isprintable() accepts: none of the "Other" or
-# separator categories but the space.
+# Paths of the characters str.isprintable() accepts (none of the "Other" or
+# separator categories but the space) other than the backslash.
 _printable_paths = st.text(
-    st.characters(blacklist_categories=("Cc", "Cf", "Cs", "Co", "Cn", "Zl", "Zp", "Zs")) | st.sampled_from(" \\/"),
+    st.characters(blacklist_categories=("Cc", "Cf", "Cs", "Co", "Cn", "Zl", "Zp", "Zs"), blacklist_characters="\\")
+    | st.sampled_from(" /"),
     max_size=20,
 )
 _printable_reports = st.builds(
@@ -428,8 +429,25 @@ _printable_reports = st.builds(
 @settings(max_examples=200, deadline=None)
 @given(st.lists(_printable_reports, max_size=4), st.none() | _texts)
 def test_text_report_of_printable_paths_is_unchanged(reports, timestamp):
-    assert all(r.path.isprintable() for r in reports)
+    assert all(r.path.isprintable() and "\\" not in r.path for r in reports)
     assert report.render_text(reports, timestamp) == _reference_render_text(reports, timestamp)
+
+
+# Paths thick with backslashes, the letters of escapes, and the characters
+# written as escapes.
+_escapable_paths = st.text(
+    st.characters() | st.sampled_from("\\nrtxu01b\n\r\t\x1b\u2028"),
+    max_size=12,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_escapable_paths, unique=True, max_size=6))
+@example(["a\\nb", "a\nb"])
+def test_distinct_paths_give_distinct_text_cells(paths):
+    cells = [report._text_path(path) for path in paths]
+    assert len(set(cells)) == len(cells)
+    assert all(cell.isprintable() for cell in cells)
 
 
 _FORGED_ROW = "∕evidence∕fake.jpg  image  Identified         WhatsApp (iOS, HQ)"
