@@ -38,9 +38,10 @@ def _files_under(root: Path) -> list[Path]:
 
     Symlinked files are kept; symlinked directories are not entered;
     links that are broken, loop or pass through a file are dropped, as
-    ``Path.is_file`` drops them; unreadable directories are skipped.  A
-    directory entry already says whether it is a directory or a plain file,
-    so only symlinks cost a stat.
+    ``Path.is_file`` drops them; a directory that cannot be listed
+    (unreadable, removed during the walk, or any other ``OSError``) is
+    skipped.  A directory entry already says whether it is a directory or a
+    plain file, so only symlinks cost a stat.
     """
     files: list[Path] = []
     pending = [root]
@@ -49,7 +50,7 @@ def _files_under(root: Path) -> list[Path]:
         try:
             with os.scandir(directory) as it:
                 entries = list(it)
-        except PermissionError:
+        except OSError:
             continue
         for entry in entries:
             path = directory / entry.name

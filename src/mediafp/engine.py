@@ -9,16 +9,23 @@ record's set, unless it allows any).  Image resolutions match within
 and colliding image candidates are disambiguated by byte-size bands.  Chain
 records yield (N-th app, N+1st app) hypotheses for two-hop relays.
 
-Everything here is stateless over an immutable KnowledgeBase and safe for
-concurrent queries.  A KnowledgeBase compiles its query indexes (candidate
-records per media kind and hop, overwritten chains, records by id, originals
-by their exact fields) when it is built.  A video is checked only against
-the single-hop and chain records the KB looks up by its codec id and video
-format profile, since every other record rejects one of those two fields.
-An image is checked only against the records the KB lists in the grid cell
-its resolution falls in, since every other record's resolutions lie beyond
-the tolerance.  Either way the verdict is the one a check against every
-record would give.  Load the KB once and reuse it for many queries.
+A KnowledgeBase compiles its query indexes (candidate records per media kind
+and hop, overwritten chains, records by id, originals by their exact fields)
+when it is built.  A video is checked only against the single-hop and chain
+records the KB looks up by its codec id and video format profile, since
+every other record rejects one of those two fields.  An image is checked
+only against the records the KB lists in the grid cell its resolution falls
+in, since every other record's resolutions lie beyond the tolerance.  Either
+way the verdict is the one a check against every record would give.  Load
+the KB once and reuse it for many queries.
+
+The Candidate or ChainHypothesis a matching record yields depends only on
+the record, its matched fields and whether a size band was used, so the
+matcher builds it the first time and keeps it in the KB's ``evidence``
+table; verdicts share these frozen instances.  The table holds at most two
+entries per record, so it stays bounded whatever is scanned.  Two threads
+filling the same entry at once store equal immutable values, so the race is
+harmless and concurrent queries stay safe.
 """
 
 from __future__ import annotations
@@ -26,10 +33,11 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .attributes import ImageAttributes, OS, VideoAttributes
+from .attributes import ImageAttributes, MediaKind, OS, VideoAttributes
 from .kb import (
     RESOLUTION_TOLERANCE,
     FingerprintRecord,
+    Hop,
     ImageConstraints,
     KnowledgeBase,
     VideoConstraints,
@@ -118,15 +126,27 @@ def satisfies_image(constraints: ImageConstraints, attrs: ImageAttributes) -> tu
     return None
 
 
-def _candidate(rec: FingerprintRecord, matched: tuple[str, ...], used_band: bool = False) -> Candidate:
-    return Candidate(
-        record_id=rec.record_id,
-        app=rec.app,
-        os=rec.os,
-        quality=rec.quality,
-        matched_fields=matched,
-        used_size_band=used_band,
-    )
+def _evidence(
+    kb: KnowledgeBase, rec: FingerprintRecord, matched: tuple[str, ...], used_band: bool = False,
+) -> Candidate | ChainHypothesis:
+    """The Candidate, or for a relay video record the ChainHypothesis, ``rec`` yields.
+
+    It depends only on the record, its matched fields and whether a size band
+    was used, so it is built the first time and then shared from
+    ``kb.evidence``.  With ``used_band`` the built candidate also lists
+    ``byte_size`` among its matched fields.
+    """
+    key = (id(rec), matched, used_band)
+    shared = kb.evidence.get(key)
+    if shared is None:
+        if rec.hop is Hop.CHAIN and rec.media_kind is MediaKind.VIDEO:
+            shared = ChainHypothesis(rec.nth_app or "", rec.app, rec.os, rec.quality, matched)
+        else:
+            if used_band:
+                matched = tuple(dict.fromkeys(matched + ("byte_size",)))
+            shared = Candidate(rec.record_id, rec.app, rec.os, rec.quality, matched, used_band)
+        shared = kb.evidence.setdefault(key, shared)
+    return shared
 
 
 def disambiguate_by_size(
@@ -142,17 +162,10 @@ def disambiguate_by_size(
     """
     kept: list[Candidate] = []
     for cand in candidates:
-        constraints = kb.record(cand.record_id).constraints
-        band = constraints.size_band if isinstance(constraints, ImageConstraints) else None
+        rec = kb.record(cand.record_id)
+        band = rec.constraints.size_band if isinstance(rec.constraints, ImageConstraints) else None
         if band is not None and abs(byte_size - band[0]) <= band[1]:
-            kept.append(Candidate(
-                record_id=cand.record_id,
-                app=cand.app,
-                os=cand.os,
-                quality=cand.quality,
-                matched_fields=tuple(dict.fromkeys(cand.matched_fields + ("byte_size",))),
-                used_size_band=True,
-            ))
+            kept.append(_evidence(kb, rec, cand.matched_fields, True))
     return kept if kept else candidates
 
 
@@ -187,13 +200,17 @@ def _rank(pairs: list[tuple[FingerprintRecord, Candidate]]) -> list[Candidate]:
 
 
 def match_image(attrs: ImageAttributes, kb: KnowledgeBase) -> Verdict:
-    """Match an image against the KB: resolution within tolerance, then size bands."""
-    pairs: list[tuple[FingerprintRecord, Candidate]] = []
+    """Match an image against the KB: resolution within tolerance, then size bands.
+
+    The cell lists its records in KB file order and every match carries the
+    same evidence, ``("resolution",)``, so candidates come out in that order
+    without ranking.
+    """
+    candidates: list[Candidate] = []
     for rec in kb.image_candidates(attrs.width, attrs.length):
         matched = satisfies_image(rec.constraints, attrs)
         if matched is not None:
-            pairs.append((rec, _candidate(rec, matched)))
-    candidates = _rank(pairs)
+            candidates.append(_evidence(kb, rec, matched))
     if len(candidates) > 1:
         candidates = disambiguate_by_size(candidates, attrs.byte_size, kb)
     outcome = classify_outcome(candidates, (), original_like=kb.image_original(attrs) is not None)
@@ -207,13 +224,7 @@ def infer_chain(attrs: VideoAttributes, kb: KnowledgeBase) -> list[ChainHypothes
     for rec in chains:
         matched = satisfies_video(rec.constraints, attrs)
         if matched is not None:
-            hypotheses.append(ChainHypothesis(
-                nth_app=rec.nth_app or "",
-                nplus1_app=rec.app,
-                os=rec.os,
-                quality=rec.quality,
-                evidence_fields=matched,
-            ))
+            hypotheses.append(_evidence(kb, rec, matched))
     return hypotheses
 
 
@@ -224,7 +235,7 @@ def match_video(attrs: VideoAttributes, kb: KnowledgeBase, chains: bool = True) 
     for rec in singles:
         matched = satisfies_video(rec.constraints, attrs)
         if matched is not None:
-            pairs.append((rec, _candidate(rec, matched)))
+            pairs.append((rec, _evidence(kb, rec, matched)))
     candidates = _rank(pairs)
     hypotheses = infer_chain(attrs, kb) if chains else []
     outcome = classify_outcome(candidates, hypotheses, original_like=kb.video_original(attrs) is not None)

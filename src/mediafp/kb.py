@@ -187,6 +187,13 @@ class KnowledgeBase:
     resolution's cell of a square grid.  ``image_original`` and
     ``video_original`` look up the camera original a file's fields equal,
     each with one dict lookup.
+
+    ``evidence`` is the one table queries fill: the ``engine`` matcher
+    stores there, keyed by ``(id(record), matched fields, used size band)``,
+    the frozen candidate or chain hypothesis a record yields the first time
+    it matches (see ``engine``).  Because the key is record identity, a
+    pickled or copied KB is rebuilt from its fields and starts with an empty
+    table.
     """
 
     records: tuple[FingerprintRecord, ...]
@@ -205,6 +212,7 @@ class KnowledgeBase:
         init=False, repr=False, compare=False)
     _image_cells: dict[tuple[int, int], tuple[FingerprintRecord, ...]] = field(
         init=False, repr=False, compare=False)
+    evidence: dict[tuple[int, tuple[str, ...], bool], object] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         by_id: dict[str, FingerprintRecord] = {}
@@ -257,9 +265,13 @@ class KnowledgeBase:
             "_video_originals": video_originals,
             "_video_index": _compile_video_index(singles, chains),
             "_image_cells": _compile_image_cells(images),
+            "evidence": {},
         }
         for name, value in compiled.items():
             object.__setattr__(self, name, value)
+
+    def __reduce__(self):
+        return KnowledgeBase, (self.records, self.originals, self.manifest)
 
     def record(self, record_id: str) -> FingerprintRecord:
         return self._by_id[record_id]

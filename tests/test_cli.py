@@ -79,6 +79,28 @@ class TestScan:
         assert result.exit_code == 0
         assert [r["path"] for r in json.loads(result.output)["reports"]] == reference
 
+    @pytest.mark.parametrize("error", [FileNotFoundError, NotADirectoryError, OSError])
+    def test_directory_failing_to_list_is_skipped(self, runner, tmp_path, monkeypatch, error):
+        # A subdirectory removed between being listed and being opened, or
+        # failing to open for another reason, is skipped like an unreadable
+        # one; the rest of the tree is still reported.
+        for name in ("a.jpg", "gone/b.jpg", "gone/deeper/c.jpg", "kept/d.jpg"):
+            (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+            (tmp_path / name).write_bytes(make_jpeg(720, 960))
+        real_scandir = os.scandir
+
+        def scandir(path):
+            if Path(path).name == "gone":
+                raise error(2, "listing failed", str(path))
+            return real_scandir(path)
+
+        monkeypatch.setattr(os, "scandir", scandir)
+        result = runner.invoke(main, ["scan", str(tmp_path), "--format", "json"])
+        assert result.exit_code == 0, result.output
+        assert [r["path"] for r in json.loads(result.output)["reports"]] == [
+            f"{tmp_path}/a.jpg", f"{tmp_path}/kept/d.jpg",
+        ]
+
     def test_report_object_shape(self, runner, fixture_dir):
         result = runner.invoke(main, ["scan", str(fixture_dir / "discord.mov"), "--format", "json"])
         report = json.loads(result.output)["reports"][0]

@@ -1,4 +1,6 @@
+import copy
 import dataclasses
+import pickle
 
 from hypothesis import given, settings, strategies as st
 
@@ -27,6 +29,7 @@ from mediafp.kb import (
     VideoConstraints,
     load_kb_path,
 )
+from mediafp.oracle import generate_corpus
 
 
 def video(ext, profile, codec, vfp, w, l, encoder=None, markers=(), size=4096):
@@ -558,3 +561,206 @@ class TestImageCandidateIndex:
         kb = data.draw(_image_kbs())
         for attrs in data.draw(st.lists(_image_queries(kb), min_size=1, max_size=10)):
             _assert_image_index_is_exact(kb, attrs)
+
+
+# The matcher as it was before verdicts shared their evidence: a fresh frozen
+# Candidate or ChainHypothesis per match, and image candidates ranked like
+# video ones.  Frozen here as the reference the shared-evidence matcher must
+# equal, order and fields included.
+
+def _ref_candidate(rec, matched, used_band=False):
+    return Candidate(record_id=rec.record_id, app=rec.app, os=rec.os, quality=rec.quality,
+                     matched_fields=matched, used_size_band=used_band)
+
+
+def _ref_rank(pairs):
+    pairs.sort(key=lambda rc: (-len(rc[1].matched_fields), rc[0].index))
+    return [cand for _, cand in pairs]
+
+
+def _ref_disambiguate_by_size(candidates, byte_size, kb):
+    kept = []
+    for cand in candidates:
+        constraints = kb.record(cand.record_id).constraints
+        band = constraints.size_band if isinstance(constraints, ImageConstraints) else None
+        if band is not None and abs(byte_size - band[0]) <= band[1]:
+            kept.append(Candidate(
+                record_id=cand.record_id, app=cand.app, os=cand.os, quality=cand.quality,
+                matched_fields=tuple(dict.fromkeys(cand.matched_fields + ("byte_size",))),
+                used_size_band=True,
+            ))
+    return kept if kept else candidates
+
+
+def _ref_match_image(attrs, kb):
+    pairs = []
+    for rec in kb.image_candidates(attrs.width, attrs.length):
+        matched = satisfies_image(rec.constraints, attrs)
+        if matched is not None:
+            pairs.append((rec, _ref_candidate(rec, matched)))
+    candidates = _ref_rank(pairs)
+    if len(candidates) > 1:
+        candidates = _ref_disambiguate_by_size(candidates, attrs.byte_size, kb)
+    outcome = classify_outcome(candidates, (), original_like=kb.image_original(attrs) is not None)
+    return engine.Verdict(tuple(candidates), outcome, ())
+
+
+def _ref_infer_chain(attrs, kb):
+    hypotheses = []
+    _, chains = kb.video_candidates(attrs.codec_id, attrs.video_format_profile)
+    for rec in chains:
+        matched = satisfies_video(rec.constraints, attrs)
+        if matched is not None:
+            hypotheses.append(ChainHypothesis(nth_app=rec.nth_app or "", nplus1_app=rec.app, os=rec.os,
+                                              quality=rec.quality, evidence_fields=matched))
+    return hypotheses
+
+
+def _ref_match_video(attrs, kb, chains=True):
+    pairs = []
+    singles, _ = kb.video_candidates(attrs.codec_id, attrs.video_format_profile)
+    for rec in singles:
+        matched = satisfies_video(rec.constraints, attrs)
+        if matched is not None:
+            pairs.append((rec, _ref_candidate(rec, matched)))
+    candidates = _ref_rank(pairs)
+    hypotheses = _ref_infer_chain(attrs, kb) if chains else []
+    outcome = classify_outcome(candidates, hypotheses, original_like=kb.video_original(attrs) is not None)
+    return engine.Verdict(tuple(candidates), outcome, tuple(hypotheses))
+
+
+def _assert_video_parity(kb, attrs):
+    for chains in (True, False):
+        assert match_video(attrs, kb, chains=chains) == _ref_match_video(attrs, kb, chains=chains)
+    assert infer_chain(attrs, kb) == _ref_infer_chain(attrs, kb)
+
+
+class TestSharedEvidenceParity:
+    """Verdicts built from the KB's shared evidence equal the frozen reference:
+    same outcome, candidates and chains in the same order, same matched fields
+    and size-band flags."""
+
+    @given(_video_attrs(_SHIPPED["codec_ids"], _SHIPPED["video_format_profiles"],
+                        _SHIPPED["resolutions"], _SHIPPED["encoders"]))
+    @settings(max_examples=300, deadline=None)
+    def test_shipped_kb_videos(self, kb, attrs):
+        _assert_video_parity(kb, attrs)
+
+    @given(_image_queries(load_kb_path()))
+    @settings(max_examples=300, deadline=None)
+    def test_shipped_kb_images(self, kb, attrs):
+        assert match_image(attrs, kb) == _ref_match_image(attrs, kb)
+
+    def test_shipped_kb_generated_vectors(self, kb):
+        for entry in generate_corpus(kb):
+            attrs = entry.attributes
+            if entry.media_kind is MediaKind.IMAGE:
+                for size in _band_edge_sizes(kb):
+                    sized = dataclasses.replace(attrs, byte_size=size)
+                    assert match_image(sized, kb) == _ref_match_image(sized, kb)
+            else:
+                for markers in (attrs.markers, frozenset(), frozenset(Marker)):
+                    _assert_video_parity(kb, dataclasses.replace(attrs, markers=markers))
+
+    @given(_hand_built_kbs(), st.lists(_video_attrs(_CODECS, _PROFILES, _RESOLUTIONS, ()),
+                                       min_size=1, max_size=8))
+    @settings(max_examples=150, deadline=None)
+    def test_hand_built_video_kbs(self, kb, queries):
+        for attrs in queries:
+            _assert_video_parity(kb, attrs)
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_hand_built_image_kbs(self, data):
+        kb = data.draw(_image_kbs())
+        for attrs in data.draw(st.lists(_image_queries(kb), min_size=1, max_size=10)):
+            assert match_image(attrs, kb) == _ref_match_image(attrs, kb)
+
+
+def _assert_evidence_bounded(kb):
+    """Every table entry belongs to a KB record, and no record has more than two."""
+    per_record = {id(rec): 0 for rec in kb.records}
+    for key in kb.evidence:
+        per_record[key[0]] += 1
+    assert max(per_record.values(), default=0) <= 2
+
+
+class TestSharedEvidence:
+    def test_same_record_twice_is_the_same_object(self):
+        kb = load_kb_path()
+        attrs = video("mp4", FormatProfile.BASE_MEDIA, "isom (isom/iso2/avc1/mp41)", "Main@L4",
+                      1920, 1080, encoder="Lavf58.20.100")
+        first, second = match_video(attrs, kb), match_video(attrs, kb)
+        assert first.candidates and first.chain_hypotheses
+        assert all(a is b for a, b in zip(first.candidates, second.candidates))
+        assert all(a is b for a, b in zip(first.chain_hypotheses, second.chain_hypotheses))
+        assert all(a is b for a, b in zip(infer_chain(attrs, kb), first.chain_hypotheses))
+        for attrs in (ImageAttributes(720, 960, 98_000), ImageAttributes(720, 960, 75_000)):
+            first, second = match_image(attrs, kb), match_image(attrs, kb)
+            assert first.candidates
+            assert all(a is b for a, b in zip(first.candidates, second.candidates))
+
+    def test_banded_and_plain_evidence_are_distinct_entries(self):
+        kb = load_kb_path()
+        plain = match_image(ImageAttributes(720, 960, 75_000), kb).candidates
+        banded = match_image(ImageAttributes(720, 960, 98_000), kb).candidates
+        assert {(c.used_size_band, c.matched_fields) for c in plain} == {(False, ("resolution",))}
+        assert {(c.used_size_band, c.matched_fields) for c in banded} == {(True, ("resolution", "byte_size"))}
+        plain_by_id = {c.record_id: c for c in plain}
+        assert all(c is not plain_by_id[c.record_id] for c in banded)
+        assert len(kb.evidence) == len(plain) + len(banded)
+
+    def test_generated_vectors_fill_at_most_two_entries_per_record(self):
+        kb = load_kb_path()
+        assert kb.evidence == {}
+        for entry in generate_corpus(kb):
+            attrs = entry.attributes
+            if entry.media_kind is MediaKind.IMAGE:
+                for size in _band_edge_sizes(kb):
+                    match_image(dataclasses.replace(attrs, byte_size=size), kb)
+            else:
+                for markers in (attrs.markers, frozenset(), frozenset(Marker)):
+                    match_video(dataclasses.replace(attrs, markers=markers), kb)
+        assert kb.evidence
+        _assert_evidence_bounded(kb)
+
+    @given(st.lists(st.tuples(_video_attrs(_SHIPPED["codec_ids"], _SHIPPED["video_format_profiles"],
+                                           _SHIPPED["resolutions"], _SHIPPED["encoders"]),
+                              _image_queries(load_kb_path())), min_size=1, max_size=20))
+    @settings(max_examples=100, deadline=None)
+    def test_hypothesis_vectors_keep_the_bound(self, queries):
+        kb = load_kb_path()
+        for attrs, image in queries:
+            for markers in (attrs.markers, frozenset()):
+                match_video(dataclasses.replace(attrs, markers=markers), kb)
+            match_image(image, kb)
+        _assert_evidence_bounded(kb)
+
+    def test_records_sharing_an_index_keep_their_own_evidence(self):
+        # A directly built KB may leave every record at the default index 0;
+        # the table tells records apart by identity, not by that index.
+        constraints = VideoConstraints(codec_ids=("qt",), resolutions=((960, 540),))
+        kb = KnowledgeBase(tuple(
+            FingerprintRecord(f"t7-{app}", MediaKind.VIDEO, app, OS.IOS, "Default", constraints=constraints)
+            for app in ("A", "B")
+        ))
+        attrs = video("MOV", FormatProfile.QUICKTIME, "qt", "Main@L3.1", 960, 540)
+        for _ in range(2):
+            assert [c.record_id for c in match_video(attrs, kb).candidates] == ["t7-A", "t7-B"]
+
+    def test_replace_pickle_and_copy_start_empty(self):
+        kb = load_kb_path()
+        match_image(ImageAttributes(720, 960, 98_000), kb)
+        assert kb.evidence
+        for fresh in (dataclasses.replace(kb), pickle.loads(pickle.dumps(kb)), copy.copy(kb), copy.deepcopy(kb)):
+            assert fresh.evidence == {} and fresh.evidence is not kb.evidence
+            assert fresh == kb
+            assert match_image(ImageAttributes(720, 960, 98_000), fresh) == match_image(
+                ImageAttributes(720, 960, 98_000), kb)
+
+    def test_equality_ignores_the_table(self):
+        used, unused = load_kb_path(), load_kb_path()
+        match_video(video("MOV", FormatProfile.QUICKTIME, "qt", "Main@L3.1", 960, 540), used)
+        assert used.evidence and not unused.evidence
+        assert used == unused
+        assert "evidence" not in repr(unused)
