@@ -153,16 +153,18 @@ def disambiguate_by_size(
     candidates: list[Candidate],
     byte_size: int,
     kb: KnowledgeBase,
+    records: list[FingerprintRecord],
 ) -> list[Candidate]:
     """Keep candidates whose size band contains byte_size.
 
-    Bands are approximate, so when none contains the size the input comes
-    back unchanged; survivors are flagged as having used size evidence.
-    Never increases the candidate count, never empties a non-empty list.
+    ``records`` are the records the candidates came from, in the same order,
+    and each candidate is judged by its own record's band.  Bands are
+    approximate, so when none contains the size the input comes back
+    unchanged; survivors are flagged as having used size evidence.  Never
+    increases the candidate count, never empties a non-empty list.
     """
     kept: list[Candidate] = []
-    for cand in candidates:
-        rec = kb.record(cand.record_id)
+    for cand, rec in zip(candidates, records):
         band = rec.constraints.size_band if isinstance(rec.constraints, ImageConstraints) else None
         if band is not None and abs(byte_size - band[0]) <= band[1]:
             kept.append(_evidence(kb, rec, cand.matched_fields, True))
@@ -207,12 +209,14 @@ def match_image(attrs: ImageAttributes, kb: KnowledgeBase) -> Verdict:
     without ranking.
     """
     candidates: list[Candidate] = []
+    records: list[FingerprintRecord] = []
     for rec in kb.image_candidates(attrs.width, attrs.length):
         matched = satisfies_image(rec.constraints, attrs)
         if matched is not None:
             candidates.append(_evidence(kb, rec, matched))
+            records.append(rec)
     if len(candidates) > 1:
-        candidates = disambiguate_by_size(candidates, attrs.byte_size, kb)
+        candidates = disambiguate_by_size(candidates, attrs.byte_size, kb, records)
     outcome = classify_outcome(candidates, (), original_like=kb.image_original(attrs) is not None)
     return Verdict(tuple(candidates), outcome, ())
 

@@ -6,6 +6,10 @@ reads the stored dimensions from it (ITU T.81 layout: precision byte, then
 declared length; entropy-coded data after a start-of-scan is searched for the
 next real marker.  Entropy data and fill-byte runs are crossed by compiled
 regex searches, not by a Python step per byte.  Nothing is decoded.
+
+The stream may be a view of a file in place of a buffer; then only the
+pages where the walk lands are read, so a skipped segment costs nothing
+however long it is.
 """
 
 from __future__ import annotations
@@ -28,6 +32,11 @@ _SOS = 0xDA
 # _skip_entropy crosses to see what follows it.
 _NEXT_MARKER = re.compile(rb"\xff[^\x00\x01\xd0-\xd7]")
 _FILL_RUN = re.compile(rb"\xff+")
+# A view is read PAGE bytes at a time, each page from a segment header on.  A
+# header with no fill run before it takes _HEADER bytes up to the end of a
+# frame header's dimensions, so one page covers it.
+PAGE = 4 * 1024
+_HEADER = 9
 
 
 class JpegError(Exception):
@@ -62,22 +71,41 @@ def _skip_entropy(data, pos: int) -> int:
 def extract_image_attributes(data, byte_size: int | None = None) -> ImageAttributes:
     """Read width, length and byte size from JPEG bytes.
 
+    ``data`` is a bytes-like buffer, or a view that reads the slices asked of
+    it, such as ``report._FileView``; either way the result is that of the
+    bytes it stands for.  A view is read a page at a time from each segment
+    header the walk lands on past the bytes in hand, so segments it skips
+    are never read; a fill run that reaches past those bytes, and the
+    entropy data after a start-of-scan, are read to the end in one piece.
+
     ``byte_size`` overrides the reported size when only a head window of a
     larger file is passed in.  Raises NotJpeg on bad magic and NoFrameHeader
-    when no usable start-of-frame segment precedes the end of the buffer.
+    when no usable start-of-frame segment precedes the end of the buffer; a
+    view's own read errors pass through.
     """
-    if bytes(data[:2]) != SOI:
+    end = len(data)
+    # buf holds data[base:have], the bytes in hand.
+    buf = data if isinstance(data, (bytes, bytearray, memoryview)) else data[:PAGE]
+    base, have = 0, len(buf)
+    if bytes(buf[:2]) != SOI:
         raise NotJpeg("missing start-of-image marker")
-    size = len(data) if byte_size is None else byte_size
+    size = end if byte_size is None else byte_size
 
-    pos, end = 2, len(data)
+    pos = 2
     while pos < end:
-        if data[pos] != 0xFF:
+        if pos + _HEADER > have < end:
+            buf, base = data[pos:pos + PAGE], pos
+            have = pos + len(buf)
+        if buf[pos - base] != 0xFF:
             raise NoFrameHeader(f"expected marker at offset {pos}")
-        pos = _FILL_RUN.match(data, pos).end()  # fill bytes before the code
+        run_end = _FILL_RUN.match(buf, pos - base).end()  # fill bytes before the code
+        if base + run_end == have < end:
+            buf, base, have = data[pos:end], pos, end
+            run_end = _FILL_RUN.match(buf).end()
+        pos = base + run_end
         if pos >= end:
             break
-        marker = data[pos]
+        marker = buf[run_end]
         pos += 1
         if marker == 0x00 or marker in _STANDALONE:
             continue
@@ -85,17 +113,22 @@ def extract_image_attributes(data, byte_size: int | None = None) -> ImageAttribu
             break
         if pos + 2 > end:
             break
-        seg_len = struct.unpack_from(">H", data, pos)[0]
+        if pos + 7 > have < end:  # the length, and a frame header's dimensions
+            buf, base = data[pos:pos + max(PAGE, 7)], pos
+            have = pos + len(buf)
+        seg_len = struct.unpack_from(">H", buf, pos - base)[0]
         if seg_len < 2 or pos + seg_len > end:
             raise NoFrameHeader(f"segment length {seg_len} at offset {pos} breaks the stream")
         if marker in _SOF_MARKERS:
             if seg_len < 7:
                 raise NoFrameHeader("start-of-frame segment too short")
-            height, width = struct.unpack_from(">HH", data, pos + 3)
+            height, width = struct.unpack_from(">HH", buf, pos - base + 3)
             if width < 1 or height < 1:
                 raise NoFrameHeader("start-of-frame declares zero dimensions")
             return ImageAttributes(width=width, length=height, byte_size=size)
         pos += seg_len
         if marker == _SOS:
-            pos = _skip_entropy(data, pos)
+            if have < end:
+                buf, base, have = data[pos:end], pos, end
+            pos = base + _skip_entropy(buf, pos - base)
     raise NoFrameHeader("no start-of-frame segment before end of stream")

@@ -13,11 +13,12 @@ frozen dict form).
 
 from __future__ import annotations
 
+import errno
 import os
 from dataclasses import dataclass
-from io import FileIO
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
+from stat import S_ISDIR
 
 from . import container, jpeg
 from .attributes import ImageAttributes, MediaKind, VideoAttributes
@@ -25,17 +26,20 @@ from .engine import Candidate, ChainHypothesis, Verdict, match_image, match_vide
 from .kb import KnowledgeBase
 
 SCHEMA_VERSION = 1
-# Each file is opened once, unbuffered, and sized by fstat on that descriptor.
-# One head read of up to HEAD_READ bytes serves every use: sniffing the kind,
-# the JPEG head parse, and the whole file for a video no larger than the head
-# (or cut short by its end).  A larger video is parsed through a _FileView,
-# which reads only what the box walk asks for: its cost follows box structure.
+# Each file is opened once as a raw descriptor, sized by fstat on it, and
+# read by positioned reads, so no read depends on a file offset.  A file of
+# HEAD_READ bytes or less is read whole by the first read; a larger one
+# first reads one page, which serves sniffing the kind and the start of the
+# JPEG walk.  A larger video tops that head up to HEAD_READ bytes and is
+# parsed through a _FileView, which reads only what the box walk asks for; a
+# larger JPEG is parsed through a _FileView over its first JPEG_HEAD_WINDOW
+# bytes, read a page at each segment header the walk lands on.  Either
+# way, read cost follows the file's structure.  A file that ends inside its
+# first read (a video: inside its head) is parsed as read; one that ends
+# before its fstat size further on fails with TruncatedFile.
 HEAD_READ = 64 * 1024
-# The frame header of a real photo sits well inside the head.  Only when the
-# head parse finds no frame header and the head came back full is the file
-# re-read from offset 0, up to the head window, and parsed again.  The parser
-# scans forward, so a success or NotJpeg on the head is what the full window
-# would give too.
+# The frame header of a real photo sits near the start; a JPEG walk never
+# reads past this window, however far hostile entropy data runs.
 JPEG_HEAD_WINDOW = 16 * 1024 * 1024
 
 
@@ -56,12 +60,12 @@ def sniff_media_kind(head: bytes) -> MediaKind:
     return MediaKind.IMAGE if head[:2] == jpeg.SOI else MediaKind.VIDEO
 
 
-def _read_upto(handle: FileIO, limit: int, size: int) -> bytes:
-    # An unbuffered read may return short; read on until the buffer holds
-    # `limit` bytes or all `size` bytes fstat reported, or the file ends.
-    data = handle.read(limit)
-    while len(data) < min(limit, size):
-        more = handle.read(limit - len(data))
+def _pread(fd: int, limit: int, offset: int, want: int) -> bytes:
+    # Up to `limit` bytes at `offset`.  A read may return short; read on
+    # until the bytes hold `want`, or the file ends.
+    data = os.pread(fd, limit, offset)
+    while len(data) < want:
+        more = os.pread(fd, limit - len(data), offset + len(data))
         if not more:
             break
         data += more
@@ -69,52 +73,53 @@ def _read_upto(handle: FileIO, limit: int, size: int) -> bytes:
 
 
 class _FileView:
-    """A video of fstat size: slices inside the head come from the head,
-    others are read when asked for, and a short read is a TruncatedFile."""
+    """The first ``length`` bytes of a file of fstat ``size``: slices inside
+    the head come from the head, others are read when asked for, and a
+    short read is a TruncatedFile."""
 
-    def __init__(self, handle: FileIO, head: bytes, size: int) -> None:
-        self._handle, self._head, self._size = handle, head, size
+    def __init__(self, fd: int, head: bytes, size: int, length: int) -> None:
+        self._fd, self._head, self._size, self._length = fd, head, size, length
 
     def __len__(self) -> int:
-        return self._size
+        return self._length
 
     def __getitem__(self, index: slice) -> bytes:
-        start, stop, _ = index.indices(self._size)
+        start, stop, _ = index.indices(self._length)
         if stop <= len(self._head) or stop <= start:
             return self._head[start:stop]
-        self._handle.seek(start)
-        data = _read_upto(self._handle, stop - start, stop - start)
+        data = _pread(self._fd, stop - start, start, stop - start)
         if len(data) < stop - start:
             raise container.TruncatedFile(f"file ends before offset {stop}, short of its size {self._size}")
         return data
-
-
-def _read_jpeg(handle: FileIO, head: bytes, size: int) -> ImageAttributes:
-    try:
-        return jpeg.extract_image_attributes(head, byte_size=size)
-    except jpeg.NoFrameHeader:
-        if len(head) < HEAD_READ:
-            raise
-    # Re-read rather than append, so the head and a joined copy never coexist.
-    handle.seek(0)
-    return jpeg.extract_image_attributes(_read_upto(handle, JPEG_HEAD_WINDOW, size), byte_size=size)
 
 
 def scan_file(path: Path, kb: KnowledgeBase, chains: bool = True) -> FileReport:
     """Parse and match one file; parse and I/O failures become per-file errors."""
     kind: MediaKind | None = None
     try:
-        with open(path, "rb", buffering=0) as handle:
-            size = os.fstat(handle.fileno()).st_size
-            head = _read_upto(handle, HEAD_READ, size)
+        fd = os.open(path, os.O_RDONLY)
+        try:
+            stat = os.fstat(fd)
+            if S_ISDIR(stat.st_mode):
+                # As open() reports it; a read would raise without the path.
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), os.fspath(path))
+            size = stat.st_size
+            first = HEAD_READ if size <= HEAD_READ else jpeg.PAGE
+            head = _pread(fd, first, 0, min(first, size))
             kind = sniff_media_kind(head)
+            whole = len(head) < first or size <= HEAD_READ
             if kind is MediaKind.IMAGE:
-                attrs: VideoAttributes | ImageAttributes = _read_jpeg(handle, head, size)
+                data = head if whole else _FileView(fd, head, size, min(size, JPEG_HEAD_WINDOW))
+                attrs: VideoAttributes | ImageAttributes = jpeg.extract_image_attributes(data, byte_size=size)
                 verdict = match_image(attrs, kb)
             else:
-                data = _FileView(handle, head, size) if HEAD_READ <= len(head) < size else head
+                if not whole:
+                    head += _pread(fd, HEAD_READ - first, first, HEAD_READ - first)
+                data = _FileView(fd, head, size, size) if HEAD_READ <= len(head) < size else head
                 attrs = container.extract_video_attributes(data, name_hint=path.name)
                 verdict = match_video(attrs, kb, chains=chains)
+        finally:
+            os.close(fd)
     except (container.ParseError, jpeg.JpegError, OSError) as exc:
         return FileReport(str(path), kind, None, None, f"{type(exc).__name__}: {exc}")
     return FileReport(str(path), kind, attrs, verdict, None)

@@ -163,24 +163,40 @@ class TestFindOriginal:
             assert kb.video_original(dataclasses.replace(attrs, **changed)) is None
 
 
+def _records(kb, candidates):
+    return [kb.record(c.record_id) for c in candidates]
+
+
 class TestDisambiguateBySize:
     def test_wechat_vs_kakaotalk_high(self, kb):
         base = match_image(ImageAttributes(1080, 1440, 1_000_000), kb).candidates
         assert {c.app for c in base} == {"KakaoTalk", "WeChat"}
-        at_210k = disambiguate_by_size(list(base), 210_000, kb)
+        at_210k = disambiguate_by_size(list(base), 210_000, kb, _records(kb, base))
         assert {c.app for c in at_210k} == {"WeChat"}
-        at_480k = disambiguate_by_size(list(base), 480_000, kb)
+        at_480k = disambiguate_by_size(list(base), 480_000, kb, _records(kb, base))
         assert {c.app for c in at_480k} == {"KakaoTalk"}
 
     def test_single_candidate_unchanged(self, kb):
         candidates = [Candidate("t6-skype-default-ios", "Skype", OS.IOS, "Default", ("resolution",))]
-        assert disambiguate_by_size(candidates, 123, kb) == candidates
+        assert disambiguate_by_size(candidates, 123, kb, _records(kb, candidates)) == candidates
 
     def test_never_empties_and_never_grows(self, kb):
         base = list(match_image(ImageAttributes(1080, 1440, 1_000_000), kb).candidates)
         for size in (1, 100_000, 210_000, 480_000, 10_000_000):
-            result = disambiguate_by_size(base, size, kb)
+            result = disambiguate_by_size(base, size, kb, _records(kb, base))
             assert 0 < len(result) <= len(base)
+
+    def test_records_sharing_an_id_keep_their_own_apps(self):
+        # A directly built KB may repeat a record id (the loader refuses
+        # one); each candidate still takes its own record's app and band.
+        records = tuple(FingerprintRecord(
+            "t6-x", MediaKind.IMAGE, app, OS.IOS, "Default",
+            constraints=ImageConstraints(((720, 960),), (100_000, 10_000)), index=i,
+        ) for i, app in enumerate(("A", "B")))
+        kb = KnowledgeBase(records)
+        verdict = match_image(ImageAttributes(720, 960, 100_000), kb)
+        assert [c.app for c in verdict.candidates] == ["A", "B"]
+        assert all(c.used_size_band for c in verdict.candidates)
 
 
 class TestInferChain:

@@ -1,13 +1,20 @@
-import io
+import os
 import struct
+import tempfile
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mediafp import report
+from mediafp import jpeg, report
+from mediafp.attributes import ImageAttributes
 from mediafp.jpeg import (
+    _EOI,
+    _FILL_RUN,
     _SOF_MARKERS,
+    _SOS,
+    _STANDALONE,
+    SOI,
     JpegError,
     NoFrameHeader,
     NotJpeg,
@@ -217,14 +224,6 @@ def _outcome(parse, *args):
         return type(exc), str(exc)
 
 
-def _head_first(data, head_len):
-    """What ``report.scan_file`` gets for a file of ``data`` with a head of ``head_len``."""
-    handle = io.BytesIO(data)
-    with mock.patch.object(report, "HEAD_READ", head_len):
-        head = report._read_upto(handle, head_len, len(data))
-        return _outcome(report._read_jpeg, handle, head, len(data))
-
-
 @settings(max_examples=300, deadline=None)
 @given(_well_formed_streams())
 def test_well_formed_stream_yields_its_frame_dimensions_at_every_cut(stream):
@@ -238,14 +237,93 @@ def test_well_formed_stream_yields_its_frame_dimensions_at_every_cut(stream):
                 extract_image_attributes(data[:cut])
 
 
+def _reference_extract(data, byte_size=None):
+    """The parser as it was when it took only a buffer in hand: the frozen
+    reference a walk over a view or over bytes must equal, errors included."""
+    if bytes(data[:2]) != SOI:
+        raise NotJpeg("missing start-of-image marker")
+    size = len(data) if byte_size is None else byte_size
+
+    pos, end = 2, len(data)
+    while pos < end:
+        if data[pos] != 0xFF:
+            raise NoFrameHeader(f"expected marker at offset {pos}")
+        pos = _FILL_RUN.match(data, pos).end()
+        if pos >= end:
+            break
+        marker = data[pos]
+        pos += 1
+        if marker == 0x00 or marker in _STANDALONE:
+            continue
+        if marker == _EOI:
+            break
+        if pos + 2 > end:
+            break
+        seg_len = struct.unpack_from(">H", data, pos)[0]
+        if seg_len < 2 or pos + seg_len > end:
+            raise NoFrameHeader(f"segment length {seg_len} at offset {pos} breaks the stream")
+        if marker in _SOF_MARKERS:
+            if seg_len < 7:
+                raise NoFrameHeader("start-of-frame segment too short")
+            height, width = struct.unpack_from(">HH", data, pos + 3)
+            if width < 1 or height < 1:
+                raise NoFrameHeader("start-of-frame declares zero dimensions")
+            return ImageAttributes(width=width, length=height, byte_size=size)
+        pos += seg_len
+        if marker == _SOS:
+            pos = _skip_entropy(data, pos)
+    raise NoFrameHeader("no start-of-frame segment before end of stream")
+
+
 @settings(max_examples=300, deadline=None)
-@given(_segment_streams())
-def test_any_segment_stream_raises_only_jpeg_errors_and_head_first_equals_whole(data):
+@given(_segment_streams(), st.data())
+def test_any_segment_stream_raises_only_jpeg_errors_and_a_view_equals_the_reference(data, draw):
+    # Over bytes, at every cut; over a file view, at every first-read
+    # length, with a drawn page size and a window of the file's first
+    # `length` bytes, as report.scan_file builds it.
     for cut in range(len(data) + 1):
-        _outcome(extract_image_attributes, data[:cut])
-    whole = _outcome(extract_image_attributes, data)
-    for head_len in range(2, len(data) + 1):
-        assert _head_first(data, head_len) == whole, head_len
+        assert _outcome(extract_image_attributes, data[:cut]) == _outcome(_reference_extract, data[:cut]), cut
+    # Pages shorter than a frame header are drawn as often as longer ones.
+    page = draw.draw(st.integers(min_value=4, max_value=12) | st.integers(min_value=13, max_value=64), label="page")
+    length = draw.draw(st.just(len(data)) | st.integers(min_value=0, max_value=len(data)), label="length")
+    _assert_views_equal_the_reference(data, [page], length)
+
+
+def _assert_views_equal_the_reference(data, pages, length=None):
+    """A view over the first ``length`` bytes of a file of ``data``, at every
+    first-read length and each page size, parses as those bytes do."""
+    length = len(data) if length is None else length
+    expected = _outcome(_reference_extract, data[:length], len(data))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "photo.jpg")
+        with open(path, "wb") as out:
+            out.write(data)
+        fd = os.open(path, os.O_RDONLY)
+        try:
+            for page in pages:
+                with mock.patch.object(jpeg, "PAGE", page):
+                    for first in range(len(data) + 1):
+                        view = report._FileView(fd, data[:first], len(data), length)
+                        assert _outcome(extract_image_attributes, view, len(data)) == expected, (page, first)
+        finally:
+            os.close(fd)
+
+
+_SCAN = _segment(0xDA, bytes([1, 1, 0x00, 0, 63, 0]))
+
+
+@pytest.mark.parametrize("data", [
+    # A fill run longer than any page, then a frame header behind fill bytes.
+    b"\xff\xd8" + _segment(0xE0, bytes(10)) + b"\xff" * 100 + b"\xff\xff\xff" + _frame_header(0xC0, 640, 480, 1),
+    # Fill bytes that run to the end of the stream.
+    b"\xff\xd8" + _segment(0xFE, bytes(40)) + b"\xff" * 70,
+    # A scan, its entropy data with stuffing and restarts, then the frame.
+    b"\xff\xd8" + _SCAN + b"\x12\xff\x00\x34\xff\xff\xd3" * 12 + b"\xff\xff" + _frame_header(0xC2, 1, 2, 3),
+    # A segment whose length runs past the end of the stream.
+    b"\xff\xd8" + _segment(0xE1, bytes(30)) + _segment(0xDB, bytes(8), declared=200),
+], ids=["long-fill-run", "fill-to-end", "scan-first", "overlong-segment"])
+def test_a_view_at_every_page_size_equals_the_reference(data):
+    _assert_views_equal_the_reference(data, range(4, 65))
 
 
 @pytest.mark.parametrize("entropy", [b"\x12\xff\xd0\x34", b"\x12\xff\xff\xd0\x34", b"\x12\xff\xff\x00\x34",
@@ -255,3 +333,47 @@ def test_fill_bytes_inside_entropy_data_stay_in_the_scan(entropy):
     scan = _segment(0xDA, bytes([1, 1, 0x00, 0, 63, 0])) + entropy
     attrs = extract_image_attributes(b"\xff\xd8" + scan + _frame_header(0xC0, 640, 480, 1))
     assert (attrs.width, attrs.length) == (640, 480)
+
+
+def _count_preads(monkeypatch):
+    reads = []
+    real = os.pread
+
+    def counted(fd, count, offset):
+        data = real(fd, count, offset)
+        reads.append(len(data))
+        return data
+
+    monkeypatch.setattr(report.os, "pread", counted)
+    return reads
+
+
+# An APP1 segment of 48 KiB, and one that ends a byte before the first page
+# does, so that the next segment header straddles the page's end.
+@pytest.mark.parametrize("app1_payload", [48 * 1024, 4096 - 1 - 6])
+def test_segments_the_walk_skips_are_never_read(tmp_path, kb, monkeypatch, app1_payload):
+    # The APP1 segment sits between the start of the file and the frame
+    # header: the walk reads the first page, then one page at the frame.
+    app1 = _segment(0xE1, bytes(app1_payload))
+    photo = b"\xff\xd8" + app1 + make_jpeg(720, 960)[2:]
+    data = photo + bytes(200_000 - len(photo))
+    path = tmp_path / "photo.jpg"
+    path.write_bytes(data)
+    reads = _count_preads(monkeypatch)
+    result = report.scan_file(path, kb)
+    assert result.attributes == _reference_extract(data) == ImageAttributes(720, 960, 200_000)
+    assert 0 < sum(reads) <= 2 * 4096 and len(reads) == 2
+
+
+def test_scan_before_frame_is_parsed_once(tmp_path, kb, monkeypatch):
+    # Entropy data runs from a scan past the head to the frame header.
+    sos = _segment(0xDA, bytes([1, 1, 0x00, 0, 63, 0]))
+    data = b"\xff\xd8" + sos + b"\x5a" * (3 * report.HEAD_READ) + _frame_header(0xC0, 640, 480, 1)
+    path = tmp_path / "photo.jpg"
+    path.write_bytes(data)
+    calls = []
+    parse = jpeg.extract_image_attributes
+    monkeypatch.setattr(jpeg, "extract_image_attributes", lambda *args, **kw: calls.append(args) or parse(*args, **kw))
+    result = report.scan_file(path, kb)
+    assert result.attributes == _reference_extract(data) == ImageAttributes(640, 480, len(data))
+    assert len(calls) == 1

@@ -1,5 +1,5 @@
 import dataclasses
-import io
+import errno
 import json
 import os
 import struct
@@ -73,39 +73,33 @@ def test_byte_size_is_the_file_size(tmp_path, kb):
     assert report.attributes.byte_size == len(data)
 
 
-class _Handle(io.FileIO):
-    """An unbuffered file that adds the bytes each read returns to `read_total`.
+class _Reads:
+    """The positioned reads scan_file makes, counted: `calls` of them, which
+    returned `read_total` bytes.  With `short` set, a read returns at most
+    half of what it asks for and never more than 1000 bytes, so every reader
+    must read on."""
 
-    With `short` set, a read returns at most half of what it asks for and
-    never more than 1000 bytes, so every reader must read on.
-    """
-
-    short = False
-    read_total = 0
-
-    def _allowed(self, size):
-        if not self.short:
-            return size
-        return 1000 if size < 0 else min(max(1, size // 2), 1000)
-
-    def read(self, size=-1):
-        data = super().read(self._allowed(size))
-        type(self).read_total += len(data)
-        return data
-
-    def readinto(self, buffer):
-        with memoryview(buffer) as view:
-            count = super().readinto(view[:self._allowed(len(view))])
-        type(self).read_total += count or 0
-        return count
+    def __init__(self, short):
+        self.short, self.calls, self.read_total = short, 0, 0
 
 
 @pytest.fixture(params=[False, True], ids=["whole-reads", "short-reads"])
 def short_reads(request, monkeypatch):
-    """The handle type scan_file opens files with: whole or short reads."""
-    handle = type("Handle", (_Handle,), {"short": request.param})
-    monkeypatch.setattr(report, "open", lambda path, mode, buffering: handle(path, mode), raising=False)
-    return handle
+    """Whole or short positioned reads, counted; a test that makes none fails,
+    so a read path that bypasses them cannot pass unseen."""
+    reads, real = _Reads(request.param), os.pread
+
+    def pread(fd, count, offset):
+        if reads.short:
+            count = min(max(1, count // 2), 1000)
+        data = real(fd, count, offset)
+        reads.calls += 1
+        reads.read_total += len(data)
+        return data
+
+    monkeypatch.setattr(report.os, "pread", pread)
+    yield reads
+    assert reads.calls > 0
 
 
 def _scan_video(tmp_path, kb, data, name="clip.mov"):
@@ -128,6 +122,7 @@ def test_video_read_around_the_head(tmp_path, kb, short_reads, size):
     data = _discord(kb, size)
     assert len(data) == size
     assert _scan_video(tmp_path, kb, data).verdict.outcome.value == "Identified"
+    assert 0 < short_reads.read_total <= size
 
 
 def test_moov_after_a_large_mdat(tmp_path, kb, short_reads):
@@ -137,6 +132,7 @@ def test_moov_after_a_large_mdat(tmp_path, kb, short_reads):
     moved = data[:ftyp_end] + mdat + data[ftyp_end:]
     result = _scan_video(tmp_path, kb, moved)
     assert (result.attributes.width, result.attributes.length) == (960, 540)
+    assert 0 < short_reads.read_total < 2 * HEAD_READ
 
 
 @pytest.mark.parametrize("data,kind,error", [
@@ -151,18 +147,24 @@ def test_tiny_files_keep_their_errors(tmp_path, kb, short_reads, data, kind, err
     path.write_bytes(data)
     result = scan_file(path, kb)
     assert (result.media_kind.value, result.error) == (kind, error)
+    assert short_reads.read_total == len(data)
 
 
 def test_jpeg_frame_header_beyond_the_head_across_reads(tmp_path, kb, short_reads):
     data = make_jpeg(720, 960, total_size=3 * HEAD_READ)
     result = _scan(tmp_path, kb, data)
     assert result.attributes == extract_image_attributes(data)
+    assert 0 < short_reads.read_total < len(data)
 
 
 def _grow_fstat_size(monkeypatch, extra):
     real_fstat = report.os.fstat
-    monkeypatch.setattr(report.os, "fstat",
-                        lambda fd: type("Stat", (), {"st_size": real_fstat(fd).st_size + extra})())
+
+    def fstat(fd):
+        st = real_fstat(fd)
+        return os.stat_result((*st[:6], st.st_size + extra, *st[7:]))
+
+    monkeypatch.setattr(report.os, "fstat", fstat)
 
 
 def test_file_shorter_than_its_fstat_size(tmp_path, kb, monkeypatch):
@@ -182,6 +184,59 @@ def test_file_ending_inside_the_head_is_parsed_as_read(tmp_path, kb, monkeypatch
     _scan_video(tmp_path, kb, _discord(kb, 4096))
 
 
+def test_jpeg_ending_before_its_fstat_size_is_truncated(tmp_path, kb, monkeypatch):
+    # Past the first read, a JPEG that ends short of its fstat size fails
+    # where the walk reads past its end, as a video does.
+    data = make_jpeg(720, 960, total_size=3 * HEAD_READ)
+    _grow_fstat_size(monkeypatch, 100)
+    assert _scan(tmp_path, kb, data).error == (
+        f"TruncatedFile: file ends before offset {len(data) + 100}, short of its size {len(data) + 100}")
+
+
+def test_unopenable_paths_keep_their_error_rows(tmp_path, kb):
+    # The rows name the path, as open() does; a read on a descriptor of a
+    # directory would raise without it.
+    missing = tmp_path / "missing.jpg"
+    for path, error, code in ((missing, "FileNotFoundError", errno.ENOENT),
+                              (tmp_path, "IsADirectoryError", errno.EISDIR)):
+        result = scan_file(path, kb)
+        assert (result.media_kind, result.attributes) == (None, None)
+        assert result.error == f"{error}: [Errno {code}] {os.strerror(code)}: {str(path)!r}"
+
+
+def _failing_file(tmp_path, monkeypatch, case, kb):
+    path = tmp_path / "file"
+    if case == "missing":
+        return path
+    if case == "directory":
+        path.mkdir()
+        return path
+    data = {
+        "malformed-video": b"abc",
+        "no-frame-header": b"\xff\xd8" + bytes(2 * HEAD_READ),
+        "truncated-jpeg": make_jpeg(720, 960, total_size=3 * HEAD_READ),
+        "truncated-video": _discord(kb, 2 * HEAD_READ),
+    }[case]
+    path.write_bytes(data)
+    if case.startswith("truncated"):
+        _grow_fstat_size(monkeypatch, 100)
+    return path
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+@pytest.mark.parametrize("case,error", [
+    ("missing", "FileNotFoundError"), ("directory", "IsADirectoryError"),
+    ("malformed-video", "MalformedBox"), ("no-frame-header", "NoFrameHeader"),
+    ("truncated-jpeg", "TruncatedFile"), ("truncated-video", "TruncatedFile"),
+])
+def test_a_failed_scan_leaves_no_descriptor_open(tmp_path, kb, monkeypatch, case, error):
+    path = _failing_file(tmp_path, monkeypatch, case, kb)
+    before = len(os.listdir("/proc/self/fd"))
+    result = scan_file(path, kb)
+    assert len(os.listdir("/proc/self/fd")) == before
+    assert result.error.startswith(f"{error}: ")
+
+
 @pytest.mark.parametrize("moov_last", [False, True], ids=["moov-first", "moov-last"])
 @pytest.mark.parametrize("mib", [1, 4, 15, 32])
 def test_sparse_mdat_is_never_read(tmp_path, kb, short_reads, mib, moov_last):
@@ -190,7 +245,7 @@ def test_sparse_mdat_is_never_read(tmp_path, kb, short_reads, mib, moov_last):
     path = tmp_path / "clip.mov"
     write_sparse_video(path, _discord(kb, 0), mib << 20, moov_last)
     result = scan_file(path, kb)
-    assert short_reads.read_total < 2 * HEAD_READ
+    assert 0 < short_reads.read_total < 2 * HEAD_READ
     assert result.error is None, result.error
     assert result.attributes == extract_video_attributes(path.read_bytes(), name_hint=path.name)
     assert result.attributes.byte_size == path.stat().st_size > mib << 20
@@ -208,7 +263,7 @@ def test_ftyp_declaring_16_mib_is_refused_unread(tmp_path, kb, short_reads):
         handle.write(movie[ftyp_end:])
     result = scan_file(path, kb)
     assert result.error == f"MalformedBox: ftyp payload of {16 << 20} bytes exceeds 4096"
-    assert short_reads.read_total < 2 * HEAD_READ
+    assert 0 < short_reads.read_total < 2 * HEAD_READ
 
 
 def test_boxes_straddling_the_end_of_the_head(tmp_path, kb, short_reads):
@@ -225,6 +280,7 @@ def test_boxes_straddling_the_end_of_the_head(tmp_path, kb, short_reads):
         result = scan_file(path, kb)
         assert result.error is None, (moov_start, result.error)
         assert result.attributes == extract_video_attributes(data, name_hint=path.name)
+    assert short_reads.read_total > 0
 
 
 _MDAT_PAST_THE_HEAD = struct.pack(">I", 8 + HEAD_READ) + b"mdat" + bytes(HEAD_READ)
