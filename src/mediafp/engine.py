@@ -1,19 +1,19 @@
 """Match extracted attributes against the knowledge base.
 
-A record matches when every constraint it populates is satisfied: set
-membership for extension and format profile, exact string equality for codec
-id / video format profile / encoder, exact pair membership for resolutions
-(a wildcard always passes), and the marker rule (no marker outside the
-record's set, unless it allows any).  Image resolutions match within
-±10 px (``RESOLUTION_TOLERANCE``, defined in ``kb``) in width and in length,
-and colliding image candidates are disambiguated by byte-size bands.  Chain
+A video record matches when, for each of its rows of ``kb.VIDEO_FIELDS``
+(the fields it populates; a wildcard resolution has none), the file's value
+is one the row lists, and the marker rule holds (no marker outside the
+record's set, unless it allows any).  Image resolutions match within ±10 px
+(``RESOLUTION_TOLERANCE``, defined in ``kb``) in width and in length, and
+colliding image candidates are disambiguated by byte-size bands.  Chain
 records yield (N-th app, N+1st app) hypotheses for two-hop relays.
 
-A KnowledgeBase compiles its query indexes (candidate records per media kind
-and hop, overwritten chains, records by id, originals by their exact fields)
-when it is built.  A video is checked only against the single-hop and chain
-records the KB looks up by its codec id and video format profile, since
-every other record rejects one of those two fields.  An image is checked
+A KnowledgeBase compiles its query indexes (candidate records by codec id
+and video format profile, and by resolution cell; overwritten chains;
+records by id; originals by their exact fields) when it is built.  A video
+is checked only against the single-hop and chain records the KB looks up by
+its codec id and video format profile, since every other record rejects one
+of those two fields.  An image is checked
 only against the records the KB lists in the grid cell its resolution falls
 in, since every other record's resolutions lie beyond the tolerance.  Either
 way the verdict is the one a check against every record would give.  Load
@@ -84,37 +84,15 @@ def satisfies_video(constraints: VideoConstraints, attrs: VideoAttributes) -> tu
     the attributes positively agree (a wildcard resolution or an all-quiet
     marker rule passes but contributes no evidence).
     """
-    matched: list[str] = []
     c = constraints
-    if c.extensions:
-        if attrs.extension not in c.extensions:
+    for _, values, get in c.rows:
+        if get(attrs) not in values:
             return None
-        matched.append("extension")
-    if c.format_profiles:
-        if attrs.format_profile not in c.format_profiles:
-            return None
-        matched.append("format_profile")
-    if c.codec_ids:
-        if attrs.codec_id not in c.codec_ids:
-            return None
-        matched.append("codec_id")
-    if c.video_format_profiles:
-        if attrs.video_format_profile not in c.video_format_profiles:
-            return None
-        matched.append("video_format_profile")
-    if c.resolutions and not c.resolution_wildcard:
-        if (attrs.width, attrs.length) not in c.resolutions:
-            return None
-        matched.append("resolution")
-    if c.encoders:
-        if attrs.encoder not in c.encoders:
-            return None
-        matched.append("encoder")
     if c.forbidden_markers & attrs.markers:
         return None
     if attrs.markers and not c.markers_any and (attrs.markers & c.marker_set):
-        matched.append("markers")
-    return tuple(matched)
+        return c.matched_with_markers
+    return c.matched
 
 
 def satisfies_image(constraints: ImageConstraints, attrs: ImageAttributes) -> tuple[str, ...] | None:
@@ -194,11 +172,20 @@ def classify_outcome(
     return Outcome.UNKNOWN
 
 
-def _rank(pairs: list[tuple[FingerprintRecord, Candidate]]) -> list[Candidate]:
-    # More matched evidence ranks first; ties break on KB file order so the
-    # output is reproducible run to run.
-    pairs.sort(key=lambda rc: (-len(rc[1].matched_fields), rc[0].index))
-    return [cand for _, cand in pairs]
+def _matches(kb: KnowledgeBase, records: tuple[FingerprintRecord, ...], satisfies, attrs) -> tuple[list, list]:
+    """The records ``satisfies`` passes, in the order given, and the shared evidence each yields.
+
+    Callers pass the module global they read at call time, so a rebound name
+    is the one called.
+    """
+    matched_records: list[FingerprintRecord] = []
+    evidence: list = []
+    for rec in records:
+        matched = satisfies(rec.constraints, attrs)
+        if matched is not None:
+            matched_records.append(rec)
+            evidence.append(_evidence(kb, rec, matched))
+    return matched_records, evidence
 
 
 def match_image(attrs: ImageAttributes, kb: KnowledgeBase) -> Verdict:
@@ -208,13 +195,7 @@ def match_image(attrs: ImageAttributes, kb: KnowledgeBase) -> Verdict:
     same evidence, ``("resolution",)``, so candidates come out in that order
     without ranking.
     """
-    candidates: list[Candidate] = []
-    records: list[FingerprintRecord] = []
-    for rec in kb.image_candidates(attrs.width, attrs.length):
-        matched = satisfies_image(rec.constraints, attrs)
-        if matched is not None:
-            candidates.append(_evidence(kb, rec, matched))
-            records.append(rec)
+    records, candidates = _matches(kb, kb.image_candidates(attrs.width, attrs.length), satisfies_image, attrs)
     if len(candidates) > 1:
         candidates = disambiguate_by_size(candidates, attrs.byte_size, kb, records)
     outcome = classify_outcome(candidates, (), original_like=kb.image_original(attrs) is not None)
@@ -223,24 +204,19 @@ def match_image(attrs: ImageAttributes, kb: KnowledgeBase) -> Verdict:
 
 def infer_chain(attrs: VideoAttributes, kb: KnowledgeBase) -> list[ChainHypothesis]:
     """All (N-th, N+1st) relay paths consistent with the attributes."""
-    hypotheses: list[ChainHypothesis] = []
     _, chains = kb.video_candidates(attrs.codec_id, attrs.video_format_profile)
-    for rec in chains:
-        matched = satisfies_video(rec.constraints, attrs)
-        if matched is not None:
-            hypotheses.append(_evidence(kb, rec, matched))
-    return hypotheses
+    return _matches(kb, chains, satisfies_video, attrs)[1]
 
 
 def match_video(attrs: VideoAttributes, kb: KnowledgeBase, chains: bool = True) -> Verdict:
-    """Match a video against single-hop records and, optionally, relay chains."""
-    pairs: list[tuple[FingerprintRecord, Candidate]] = []
+    """Match a video against single-hop records and, optionally, relay chains.
+
+    More matched evidence ranks first; the sort is stable over candidates in
+    KB file order, so ties keep that order.
+    """
     singles, _ = kb.video_candidates(attrs.codec_id, attrs.video_format_profile)
-    for rec in singles:
-        matched = satisfies_video(rec.constraints, attrs)
-        if matched is not None:
-            pairs.append((rec, _evidence(kb, rec, matched)))
-    candidates = _rank(pairs)
+    _, candidates = _matches(kb, singles, satisfies_video, attrs)
+    candidates.sort(key=lambda cand: -len(cand.matched_fields))
     hypotheses = infer_chain(attrs, kb) if chains else []
     outcome = classify_outcome(candidates, hypotheses, original_like=kb.video_original(attrs) is not None)
     return Verdict(tuple(candidates), outcome, tuple(hypotheses))

@@ -4,13 +4,18 @@ The KB is plain text, line oriented.  A block starts with ``[record <id>]``
 (one messenger fingerprint), ``[original <id>]`` (an untouched-camera
 profile) or ``[manifest]``, followed by ``key = value`` lines.
 List values are comma separated, resolution pairs are ``WxH``, strings that
-must match exactly (codec ids, format-profile strings, encoders) are quoted.
-Whole lines starting with ``#`` are comments.  Encoding UTF-8, LF endings.
+must match exactly (codec ids, format-profile strings, encoders) are quoted,
+and a comma inside quotes belongs to its item.  Whole lines starting with
+``#`` are comments.  Encoding UTF-8, LF endings.
 
 Record ids carry a group prefix (``t7-...``); the ``[manifest]`` block pins
 the expected record count per group (``table7 = 20``) so any row lost or
 gained while editing the data files fails the load instead of silently
 shifting verdicts.
+
+``VIDEO_FIELDS`` is the one list of video membership fields; each
+``VideoConstraints`` compiles its populated rows of it, which ``engine``
+matches by looping over.
 
 A loaded ``KnowledgeBase`` compiles the indexes queries use.  Image
 resolutions match within ``RESOLUTION_TOLERANCE`` pixels; the constant lives
@@ -25,6 +30,7 @@ import os as _os
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import attrgetter
 from pathlib import Path
 
 from .attributes import (
@@ -74,6 +80,19 @@ class ImageConstraints:
     size_band: tuple[int, int] | None = None  # (center, tolerance) in bytes
 
 
+# The video membership fields in check order: (KB key, also the field's name
+# in ``matched_fields``; VideoConstraints attribute; getter on
+# VideoAttributes).  A record that populates one matches only the values it lists.
+VIDEO_FIELDS = (
+    ("extension", "extensions", attrgetter("extension")),
+    ("format_profile", "format_profiles", attrgetter("format_profile")),
+    ("codec_id", "codec_ids", attrgetter("codec_id")),
+    ("video_format_profile", "video_format_profiles", attrgetter("video_format_profile")),
+    ("resolution", "resolutions", attrgetter("width", "length")),
+    ("encoder", "encoders", attrgetter("encoder")),
+)
+
+
 @dataclass(frozen=True)
 class VideoConstraints:
     """Evidence a video fingerprint matches on.
@@ -93,6 +112,28 @@ class VideoConstraints:
     markers: tuple[Marker, ...] = ()
     markers_any: bool = False
 
+    # Compiled from the fields; not part of equality, repr or the constructor.
+    # ``rows`` holds (field name, the record's own values, getter) for each
+    # populated ``VIDEO_FIELDS`` row, in check order; a wildcard resolution
+    # has no row, as it passes every file and is no evidence.
+    rows: tuple[tuple[str, tuple, attrgetter], ...] = field(init=False, repr=False, compare=False)
+    matched: tuple[str, ...] = field(init=False, repr=False, compare=False)  # the rows' names
+    matched_with_markers: tuple[str, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        # Built now, not on first use: a lazy build would land in the latency
+        # of whichever scanned file first reaches the record.
+        rows, names = [], []
+        for name, attr, get in VIDEO_FIELDS:
+            values = getattr(self, attr)
+            if values and not (name == "resolution" and self.resolution_wildcard):
+                rows.append((name, values, get))
+                names.append(name)
+        matched = tuple(names)
+        object.__setattr__(self, "rows", tuple(rows))
+        object.__setattr__(self, "matched", matched)
+        object.__setattr__(self, "matched_with_markers", matched + ("markers",))
+
     # The marker sets are computed on first use and kept, so matching does
     # not rebuild them per call and loading a KB does not pay for them.
     @cached_property
@@ -106,15 +147,7 @@ class VideoConstraints:
         return ALL_MARKERS - self.marker_set
 
     def is_empty(self) -> bool:
-        return not (
-            self.extensions
-            or self.format_profiles
-            or self.codec_ids
-            or self.video_format_profiles
-            or self.resolutions
-            or self.resolution_wildcard
-            or self.encoders
-        )
+        return not (self.resolution_wildcard or self.rows)
 
 
 Constraints = ImageConstraints | VideoConstraints
@@ -133,7 +166,6 @@ class FingerprintRecord:
     nth_app: str | None = None
     distinguishable: bool = True
     constraints: Constraints | None = None
-    index: int = field(default=0, compare=False)
 
     @property
     def group(self) -> str:
@@ -201,9 +233,6 @@ class KnowledgeBase:
     manifest: tuple[tuple[str, int], ...] | None = None
 
     # Compiled indexes; not part of equality, repr or the constructor.
-    image_records: tuple[FingerprintRecord, ...] = field(init=False, repr=False, compare=False)
-    video_singles: tuple[FingerprintRecord, ...] = field(init=False, repr=False, compare=False)
-    video_chains: tuple[FingerprintRecord, ...] = field(init=False, repr=False, compare=False)
     overwritten_chain_ids: frozenset[str] = field(init=False, repr=False, compare=False)
     _image_originals: dict[tuple[int, int], OriginalProfile] = field(init=False, repr=False, compare=False)
     _video_originals: dict[tuple, OriginalProfile] = field(init=False, repr=False, compare=False)
@@ -258,9 +287,6 @@ class KnowledgeBase:
         compiled = {
             "_by_id": by_id,
             "overwritten_chain_ids": frozenset(overwritten),
-            "image_records": tuple(images),
-            "video_singles": tuple(singles),
-            "video_chains": tuple(chains),
             "_image_originals": image_originals,
             "_video_originals": video_originals,
             "_video_index": _compile_video_index(singles, chains),
@@ -380,18 +406,15 @@ def group_key(record_id: str) -> str:
 _SECTION_RE = re.compile(r"^\[(\w+)(?:\s+(\S+))?\]$")
 _RESOLUTION_RE = re.compile(r"^(\d+)x(\d+)$")
 _SIZE_BAND_RE = re.compile(r"^(\d+)\s*\+-\s*(\d+)$")
+# A run of characters that are neither comma nor quote, or quoted strings.
+_LIST_ITEM_RE = re.compile(r'(?:[^,"]|"[^"]*")+')
 
-_RECORD_KEYS = frozenset({
-    "media", "app", "os", "quality", "hop", "nth_app", "indistinguishable",
-    "extension", "format_profile", "codec_id", "video_format_profile",
-    "resolution", "size_band", "encoder",
-    "markers",
-})
-_VIDEO_ONLY_KEYS = frozenset({
-    "extension", "format_profile", "codec_id", "video_format_profile",
-    "encoder", "markers",
-})
+# Resolution is the one constraint key both media kinds take.
+_VIDEO_ONLY_KEYS = frozenset(key for key, _, _ in VIDEO_FIELDS if key != "resolution") | {"markers"}
 _IMAGE_ONLY_KEYS = frozenset({"size_band"})
+_RECORD_KEYS = frozenset({
+    "media", "app", "os", "quality", "hop", "nth_app", "indistinguishable", "resolution",
+}) | _VIDEO_ONLY_KEYS | _IMAGE_ONLY_KEYS
 _ORIGINAL_KEYS = frozenset({
     "media", "os", "extension", "format_profile", "codec_id",
     "video_format_profile", "resolution", "nominal_size",
@@ -405,13 +428,19 @@ def _unquote(item: str) -> str:
     return item
 
 
-def _parse_list(value: str) -> list[str]:
-    return [_unquote(part) for part in value.split(",") if part.strip()]
+def _parse_list(value: str, where: str) -> tuple[str, ...]:
+    """Comma-separated items; a comma between double quotes belongs to its item."""
+    if value.count('"') % 2:
+        raise SchemaError(f"{where}: unbalanced quote in {value!r}")
+    # Only a value holding both can have a comma inside quotes; any other,
+    # which is nearly every value, splits faster as plain text.
+    parts = _LIST_ITEM_RE.findall(value) if '"' in value and "," in value else value.split(",")
+    return tuple([_unquote(part) for part in parts if part.strip()])
 
 
 def _parse_resolutions(value: str, where: str) -> tuple[tuple[int, int], ...]:
     pairs = []
-    for part in _parse_list(value):
+    for part in _parse_list(value, where):
         m = _RESOLUTION_RE.match(part)
         if m is None:
             raise SchemaError(f"{where}: bad resolution {part!r}")
@@ -433,7 +462,7 @@ def _parse_bool(value: str, where: str) -> bool:
 
 def _parse_format_profiles(value: str, where: str) -> tuple[FormatProfile, ...]:
     profiles = []
-    for item in _parse_list(value):
+    for item in _parse_list(value, where):
         try:
             profiles.append(FormatProfile(item))
         except ValueError:
@@ -443,12 +472,16 @@ def _parse_format_profiles(value: str, where: str) -> tuple[FormatProfile, ...]:
 
 def _parse_markers(value: str, where: str) -> tuple[Marker, ...]:
     markers = []
-    for item in _parse_list(value):
+    for item in _parse_list(value, where):
         try:
             markers.append(parse_marker(item))
         except ValueError as exc:
             raise SchemaError(f"{where}: {exc}") from None
     return tuple(markers)
+
+
+# Video membership values that parse to a type; any other is a string list.
+_TYPED_PARSERS = {"format_profile": _parse_format_profiles, "resolution": _parse_resolutions}
 
 
 class _Block:
@@ -492,7 +525,7 @@ def _split_blocks(text: str) -> list[_Block]:
     return blocks
 
 
-def _build_record(block: _Block, index: int) -> FingerprintRecord:
+def _build_record(block: _Block) -> FingerprintRecord:
     where = block.where()
     unknown = set(block.fields) - _RECORD_KEYS
     if unknown:
@@ -544,23 +577,18 @@ def _build_record(block: _Block, index: int) -> FingerprintRecord:
             size_band = (int(m.group(1)), int(m.group(2)))
         constraints = ImageConstraints(resolutions, size_band)
     else:
-        wildcard = False
-        resolutions: tuple[tuple[int, int], ...] = ()
-        if "resolution" in f:
-            if f["resolution"].strip().lower() == "irregular":
-                wildcard = True
-            else:
-                resolutions = _parse_resolutions(f["resolution"], where)
+        # `resolution = irregular` sets the wildcard and lists no resolution.
+        wildcard = f.get("resolution", "").strip().lower() == "irregular"
+        values = {
+            attr: _TYPED_PARSERS.get(key, _parse_list)(f[key], where)
+            for key, attr, _ in VIDEO_FIELDS
+            if key in f and not (wildcard and key == "resolution")
+        }
         markers_value = f.get("markers", "").strip()
         markers_any = markers_value.lower() == "any"
         constraints = VideoConstraints(
-            extensions=tuple(_parse_list(f["extension"])) if "extension" in f else (),
-            format_profiles=_parse_format_profiles(f["format_profile"], where) if "format_profile" in f else (),
-            codec_ids=tuple(_parse_list(f["codec_id"])) if "codec_id" in f else (),
-            video_format_profiles=tuple(_parse_list(f["video_format_profile"])) if "video_format_profile" in f else (),
-            resolutions=resolutions,
+            **values,
             resolution_wildcard=wildcard,
-            encoders=tuple(_parse_list(f["encoder"])) if "encoder" in f else (),
             markers=() if markers_any else _parse_markers(markers_value, where) if markers_value else (),
             markers_any=markers_any,
         )
@@ -577,7 +605,6 @@ def _build_record(block: _Block, index: int) -> FingerprintRecord:
         nth_app=nth_app,
         distinguishable=not indistinguishable,
         constraints=constraints,
-        index=index,
     )
 
 
@@ -631,7 +658,7 @@ def load_kb(text: str) -> KnowledgeBase:
 
     for block in _split_blocks(text):
         if block.kind == "record":
-            records.append(_build_record(block, index=len(records)))
+            records.append(_build_record(block))
         elif block.kind == "original":
             originals.append(_build_original(block))
         else:  # manifest
@@ -661,17 +688,17 @@ def load_kb(text: str) -> KnowledgeBase:
 
 
 def _verify_manifest(kb: KnowledgeBase) -> None:
-    counts: dict[str, int] = {}
+    # A group missing from either side counts as 0 there.
+    counts: dict[str, int] = {"originals": len(kb.originals)}
     for rec in kb.records:
         counts[rec.group] = counts.get(rec.group, 0) + 1
-    if kb.originals:
-        counts["originals"] = len(kb.originals)
     declared = dict(kb.manifest or ())
-    if declared != counts:
-        drift = []
-        for key in sorted(set(declared) | set(counts)):
-            if declared.get(key) != counts.get(key):
-                drift.append(f"{key}: declared {declared.get(key, 0)}, loaded {counts.get(key, 0)}")
+    drift = [
+        f"{key}: declared {declared.get(key, 0)}, loaded {counts.get(key, 0)}"
+        for key in sorted(set(declared) | set(counts))
+        if declared.get(key, 0) != counts.get(key, 0)
+    ]
+    if drift:
         raise ManifestMismatch("; ".join(drift))
 
 
@@ -776,7 +803,7 @@ def list_records(
 
 
 __all__ = [
-    "KB_ENV_VAR", "ALL_MARKERS", "RESOLUTION_TOLERANCE",
+    "KB_ENV_VAR", "ALL_MARKERS", "RESOLUTION_TOLERANCE", "VIDEO_FIELDS",
     "KbError", "SchemaError", "ManifestMismatch",
     "Hop", "ImageConstraints", "VideoConstraints", "FingerprintRecord",
     "OriginalProfile", "KnowledgeBase", "Finding",

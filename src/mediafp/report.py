@@ -18,7 +18,7 @@ import os
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from stat import S_ISDIR
+from stat import S_ISDIR, S_ISREG
 
 from . import container, jpeg
 from .attributes import ImageAttributes, MediaKind, VideoAttributes
@@ -97,12 +97,16 @@ def scan_file(path: Path, kb: KnowledgeBase, chains: bool = True) -> FileReport:
     """Parse and match one file; parse and I/O failures become per-file errors."""
     kind: MediaKind | None = None
     try:
-        fd = os.open(path, os.O_RDONLY)
+        # Without O_NONBLOCK, opening a FIFO waits for a writer, before the
+        # check below can refuse it; reads of a regular file never block.
+        fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
         try:
             stat = os.fstat(fd)
-            if S_ISDIR(stat.st_mode):
-                # As open() reports it; a read would raise without the path.
-                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), os.fspath(path))
+            if not S_ISREG(stat.st_mode):
+                if S_ISDIR(stat.st_mode):
+                    # As open() reports it; a read would raise without the path.
+                    raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), os.fspath(path))
+                raise OSError(f"not a regular file: {os.fspath(path)!r}")
             size = stat.st_size
             first = HEAD_READ if size <= HEAD_READ else jpeg.PAGE
             head = _pread(fd, first, 0, min(first, size))

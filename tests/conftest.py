@@ -3,12 +3,54 @@ import struct
 
 import pytest
 
-from mediafp.kb import load_kb_path
+from mediafp.kb import Hop, MediaKind, load_kb_path
 
 
 @pytest.fixture(scope="session")
 def kb():
     return load_kb_path()
+
+
+# Per KB, by identity; the KB is kept with its entry, so its id is not reused.
+_BRUTE_FORCE_RECORDS = {}
+
+
+def brute_force_records(kb):
+    """The records a match would check if the KB had no indexes, each tuple in
+    KB file order: the image records, the single-hop video records and the
+    relay video records whose constraints no single hop of the same app, OS
+    and media kind repeats (those relays are overwritten), plus the ids of the
+    overwritten relays.  A KB's records never change, so each KB's answer is
+    worked out once."""
+    cached = _BRUTE_FORCE_RECORDS.get(id(kb))
+    if cached is None:
+        cached = _BRUTE_FORCE_RECORDS[id(kb)] = (kb, _brute_force_records(kb))
+    return cached[1]
+
+
+def _brute_force_records(kb):
+    overwritten = frozenset(
+        rec.record_id for rec in kb.records
+        if rec.hop is Hop.CHAIN and rec.distinguishable and any(
+            other.hop is Hop.SINGLE
+            and other.app == rec.app
+            and other.os is rec.os
+            and other.media_kind is rec.media_kind
+            and other.distinguishable
+            and other.constraints == rec.constraints
+            for other in kb.records
+        )
+    )
+    usable = [rec for rec in kb.records if rec.distinguishable]
+    return {
+        "overwritten_chain_ids": overwritten,
+        "image_records": tuple(r for r in usable if r.media_kind is MediaKind.IMAGE),
+        "video_singles": tuple(r for r in usable if r.media_kind is MediaKind.VIDEO and r.hop is Hop.SINGLE),
+        "video_chains": tuple(
+            r for r in usable
+            if r.media_kind is MediaKind.VIDEO and r.hop is Hop.CHAIN and r.record_id not in overwritten
+        ),
+    }
 
 
 def make_jpeg(width, length, total_size=None, progressive=False, leading_segments=0):

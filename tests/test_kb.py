@@ -1,10 +1,12 @@
 import dataclasses
+import re
 
 import pytest
 
-from mediafp.attributes import FormatProfile, ImageAttributes, Marker, MediaKind, OS
+from mediafp.attributes import FormatProfile, ImageAttributes, Marker, MediaKind, OS, VideoAttributes
 from mediafp.kb import (
     RESOLUTION_TOLERANCE,
+    VIDEO_FIELDS,
     FingerprintRecord,
     Hop,
     ImageConstraints,
@@ -19,6 +21,8 @@ from mediafp.kb import (
     load_kb_path,
     validate_kb,
 )
+
+from conftest import brute_force_records
 
 WHATSAPP_IMAGE_BLOCK = """
 [record t6-whatsapp-default-ios]
@@ -93,6 +97,21 @@ resolution = 1920x1072
 def test_manifest_accepts_exact_counts():
     kb = load_kb(WHATSAPP_IMAGE_BLOCK + "\n[manifest]\ntable6 = 1\n")
     assert kb.manifest == (("table6", 1),)
+    # A group with nothing loaded may be declared as 0.
+    kb = load_kb(WHATSAPP_IMAGE_BLOCK + "\n[manifest]\ntable6 = 1\noriginals = 0\ntable7 = 0\n")
+    assert kb.manifest == (("table6", 1), ("originals", 0), ("table7", 0))
+
+
+def test_manifest_mismatch_names_only_the_groups_that_drifted():
+    text = (WHATSAPP_IMAGE_BLOCK + IMAGE_RECORD + IMAGE_ORIGINAL + "nominal_size = 2000000\n"
+            + "\n[manifest]\ntable6 = 1\noriginals = 0\ntable7 = 0\ntable8 = 3\n")
+    with pytest.raises(ManifestMismatch) as caught:
+        load_kb(text)
+    message = str(caught.value)
+    assert message == (
+        "originals: declared 0, loaded 1; table6: declared 1, loaded 2; table8: declared 3, loaded 0"
+    )
+    assert re.search(r"declared (\d+), loaded \1\b", message) is None
 
 
 @pytest.mark.parametrize("os_line,resolution_line,extra,needle", [
@@ -120,6 +139,8 @@ def test_manifest_accepts_exact_counts():
                  "at least one resolution", id="image-with-empty-resolution"),
     pytest.param("os = iOS", "", "[record t7-z]\nmedia = video\napp = Z\nos = iOS\nquality = Default",
                  "carries no constraints", id="video-without-constraints"),
+    pytest.param("os = iOS", "resolution = 100x100", 'encoder = "Lavf, custom, "x"',
+                 r"^\[record t7-x\] \(line 2\): unbalanced quote", id="unbalanced-quote"),
 ])
 def test_schema_errors(tmp_path, os_line, resolution_line, extra, needle):
     # Through a file, so text that is not UTF-8 (written here from a lone
@@ -141,6 +162,42 @@ video_format_profile = "Main@L3"
     path.write_bytes(text.encode("utf-8", "surrogateescape"))
     with pytest.raises(SchemaError, match=needle):
         load_kb_path(path)
+
+
+def test_quoted_list_items_keep_their_commas():
+    kb = load_kb("""
+[record t7-x]
+media = video
+app = X
+os = iOS
+quality = Default
+codec_id = "isom (isom/iso2/avc1/mp41)"
+encoder = "Lavf, custom", "x" , plain,, "a,b,c"
+""")
+    assert kb.records[0].constraints.encoders == ("Lavf, custom", "x", "plain", "a,b,c")
+
+
+def test_video_rows_follow_the_field_table():
+    assert [key for key, _, _ in VIDEO_FIELDS] == [
+        "extension", "format_profile", "codec_id", "video_format_profile", "resolution", "encoder",
+    ]
+    assert {attr for _, attr, _ in VIDEO_FIELDS} < {f.name for f in dataclasses.fields(VideoConstraints)}
+    constraints = VideoConstraints(
+        extensions=("mp4",), resolutions=((640, 360),), encoders=("Lavf58.20.100",), markers=(Marker.COPYRIGHT,),
+    )
+    assert [name for name, _, _ in constraints.rows] == ["extension", "resolution", "encoder"]
+    # The rows hold the record's own tuples, and read the file's values.
+    assert all(values is getattr(constraints, attr) for (_, values, _), attr in
+               zip(constraints.rows, ("extensions", "resolutions", "encoders")))
+    attrs = VideoAttributes("mp4", FormatProfile.BASE_MEDIA, "qt", "", 640, 360, encoder="Lavf58.20.100")
+    assert [get(attrs) for _, _, get in constraints.rows] == ["mp4", (640, 360), "Lavf58.20.100"]
+    assert constraints.matched == ("extension", "resolution", "encoder")
+    assert constraints.matched_with_markers == ("extension", "resolution", "encoder", "markers")
+    wildcard = dataclasses.replace(constraints, resolution_wildcard=True)
+    assert [name for name, _, _ in wildcard.rows] == ["extension", "encoder"]
+    assert not wildcard.is_empty()
+    assert not VideoConstraints(resolution_wildcard=True).is_empty()
+    assert VideoConstraints(markers=(Marker.COPYRIGHT,), markers_any=True).is_empty()
 
 
 def test_unreadable_kb_raises_kb_error(tmp_path):
@@ -350,32 +407,11 @@ class TestShippedInvariants:
 
 
 def _brute_force_indexes(kb):
-    """The per-record filters queries ran before the KB compiled them."""
-    overwritten = frozenset(
-        rec.record_id for rec in kb.records
-        if rec.hop is Hop.CHAIN and rec.distinguishable and any(
-            other.hop is Hop.SINGLE
-            and other.app == rec.app
-            and other.os is rec.os
-            and other.media_kind is rec.media_kind
-            and other.distinguishable
-            and other.constraints == rec.constraints
-            for other in kb.records
-        )
-    )
-    usable = [rec for rec in kb.records if rec.distinguishable]
-    images = tuple(r for r in usable if r.media_kind is MediaKind.IMAGE)
+    """The indexes the KB compiles, found by per-record filters instead."""
+    records = brute_force_records(kb)
     return {
-        "overwritten_chain_ids": overwritten,
-        "image_records": images,
-        "_image_cells": _brute_force_image_cells(images),
-        "video_singles": tuple(
-            r for r in usable if r.media_kind is MediaKind.VIDEO and r.hop is Hop.SINGLE
-        ),
-        "video_chains": tuple(
-            r for r in usable
-            if r.media_kind is MediaKind.VIDEO and r.hop is Hop.CHAIN and r.record_id not in overwritten
-        ),
+        "overwritten_chain_ids": records["overwritten_chain_ids"],
+        "_image_cells": _brute_force_image_cells(records["image_records"]),
     }
 
 
@@ -402,9 +438,10 @@ def _compiled_indexes(kb):
 
 
 def _assert_candidates_match_brute_force(kb):
-    """``video_candidates`` equals filtering the video tuples by the two fields."""
-    named = [(c.codec_ids, c.video_format_profiles)
-             for c in (r.constraints for r in kb.video_singles + kb.video_chains)]
+    """``video_candidates`` equals filtering the video records by the two fields."""
+    records = brute_force_records(kb)
+    singles, chains = records["video_singles"], records["video_chains"]
+    named = [(c.codec_ids, c.video_format_profiles) for c in (r.constraints for r in singles + chains)]
     codecs = {v for codec_ids, _ in named for v in codec_ids} | {"no such codec"}
     profiles = {v for _, vfps in named for v in vfps} | {"no such profile"}
 
@@ -416,8 +453,8 @@ def _assert_candidates_match_brute_force(kb):
     for codec in codecs:
         for profile in profiles:
             assert kb.video_candidates(codec, profile) == (
-                tuple(r for r in kb.video_singles if admits(r, codec, profile)),
-                tuple(r for r in kb.video_chains if admits(r, codec, profile)),
+                tuple(r for r in singles if admits(r, codec, profile)),
+                tuple(r for r in chains if admits(r, codec, profile)),
             ), (codec, profile)
 
 
@@ -448,7 +485,11 @@ def _hand_built_kb():
         FingerprintRecord("t10-img", MediaKind.IMAGE, "B", OS.IOS, "Default", hop=Hop.CHAIN,
                           nth_app="A", constraints=ImageConstraints(((200, 200),))),
     )
-    return KnowledgeBase(tuple(dataclasses.replace(r, index=i) for i, r in enumerate(records)))
+    return KnowledgeBase(records)
+
+
+def _ids(records):
+    return [r.record_id for r in records]
 
 
 class TestCompiledIndexes:
@@ -460,9 +501,10 @@ class TestCompiledIndexes:
     def test_hand_built_kb_matches_brute_force(self):
         kb = _hand_built_kb()
         assert kb.overwritten_chain_ids == {"t9-equal"}
-        assert [r.record_id for r in kb.video_chains] == ["t9-other-os", "t9-placeholder-single"]
-        assert [r.record_id for r in kb.video_singles] == ["t8-b"]
-        assert [r.record_id for r in kb.image_records] == ["t6-img", "t10-img"]
+        singles, chains = kb.video_candidates(kb.record("t8-b").constraints.codec_ids[0], "")
+        assert _ids(chains) == ["t9-other-os", "t9-placeholder-single"]
+        assert _ids(singles) == ["t8-b"]
+        assert _ids(kb.image_candidates(100, 100) + kb.image_candidates(200, 200)) == ["t6-img", "t10-img"]
         assert _compiled_indexes(kb) == _brute_force_indexes(kb)
         _assert_candidates_match_brute_force(kb)
 
@@ -475,10 +517,12 @@ class TestCompiledIndexes:
         kb = _hand_built_kb()
         without_single = dataclasses.replace(kb, records=kb.records[1:])
         assert without_single.overwritten_chain_ids == frozenset()
-        assert [r.record_id for r in without_single.video_chains] == [
+        codec = kb.record("t8-b").constraints.codec_ids[0]
+        assert _ids(without_single.video_candidates(codec, "")[1]) == [
             "t9-equal", "t9-other-os", "t9-placeholder-single",
         ]
         assert _compiled_indexes(without_single) == _brute_force_indexes(without_single)
+        _assert_candidates_match_brute_force(without_single)
         with pytest.raises(KeyError):
             without_single.record("t8-b")
 
@@ -486,7 +530,7 @@ class TestCompiledIndexes:
         kb = _hand_built_kb()
         img = kb.record("t6-img")
         assert kb.image_candidates(100, 100) == (img,)
-        near = FingerprintRecord("t6-near", MediaKind.IMAGE, "C", OS.IOS, "Default", index=len(kb.records),
+        near = FingerprintRecord("t6-near", MediaKind.IMAGE, "C", OS.IOS, "Default",
                                  constraints=ImageConstraints(((110, 90), (90, 110))))
         widened = dataclasses.replace(kb, records=kb.records + (near,))
         assert widened.image_candidates(100, 100) == (img, near)

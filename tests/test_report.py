@@ -3,6 +3,8 @@ import errno
 import json
 import os
 import struct
+import threading
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
@@ -202,6 +204,26 @@ def test_unopenable_paths_keep_their_error_rows(tmp_path, kb):
         result = scan_file(path, kb)
         assert (result.media_kind, result.attributes) == (None, None)
         assert result.error == f"{error}: [Errno {code}] {os.strerror(code)}: {str(path)!r}"
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+def test_anything_but_a_regular_file_is_an_error_row(tmp_path, kb):
+    fifo = tmp_path / "clip.mp4"
+    os.mkfifo(fifo)
+    for path in [fifo] + [Path(os.devnull)] * os.path.exists(os.devnull):
+        # In a thread, so that a scan blocked opening the FIFO fails the
+        # test; opening the write end then lets the thread finish.
+        results = []
+        worker = threading.Thread(target=lambda: results.append(scan_file(path, kb)), daemon=True)
+        worker.start()
+        worker.join(10)
+        if worker.is_alive():
+            os.close(os.open(fifo, os.O_WRONLY))
+            worker.join()
+            pytest.fail(f"scan_file blocked opening {path}")
+        [result] = results
+        assert (result.media_kind, result.attributes, result.verdict) == (None, None, None)
+        assert result.error == f"OSError: not a regular file: {str(path)!r}"
 
 
 def _failing_file(tmp_path, monkeypatch, case, kb):
