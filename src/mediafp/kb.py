@@ -13,9 +13,9 @@ the expected record count per group (``table7 = 20``) so any row lost or
 gained while editing the data files fails the load instead of silently
 shifting verdicts.
 
-``VIDEO_FIELDS`` is the one list of video membership fields; each
-``VideoConstraints`` compiles its populated rows of it, which ``engine``
-matches by looping over.
+``VIDEO_FIELDS`` is the one list of video membership fields and of how each
+is parsed; each ``VideoConstraints`` compiles its populated rows of it,
+which ``engine`` matches by looping over.
 
 A loaded ``KnowledgeBase`` compiles the indexes queries use.  Image
 resolutions match within ``RESOLUTION_TOLERANCE`` pixels; the constant lives
@@ -80,19 +80,6 @@ class ImageConstraints:
     size_band: tuple[int, int] | None = None  # (center, tolerance) in bytes
 
 
-# The video membership fields in check order: (KB key, also the field's name
-# in ``matched_fields``; VideoConstraints attribute; getter on
-# VideoAttributes).  A record that populates one matches only the values it lists.
-VIDEO_FIELDS = (
-    ("extension", "extensions", attrgetter("extension")),
-    ("format_profile", "format_profiles", attrgetter("format_profile")),
-    ("codec_id", "codec_ids", attrgetter("codec_id")),
-    ("video_format_profile", "video_format_profiles", attrgetter("video_format_profile")),
-    ("resolution", "resolutions", attrgetter("width", "length")),
-    ("encoder", "encoders", attrgetter("encoder")),
-)
-
-
 @dataclass(frozen=True)
 class VideoConstraints:
     """Evidence a video fingerprint matches on.
@@ -124,7 +111,7 @@ class VideoConstraints:
         # Built now, not on first use: a lazy build would land in the latency
         # of whichever scanned file first reaches the record.
         rows, names = [], []
-        for name, attr, get in VIDEO_FIELDS:
+        for name, attr, get, _ in VIDEO_FIELDS:
             values = getattr(self, attr)
             if values and not (name == "resolution" and self.resolution_wildcard):
                 rows.append((name, values, get))
@@ -407,18 +394,7 @@ _SECTION_RE = re.compile(r"^\[(\w+)(?:\s+(\S+))?\]$")
 _RESOLUTION_RE = re.compile(r"^(\d+)x(\d+)$")
 _SIZE_BAND_RE = re.compile(r"^(\d+)\s*\+-\s*(\d+)$")
 # A run of characters that are neither comma nor quote, or quoted strings.
-_LIST_ITEM_RE = re.compile(r'(?:[^,"]|"[^"]*")+')
-
-# Resolution is the one constraint key both media kinds take.
-_VIDEO_ONLY_KEYS = frozenset(key for key, _, _ in VIDEO_FIELDS if key != "resolution") | {"markers"}
-_IMAGE_ONLY_KEYS = frozenset({"size_band"})
-_RECORD_KEYS = frozenset({
-    "media", "app", "os", "quality", "hop", "nth_app", "indistinguishable", "resolution",
-}) | _VIDEO_ONLY_KEYS | _IMAGE_ONLY_KEYS
-_ORIGINAL_KEYS = frozenset({
-    "media", "os", "extension", "format_profile", "codec_id",
-    "video_format_profile", "resolution", "nominal_size",
-})
+_LIST_ITEM_RE = re.compile(r'(?:[^,"]+|"[^"]*")+')
 
 
 def _unquote(item: str) -> str:
@@ -432,10 +408,7 @@ def _parse_list(value: str, where: str) -> tuple[str, ...]:
     """Comma-separated items; a comma between double quotes belongs to its item."""
     if value.count('"') % 2:
         raise SchemaError(f"{where}: unbalanced quote in {value!r}")
-    # Only a value holding both can have a comma inside quotes; any other,
-    # which is nearly every value, splits faster as plain text.
-    parts = _LIST_ITEM_RE.findall(value) if '"' in value and "," in value else value.split(",")
-    return tuple([_unquote(part) for part in parts if part.strip()])
+    return tuple([_unquote(part) for part in _LIST_ITEM_RE.findall(value) if part.strip()])
 
 
 def _parse_resolutions(value: str, where: str) -> tuple[tuple[int, int], ...]:
@@ -480,8 +453,29 @@ def _parse_markers(value: str, where: str) -> tuple[Marker, ...]:
     return tuple(markers)
 
 
-# Video membership values that parse to a type; any other is a string list.
-_TYPED_PARSERS = {"format_profile": _parse_format_profiles, "resolution": _parse_resolutions}
+# The video membership fields in check order: (KB key, also the field's name
+# in ``matched_fields``; VideoConstraints attribute; getter on
+# VideoAttributes; parser of the KB value).  A record that populates one
+# matches only the values it lists.
+VIDEO_FIELDS = (
+    ("extension", "extensions", attrgetter("extension"), _parse_list),
+    ("format_profile", "format_profiles", attrgetter("format_profile"), _parse_format_profiles),
+    ("codec_id", "codec_ids", attrgetter("codec_id"), _parse_list),
+    ("video_format_profile", "video_format_profiles", attrgetter("video_format_profile"), _parse_list),
+    ("resolution", "resolutions", attrgetter("width", "length"), _parse_resolutions),
+    ("encoder", "encoders", attrgetter("encoder"), _parse_list),
+)
+
+# Resolution is the one constraint key both media kinds take.
+_VIDEO_ONLY_KEYS = frozenset(key for key, *_ in VIDEO_FIELDS if key != "resolution") | {"markers"}
+_IMAGE_ONLY_KEYS = frozenset({"size_band"})
+_RECORD_KEYS = frozenset({
+    "media", "app", "os", "quality", "hop", "nth_app", "indistinguishable", "resolution",
+}) | _VIDEO_ONLY_KEYS | _IMAGE_ONLY_KEYS
+_ORIGINAL_KEYS = frozenset({
+    "media", "os", "extension", "format_profile", "codec_id",
+    "video_format_profile", "resolution", "nominal_size",
+})
 
 
 class _Block:
@@ -580,8 +574,8 @@ def _build_record(block: _Block) -> FingerprintRecord:
         # `resolution = irregular` sets the wildcard and lists no resolution.
         wildcard = f.get("resolution", "").strip().lower() == "irregular"
         values = {
-            attr: _TYPED_PARSERS.get(key, _parse_list)(f[key], where)
-            for key, attr, _ in VIDEO_FIELDS
+            attr: parse(f[key], where)
+            for key, attr, _, parse in VIDEO_FIELDS
             if key in f and not (wildcard and key == "resolution")
         }
         markers_value = f.get("markers", "").strip()

@@ -46,17 +46,6 @@ WILDCARD_RESOLUTION = (1234, 694)
 
 _MARKER_ORDER = tuple(Marker)
 
-# The value a video vector takes for each ``kb.VIDEO_FIELDS`` field a record
-# has no row for; every name but resolution is also a VideoAttributes field.
-_VIDEO_DEFAULTS = {
-    "extension": "mp4",
-    "format_profile": FormatProfile.BASE_MEDIA,
-    "codec_id": "",
-    "video_format_profile": "",
-    "resolution": WILDCARD_RESOLUTION,
-    "encoder": None,
-}
-
 
 class OracleError(Exception):
     pass
@@ -82,10 +71,18 @@ def expected_attributes(rec: FingerprintRecord) -> VideoAttributes | ImageAttrib
         return ImageAttributes(width=width, length=length, byte_size=size)
     c = rec.constraints
     assert isinstance(c, VideoConstraints)
-    values = dict(_VIDEO_DEFAULTS, **{name: allowed[0] for name, allowed, _ in c.rows})
-    width, length = values.pop("resolution")
+    # The rows apply the resolution wildcard, so a wildcard record has no resolution row.
+    width, length = next((v[0] for n, v, _ in c.rows if n == "resolution"), WILDCARD_RESOLUTION)
     return VideoAttributes(
-        **values, width=width, length=length, markers=frozenset(c.markers), byte_size=SYNTH_CONTAINER_SIZE,
+        extension=c.extensions[0] if c.extensions else "mp4",
+        format_profile=c.format_profiles[0] if c.format_profiles else FormatProfile.BASE_MEDIA,
+        codec_id=c.codec_ids[0] if c.codec_ids else "",
+        video_format_profile=c.video_format_profiles[0] if c.video_format_profiles else "",
+        width=width,
+        length=length,
+        encoder=c.encoders[0] if c.encoders else None,
+        markers=frozenset(c.markers),
+        byte_size=SYNTH_CONTAINER_SIZE,
     )
 
 

@@ -11,24 +11,12 @@ def kb():
     return load_kb_path()
 
 
-# Per KB, by identity; the KB is kept with its entry, so its id is not reused.
-_BRUTE_FORCE_RECORDS = {}
-
-
 def brute_force_records(kb):
     """The records a match would check if the KB had no indexes, each tuple in
     KB file order: the image records, the single-hop video records and the
     relay video records whose constraints no single hop of the same app, OS
     and media kind repeats (those relays are overwritten), plus the ids of the
-    overwritten relays.  A KB's records never change, so each KB's answer is
-    worked out once."""
-    cached = _BRUTE_FORCE_RECORDS.get(id(kb))
-    if cached is None:
-        cached = _BRUTE_FORCE_RECORDS[id(kb)] = (kb, _brute_force_records(kb))
-    return cached[1]
-
-
-def _brute_force_records(kb):
+    overwritten relays."""
     overwritten = frozenset(
         rec.record_id for rec in kb.records
         if rec.hop is Hop.CHAIN and rec.distinguishable and any(

@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import pickle
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from mediafp import engine
@@ -379,21 +380,28 @@ class _LinearKb:
     """A KB whose candidate lookups hand back every video or image record."""
 
     def __init__(self, kb):
-        self._kb = kb
-        self._records = brute_force_records(kb)
+        self.kb = kb
+        records = brute_force_records(kb)
+        self._video = records["video_singles"], records["video_chains"]
+        self.image_records = records["image_records"]
 
     def __getattr__(self, name):
-        return getattr(self._kb, name)
+        return getattr(self.kb, name)
 
     def video_candidates(self, codec_id, video_format_profile):
-        return self._records["video_singles"], self._records["video_chains"]
+        return self._video
 
     def image_candidates(self, width, length):
-        return self._records["image_records"]
+        return self.image_records
 
 
-def _assert_index_is_exact(kb, attrs):
-    linear = _LinearKb(kb)
+@pytest.fixture(scope="module")
+def linear_kb(kb):
+    return _LinearKb(kb)
+
+
+def _assert_index_is_exact(linear, attrs):
+    kb = linear.kb
     assert match_video(attrs, kb) == match_video(attrs, linear)
     assert infer_chain(attrs, kb) == infer_chain(attrs, linear)
 
@@ -509,37 +517,39 @@ class TestCandidateIndex:
     @given(_video_attrs(_SHIPPED["codec_ids"], _SHIPPED["video_format_profiles"],
                         _SHIPPED["resolutions"], _SHIPPED["encoders"]))
     @settings(max_examples=300, deadline=None)
-    def test_shipped_kb(self, kb, attrs):
-        _assert_index_is_exact(kb, attrs)
+    def test_shipped_kb(self, linear_kb, attrs):
+        _assert_index_is_exact(linear_kb, attrs)
 
-    def test_every_shipped_record_against_its_own_fields(self, kb):
+    def test_every_shipped_record_against_its_own_fields(self, kb, linear_kb):
         for rec in _video_records(kb):
             c = rec.constraints
             attrs = video("mp4", FormatProfile.BASE_MEDIA, c.codec_ids[0], c.video_format_profiles[0],
                           *(c.resolutions[0] if c.resolutions else (640, 360)),
                           encoder=c.encoders[0] if c.encoders else None, markers=c.markers)
-            _assert_index_is_exact(kb, attrs)
+            _assert_index_is_exact(linear_kb, attrs)
 
     @given(st.data())
     @settings(max_examples=150, deadline=None)
     def test_hand_built_kbs_with_wildcards_and_lists(self, data):
         kb = data.draw(_hand_built_kbs())
+        linear = _LinearKb(kb)
         for attrs in data.draw(_hand_built_queries(kb)):
-            _assert_index_is_exact(kb, attrs)
+            _assert_index_is_exact(linear, attrs)
 
 
 _T = RESOLUTION_TOLERANCE
 _SIDE = 2 * _T + 1  # the side of the KB's resolution cells
 
 
-def _assert_image_index_is_exact(kb, attrs):
-    assert match_image(attrs, kb) == match_image(attrs, _LinearKb(kb))
+def _assert_image_index_is_exact(linear, attrs):
+    kb = linear.kb
+    assert match_image(attrs, kb) == match_image(attrs, linear)
 
     def hits(records):
         return [rec for rec in records if satisfies_image(rec.constraints, attrs) is not None]
 
     # The records that match, in the order the index hands them over.
-    assert hits(kb.image_candidates(attrs.width, attrs.length)) == hits(_image_records(kb))
+    assert hits(kb.image_candidates(attrs.width, attrs.length)) == hits(linear.image_records)
 
 
 def _near(coord):
@@ -612,24 +622,25 @@ class TestImageCandidateIndex:
 
     @given(_image_queries(load_kb_path()))
     @settings(max_examples=500, deadline=None)
-    def test_shipped_kb(self, kb, attrs):
-        _assert_image_index_is_exact(kb, attrs)
+    def test_shipped_kb(self, linear_kb, attrs):
+        _assert_image_index_is_exact(linear_kb, attrs)
 
-    def test_every_shipped_resolution_at_every_offset(self, kb):
+    def test_every_shipped_resolution_at_every_offset(self, kb, linear_kb):
         sizes = _band_edge_sizes(kb)
-        for rec in _image_records(kb):
+        for rec in linear_kb.image_records:
             for width, length in rec.constraints.resolutions:
                 for dw in range(-_T - 2, _T + 3):
                     for dl in range(-_T - 2, _T + 3):
                         size = sizes[(dw + dl) % len(sizes)]
-                        _assert_image_index_is_exact(kb, ImageAttributes(width + dw, length + dl, size))
+                        _assert_image_index_is_exact(linear_kb, ImageAttributes(width + dw, length + dl, size))
 
     @given(st.data())
     @settings(max_examples=200, deadline=None)
     def test_generated_kbs(self, data):
         kb = data.draw(_image_kbs())
+        linear = _LinearKb(kb)
         for attrs in data.draw(st.lists(_image_queries(kb), min_size=1, max_size=10)):
-            _assert_image_index_is_exact(kb, attrs)
+            _assert_image_index_is_exact(linear, attrs)
 
 
 # The matcher as it was before verdicts shared their evidence and video

@@ -178,10 +178,10 @@ encoder = "Lavf, custom", "x" , plain,, "a,b,c"
 
 
 def test_video_rows_follow_the_field_table():
-    assert [key for key, _, _ in VIDEO_FIELDS] == [
+    assert [key for key, *_ in VIDEO_FIELDS] == [
         "extension", "format_profile", "codec_id", "video_format_profile", "resolution", "encoder",
     ]
-    assert {attr for _, attr, _ in VIDEO_FIELDS} < {f.name for f in dataclasses.fields(VideoConstraints)}
+    assert {attr for _, attr, *_ in VIDEO_FIELDS} < {f.name for f in dataclasses.fields(VideoConstraints)}
     constraints = VideoConstraints(
         extensions=("mp4",), resolutions=((640, 360),), encoders=("Lavf58.20.100",), markers=(Marker.COPYRIGHT,),
     )
