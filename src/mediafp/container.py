@@ -11,15 +11,15 @@ codec payload is ever decoded.  Layout references:
 One walker, ``_walk``, reads every box header in the buffer, depth first and
 in file order, and checks each one: a box that is cut short, too small for
 its header or nested too deep fails the whole file, wherever it sits, before
-any field is read.  It records each box as one flat ``(parent index, raw
-type, payload offset, payload end)`` tuple, and indexes the first child of
-each type under each parent by ``(parent index, raw type)``.  Extraction
-then reads only what the fingerprint needs: by lookups in that index, the
-root ftyp and moov, each trak's mdia/hdlr handler (or mdia/minf/vmhd), the
-video trak's mdia/minf/stbl/stsd and tkhd, and the ilst under udta/meta,
-then under moov/meta; and, by a scan of their stretch of the flat list, the
-traks of moov in order and the children of moov/udta.  The ftyp payload
-goes straight to the format profile and codec id.
+any field is read.  It gives each box as ``(raw type, payload offset, payload
+end, children)``, where children is the list of a container's own boxes in
+file order and None for a leaf.  Extraction then reads only what the
+fingerprint needs, each step a scan of one container's few children: the
+root ftyp and moov, moov's traks in order, each trak's mdia/hdlr handler (or
+mdia/minf/vmhd), the video trak's mdia/minf/stbl/stsd and tkhd, the children
+of moov/udta, and the ilst under udta/meta, then under moov/meta.  The ftyp
+payload goes straight to the format profile and codec id, once per distinct
+brand list.
 
 All functions are pure, bounds-checked and never read outside the supplied
 buffer; hostile input fails with one of the declared exceptions below.  The
@@ -81,8 +81,6 @@ _MAX_DEPTH = 32
 _MAX_TEXT_PAYLOAD = 4096
 _BOX_HEADER = struct.Struct(">I4s")
 _EXTENDED_SIZE = struct.Struct(">Q")
-# Parent index of a root box.
-_ROOT = -1
 
 
 def _decode_fourcc(raw) -> str:
@@ -90,22 +88,24 @@ def _decode_fourcc(raw) -> str:
     return str(raw, "latin-1")
 
 
-def _walk(data) -> tuple[list[tuple[int, bytes, int, int]], dict[tuple[int, bytes], int]]:
-    """Every box of the buffer, depth first in file order, and its first-child index.
+def _walk(data) -> list[tuple[bytes, int, int, list | None]]:
+    """The root boxes of the buffer, each holding its own boxes.
 
-    Each box is ``(parent index, raw type, payload offset, payload end)``,
-    with parent index ``_ROOT`` for a root box; the index maps ``(parent
-    index, raw type)`` to the first such child.  Raises TruncatedFile /
-    MalformedBox on the first structurally broken box.
+    Each box is ``(raw type, payload offset, payload end, children)``:
+    children lists a container's own boxes in file order, past the full-box
+    header of an ISO 'meta', and is None for a leaf.  The walk is iterative
+    and checks each header depth first in file order, so it raises
+    TruncatedFile / MalformedBox on the first structurally broken box, or on
+    nesting deeper than ``_MAX_DEPTH``, wherever in the file it sits.
     """
     end = len(data)
     if end < 8:
         raise MalformedBox("input shorter than one box header")
-    boxes: list[tuple[int, bytes, int, int]] = []
-    first: dict[tuple[int, bytes], int] = {}
-    # Where to go on in each enclosing container: (pos, end, parent, depth).
-    resume: list[tuple[int, int, int, int]] = []
-    pos, parent, depth = 0, _ROOT, 0
+    roots: list[tuple[bytes, int, int, list | None]] = []
+    boxes = roots
+    # Where to go on in each enclosing container: (pos, end, siblings, depth).
+    resume: list[tuple[int, int, list, int]] = []
+    pos, depth = 0, 0
     while True:
         while pos < end:
             remain = end - pos
@@ -133,21 +133,22 @@ def _walk(data) -> tuple[list[tuple[int, bytes, int, int]], dict[tuple[int, byte
                 raise TruncatedFile(
                     f"box {_decode_fourcc(raw_type)!r} at offset {pos} declares {size} bytes, {remain} remain"
                 )
-            index = len(boxes)
             payload_offset = pos + header
             pos += size
-            boxes.append((parent, raw_type, payload_offset, pos))
-            first.setdefault((parent, raw_type), index)
             if raw_type in _CONTAINERS:
+                children: list = []
+                boxes.append((raw_type, payload_offset, pos, children))
                 if raw_type == b"meta":
                     payload_offset += _fullbox_skip(data, payload_offset, pos)
                 if depth >= _MAX_DEPTH:
                     raise MalformedBox(f"box nesting deeper than {_MAX_DEPTH}")
-                resume.append((pos, end, parent, depth))
-                pos, end, parent, depth = payload_offset, pos, index, depth + 1
+                resume.append((pos, end, boxes, depth))
+                pos, end, boxes, depth = payload_offset, pos, children, depth + 1
+            else:
+                boxes.append((raw_type, payload_offset, pos, None))
         if not resume:
-            return boxes, first
-        pos, end, parent, depth = resume.pop()
+            return roots
+        pos, end, boxes, depth = resume.pop()
 
 
 def _fullbox_skip(data, payload_offset: int, payload_end: int) -> int:
@@ -160,29 +161,21 @@ def _fullbox_skip(data, payload_offset: int, payload_end: int) -> int:
     return 4
 
 
-def _children(boxes: list[tuple[int, bytes, int, int]], parent: int):
-    """Indexes of the direct children of box `parent`, in file order.
+def _lookup(boxes: list, *path: bytes) -> tuple | None:
+    """The first box of type ``path[0]`` among `boxes`, then the first of
+    ``path[1]`` among its children, and so on; None once one is missing.
 
-    A box's subtree follows it in the walk and ends at the first box whose
-    parent comes before it.
-    """
-    for index in range(parent + 1, len(boxes)):
-        owner = boxes[index][0]
-        if owner < parent:
-            return
-        if owner == parent:
-            yield index
-
-
-def _lookup(first: dict[tuple[int, bytes], int], index: int | None, *path: bytes) -> int | None:
-    """Follow first children along `path` from box `index`.
-
-    No key has a parent of None, so once one box is missing every later
-    lookup gives None too.
+    Every type on the path but the last is a container type, so each step
+    scans one container's own children.
     """
     for raw_type in path:
-        index = first.get((index, raw_type))
-    return index
+        for box in boxes:
+            if box[0] == raw_type:
+                boxes = box[3]
+                break
+        else:
+            return None
+    return box
 
 
 @dataclass(frozen=True)
@@ -192,18 +185,6 @@ class FtypInfo:
     major_brand: str  # 4 chars, trailing spaces preserved ("qt  ")
     minor_version: int
     compatible_brands: tuple[str, ...]
-
-
-def _ftyp_fields(data, offset: int, end: int) -> tuple[str, int, list[str]]:
-    """Major brand, minor version and compatible brands in file order."""
-    if end - offset > _MAX_TEXT_PAYLOAD:
-        raise MalformedBox(f"ftyp payload of {end - offset} bytes exceeds {_MAX_TEXT_PAYLOAD}")
-    payload = data[offset:end]
-    if len(payload) < 8:
-        raise MalformedBox("ftyp payload shorter than 8 bytes")
-    text = _decode_fourcc(payload)
-    brands = [text[i:i + 4] for i in range(8, len(text) - 3, 4)]
-    return text[:4], int.from_bytes(payload[4:8], "big"), brands
 
 
 def _brand_line(major: str, compatible: list[str] | tuple[str, ...]) -> str:
@@ -254,6 +235,19 @@ def classify_format_profile(major: str) -> FormatProfile:
     if major.startswith("iso") or major in _ISO_BRANDS:
         return FormatProfile.BASE_MEDIA
     raise UnknownBrand(f"unrecognized major brand {major!r}")
+
+
+@lru_cache(maxsize=256)
+def _ftyp_signal(payload: bytes) -> tuple[FormatProfile, str]:
+    """Format profile and codec id of an ftyp payload of at most 4 KiB.
+
+    A dump holds few distinct brand lists, so each is read once.
+    """
+    if len(payload) < 8:
+        raise MalformedBox("ftyp payload shorter than 8 bytes")
+    text = _decode_fourcc(payload)
+    major = text[:4]
+    return classify_format_profile(major), _brand_line(major, [text[i:i + 4] for i in range(8, len(text) - 3, 4)])
 
 
 def parse_avc_config(payload: bytes) -> AvcSignal:
@@ -386,37 +380,41 @@ def extract_video_attributes(data, name_hint: str | None = None) -> VideoAttribu
     track header's fixed-point values.  Files without an ftyp box are treated
     as bare QuickTime.  Raises NoVideoTrack and propagates parser errors.
     """
-    boxes, first = _walk(data)
-    ftyp = first.get((_ROOT, b"ftyp"))
+    roots = _walk(data)
+    ftyp = _lookup(roots, b"ftyp")
     if ftyp is None:
         profile, codec_id = FormatProfile.QUICKTIME, "qt"
     else:
-        major, _, brands = _ftyp_fields(data, *boxes[ftyp][2:])
-        profile, codec_id = classify_format_profile(major), _brand_line(major, brands)
+        _, offset, end, _ = ftyp
+        if end - offset > _MAX_TEXT_PAYLOAD:
+            raise MalformedBox(f"ftyp payload of {end - offset} bytes exceeds {_MAX_TEXT_PAYLOAD}")
+        profile, codec_id = _ftyp_signal(bytes(data[offset:end]))
 
-    moov = first.get((_ROOT, b"moov"))
+    moov = _lookup(roots, b"moov")
     if moov is None:
         raise NoVideoTrack("no moov box")
-    for trak in _children(boxes, moov):
-        if boxes[trak][1] != b"trak":
+    for trak in moov[3]:
+        if trak[0] != b"trak":
             continue
         # The first mdia's hdlr names the handler; without one, a vmhd
         # (video media header) marks a video track.
-        mdia = first.get((trak, b"mdia"))
-        hdlr = first.get((mdia, b"hdlr"))
+        mdia = _lookup(trak[3], b"mdia")
+        if mdia is None:
+            continue
+        hdlr = _lookup(mdia[3], b"hdlr")
         if hdlr is not None:
-            if _parse_hdlr_type(data, *boxes[hdlr][2:]) == b"vide":
+            if _parse_hdlr_type(data, hdlr[1], hdlr[2]) == b"vide":
                 break
-        elif _lookup(first, mdia, b"minf", b"vmhd") is not None:
+        elif _lookup(mdia[3], b"minf", b"vmhd") is not None:
             break
     else:
         raise NoVideoTrack("no video track in moov")
 
-    stsd = _lookup(first, mdia, b"minf", b"stbl", b"stsd")
-    entry = _stsd_video_entry(data, *boxes[stsd][2:]) if stsd is not None else None
+    stsd = _lookup(mdia[3], b"minf", b"stbl", b"stsd")
+    entry = _stsd_video_entry(data, stsd[1], stsd[2]) if stsd is not None else None
     if entry is None:
-        tkhd = first.get((trak, b"tkhd"))
-        fallback = _tkhd_dimensions(data, *boxes[tkhd][2:]) if tkhd is not None else None
+        tkhd = _lookup(trak[3], b"tkhd")
+        fallback = _tkhd_dimensions(data, tkhd[1], tkhd[2]) if tkhd is not None else None
         if fallback is None:
             raise NoVideoTrack("video track carries no usable dimensions")
         width, height = fallback
@@ -424,17 +422,15 @@ def extract_video_attributes(data, name_hint: str | None = None) -> VideoAttribu
     else:
         width, height, video_format_profile = entry
 
-    udta = first.get((moov, b"udta"))
+    udta = _lookup(moov[3], b"udta")
     markers = frozenset() if udta is None else frozenset(
-        _MARKER_ATOMS.get(boxes[child][1], Marker.MOVIE_MORE)
-        for child in _children(boxes, udta)
-        if boxes[child][1] not in _NON_MARKER_ATOMS
+        _MARKER_ATOMS.get(child[0], Marker.MOVIE_MORE) for child in udta[3] if child[0] not in _NON_MARKER_ATOMS
     )
     encoder = None
     for parent in (udta, moov):
-        ilst = _lookup(first, parent, b"meta", b"ilst")
+        ilst = _lookup(parent[3], b"meta", b"ilst") if parent is not None else None
         if ilst is not None:
-            encoder = _ilst_encoder(data, *boxes[ilst][2:])
+            encoder = _ilst_encoder(data, ilst[1], ilst[2])
             if encoder:
                 break
 

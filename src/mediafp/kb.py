@@ -29,7 +29,6 @@ import enum
 import os as _os
 import re
 from dataclasses import dataclass, field
-from functools import cached_property
 from operator import attrgetter
 from pathlib import Path
 
@@ -106,6 +105,8 @@ class VideoConstraints:
     rows: tuple[tuple[str, tuple, attrgetter], ...] = field(init=False, repr=False, compare=False)
     matched: tuple[str, ...] = field(init=False, repr=False, compare=False)  # the rows' names
     matched_with_markers: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    marker_set: frozenset[Marker] = field(init=False, repr=False, compare=False)
+    forbidden_markers: frozenset[Marker] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         # Built now, not on first use: a lazy build would land in the latency
@@ -120,18 +121,9 @@ class VideoConstraints:
         object.__setattr__(self, "rows", tuple(rows))
         object.__setattr__(self, "matched", matched)
         object.__setattr__(self, "matched_with_markers", matched + ("markers",))
-
-    # The marker sets are computed on first use and kept, so matching does
-    # not rebuild them per call and loading a KB does not pay for them.
-    @cached_property
-    def marker_set(self) -> frozenset[Marker]:
-        return frozenset(self.markers)
-
-    @cached_property
-    def forbidden_markers(self) -> frozenset[Marker]:
-        if self.markers_any:
-            return frozenset()
-        return ALL_MARKERS - self.marker_set
+        marker_set = frozenset(self.markers)
+        object.__setattr__(self, "marker_set", marker_set)
+        object.__setattr__(self, "forbidden_markers", frozenset() if self.markers_any else ALL_MARKERS - marker_set)
 
     def is_empty(self) -> bool:
         return not (self.resolution_wildcard or self.rows)

@@ -1,4 +1,6 @@
+import os
 import struct
+import tempfile
 from dataclasses import dataclass, field, replace
 
 import pytest
@@ -28,8 +30,12 @@ from mediafp.container import (
     extract_video_attributes,
     parse_avc_config,
     render_codec_id,
-    _ROOT,
-    _ftyp_fields,
+    _CONTAINERS,
+    _MARKER_ATOMS,
+    _NON_MARKER_ATOMS,
+    _brand_line,
+    _ftyp_signal,
+    _fullbox_skip,
     _ilst_encoder,
     _parse_hdlr_type,
     _stsd_video_entry,
@@ -37,6 +43,7 @@ from mediafp.container import (
     _walk,
 )
 from mediafp.oracle import InconsistentAttrs, synthesize_container
+from mediafp.report import HEAD_READ, _FileView
 
 
 def box(box_type: bytes, payload: bytes) -> bytes:
@@ -51,11 +58,11 @@ class TestBoxTree:
     def test_single_ftyp_leaf(self):
         data = ftyp_bytes(b"qt  ", [b"qt  ", b"qt  "])
         assert len(data) == 24
-        assert _walk(data) == ([(_ROOT, b"ftyp", 8, 24)], {(_ROOT, b"ftyp"): 0})
+        assert _walk(data) == [(b"ftyp", 8, 24, None)]
 
     def test_moov_with_trak_child(self):
         data = box(b"moov", box(b"trak", b""))
-        assert _walk(data)[0] == [(_ROOT, b"moov", 8, 16), (0, b"trak", 16, 16)]
+        assert _walk(data) == [(b"moov", 8, 16, [(b"trak", 16, 16, [])])]
 
     def test_declared_size_exceeds_file(self):
         # Start from a valid synthesized container, then inflate the first
@@ -72,12 +79,12 @@ class TestBoxTree:
 
     def test_size_zero_runs_to_end(self):
         data = struct.pack(">I", 0) + b"mdat" + b"\x00" * 100
-        assert _walk(data)[0] == [(_ROOT, b"mdat", 8, 108)]
+        assert _walk(data) == [(b"mdat", 8, 108, None)]
 
     def test_64_bit_extended_size(self):
         payload = b"\x00" * 10
         data = struct.pack(">I", 1) + b"mdat" + struct.pack(">Q", 16 + len(payload)) + payload
-        assert _walk(data)[0] == [(_ROOT, b"mdat", 16, 16 + len(payload))]
+        assert _walk(data) == [(b"mdat", 16, 16 + len(payload), None)]
 
     @pytest.mark.parametrize("size", [0, 8, 15])
     def test_extended_size_below_header_is_malformed(self, size):
@@ -87,29 +94,70 @@ class TestBoxTree:
 
     def test_classic_udta_zero_terminator_tolerated(self):
         data = box(b"udta", box(b"\xa9nam", b"\x00\x04\x00\x00name") + b"\x00\x00\x00\x00")
-        assert [box_type for _, box_type, _, _ in _walk(data)[0]] == [b"udta", b"\xa9nam"]
+        assert _walk(data) == [(b"udta", 8, 28, [(b"\xa9nam", 16, 24, None)])]
 
     def test_unknown_box_skipped_not_recursed(self):
         data = box(b"wxyz", box(b"trak", b""))
-        assert _walk(data)[0] == [(_ROOT, b"wxyz", 8, 16)]
+        assert _walk(data) == [(b"wxyz", 8, 16, None)]
 
 
 def _ftyp(data):
-    """The root ftyp's fields, found the way extraction finds them."""
-    boxes, first = _walk(data)
-    return _ftyp_fields(data, *boxes[first[_ROOT, b"ftyp"]][2:])
+    """Format profile and codec id of the root ftyp, read as extraction reads it."""
+    [(box_type, offset, end, _)] = _walk(data)
+    assert box_type == b"ftyp"
+    return _ftyp_signal(data[offset:end])
 
 
 class TestFtyp:
     def test_qt_major(self):
-        assert _ftyp(ftyp_bytes(b"qt  ", [b"qt  "])) == ("qt  ", 0, ["qt  "])
+        assert _ftyp(ftyp_bytes(b"qt  ", [b"qt  "])) == (FormatProfile.QUICKTIME, "qt")
 
     def test_mp42_brands_in_order(self):
-        assert _ftyp(ftyp_bytes(b"mp42", [b"isom", b"mp42"])) == ("mp42", 0, ["isom", "mp42"])
+        assert _ftyp(ftyp_bytes(b"mp42", [b"isom", b"mp42"])) == (FormatProfile.BASE_MEDIA_V2, "mp42 (isom/mp42)")
 
     def test_four_compat_brands_preserved(self):
         data = ftyp_bytes(b"isom", [b"isom", b"iso2", b"avc1", b"mp41"])
-        assert _ftyp(data)[2] == ["isom", "iso2", "avc1", "mp41"]
+        assert _ftyp(data)[1] == "isom (isom/iso2/avc1/mp41)"
+
+
+class TestFtypMemo:
+    # The brand line is worked out once per distinct ftyp payload, and only
+    # for a payload that passed the 4 KiB refusal; errors are not kept.
+    def _movie_with_ftyp(self, payload):
+        movie = synthesize_container(discord_attrs())
+        return box(b"ftyp", payload) + movie[struct.unpack_from(">I", movie)[0]:]
+
+    def test_cache_is_bounded(self):
+        assert _ftyp_signal.cache_info().maxsize == 256
+
+    def test_repeated_brand_list_is_read_once(self):
+        data = self._movie_with_ftyp(b"mp42" + bytes(4) + b"isommp42")
+        _ftyp_signal.cache_clear()
+        first = extract_video_attributes(data)
+        assert extract_video_attributes(bytearray(data)) == first
+        assert first.codec_id == "mp42 (isom/mp42)"
+        info = _ftyp_signal.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+
+    def test_refused_ftyp_adds_no_entry(self):
+        data = self._movie_with_ftyp(b"qt  " + bytes(4093))
+        _ftyp_signal.cache_clear()
+        with pytest.raises(MalformedBox, match="^ftyp payload of 4097 bytes exceeds 4096$"):
+            extract_video_attributes(data)
+        info = _ftyp_signal.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
+
+    @pytest.mark.parametrize("payload,error,message", [
+        (b"XXXX" + bytes(4) + b"XXXX", UnknownBrand, "unrecognized major brand 'XXXX'"),
+        (b"qt  " + bytes(3), MalformedBox, "ftyp payload shorter than 8 bytes"),
+    ])
+    def test_errors_are_raised_on_every_call(self, payload, error, message):
+        data = self._movie_with_ftyp(payload)
+        _ftyp_signal.cache_clear()
+        for _ in range(3):
+            with pytest.raises(error, match=f"^{message}$"):
+                extract_video_attributes(data)
+        assert _ftyp_signal.cache_info().currsize == 0
 
 
 class TestCodecId:
@@ -227,7 +275,7 @@ class TestExtraction:
         # Bare QuickTime files legitimately omit ftyp; everything after the
         # first box of a synthesized qt file is such a container.
         data = synthesize_container(discord_attrs())
-        _, box_type, _, ftyp_end = _walk(data)[0][0]
+        box_type, _, ftyp_end, _ = _walk(data)[0]
         assert box_type == b"ftyp"
         stripped = data[ftyp_end:]
         attrs = extract_video_attributes(stripped)
@@ -353,15 +401,13 @@ def _encode_tree(tree):
     return b"".join(_encode(node, i == len(tree) - 1) for i, node in enumerate(tree))
 
 
-def _flat_shape(tree, parent=_ROOT, out=None):
-    """(parent index, type) of every node, depth first, as _walk lists them."""
-    out = [] if out is None else out
-    for box_type, _, body in tree:
-        index = len(out)
-        out.append((parent, box_type[:4]))
-        if not isinstance(body, bytes):
-            _flat_shape(body, index, out)
-    return out
+def _shape(tree):
+    """(type, its children's shape or None for a leaf) of each node, as _walk nests them."""
+    return [(box_type[:4], None if isinstance(body, bytes) else _shape(body)) for box_type, _, body in tree]
+
+
+def _walk_shape(boxes):
+    return [(box_type, None if children is None else _walk_shape(children)) for box_type, _, _, children in boxes]
 
 
 _headers = st.sampled_from(["32", "32", "64", "0"])
@@ -385,8 +431,7 @@ _trees = st.lists(st.recursive(_leaves, _containers, max_leaves=12), min_size=1,
 @settings(max_examples=200, deadline=None)
 @given(_trees)
 def test_generated_box_trees_parse_to_their_shape(tree):
-    boxes, _ = _walk(_encode_tree(tree))
-    assert [(parent, box_type) for parent, box_type, _, _ in boxes] == _flat_shape(tree)
+    assert _walk_shape(_walk(_encode_tree(tree))) == _shape(tree)
 
 
 def _movie(hdlr_type, tkhd, entry_body, avcc, udta):
@@ -521,58 +566,52 @@ def _reference_parse_box_tree(data):
 
 
 def _reference_boxes(data):
-    """The reference tree flattened the way _walk lists its boxes."""
-    boxes = []
+    """The reference tree in the nested shape _walk gives."""
+    def nest(nodes):
+        return [(node.box_type.encode("latin-1"), node.payload_offset, node.payload_end,
+                 nest(node.children) if node.box_type in _REFERENCE_CONTAINERS else None) for node in nodes]
 
-    def visit(nodes, parent):
-        for node in nodes:
-            boxes.append((parent, node.box_type.encode("latin-1"), node.payload_offset, node.payload_end))
-            visit(node.children, len(boxes) - 1)
-
-    visit(_reference_parse_box_tree(data), _ROOT)
-    return boxes
+    return nest(_reference_parse_box_tree(data))
 
 
 def _outcome(walk, data):
-    """A walk as comparable data: its flat box list, or the error."""
+    """A walk as comparable data: its nested boxes, or the error."""
     try:
         return walk(data)
     except ParseError as exc:
         return type(exc), str(exc)
 
 
-def _boxes(data):
-    return _walk(data)[0]
-
-
 @settings(max_examples=500, deadline=None)
 @given(_hostile_buffers)
 def test_box_walk_matches_the_reference_walk(data):
+    # Node for node (type, offsets, children), or the same error class and
+    # message.
     expected = _outcome(_reference_boxes, data)
-    assert _outcome(_boxes, data) == expected
-    assert _outcome(_boxes, bytearray(data)) == expected
+    assert _outcome(_walk, data) == expected
+    assert _outcome(_walk, bytearray(data)) == expected
 
 
 @settings(max_examples=300, deadline=None)
 @given(_hostile_buffers | _trees.map(_encode_tree))
-def test_first_child_index_and_box_nesting(data):
-    # The index maps each (parent, type) to its lowest box index and holds
-    # nothing else; each box lies in its parent's payload, after the end of
-    # its previous sibling and a header of at least 8 bytes.
+def test_boxes_nest_inside_their_parents(data):
+    # Each box lies in its parent's payload, after the end of its previous
+    # sibling and a header of at least 8 bytes; only a container type has a
+    # child list.
     try:
-        boxes, first = _walk(data)
+        roots = _walk(data)
     except ParseError:
         return
-    lowest = {}
-    for index, (parent, box_type, _, _) in enumerate(boxes):
-        lowest.setdefault((parent, box_type), index)
-    assert first == lowest
-    previous_end = {}
-    for index, (parent, _, offset, end) in enumerate(boxes):
-        lo, hi = (0, len(data)) if parent == _ROOT else boxes[parent][2:]
-        assert parent < index
-        assert previous_end.get(parent, lo) + 8 <= offset <= end <= hi
-        previous_end[parent] = end
+    containers = {box_type.encode() for box_type in _REFERENCE_CONTAINERS}
+    pending = [(roots, 0, len(data))]
+    while pending:
+        boxes, previous_end, parent_end = pending.pop()
+        for box_type, offset, end, children in boxes:
+            assert previous_end + 8 <= offset <= end <= parent_end
+            assert (children is not None) == (box_type in containers)
+            if children is not None:
+                pending.append((children, offset, end))
+            previous_end = end
 
 
 def _short_meta(length, child):
@@ -594,28 +633,29 @@ def _short_meta(length, child):
 @pytest.mark.parametrize("length", range(8))
 def test_short_meta_payload_is_read_on_its_own(length, child):
     payload, sibling = _short_meta(length, child)
-    alone = _outcome(_boxes, box(b"moov", box(b"meta", payload)))
-    beside = _outcome(_boxes, box(b"moov", box(b"meta", payload) + sibling))
-    neutral = _outcome(_boxes, box(b"moov", box(b"free", payload) + sibling))
+    alone = _outcome(_walk, box(b"moov", box(b"meta", payload)))
+    beside = _outcome(_walk, box(b"moov", box(b"meta", payload) + sibling))
+    neutral = _outcome(_walk, box(b"moov", box(b"free", payload) + sibling))
     if isinstance(alone, tuple):
         assert beside == alone  # the meta's own error, whatever follows it
     elif isinstance(neutral, tuple):
         assert beside == neutral  # the sibling's own error
     else:
-        # A payload under 8 bytes holds no child box, so the meta is a leaf
-        # and the sibling's boxes keep their indexes.
-        _, meta = alone
-        moov, _, *rest = neutral
-        assert beside == [moov, meta, *rest]
+        # A payload under 8 bytes holds no child box, so the meta has no
+        # children and the sibling's boxes are unchanged.
+        [(_, _, _, [meta])] = alone
+        [(moov, offset, end, [_, *rest])] = neutral
+        assert meta[3] == []
+        assert beside == [(moov, offset, end, [meta, *rest])]
 
 
 def test_short_meta_before_a_sibling_spelling_hdlr():
     # moov[meta(01 02), box(size 0x6864, "lrxx")]: the sibling's size and
     # type read "hdlr" at meta payload offset 4.
     sibling = struct.pack(">I", 0x6864) + b"lrxx" + bytes(0x6864 - 8)
-    boxes = _boxes(box(b"moov", box(b"meta", b"\x01\x02") + sibling))
-    assert [(parent, box_type, end - offset) for parent, box_type, offset, end in boxes[1:]] == [
-        (0, b"meta", 2), (0, b"lrxx", 0x6864 - 8),
+    [(_, _, _, boxes)] = _walk(box(b"moov", box(b"meta", b"\x01\x02") + sibling))
+    assert [(box_type, end - offset, children) for box_type, offset, end, children in boxes] == [
+        (b"meta", 2, []), (b"lrxx", 0x6864 - 8, None),
     ]
 
 
@@ -740,10 +780,10 @@ def test_synthesized_containers_extract_to_their_vector(attrs):
     assert extract_video_attributes(bytearray(data), name_hint=_HINT_FOR[attrs.extension]) == extracted
 
 
-# The tree-based extraction the indexed one replaced, kept as its reference:
-# it searches the frozen reference walk's node tree box by box.  Leaf readers
-# whose bytes did not change are shared; the ftyp and stsd readers are kept
-# as they were.
+# A tree-based extraction over the frozen reference walk, kept as the
+# reference of the extraction under test: it searches the node tree box by
+# box.  Leaf readers whose bytes did not change are shared; the ftyp and stsd
+# readers are kept as they were.
 def _reference_find(boxes, box_type):
     return next((b for b in boxes if b.box_type == box_type), None)
 
@@ -901,8 +941,8 @@ _iso_metas = _ilsts.map(lambda ilst: (b"meta-iso", "32", [ilst]))
 _multi_track_movies = st.builds(
     lambda traks, udta, meta, tail: [(b"moov", "32", traks + udta + meta)] + tail,
     st.lists(_tracks, min_size=1, max_size=3),
-    st.lists(_udtas, max_size=1),
-    st.lists(_iso_metas, max_size=1),
+    st.lists(_udtas, max_size=2),
+    st.lists(_iso_metas, max_size=2),
     st.lists(_leaves, max_size=1),
 )
 
@@ -914,14 +954,14 @@ def _synthesized(attrs):
         return synthesize_container(replace(attrs, format_profile=FormatProfile.QUICKTIME, codec_id="qt"))
 
 
+# Well-formed movies, with a video trak or without one.
+_movie_buffers = st.builds(_hostile_buffer, st.just((b"isom", [b"isom"])), _movies | _multi_track_movies,
+                           st.just([]), st.just(b""), st.just(0))
+
+
 @settings(max_examples=400, deadline=None)
-@given(st.one_of(
-    _hostile_buffers,
-    st.builds(_hostile_buffer, st.just((b"isom", [b"isom"])), _movies | _multi_track_movies,
-              st.just([]), st.just(b""), st.just(0)),
-    _video_attributes().map(_synthesized),
-))
-def test_indexed_extraction_matches_the_reference_extraction(data):
+@given(st.one_of(_hostile_buffers, _movie_buffers, _video_attributes().map(_synthesized)))
+def test_extraction_matches_the_reference_extraction(data):
     # The same attributes, or the same error class and message, as the
     # tree-based extraction, over bytes and over a bytearray.
     expected = _extracted(_reference_extract, data)
@@ -950,3 +990,162 @@ def test_reference_extraction_covers_the_track_shapes():
     assert (attrs.width, attrs.length) == (640, 360)
     for data in (sound_then_video, vmhd_only, sound_first_mdia, video_first_mdia):
         assert _extracted(extract_video_attributes, data) == _extracted(_reference_extract, data)
+
+
+# The flat-walk extraction the nested one replaced, frozen as its parity
+# reference: one flat list of (parent index, raw type, payload offset,
+# payload end) in depth-first pre-order, a {(parent index, raw type): first
+# such child} index, and the ftyp read on every call.  Leaf readers whose
+# bytes did not change are shared.
+_FLAT_ROOT = -1
+
+
+def _flat_walk(data):
+    end = len(data)
+    if end < 8:
+        raise MalformedBox("input shorter than one box header")
+    boxes, first, resume = [], {}, []
+    pos, parent, depth = 0, _FLAT_ROOT, 0
+    while True:
+        while pos < end:
+            remain = end - pos
+            if remain < 8:
+                if data[pos:end].count(0) == remain:
+                    break
+                raise MalformedBox(f"{remain} trailing bytes at offset {pos}, need 8 for a header")
+            size, raw_type = struct.unpack(">I4s", data[pos:pos + 8])
+            header = 8
+            if size < 8:
+                if size == 0:
+                    size = remain
+                elif size == 1:
+                    if remain < 16:
+                        raise TruncatedFile(f"extended size header at offset {pos} exceeds buffer")
+                    size = struct.unpack(">Q", data[pos + 8:pos + 16])[0]
+                    header = 16
+                    if size < 16:
+                        raise MalformedBox(f"extended size {size} at offset {pos} is below header size")
+                else:
+                    raise MalformedBox(f"box size {size} at offset {pos} is below header size")
+            if size > remain:
+                raise TruncatedFile(
+                    f"box {str(raw_type, 'latin-1')!r} at offset {pos} declares {size} bytes, {remain} remain")
+            index = len(boxes)
+            payload_offset = pos + header
+            pos += size
+            boxes.append((parent, raw_type, payload_offset, pos))
+            first.setdefault((parent, raw_type), index)
+            if raw_type in _CONTAINERS:
+                if raw_type == b"meta":
+                    payload_offset += _fullbox_skip(data, payload_offset, pos)
+                if depth >= 32:
+                    raise MalformedBox("box nesting deeper than 32")
+                resume.append((pos, end, parent, depth))
+                pos, end, parent, depth = payload_offset, pos, index, depth + 1
+        if not resume:
+            return boxes, first
+        pos, end, parent, depth = resume.pop()
+
+
+def _flat_children(boxes, parent):
+    for index in range(parent + 1, len(boxes)):
+        owner = boxes[index][0]
+        if owner < parent:
+            return
+        if owner == parent:
+            yield index
+
+
+def _flat_lookup(first, index, *path):
+    for raw_type in path:
+        index = first.get((index, raw_type))
+    return index
+
+
+def _flat_extract(data, name_hint=None):
+    boxes, first = _flat_walk(data)
+    ftyp = first.get((_FLAT_ROOT, b"ftyp"))
+    if ftyp is None:
+        profile, codec_id = FormatProfile.QUICKTIME, "qt"
+    else:
+        offset, end = boxes[ftyp][2:]
+        if end - offset > 4096:
+            raise MalformedBox(f"ftyp payload of {end - offset} bytes exceeds 4096")
+        payload = data[offset:end]
+        if len(payload) < 8:
+            raise MalformedBox("ftyp payload shorter than 8 bytes")
+        text = str(payload, "latin-1")
+        brands = [text[i:i + 4] for i in range(8, len(text) - 3, 4)]
+        profile, codec_id = classify_format_profile(text[:4]), _brand_line(text[:4], brands)
+    moov = first.get((_FLAT_ROOT, b"moov"))
+    if moov is None:
+        raise NoVideoTrack("no moov box")
+    for trak in _flat_children(boxes, moov):
+        if boxes[trak][1] != b"trak":
+            continue
+        mdia = first.get((trak, b"mdia"))
+        hdlr = first.get((mdia, b"hdlr"))
+        if hdlr is not None:
+            if _parse_hdlr_type(data, *boxes[hdlr][2:]) == b"vide":
+                break
+        elif _flat_lookup(first, mdia, b"minf", b"vmhd") is not None:
+            break
+    else:
+        raise NoVideoTrack("no video track in moov")
+    stsd = _flat_lookup(first, mdia, b"minf", b"stbl", b"stsd")
+    entry = _stsd_video_entry(data, *boxes[stsd][2:]) if stsd is not None else None
+    if entry is None:
+        tkhd = first.get((trak, b"tkhd"))
+        fallback = _tkhd_dimensions(data, *boxes[tkhd][2:]) if tkhd is not None else None
+        if fallback is None:
+            raise NoVideoTrack("video track carries no usable dimensions")
+        (width, height), video_format_profile = fallback, ""
+    else:
+        width, height, video_format_profile = entry
+    udta = first.get((moov, b"udta"))
+    markers = frozenset() if udta is None else frozenset(
+        _MARKER_ATOMS.get(boxes[child][1], Marker.MOVIE_MORE)
+        for child in _flat_children(boxes, udta) if boxes[child][1] not in _NON_MARKER_ATOMS)
+    encoder = None
+    for parent in (udta, moov):
+        ilst = _flat_lookup(first, parent, b"meta", b"ilst")
+        if ilst is not None:
+            encoder = _ilst_encoder(data, *boxes[ilst][2:])
+            if encoder:
+                break
+    return VideoAttributes(
+        extension=extension_from_hint(name_hint, profile),
+        format_profile=profile,
+        codec_id=codec_id,
+        video_format_profile=video_format_profile,
+        width=width,
+        length=height,
+        encoder=encoder,
+        markers=markers,
+        byte_size=len(data),
+    )
+
+
+# A buffer and how many of its bytes fall inside the head read when a free
+# box puts it at the end of the head: from past a movie buffer's 20-byte
+# ftyp to all but its last byte, so a movie's moov straddles the head's end.
+_split_buffers = (_hostile_buffers | _movie_buffers).flatmap(lambda data: st.tuples(
+    st.just(data), st.integers(min_value=min(21, max(1, len(data) - 1)), max_value=max(1, len(data) - 1))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_split_buffers)
+def test_extraction_matches_the_flat_walk_extraction(split):
+    # The same attributes, or the same error class and message, as the flat
+    # walk: over bytes, and over a file view that reads past the head.
+    data, inside = split
+    expected = _extracted(_flat_extract, data)
+    assert _extracted(extract_video_attributes, data) == expected
+    padding = HEAD_READ - inside
+    with tempfile.TemporaryFile() as file:
+        file.write(struct.pack(">I", padding) + b"free" + bytes(padding - 8) + data)
+        file.flush()
+        size = file.tell()
+        head = os.pread(file.fileno(), HEAD_READ, 0)
+        view = _FileView(file.fileno(), head, size, size)
+        assert _extracted(extract_video_attributes, view) == _extracted(_flat_extract, view)

@@ -200,6 +200,20 @@ def test_video_rows_follow_the_field_table():
     assert VideoConstraints(markers=(Marker.COPYRIGHT,), markers_any=True).is_empty()
 
 
+def test_marker_sets_are_built_with_the_constraints():
+    # Compiled fields, not constructor arguments, and present before any
+    # match reads them.
+    compiled = {f.name for f in dataclasses.fields(VideoConstraints) if not f.init}
+    assert {"marker_set", "forbidden_markers"} <= compiled
+    constraints = VideoConstraints(markers=(Marker.COPYRIGHT, Marker.MOVIE_NAME))
+    assert {"marker_set", "forbidden_markers"} <= vars(constraints).keys()
+    assert constraints.marker_set == {Marker.COPYRIGHT, Marker.MOVIE_NAME}
+    assert constraints.forbidden_markers == frozenset(Marker) - constraints.marker_set
+    lifted = dataclasses.replace(constraints, markers_any=True)
+    assert lifted.marker_set == constraints.marker_set
+    assert lifted.forbidden_markers == frozenset()
+
+
 def test_unreadable_kb_raises_kb_error(tmp_path):
     with pytest.raises(KbError, match="missing.kb"):
         load_kb_path(tmp_path / "missing.kb")
