@@ -19,13 +19,9 @@ in, since every other record's resolutions lie beyond the tolerance.  Either
 way the verdict is the one a check against every record would give.  Load
 the KB once and reuse it for many queries.
 
-The Candidate or ChainHypothesis a matching record yields depends only on
-the record, its matched fields and whether a size band was used, so the
-matcher builds it the first time and keeps it in the KB's ``evidence``
-table; verdicts share these frozen instances.  The table holds at most two
-entries per record, so it stays bounded whatever is scanned.  Two threads
-filling the same entry at once store equal immutable values, so the race is
-harmless and concurrent queries stay safe.
+A matching record hands out the frozen Candidate or ChainHypothesis it built
+for its matched fields (``FingerprintRecord.evidence``), so verdicts share
+those instances and no query writes to the KB.
 """
 
 from __future__ import annotations
@@ -33,11 +29,12 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .attributes import ImageAttributes, MediaKind, OS, VideoAttributes
+from .attributes import ImageAttributes, VideoAttributes
 from .kb import (
     RESOLUTION_TOLERANCE,
+    Candidate,
+    ChainHypothesis,
     FingerprintRecord,
-    Hop,
     ImageConstraints,
     KnowledgeBase,
     VideoConstraints,
@@ -49,25 +46,6 @@ class Outcome(str, enum.Enum):
     NARROWED = "Narrowed"
     ORIGINAL_LIKE = "OriginalLike"
     UNKNOWN = "Unknown"
-
-
-@dataclass(frozen=True)
-class Candidate:
-    record_id: str
-    app: str
-    os: OS
-    quality: str
-    matched_fields: tuple[str, ...]
-    used_size_band: bool = False
-
-
-@dataclass(frozen=True)
-class ChainHypothesis:
-    nth_app: str
-    nplus1_app: str
-    os: OS
-    quality: str  # quality of the N-th hop
-    evidence_fields: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -104,33 +82,9 @@ def satisfies_image(constraints: ImageConstraints, attrs: ImageAttributes) -> tu
     return None
 
 
-def _evidence(
-    kb: KnowledgeBase, rec: FingerprintRecord, matched: tuple[str, ...], used_band: bool = False,
-) -> Candidate | ChainHypothesis:
-    """The Candidate, or for a relay video record the ChainHypothesis, ``rec`` yields.
-
-    It depends only on the record, its matched fields and whether a size band
-    was used, so it is built the first time and then shared from
-    ``kb.evidence``.  With ``used_band`` the built candidate also lists
-    ``byte_size`` among its matched fields.
-    """
-    key = (id(rec), matched, used_band)
-    shared = kb.evidence.get(key)
-    if shared is None:
-        if rec.hop is Hop.CHAIN and rec.media_kind is MediaKind.VIDEO:
-            shared = ChainHypothesis(rec.nth_app or "", rec.app, rec.os, rec.quality, matched)
-        else:
-            if used_band:
-                matched = tuple(dict.fromkeys(matched + ("byte_size",)))
-            shared = Candidate(rec.record_id, rec.app, rec.os, rec.quality, matched, used_band)
-        shared = kb.evidence.setdefault(key, shared)
-    return shared
-
-
 def disambiguate_by_size(
     candidates: list[Candidate],
     byte_size: int,
-    kb: KnowledgeBase,
     records: list[FingerprintRecord],
 ) -> list[Candidate]:
     """Keep candidates whose size band contains byte_size.
@@ -142,10 +96,10 @@ def disambiguate_by_size(
     increases the candidate count, never empties a non-empty list.
     """
     kept: list[Candidate] = []
-    for cand, rec in zip(candidates, records):
+    for rec in records:
         band = rec.constraints.size_band if isinstance(rec.constraints, ImageConstraints) else None
         if band is not None and abs(byte_size - band[0]) <= band[1]:
-            kept.append(_evidence(kb, rec, cand.matched_fields, True))
+            kept.append(rec.evidence[("resolution", "byte_size")])
     return kept if kept else candidates
 
 
@@ -172,7 +126,7 @@ def classify_outcome(
     return Outcome.UNKNOWN
 
 
-def _matches(kb: KnowledgeBase, records: tuple[FingerprintRecord, ...], satisfies, attrs) -> tuple[list, list]:
+def _matches(records: tuple[FingerprintRecord, ...], satisfies, attrs) -> tuple[list, list]:
     """The records ``satisfies`` passes, in the order given, and the shared evidence each yields.
 
     Callers pass the module global they read at call time, so a rebound name
@@ -184,7 +138,7 @@ def _matches(kb: KnowledgeBase, records: tuple[FingerprintRecord, ...], satisfie
         matched = satisfies(rec.constraints, attrs)
         if matched is not None:
             matched_records.append(rec)
-            evidence.append(_evidence(kb, rec, matched))
+            evidence.append(rec.evidence[matched])
     return matched_records, evidence
 
 
@@ -195,9 +149,9 @@ def match_image(attrs: ImageAttributes, kb: KnowledgeBase) -> Verdict:
     same evidence, ``("resolution",)``, so candidates come out in that order
     without ranking.
     """
-    records, candidates = _matches(kb, kb.image_candidates(attrs.width, attrs.length), satisfies_image, attrs)
+    records, candidates = _matches(kb.image_candidates(attrs.width, attrs.length), satisfies_image, attrs)
     if len(candidates) > 1:
-        candidates = disambiguate_by_size(candidates, attrs.byte_size, kb, records)
+        candidates = disambiguate_by_size(candidates, attrs.byte_size, records)
     outcome = classify_outcome(candidates, (), original_like=kb.image_original(attrs) is not None)
     return Verdict(tuple(candidates), outcome, ())
 
@@ -205,7 +159,7 @@ def match_image(attrs: ImageAttributes, kb: KnowledgeBase) -> Verdict:
 def infer_chain(attrs: VideoAttributes, kb: KnowledgeBase) -> list[ChainHypothesis]:
     """All (N-th, N+1st) relay paths consistent with the attributes."""
     _, chains = kb.video_candidates(attrs.codec_id, attrs.video_format_profile)
-    return _matches(kb, chains, satisfies_video, attrs)[1]
+    return _matches(chains, satisfies_video, attrs)[1]
 
 
 def match_video(attrs: VideoAttributes, kb: KnowledgeBase, chains: bool = True) -> Verdict:
@@ -215,7 +169,7 @@ def match_video(attrs: VideoAttributes, kb: KnowledgeBase, chains: bool = True) 
     KB file order, so ties keep that order.
     """
     singles, _ = kb.video_candidates(attrs.codec_id, attrs.video_format_profile)
-    _, candidates = _matches(kb, singles, satisfies_video, attrs)
+    _, candidates = _matches(singles, satisfies_video, attrs)
     candidates.sort(key=lambda cand: -len(cand.matched_fields))
     hypotheses = infer_chain(attrs, kb) if chains else []
     outcome = classify_outcome(candidates, hypotheses, original_like=kb.video_original(attrs) is not None)

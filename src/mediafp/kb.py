@@ -17,10 +17,12 @@ shifting verdicts.
 is parsed; each ``VideoConstraints`` compiles its populated rows of it,
 which ``engine`` matches by looping over.
 
-A loaded ``KnowledgeBase`` compiles the indexes queries use.  Image
-resolutions match within ``RESOLUTION_TOLERANCE`` pixels; the constant lives
-here because the image candidate cells are sized from it, and ``engine``'s
-matcher reads the same name.
+Each ``FingerprintRecord`` builds, when it is built, the frozen ``Candidate``
+or ``ChainHypothesis`` every match of it yields, and a ``KnowledgeBase``
+compiles the indexes queries use.  Nothing a query runs writes to either.
+Image resolutions match within ``RESOLUTION_TOLERANCE`` pixels; the constant
+lives here because the image candidate cells are sized from it, and
+``engine``'s matcher reads the same name.
 """
 
 from __future__ import annotations
@@ -133,18 +135,67 @@ Constraints = ImageConstraints | VideoConstraints
 
 
 @dataclass(frozen=True)
+class Candidate:
+    record_id: str
+    app: str
+    os: OS
+    quality: str
+    matched_fields: tuple[str, ...]
+    used_size_band: bool = False
+
+
+@dataclass(frozen=True)
+class ChainHypothesis:
+    nth_app: str
+    nplus1_app: str
+    os: OS
+    quality: str  # quality of the N-th hop
+    evidence_fields: tuple[str, ...]
+
+
+@dataclass(frozen=True)
 class FingerprintRecord:
-    """One knowledge-base entry: (app, OS, quality) → attribute constraints."""
+    """One knowledge-base entry: (app, OS, quality) → attribute constraints.
+
+    A record with ``nth_app`` is a relay (two-hop) record; one without
+    ``constraints`` is a placeholder for a combination that leaves no
+    footprint.  ``evidence`` maps each matched-field tuple a match of the
+    record can return to the frozen ``Candidate`` it yields, or for a relay
+    video record the ``ChainHypothesis``; a size-banded image record also
+    has the banded candidate, under ``("resolution", "byte_size")``.
+    """
 
     record_id: str
     media_kind: MediaKind
     app: str
     os: OS
     quality: str
-    hop: Hop = Hop.SINGLE
     nth_app: str | None = None
-    distinguishable: bool = True
     constraints: Constraints | None = None
+    evidence: dict[tuple[str, ...], Candidate | ChainHypothesis] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        c = self.constraints
+        if isinstance(c, ImageConstraints):
+            keys = [("resolution",), ("resolution", "byte_size")] if c.size_band else [("resolution",)]
+        elif c is not None:
+            keys = [c.matched, c.matched_with_markers] if c.marker_set and not c.markers_any else [c.matched]
+        else:
+            keys = []
+        if self.nth_app and self.media_kind is MediaKind.VIDEO:
+            evidence = {k: ChainHypothesis(self.nth_app, self.app, self.os, self.quality, k) for k in keys}
+        else:
+            evidence = {k: Candidate(self.record_id, self.app, self.os, self.quality, k, "byte_size" in k)
+                        for k in keys}
+        object.__setattr__(self, "evidence", evidence)
+
+    @property
+    def hop(self) -> Hop:
+        return Hop.CHAIN if self.nth_app else Hop.SINGLE
+
+    @property
+    def distinguishable(self) -> bool:
+        return self.constraints is not None
 
     @property
     def group(self) -> str:
@@ -197,14 +248,8 @@ class KnowledgeBase:
     ``image_candidates`` narrows the image records to those listed in the
     resolution's cell of a square grid.  ``image_original`` and
     ``video_original`` look up the camera original a file's fields equal,
-    each with one dict lookup.
-
-    ``evidence`` is the one table queries fill: the ``engine`` matcher
-    stores there, keyed by ``(id(record), matched fields, used size band)``,
-    the frozen candidate or chain hypothesis a record yields the first time
-    it matches (see ``engine``).  Because the key is record identity, a
-    pickled or copied KB is rebuilt from its fields and starts with an empty
-    table.
+    each with one dict lookup.  Neither the records nor the indexes change
+    after construction, so a KB is safe to share between threads.
     """
 
     records: tuple[FingerprintRecord, ...]
@@ -220,7 +265,6 @@ class KnowledgeBase:
         init=False, repr=False, compare=False)
     _image_cells: dict[tuple[int, int], tuple[FingerprintRecord, ...]] = field(
         init=False, repr=False, compare=False)
-    evidence: dict[tuple[int, tuple[str, ...], bool], object] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         by_id: dict[str, FingerprintRecord] = {}
@@ -270,13 +314,9 @@ class KnowledgeBase:
             "_video_originals": video_originals,
             "_video_index": _compile_video_index(singles, chains),
             "_image_cells": _compile_image_cells(images),
-            "evidence": {},
         }
         for name, value in compiled.items():
             object.__setattr__(self, name, value)
-
-    def __reduce__(self):
-        return KnowledgeBase, (self.records, self.originals, self.manifest)
 
     def record(self, record_id: str) -> FingerprintRecord:
         return self._by_id[record_id]
@@ -531,13 +571,14 @@ def _build_record(block: _Block) -> FingerprintRecord:
         rec_os = parse_os(require("os"))
     except ValueError as exc:
         raise SchemaError(f"{where}: {exc}") from None
-    hop = Hop(f.get("hop", "single")) if f.get("hop", "single") in ("single", "chain") else None
-    if hop is None:
+    # The record derives its hop from nth_app; the key must agree with it.
+    hop = f.get("hop", "single")
+    if hop not in ("single", "chain"):
         raise SchemaError(f"{where}: hop must be 'single' or 'chain'")
-    nth_app = f.get("nth_app")
-    if hop is Hop.CHAIN and not nth_app:
+    nth_app = f.get("nth_app") or None
+    if hop == "chain" and not nth_app:
         raise SchemaError(f"{where}: chain records need nth_app")
-    if hop is Hop.SINGLE and nth_app:
+    if hop == "single" and nth_app:
         raise SchemaError(f"{where}: single records must not set nth_app")
     indistinguishable = _parse_bool(f["indistinguishable"], where) if "indistinguishable" in f else False
 
@@ -587,9 +628,7 @@ def _build_record(block: _Block) -> FingerprintRecord:
         app=require("app"),
         os=rec_os,
         quality=require("quality"),
-        hop=hop,
         nth_app=nth_app,
-        distinguishable=not indistinguishable,
         constraints=constraints,
     )
 
@@ -603,15 +642,14 @@ def _build_original(block: _Block) -> OriginalProfile:
     for key in ("media", "os", "resolution", "nominal_size"):
         if key not in f:
             raise SchemaError(f"{where}: missing key {key!r}")
-    pairs = _parse_resolutions(f["resolution"], where)
-    if len(pairs) != 1:
-        raise SchemaError(f"{where}: originals carry exactly one resolution")
-    fp = None
-    if "format_profile" in f:
-        fp = _parse_format_profiles(f["format_profile"], where)
-        if len(fp) != 1:
-            raise SchemaError(f"{where}: originals carry exactly one format profile")
-        fp = fp[0]
+    # Each video field an original names is parsed as a record's would be.
+    values = {}
+    for key, _, _, parse in VIDEO_FIELDS:
+        if key in f:
+            parsed = parse(f[key], where)
+            if len(parsed) != 1:
+                raise SchemaError(f"{where}: originals carry exactly one {key.replace('_', ' ')}")
+            values[key] = parsed[0]
     if not f["nominal_size"].isdecimal():
         raise SchemaError(f"{where}: nominal_size must be a byte count, got {f['nominal_size']!r}")
     try:
@@ -619,12 +657,8 @@ def _build_original(block: _Block) -> OriginalProfile:
             profile_id=block.name or "",
             media_kind=MediaKind(f["media"]),
             os_source=parse_os(f["os"]),
-            resolution=pairs[0],
             nominal_size=int(f["nominal_size"]),
-            extension=_unquote(f["extension"]) if "extension" in f else None,
-            format_profile=fp,
-            codec_id=_unquote(f["codec_id"]) if "codec_id" in f else None,
-            video_format_profile=_unquote(f["video_format_profile"]) if "video_format_profile" in f else None,
+            **values,
         )
         profile.attributes  # an extension or size the attribute vector rejects fails the load here
     except ValueError as exc:
@@ -791,7 +825,7 @@ def list_records(
 __all__ = [
     "KB_ENV_VAR", "ALL_MARKERS", "RESOLUTION_TOLERANCE", "VIDEO_FIELDS",
     "KbError", "SchemaError", "ManifestMismatch",
-    "Hop", "ImageConstraints", "VideoConstraints", "FingerprintRecord",
+    "Hop", "ImageConstraints", "VideoConstraints", "Candidate", "ChainHypothesis", "FingerprintRecord",
     "OriginalProfile", "KnowledgeBase", "Finding",
     "group_key", "load_kb", "load_kb_path", "default_kb_path",
     "validate_kb", "list_records",

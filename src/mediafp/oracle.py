@@ -61,7 +61,7 @@ def expected_attributes(rec: FingerprintRecord) -> VideoAttributes | ImageAttrib
     Multi-valued constraints contribute their first value in KB order;
     wildcard resolutions yield the synthetic stand-in.
     """
-    if not rec.distinguishable or rec.constraints is None:
+    if not rec.distinguishable:
         raise ValueError(f"{rec.record_id} is a placeholder record")
     if rec.media_kind is MediaKind.IMAGE:
         c = rec.constraints
@@ -131,7 +131,7 @@ def generate_corpus(kb: KnowledgeBase) -> tuple[CorpusEntry, ...]:
         if rec.record_id in kb.overwritten_chain_ids:
             continue
         if rec.hop is Hop.CHAIN:
-            label: SingleLabel | ChainLabel = ChainLabel(rec.nth_app or "", rec.app, rec.os)
+            label: SingleLabel | ChainLabel = ChainLabel(rec.nth_app, rec.app, rec.os)
         else:
             label = SingleLabel(rec.app, rec.os, rec.quality)
         entries.append(CorpusEntry(rec.record_id, rec.media_kind, expected_attributes(rec), label))

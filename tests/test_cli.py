@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import os
 import shutil
@@ -305,6 +306,17 @@ class TestKbCommands:
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)  # not an exception escaping the command
         assert result.output.startswith("SchemaError: ")
+
+    @pytest.mark.parametrize("command,sha256", [
+        ("validate", "1bbabb7eef29ec4ba8fb276950ab841707c3bcd537a1a3a46c3e71c4eb61bf27"),
+        ("list", "2bf2cb66bfcc1378a28046151de9d7a4f7ef9d2cbaf2e218bec58de03bc56764"),
+    ])
+    def test_shipped_kb_output_is_pinned(self, runner, command, sha256):
+        # Both commands read each record's hop and distinguishability, and
+        # validate groups records by a hashed key; the bytes must not move.
+        result = runner.invoke(main, ["kb", command])
+        assert result.exit_code == 0
+        assert hashlib.sha256(result.output.encode("utf-8")).hexdigest() == sha256
 
     def test_list_telegram_ios(self, runner):
         result = runner.invoke(main, ["kb", "list", "--app", "Telegram", "--os", "ios", "--kind", "video"])

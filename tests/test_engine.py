@@ -174,19 +174,19 @@ class TestDisambiguateBySize:
     def test_wechat_vs_kakaotalk_high(self, kb):
         base = match_image(ImageAttributes(1080, 1440, 1_000_000), kb).candidates
         assert {c.app for c in base} == {"KakaoTalk", "WeChat"}
-        at_210k = disambiguate_by_size(list(base), 210_000, kb, _records(kb, base))
+        at_210k = disambiguate_by_size(list(base), 210_000, _records(kb, base))
         assert {c.app for c in at_210k} == {"WeChat"}
-        at_480k = disambiguate_by_size(list(base), 480_000, kb, _records(kb, base))
+        at_480k = disambiguate_by_size(list(base), 480_000, _records(kb, base))
         assert {c.app for c in at_480k} == {"KakaoTalk"}
 
     def test_single_candidate_unchanged(self, kb):
         candidates = [Candidate("t6-skype-default-ios", "Skype", OS.IOS, "Default", ("resolution",))]
-        assert disambiguate_by_size(candidates, 123, kb, _records(kb, candidates)) == candidates
+        assert disambiguate_by_size(candidates, 123, _records(kb, candidates)) == candidates
 
     def test_never_empties_and_never_grows(self, kb):
         base = list(match_image(ImageAttributes(1080, 1440, 1_000_000), kb).candidates)
         for size in (1, 100_000, 210_000, 480_000, 10_000_000):
-            result = disambiguate_by_size(base, size, kb, _records(kb, base))
+            result = disambiguate_by_size(base, size, _records(kb, base))
             assert 0 < len(result) <= len(base)
 
     def test_records_sharing_an_id_keep_their_own_apps(self):
@@ -455,6 +455,7 @@ def _hand_built_kbs(draw):
     records = []
     for i in range(draw(st.integers(min_value=1, max_value=12))):
         chain = draw(st.booleans())
+        placeholder = i > 0 and draw(st.booleans())
 
         def values(choices, max_size):
             # Empty half the time, so that records often match a query.
@@ -475,9 +476,7 @@ def _hand_built_kbs(draw):
         )
         records.append(FingerprintRecord(
             f"t9-r{i}", MediaKind.VIDEO, draw(st.sampled_from(["A", "B"])), OS.IOS, "Default",
-            hop=Hop.CHAIN if chain else Hop.SINGLE, nth_app="N" if chain else None,
-            distinguishable=draw(st.booleans()),
-            constraints=constraints,
+            nth_app="N" if chain else None, constraints=None if placeholder else constraints,
         ))
     return KnowledgeBase(tuple(records))
 
@@ -486,7 +485,7 @@ def _hand_built_kbs(draw):
 def _near_record(draw, kb):
     """A video that takes each field, most of the time, from the values one
     record of ``kb`` lists, so that it often matches that record or others."""
-    c = draw(st.sampled_from(kb.records)).constraints
+    c = draw(st.sampled_from([rec for rec in kb.records if rec.distinguishable])).constraints
 
     def pick(own, anywhere):
         return draw(st.sampled_from(own if own and draw(st.integers(0, 3)) else anywhere))
@@ -605,13 +604,13 @@ def _image_kbs(draw):
     records = []
     for i in range(draw(st.integers(min_value=1, max_value=10))):
         chain = draw(st.booleans())
+        placeholder = i > 0 and draw(st.booleans())
         band = draw(st.one_of(st.none(), st.tuples(st.sampled_from((50_000, 200_000)),
                                                    st.sampled_from((10_000, 100_000)))))
         records.append(FingerprintRecord(
             f"t6-r{i}", MediaKind.IMAGE, draw(st.sampled_from(["A", "B", "C"])), OS.IOS, "Default",
-            hop=Hop.CHAIN if chain else Hop.SINGLE, nth_app="N" if chain else None,
-            distinguishable=i == 0 or draw(st.booleans()),
-            constraints=ImageConstraints(draw(_image_resolutions()), band),
+            nth_app="N" if chain else None,
+            constraints=None if placeholder else ImageConstraints(draw(_image_resolutions()), band),
         ))
     return KnowledgeBase(tuple(records))
 
@@ -794,12 +793,16 @@ class TestSharedEvidenceParity:
             assert match_image(attrs, kb) == _ref_match_image(attrs, kb)
 
 
-def _assert_evidence_bounded(kb):
-    """Every table entry belongs to a KB record, and no record has more than two."""
-    per_record = {id(rec): 0 for rec in kb.records}
-    for key in kb.evidence:
-        per_record[key[0]] += 1
-    assert max(per_record.values(), default=0) <= 2
+def _snapshot(kb):
+    """The KB's attributes, by identity and pickled (so a table that grows
+    shows), and for each record the identity of its attributes and of every
+    evidence object."""
+    records = [
+        ({name: id(value) for name, value in vars(rec).items()},
+         {key: id(value) for key, value in rec.evidence.items()})
+        for rec in kb.records
+    ]
+    return {name: id(value) for name, value in vars(kb).items()}, pickle.dumps(vars(kb)), records
 
 
 class TestSharedEvidence:
@@ -825,11 +828,11 @@ class TestSharedEvidence:
         assert {(c.used_size_band, c.matched_fields) for c in banded} == {(True, ("resolution", "byte_size"))}
         plain_by_id = {c.record_id: c for c in plain}
         assert all(c is not plain_by_id[c.record_id] for c in banded)
-        assert len(kb.evidence) == len(plain) + len(banded)
+        assert all(c is kb.record(c.record_id).evidence[c.matched_fields] for c in plain + banded)
 
-    def test_generated_vectors_fill_at_most_two_entries_per_record(self):
+    def test_generated_vectors_leave_the_kb_unchanged(self):
         kb = load_kb_path()
-        assert kb.evidence == {}
+        before = _snapshot(kb)
         for entry in generate_corpus(kb):
             attrs = entry.attributes
             if entry.media_kind is MediaKind.IMAGE:
@@ -838,24 +841,24 @@ class TestSharedEvidence:
             else:
                 for markers in (attrs.markers, frozenset(), frozenset(Marker)):
                     match_video(dataclasses.replace(attrs, markers=markers), kb)
-        assert kb.evidence
-        _assert_evidence_bounded(kb)
+        assert _snapshot(kb) == before
 
     @given(st.lists(st.tuples(_video_attrs(_SHIPPED["codec_ids"], _SHIPPED["video_format_profiles"],
                                            _SHIPPED["resolutions"], _SHIPPED["encoders"]),
                               _image_queries(load_kb_path())), min_size=1, max_size=20))
     @settings(max_examples=100, deadline=None)
-    def test_hypothesis_vectors_keep_the_bound(self, queries):
+    def test_hypothesis_vectors_leave_the_kb_unchanged(self, queries):
         kb = load_kb_path()
+        before = _snapshot(kb)
         for attrs, image in queries:
             for markers in (attrs.markers, frozenset()):
                 match_video(dataclasses.replace(attrs, markers=markers), kb)
             match_image(image, kb)
-        _assert_evidence_bounded(kb)
+        assert _snapshot(kb) == before
 
     def test_records_sharing_an_index_keep_their_own_evidence(self):
-        # Two records whose constraints are one object; the table tells the
-        # records apart by identity.
+        # Two records whose constraints are one object; each builds its own
+        # evidence, naming itself.
         constraints = VideoConstraints(codec_ids=("qt",), resolutions=((960, 540),))
         kb = KnowledgeBase(tuple(
             FingerprintRecord(f"t7-{app}", MediaKind.VIDEO, app, OS.IOS, "Default", constraints=constraints)
@@ -865,19 +868,24 @@ class TestSharedEvidence:
         for _ in range(2):
             assert [c.record_id for c in match_video(attrs, kb).candidates] == ["t7-A", "t7-B"]
 
-    def test_replace_pickle_and_copy_start_empty(self):
+    def test_replace_pickle_and_copy_give_an_equal_kb(self):
         kb = load_kb_path()
-        match_image(ImageAttributes(720, 960, 98_000), kb)
-        assert kb.evidence
+        queries = (ImageAttributes(720, 960, 98_000), ImageAttributes(720, 960, 75_000))
         for fresh in (dataclasses.replace(kb), pickle.loads(pickle.dumps(kb)), copy.copy(kb), copy.deepcopy(kb)):
-            assert fresh.evidence == {} and fresh.evidence is not kb.evidence
             assert fresh == kb
-            assert match_image(ImageAttributes(720, 960, 98_000), fresh) == match_image(
-                ImageAttributes(720, 960, 98_000), kb)
+            assert [rec.evidence for rec in fresh.records] == [rec.evidence for rec in kb.records]
+            for attrs in queries:
+                assert match_image(attrs, fresh) == match_image(attrs, kb)
+            attrs = video("mp4", FormatProfile.BASE_MEDIA, "isom (isom/iso2/avc1/mp41)", "Main@L4",
+                          1920, 1080, encoder="Lavf58.20.100")
+            assert match_video(attrs, fresh) == match_video(attrs, kb)
 
     def test_equality_ignores_the_table(self):
-        used, unused = load_kb_path(), load_kb_path()
-        match_video(video("MOV", FormatProfile.QUICKTIME, "qt", "Main@L3.1", 960, 540), used)
-        assert used.evidence and not unused.evidence
-        assert used == unused
-        assert "evidence" not in repr(unused)
+        # A record's evidence table is built from its fields, so it takes no
+        # part in equality, hashing or repr.
+        first, second = load_kb_path(), load_kb_path()
+        assert first == second
+        for rec, twin in zip(first.records, second.records):
+            assert rec.evidence == twin.evidence and rec.evidence is not twin.evidence
+            assert hash(rec) == hash(twin)
+        assert "evidence" not in repr(first.records[0]) + repr(first)

@@ -7,6 +7,8 @@ from mediafp.attributes import FormatProfile, ImageAttributes, Marker, MediaKind
 from mediafp.kb import (
     RESOLUTION_TOLERANCE,
     VIDEO_FIELDS,
+    Candidate,
+    ChainHypothesis,
     FingerprintRecord,
     Hop,
     ImageConstraints,
@@ -48,6 +50,14 @@ IMAGE_ORIGINAL = """
 media = image
 os = iOS
 resolution = 100x100
+"""
+
+VIDEO_ORIGINAL = """
+[original o-vid]
+media = video
+os = iOS
+resolution = 1920x1080
+nominal_size = 5000000
 """
 
 
@@ -133,6 +143,14 @@ def test_manifest_mismatch_names_only_the_groups_that_drifted():
                  "byte_size must be >= 4", id="nominal-size-below-image-minimum"),
     pytest.param("os = iOS", "resolution = 100x100", 'encoder = "Lavf\udcff"',
                  "not UTF-8 text", id="not-utf8"),
+    pytest.param("os = iOS", "resolution = 100x100", VIDEO_ORIGINAL + 'codec_id = "qt", "mp42"',
+                 "originals carry exactly one codec id", id="original-codec-id-list"),
+    pytest.param("os = iOS", "resolution = 100x100", VIDEO_ORIGINAL + 'video_format_profile = "High@L4", "Main@L3"',
+                 "originals carry exactly one video format profile", id="original-video-format-profile-list"),
+    pytest.param("os = iOS", "resolution = 100x100", VIDEO_ORIGINAL + "format_profile = QuickTime, Base Media",
+                 "originals carry exactly one format profile", id="original-format-profile-list"),
+    pytest.param("os = iOS", "resolution = 100x100", VIDEO_ORIGINAL.replace("1920x1080", "1920x1080, 1080x1920"),
+                 "originals carry exactly one resolution", id="original-resolution-list"),
     pytest.param("os = iOS", "resolution = 100x100", IMAGE_RECORD.replace("resolution = 100x100", ""),
                  "missing key 'resolution'", id="image-without-resolution"),
     pytest.param("os = iOS", "resolution = 100x100", IMAGE_RECORD.replace("100x100", ""),
@@ -212,6 +230,60 @@ def test_marker_sets_are_built_with_the_constraints():
     lifted = dataclasses.replace(constraints, markers_any=True)
     assert lifted.marker_set == constraints.marker_set
     assert lifted.forbidden_markers == frozenset()
+
+
+def _reachable_evidence_keys(rec):
+    """The matched-field tuples a match of ``rec`` can return: for a video,
+    its populated fields, and those plus markers when it lists markers that
+    are not ``any``; for an image, the resolution, and resolution plus byte
+    size when it has a size band; nothing for a placeholder."""
+    c = rec.constraints
+    if c is None:
+        return set()
+    if isinstance(c, ImageConstraints):
+        return {("resolution",)} | ({("resolution", "byte_size")} if c.size_band else set())
+    populated = tuple(name for name, attr, _, _ in VIDEO_FIELDS
+                      if getattr(c, attr) and not (name == "resolution" and c.resolution_wildcard))
+    return {populated} | ({populated + ("markers",)} if c.markers and not c.markers_any else set())
+
+
+def test_each_record_builds_exactly_its_reachable_evidence(kb):
+    marked = VideoConstraints(codec_ids=("qt",), markers=(Marker.COPYRIGHT,))
+    hand_built = [
+        FingerprintRecord("t7-marked", MediaKind.VIDEO, "A", OS.IOS, "Default", constraints=marked),
+        FingerprintRecord("t7-any", MediaKind.VIDEO, "A", OS.IOS, "Default",
+                          constraints=dataclasses.replace(marked, markers_any=True)),
+        FingerprintRecord("t8-wild", MediaKind.VIDEO, "A", OS.IOS, "Default",
+                          constraints=VideoConstraints(resolutions=((1, 1),), resolution_wildcard=True)),
+        FingerprintRecord("t9-relay", MediaKind.VIDEO, "B", OS.IOS, "Low", nth_app="A", constraints=marked),
+        FingerprintRecord("t6-banded", MediaKind.IMAGE, "A", OS.IOS, "Default",
+                          constraints=ImageConstraints(((100, 100),), (50_000, 5_000))),
+        FingerprintRecord("t10-img", MediaKind.IMAGE, "B", OS.IOS, "Default", nth_app="A",
+                          constraints=ImageConstraints(((100, 100),))),
+        FingerprintRecord("t6-none", MediaKind.IMAGE, "A", OS.IOS, "Default"),
+    ]
+    assert [sorted(rec.evidence) for rec in hand_built] == [
+        [("codec_id",), ("codec_id", "markers")], [("codec_id",)], [()],
+        [("codec_id",), ("codec_id", "markers")],
+        [("resolution",), ("resolution", "byte_size")], [("resolution",)], [],
+    ]
+    for rec in kb.records + tuple(hand_built):
+        assert set(rec.evidence) == _reachable_evidence_keys(rec), rec.record_id
+        for key, value in rec.evidence.items():
+            if rec.hop is Hop.CHAIN and rec.media_kind is MediaKind.VIDEO:
+                assert value == ChainHypothesis(rec.nth_app, rec.app, rec.os, rec.quality, key)
+            else:
+                assert value == Candidate(rec.record_id, rec.app, rec.os, rec.quality, key,
+                                          used_size_band="byte_size" in key)
+
+
+def test_hop_and_distinguishable_follow_nth_app_and_constraints():
+    fields = {f.name for f in dataclasses.fields(FingerprintRecord) if f.init}
+    assert not {"hop", "distinguishable"} & fields
+    single = FingerprintRecord("t7-a", MediaKind.VIDEO, "A", OS.IOS, "Default")
+    relay = dataclasses.replace(single, nth_app="B", constraints=VideoConstraints(codec_ids=("qt",)))
+    assert (single.hop, single.distinguishable) == (Hop.SINGLE, False)
+    assert (relay.hop, relay.distinguishable) == (Hop.CHAIN, True)
 
 
 def test_unreadable_kb_raises_kb_error(tmp_path):
@@ -479,24 +551,19 @@ def _hand_built_kb():
     )
     c2 = dataclasses.replace(c1, resolutions=((640, 360),))
 
-    def video(rid, app, os, constraints, nth_app=None, distinguishable=True):
-        return FingerprintRecord(
-            rid, MediaKind.VIDEO, app, os, "Default",
-            hop=Hop.CHAIN if nth_app else Hop.SINGLE, nth_app=nth_app,
-            distinguishable=distinguishable, constraints=constraints,
-        )
+    def video(rid, app, os, constraints, nth_app=None):
+        return FingerprintRecord(rid, MediaKind.VIDEO, app, os, "Default", nth_app=nth_app, constraints=constraints)
 
     records = (
         video("t8-b", "B", OS.IOS, c1),
         FingerprintRecord("t6-img", MediaKind.IMAGE, "B", OS.IOS, "Default",
                           constraints=ImageConstraints(((100, 100),))),
-        # A placeholder that still carries constraints can only be built directly.
-        video("t8-d", "D", OS.IOS, c2, distinguishable=False),
+        video("t8-d", "D", OS.IOS, None),  # a placeholder overwrites no relay of its app
         video("t9-equal", "B", OS.IOS, c1, nth_app="A"),
         video("t9-other-os", "B", OS.ANDROID_ANY, c1, nth_app="A"),
         video("t9-placeholder-single", "D", OS.IOS, c2, nth_app="A"),
         # Relay matching covers videos only; image queries still see it.
-        FingerprintRecord("t10-img", MediaKind.IMAGE, "B", OS.IOS, "Default", hop=Hop.CHAIN,
+        FingerprintRecord("t10-img", MediaKind.IMAGE, "B", OS.IOS, "Default",
                           nth_app="A", constraints=ImageConstraints(((200, 200),))),
     )
     return KnowledgeBase(records)
