@@ -33,17 +33,18 @@ def _load_kb(kb_path: str | None) -> kb_mod.KnowledgeBase:
         _fail(exc)
 
 
-def _files_under(root: Path) -> list[Path]:
-    """Every file below ``root``, in no particular order.
+def _files_under(root: str) -> list[str]:
+    """Every file below ``root``, as the path string ``str(Path(directory) / name)`` gives.
 
-    Symlinked files are kept; symlinked directories are not entered;
-    links that are broken, loop or pass through a file are dropped, as
-    ``Path.is_file`` drops them; a directory that cannot be listed
-    (unreadable, removed during the walk, or any other ``OSError``) is
-    skipped.  A directory entry already says whether it is a directory or a
-    plain file, so only symlinks cost a stat.
+    The files come in no particular order.  Symlinked files are kept and
+    symlinked directories are not entered; a link that is broken, loops,
+    passes through a file or cannot be resolved is dropped, as
+    ``os.path.isfile`` drops it, and so is a directory that cannot be listed
+    (unreadable, removed during the walk, any other ``OSError``).  A
+    directory entry already says whether it is a directory or a plain file,
+    so only symlinks cost a stat.
     """
-    files: list[Path] = []
+    files: list[str] = []
     pending = [root]
     while pending:
         directory = pending.pop()
@@ -52,11 +53,12 @@ def _files_under(root: Path) -> list[Path]:
                 entries = list(it)
         except OSError:
             continue
+        prefix = "" if directory == "." else directory if directory.endswith("/") else directory + "/"
         for entry in entries:
-            path = directory / entry.name
+            path = prefix + entry.name
             if entry.is_dir(follow_symlinks=False):
                 pending.append(path)
-            elif path.is_file() if entry.is_symlink() else entry.is_file(follow_symlinks=False):
+            elif os.path.isfile(path) if entry.is_symlink() else entry.is_file(follow_symlinks=False):
                 files.append(path)
     return files
 
@@ -98,16 +100,12 @@ def scan(paths: tuple[Path, ...], fmt: str, kb_path: str | None,
     1 when any file failed to parse, 2 on bad invocation.
     """
     knowledge = _load_kb(kb_path)
-    files: list[Path] = []
-    for path in paths:
-        if path.is_dir():
-            files.extend(_files_under(path))
-        else:
-            files.append(path)
     # A file named by overlapping arguments (a directory and a file below it)
     # is scanned once.
-    unique = {str(path): path for path in files}
-    reports = [report.scan_file(unique[name], knowledge, chains=chains) for name in sorted(unique)]
+    files: set[str] = set()
+    for path in paths:
+        files.update(_files_under(str(path)) if path.is_dir() else (str(path),))
+    reports = [report.scan_file(path, knowledge, chains=chains) for path in sorted(files)]
     stamp = datetime.now(timezone.utc).isoformat() if timestamps else None
     click.echo(report.render_report(reports, fmt, stamp), nl=False)
     sys.exit(1 if any(r.error for r in reports) else 0)

@@ -642,6 +642,9 @@ def _build_original(block: _Block) -> OriginalProfile:
     for key in ("media", "os", "resolution", "nominal_size"):
         if key not in f:
             raise SchemaError(f"{where}: missing key {key!r}")
+    used_wrong = _VIDEO_ONLY_KEYS & set(f) if f["media"] == MediaKind.IMAGE.value else None
+    if used_wrong:
+        raise SchemaError(f"{where}: keys {sorted(used_wrong)} not valid for image originals")
     # Each video field an original names is parsed as a record's would be.
     values = {}
     for key, _, _, parse in VIDEO_FIELDS:

@@ -17,7 +17,6 @@ import errno
 import os
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
-from pathlib import Path
 from stat import S_ISDIR, S_ISREG
 
 from . import container, jpeg
@@ -93,8 +92,9 @@ class _FileView:
         return data
 
 
-def scan_file(path: Path, kb: KnowledgeBase, chains: bool = True) -> FileReport:
-    """Parse and match one file; parse and I/O failures become per-file errors."""
+def scan_file(path: str | os.PathLike[str], kb: KnowledgeBase, chains: bool = True) -> FileReport:
+    """Parse and match one file, named by a str or path-like; parse and I/O failures become per-file errors."""
+    path = os.fspath(path)
     kind: MediaKind | None = None
     try:
         # Without O_NONBLOCK, opening a FIFO waits for a writer, before the
@@ -105,8 +105,8 @@ def scan_file(path: Path, kb: KnowledgeBase, chains: bool = True) -> FileReport:
             if not S_ISREG(stat.st_mode):
                 if S_ISDIR(stat.st_mode):
                     # As open() reports it; a read would raise without the path.
-                    raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), os.fspath(path))
-                raise OSError(f"not a regular file: {os.fspath(path)!r}")
+                    raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+                raise OSError(f"not a regular file: {path!r}")
             size = stat.st_size
             first = HEAD_READ if size <= HEAD_READ else jpeg.PAGE
             head = _pread(fd, first, 0, min(first, size))
@@ -120,13 +120,13 @@ def scan_file(path: Path, kb: KnowledgeBase, chains: bool = True) -> FileReport:
                 if not whole:
                     head += _pread(fd, HEAD_READ - first, first, HEAD_READ - first)
                 data = _FileView(fd, head, size, size) if HEAD_READ <= len(head) < size else head
-                attrs = container.extract_video_attributes(data, name_hint=path.name)
+                attrs = container.extract_video_attributes(data, name_hint=os.path.basename(path))
                 verdict = match_video(attrs, kb, chains=chains)
         finally:
             os.close(fd)
     except (container.ParseError, jpeg.JpegError, OSError) as exc:
-        return FileReport(str(path), kind, None, None, f"{type(exc).__name__}: {exc}")
-    return FileReport(str(path), kind, attrs, verdict, None)
+        return FileReport(path, kind, None, None, f"{type(exc).__name__}: {exc}")
+    return FileReport(path, kind, attrs, verdict, None)
 
 
 # The report schema is fixed, so each object kind has one template at its

@@ -12,7 +12,7 @@ from click.testing import CliRunner
 
 import mediafp
 from mediafp import report
-from mediafp.cli import main
+from mediafp.cli import _files_under, main
 from mediafp.kb import default_kb_path, load_kb_path
 from mediafp.oracle import expected_attributes, synthesize_container
 
@@ -76,9 +76,61 @@ class TestScan:
         assert reference == [prefix + name for name in (
             ".hidden.jpg", "a.jpg", "file-link.jpg", "sub/b.jpg", "sub/deeper/c.jpg",
         )]
+        # A link whose target cannot even be looked up (here a name component
+        # too long for the file system) is dropped like a broken one.  It is
+        # made after the reference, because pathlib raises on it.
+        (tree / "sub" / "long-link.jpg").symlink_to("x" * 300)
         result = runner.invoke(main, ["scan", str(root), "--format", "json"])
         assert result.exit_code == 0
         assert [r["path"] for r in json.loads(result.output)["reports"]] == reference
+
+    @pytest.mark.parametrize("root", [".", "sub", "sub/", "absolute"])
+    def test_walk_paths_are_pathlib_paths(self, tmp_path, monkeypatch, root):
+        outside = tmp_path / "outside"
+        outside.mkdir()
+        (outside / "x.jpg").write_bytes(b"x")
+        monkeypatch.chdir(tmp_path)
+        tree = Path("sub")
+        (tree / "deeper").mkdir(parents=True)
+        for name in ("a.jpg", "deeper/b.jpg"):
+            (tree / name).write_bytes(b"x")
+        (tree / "file-link.jpg").symlink_to(outside / "x.jpg")
+        (tree / "dir-link").symlink_to(outside, target_is_directory=True)
+        (tree / "broken.jpg").symlink_to(tmp_path / "nope.jpg")
+        (tree / "deeper" / "loop.jpg").symlink_to("loop.jpg")
+        if root == "absolute":
+            root = str(tmp_path / "sub")
+        expected = {str(p) for p in Path(root).rglob("*") if p.is_file()}
+        assert len(expected) == (4 if root == "." else 3)
+        assert set(_files_under(root)) == expected
+
+    @pytest.mark.parametrize("root", ["/", "//"])
+    def test_walk_joins_under_a_root_ending_in_a_slash(self, tmp_path, monkeypatch, root):
+        # The root's listing is that of a one-file directory, so nothing
+        # outside it is walked.
+        (tmp_path / "a.jpg").write_bytes(b"x")
+        real_scandir = os.scandir
+        monkeypatch.setattr(os, "scandir", lambda path: real_scandir(tmp_path if path == root else path))
+        assert _files_under(root) == [str(Path(root) / "a.jpg")] == [root + "a.jpg"]
+
+    def test_scan_file_takes_str_or_path(self, tmp_path, kb):
+        files = {
+            "clip.mov": synthesize_container(expected_attributes(kb.record("t7-discord-default"))),
+            "photo.jpg": make_jpeg(720, 960, total_size=100_000),
+            "junk.bin": b"\x00\x01\x02\x03 garbage",
+        }
+        for name, data in files.items():
+            path = tmp_path / name
+            path.write_bytes(data)
+            assert report.scan_file(str(path), kb) == report.scan_file(path, kb)
+        assert report.scan_file(str(tmp_path / "junk.bin"), kb).error is not None
+
+    def test_file_inside_dot_is_scanned_once(self, runner, tmp_path, monkeypatch):
+        (tmp_path / "a.jpg").write_bytes(make_jpeg(720, 960))
+        monkeypatch.chdir(tmp_path)
+        result = runner.invoke(main, ["scan", ".", "./a.jpg", "--format", "json"])
+        assert result.exit_code == 0
+        assert [r["path"] for r in json.loads(result.output)["reports"]] == ["a.jpg"]
 
     @pytest.mark.parametrize("error", [FileNotFoundError, NotADirectoryError, OSError])
     def test_directory_failing_to_list_is_skipped(self, runner, tmp_path, monkeypatch, error):

@@ -151,6 +151,9 @@ def test_manifest_mismatch_names_only_the_groups_that_drifted():
                  "originals carry exactly one format profile", id="original-format-profile-list"),
     pytest.param("os = iOS", "resolution = 100x100", VIDEO_ORIGINAL.replace("1920x1080", "1920x1080, 1080x1920"),
                  "originals carry exactly one resolution", id="original-resolution-list"),
+    pytest.param("os = iOS", "resolution = 100x100",
+                 IMAGE_ORIGINAL + 'nominal_size = 2000000\nextension = MOV\ncodec_id = "qt"',
+                 r"keys \['codec_id', 'extension'\] not valid for image originals", id="image-original-video-keys"),
     pytest.param("os = iOS", "resolution = 100x100", IMAGE_RECORD.replace("resolution = 100x100", ""),
                  "missing key 'resolution'", id="image-without-resolution"),
     pytest.param("os = iOS", "resolution = 100x100", IMAGE_RECORD.replace("100x100", ""),
