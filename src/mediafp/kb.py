@@ -17,6 +17,10 @@ shifting verdicts.
 is parsed; each ``VideoConstraints`` compiles its populated rows of it,
 which ``engine`` matches by looping over.
 
+Each distinct field value is parsed once per load: records that list the
+same value share one parsed tuple.  A directory is read one ``*.kb`` file at
+a time, in sorted name order, so a block never continues into the next file.
+
 Each ``FingerprintRecord`` builds, when it is built, the frozen ``Candidate``
 or ``ChainHypothesis`` every match of it yields, and a ``KnowledgeBase``
 compiles the indexes queries use.  Nothing a query runs writes to either.
@@ -504,69 +508,87 @@ _IMAGE_ONLY_KEYS = frozenset({"size_band"})
 _RECORD_KEYS = frozenset({
     "media", "app", "os", "quality", "hop", "nth_app", "indistinguishable", "resolution",
 }) | _VIDEO_ONLY_KEYS | _IMAGE_ONLY_KEYS
+_CONSTRAINT_KEYS = _VIDEO_ONLY_KEYS | _IMAGE_ONLY_KEYS | {"resolution"}
 _ORIGINAL_KEYS = frozenset({
     "media", "os", "extension", "format_profile", "codec_id",
     "video_format_profile", "resolution", "nominal_size",
 })
+_MEDIA_KINDS = {kind.value: kind for kind in MediaKind}
 
 
 class _Block:
-    def __init__(self, kind: str, name: str | None, line_no: int):
+    def __init__(self, kind: str, name: str | None, at: str):
         self.kind = kind
         self.name = name
-        self.line_no = line_no
+        self.at = at  # "line 7", or "table07.kb line 7" in a directory load
         self.fields: dict[str, str] = {}  # in file order
 
     def where(self) -> str:
         label = self.name or self.kind
-        return f"[{self.kind} {label}] (line {self.line_no})"
+        return f"[{self.kind} {label}] ({self.at})"
 
 
-def _split_blocks(text: str) -> list[_Block]:
+def _split_blocks(text: str, source: str = "") -> list[_Block]:
+    """The blocks of one KB text; ``source`` names its file in error locations."""
+    at = f"{source} line " if source else "line "
     blocks: list[_Block] = []
     current: _Block | None = None
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+    for line_no, line in enumerate(map(str.strip, text.splitlines()), start=1):
+        if not line or line[0] == "#":
             continue
-        m = _SECTION_RE.match(line)
-        if m:
-            kind, name = m.group(1), m.group(2)
-            if kind not in ("record", "original", "manifest"):
-                raise SchemaError(f"line {line_no}: unknown block {line!r}")
-            if kind in ("record", "original") and not name:
-                raise SchemaError(f"line {line_no}: [{kind}] block needs an id")
-            current = _Block(kind, name, line_no)
-            blocks.append(current)
-            continue
-        if "=" not in line:
-            raise SchemaError(f"line {line_no}: expected 'key = value', got {raw!r}")
+        if line[0] == "[":
+            m = _SECTION_RE.match(line)
+            if m:
+                kind, name = m.groups()
+                if kind not in ("record", "original", "manifest"):
+                    raise SchemaError(f"{at}{line_no}: unknown block {line!r}")
+                if kind in ("record", "original") and not name:
+                    raise SchemaError(f"{at}{line_no}: [{kind}] block needs an id")
+                current = _Block(kind, name, f"{at}{line_no}")
+                blocks.append(current)
+                continue
+        # The line is stripped, so the key can only end, and the value only
+        # start, with whitespace.
+        key, eq, value = line.partition("=")
+        if not eq:
+            raw = text.splitlines()[line_no - 1]
+            raise SchemaError(f"{at}{line_no}: expected 'key = value', got {raw!r}")
         if current is None:
-            raise SchemaError(f"line {line_no}: field outside any block")
-        key, _, value = line.partition("=")
-        key = key.strip()
+            raise SchemaError(f"{at}{line_no}: field outside any block")
+        key = key.rstrip()
         if key in current.fields:
             raise SchemaError(f"{current.where()}: duplicate key {key!r}")
-        current.fields[key] = value.strip()
+        current.fields[key] = value.lstrip()
     return blocks
 
 
-def _build_record(block: _Block) -> FingerprintRecord:
+def _parse(parsed: dict, parser, value: str, where: str):
+    """``parser(value, where)``, looked up in or added to the load's ``parsed``.
+
+    Only results are kept, so a bad value fails again, with its own block's
+    ``where``, at every block that holds it; the first one ends the load.
+    """
+    result = parsed.get((parser, value))
+    if result is None:
+        result = parsed[parser, value] = parser(value, where)
+    return result
+
+
+def _build_record(block: _Block, parsed: dict) -> FingerprintRecord:
     where = block.where()
-    unknown = set(block.fields) - _RECORD_KEYS
+    f = block.fields
+    unknown = f.keys() - _RECORD_KEYS
     if unknown:
         raise SchemaError(f"{where}: unknown keys {sorted(unknown)}")
-    f = block.fields
 
     def require(key: str) -> str:
         if key not in f:
             raise SchemaError(f"{where}: missing key {key!r}")
         return f[key]
 
-    try:
-        media = MediaKind(require("media"))
-    except ValueError:
-        raise SchemaError(f"{where}: unknown media kind {f['media']!r}") from None
+    media = _MEDIA_KINDS.get(require("media"))
+    if media is None:
+        raise SchemaError(f"{where}: unknown media kind {f['media']!r}")
     try:
         rec_os = parse_os(require("os"))
     except ValueError as exc:
@@ -583,17 +605,16 @@ def _build_record(block: _Block) -> FingerprintRecord:
     indistinguishable = _parse_bool(f["indistinguishable"], where) if "indistinguishable" in f else False
 
     wrong_kind = _VIDEO_ONLY_KEYS if media is MediaKind.IMAGE else _IMAGE_ONLY_KEYS
-    used_wrong = wrong_kind & set(f)
+    used_wrong = wrong_kind.intersection(f)
     if used_wrong:
         raise SchemaError(f"{where}: keys {sorted(used_wrong)} not valid for {media.value} records")
 
-    constraint_keys = set(f) & (_VIDEO_ONLY_KEYS | _IMAGE_ONLY_KEYS | {"resolution"})
     if indistinguishable:
-        if constraint_keys:
+        if _CONSTRAINT_KEYS.intersection(f):
             raise SchemaError(f"{where}: indistinguishable records carry no constraints")
         constraints: Constraints | None = None
     elif media is MediaKind.IMAGE:
-        resolutions = _parse_resolutions(require("resolution"), where)
+        resolutions = _parse(parsed, _parse_resolutions, require("resolution"), where)
         if not resolutions:
             raise SchemaError(f"{where}: image records need at least one resolution")
         size_band = None
@@ -605,18 +626,22 @@ def _build_record(block: _Block) -> FingerprintRecord:
         constraints = ImageConstraints(resolutions, size_band)
     else:
         # `resolution = irregular` sets the wildcard and lists no resolution.
-        wildcard = f.get("resolution", "").strip().lower() == "irregular"
+        # Values come stripped from _split_blocks.
+        wildcard = f.get("resolution", "").lower() == "irregular"
         values = {
-            attr: parse(f[key], where)
+            attr: _parse(parsed, parse, f[key], where)
             for key, attr, _, parse in VIDEO_FIELDS
             if key in f and not (wildcard and key == "resolution")
         }
-        markers_value = f.get("markers", "").strip()
+        markers_value = f.get("markers", "")
         markers_any = markers_value.lower() == "any"
+        markers = ()
+        if markers_value and not markers_any:
+            markers = _parse(parsed, _parse_markers, markers_value, where)
         constraints = VideoConstraints(
             **values,
             resolution_wildcard=wildcard,
-            markers=() if markers_any else _parse_markers(markers_value, where) if markers_value else (),
+            markers=markers,
             markers_any=markers_any,
         )
         if constraints.is_empty():
@@ -633,26 +658,26 @@ def _build_record(block: _Block) -> FingerprintRecord:
     )
 
 
-def _build_original(block: _Block) -> OriginalProfile:
+def _build_original(block: _Block, parsed: dict) -> OriginalProfile:
     where = block.where()
-    unknown = set(block.fields) - _ORIGINAL_KEYS
+    f = block.fields
+    unknown = f.keys() - _ORIGINAL_KEYS
     if unknown:
         raise SchemaError(f"{where}: unknown keys {sorted(unknown)}")
-    f = block.fields
     for key in ("media", "os", "resolution", "nominal_size"):
         if key not in f:
             raise SchemaError(f"{where}: missing key {key!r}")
-    used_wrong = _VIDEO_ONLY_KEYS & set(f) if f["media"] == MediaKind.IMAGE.value else None
+    used_wrong = _VIDEO_ONLY_KEYS.intersection(f) if f["media"] == MediaKind.IMAGE.value else None
     if used_wrong:
         raise SchemaError(f"{where}: keys {sorted(used_wrong)} not valid for image originals")
     # Each video field an original names is parsed as a record's would be.
     values = {}
     for key, _, _, parse in VIDEO_FIELDS:
         if key in f:
-            parsed = parse(f[key], where)
-            if len(parsed) != 1:
+            items = _parse(parsed, parse, f[key], where)
+            if len(items) != 1:
                 raise SchemaError(f"{where}: originals carry exactly one {key.replace('_', ' ')}")
-            values[key] = parsed[0]
+            values[key] = items[0]
     if not f["nominal_size"].isdecimal():
         raise SchemaError(f"{where}: nominal_size must be a byte count, got {f['nominal_size']!r}")
     try:
@@ -675,15 +700,22 @@ def load_kb(text: str) -> KnowledgeBase:
     Raises SchemaError on malformed blocks and ManifestMismatch when the
     per-group record counts drift from the manifest.
     """
+    return _load_blocks(_split_blocks(text))
+
+
+def _load_blocks(blocks: list[_Block]) -> KnowledgeBase:
     records: list[FingerprintRecord] = []
     originals: list[OriginalProfile] = []
     manifest: list[tuple[str, int]] | None = None
+    # (parser, raw value) -> parsed value, for this load only: a new load
+    # parses everything again, as a new process would.
+    parsed: dict[tuple, object] = {}
 
-    for block in _split_blocks(text):
+    for block in blocks:
         if block.kind == "record":
-            records.append(_build_record(block))
+            records.append(_build_record(block, parsed))
         elif block.kind == "original":
-            originals.append(_build_original(block))
+            originals.append(_build_original(block, parsed))
         else:  # manifest
             if manifest is not None:
                 raise SchemaError(f"{block.where()}: duplicate manifest block")
@@ -735,16 +767,18 @@ def default_kb_path() -> Path:
 def load_kb_path(path: str | Path | None = None) -> KnowledgeBase:
     """Load a KB from a file, or from every ``*.kb`` file in a directory.
 
-    Directory files concatenate in sorted name order, which fixes the record
+    Directory files are read in sorted name order, which fixes the record
     order (and therefore rank tie-breaking) independently of the filesystem.
-    Raises only KbError, also for a file that cannot be read or is not UTF-8.
+    Each file is split into blocks on its own, so a block ends with its file,
+    and an error names the file and the line within it.  Raises only
+    KbError, also for a file that cannot be read or is not UTF-8.
     """
     target = Path(path) if path is not None else default_kb_path()
     if target.is_dir():
-        parts = [_read_text(p) for p in sorted(target.glob("*.kb"))]
-        if not parts:
+        texts = [(p.name, _read_text(p)) for p in sorted(target.glob("*.kb"))]
+        if not texts:
             raise KbError(f"no .kb files under {target}")
-        return load_kb("\n".join(parts))
+        return _load_blocks([block for name, text in texts for block in _split_blocks(text, name)])
     return load_kb(_read_text(target))
 
 

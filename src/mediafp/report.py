@@ -9,6 +9,11 @@ The JSON report is written straight from the reports by per-object
 templates, and its bytes are exactly those of ``json.dumps(doc, indent=2)``
 over the equivalent dict (``tests/test_report.py`` pins this against a
 frozen dict form).
+
+Verdicts share their evidence: each ``Candidate`` and ``ChainHypothesis``
+a match returns is one object owned by the knowledge base.  So each render
+call renders each evidence object once and reuses its text for every report
+that holds it.
 """
 
 from __future__ import annotations
@@ -203,7 +208,26 @@ def _chain_json(h: ChainHypothesis) -> str:
     )
 
 
-def _report_json(r: FileReport) -> str:
+def _rendered(objs: tuple[Candidate | ChainHypothesis, ...], render, memo: dict[int, str]) -> list[str]:
+    """``render(obj)`` for each of ``objs``, computed once per ``memo``.
+
+    ``memo`` maps the ``id()`` of each object already rendered to its text.
+    An id names one object only while that object lives, so every object the
+    memo has seen must outlive the memo, as the reports of one render call
+    do.  Keying by the object itself would run a frozen dataclass's
+    generated hash, in Python, on every lookup.
+    """
+    texts = []
+    for obj in objs:
+        text = memo.get(id(obj))
+        if text is None:
+            text = memo[id(obj)] = render(obj)
+        texts.append(text)
+    return texts
+
+
+def _report_json(r: FileReport, memo: dict[int, str]) -> str:
+    """One report's JSON object; ``memo`` is the render call's, for ``_rendered``."""
     attrs = r.attributes
     if attrs is None:
         attributes = "null"
@@ -216,8 +240,8 @@ def _report_json(r: FileReport) -> str:
         outcome, candidates, chains = "null", "[]", "[]"
     else:
         outcome = _str(verdict.outcome.value)
-        candidates = _array([_candidate_json(c) for c in verdict.candidates], "      ")
-        chains = _array([_chain_json(h) for h in verdict.chain_hypotheses], "      ")
+        candidates = _array(_rendered(verdict.candidates, _candidate_json, memo), "      ")
+        chains = _array(_rendered(verdict.chain_hypotheses, _chain_json, memo), "      ")
     kind = "null" if r.media_kind is None else _str(r.media_kind.value)
     return (
         "{\n"
@@ -234,15 +258,19 @@ def _report_json(r: FileReport) -> str:
 
 def render_json(reports: list[FileReport], timestamp: str | None = None) -> str:
     stamp = "" if timestamp is None else f'  "generated_at": {_str(timestamp)},\n'
-    body = _array([_report_json(r) for r in reports], "  ")
+    memo: dict[int, str] = {}
+    body = _array([_report_json(r, memo) for r in reports], "  ")
     return f'{{\n  "schema_version": {SCHEMA_VERSION},\n{stamp}  "reports": {body}\n}}\n'
 
 
-def _top_candidate(verdict: Verdict) -> str:
+def _candidate_label(c: Candidate) -> str:
+    return f"{c.app} ({c.os.value}, {c.quality})"
+
+
+def _top_candidate(verdict: Verdict, memo: dict[int, str]) -> str:
     if not verdict.candidates:
         return "-"
-    c = verdict.candidates[0]
-    label = f"{c.app} ({c.os.value}, {c.quality})"
+    [label] = _rendered(verdict.candidates[:1], _candidate_label, memo)
     if len(verdict.candidates) > 1:
         label += f" +{len(verdict.candidates) - 1}"
     return label
@@ -272,6 +300,12 @@ def render_text(reports: list[FileReport], timestamp: str | None = None) -> str:
     width = max([len(p) for p in paths], default=4)
     width = max(width, len("PATH"))
     lines.append(f"{'PATH'.ljust(width)}  {'KIND':5}  {'OUTCOME':17}  TOP CANDIDATE")
+    indent = " " * width
+
+    def chain_line(h: ChainHypothesis) -> str:
+        return f"{indent}  chain: {h.nth_app} -> {h.nplus1_app} ({h.os.value})"
+
+    memo: dict[int, str] = {}  # for _rendered: the top-candidate labels and chain lines
     for report, path in zip(reports, paths):
         if report.error is not None:
             kind = report.media_kind.value if report.media_kind else '-'
@@ -281,10 +315,9 @@ def render_text(reports: list[FileReport], timestamp: str | None = None) -> str:
         assert verdict is not None
         lines.append(
             f"{path.ljust(width)}  {report.media_kind.value if report.media_kind else '-':5}  "
-            f"{verdict.outcome.value:17}  {_top_candidate(verdict)}"
+            f"{verdict.outcome.value:17}  {_top_candidate(verdict, memo)}"
         )
-        for h in verdict.chain_hypotheses:
-            lines.append(f"{''.ljust(width)}  chain: {h.nth_app} -> {h.nplus1_app} ({h.os.value})")
+        lines += _rendered(verdict.chain_hypotheses, chain_line, memo)
     return "\n".join(lines) + "\n"
 
 

@@ -2,8 +2,10 @@ import dataclasses
 import re
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from mediafp.attributes import FormatProfile, ImageAttributes, Marker, MediaKind, OS, VideoAttributes
+from mediafp import kb as kb_mod
+from mediafp.attributes import FormatProfile, ImageAttributes, Marker, MediaKind, OS, VideoAttributes, parse_os
 from mediafp.kb import (
     RESOLUTION_TOLERANCE,
     VIDEO_FIELDS,
@@ -15,8 +17,10 @@ from mediafp.kb import (
     KbError,
     KnowledgeBase,
     ManifestMismatch,
+    OriginalProfile,
     SchemaError,
     VideoConstraints,
+    default_kb_path,
     group_key,
     list_records,
     load_kb,
@@ -643,3 +647,392 @@ class TestCompiledIndexes:
         narrowed = dataclasses.replace(kb, records=kb.records[1:])
         assert narrowed.video_candidates(codec, "")[0] == ()
         _assert_candidates_match_brute_force(narrowed)
+
+
+# ---------------------------------------------------------------------------
+# Directory loads: each file is split on its own.
+
+def _write_kb_dir(tmp_path, files):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    return tmp_path
+
+
+def test_directory_kb_is_the_joined_files(kb):
+    # The shipped files start with comments or a header, so reading them one
+    # by one gives what the joined text gives, here and in the frozen loader.
+    texts = [path.read_text(encoding="utf-8") for path in sorted(default_kb_path().glob("*.kb"))]
+    assert len(texts) > 1
+    assert load_kb("\n".join(texts)) == kb == _parent_load_kb("\n".join(texts))
+
+
+def test_block_does_not_continue_into_the_next_file(tmp_path):
+    # Joined, the first line of table08.kb would extend the last block of
+    # table07.kb; read file by file it is a field outside any block.
+    stray = 'encoder = "Lavf57.0.0"\n'
+    files = {"table07.kb": IMAGE_RECORD.replace("t6-y", "t7-y"), "table08.kb": stray + WHATSAPP_IMAGE_BLOCK}
+    with pytest.raises(SchemaError, match=r"^table08\.kb line 1: field outside any block$"):
+        load_kb_path(_write_kb_dir(tmp_path, files))
+    with pytest.raises(SchemaError, match=r"^line 1: field outside any block$"):
+        load_kb(files["table08.kb"])
+
+
+@pytest.mark.parametrize("bad_line,error", [
+    ("resolution 200x200", r"^table08\.kb line 8: expected 'key = value', got 'resolution 200x200'$"),
+    ("resolution = 12x", r"^\[record t8-x\] \(table08\.kb line 2\): bad resolution '12x'$"),
+    ("[bogus]", r"^table08\.kb line 8: unknown block '\[bogus\]'$"),
+])
+def test_directory_errors_name_the_file_and_its_line(tmp_path, bad_line, error):
+    # Line numbers count within the file, not across the files before it.
+    table08 = IMAGE_RECORD.replace("t6-y", "t8-x").replace("resolution = 100x100", "") + bad_line + "\n"
+    files = {"table07.kb": "# first file\n" * 40 + IMAGE_RECORD.replace("t6-y", "t7-y"), "table08.kb": table08}
+    with pytest.raises(SchemaError, match=error):
+        load_kb_path(_write_kb_dir(tmp_path, files))
+    # Loaded alone, as text or as one file, the same text names no file.
+    unnamed = error.replace(r"table08\.kb ", "")
+    with pytest.raises(SchemaError, match=unnamed):
+        load_kb(table08)
+    with pytest.raises(SchemaError, match=unnamed):
+        load_kb_path(tmp_path / "table08.kb")
+
+
+def test_bad_value_shared_by_two_blocks_fails_at_the_first(tmp_path):
+    # Parsing through the load's memo must not move the error: the first
+    # block that holds the bad value names it, in one text or across files.
+    bad = IMAGE_RECORD.replace("100x100", "100x100, 5x")
+    text = bad.replace("t6-y", "t6-a") + bad.replace("t6-y", "t6-b")
+    with pytest.raises(SchemaError, match=r"^\[record t6-a\] \(line 2\): bad resolution '5x'$"):
+        load_kb(text)
+    files = {"table06.kb": bad.replace("t6-y", "t6-a"), "table07.kb": bad.replace("t6-y", "t7-b")}
+    with pytest.raises(SchemaError, match=r"^\[record t6-a\] \(table06\.kb line 2\): bad resolution '5x'$"):
+        load_kb_path(_write_kb_dir(tmp_path, files))
+
+
+def test_records_share_the_parsed_value_of_one_load():
+    text = IMAGE_RECORD.replace("t6-y", "t6-a") + IMAGE_RECORD.replace("t6-y", "t6-b")
+    first, second = (rec.constraints.resolutions for rec in load_kb(text).records)
+    assert first == ((100, 100),) and first is second
+    # A second load parses again: nothing is kept between loads.
+    assert load_kb(text).records[0].constraints.resolutions is not first
+
+
+# ---------------------------------------------------------------------------
+# Parser parity: the loader as it was before values were parsed once per
+# load, frozen here.  For any text, the loader must give an equal KB or
+# fail with the same error class and message.
+
+class _ParentBlock:
+    def __init__(self, kind, name, line_no):
+        self.kind = kind
+        self.name = name
+        self.line_no = line_no
+        self.fields = {}
+
+    def where(self):
+        label = self.name or self.kind
+        return f"[{self.kind} {label}] (line {self.line_no})"
+
+
+def _parent_split_blocks(text):
+    blocks = []
+    current = None
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        m = kb_mod._SECTION_RE.match(line)
+        if m:
+            kind, name = m.group(1), m.group(2)
+            if kind not in ("record", "original", "manifest"):
+                raise SchemaError(f"line {line_no}: unknown block {line!r}")
+            if kind in ("record", "original") and not name:
+                raise SchemaError(f"line {line_no}: [{kind}] block needs an id")
+            current = _ParentBlock(kind, name, line_no)
+            blocks.append(current)
+            continue
+        if "=" not in line:
+            raise SchemaError(f"line {line_no}: expected 'key = value', got {raw!r}")
+        if current is None:
+            raise SchemaError(f"line {line_no}: field outside any block")
+        key, _, value = line.partition("=")
+        key = key.strip()
+        if key in current.fields:
+            raise SchemaError(f"{current.where()}: duplicate key {key!r}")
+        current.fields[key] = value.strip()
+    return blocks
+
+
+def _parent_build_record(block):
+    where = block.where()
+    unknown = set(block.fields) - kb_mod._RECORD_KEYS
+    if unknown:
+        raise SchemaError(f"{where}: unknown keys {sorted(unknown)}")
+    f = block.fields
+
+    def require(key):
+        if key not in f:
+            raise SchemaError(f"{where}: missing key {key!r}")
+        return f[key]
+
+    try:
+        media = MediaKind(require("media"))
+    except ValueError:
+        raise SchemaError(f"{where}: unknown media kind {f['media']!r}") from None
+    try:
+        rec_os = parse_os(require("os"))
+    except ValueError as exc:
+        raise SchemaError(f"{where}: {exc}") from None
+    hop = f.get("hop", "single")
+    if hop not in ("single", "chain"):
+        raise SchemaError(f"{where}: hop must be 'single' or 'chain'")
+    nth_app = f.get("nth_app") or None
+    if hop == "chain" and not nth_app:
+        raise SchemaError(f"{where}: chain records need nth_app")
+    if hop == "single" and nth_app:
+        raise SchemaError(f"{where}: single records must not set nth_app")
+    indistinguishable = kb_mod._parse_bool(f["indistinguishable"], where) if "indistinguishable" in f else False
+
+    wrong_kind = kb_mod._VIDEO_ONLY_KEYS if media is MediaKind.IMAGE else kb_mod._IMAGE_ONLY_KEYS
+    used_wrong = wrong_kind & set(f)
+    if used_wrong:
+        raise SchemaError(f"{where}: keys {sorted(used_wrong)} not valid for {media.value} records")
+
+    constraint_keys = set(f) & (kb_mod._VIDEO_ONLY_KEYS | kb_mod._IMAGE_ONLY_KEYS | {"resolution"})
+    if indistinguishable:
+        if constraint_keys:
+            raise SchemaError(f"{where}: indistinguishable records carry no constraints")
+        constraints = None
+    elif media is MediaKind.IMAGE:
+        resolutions = kb_mod._parse_resolutions(require("resolution"), where)
+        if not resolutions:
+            raise SchemaError(f"{where}: image records need at least one resolution")
+        size_band = None
+        if "size_band" in f:
+            m = re.match(r"^(\d+)\s*\+-\s*(\d+)$", f["size_band"])
+            if m is None:
+                raise SchemaError(f"{where}: size_band must look like '100000 +- 10000'")
+            size_band = (int(m.group(1)), int(m.group(2)))
+        constraints = ImageConstraints(resolutions, size_band)
+    else:
+        wildcard = f.get("resolution", "").strip().lower() == "irregular"
+        values = {
+            attr: parse(f[key], where)
+            for key, attr, _, parse in VIDEO_FIELDS
+            if key in f and not (wildcard and key == "resolution")
+        }
+        markers_value = f.get("markers", "").strip()
+        markers_any = markers_value.lower() == "any"
+        constraints = VideoConstraints(
+            **values,
+            resolution_wildcard=wildcard,
+            markers=() if markers_any else kb_mod._parse_markers(markers_value, where) if markers_value else (),
+            markers_any=markers_any,
+        )
+        if constraints.is_empty():
+            raise SchemaError(f"{where}: distinguishable video record carries no constraints")
+
+    return FingerprintRecord(
+        record_id=block.name or "",
+        media_kind=media,
+        app=require("app"),
+        os=rec_os,
+        quality=require("quality"),
+        nth_app=nth_app,
+        constraints=constraints,
+    )
+
+
+def _parent_build_original(block):
+    where = block.where()
+    unknown = set(block.fields) - kb_mod._ORIGINAL_KEYS
+    if unknown:
+        raise SchemaError(f"{where}: unknown keys {sorted(unknown)}")
+    f = block.fields
+    for key in ("media", "os", "resolution", "nominal_size"):
+        if key not in f:
+            raise SchemaError(f"{where}: missing key {key!r}")
+    used_wrong = kb_mod._VIDEO_ONLY_KEYS & set(f) if f["media"] == MediaKind.IMAGE.value else None
+    if used_wrong:
+        raise SchemaError(f"{where}: keys {sorted(used_wrong)} not valid for image originals")
+    values = {}
+    for key, _, _, parse in VIDEO_FIELDS:
+        if key in f:
+            parsed = parse(f[key], where)
+            if len(parsed) != 1:
+                raise SchemaError(f"{where}: originals carry exactly one {key.replace('_', ' ')}")
+            values[key] = parsed[0]
+    if not f["nominal_size"].isdecimal():
+        raise SchemaError(f"{where}: nominal_size must be a byte count, got {f['nominal_size']!r}")
+    try:
+        profile = OriginalProfile(
+            profile_id=block.name or "",
+            media_kind=MediaKind(f["media"]),
+            os_source=parse_os(f["os"]),
+            nominal_size=int(f["nominal_size"]),
+            **values,
+        )
+        profile.attributes
+    except ValueError as exc:
+        raise SchemaError(f"{where}: {exc}") from None
+    return profile
+
+
+def _parent_load_kb(text):
+    records = []
+    originals = []
+    manifest = None
+
+    for block in _parent_split_blocks(text):
+        if block.kind == "record":
+            records.append(_parent_build_record(block))
+        elif block.kind == "original":
+            originals.append(_parent_build_original(block))
+        else:
+            if manifest is not None:
+                raise SchemaError(f"{block.where()}: duplicate manifest block")
+            manifest = []
+            for key, value in block.fields.items():
+                try:
+                    manifest.append((key, int(value)))
+                except ValueError:
+                    raise SchemaError(f"{block.where()}: count for {key!r} is not an integer") from None
+
+    seen = set()
+    for rec in records:
+        if rec.record_id in seen:
+            raise SchemaError(f"duplicate record id {rec.record_id!r}")
+        seen.add(rec.record_id)
+
+    kb = KnowledgeBase(
+        records=tuple(records),
+        originals=tuple(originals),
+        manifest=tuple(manifest) if manifest is not None else None,
+    )
+    if manifest is not None:
+        kb_mod._verify_manifest(kb)
+    return kb
+
+
+def _outcome(load, text):
+    try:
+        return load(text)
+    except Exception as exc:  # noqa: BLE001 - any failure must match in class and message
+        return type(exc), str(exc)
+
+
+# Every separator str.splitlines breaks on, and whitespace strip() removes
+# that is not one of them.
+_LINE_BREAKS = ["\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+_PAD = st.text(st.sampled_from(" \t\xa0\u3000"), max_size=2)
+# A few values per key, good and bad, so records share them.
+_FIELD_VALUES = {
+    "media": ["video", "image", "audio"],
+    "app": ["A", "B", "WhatsApp"],
+    "os": ["iOS", "android", "windows"],
+    "quality": ["Default", "High"],
+    "hop": ["single", "chain", "triple"],
+    "nth_app": ["A", ""],
+    "indistinguishable": ["true", "no", "maybe"],
+    "extension": ["mp4", "MOV, mp4", "mp4,, MOV", "100x100"],  # a value another parser reads too
+    "format_profile": ["Base Media", "QuickTime, Base Media Version 2", "Nope"],
+    "codec_id": ['"qt"', '"isom (isom/iso2/avc1/mp41)"', '"qt", "mp42', '"a = b"'],
+    "video_format_profile": ['"Main@L3"', '"High@L4", "Main@L3.1"'],
+    "resolution": ["100x100", "100x100, 200x150", "irregular", "IRREGULAR", "12x", "0x5", ""],
+    "encoder": ['"Lavf58.20.100"', '"Lavf, custom", x'],
+    "markers": ["any", "Copyright", "MovieMore, Copyright", "Bogus", ""],
+    "size_band": ["100000 +- 10000", "5 +-1", "big"],
+    "nominal_size": ["2000000", "-5", "3"],
+    "table6": ["1", "2", "x"],
+    "originals": ["0", "1"],
+    "unknown_key": ["1"],
+}
+def _field_line(draw, key):
+    value = draw(st.sampled_from(_FIELD_VALUES[key]))
+    return f"{draw(_PAD)}{key}{draw(_PAD)}={draw(_PAD)}{value}{draw(_PAD)}"
+
+
+@st.composite
+def _any_field_line(draw):
+    return _field_line(draw, draw(st.sampled_from(sorted(_FIELD_VALUES))))
+
+
+@st.composite
+def _odd_line(draw):
+    """A line that is neither a header nor a field of the block's own kind."""
+    line = draw(_any_field_line() | st.sampled_from([
+        "", "# comment = with an equals sign", "#[record t6-z]", "[x = y", "[record t6-a] = 1", "= v",
+        "=", "no equals sign", "[record t6-a", "t6-a]", "[record]", "[bogus]", "[manifest] x",
+    ]))
+    return f"{draw(_PAD)}{line}{draw(_PAD)}"
+_BLOCK_KEYS = {
+    # (header, keys every block of the kind should have, keys it may have)
+    "record": (["t6-a", "t6-b", "t7-c", "t8-d"], ["media", "app", "os", "quality"],
+               ["hop", "nth_app", "indistinguishable", "extension", "format_profile", "codec_id",
+                "video_format_profile", "resolution", "encoder", "markers", "size_band"]),
+    "original": (["o-a", "o-b"], ["media", "os", "resolution", "nominal_size"],
+                 ["extension", "format_profile", "codec_id", "video_format_profile"]),
+    "manifest": ([""], [], ["table6", "originals"]),
+}
+
+
+def _rarely(strategy):
+    """One draw of ``strategy`` as a one-item list, a quarter of the time; else []."""
+    return st.one_of(st.just([]), st.just([]), st.just([]), strategy.map(lambda x: [x]))
+
+
+@st.composite
+def _kb_texts(draw):
+    """Blocks of every kind with a few values per key, good and bad, so
+    records share them; now and then a required key is missing or an odd
+    line, a duplicate or an unknown key is added; fields may come before
+    the first block, and lines end with any line break."""
+    lines = draw(_rarely(_odd_line()))
+    for _ in range(draw(st.integers(0, 5))):
+        kind = draw(st.sampled_from(sorted(_BLOCK_KEYS)))
+        names, required, optional = _BLOCK_KEYS[kind]
+        name = draw(st.sampled_from(names))
+        lines.append(f"{draw(_PAD)}[{kind}{' ' + name if name else ''}]{draw(_PAD)}")
+        keys = draw(st.lists(st.sampled_from(required), unique=True, min_size=len(required) - 1)) if required else []
+        keys += draw(st.lists(st.sampled_from(optional), unique=True, max_size=6))
+        lines += [_field_line(draw, key) for key in draw(st.permutations(keys))]
+        lines += draw(_rarely(_odd_line()))
+    breaks = draw(st.lists(st.sampled_from(_LINE_BREAKS), min_size=len(lines), max_size=len(lines)))
+    return "".join(line + brk for line, brk in zip(lines, breaks))
+
+
+_VALID_VIDEO = """[record t7-v{i}]
+media = video
+app = {app}
+os = iOS
+quality = Default
+codec_id = "qt"
+resolution = {resolution}
+markers = {markers}
+"""
+
+
+@st.composite
+def _loadable_kb_texts(draw):
+    """Texts that mostly load: valid video records drawing from few values,
+    so the memo serves most of them, separated by any line break."""
+    blocks = [
+        _VALID_VIDEO.format(
+            i=i, app=draw(st.sampled_from("AB")),
+            resolution=draw(st.sampled_from(["100x100", "100x100, 200x150", "irregular", "5x"])),
+            markers=draw(st.sampled_from(["any", "Copyright", "MovieMore, Copyright", "Bogus"])),
+        )
+        for i in range(draw(st.integers(1, 6)))
+    ]
+    brk = draw(st.sampled_from(_LINE_BREAKS))
+    return "".join(blocks).replace("\n", brk)
+
+
+@settings(max_examples=600, deadline=None)
+@given(_kb_texts() | _loadable_kb_texts())
+@example("[record t6-a]\r\nmedia = image\x85app = A\u2028os = iOS\u2029quality = X\vresolution = 1x1\x1c")
+@example("encoder = x\n[record t6-a]")
+@example("[x = y\n")
+@example("\xa0no equals sign\t\n")
+@example("\u3000[record t6-a]\xa0\n\xa0media\u3000=\u3000image\xa0\n")
+def test_loader_matches_the_frozen_parent(text):
+    assert _outcome(load_kb, text) == _outcome(_parent_load_kb, text)

@@ -471,6 +471,16 @@ def test_json_writer_matches_json_dumps(reports, timestamp):
     assert render_json(reports, timestamp) == json.dumps(reference_doc(reports, timestamp), indent=2) + "\n"
 
 
+def _reference_top_candidate(verdict):
+    if not verdict.candidates:
+        return "-"
+    c = verdict.candidates[0]
+    label = f"{c.app} ({c.os.value}, {c.quality})"
+    if len(verdict.candidates) > 1:
+        label += f" +{len(verdict.candidates) - 1}"
+    return label
+
+
 # The text report as it was before paths were escaped, kept as the reference
 # for every path that needs no escape.
 def _reference_render_text(reports, timestamp=None):
@@ -483,7 +493,7 @@ def _reference_render_text(reports, timestamp=None):
             lines.append(f"{r.path.ljust(width)}  {kind:5}  {'error':17}  {r.error}")
             continue
         lines.append(f"{r.path.ljust(width)}  {kind:5}  {r.verdict.outcome.value:17}  "
-                     f"{report._top_candidate(r.verdict)}")
+                     f"{_reference_top_candidate(r.verdict)}")
         for h in r.verdict.chain_hypotheses:
             lines.append(f"{''.ljust(width)}  chain: {h.nth_app} -> {h.nplus1_app} ({h.os.value})")
     return "\n".join(lines) + "\n"
@@ -509,6 +519,72 @@ _printable_reports = st.builds(
 def test_text_report_of_printable_paths_is_unchanged(reports, timestamp):
     assert all(r.path.isprintable() and "\\" not in r.path for r in reports)
     assert report.render_text(reports, timestamp) == _reference_render_text(reports, timestamp)
+
+
+def _assert_both_formats_match_the_references(reports, timestamp=None):
+    assert render_json(reports, timestamp) == json.dumps(reference_doc(reports, timestamp), indent=2) + "\n"
+    assert report.render_text(reports, timestamp) == _reference_render_text(reports, timestamp)
+
+
+def _evidence_reports(paths, verdicts):
+    return [FileReport(path, MediaKind.VIDEO, None, verdict, None) for path, verdict in zip(paths, verdicts)]
+
+
+def test_kb_owned_evidence_shared_by_many_reports(kb):
+    # Every evidence object the shipped KB owns, each in several reports and
+    # at several positions, with chain hypotheses on most rows.
+    evidence = [e for rec in kb.records for e in rec.evidence.values()]
+    candidates = [e for e in evidence if isinstance(e, Candidate)]
+    chains = [e for e in evidence if isinstance(e, ChainHypothesis)]
+    assert candidates and chains
+    verdicts = [
+        Verdict(
+            tuple(candidates[(i + k) % len(candidates)] for k in range(i % 4)),
+            list(Outcome)[i % len(Outcome)],
+            tuple(chains[(5 * i + k) % len(chains)] for k in range(i % 3)),
+        )
+        for i in range(4 * len(candidates))
+    ]
+    reports = _evidence_reports([f"clip-{i:04}.mov" for i in range(len(verdicts))], verdicts)
+    shown = [c for v in verdicts for c in v.candidates + v.chain_hypotheses]
+    assert len({id(e) for e in shown}) < len(shown) / 2
+    _assert_both_formats_match_the_references(reports)
+    _assert_both_formats_match_the_references(reports[::-1], "2026-01-01T00:00:00+00:00")
+
+
+def _lookalikes(evidence):
+    """``evidence``, an equal copy, and copies that differ from it in one
+    field a cache keyed on the rest would miss."""
+    if isinstance(evidence, Candidate):
+        return [evidence, dataclasses.replace(evidence),
+                dataclasses.replace(evidence, matched_fields=evidence.matched_fields + ("markers",)),
+                dataclasses.replace(evidence, matched_fields=evidence.matched_fields[:-1]),
+                dataclasses.replace(evidence, used_size_band=not evidence.used_size_band)]
+    return [evidence, dataclasses.replace(evidence),
+            dataclasses.replace(evidence, nplus1_app=evidence.nplus1_app + "+"),
+            dataclasses.replace(evidence, os=OS.ANDROID_ANY if evidence.os is not OS.ANDROID_ANY else OS.IOS)]
+
+
+@st.composite
+def _shared_evidence_reports(draw):
+    candidates = [c for seed in draw(st.lists(_candidates, min_size=1, max_size=2)) for c in _lookalikes(seed)]
+    chains = [h for seed in draw(st.lists(_chains, min_size=1, max_size=2)) for h in _lookalikes(seed)]
+    verdicts = draw(st.lists(st.builds(
+        Verdict,
+        candidates=st.lists(st.sampled_from(candidates), max_size=3).map(tuple),
+        outcome=st.sampled_from(Outcome),
+        chain_hypotheses=st.lists(st.sampled_from(chains), max_size=3).map(tuple),
+    ), max_size=8))
+    paths = draw(st.lists(_printable_paths, min_size=len(verdicts), max_size=len(verdicts)))
+    return _evidence_reports(paths, verdicts)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_shared_evidence_reports(), st.none() | _texts)
+def test_shared_and_lookalike_evidence_renders_as_the_references(reports, timestamp):
+    # One object in many reports, equal but distinct objects, and objects
+    # that differ only in matched fields, size band, app or OS.
+    _assert_both_formats_match_the_references(reports, timestamp)
 
 
 # Paths thick with backslashes, the letters of escapes, and the characters
