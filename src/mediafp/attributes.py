@@ -73,13 +73,6 @@ class Marker(str, enum.Enum):
     RECORDED_DATE = "RecordedDate"
 
 
-def parse_marker(token: str) -> Marker:
-    try:
-        return Marker(token.strip())
-    except ValueError:
-        raise ValueError(f"unknown marker {token!r}") from None
-
-
 # Extension values are plain strings so the "other" bucket stays cheap.
 EXT_MP4 = "mp4"
 EXT_MOV = "MOV"

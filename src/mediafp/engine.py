@@ -1,23 +1,24 @@
 """Match extracted attributes against the knowledge base.
 
-A video record matches when, for each of its rows of ``kb.VIDEO_FIELDS``
-(the fields it populates; a wildcard resolution has none), the file's value
-is one the row lists, and the marker rule holds (no marker outside the
-record's set, unless it allows any).  Image resolutions match within ±10 px
-(``RESOLUTION_TOLERANCE``, defined in ``kb``) in width and in length, and
-colliding image candidates are disambiguated by byte-size bands.  Chain
-records yield (N-th app, N+1st app) hypotheses for two-hop relays.
+A video record matches when, for each of its compiled rows, the file's
+value is one the row passes: a row per ``kb.VIDEO_FIELDS`` field the record
+populates (a wildcard resolution has none), then, unless the record allows
+any markers, a last row that passes every subset of its marker set.  Image
+resolutions match within ±10 px (``RESOLUTION_TOLERANCE``, defined in
+``kb``) in width and in length, and colliding image candidates are
+disambiguated by byte-size bands.  Chain records yield (N-th app, N+1st
+app) hypotheses for two-hop relays.
 
 A KnowledgeBase compiles its query indexes (candidate records by codec id
 and video format profile, and by resolution cell; overwritten chains;
-records by id; originals by their exact fields) when it is built.  A video
-is checked only against the single-hop and chain records the KB looks up by
-its codec id and video format profile, since every other record rejects one
-of those two fields.  An image is checked
-only against the records the KB lists in the grid cell its resolution falls
-in, since every other record's resolutions lie beyond the tolerance.  Either
-way the verdict is the one a check against every record would give.  Load
-the KB once and reuse it for many queries.
+records by id; originals by their attribute vectors) when it is built.  A
+video is checked only against the single-hop and chain records the KB looks
+up by its codec id and video format profile, since every other record
+rejects one of those two fields.  An image is checked only against the
+records the KB lists in the grid cell its resolution falls in, since every
+other record's resolutions lie beyond the tolerance.  Either way the verdict
+is the one a check against every record would give.  Load the KB once and
+reuse it for many queries.
 
 A matching record hands out the frozen Candidate or ChainHypothesis it built
 for its matched fields (``FingerprintRecord.evidence``), so verdicts share
@@ -59,18 +60,14 @@ def satisfies_video(constraints: VideoConstraints, attrs: VideoAttributes) -> tu
     """Evaluate one video constraint set; returns matched field names or None.
 
     A field counts as matched evidence only when the record constrains it and
-    the attributes positively agree (a wildcard resolution or an all-quiet
-    marker rule passes but contributes no evidence).
+    the attributes positively agree: a wildcard resolution passes without a
+    row, and the marker row is evidence only for a file that carries markers.
     """
     c = constraints
     for _, values, get in c.rows:
         if get(attrs) not in values:
             return None
-    if c.forbidden_markers & attrs.markers:
-        return None
-    if attrs.markers and not c.markers_any and (attrs.markers & c.marker_set):
-        return c.matched_with_markers
-    return c.matched
+    return c.matched_with_markers if attrs.markers else c.matched
 
 
 def satisfies_image(constraints: ImageConstraints, attrs: ImageAttributes) -> tuple[str, ...] | None:

@@ -14,12 +14,15 @@ gained while editing the data files fails the load instead of silently
 shifting verdicts.
 
 ``VIDEO_FIELDS`` is the one list of video membership fields and of how each
-is parsed; each ``VideoConstraints`` compiles its populated rows of it,
-which ``engine`` matches by looping over.
+is parsed; each ``VideoConstraints`` compiles its populated rows of it, plus
+a last row for the marker rule unless the record allows any markers, and
+``engine`` matches by looping over those rows.  A record is a relay (two-hop)
+record exactly when it names ``nth_app``.
 
 Each distinct field value is parsed once per load: records that list the
 same value share one parsed tuple.  A directory is read one ``*.kb`` file at
-a time, in sorted name order, so a block never continues into the next file.
+a time, in sorted name order, so a block never continues into the next file;
+names starting with ``.`` (editor locks and hidden copies) are skipped.
 
 Each ``FingerprintRecord`` builds, when it is built, the frozen ``Candidate``
 or ``ChainHypothesis`` every match of it yields, and a ``KnowledgeBase``
@@ -31,10 +34,10 @@ lives here because the image candidate cells are sized from it, and
 
 from __future__ import annotations
 
-import enum
 import os as _os
 import re
 from dataclasses import dataclass, field
+from itertools import combinations
 from operator import attrgetter
 from pathlib import Path
 
@@ -45,13 +48,10 @@ from .attributes import (
     MediaKind,
     OS,
     VideoAttributes,
-    parse_marker,
     parse_os,
 )
 
 KB_ENV_VAR = "MEDIAFP_KB"
-
-ALL_MARKERS = frozenset(Marker)
 
 RESOLUTION_TOLERANCE = 10  # pixels an image may differ by, in width and in length
 # Side of the square cells that index image records by resolution.  The
@@ -72,11 +72,6 @@ class ManifestMismatch(KbError):
     """Loaded record counts differ from the manifest declaration."""
 
 
-class Hop(str, enum.Enum):
-    SINGLE = "single"
-    CHAIN = "chain"
-
-
 @dataclass(frozen=True)
 class ImageConstraints:
     """Evidence an image fingerprint matches on."""
@@ -90,7 +85,7 @@ class VideoConstraints:
     """Evidence a video fingerprint matches on.
 
     ``markers`` is the characteristic marker set of the transformed file:
-    matching allows exactly those markers and forbids the rest, unless
+    a file matches only when its markers are a subset of it, unless
     ``markers_any`` lifts the constraint entirely.
     """
 
@@ -105,34 +100,32 @@ class VideoConstraints:
     markers_any: bool = False
 
     # Compiled from the fields; not part of equality, repr or the constructor.
-    # ``rows`` holds (field name, the record's own values, getter) for each
-    # populated ``VIDEO_FIELDS`` row, in check order; a wildcard resolution
-    # has no row, as it passes every file and is no evidence.
-    rows: tuple[tuple[str, tuple, attrgetter], ...] = field(init=False, repr=False, compare=False)
-    matched: tuple[str, ...] = field(init=False, repr=False, compare=False)  # the rows' names
+    # ``rows`` holds (field name, the values that pass, getter) in check
+    # order: one row per populated ``VIDEO_FIELDS`` field, whose values are
+    # the record's own tuple (a wildcard resolution has no row, as it passes
+    # every file and is no evidence), then, unless ``markers_any``, the
+    # marker row, whose values are the subsets of ``markers``.
+    rows: tuple[tuple[str, tuple | frozenset, attrgetter], ...] = field(init=False, repr=False, compare=False)
+    matched: tuple[str, ...] = field(init=False, repr=False, compare=False)  # the field rows' names
+    # ``matched`` plus "markers" when the record lists markers: the evidence
+    # of a file that carries some.
     matched_with_markers: tuple[str, ...] = field(init=False, repr=False, compare=False)
-    marker_set: frozenset[Marker] = field(init=False, repr=False, compare=False)
-    forbidden_markers: frozenset[Marker] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         # Built now, not on first use: a lazy build would land in the latency
         # of whichever scanned file first reaches the record.
-        rows, names = [], []
-        for name, attr, get, _ in VIDEO_FIELDS:
-            values = getattr(self, attr)
-            if values and not (name == "resolution" and self.resolution_wildcard):
-                rows.append((name, values, get))
-                names.append(name)
-        matched = tuple(names)
+        rows = [(name, getattr(self, attr), get) for name, attr, get, _ in VIDEO_FIELDS
+                if getattr(self, attr) and not (name == "resolution" and self.resolution_wildcard)]
+        matched = tuple(name for name, _, _ in rows)
+        if not self.markers_any:
+            rows.append(("markers", _MARKER_SUBSETS[frozenset(self.markers)], attrgetter("markers")))
         object.__setattr__(self, "rows", tuple(rows))
         object.__setattr__(self, "matched", matched)
-        object.__setattr__(self, "matched_with_markers", matched + ("markers",))
-        marker_set = frozenset(self.markers)
-        object.__setattr__(self, "marker_set", marker_set)
-        object.__setattr__(self, "forbidden_markers", frozenset() if self.markers_any else ALL_MARKERS - marker_set)
+        object.__setattr__(self, "matched_with_markers",
+                           matched + ("markers",) if self.markers and not self.markers_any else matched)
 
     def is_empty(self) -> bool:
-        return not (self.resolution_wildcard or self.rows)
+        return not (self.resolution_wildcard or self.matched)
 
 
 Constraints = ImageConstraints | VideoConstraints
@@ -183,7 +176,7 @@ class FingerprintRecord:
         if isinstance(c, ImageConstraints):
             keys = [("resolution",), ("resolution", "byte_size")] if c.size_band else [("resolution",)]
         elif c is not None:
-            keys = [c.matched, c.matched_with_markers] if c.marker_set and not c.markers_any else [c.matched]
+            keys = dict.fromkeys((c.matched, c.matched_with_markers))
         else:
             keys = []
         if self.nth_app and self.media_kind is MediaKind.VIDEO:
@@ -192,10 +185,6 @@ class FingerprintRecord:
             evidence = {k: Candidate(self.record_id, self.app, self.os, self.quality, k, "byte_size" in k)
                         for k in keys}
         object.__setattr__(self, "evidence", evidence)
-
-    @property
-    def hop(self) -> Hop:
-        return Hop.CHAIN if self.nth_app else Hop.SINGLE
 
     @property
     def distinguishable(self) -> bool:
@@ -251,9 +240,10 @@ class KnowledgeBase:
     to those whose codec id and video format profile can match, and
     ``image_candidates`` narrows the image records to those listed in the
     resolution's cell of a square grid.  ``image_original`` and
-    ``video_original`` look up the camera original a file's fields equal,
-    each with one dict lookup.  Neither the records nor the indexes change
-    after construction, so a KB is safe to share between threads.
+    ``video_original`` look up the camera original whose own attribute
+    vector has the file's key fields, each with one dict lookup.  Neither the
+    records nor the indexes change after construction, so a KB is safe to
+    share between threads.
     """
 
     records: tuple[FingerprintRecord, ...]
@@ -285,12 +275,12 @@ class KnowledgeBase:
                 continue
             if rec.media_kind is MediaKind.IMAGE:
                 images.append(rec)
-            if rec.hop is Hop.SINGLE:
+            if rec.nth_app:
+                relays.append(rec)
+            else:
                 single_constraints.setdefault((rec.media_kind, rec.app, rec.os), []).append(rec.constraints)
                 if rec.media_kind is MediaKind.VIDEO:
                     singles.append(rec)
-            else:
-                relays.append(rec)
         # A chain record is overwritten when the N+1st messenger's re-encode
         # erased every trace of the N-th hop: its constraints equal a
         # single-hop record of the same (N+1) app and OS, so the single-hop
@@ -305,12 +295,11 @@ class KnowledgeBase:
         image_originals: dict[tuple[int, int], OriginalProfile] = {}
         video_originals: dict[tuple, OriginalProfile] = {}
         for orig in self.originals:
+            attrs = orig.attributes
             if orig.media_kind is MediaKind.IMAGE:
-                image_originals.setdefault(orig.resolution, orig)
+                image_originals.setdefault((attrs.width, attrs.length), orig)
             else:
-                key = (orig.extension, orig.format_profile, orig.codec_id,
-                       orig.video_format_profile, orig.resolution)
-                video_originals.setdefault(key, orig)
+                video_originals.setdefault(_original_key(attrs), orig)
         compiled = {
             "_by_id": by_id,
             "overwritten_chain_ids": frozenset(overwritten),
@@ -330,15 +319,8 @@ class KnowledgeBase:
         return self._image_originals.get((attrs.width, attrs.length))
 
     def video_original(self, attrs: VideoAttributes) -> OriginalProfile | None:
-        """The first video original, in file order, whose key fields all equal these.
-
-        The key is (extension, format profile, codec id, video format
-        profile, resolution), built in the same order in ``__post_init__``.
-        """
-        return self._video_originals.get((
-            attrs.extension, attrs.format_profile, attrs.codec_id,
-            attrs.video_format_profile, (attrs.width, attrs.length),
-        ))
+        """The first video original, in file order, whose attributes share these key fields."""
+        return self._video_originals.get(_original_key(attrs))
 
     def video_candidates(
         self, codec_id: str, video_format_profile: str
@@ -361,6 +343,11 @@ class KnowledgeBase:
         KB file order.
         """
         return self._image_cells.get((width // _CELL_SIDE, length // _CELL_SIDE), ())
+
+
+# The fields a video must share with an original's attribute vector to look
+# like it: every field but encoder, markers and byte size.
+_original_key = attrgetter("extension", "format_profile", "codec_id", "video_format_profile", "width", "length")
 
 
 def _compile_video_index(singles: list[FingerprintRecord], chains: list[FingerprintRecord]) -> dict:
@@ -469,24 +456,33 @@ def _parse_bool(value: str, where: str) -> bool:
     raise SchemaError(f"{where}: expected a boolean, got {value!r}")
 
 
-def _parse_format_profiles(value: str, where: str) -> tuple[FormatProfile, ...]:
-    profiles = []
-    for item in _parse_list(value, where):
-        try:
-            profiles.append(FormatProfile(item))
-        except ValueError:
-            raise SchemaError(f"{where}: unknown format profile {item!r}") from None
-    return tuple(profiles)
+def _member_parser(kind: type, what: str):
+    """A parser of lists of ``kind`` values; each item is one value, as written."""
+
+    def parse(value: str, where: str) -> tuple:
+        members = []
+        for item in _parse_list(value, where):
+            try:
+                members.append(kind(item))
+            except ValueError:
+                raise SchemaError(f"{where}: unknown {what} {item!r}") from None
+        return tuple(members)
+
+    return parse
 
 
-def _parse_markers(value: str, where: str) -> tuple[Marker, ...]:
-    markers = []
-    for item in _parse_list(value, where):
-        try:
-            markers.append(parse_marker(item))
-        except ValueError as exc:
-            raise SchemaError(f"{where}: {exc}") from None
-    return tuple(markers)
+_parse_format_profiles = _member_parser(FormatProfile, "format profile")
+_parse_markers = _member_parser(Marker, "marker")
+
+
+def _subsets(items) -> list[frozenset]:
+    return [frozenset(c) for n in range(len(items) + 1) for c in combinations(items, n)]
+
+
+# Each marker set a record or file can hold, mapped to the set of its
+# subsets: the values a record's marker row passes.  Built once, so records
+# with equal marker sets share one object.
+_MARKER_SUBSETS = {marker_set: frozenset(_subsets(marker_set)) for marker_set in _subsets(tuple(Marker))}
 
 
 # The video membership fields in check order: (KB key, also the field's name
@@ -680,10 +676,13 @@ def _build_original(block: _Block, parsed: dict) -> OriginalProfile:
             values[key] = items[0]
     if not f["nominal_size"].isdecimal():
         raise SchemaError(f"{where}: nominal_size must be a byte count, got {f['nominal_size']!r}")
+    media = _MEDIA_KINDS.get(f["media"])
+    if media is None:
+        raise SchemaError(f"{where}: unknown media kind {f['media']!r}")
     try:
         profile = OriginalProfile(
             profile_id=block.name or "",
-            media_kind=MediaKind(f["media"]),
+            media_kind=media,
             os_source=parse_os(f["os"]),
             nominal_size=int(f["nominal_size"]),
             **values,
@@ -767,15 +766,18 @@ def default_kb_path() -> Path:
 def load_kb_path(path: str | Path | None = None) -> KnowledgeBase:
     """Load a KB from a file, or from every ``*.kb`` file in a directory.
 
-    Directory files are read in sorted name order, which fixes the record
-    order (and therefore rank tie-breaking) independently of the filesystem.
+    A directory's names that start with ``.`` are skipped: an editor's lock
+    link or hidden copy is not part of the KB.  Directory files are read in
+    sorted name order, which fixes the record order (and therefore rank
+    tie-breaking) independently of the filesystem.
     Each file is split into blocks on its own, so a block ends with its file,
     and an error names the file and the line within it.  Raises only
     KbError, also for a file that cannot be read or is not UTF-8.
     """
     target = Path(path) if path is not None else default_kb_path()
     if target.is_dir():
-        texts = [(p.name, _read_text(p)) for p in sorted(target.glob("*.kb"))]
+        paths = [p for p in sorted(target.glob("*.kb")) if not p.name.startswith(".")]
+        texts = [(p.name, _read_text(p)) for p in paths]
         if not texts:
             raise KbError(f"no .kb files under {target}")
         return _load_blocks([block for name, text in texts for block in _split_blocks(text, name)])
@@ -816,19 +818,19 @@ def validate_kb(kb: KnowledgeBase) -> tuple[Finding, ...]:
     for rec in kb.records:
         if not rec.distinguishable:
             continue
-        groups.setdefault((rec.media_kind, rec.hop, rec.constraints), []).append(rec)
-    for (media, hop, _), members in groups.items():
+        groups.setdefault((rec.media_kind, bool(rec.nth_app), rec.constraints), []).append(rec)
+    for (media, relay, _), members in groups.items():
         if len(members) > 1:
             ids = tuple(r.record_id for r in members)
             findings.append(Finding(
                 "collision",
-                f"{len(members)} {media.value} {hop.value} records match identical evidence",
+                f"{len(members)} {media.value} {'chain' if relay else 'single'} records match identical evidence",
                 ids,
             ))
 
-    single_apps = {r.app for r in kb.records if r.hop is Hop.SINGLE and r.media_kind is MediaKind.VIDEO}
+    single_apps = {r.app for r in kb.records if not r.nth_app and r.media_kind is MediaKind.VIDEO}
     for rec in kb.records:
-        if rec.hop is Hop.CHAIN and rec.nth_app not in single_apps:
+        if rec.nth_app and rec.nth_app not in single_apps:
             findings.append(Finding(
                 "orphan-chain",
                 f"nth_app {rec.nth_app!r} has no single-hop record",
@@ -860,9 +862,9 @@ def list_records(
 
 
 __all__ = [
-    "KB_ENV_VAR", "ALL_MARKERS", "RESOLUTION_TOLERANCE", "VIDEO_FIELDS",
+    "KB_ENV_VAR", "RESOLUTION_TOLERANCE", "VIDEO_FIELDS",
     "KbError", "SchemaError", "ManifestMismatch",
-    "Hop", "ImageConstraints", "VideoConstraints", "Candidate", "ChainHypothesis", "FingerprintRecord",
+    "ImageConstraints", "VideoConstraints", "Candidate", "ChainHypothesis", "FingerprintRecord",
     "OriginalProfile", "KnowledgeBase", "Finding",
     "group_key", "load_kb", "load_kb_path", "default_kb_path",
     "validate_kb", "list_records",

@@ -28,7 +28,6 @@ from .container import codec_id_brands, classify_format_profile, UnknownBrand
 from .engine import Verdict, match_image, match_video
 from .kb import (
     FingerprintRecord,
-    Hop,
     ImageConstraints,
     KnowledgeBase,
     VideoConstraints,
@@ -130,7 +129,7 @@ def generate_corpus(kb: KnowledgeBase) -> tuple[CorpusEntry, ...]:
             continue
         if rec.record_id in kb.overwritten_chain_ids:
             continue
-        if rec.hop is Hop.CHAIN:
+        if rec.nth_app:
             label: SingleLabel | ChainLabel = ChainLabel(rec.nth_app, rec.app, rec.os)
         else:
             label = SingleLabel(rec.app, rec.os, rec.quality)

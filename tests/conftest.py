@@ -3,7 +3,8 @@ import struct
 
 import pytest
 
-from mediafp.kb import Hop, MediaKind, load_kb_path
+from mediafp.attributes import OS, FormatProfile
+from mediafp.kb import MediaKind, OriginalProfile, load_kb_path
 
 
 @pytest.fixture(scope="session")
@@ -19,8 +20,8 @@ def brute_force_records(kb):
     overwritten relays."""
     overwritten = frozenset(
         rec.record_id for rec in kb.records
-        if rec.hop is Hop.CHAIN and rec.distinguishable and any(
-            other.hop is Hop.SINGLE
+        if rec.nth_app and rec.distinguishable and any(
+            not other.nth_app
             and other.app == rec.app
             and other.os is rec.os
             and other.media_kind is rec.media_kind
@@ -33,12 +34,32 @@ def brute_force_records(kb):
     return {
         "overwritten_chain_ids": overwritten,
         "image_records": tuple(r for r in usable if r.media_kind is MediaKind.IMAGE),
-        "video_singles": tuple(r for r in usable if r.media_kind is MediaKind.VIDEO and r.hop is Hop.SINGLE),
+        "video_singles": tuple(r for r in usable if r.media_kind is MediaKind.VIDEO and not r.nth_app),
         "video_chains": tuple(
             r for r in usable
-            if r.media_kind is MediaKind.VIDEO and r.hop is Hop.CHAIN and r.record_id not in overwritten
+            if r.media_kind is MediaKind.VIDEO and r.nth_app and r.record_id not in overwritten
         ),
     }
+
+
+def partial_video_originals():
+    """(file name, original) pairs: video originals that each leave out one
+    field their attribute vector fills with its default (extension, format
+    profile or video format profile).  The name's suffix gives the vector's
+    extension and each codec id agrees with the format profile, so
+    ``synthesize_container`` of the vector scans back to that vector."""
+    def original(profile_id, **fields):
+        return OriginalProfile(profile_id, MediaKind.VIDEO, OS.IOS, (1280, 720), 4096, **fields)
+
+    return [
+        ("no-extension.mp4", original("no-extension", format_profile=FormatProfile.QUICKTIME,
+                                      codec_id="qt", video_format_profile="High@L4")),
+        ("no-format-profile.mov", original("no-format-profile", extension="MOV",
+                                           codec_id="isom (isom/iso2/avc1/mp41)", video_format_profile="Main@L3")),
+        ("no-video-format-profile.mp4", original("no-video-format-profile", extension="mp4",
+                                                 format_profile=FormatProfile.BASE_MEDIA_V2,
+                                                 codec_id="mp42 (isom/mp42)")),
+    ]
 
 
 def make_jpeg(width, length, total_size=None, progressive=False, leading_segments=0):

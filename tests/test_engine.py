@@ -22,7 +22,6 @@ from mediafp.engine import (
 )
 from mediafp.kb import (
     FingerprintRecord,
-    Hop,
     ImageConstraints,
     KnowledgeBase,
     MediaKind,
@@ -32,7 +31,7 @@ from mediafp.kb import (
 )
 from mediafp.oracle import generate_corpus
 
-from conftest import brute_force_records
+from conftest import brute_force_records, partial_video_originals
 
 
 def video(ext, profile, codec, vfp, w, l, encoder=None, markers=(), size=4096):
@@ -164,6 +163,24 @@ class TestFindOriginal:
         for changed in (dict(extension="mp4"), dict(format_profile=FormatProfile.BASE_MEDIA),
                         dict(codec_id="isom"), dict(video_format_profile="High@L4.1"), dict(width=1921)):
             assert kb.video_original(dataclasses.replace(attrs, **changed)) is None
+
+    def test_every_original_is_found_by_its_own_vector(self, kb):
+        # An original is found by the attribute vector it describes, defaults
+        # filled in, or else by the first original before it with that vector;
+        # byte size is no part of an original's look.
+        def look(o):
+            return dataclasses.replace(o.attributes, byte_size=4)
+
+        partial = tuple(o for _, o in partial_video_originals())
+        twin = dataclasses.replace(partial[0], profile_id="twin", extension="mp4", nominal_size=9999)
+        hand_built = KnowledgeBase((), originals=partial + (twin,) + kb.originals)
+        for base in (kb, hand_built):
+            for o in base.originals:
+                first = next(p for p in base.originals if p.media_kind is o.media_kind and look(p) == look(o))
+                find = base.image_original if o.media_kind is MediaKind.IMAGE else base.video_original
+                assert find(o.attributes) is first, o.profile_id
+        assert hand_built.video_original(twin.attributes) is partial[0]
+        assert kb.image_original(kb.originals[1].attributes) is kb.originals[0]
 
 
 def _records(kb, candidates):
@@ -325,7 +342,7 @@ class TestProperties:
                 assert sym_one == sym_two, rec.record_id
 
     def test_chain_records_only_for_experimented_first_hops(self, kb):
-        first_hops = {r.nth_app for r in kb.records if r.hop is Hop.CHAIN}
+        first_hops = {r.nth_app for r in kb.records if r.nth_app}
         assert first_hops == {"KakaoTalk", "Facebook Messenger"}
 
 

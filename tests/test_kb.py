@@ -1,5 +1,6 @@
 import dataclasses
 import re
+import shutil
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -12,7 +13,6 @@ from mediafp.kb import (
     Candidate,
     ChainHypothesis,
     FingerprintRecord,
-    Hop,
     ImageConstraints,
     KbError,
     KnowledgeBase,
@@ -166,6 +166,9 @@ def test_manifest_mismatch_names_only_the_groups_that_drifted():
                  "carries no constraints", id="video-without-constraints"),
     pytest.param("os = iOS", "resolution = 100x100", 'encoder = "Lavf, custom, "x"',
                  r"^\[record t7-x\] \(line 2\): unbalanced quote", id="unbalanced-quote"),
+    pytest.param("os = iOS", "resolution = 100x100",
+                 IMAGE_ORIGINAL.replace("media = image", "media = audio") + "nominal_size = 2000000",
+                 r"^\[original o-img\] \(line 13\): unknown media kind 'audio'$", id="original-unknown-media"),
 ])
 def test_schema_errors(tmp_path, os_line, resolution_line, extra, needle):
     # Through a file, so text that is not UTF-8 (written here from a lone
@@ -210,33 +213,82 @@ def test_video_rows_follow_the_field_table():
     constraints = VideoConstraints(
         extensions=("mp4",), resolutions=((640, 360),), encoders=("Lavf58.20.100",), markers=(Marker.COPYRIGHT,),
     )
-    assert [name for name, _, _ in constraints.rows] == ["extension", "resolution", "encoder"]
-    # The rows hold the record's own tuples, and read the file's values.
+    assert [name for name, _, _ in constraints.rows] == ["extension", "resolution", "encoder", "markers"]
+    # The field rows hold the record's own tuples, and every row reads the
+    # file's value.
     assert all(values is getattr(constraints, attr) for (_, values, _), attr in
                zip(constraints.rows, ("extensions", "resolutions", "encoders")))
-    attrs = VideoAttributes("mp4", FormatProfile.BASE_MEDIA, "qt", "", 640, 360, encoder="Lavf58.20.100")
-    assert [get(attrs) for _, _, get in constraints.rows] == ["mp4", (640, 360), "Lavf58.20.100"]
+    attrs = VideoAttributes("mp4", FormatProfile.BASE_MEDIA, "qt", "", 640, 360, encoder="Lavf58.20.100",
+                            markers=frozenset({Marker.COPYRIGHT}))
+    assert [get(attrs) for _, _, get in constraints.rows] == [
+        "mp4", (640, 360), "Lavf58.20.100", {Marker.COPYRIGHT},
+    ]
     assert constraints.matched == ("extension", "resolution", "encoder")
     assert constraints.matched_with_markers == ("extension", "resolution", "encoder", "markers")
     wildcard = dataclasses.replace(constraints, resolution_wildcard=True)
-    assert [name for name, _, _ in wildcard.rows] == ["extension", "encoder"]
+    assert [name for name, _, _ in wildcard.rows] == ["extension", "encoder", "markers"]
     assert not wildcard.is_empty()
     assert not VideoConstraints(resolution_wildcard=True).is_empty()
+    # The marker row alone is no evidence, whether it passes some markers or any.
+    assert VideoConstraints(markers=(Marker.COPYRIGHT,)).is_empty()
     assert VideoConstraints(markers=(Marker.COPYRIGHT,), markers_any=True).is_empty()
 
 
+def _subsets(markers):
+    return {frozenset(m for i, m in enumerate(markers) if bits >> i & 1) for bits in range(1 << len(markers))}
+
+
 def test_marker_sets_are_built_with_the_constraints():
-    # Compiled fields, not constructor arguments, and present before any
-    # match reads them.
+    # The marker rule is the last compiled row, not a field of its own.
     compiled = {f.name for f in dataclasses.fields(VideoConstraints) if not f.init}
-    assert {"marker_set", "forbidden_markers"} <= compiled
-    constraints = VideoConstraints(markers=(Marker.COPYRIGHT, Marker.MOVIE_NAME))
-    assert {"marker_set", "forbidden_markers"} <= vars(constraints).keys()
-    assert constraints.marker_set == {Marker.COPYRIGHT, Marker.MOVIE_NAME}
-    assert constraints.forbidden_markers == frozenset(Marker) - constraints.marker_set
-    lifted = dataclasses.replace(constraints, markers_any=True)
-    assert lifted.marker_set == constraints.marker_set
-    assert lifted.forbidden_markers == frozenset()
+    assert compiled == {"rows", "matched", "matched_with_markers"}
+    marker_lists = [(), (Marker.COPYRIGHT,), (Marker.COPYRIGHT, Marker.MOVIE_NAME), tuple(Marker)]
+    for markers in marker_lists:
+        constraints = VideoConstraints(codec_ids=("qt",), markers=markers)
+        assert [name for name, _, _ in constraints.rows] == ["codec_id", "markers"]
+        name, values, get = constraints.rows[-1]
+        # It passes exactly the subsets of the record's markers.
+        assert values == _subsets(markers)
+        assert get(VideoAttributes("mp4", FormatProfile.BASE_MEDIA, "qt", "", 1, 1,
+                                   markers=frozenset(markers))) == frozenset(markers)
+        assert constraints.matched == ("codec_id",)
+        assert constraints.matched_with_markers == (("codec_id", "markers") if markers else ("codec_id",))
+        lifted = dataclasses.replace(constraints, markers_any=True)
+        assert [name for name, _, _ in lifted.rows] == ["codec_id"]
+        assert lifted.matched == lifted.matched_with_markers == ("codec_id",)
+    # Records with equal marker sets, in any order, share one subsets object.
+    first = VideoConstraints(codec_ids=("qt",), markers=(Marker.COPYRIGHT, Marker.MOVIE_NAME))
+    second = VideoConstraints(encoders=("x",), markers=(Marker.MOVIE_NAME, Marker.COPYRIGHT, Marker.MOVIE_NAME))
+    assert first.rows[-1][1] is second.rows[-1][1]
+
+
+def test_shipped_records_never_name_markers_as_a_field(kb):
+    for rec in kb.records:
+        c = rec.constraints
+        if not isinstance(c, VideoConstraints):
+            continue
+        assert "markers" not in c.matched, rec.record_id
+        names = [name for name, _, _ in c.rows]
+        assert names == list(c.matched) + ([] if c.markers_any else ["markers"]), rec.record_id
+
+
+def test_quoted_enum_items_are_literal():
+    block = """
+[record t7-x]
+media = video
+app = X
+os = iOS
+quality = Default
+codec_id = "qt"
+"""
+    kb = load_kb(block + 'markers = "Copyright", MovieName\nformat_profile = "Base Media"\n')
+    assert kb.records[0].constraints.markers == (Marker.COPYRIGHT, Marker.MOVIE_NAME)
+    assert kb.records[0].constraints.format_profiles == (FormatProfile.BASE_MEDIA,)
+    # Inside quotes, spaces belong to the value, so no marker or profile has it.
+    with pytest.raises(SchemaError, match=r"^\[record t7-x\] \(line 2\): unknown marker ' Copyright'$"):
+        load_kb(block + 'markers = " Copyright"\n')
+    with pytest.raises(SchemaError, match=r"^\[record t7-x\] \(line 2\): unknown format profile 'Base Media '$"):
+        load_kb(block + 'format_profile = "Base Media "\n')
 
 
 def _reachable_evidence_keys(rec):
@@ -277,7 +329,7 @@ def test_each_record_builds_exactly_its_reachable_evidence(kb):
     for rec in kb.records + tuple(hand_built):
         assert set(rec.evidence) == _reachable_evidence_keys(rec), rec.record_id
         for key, value in rec.evidence.items():
-            if rec.hop is Hop.CHAIN and rec.media_kind is MediaKind.VIDEO:
+            if rec.nth_app and rec.media_kind is MediaKind.VIDEO:
                 assert value == ChainHypothesis(rec.nth_app, rec.app, rec.os, rec.quality, key)
             else:
                 assert value == Candidate(rec.record_id, rec.app, rec.os, rec.quality, key,
@@ -285,12 +337,16 @@ def test_each_record_builds_exactly_its_reachable_evidence(kb):
 
 
 def test_hop_and_distinguishable_follow_nth_app_and_constraints():
-    fields = {f.name for f in dataclasses.fields(FingerprintRecord) if f.init}
+    # A record is a relay exactly when it names nth_app; no second field or
+    # property restates it.
+    fields = {f.name for f in dataclasses.fields(FingerprintRecord)}
     assert not {"hop", "distinguishable"} & fields
+    assert not hasattr(FingerprintRecord, "hop") and not hasattr(kb_mod, "Hop")
     single = FingerprintRecord("t7-a", MediaKind.VIDEO, "A", OS.IOS, "Default")
     relay = dataclasses.replace(single, nth_app="B", constraints=VideoConstraints(codec_ids=("qt",)))
-    assert (single.hop, single.distinguishable) == (Hop.SINGLE, False)
-    assert (relay.hop, relay.distinguishable) == (Hop.CHAIN, True)
+    assert (single.distinguishable, relay.distinguishable) == (False, True)
+    assert KnowledgeBase((single, relay)).video_candidates("qt", "") == ((), (relay,))
+    assert isinstance(relay.evidence[("codec_id",)], ChainHypothesis)
 
 
 def test_unreadable_kb_raises_kb_error(tmp_path):
@@ -459,7 +515,7 @@ class TestShippedInvariants:
 
     def test_every_untrackable_cell_is_a_placeholder(self, kb):
         # Single-hop placeholder counts fixed at transcription time.
-        indist = [r for r in kb.records if not r.distinguishable and r.hop is Hop.SINGLE]
+        indist = [r for r in kb.records if not r.distinguishable and not r.nth_app]
         by_group = {}
         for rec in indist:
             by_group[rec.group] = by_group.get(rec.group, 0) + 1
@@ -468,13 +524,13 @@ class TestShippedInvariants:
     def test_chain_records_are_all_trackable(self, kb):
         # Relay sets record only the rows whose first hop survives; erased
         # relays are comments, not records.
-        assert all(r.distinguishable for r in kb.records if r.hop is Hop.CHAIN)
+        assert all(r.distinguishable for r in kb.records if r.nth_app)
 
     def test_video_singles_keep_a_strong_discriminator(self, kb):
         for rec in kb.records:
             if rec.media_kind is not MediaKind.VIDEO or not rec.distinguishable:
                 continue
-            if rec.hop is not Hop.SINGLE:
+            if rec.nth_app:
                 continue
             c = rec.constraints
             assert isinstance(c, VideoConstraints)
@@ -666,6 +722,24 @@ def test_directory_kb_is_the_joined_files(kb):
     assert load_kb("\n".join(texts)) == kb == _parent_load_kb("\n".join(texts))
 
 
+def test_directory_load_skips_hidden_names(tmp_path, kb):
+    # An editor's dangling lock link and a hidden copy of a table sit beside
+    # the tables; neither is part of the KB.
+    data = tmp_path / "data"
+    shutil.copytree(default_kb_path(), data)
+    (data / ".#table07.kb").symlink_to("user@host.1234:1700000000")
+    shutil.copy(data / "table07.kb", data / ".table07.kb")
+    assert load_kb_path(data) == kb
+    # Under a visible name, the copy's records would be loaded twice.
+    (data / ".table07.kb").rename(data / "table07-copy.kb")
+    with pytest.raises(SchemaError, match="duplicate record id 't7-"):
+        load_kb_path(data)
+    (data / "table07-copy.kb").unlink()
+    (data / ".#table07.kb").rename(data / "#table07.kb")
+    with pytest.raises(KbError, match="#table07.kb"):
+        load_kb_path(data)
+
+
 def test_block_does_not_continue_into_the_next_file(tmp_path):
     # Joined, the first line of table08.kb would extend the last block of
     # table07.kb; read file by file it is a field outside any block.
@@ -718,8 +792,94 @@ def test_records_share_the_parsed_value_of_one_load():
 
 # ---------------------------------------------------------------------------
 # Parser parity: the loader as it was before values were parsed once per
-# load, frozen here.  For any text, the loader must give an equal KB or
-# fail with the same error class and message.
+# load, frozen here with the value parsers and key sets it used, so a change
+# to the live ones is compared against these.  For any text, the loader must
+# give an equal KB or fail with the same error class and message.  One
+# deliberate change since: an original with an unknown media kind fails with
+# the message a record gives, not with the enum's own text.  The live loader
+# also reads a quoted marker literally (``" Copyright"`` is unknown), where
+# this one strips it; no generated text quotes a marker.
+
+_PARENT_SECTION_RE = re.compile(r"^\[(\w+)(?:\s+(\S+))?\]$")
+_PARENT_RESOLUTION_RE = re.compile(r"^(\d+)x(\d+)$")
+_PARENT_LIST_ITEM_RE = re.compile(r'(?:[^,"]+|"[^"]*")+')
+
+
+def _parent_unquote(item):
+    item = item.strip()
+    if len(item) >= 2 and item[0] == '"' and item[-1] == '"':
+        return item[1:-1]
+    return item
+
+
+def _parent_parse_list(value, where):
+    if value.count('"') % 2:
+        raise SchemaError(f"{where}: unbalanced quote in {value!r}")
+    return tuple([_parent_unquote(part) for part in _PARENT_LIST_ITEM_RE.findall(value) if part.strip()])
+
+
+def _parent_parse_resolutions(value, where):
+    pairs = []
+    for part in _parent_parse_list(value, where):
+        m = _PARENT_RESOLUTION_RE.match(part)
+        if m is None:
+            raise SchemaError(f"{where}: bad resolution {part!r}")
+        width, height = int(m.group(1)), int(m.group(2))
+        if width < 1 or height < 1:
+            raise SchemaError(f"{where}: resolution sides must be positive")
+        pairs.append((width, height))
+    return tuple(pairs)
+
+
+def _parent_parse_bool(value, where):
+    lowered = value.strip().lower()
+    if lowered in ("true", "yes", "on"):
+        return True
+    if lowered in ("false", "no", "off"):
+        return False
+    raise SchemaError(f"{where}: expected a boolean, got {value!r}")
+
+
+def _parent_parse_format_profiles(value, where):
+    profiles = []
+    for item in _parent_parse_list(value, where):
+        try:
+            profiles.append(FormatProfile(item))
+        except ValueError:
+            raise SchemaError(f"{where}: unknown format profile {item!r}") from None
+    return tuple(profiles)
+
+
+def _parent_parse_markers(value, where):
+    markers = []
+    for item in _parent_parse_list(value, where):
+        try:
+            markers.append(Marker(item.strip()))
+        except ValueError:
+            raise SchemaError(f"{where}: unknown marker {item!r}") from None
+    return tuple(markers)
+
+
+# (KB key, VideoConstraints attribute, parser), in check order.
+_PARENT_VIDEO_FIELDS = (
+    ("extension", "extensions", _parent_parse_list),
+    ("format_profile", "format_profiles", _parent_parse_format_profiles),
+    ("codec_id", "codec_ids", _parent_parse_list),
+    ("video_format_profile", "video_format_profiles", _parent_parse_list),
+    ("resolution", "resolutions", _parent_parse_resolutions),
+    ("encoder", "encoders", _parent_parse_list),
+)
+_PARENT_VIDEO_ONLY_KEYS = frozenset({
+    "extension", "format_profile", "codec_id", "video_format_profile", "encoder", "markers",
+})
+_PARENT_IMAGE_ONLY_KEYS = frozenset({"size_band"})
+_PARENT_RECORD_KEYS = frozenset({
+    "media", "app", "os", "quality", "hop", "nth_app", "indistinguishable", "resolution",
+}) | _PARENT_VIDEO_ONLY_KEYS | _PARENT_IMAGE_ONLY_KEYS
+_PARENT_ORIGINAL_KEYS = frozenset({
+    "media", "os", "extension", "format_profile", "codec_id",
+    "video_format_profile", "resolution", "nominal_size",
+})
 
 class _ParentBlock:
     def __init__(self, kind, name, line_no):
@@ -740,7 +900,7 @@ def _parent_split_blocks(text):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        m = kb_mod._SECTION_RE.match(line)
+        m = _PARENT_SECTION_RE.match(line)
         if m:
             kind, name = m.group(1), m.group(2)
             if kind not in ("record", "original", "manifest"):
@@ -764,7 +924,7 @@ def _parent_split_blocks(text):
 
 def _parent_build_record(block):
     where = block.where()
-    unknown = set(block.fields) - kb_mod._RECORD_KEYS
+    unknown = set(block.fields) - _PARENT_RECORD_KEYS
     if unknown:
         raise SchemaError(f"{where}: unknown keys {sorted(unknown)}")
     f = block.fields
@@ -790,20 +950,20 @@ def _parent_build_record(block):
         raise SchemaError(f"{where}: chain records need nth_app")
     if hop == "single" and nth_app:
         raise SchemaError(f"{where}: single records must not set nth_app")
-    indistinguishable = kb_mod._parse_bool(f["indistinguishable"], where) if "indistinguishable" in f else False
+    indistinguishable = _parent_parse_bool(f["indistinguishable"], where) if "indistinguishable" in f else False
 
-    wrong_kind = kb_mod._VIDEO_ONLY_KEYS if media is MediaKind.IMAGE else kb_mod._IMAGE_ONLY_KEYS
+    wrong_kind = _PARENT_VIDEO_ONLY_KEYS if media is MediaKind.IMAGE else _PARENT_IMAGE_ONLY_KEYS
     used_wrong = wrong_kind & set(f)
     if used_wrong:
         raise SchemaError(f"{where}: keys {sorted(used_wrong)} not valid for {media.value} records")
 
-    constraint_keys = set(f) & (kb_mod._VIDEO_ONLY_KEYS | kb_mod._IMAGE_ONLY_KEYS | {"resolution"})
+    constraint_keys = set(f) & (_PARENT_VIDEO_ONLY_KEYS | _PARENT_IMAGE_ONLY_KEYS | {"resolution"})
     if indistinguishable:
         if constraint_keys:
             raise SchemaError(f"{where}: indistinguishable records carry no constraints")
         constraints = None
     elif media is MediaKind.IMAGE:
-        resolutions = kb_mod._parse_resolutions(require("resolution"), where)
+        resolutions = _parent_parse_resolutions(require("resolution"), where)
         if not resolutions:
             raise SchemaError(f"{where}: image records need at least one resolution")
         size_band = None
@@ -817,7 +977,7 @@ def _parent_build_record(block):
         wildcard = f.get("resolution", "").strip().lower() == "irregular"
         values = {
             attr: parse(f[key], where)
-            for key, attr, _, parse in VIDEO_FIELDS
+            for key, attr, parse in _PARENT_VIDEO_FIELDS
             if key in f and not (wildcard and key == "resolution")
         }
         markers_value = f.get("markers", "").strip()
@@ -825,7 +985,7 @@ def _parent_build_record(block):
         constraints = VideoConstraints(
             **values,
             resolution_wildcard=wildcard,
-            markers=() if markers_any else kb_mod._parse_markers(markers_value, where) if markers_value else (),
+            markers=() if markers_any else _parent_parse_markers(markers_value, where) if markers_value else (),
             markers_any=markers_any,
         )
         if constraints.is_empty():
@@ -844,18 +1004,18 @@ def _parent_build_record(block):
 
 def _parent_build_original(block):
     where = block.where()
-    unknown = set(block.fields) - kb_mod._ORIGINAL_KEYS
+    unknown = set(block.fields) - _PARENT_ORIGINAL_KEYS
     if unknown:
         raise SchemaError(f"{where}: unknown keys {sorted(unknown)}")
     f = block.fields
     for key in ("media", "os", "resolution", "nominal_size"):
         if key not in f:
             raise SchemaError(f"{where}: missing key {key!r}")
-    used_wrong = kb_mod._VIDEO_ONLY_KEYS & set(f) if f["media"] == MediaKind.IMAGE.value else None
+    used_wrong = _PARENT_VIDEO_ONLY_KEYS & set(f) if f["media"] == MediaKind.IMAGE.value else None
     if used_wrong:
         raise SchemaError(f"{where}: keys {sorted(used_wrong)} not valid for image originals")
     values = {}
-    for key, _, _, parse in VIDEO_FIELDS:
+    for key, _, parse in _PARENT_VIDEO_FIELDS:
         if key in f:
             parsed = parse(f[key], where)
             if len(parsed) != 1:
@@ -863,6 +1023,8 @@ def _parent_build_original(block):
             values[key] = parsed[0]
     if not f["nominal_size"].isdecimal():
         raise SchemaError(f"{where}: nominal_size must be a byte count, got {f['nominal_size']!r}")
+    if f["media"] not in ("image", "video"):  # changed on purpose: the message a record gives
+        raise SchemaError(f"{where}: unknown media kind {f['media']!r}")
     try:
         profile = OriginalProfile(
             profile_id=block.name or "",
@@ -1033,6 +1195,7 @@ def _loadable_kb_texts(draw):
 @example("encoder = x\n[record t6-a]")
 @example("[x = y\n")
 @example("\xa0no equals sign\t\n")
+@example("[original o-a]\nmedia = audio\nos = iOS\nresolution = 1x1\nnominal_size = 5\n")
 @example("\u3000[record t6-a]\xa0\n\xa0media\u3000=\u3000image\xa0\n")
 def test_loader_matches_the_frozen_parent(text):
     assert _outcome(load_kb, text) == _outcome(_parent_load_kb, text)

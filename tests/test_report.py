@@ -16,10 +16,11 @@ from mediafp.attributes import (
 from mediafp.container import ParseError, extract_video_attributes
 from mediafp.engine import Candidate, ChainHypothesis, Outcome, Verdict
 from mediafp.jpeg import NoFrameHeader, extract_image_attributes
+from mediafp.kb import KnowledgeBase
 from mediafp.oracle import expected_attributes, synthesize_container
 from mediafp.report import HEAD_READ, FileReport, render_json, scan_file
 
-from conftest import make_jpeg, write_sparse_video
+from conftest import make_jpeg, partial_video_originals, write_sparse_video
 from test_container import _hostile_buffers
 
 # make_jpeg ends with SOF (13 bytes), SOS (10 bytes) and EOI (2 bytes).
@@ -30,6 +31,15 @@ def _scan(tmp_path, kb, data):
     path = tmp_path / "photo.jpg"
     path.write_bytes(data)
     return scan_file(path, kb)
+
+
+@pytest.mark.parametrize("name,original", [pytest.param(*pair, id=pair[0]) for pair in partial_video_originals()])
+def test_original_leaving_out_a_field_scans_as_original_like(tmp_path, name, original):
+    path = tmp_path / name
+    path.write_bytes(synthesize_container(original.attributes))
+    report = scan_file(path, KnowledgeBase((), originals=(original,)))
+    assert report.attributes == original.attributes
+    assert report.verdict == Verdict((), Outcome.ORIGINAL_LIKE)
 
 
 def test_frame_header_beyond_the_first_read(tmp_path, kb):
