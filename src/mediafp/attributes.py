@@ -12,6 +12,7 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 
 class MediaKind(str, enum.Enum):
@@ -125,6 +126,7 @@ def parse_video_format_profile(text: str) -> AvcSignal:
 class VideoAttributes:
     """The full video attribute vector one file reduces to."""
 
+    media_kind: ClassVar[MediaKind] = MediaKind.VIDEO
     extension: str  # one of EXTENSIONS
     format_profile: FormatProfile
     codec_id: str  # rendered brand line, e.g. "mp42 (isom/mp42)"
@@ -146,6 +148,7 @@ class VideoAttributes:
 class ImageAttributes:
     """Width, length and byte size of one image."""
 
+    media_kind: ClassVar[MediaKind] = MediaKind.IMAGE
     width: int
     length: int
     byte_size: int

@@ -26,11 +26,13 @@ buffer; hostile input fails with one of the declared exceptions below.  The
 box walk reads inside each box's own payload only: a child's header within
 its parent, the QuickTime-or-ISO 'meta' sniff within the meta box, a leaf
 reader within its own payload, slicing no more of it than its structure
-calls for.  The two leaf payloads read whole, the ftyp brand list and the
-encoder text, are refused as MalformedBox above 4 KiB, so no declared size
-makes a reader slice more than that.  The buffer is only sliced and
-measured by len(), so it may be bytes, a bytearray or a view that reads a
-large file on demand.
+calls for.  The boxes inside an stsd sample entry and an ilst are not
+walked: ``_box_run`` reads them for the leaf readers, and a broken header
+there ends the search, not the file.  The two leaf payloads read whole, the
+ftyp brand list and the encoder text, are refused as MalformedBox above
+4 KiB, so no declared size makes a reader slice more than that.  The buffer
+is only sliced and measured by len(), so it may be bytes, a bytearray or a
+view that reads a large file on demand.
 """
 
 from __future__ import annotations
@@ -149,6 +151,18 @@ def _walk(data) -> list[tuple[bytes, int, int, list | None]]:
         if not resume:
             return roots
         pos, end, boxes, depth = resume.pop()
+
+
+def _box_run(data, pos: int, end: int):
+    """Each box in ``data[pos:end]`` as (raw type, payload offset, box end),
+    up to the first header that is cut short or declares less than 8 bytes
+    or more than the run holds: that ends the run, silently."""
+    while pos + 8 <= end:
+        size, raw_type = _BOX_HEADER.unpack(data[pos:pos + 8])
+        if size < 8 or pos + size > end:
+            return
+        yield raw_type, pos + 8, pos + size
+        pos += size
 
 
 def _fullbox_skip(data, payload_offset: int, payload_end: int) -> int:
@@ -293,16 +307,11 @@ def _stsd_video_entry(data, offset: int, stsd_end: int) -> tuple[int, int, str] 
         return None
     width, height = struct.unpack_from(">HH", fields, 32)
     profile = ""
-    pos = entry + 86
-    while pos + 8 <= end:
-        child_size, child_type = _BOX_HEADER.unpack(data[pos:pos + 8])
-        if child_size < 8 or pos + child_size > end:
-            break
+    for child_type, payload, child_end in _box_run(data, entry + 86, end):
         if child_type == b"avcC":
-            if child_size >= 12:
-                profile = _render_avc_config(bytes(data[pos + 8:pos + 12]))
+            if child_end - payload >= 4:
+                profile = _render_avc_config(bytes(data[payload:payload + 4]))
             break
-        pos += child_size
     if width < 1 or height < 1:
         return None
     return width, height, profile
@@ -333,27 +342,18 @@ _NON_MARKER_ATOMS = frozenset({b"meta", b"free", b"skip"})
 
 
 def _ilst_encoder(data, offset: int, end: int) -> str | None:
-    # ilst items: size/type pairs; the (c)too item wraps a 'data' box whose
-    # payload is type(4) + locale(4) + utf-8 text.
-    pos = offset
-    while pos + 8 <= end:
-        size, item_type = _BOX_HEADER.unpack(data[pos:pos + 8])
-        if size < 8 or pos + size > end:
-            return None
+    # ilst items: the first (c)too item wraps 'data' boxes, and the first of
+    # those with 8 bytes of payload or more holds type(4) + locale(4) + utf-8
+    # text.
+    for item_type, inner, inner_end in _box_run(data, offset, end):
         if item_type == b"\xa9too":
-            inner, inner_end = pos + 8, pos + size
-            while inner + 8 <= inner_end:
-                d_size, d_type = _BOX_HEADER.unpack(data[inner:inner + 8])
-                if d_size < 8 or inner + d_size > inner_end:
-                    return None
-                if d_type == b"data" and d_size >= 16:
-                    if d_size - 16 > _MAX_TEXT_PAYLOAD:
-                        raise MalformedBox(f"encoder text of {d_size - 16} bytes exceeds {_MAX_TEXT_PAYLOAD}")
-                    text = data[inner + 16:inner + d_size].decode("utf-8", errors="replace")
+            for d_type, payload, d_end in _box_run(data, inner, inner_end):
+                if d_type == b"data" and d_end - payload >= 8:
+                    if d_end - payload - 8 > _MAX_TEXT_PAYLOAD:
+                        raise MalformedBox(f"encoder text of {d_end - payload - 8} bytes exceeds {_MAX_TEXT_PAYLOAD}")
+                    text = data[payload + 8:d_end].decode("utf-8", errors="replace")
                     return text.rstrip("\x00") or None
-                inner += d_size
             return None
-        pos += size
     return None
 
 

@@ -1,28 +1,18 @@
 """Match extracted attributes against the knowledge base.
 
-A video record matches when, for each of its compiled rows, the file's
-value is one the row passes: a row per ``kb.VIDEO_FIELDS`` field the record
-populates (a wildcard resolution has none), then, unless the record allows
-any markers, a last row that passes every subset of its marker set.  Image
-resolutions match within ±10 px (``RESOLUTION_TOLERANCE``, defined in
-``kb``) in width and in length, and colliding image candidates are
-disambiguated by byte-size bands.  Chain records yield (N-th app, N+1st
-app) hypotheses for two-hop relays.
+A video record matches when the file passes each of its compiled rows
+(``kb.VideoConstraints.rows``).  Image resolutions match within
+``kb.RESOLUTION_TOLERANCE`` in width and in length, and colliding image
+candidates are disambiguated by byte-size bands.  Chain records yield (N-th
+app, N+1st app) hypotheses for two-hop relays.
 
-A KnowledgeBase compiles its query indexes (candidate records by codec id
-and video format profile, and by resolution cell; overwritten chains;
-records by id; originals by their attribute vectors) when it is built.  A
-video is checked only against the single-hop and chain records the KB looks
-up by its codec id and video format profile, since every other record
-rejects one of those two fields.  An image is checked only against the
-records the KB lists in the grid cell its resolution falls in, since every
-other record's resolutions lie beyond the tolerance.  Either way the verdict
-is the one a check against every record would give.  Load the KB once and
-reuse it for many queries.
-
-A matching record hands out the frozen Candidate or ChainHypothesis it built
-for its matched fields (``FingerprintRecord.evidence``), so verdicts share
-those instances and no query writes to the KB.
+Candidates come from the indexes a ``KnowledgeBase`` compiles when it is
+built (see ``kb``), and the verdict is the one a check against every record
+would give.  Load the KB once and reuse it for many queries.  A matching
+record hands out the frozen Candidate or ChainHypothesis it built for its
+matched fields (``FingerprintRecord.evidence``), and the field names come
+from its constraints, so verdicts share those instances and no query writes
+to the KB.
 """
 
 from __future__ import annotations
@@ -75,7 +65,7 @@ def satisfies_image(constraints: ImageConstraints, attrs: ImageAttributes) -> tu
     tol = RESOLUTION_TOLERANCE
     for width, length in constraints.resolutions:
         if abs(attrs.width - width) <= tol and abs(attrs.length - length) <= tol:
-            return ("resolution",)
+            return constraints.matched
     return None
 
 
@@ -96,7 +86,7 @@ def disambiguate_by_size(
     for rec in records:
         band = rec.constraints.size_band if isinstance(rec.constraints, ImageConstraints) else None
         if band is not None and abs(byte_size - band[0]) <= band[1]:
-            kept.append(rec.evidence[("resolution", "byte_size")])
+            kept.append(rec.evidence[rec.constraints.matched_with_size_band])
     return kept if kept else candidates
 
 
@@ -143,8 +133,8 @@ def match_image(attrs: ImageAttributes, kb: KnowledgeBase) -> Verdict:
     """Match an image against the KB: resolution within tolerance, then size bands.
 
     The cell lists its records in KB file order and every match carries the
-    same evidence, ``("resolution",)``, so candidates come out in that order
-    without ranking.
+    same evidence, ``ImageConstraints.matched``, so candidates come out in
+    that order without ranking.
     """
     records, candidates = _matches(kb.image_candidates(attrs.width, attrs.length), satisfies_image, attrs)
     if len(candidates) > 1:

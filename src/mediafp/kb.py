@@ -40,6 +40,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from operator import attrgetter
 from pathlib import Path
+from typing import ClassVar
 
 from .attributes import (
     FormatProfile,
@@ -74,10 +75,22 @@ class ManifestMismatch(KbError):
 
 @dataclass(frozen=True)
 class ImageConstraints:
-    """Evidence an image fingerprint matches on."""
+    """Evidence an image fingerprint matches on.
+
+    ``matched`` is a resolution match's evidence, and ``matched_with_size_band``
+    that of a file the size band holds (``matched`` when there is no band).
+    """
 
     resolutions: tuple[tuple[int, int], ...]
     size_band: tuple[int, int] | None = None  # (center, tolerance) in bytes
+
+    matched: ClassVar[tuple[str, ...]] = ("resolution",)
+    # Not part of equality, repr or the constructor.
+    matched_with_size_band: tuple[str, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "matched_with_size_band",
+                           self.matched + ("byte_size",) if self.size_band else self.matched)
 
 
 @dataclass(frozen=True)
@@ -138,7 +151,10 @@ class Candidate:
     os: OS
     quality: str
     matched_fields: tuple[str, ...]
-    used_size_band: bool = False
+
+    @property
+    def used_size_band(self) -> bool:
+        return "byte_size" in self.matched_fields
 
 
 @dataclass(frozen=True)
@@ -157,9 +173,9 @@ class FingerprintRecord:
     A record with ``nth_app`` is a relay (two-hop) record; one without
     ``constraints`` is a placeholder for a combination that leaves no
     footprint.  ``evidence`` maps each matched-field tuple a match of the
-    record can return to the frozen ``Candidate`` it yields, or for a relay
-    video record the ``ChainHypothesis``; a size-banded image record also
-    has the banded candidate, under ``("resolution", "byte_size")``.
+    record can return, its constraints' plain and full ``matched`` tuples,
+    to the frozen ``Candidate`` it yields, or for a relay video record the
+    ``ChainHypothesis``.
     """
 
     record_id: str
@@ -173,17 +189,15 @@ class FingerprintRecord:
 
     def __post_init__(self) -> None:
         c = self.constraints
-        if isinstance(c, ImageConstraints):
-            keys = [("resolution",), ("resolution", "byte_size")] if c.size_band else [("resolution",)]
-        elif c is not None:
-            keys = dict.fromkeys((c.matched, c.matched_with_markers))
+        if c is None:
+            keys = {}
         else:
-            keys = []
+            full = c.matched_with_size_band if isinstance(c, ImageConstraints) else c.matched_with_markers
+            keys = dict.fromkeys((c.matched, full))
         if self.nth_app and self.media_kind is MediaKind.VIDEO:
             evidence = {k: ChainHypothesis(self.nth_app, self.app, self.os, self.quality, k) for k in keys}
         else:
-            evidence = {k: Candidate(self.record_id, self.app, self.os, self.quality, k, "byte_size" in k)
-                        for k in keys}
+            evidence = {k: Candidate(self.record_id, self.app, self.os, self.quality, k) for k in keys}
         object.__setattr__(self, "evidence", evidence)
 
     @property
@@ -197,35 +211,16 @@ class FingerprintRecord:
 
 @dataclass(frozen=True)
 class OriginalProfile:
-    """A Table-of-originals row: what untouched camera output looks like."""
+    """A Table-of-originals row: the attribute vector of untouched camera
+    output, with the loader's ``_ORIGINAL_DEFAULTS`` for fields left out."""
 
     profile_id: str
-    media_kind: MediaKind
     os_source: OS
-    resolution: tuple[int, int]
-    nominal_size: int
-    extension: str | None = None
-    format_profile: FormatProfile | None = None
-    codec_id: str | None = None
-    video_format_profile: str | None = None
+    attributes: VideoAttributes | ImageAttributes
 
     @property
-    def attributes(self) -> VideoAttributes | ImageAttributes:
-        if self.media_kind is MediaKind.IMAGE:
-            return ImageAttributes(
-                width=self.resolution[0],
-                length=self.resolution[1],
-                byte_size=self.nominal_size,
-            )
-        return VideoAttributes(
-            extension=self.extension or "mp4",
-            format_profile=self.format_profile or FormatProfile.BASE_MEDIA,
-            codec_id=self.codec_id or "",
-            video_format_profile=self.video_format_profile or "",
-            width=self.resolution[0],
-            length=self.resolution[1],
-            byte_size=self.nominal_size,
-        )
+    def media_kind(self) -> MediaKind:
+        return self.attributes.media_kind
 
 
 @dataclass(frozen=True)
@@ -505,10 +500,11 @@ _RECORD_KEYS = frozenset({
     "media", "app", "os", "quality", "hop", "nth_app", "indistinguishable", "resolution",
 }) | _VIDEO_ONLY_KEYS | _IMAGE_ONLY_KEYS
 _CONSTRAINT_KEYS = _VIDEO_ONLY_KEYS | _IMAGE_ONLY_KEYS | {"resolution"}
-_ORIGINAL_KEYS = frozenset({
-    "media", "os", "extension", "format_profile", "codec_id",
-    "video_format_profile", "resolution", "nominal_size",
-})
+# The video fields an original may leave out, and the value its vector takes then.
+_ORIGINAL_DEFAULTS = {"extension": "mp4", "format_profile": FormatProfile.BASE_MEDIA,
+                      "codec_id": "", "video_format_profile": ""}
+_ORIGINAL_REQUIRED = ("media", "os", "resolution", "nominal_size")
+_ORIGINAL_KEYS = frozenset(_ORIGINAL_REQUIRED) | _ORIGINAL_DEFAULTS.keys()
 _MEDIA_KINDS = {kind.value: kind for kind in MediaKind}
 
 
@@ -660,7 +656,7 @@ def _build_original(block: _Block, parsed: dict) -> OriginalProfile:
     unknown = f.keys() - _ORIGINAL_KEYS
     if unknown:
         raise SchemaError(f"{where}: unknown keys {sorted(unknown)}")
-    for key in ("media", "os", "resolution", "nominal_size"):
+    for key in _ORIGINAL_REQUIRED:
         if key not in f:
             raise SchemaError(f"{where}: missing key {key!r}")
     used_wrong = _VIDEO_ONLY_KEYS.intersection(f) if f["media"] == MediaKind.IMAGE.value else None
@@ -680,17 +676,18 @@ def _build_original(block: _Block, parsed: dict) -> OriginalProfile:
     if media is None:
         raise SchemaError(f"{where}: unknown media kind {f['media']!r}")
     try:
-        profile = OriginalProfile(
-            profile_id=block.name or "",
-            media_kind=media,
-            os_source=parse_os(f["os"]),
-            nominal_size=int(f["nominal_size"]),
-            **values,
-        )
-        profile.attributes  # an extension or size the attribute vector rejects fails the load here
-    except ValueError as exc:
+        os_source = parse_os(f["os"])
+        width, length = values["resolution"]
+        size = int(f["nominal_size"])
+        if media is MediaKind.IMAGE:
+            attributes: VideoAttributes | ImageAttributes = ImageAttributes(width, length, size)
+        else:
+            # A quoted empty item (`extension = ""`) counts as left out.
+            filled = {key: values.get(key) or default for key, default in _ORIGINAL_DEFAULTS.items()}
+            attributes = VideoAttributes(**filled, width=width, length=length, byte_size=size)
+    except ValueError as exc:  # an OS, extension or size the vector rejects
         raise SchemaError(f"{where}: {exc}") from None
-    return profile
+    return OriginalProfile(block.name or "", os_source, attributes)
 
 
 def load_kb(text: str) -> KnowledgeBase:

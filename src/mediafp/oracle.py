@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .attributes import (
     AVC_PROFILES,
@@ -111,9 +112,12 @@ class ChainLabel:
 @dataclass(frozen=True)
 class CorpusEntry:
     record_id: str
-    media_kind: MediaKind
     attributes: VideoAttributes | ImageAttributes
     label: SingleLabel | ChainLabel
+
+    @property
+    def media_kind(self) -> MediaKind:
+        return self.attributes.media_kind
 
 
 def generate_corpus(kb: KnowledgeBase) -> tuple[CorpusEntry, ...]:
@@ -133,36 +137,53 @@ def generate_corpus(kb: KnowledgeBase) -> tuple[CorpusEntry, ...]:
             label: SingleLabel | ChainLabel = ChainLabel(rec.nth_app, rec.app, rec.os)
         else:
             label = SingleLabel(rec.app, rec.os, rec.quality)
-        entries.append(CorpusEntry(rec.record_id, rec.media_kind, expected_attributes(rec), label))
+        entries.append(CorpusEntry(rec.record_id, expected_attributes(rec), label))
     return tuple(entries)
 
 
 def _render_markers(markers: frozenset[Marker]) -> str:
-    if not markers:
-        return "-"
-    return "+".join(m.value for m in _MARKER_ORDER if m in markers)
+    return "+".join(m.value for m in _MARKER_ORDER if m in markers) or "-"
+
+
+def _parse_markers(text: str) -> frozenset[Marker]:
+    return frozenset(Marker(tok) for tok in text.split("+") if tok != "-")
+
+
+def _dash(text: str | None) -> str:
+    return text or "-"
+
+
+# Corpus wire format: one entry per line, tab-separated: record id, media
+# kind, one column per row of the kind's table, label.  The table names the
+# kind's vector type; each row is (attribute, render, parse), and
+# parse(render(value)) == value.
+_CORPUS_COLUMNS = {
+    MediaKind.VIDEO.value: (VideoAttributes, (
+        ("extension", str, str),
+        ("format_profile", attrgetter("value"), FormatProfile),
+        ("codec_id", str, str),
+        ("video_format_profile", _dash, lambda text: "" if text == "-" else text),
+        ("width", str, int),
+        ("length", str, int),
+        ("encoder", _dash, lambda text: None if text == "-" else text),
+        ("markers", _render_markers, _parse_markers),
+        ("byte_size", str, int),
+    )),
+    MediaKind.IMAGE.value: (ImageAttributes, (
+        ("width", str, int),
+        ("length", str, int),
+        ("byte_size", str, int),
+    )),
+}
 
 
 def render_corpus(entries: tuple[CorpusEntry, ...] | list[CorpusEntry]) -> str:
-    """Corpus wire format: one entry per line, fields tab-separated, label last."""
+    """Corpus wire format (``_CORPUS_COLUMNS``): one entry per line, label last."""
     lines = []
     for e in entries:
-        if e.media_kind is MediaKind.VIDEO:
-            a = e.attributes
-            fields = [
-                e.record_id, "video", a.extension, a.format_profile.value,
-                a.codec_id, a.video_format_profile or "-",
-                str(a.width), str(a.length),
-                a.encoder or "-", _render_markers(a.markers), str(a.byte_size),
-                e.label.render(),
-            ]
-        else:
-            a = e.attributes
-            fields = [
-                e.record_id, "image", str(a.width), str(a.length),
-                str(a.byte_size), e.label.render(),
-            ]
-        lines.append("\t".join(fields))
+        _, columns = _CORPUS_COLUMNS[e.media_kind.value]
+        fields = [render(getattr(e.attributes, name)) for name, render, _ in columns]
+        lines.append("\t".join([e.record_id, e.media_kind.value, *fields, e.label.render()]))
     return "\n".join(lines) + "\n"
 
 
@@ -179,7 +200,7 @@ def _parse_label(text: str) -> SingleLabel | ChainLabel:
         path, os_token = body.split("|")
         nth, _, napp = path.partition(">")
         return ChainLabel(nth, napp, parse_os(os_token))
-    raise CorpusFormatError(f"bad label {text!r}")
+    raise ValueError(f"bad label {text!r}")
 
 
 def parse_corpus(text: str) -> tuple[CorpusEntry, ...]:
@@ -189,29 +210,11 @@ def parse_corpus(text: str) -> tuple[CorpusEntry, ...]:
             continue
         fields = line.split("\t")
         try:
-            if fields[1] == "video" and len(fields) == 12:
-                markers = frozenset(
-                    Marker(tok) for tok in fields[9].split("+") if tok != "-"
-                ) if fields[9] != "-" else frozenset()
-                attrs: VideoAttributes | ImageAttributes = VideoAttributes(
-                    extension=fields[2],
-                    format_profile=FormatProfile(fields[3]),
-                    codec_id=fields[4],
-                    video_format_profile="" if fields[5] == "-" else fields[5],
-                    width=int(fields[6]),
-                    length=int(fields[7]),
-                    encoder=None if fields[8] == "-" else fields[8],
-                    markers=markers,
-                    byte_size=int(fields[10]),
-                )
-                entries.append(CorpusEntry(fields[0], MediaKind.VIDEO, attrs, _parse_label(fields[11])))
-            elif fields[1] == "image" and len(fields) == 6:
-                attrs = ImageAttributes(
-                    width=int(fields[2]), length=int(fields[3]), byte_size=int(fields[4])
-                )
-                entries.append(CorpusEntry(fields[0], MediaKind.IMAGE, attrs, _parse_label(fields[5])))
-            else:
+            vector, columns = _CORPUS_COLUMNS.get(fields[1], (None, ()))
+            if vector is None or len(fields) != len(columns) + 3:
                 raise ValueError("unknown media kind or field count")
+            attrs = vector(**{name: parse(value) for (name, _, parse), value in zip(columns, fields[2:-1])})
+            entries.append(CorpusEntry(fields[0], attrs, _parse_label(fields[-1])))
         except (ValueError, IndexError) as exc:
             raise CorpusFormatError(f"line {line_no}: {exc}") from None
     return tuple(entries)

@@ -208,25 +208,26 @@ def _chain_json(h: ChainHypothesis) -> str:
     )
 
 
-def _rendered(objs: tuple[Candidate | ChainHypothesis, ...], render, memo: dict[int, str]) -> list[str]:
+def _rendered(objs: tuple[Candidate | ChainHypothesis, ...], render, memo: dict[int, tuple]) -> list[str]:
     """``render(obj)`` for each of ``objs``, computed once per ``memo``.
 
-    ``memo`` maps the ``id()`` of each object already rendered to its text.
-    An id names one object only while that object lives, so every object the
-    memo has seen must outlive the memo, as the reports of one render call
-    do.  Keying by the object itself would run a frozen dataclass's
-    generated hash, in Python, on every lookup.
+    ``memo`` maps the ``id()`` of each object already rendered to the object
+    and its text.  An id names one object only while that object lives, and
+    the memo keeps each object it holds alive, so no later object can take
+    over its id, however soon its report is dropped.  Keying by the object
+    itself would run a frozen dataclass's generated hash, in Python, on every
+    lookup.
     """
     texts = []
     for obj in objs:
-        text = memo.get(id(obj))
-        if text is None:
-            text = memo[id(obj)] = render(obj)
-        texts.append(text)
+        hit = memo.get(id(obj))
+        if hit is None:
+            hit = memo[id(obj)] = (obj, render(obj))
+        texts.append(hit[1])
     return texts
 
 
-def _report_json(r: FileReport, memo: dict[int, str]) -> str:
+def _report_json(r: FileReport, memo: dict[int, tuple]) -> str:
     """One report's JSON object; ``memo`` is the render call's, for ``_rendered``."""
     attrs = r.attributes
     if attrs is None:
@@ -258,7 +259,7 @@ def _report_json(r: FileReport, memo: dict[int, str]) -> str:
 
 def render_json(reports: list[FileReport], timestamp: str | None = None) -> str:
     stamp = "" if timestamp is None else f'  "generated_at": {_str(timestamp)},\n'
-    memo: dict[int, str] = {}
+    memo: dict[int, tuple] = {}
     body = _array([_report_json(r, memo) for r in reports], "  ")
     return f'{{\n  "schema_version": {SCHEMA_VERSION},\n{stamp}  "reports": {body}\n}}\n'
 
@@ -267,7 +268,7 @@ def _candidate_label(c: Candidate) -> str:
     return f"{c.app} ({c.os.value}, {c.quality})"
 
 
-def _top_candidate(verdict: Verdict, memo: dict[int, str]) -> str:
+def _top_candidate(verdict: Verdict, memo: dict[int, tuple]) -> str:
     if not verdict.candidates:
         return "-"
     [label] = _rendered(verdict.candidates[:1], _candidate_label, memo)
@@ -305,7 +306,7 @@ def render_text(reports: list[FileReport], timestamp: str | None = None) -> str:
     def chain_line(h: ChainHypothesis) -> str:
         return f"{indent}  chain: {h.nth_app} -> {h.nplus1_app} ({h.os.value})"
 
-    memo: dict[int, str] = {}  # for _rendered: the top-candidate labels and chain lines
+    memo: dict[int, tuple] = {}  # for _rendered: the top-candidate labels and chain lines
     for report, path in zip(reports, paths):
         if report.error is not None:
             kind = report.media_kind.value if report.media_kind else '-'

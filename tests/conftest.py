@@ -3,8 +3,7 @@ import struct
 
 import pytest
 
-from mediafp.attributes import OS, FormatProfile
-from mediafp.kb import MediaKind, OriginalProfile, load_kb_path
+from mediafp.kb import MediaKind, load_kb, load_kb_path
 
 
 @pytest.fixture(scope="session")
@@ -44,22 +43,23 @@ def brute_force_records(kb):
 
 def partial_video_originals():
     """(file name, original) pairs: video originals that each leave out one
-    field their attribute vector fills with its default (extension, format
-    profile or video format profile).  The name's suffix gives the vector's
-    extension and each codec id agrees with the format profile, so
+    field the loader fills with its default (extension, format profile or
+    video format profile).  The name's suffix gives the vector's extension
+    and each codec id agrees with the format profile, so
     ``synthesize_container`` of the vector scans back to that vector."""
-    def original(profile_id, **fields):
-        return OriginalProfile(profile_id, MediaKind.VIDEO, OS.IOS, (1280, 720), 4096, **fields)
-
-    return [
-        ("no-extension.mp4", original("no-extension", format_profile=FormatProfile.QUICKTIME,
-                                      codec_id="qt", video_format_profile="High@L4")),
-        ("no-format-profile.mov", original("no-format-profile", extension="MOV",
-                                           codec_id="isom (isom/iso2/avc1/mp41)", video_format_profile="Main@L3")),
-        ("no-video-format-profile.mp4", original("no-video-format-profile", extension="mp4",
-                                                 format_profile=FormatProfile.BASE_MEDIA_V2,
-                                                 codec_id="mp42 (isom/mp42)")),
+    named = [
+        ("no-extension.mp4", 'format_profile = QuickTime\ncodec_id = "qt"\nvideo_format_profile = "High@L4"'),
+        ("no-format-profile.mov",
+         'extension = MOV\ncodec_id = "isom (isom/iso2/avc1/mp41)"\nvideo_format_profile = "Main@L3"'),
+        ("no-video-format-profile.mp4",
+         'extension = mp4\nformat_profile = Base Media Version 2\ncodec_id = "mp42 (isom/mp42)"'),
     ]
+    text = "".join(
+        f"[original {name.partition('.')[0]}]\nmedia = video\nos = iOS\nresolution = 1280x720\n"
+        f"nominal_size = 4096\n{fields}\n"
+        for name, fields in named
+    )
+    return [(name, original) for (name, _), original in zip(named, load_kb(text).originals)]
 
 
 def make_jpeg(width, length, total_size=None, progressive=False, leading_segments=0):

@@ -441,8 +441,10 @@ class TestSelftest:
 
     @pytest.mark.parametrize("content,error", [
         (b"r1\tsound\t1\n", "CorpusFormatError: line 1: unknown media kind or field count"),
+        (b"\n" + b"r1\timage\t100\t100\t5000\tsinglex:A|iOS|Default\n",
+         "CorpusFormatError: line 2: bad label 'singlex:A|iOS|Default'\n"),
         (b"\xff\xfe\n", "UnicodeDecodeError: 'utf-8' codec can't decode byte 0xff in position 0"),
-    ], ids=["malformed", "not-utf-8"])
+    ], ids=["malformed", "bad-label-kind", "not-utf-8"])
     def test_bad_corpus_is_one_error_line(self, runner, tmp_path, content, error):
         corpus = tmp_path / "corpus.tsv"
         corpus.write_bytes(content)

@@ -780,10 +780,79 @@ def test_synthesized_containers_extract_to_their_vector(attrs):
     assert extract_video_attributes(bytearray(data), name_hint=_HINT_FOR[attrs.extension]) == extracted
 
 
+# The avcC search and the encoder search as hand-written box loops, frozen
+# as they were before both moved onto the package's one box-run reader.  The
+# reference extractions below use them, so they compare against code that
+# shares no box reader with the package.
+def _parent_stsd_video_entry(data, offset, stsd_end):
+    entry = offset + 8
+    fields = data[entry:min(entry + 36, stsd_end)]
+    if len(fields) < 36:
+        return None
+    entry_size = struct.unpack_from(">I", fields)[0]
+    end = entry + entry_size
+    if entry_size < 36 or end > stsd_end:
+        return None
+    width, height = struct.unpack_from(">HH", fields, 32)
+    profile = ""
+    pos = entry + 86
+    while pos + 8 <= end:
+        child_size, child_type = struct.unpack(">I4s", data[pos:pos + 8])
+        if child_size < 8 or pos + child_size > end:
+            break
+        if child_type == b"avcC":
+            if child_size >= 12:
+                profile = parse_avc_config(bytes(data[pos + 8:pos + 12])).render()
+            break
+        pos += child_size
+    if width < 1 or height < 1:
+        return None
+    return width, height, profile
+
+
+def _parent_ilst_encoder(data, offset, end):
+    pos = offset
+    while pos + 8 <= end:
+        size, item_type = struct.unpack(">I4s", data[pos:pos + 8])
+        if size < 8 or pos + size > end:
+            return None
+        if item_type == b"\xa9too":
+            inner, inner_end = pos + 8, pos + size
+            while inner + 8 <= inner_end:
+                d_size, d_type = struct.unpack(">I4s", data[inner:inner + 8])
+                if d_size < 8 or inner + d_size > inner_end:
+                    return None
+                if d_type == b"data" and d_size >= 16:
+                    if d_size - 16 > 4096:
+                        raise MalformedBox(f"encoder text of {d_size - 16} bytes exceeds 4096")
+                    text = data[inner + 16:inner + d_size].decode("utf-8", errors="replace")
+                    return text.rstrip("\x00") or None
+                inner += d_size
+            return None
+        pos += size
+    return None
+
+
+_FROZEN_LEAF_READERS = {b"stsd": _parent_stsd_video_entry, b"ilst": _parent_ilst_encoder}
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(sorted(_FROZEN_LEAF_READERS)).flatmap(
+    lambda box_type: st.tuples(st.just(box_type), _LEAF_READERS[box_type][1])), _hostile_bytes)
+def test_box_run_readers_match_the_frozen_loops(leaf, sibling):
+    # Over the leaf payloads, alone and followed by hostile bytes, and over a
+    # payload that runs to the end of those bytes: the same result or error.
+    box_type, payload = leaf
+    data = box(box_type, payload) + sibling
+    for end in (len(data) - len(sibling), len(data)):
+        expected = _outcome(lambda d: _FROZEN_LEAF_READERS[box_type](d, 8, end), data)
+        assert _outcome(lambda d: _LEAF_READERS[box_type][0](d, 8, end), data) == expected
+
+
 # A tree-based extraction over the frozen reference walk, kept as the
 # reference of the extraction under test: it searches the node tree box by
-# box.  Leaf readers whose bytes did not change are shared; the ftyp and stsd
-# readers are kept as they were.
+# box.  Leaf readers whose bytes did not change are shared; the ftyp, stsd
+# and encoder readers are kept as they were.
 def _reference_find(boxes, box_type):
     return next((b for b in boxes if b.box_type == box_type), None)
 
@@ -878,7 +947,7 @@ def _reference_extract(data, name_hint=None):
     for parent in (udta, moov):
         ilst = _reference_path(parent.children, "meta", "ilst") if parent is not None else None
         if ilst is not None:
-            encoder = _ilst_encoder(data, ilst.payload_offset, ilst.payload_end)
+            encoder = _parent_ilst_encoder(data, ilst.payload_offset, ilst.payload_end)
             if encoder:
                 break
     return VideoAttributes(
@@ -1093,7 +1162,7 @@ def _flat_extract(data, name_hint=None):
     else:
         raise NoVideoTrack("no video track in moov")
     stsd = _flat_lookup(first, mdia, b"minf", b"stbl", b"stsd")
-    entry = _stsd_video_entry(data, *boxes[stsd][2:]) if stsd is not None else None
+    entry = _parent_stsd_video_entry(data, *boxes[stsd][2:]) if stsd is not None else None
     if entry is None:
         tkhd = first.get((trak, b"tkhd"))
         fallback = _tkhd_dimensions(data, *boxes[tkhd][2:]) if tkhd is not None else None
@@ -1110,7 +1179,7 @@ def _flat_extract(data, name_hint=None):
     for parent in (udta, moov):
         ilst = _flat_lookup(first, parent, b"meta", b"ilst")
         if ilst is not None:
-            encoder = _ilst_encoder(data, *boxes[ilst][2:])
+            encoder = _parent_ilst_encoder(data, *boxes[ilst][2:])
             if encoder:
                 break
     return VideoAttributes(

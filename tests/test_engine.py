@@ -148,9 +148,10 @@ class TestMatchVideo:
 class TestFindOriginal:
     def test_first_original_in_file_order_wins(self):
         def orig(pid, kind, codec=None):
-            return OriginalProfile(pid, kind, OS.IOS, (1920, 1080), 1_000_000, extension="MOV",
-                                   format_profile=FormatProfile.QUICKTIME, codec_id=codec,
-                                   video_format_profile="High@L4" if codec else None)
+            if kind is MediaKind.IMAGE:
+                return OriginalProfile(pid, OS.IOS, ImageAttributes(1920, 1080, 1_000_000))
+            return OriginalProfile(pid, OS.IOS, video("MOV", FormatProfile.QUICKTIME, codec, "High@L4", 1920, 1080,
+                                                   size=1_000_000))
         kb = KnowledgeBase((), originals=(
             orig("img-1", MediaKind.IMAGE), orig("vid-other", MediaKind.VIDEO, "mp42"),
             orig("vid-1", MediaKind.VIDEO, "qt"), orig("img-2", MediaKind.IMAGE),
@@ -172,7 +173,8 @@ class TestFindOriginal:
             return dataclasses.replace(o.attributes, byte_size=4)
 
         partial = tuple(o for _, o in partial_video_originals())
-        twin = dataclasses.replace(partial[0], profile_id="twin", extension="mp4", nominal_size=9999)
+        twin = dataclasses.replace(partial[0], profile_id="twin",
+                                   attributes=dataclasses.replace(partial[0].attributes, byte_size=9999))
         hand_built = KnowledgeBase((), originals=partial + (twin,) + kb.originals)
         for base in (kb, hand_built):
             for o in base.originals:
@@ -699,9 +701,9 @@ def _ref_satisfies_video(c, attrs):
     return tuple(matched)
 
 
-def _ref_candidate(rec, matched, used_band=False):
+def _ref_candidate(rec, matched):
     return Candidate(record_id=rec.record_id, app=rec.app, os=rec.os, quality=rec.quality,
-                     matched_fields=matched, used_size_band=used_band)
+                     matched_fields=matched)
 
 
 def _ref_rank(pairs, kb):
@@ -720,7 +722,6 @@ def _ref_disambiguate_by_size(candidates, byte_size, kb):
             kept.append(Candidate(
                 record_id=cand.record_id, app=cand.app, os=cand.os, quality=cand.quality,
                 matched_fields=tuple(dict.fromkeys(cand.matched_fields + ("byte_size",))),
-                used_size_band=True,
             ))
     return kept if kept else candidates
 

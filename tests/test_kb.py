@@ -332,8 +332,8 @@ def test_each_record_builds_exactly_its_reachable_evidence(kb):
             if rec.nth_app and rec.media_kind is MediaKind.VIDEO:
                 assert value == ChainHypothesis(rec.nth_app, rec.app, rec.os, rec.quality, key)
             else:
-                assert value == Candidate(rec.record_id, rec.app, rec.os, rec.quality, key,
-                                          used_size_band="byte_size" in key)
+                assert value == Candidate(rec.record_id, rec.app, rec.os, rec.quality, key)
+                assert value.used_size_band is ("byte_size" in key)
 
 
 def test_hop_and_distinguishable_follow_nth_app_and_constraints():
@@ -352,6 +352,11 @@ def test_hop_and_distinguishable_follow_nth_app_and_constraints():
 def test_unreadable_kb_raises_kb_error(tmp_path):
     with pytest.raises(KbError, match="missing.kb"):
         load_kb_path(tmp_path / "missing.kb")
+    with pytest.raises(KbError, match=f"^no .kb files under {re.escape(str(tmp_path))}$"):
+        load_kb_path(tmp_path)
+    (tmp_path / ".table06.kb").write_text(WHATSAPP_IMAGE_BLOCK, encoding="utf-8")
+    with pytest.raises(KbError, match=f"^no .kb files under {re.escape(str(tmp_path))}$"):
+        load_kb_path(tmp_path)
     (tmp_path / "table06.kb").write_text(WHATSAPP_IMAGE_BLOCK, encoding="utf-8")
     (tmp_path / "sub.kb").mkdir()
     with pytest.raises(KbError, match="sub.kb"):
@@ -1026,17 +1031,26 @@ def _parent_build_original(block):
     if f["media"] not in ("image", "video"):  # changed on purpose: the message a record gives
         raise SchemaError(f"{where}: unknown media kind {f['media']!r}")
     try:
-        profile = OriginalProfile(
-            profile_id=block.name or "",
-            media_kind=MediaKind(f["media"]),
-            os_source=parse_os(f["os"]),
-            nominal_size=int(f["nominal_size"]),
-            **values,
-        )
-        profile.attributes
+        os_source = parse_os(f["os"])
+        # Changed on purpose: an original is its attribute vector, built here
+        # with the defaults the parent's property filled in on every read.
+        width, length = values["resolution"]
+        size = int(f["nominal_size"])
+        if f["media"] == "image":
+            attributes = ImageAttributes(width=width, length=length, byte_size=size)
+        else:
+            attributes = VideoAttributes(
+                extension=values.get("extension") or "mp4",
+                format_profile=values.get("format_profile") or FormatProfile.BASE_MEDIA,
+                codec_id=values.get("codec_id") or "",
+                video_format_profile=values.get("video_format_profile") or "",
+                width=width,
+                length=length,
+                byte_size=size,
+            )
     except ValueError as exc:
         raise SchemaError(f"{where}: {exc}") from None
-    return profile
+    return OriginalProfile(block.name or "", os_source, attributes)
 
 
 def _parent_load_kb(text):

@@ -16,6 +16,12 @@ from mediafp.oracle import (
 )
 
 
+def test_placeholder_record_has_no_expected_attributes(kb):
+    placeholder = next(rec for rec in kb.records if not rec.distinguishable)
+    with pytest.raises(ValueError, match=f"^{placeholder.record_id} is a placeholder record$"):
+        expected_attributes(placeholder)
+
+
 def test_output_satisfies_own_record(kb):
     from mediafp.engine import satisfies_image, satisfies_video
     for rec in kb.records:
@@ -124,6 +130,12 @@ class TestSynthesize:
             length=100,
         )
         with pytest.raises(InconsistentAttrs):
+            synthesize_container(attrs)
+
+    def test_unsupported_constraint_suffix_rejected(self):
+        # The profile parses, but only the "@Main" suffix maps to an avcC flag.
+        attrs = VideoAttributes("mp4", FormatProfile.BASE_MEDIA, "isom (isom/iso2/avc1/mp41)", "Main@L4@High", 100, 100)
+        with pytest.raises(InconsistentAttrs, match=r"^unsupported constraint suffix '@High'$"):
             synthesize_container(attrs)
 
     def test_all_markers_round_trip(self):

@@ -392,7 +392,7 @@ def _reference_report(report):
                 "os": c.os.value,
                 "quality": c.quality,
                 "matched_fields": list(c.matched_fields),
-                "used_size_band": c.used_size_band,
+                "used_size_band": "byte_size" in c.matched_fields,
             }
             for c in (verdict.candidates if verdict else ())
         ],
@@ -448,8 +448,7 @@ _candidates = st.builds(
     app=_texts,
     os=st.sampled_from(OS),
     quality=_texts,
-    matched_fields=st.lists(_texts, max_size=3).map(tuple),
-    used_size_band=st.booleans(),
+    matched_fields=st.lists(_texts | st.just("byte_size"), max_size=3).map(tuple),
 )
 _chains = st.builds(
     ChainHypothesis,
@@ -562,6 +561,12 @@ def test_kb_owned_evidence_shared_by_many_reports(kb):
     _assert_both_formats_match_the_references(reports[::-1], "2026-01-01T00:00:00+00:00")
 
 
+def _toggle_size_band(fields):
+    if "byte_size" in fields:
+        return tuple(f for f in fields if f != "byte_size")
+    return fields + ("byte_size",)
+
+
 def _lookalikes(evidence):
     """``evidence``, an equal copy, and copies that differ from it in one
     field a cache keyed on the rest would miss."""
@@ -569,7 +574,7 @@ def _lookalikes(evidence):
         return [evidence, dataclasses.replace(evidence),
                 dataclasses.replace(evidence, matched_fields=evidence.matched_fields + ("markers",)),
                 dataclasses.replace(evidence, matched_fields=evidence.matched_fields[:-1]),
-                dataclasses.replace(evidence, used_size_band=not evidence.used_size_band)]
+                dataclasses.replace(evidence, matched_fields=_toggle_size_band(evidence.matched_fields))]
     return [evidence, dataclasses.replace(evidence),
             dataclasses.replace(evidence, nplus1_app=evidence.nplus1_app + "+"),
             dataclasses.replace(evidence, os=OS.ANDROID_ANY if evidence.os is not OS.ANDROID_ANY else OS.IOS)]
@@ -593,8 +598,29 @@ def _shared_evidence_reports(draw):
 @given(_shared_evidence_reports(), st.none() | _texts)
 def test_shared_and_lookalike_evidence_renders_as_the_references(reports, timestamp):
     # One object in many reports, equal but distinct objects, and objects
-    # that differ only in matched fields, size band, app or OS.
+    # that differ only in matched fields (the size band among them), app or OS.
     _assert_both_formats_match_the_references(reports, timestamp)
+
+
+def test_render_memo_holds_its_objects_when_their_reports_are_dropped():
+    # A writer that renders each report and drops it, through one memo: each
+    # fresh candidate may be allocated where the last, freed one was, so a
+    # memo that only keys by id() would hand it the last one's text.
+    memo = {}
+    for i in range(2000):
+        candidate = Candidate(f"r{i}", f"App{i}", OS.IOS, "Default", ("resolution",))
+        row = report._report_json(
+            FileReport(f"{i}.jpg", MediaKind.IMAGE, None, Verdict((candidate,), Outcome.IDENTIFIED), None), memo)
+        assert f'"app": "App{i}"' in row
+        del candidate, row
+
+
+@pytest.mark.parametrize("verdict,error", [
+    (Verdict((), Outcome.UNKNOWN), "MalformedBox: x"), (None, None),
+], ids=["both", "neither"])
+def test_a_report_has_exactly_one_of_verdict_and_error(verdict, error):
+    with pytest.raises(ValueError, match="^exactly one of verdict/error must be set$"):
+        FileReport("a.mov", MediaKind.VIDEO, None, verdict, error)
 
 
 # Paths thick with backslashes, the letters of escapes, and the characters
