@@ -50,7 +50,7 @@ def satisfies_video(constraints: VideoConstraints, attrs: VideoAttributes) -> tu
     """Evaluate one video constraint set; returns matched field names or None.
 
     A field counts as matched evidence only when the record constrains it and
-    the attributes positively agree: a wildcard resolution passes without a
+    the attributes positively agree: a field the record leaves empty has no
     row, and the marker row is evidence only for a file that carries markers.
     """
     c = constraints

@@ -14,10 +14,11 @@ gained while editing the data files fails the load instead of silently
 shifting verdicts.
 
 ``VIDEO_FIELDS`` is the one list of video membership fields and of how each
-is parsed; each ``VideoConstraints`` compiles its populated rows of it, plus
-a last row for the marker rule unless the record allows any markers, and
-``engine`` matches by looping over those rows.  A record is a relay (two-hop)
-record exactly when it names ``nth_app``.
+is parsed; each ``VideoConstraints`` compiles one row per field it
+populates, plus a last row for the marker rule unless the record allows any
+markers, and ``engine`` matches by looping over those rows.  A field without
+a row is unconstrained; no flag says so a second time.  A record is a relay
+(two-hop) record exactly when it names ``nth_app``.
 
 Each distinct field value is parsed once per load: records that list the
 same value share one parsed tuple.  A directory is read one ``*.kb`` file at
@@ -43,6 +44,7 @@ from pathlib import Path
 from typing import ClassVar
 
 from .attributes import (
+    EXTENSIONS,
     FormatProfile,
     ImageAttributes,
     Marker,
@@ -97,9 +99,9 @@ class ImageConstraints:
 class VideoConstraints:
     """Evidence a video fingerprint matches on.
 
-    ``markers`` is the characteristic marker set of the transformed file:
-    a file matches only when its markers are a subset of it, unless
-    ``markers_any`` lifts the constraint entirely.
+    A field left empty constrains nothing.  ``markers`` is the
+    characteristic marker set of the transformed file: a file matches only
+    when its markers are a subset of it; ``None`` allows any markers.
     """
 
     extensions: tuple[str, ...] = ()
@@ -107,16 +109,13 @@ class VideoConstraints:
     codec_ids: tuple[str, ...] = ()
     video_format_profiles: tuple[str, ...] = ()
     resolutions: tuple[tuple[int, int], ...] = ()
-    resolution_wildcard: bool = False
     encoders: tuple[str, ...] = ()
-    markers: tuple[Marker, ...] = ()
-    markers_any: bool = False
+    markers: tuple[Marker, ...] | None = ()
 
     # Compiled from the fields; not part of equality, repr or the constructor.
     # ``rows`` holds (field name, the values that pass, getter) in check
     # order: one row per populated ``VIDEO_FIELDS`` field, whose values are
-    # the record's own tuple (a wildcard resolution has no row, as it passes
-    # every file and is no evidence), then, unless ``markers_any``, the
+    # the record's own tuple, then, unless ``markers`` is ``None``, the
     # marker row, whose values are the subsets of ``markers``.
     rows: tuple[tuple[str, tuple | frozenset, attrgetter], ...] = field(init=False, repr=False, compare=False)
     matched: tuple[str, ...] = field(init=False, repr=False, compare=False)  # the field rows' names
@@ -127,18 +126,16 @@ class VideoConstraints:
     def __post_init__(self) -> None:
         # Built now, not on first use: a lazy build would land in the latency
         # of whichever scanned file first reaches the record.
-        rows = [(name, getattr(self, attr), get) for name, attr, get, _ in VIDEO_FIELDS
-                if getattr(self, attr) and not (name == "resolution" and self.resolution_wildcard)]
+        rows = [(name, getattr(self, attr), get) for name, attr, get, _ in VIDEO_FIELDS if getattr(self, attr)]
         matched = tuple(name for name, _, _ in rows)
-        if not self.markers_any:
+        if self.markers is not None:
             rows.append(("markers", _MARKER_SUBSETS[frozenset(self.markers)], attrgetter("markers")))
         object.__setattr__(self, "rows", tuple(rows))
         object.__setattr__(self, "matched", matched)
-        object.__setattr__(self, "matched_with_markers",
-                           matched + ("markers",) if self.markers and not self.markers_any else matched)
+        object.__setattr__(self, "matched_with_markers", matched + ("markers",) if self.markers else matched)
 
     def is_empty(self) -> bool:
-        return not (self.resolution_wildcard or self.matched)
+        return not self.matched
 
 
 Constraints = ImageConstraints | VideoConstraints
@@ -212,7 +209,7 @@ class FingerprintRecord:
 @dataclass(frozen=True)
 class OriginalProfile:
     """A Table-of-originals row: the attribute vector of untouched camera
-    output, with the loader's ``_ORIGINAL_DEFAULTS`` for fields left out."""
+    output, with ``VIDEO_DEFAULTS`` for the video fields left out."""
 
     profile_id: str
     os_source: OS
@@ -497,14 +494,15 @@ VIDEO_FIELDS = (
 _VIDEO_ONLY_KEYS = frozenset(key for key, *_ in VIDEO_FIELDS if key != "resolution") | {"markers"}
 _IMAGE_ONLY_KEYS = frozenset({"size_band"})
 _RECORD_KEYS = frozenset({
-    "media", "app", "os", "quality", "hop", "nth_app", "indistinguishable", "resolution",
+    "media", "app", "os", "quality", "nth_app", "indistinguishable", "resolution",
 }) | _VIDEO_ONLY_KEYS | _IMAGE_ONLY_KEYS
 _CONSTRAINT_KEYS = _VIDEO_ONLY_KEYS | _IMAGE_ONLY_KEYS | {"resolution"}
-# The video fields an original may leave out, and the value its vector takes then.
-_ORIGINAL_DEFAULTS = {"extension": "mp4", "format_profile": FormatProfile.BASE_MEDIA,
-                      "codec_id": "", "video_format_profile": ""}
+# The video fields an original may leave out, and the value its vector takes
+# then; ``oracle`` fills a record's vector from the same table.
+VIDEO_DEFAULTS = {"extension": "mp4", "format_profile": FormatProfile.BASE_MEDIA,
+                  "codec_id": "", "video_format_profile": ""}
 _ORIGINAL_REQUIRED = ("media", "os", "resolution", "nominal_size")
-_ORIGINAL_KEYS = frozenset(_ORIGINAL_REQUIRED) | _ORIGINAL_DEFAULTS.keys()
+_ORIGINAL_KEYS = frozenset(_ORIGINAL_REQUIRED) | VIDEO_DEFAULTS.keys()
 _MEDIA_KINDS = {kind.value: kind for kind in MediaKind}
 
 
@@ -585,15 +583,7 @@ def _build_record(block: _Block, parsed: dict) -> FingerprintRecord:
         rec_os = parse_os(require("os"))
     except ValueError as exc:
         raise SchemaError(f"{where}: {exc}") from None
-    # The record derives its hop from nth_app; the key must agree with it.
-    hop = f.get("hop", "single")
-    if hop not in ("single", "chain"):
-        raise SchemaError(f"{where}: hop must be 'single' or 'chain'")
     nth_app = f.get("nth_app") or None
-    if hop == "chain" and not nth_app:
-        raise SchemaError(f"{where}: chain records need nth_app")
-    if hop == "single" and nth_app:
-        raise SchemaError(f"{where}: single records must not set nth_app")
     indistinguishable = _parse_bool(f["indistinguishable"], where) if "indistinguishable" in f else False
 
     wrong_kind = _VIDEO_ONLY_KEYS if media is MediaKind.IMAGE else _IMAGE_ONLY_KEYS
@@ -617,25 +607,20 @@ def _build_record(block: _Block, parsed: dict) -> FingerprintRecord:
             size_band = (int(m.group(1)), int(m.group(2)))
         constraints = ImageConstraints(resolutions, size_band)
     else:
-        # `resolution = irregular` sets the wildcard and lists no resolution.
-        # Values come stripped from _split_blocks.
-        wildcard = f.get("resolution", "").lower() == "irregular"
         values = {
             attr: _parse(parsed, parse, f[key], where)
             for key, attr, _, parse in VIDEO_FIELDS
-            if key in f and not (wildcard and key == "resolution")
+            if key in f
         }
+        # An omitted line means no markers; values come stripped from _split_blocks.
         markers_value = f.get("markers", "")
-        markers_any = markers_value.lower() == "any"
-        markers = ()
-        if markers_value and not markers_any:
-            markers = _parse(parsed, _parse_markers, markers_value, where)
-        constraints = VideoConstraints(
-            **values,
-            resolution_wildcard=wildcard,
-            markers=markers,
-            markers_any=markers_any,
-        )
+        markers = None if markers_value.lower() == "any" else _parse(parsed, _parse_markers, markers_value, where)
+        # Checked here, not by the parser originals share: there a quoted
+        # empty extension means the field is left out.
+        for ext in values.get("extensions", ()):
+            if ext not in EXTENSIONS:
+                raise SchemaError(f"{where}: unknown extension {ext!r}")
+        constraints = VideoConstraints(**values, markers=markers)
         if constraints.is_empty():
             raise SchemaError(f"{where}: distinguishable video record carries no constraints")
 
@@ -683,7 +668,7 @@ def _build_original(block: _Block, parsed: dict) -> OriginalProfile:
             attributes: VideoAttributes | ImageAttributes = ImageAttributes(width, length, size)
         else:
             # A quoted empty item (`extension = ""`) counts as left out.
-            filled = {key: values.get(key) or default for key, default in _ORIGINAL_DEFAULTS.items()}
+            filled = {key: values.get(key) or default for key, default in VIDEO_DEFAULTS.items()}
             attributes = VideoAttributes(**filled, width=width, length=length, byte_size=size)
     except ValueError as exc:  # an OS, extension or size the vector rejects
         raise SchemaError(f"{where}: {exc}") from None
@@ -859,7 +844,7 @@ def list_records(
 
 
 __all__ = [
-    "KB_ENV_VAR", "RESOLUTION_TOLERANCE", "VIDEO_FIELDS",
+    "KB_ENV_VAR", "RESOLUTION_TOLERANCE", "VIDEO_FIELDS", "VIDEO_DEFAULTS",
     "KbError", "SchemaError", "ManifestMismatch",
     "ImageConstraints", "VideoConstraints", "Candidate", "ChainHypothesis", "FingerprintRecord",
     "OriginalProfile", "KnowledgeBase", "Finding",

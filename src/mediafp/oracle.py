@@ -28,6 +28,8 @@ from .attributes import (
 from .container import codec_id_brands, classify_format_profile, UnknownBrand
 from .engine import Verdict, match_image, match_video
 from .kb import (
+    VIDEO_DEFAULTS,
+    VIDEO_FIELDS,
     FingerprintRecord,
     ImageConstraints,
     KnowledgeBase,
@@ -40,7 +42,7 @@ from .kb import (
 SYNTH_CONTAINER_SIZE = 4096
 # Nominal size for image vectors without a size band; collides with no band.
 DEFAULT_IMAGE_BYTES = 150_000
-# Stand-in resolution for wildcard ("irregular") records; matches no
+# Stand-in resolution for video records that constrain none; matches no
 # concrete resolution set in the knowledge base.
 WILDCARD_RESOLUTION = (1234, 694)
 
@@ -58,8 +60,9 @@ class InconsistentAttrs(OracleError):
 def expected_attributes(rec: FingerprintRecord) -> VideoAttributes | ImageAttributes:
     """The representative attribute vector a record's transform produces.
 
-    Multi-valued constraints contribute their first value in KB order;
-    wildcard resolutions yield the synthetic stand-in.
+    Multi-valued constraints contribute their first value in KB order; a
+    video field the record leaves empty takes ``kb.VIDEO_DEFAULTS``, a
+    resolution the synthetic stand-in.
     """
     if not rec.distinguishable:
         raise ValueError(f"{rec.record_id} is a placeholder record")
@@ -71,17 +74,14 @@ def expected_attributes(rec: FingerprintRecord) -> VideoAttributes | ImageAttrib
         return ImageAttributes(width=width, length=length, byte_size=size)
     c = rec.constraints
     assert isinstance(c, VideoConstraints)
-    # The rows apply the resolution wildcard, so a wildcard record has no resolution row.
-    width, length = next((v[0] for n, v, _ in c.rows if n == "resolution"), WILDCARD_RESOLUTION)
+    firsts = {key: getattr(c, attr)[0] for key, attr, _, _ in VIDEO_FIELDS if getattr(c, attr)}
+    width, length = firsts.get("resolution", WILDCARD_RESOLUTION)
     return VideoAttributes(
-        extension=c.extensions[0] if c.extensions else "mp4",
-        format_profile=c.format_profiles[0] if c.format_profiles else FormatProfile.BASE_MEDIA,
-        codec_id=c.codec_ids[0] if c.codec_ids else "",
-        video_format_profile=c.video_format_profiles[0] if c.video_format_profiles else "",
+        **{key: firsts.get(key, default) for key, default in VIDEO_DEFAULTS.items()},
         width=width,
         length=length,
-        encoder=c.encoders[0] if c.encoders else None,
-        markers=frozenset(c.markers),
+        encoder=firsts.get("encoder"),
+        markers=frozenset(c.markers or ()),
         byte_size=SYNTH_CONTAINER_SIZE,
     )
 
@@ -193,13 +193,13 @@ class CorpusFormatError(OracleError):
 
 def _parse_label(text: str) -> SingleLabel | ChainLabel:
     kind, _, body = text.partition(":")
-    if kind == "single":
-        app, os_token, quality = body.split("|")
+    parts = body.split("|")
+    if kind == "single" and len(parts) == 3:
+        app, os_token, quality = parts
         return SingleLabel(app, parse_os(os_token), quality)
-    if kind == "chain":
-        path, os_token = body.split("|")
-        nth, _, napp = path.partition(">")
-        return ChainLabel(nth, napp, parse_os(os_token))
+    if kind == "chain" and len(parts) == 2 and ">" in parts[0]:
+        nth, _, napp = parts[0].partition(">")
+        return ChainLabel(nth, napp, parse_os(parts[1]))
     raise ValueError(f"bad label {text!r}")
 
 
@@ -210,12 +210,12 @@ def parse_corpus(text: str) -> tuple[CorpusEntry, ...]:
             continue
         fields = line.split("\t")
         try:
-            vector, columns = _CORPUS_COLUMNS.get(fields[1], (None, ()))
+            vector, columns = _CORPUS_COLUMNS.get(fields[1] if len(fields) > 1 else "", (None, ()))
             if vector is None or len(fields) != len(columns) + 3:
                 raise ValueError("unknown media kind or field count")
             attrs = vector(**{name: parse(value) for (name, _, parse), value in zip(columns, fields[2:-1])})
             entries.append(CorpusEntry(fields[0], attrs, _parse_label(fields[-1])))
-        except (ValueError, IndexError) as exc:
+        except ValueError as exc:
             raise CorpusFormatError(f"line {line_no}: {exc}") from None
     return tuple(entries)
 

@@ -444,7 +444,10 @@ class TestSelftest:
         (b"\n" + b"r1\timage\t100\t100\t5000\tsinglex:A|iOS|Default\n",
          "CorpusFormatError: line 2: bad label 'singlex:A|iOS|Default'\n"),
         (b"\xff\xfe\n", "UnicodeDecodeError: 'utf-8' codec can't decode byte 0xff in position 0"),
-    ], ids=["malformed", "bad-label-kind", "not-utf-8"])
+        (b"r1 image 100 100 5000\n", "CorpusFormatError: line 1: unknown media kind or field count\n"),
+        (b"r1\timage\t100\t100\t5000\tsingle:A|iOS\n", "CorpusFormatError: line 1: bad label 'single:A|iOS'\n"),
+        (b"r1\timage\t100\t100\t5000\tchain:AB|iOS\n", "CorpusFormatError: line 1: bad label 'chain:AB|iOS'\n"),
+    ], ids=["malformed", "bad-label-kind", "not-utf-8", "no-tab", "single-label-two-parts", "chain-label-no-arrow"])
     def test_bad_corpus_is_one_error_line(self, runner, tmp_path, content, error):
         corpus = tmp_path / "corpus.tsv"
         corpus.write_bytes(content)

@@ -3,7 +3,7 @@ import dataclasses
 import pickle
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import find, given, settings, strategies as st
 
 from mediafp import engine
 from mediafp.attributes import EXTENSIONS, FormatProfile, ImageAttributes, Marker, OS, VideoAttributes
@@ -29,7 +29,7 @@ from mediafp.kb import (
     VideoConstraints,
     load_kb_path,
 )
-from mediafp.oracle import generate_corpus
+from mediafp.oracle import expected_attributes, generate_corpus
 
 from conftest import brute_force_records, partial_video_originals
 
@@ -135,6 +135,16 @@ class TestMatchVideo:
         )
         assert verdict.candidates == ()
         assert verdict.outcome is Outcome.UNKNOWN
+
+    @pytest.mark.parametrize("resolution", [(1234, 694), (400, 224), (1920, 1080), (1, 1), (1080, 1920)])
+    def test_record_without_resolution_matches_any_resolution(self, kb, resolution):
+        # t8-fbmessenger-default lists no resolution, so it has no resolution
+        # row: its vector matches at every size, and resolution is no evidence.
+        attrs = dataclasses.replace(expected_attributes(kb.record("t8-fbmessenger-default")),
+                                    width=resolution[0], length=resolution[1])
+        [candidate] = [c for c in match_video(attrs, kb).candidates if c.record_id == "t8-fbmessenger-default"]
+        assert candidate.matched_fields == ("extension", "format_profile", "codec_id",
+                                            "video_format_profile", "encoder")
 
     def test_encoder_must_match_exactly(self, kb):
         verdict = match_video(
@@ -488,10 +498,9 @@ def _hand_built_kbs(draw):
             codec_ids=values(_CODECS, 3),
             video_format_profiles=values(_PROFILES, 3),
             resolutions=tuple(draw(st.lists(st.sampled_from(_RESOLUTIONS), max_size=2, unique=True))),
-            resolution_wildcard=draw(st.booleans()),
             encoders=values(_ENCODERS, 2),
-            markers=tuple(draw(st.lists(st.sampled_from(Marker), max_size=2, unique=True))),
-            markers_any=draw(st.booleans()),
+            # None, half the time, allows any markers.
+            markers=draw(st.none() | st.lists(st.sampled_from(Marker), max_size=2, unique=True).map(tuple)),
         )
         records.append(FingerprintRecord(
             f"t9-r{i}", MediaKind.VIDEO, draw(st.sampled_from(["A", "B"])), OS.IOS, "Default",
@@ -543,8 +552,17 @@ class TestCandidateIndex:
             c = rec.constraints
             attrs = video("mp4", FormatProfile.BASE_MEDIA, c.codec_ids[0], c.video_format_profiles[0],
                           *(c.resolutions[0] if c.resolutions else (640, 360)),
-                          encoder=c.encoders[0] if c.encoders else None, markers=c.markers)
+                          encoder=c.encoders[0] if c.encoders else None, markers=c.markers or ())
             _assert_index_is_exact(linear_kb, attrs)
+
+    def test_hand_built_kbs_draw_unpinned_resolutions_and_any_markers(self):
+        # Records with no resolution row and records that allow any markers
+        # are both among the KBs the index is checked against.
+        def some_record(predicate):
+            return lambda kb: any(rec.constraints is not None and predicate(rec.constraints) for rec in kb.records)
+
+        assert find(_hand_built_kbs(), some_record(lambda c: not c.resolutions))
+        assert find(_hand_built_kbs(), some_record(lambda c: c.markers is None))
 
     @given(st.data())
     @settings(max_examples=150, deadline=None)
@@ -685,7 +703,7 @@ def _ref_satisfies_video(c, attrs):
         if attrs.video_format_profile not in c.video_format_profiles:
             return None
         matched.append("video_format_profile")
-    if c.resolutions and not c.resolution_wildcard:
+    if c.resolutions:
         if (attrs.width, attrs.length) not in c.resolutions:
             return None
         matched.append("resolution")
@@ -693,10 +711,10 @@ def _ref_satisfies_video(c, attrs):
         if attrs.encoder not in c.encoders:
             return None
         matched.append("encoder")
-    allowed = frozenset(c.markers)
-    if not c.markers_any and attrs.markers - allowed:
+    allowed = frozenset(c.markers or ())
+    if c.markers is not None and attrs.markers - allowed:
         return None
-    if attrs.markers and not c.markers_any and (attrs.markers & allowed):
+    if attrs.markers and c.markers is not None and (attrs.markers & allowed):
         matched.append("markers")
     return tuple(matched)
 

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from mediafp import kb as kb_mod
-from mediafp.attributes import FormatProfile, ImageAttributes, Marker, MediaKind, OS, VideoAttributes, parse_os
+from mediafp.attributes import (
+    EXTENSIONS, FormatProfile, ImageAttributes, Marker, MediaKind, OS, VideoAttributes, parse_os,
+)
 from mediafp.kb import (
     RESOLUTION_TOLERANCE,
     VIDEO_FIELDS,
@@ -134,6 +136,14 @@ def test_manifest_mismatch_names_only_the_groups_that_drifted():
     ("os = iOS", "resolution = 12x", "", "bad resolution"),
     ("os = iOS", "resolution = 100x100", "markers = MovieSomething", "unknown marker"),
     ("os = iOS", "resolution = 100x100", "hop = triple", "hop"),
+    pytest.param("os = iOS", "resolution = 100x100", "nth_app = A\nhop = chain",
+                 r"^\[record t7-x\] \(line 2\): unknown keys \['hop'\]$", id="hop-key"),
+    pytest.param("os = iOS", "resolution = irregular", "",
+                 r"^\[record t7-x\] \(line 2\): bad resolution 'irregular'$", id="irregular-resolution"),
+    pytest.param("os = iOS", "resolution = 100x100", "[record t7-y]\nmedia = video\nos = iOS\nextension = mov, mp4",
+                 r"^\[record t7-y\] \(line 12\): unknown extension 'mov'$", id="extension-lower-case-mov"),
+    pytest.param("os = iOS", "resolution = 100x100", '[record t7-y]\nmedia = video\nos = iOS\nextension = mp4, ""',
+                 r"^\[record t7-y\] \(line 12\): unknown extension ''$", id="extension-quoted-empty"),
     ("os = iOS", "resolution = 100x100", "markers_required = Copyright", "unknown keys"),
     pytest.param("os = iOS", "resolution = 100x100", "[options]\nencoder_prefix_match = true",
                  r"unknown block '\[options\]'", id="options-block"),
@@ -209,7 +219,9 @@ def test_video_rows_follow_the_field_table():
     assert [key for key, *_ in VIDEO_FIELDS] == [
         "extension", "format_profile", "codec_id", "video_format_profile", "resolution", "encoder",
     ]
-    assert {attr for _, attr, *_ in VIDEO_FIELDS} < {f.name for f in dataclasses.fields(VideoConstraints)}
+    # A field table attribute per field, and markers: no flag restates a row.
+    assert ({f.name for f in dataclasses.fields(VideoConstraints) if f.init}
+            == {attr for _, attr, *_ in VIDEO_FIELDS} | {"markers"})
     constraints = VideoConstraints(
         extensions=("mp4",), resolutions=((640, 360),), encoders=("Lavf58.20.100",), markers=(Marker.COPYRIGHT,),
     )
@@ -225,13 +237,13 @@ def test_video_rows_follow_the_field_table():
     ]
     assert constraints.matched == ("extension", "resolution", "encoder")
     assert constraints.matched_with_markers == ("extension", "resolution", "encoder", "markers")
-    wildcard = dataclasses.replace(constraints, resolution_wildcard=True)
-    assert [name for name, _, _ in wildcard.rows] == ["extension", "encoder", "markers"]
-    assert not wildcard.is_empty()
-    assert not VideoConstraints(resolution_wildcard=True).is_empty()
+    # A field left empty has no row: it constrains nothing.
+    unpinned = dataclasses.replace(constraints, resolutions=())
+    assert [name for name, _, _ in unpinned.rows] == ["extension", "encoder", "markers"]
+    assert unpinned.matched == ("extension", "encoder") and not unpinned.is_empty()
     # The marker row alone is no evidence, whether it passes some markers or any.
     assert VideoConstraints(markers=(Marker.COPYRIGHT,)).is_empty()
-    assert VideoConstraints(markers=(Marker.COPYRIGHT,), markers_any=True).is_empty()
+    assert VideoConstraints(markers=None).is_empty() and VideoConstraints(markers=None).rows == ()
 
 
 def _subsets(markers):
@@ -253,7 +265,7 @@ def test_marker_sets_are_built_with_the_constraints():
                                    markers=frozenset(markers))) == frozenset(markers)
         assert constraints.matched == ("codec_id",)
         assert constraints.matched_with_markers == (("codec_id", "markers") if markers else ("codec_id",))
-        lifted = dataclasses.replace(constraints, markers_any=True)
+        lifted = dataclasses.replace(constraints, markers=None)
         assert [name for name, _, _ in lifted.rows] == ["codec_id"]
         assert lifted.matched == lifted.matched_with_markers == ("codec_id",)
     # Records with equal marker sets, in any order, share one subsets object.
@@ -269,7 +281,7 @@ def test_shipped_records_never_name_markers_as_a_field(kb):
             continue
         assert "markers" not in c.matched, rec.record_id
         names = [name for name, _, _ in c.rows]
-        assert names == list(c.matched) + ([] if c.markers_any else ["markers"]), rec.record_id
+        assert names == list(c.matched) + ([] if c.markers is None else ["markers"]), rec.record_id
 
 
 def test_quoted_enum_items_are_literal():
@@ -293,17 +305,16 @@ codec_id = "qt"
 
 def _reachable_evidence_keys(rec):
     """The matched-field tuples a match of ``rec`` can return: for a video,
-    its populated fields, and those plus markers when it lists markers that
-    are not ``any``; for an image, the resolution, and resolution plus byte
-    size when it has a size band; nothing for a placeholder."""
+    its populated fields, and those plus markers when it lists markers; for
+    an image, the resolution, and resolution plus byte size when it has a
+    size band; nothing for a placeholder."""
     c = rec.constraints
     if c is None:
         return set()
     if isinstance(c, ImageConstraints):
         return {("resolution",)} | ({("resolution", "byte_size")} if c.size_band else set())
-    populated = tuple(name for name, attr, _, _ in VIDEO_FIELDS
-                      if getattr(c, attr) and not (name == "resolution" and c.resolution_wildcard))
-    return {populated} | ({populated + ("markers",)} if c.markers and not c.markers_any else set())
+    populated = tuple(name for name, attr, _, _ in VIDEO_FIELDS if getattr(c, attr))
+    return {populated} | ({populated + ("markers",)} if c.markers else set())
 
 
 def test_each_record_builds_exactly_its_reachable_evidence(kb):
@@ -311,9 +322,9 @@ def test_each_record_builds_exactly_its_reachable_evidence(kb):
     hand_built = [
         FingerprintRecord("t7-marked", MediaKind.VIDEO, "A", OS.IOS, "Default", constraints=marked),
         FingerprintRecord("t7-any", MediaKind.VIDEO, "A", OS.IOS, "Default",
-                          constraints=dataclasses.replace(marked, markers_any=True)),
-        FingerprintRecord("t8-wild", MediaKind.VIDEO, "A", OS.IOS, "Default",
-                          constraints=VideoConstraints(resolutions=((1, 1),), resolution_wildcard=True)),
+                          constraints=dataclasses.replace(marked, markers=None)),
+        FingerprintRecord("t8-unpinned", MediaKind.VIDEO, "A", OS.IOS, "Default",
+                          constraints=VideoConstraints(markers=None)),
         FingerprintRecord("t9-relay", MediaKind.VIDEO, "B", OS.IOS, "Low", nth_app="A", constraints=marked),
         FingerprintRecord("t6-banded", MediaKind.IMAGE, "A", OS.IOS, "Default",
                           constraints=ImageConstraints(((100, 100),), (50_000, 5_000))),
@@ -364,7 +375,9 @@ def test_unreadable_kb_raises_kb_error(tmp_path):
 
 
 def test_chain_without_nth_app_rejected():
-    with pytest.raises(SchemaError, match="nth_app"):
+    # A record is a relay exactly when it names nth_app; `hop` is no key, so
+    # a KB that still spells the hop out fails to load.
+    with pytest.raises(SchemaError, match=r"^\[record t9-x\] \(line 2\): unknown keys \['hop'\]$"):
         load_kb("""
 [record t9-x]
 media = video
@@ -419,7 +432,6 @@ resolution = 100x100
         kb = load_kb("""
 [record t9-orphan]
 media = video
-hop = chain
 nth_app = KakaoTalk
 app = WeChat
 os = iOS
@@ -468,7 +480,6 @@ extension = mp4, MOV
 format_profile = Base Media, Base Media Version 2
 codec_id = "isom (isom/iso2/avc1/mp41)"
 video_format_profile = "Main@L3", "Main@L4"
-resolution = irregular
 encoder = "Lavf58.20.100"
 markers = any
 
@@ -504,7 +515,10 @@ table6 = 1
 originals = 1
 """)
         wild, marked, banded = (rec.constraints for rec in kb.records)
-        assert wild.resolution_wildcard is True and wild.markers_any is True
+        assert wild.resolutions == () and wild.markers is None
+        assert [name for name, _, _ in wild.rows] == [
+            "extension", "format_profile", "codec_id", "video_format_profile", "encoder",
+        ]
         assert wild.codec_ids == ("isom (isom/iso2/avc1/mp41)",) and wild.encoders == ("Lavf58.20.100",)
         assert marked.resolutions == ((960, 544), (544, 960))
         assert marked.markers == (Marker.COPYRIGHT, Marker.MOVIE_MORE)
@@ -878,8 +892,8 @@ _PARENT_VIDEO_ONLY_KEYS = frozenset({
     "extension", "format_profile", "codec_id", "video_format_profile", "encoder", "markers",
 })
 _PARENT_IMAGE_ONLY_KEYS = frozenset({"size_band"})
-_PARENT_RECORD_KEYS = frozenset({
-    "media", "app", "os", "quality", "hop", "nth_app", "indistinguishable", "resolution",
+_PARENT_RECORD_KEYS = frozenset({  # changed on purpose: no "hop" key
+    "media", "app", "os", "quality", "nth_app", "indistinguishable", "resolution",
 }) | _PARENT_VIDEO_ONLY_KEYS | _PARENT_IMAGE_ONLY_KEYS
 _PARENT_ORIGINAL_KEYS = frozenset({
     "media", "os", "extension", "format_profile", "codec_id",
@@ -947,14 +961,7 @@ def _parent_build_record(block):
         rec_os = parse_os(require("os"))
     except ValueError as exc:
         raise SchemaError(f"{where}: {exc}") from None
-    hop = f.get("hop", "single")
-    if hop not in ("single", "chain"):
-        raise SchemaError(f"{where}: hop must be 'single' or 'chain'")
-    nth_app = f.get("nth_app") or None
-    if hop == "chain" and not nth_app:
-        raise SchemaError(f"{where}: chain records need nth_app")
-    if hop == "single" and nth_app:
-        raise SchemaError(f"{where}: single records must not set nth_app")
+    nth_app = f.get("nth_app") or None  # changed on purpose: no hop agreement checks
     indistinguishable = _parent_parse_bool(f["indistinguishable"], where) if "indistinguishable" in f else False
 
     wrong_kind = _PARENT_VIDEO_ONLY_KEYS if media is MediaKind.IMAGE else _PARENT_IMAGE_ONLY_KEYS
@@ -979,20 +986,22 @@ def _parent_build_record(block):
             size_band = (int(m.group(1)), int(m.group(2)))
         constraints = ImageConstraints(resolutions, size_band)
     else:
-        wildcard = f.get("resolution", "").strip().lower() == "irregular"
+        # Changed on purpose: `resolution = irregular` is no wildcard, so it
+        # fails as any other bad resolution does.
         values = {
             attr: parse(f[key], where)
             for key, attr, parse in _PARENT_VIDEO_FIELDS
-            if key in f and not (wildcard and key == "resolution")
+            if key in f
         }
         markers_value = f.get("markers", "").strip()
         markers_any = markers_value.lower() == "any"
-        constraints = VideoConstraints(
-            **values,
-            resolution_wildcard=wildcard,
-            markers=() if markers_any else _parent_parse_markers(markers_value, where) if markers_value else (),
-            markers_any=markers_any,
-        )
+        # Changed on purpose: the constraints' shape, with None for any markers.
+        markers = None if markers_any else _parent_parse_markers(markers_value, where) if markers_value else ()
+        # Changed on purpose: an extension no attribute vector can hold is an error.
+        for ext in values.get("extensions", ()):
+            if ext not in EXTENSIONS:
+                raise SchemaError(f"{where}: unknown extension {ext!r}")
+        constraints = VideoConstraints(**values, markers=markers)
         if constraints.is_empty():
             raise SchemaError(f"{where}: distinguishable video record carries no constraints")
 
@@ -1109,7 +1118,7 @@ _FIELD_VALUES = {
     "hop": ["single", "chain", "triple"],
     "nth_app": ["A", ""],
     "indistinguishable": ["true", "no", "maybe"],
-    "extension": ["mp4", "MOV, mp4", "mp4,, MOV", "100x100"],  # a value another parser reads too
+    "extension": ["mp4", "MOV, mp4", "mp4,, MOV", "100x100", 'mov, ""'],  # 100x100: another parser reads it too
     "format_profile": ["Base Media", "QuickTime, Base Media Version 2", "Nope"],
     "codec_id": ['"qt"', '"isom (isom/iso2/avc1/mp41)"', '"qt", "mp42', '"a = b"'],
     "video_format_profile": ['"Main@L3"', '"High@L4", "Main@L3.1"'],
@@ -1194,7 +1203,7 @@ def _loadable_kb_texts(draw):
     blocks = [
         _VALID_VIDEO.format(
             i=i, app=draw(st.sampled_from("AB")),
-            resolution=draw(st.sampled_from(["100x100", "100x100, 200x150", "irregular", "5x"])),
+            resolution=draw(st.sampled_from(["100x100", "100x100, 200x150", "", "irregular", "5x"])),
             markers=draw(st.sampled_from(["any", "Copyright", "MovieMore, Copyright", "Bogus"])),
         )
         for i in range(draw(st.integers(1, 6)))
@@ -1211,5 +1220,6 @@ def _loadable_kb_texts(draw):
 @example("\xa0no equals sign\t\n")
 @example("[original o-a]\nmedia = audio\nos = iOS\nresolution = 1x1\nnominal_size = 5\n")
 @example("\u3000[record t6-a]\xa0\n\xa0media\u3000=\u3000image\xa0\n")
+@example('[record t7-a]\nmedia = video\napp = A\nos = iOS\nquality = D\nextension = mp4, ""\n')
 def test_loader_matches_the_frozen_parent(text):
     assert _outcome(load_kb, text) == _outcome(_parent_load_kb, text)

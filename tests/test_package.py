@@ -35,6 +35,17 @@ def test_every_name_the_readme_gives_resolves():
             value = getattr(value, name)
 
 
+def test_readme_kb_format_names_every_key_the_loader_accepts():
+    # A key is named when it appears in backticks (`nth_app`, `size_band =
+    # ...`) or starts a line of the section's example block.
+    section = re.search(r"^## Knowledge base format\n(.*?)^## ", README, re.M | re.S).group(1)
+    named = set(re.findall(r"`(\w+)(?: = [^`]*)?`", section)) | set(re.findall(r"^(\w+) = ", section, re.M))
+    accepted = mediafp.kb._RECORD_KEYS | mediafp.kb._ORIGINAL_KEYS
+    assert {"nth_app", "markers", "size_band", "nominal_size", "app"} <= accepted
+    assert sorted(accepted - named) == []
+    assert "hop" not in named | accepted
+
+
 def test_all_lists_exactly_the_exported_names():
     exported = {name for name, value in vars(mediafp).items()
                 if not name.startswith("_") and not isinstance(value, types.ModuleType)}
