@@ -9,7 +9,9 @@ regex searches, not by a Python step per byte.  Nothing is decoded.
 
 The stream may be a view of a file in place of a buffer; then only the
 pages where the walk lands are read, so a skipped segment costs nothing
-however long it is.
+however long it is.  Either way the walk stops at ``HEAD_WINDOW``: the
+frame header of a real photo sits near the start, and hostile entropy data
+may run on for gigabytes.
 """
 
 from __future__ import annotations
@@ -37,6 +39,8 @@ _FILL_RUN = re.compile(rb"\xff+")
 # frame header's dimensions, so one page covers it.
 PAGE = 4 * 1024
 _HEADER = 9
+# No walk reads or searches past this offset, however far the stream runs.
+HEAD_WINDOW = 16 * 1024 * 1024
 
 
 class JpegError(Exception):
@@ -68,7 +72,7 @@ def _skip_entropy(data, pos: int) -> int:
             return match.start()
 
 
-def extract_image_attributes(data, byte_size: int | None = None) -> ImageAttributes:
+def extract_image_attributes(data) -> ImageAttributes:
     """Read width, length and byte size from JPEG bytes.
 
     ``data`` is a bytes-like buffer, or a view that reads the slices asked of
@@ -76,25 +80,26 @@ def extract_image_attributes(data, byte_size: int | None = None) -> ImageAttribu
     bytes it stands for.  A view is read a page at a time from each segment
     header the walk lands on past the bytes in hand, so segments it skips
     are never read; a fill run that reaches past those bytes, and the
-    entropy data after a start-of-scan, are read to the end in one piece.
+    entropy data after a start-of-scan, are read to the window's end in one
+    piece.
 
-    ``byte_size`` overrides the reported size when only a head window of a
-    larger file is passed in.  Raises NotJpeg on bad magic and NoFrameHeader
-    when no usable start-of-frame segment precedes the end of the buffer; a
-    view's own read errors pass through.
+    The walk ends at ``HEAD_WINDOW`` bytes as it would at the end of the
+    stream; the reported size is ``len(data)``.  Raises NotJpeg on bad magic
+    and NoFrameHeader when no usable start-of-frame segment precedes the
+    end of the window; a view's own read errors pass through.
     """
-    end = len(data)
+    size = len(data)
+    end = min(size, HEAD_WINDOW)
     # buf holds data[base:have], the bytes in hand.
-    buf = data if isinstance(data, (bytes, bytearray, memoryview)) else data[:PAGE]
+    buf = data[:end] if isinstance(data, (bytes, bytearray, memoryview)) else data[:min(PAGE, end)]
     base, have = 0, len(buf)
     if bytes(buf[:2]) != SOI:
         raise NotJpeg("missing start-of-image marker")
-    size = end if byte_size is None else byte_size
 
     pos = 2
     while pos < end:
         if pos + _HEADER > have < end:
-            buf, base = data[pos:pos + PAGE], pos
+            buf, base = data[pos:min(pos + PAGE, end)], pos
             have = pos + len(buf)
         if buf[pos - base] != 0xFF:
             raise NoFrameHeader(f"expected marker at offset {pos}")
@@ -114,7 +119,7 @@ def extract_image_attributes(data, byte_size: int | None = None) -> ImageAttribu
         if pos + 2 > end:
             break
         if pos + 7 > have < end:  # the length, and a frame header's dimensions
-            buf, base = data[pos:pos + max(PAGE, 7)], pos
+            buf, base = data[pos:min(pos + max(PAGE, 7), end)], pos
             have = pos + len(buf)
         seg_len = struct.unpack_from(">H", buf, pos - base)[0]
         if seg_len < 2 or pos + seg_len > end:

@@ -20,10 +20,13 @@ markers, and ``engine`` matches by looping over those rows.  A field without
 a row is unconstrained; no flag says so a second time.  A record is a relay
 (two-hop) record exactly when it names ``nth_app``.
 
-Each distinct field value is parsed once per load: records that list the
-same value share one parsed tuple.  A directory is read one ``*.kb`` file at
-a time, in sorted name order, so a block never continues into the next file;
-names starting with ``.`` (editor locks and hidden copies) are skipped.
+A ``[record]`` and an ``[original]`` block pass one checker for their key
+set, media kind, OS and the keys of the other media kind, before each
+builder parses what is its own.  Each distinct field value is parsed once
+per load: records that list the same value share one parsed tuple.  A
+directory is read one ``*.kb`` file at a time, in sorted name order, so a
+block never continues into the next file; names starting with ``.``
+(editor locks and hidden copies) are skipped.
 
 Each ``FingerprintRecord`` builds, when it is built, the frozen ``Candidate``
 or ``ChainHypothesis`` every match of it yields, and a ``KnowledgeBase``
@@ -439,15 +442,6 @@ def _parse_resolutions(value: str, where: str) -> tuple[tuple[int, int], ...]:
     return tuple(pairs)
 
 
-def _parse_bool(value: str, where: str) -> bool:
-    lowered = value.strip().lower()
-    if lowered in ("true", "yes", "on"):
-        return True
-    if lowered in ("false", "no", "off"):
-        return False
-    raise SchemaError(f"{where}: expected a boolean, got {value!r}")
-
-
 def _member_parser(kind: type, what: str):
     """A parser of lists of ``kind`` values; each item is one value, as written."""
 
@@ -501,8 +495,7 @@ _CONSTRAINT_KEYS = _VIDEO_ONLY_KEYS | _IMAGE_ONLY_KEYS | {"resolution"}
 # then; ``oracle`` fills a record's vector from the same table.
 VIDEO_DEFAULTS = {"extension": "mp4", "format_profile": FormatProfile.BASE_MEDIA,
                   "codec_id": "", "video_format_profile": ""}
-_ORIGINAL_REQUIRED = ("media", "os", "resolution", "nominal_size")
-_ORIGINAL_KEYS = frozenset(_ORIGINAL_REQUIRED) | VIDEO_DEFAULTS.keys()
+_ORIGINAL_KEYS = frozenset({"media", "os", "resolution", "nominal_size"}) | VIDEO_DEFAULTS.keys()
 _MEDIA_KINDS = {kind.value: kind for kind in MediaKind}
 
 
@@ -564,39 +557,44 @@ def _parse(parsed: dict, parser, value: str, where: str):
     return result
 
 
-def _build_record(block: _Block, parsed: dict) -> FingerprintRecord:
+def _required(f: dict[str, str], key: str, where: str) -> str:
+    if key not in f:
+        raise SchemaError(f"{where}: missing key {key!r}")
+    return f[key]
+
+
+def _check_block(block: _Block, keys: frozenset[str]) -> tuple[str, dict[str, str], MediaKind, OS]:
+    """The checks a ``[record]`` and an ``[original]`` block share, in order:
+    no key outside ``keys``, a known media kind, a valid OS, and no key of
+    the other media kind.  Returns the block's where, fields, kind and OS."""
     where = block.where()
     f = block.fields
-    unknown = f.keys() - _RECORD_KEYS
+    unknown = f.keys() - keys
     if unknown:
         raise SchemaError(f"{where}: unknown keys {sorted(unknown)}")
-
-    def require(key: str) -> str:
-        if key not in f:
-            raise SchemaError(f"{where}: missing key {key!r}")
-        return f[key]
-
-    media = _MEDIA_KINDS.get(require("media"))
+    media = _MEDIA_KINDS.get(_required(f, "media", where))
     if media is None:
         raise SchemaError(f"{where}: unknown media kind {f['media']!r}")
     try:
-        rec_os = parse_os(require("os"))
+        block_os = parse_os(_required(f, "os", where))
     except ValueError as exc:
         raise SchemaError(f"{where}: {exc}") from None
-    nth_app = f.get("nth_app") or None
-    indistinguishable = _parse_bool(f["indistinguishable"], where) if "indistinguishable" in f else False
-
-    wrong_kind = _VIDEO_ONLY_KEYS if media is MediaKind.IMAGE else _IMAGE_ONLY_KEYS
-    used_wrong = wrong_kind.intersection(f)
+    used_wrong = (_VIDEO_ONLY_KEYS if media is MediaKind.IMAGE else _IMAGE_ONLY_KEYS).intersection(f)
     if used_wrong:
-        raise SchemaError(f"{where}: keys {sorted(used_wrong)} not valid for {media.value} records")
+        raise SchemaError(f"{where}: keys {sorted(used_wrong)} not valid for {media.value} {block.kind}s")
+    return where, f, media, block_os
 
-    if indistinguishable:
+
+def _build_record(block: _Block, parsed: dict) -> FingerprintRecord:
+    where, f, media, rec_os = _check_block(block, _RECORD_KEYS)
+    if "indistinguishable" in f:
+        if f["indistinguishable"] != "true":
+            raise SchemaError(f"{where}: indistinguishable must be 'true', got {f['indistinguishable']!r}")
         if _CONSTRAINT_KEYS.intersection(f):
             raise SchemaError(f"{where}: indistinguishable records carry no constraints")
         constraints: Constraints | None = None
     elif media is MediaKind.IMAGE:
-        resolutions = _parse(parsed, _parse_resolutions, require("resolution"), where)
+        resolutions = _parse(parsed, _parse_resolutions, _required(f, "resolution", where), where)
         if not resolutions:
             raise SchemaError(f"{where}: image records need at least one resolution")
         size_band = None
@@ -624,29 +622,19 @@ def _build_record(block: _Block, parsed: dict) -> FingerprintRecord:
         if constraints.is_empty():
             raise SchemaError(f"{where}: distinguishable video record carries no constraints")
 
-    return FingerprintRecord(
-        record_id=block.name or "",
-        media_kind=media,
-        app=require("app"),
-        os=rec_os,
-        quality=require("quality"),
-        nth_app=nth_app,
-        constraints=constraints,
-    )
+    names = {"app": _required(f, "app", where), "quality": _required(f, "quality", where),
+             "nth_app": f.get("nth_app")}
+    for key, name in names.items():
+        if name == "":
+            raise SchemaError(f"{where}: empty {key}")
+    return FingerprintRecord(record_id=block.name or "", media_kind=media, os=rec_os,
+                             constraints=constraints, **names)
 
 
 def _build_original(block: _Block, parsed: dict) -> OriginalProfile:
-    where = block.where()
-    f = block.fields
-    unknown = f.keys() - _ORIGINAL_KEYS
-    if unknown:
-        raise SchemaError(f"{where}: unknown keys {sorted(unknown)}")
-    for key in _ORIGINAL_REQUIRED:
-        if key not in f:
-            raise SchemaError(f"{where}: missing key {key!r}")
-    used_wrong = _VIDEO_ONLY_KEYS.intersection(f) if f["media"] == MediaKind.IMAGE.value else None
-    if used_wrong:
-        raise SchemaError(f"{where}: keys {sorted(used_wrong)} not valid for image originals")
+    where, f, media, os_source = _check_block(block, _ORIGINAL_KEYS)
+    _required(f, "resolution", where)
+    nominal_size = _required(f, "nominal_size", where)
     # Each video field an original names is parsed as a record's would be.
     values = {}
     for key, _, _, parse in VIDEO_FIELDS:
@@ -655,22 +643,18 @@ def _build_original(block: _Block, parsed: dict) -> OriginalProfile:
             if len(items) != 1:
                 raise SchemaError(f"{where}: originals carry exactly one {key.replace('_', ' ')}")
             values[key] = items[0]
-    if not f["nominal_size"].isdecimal():
-        raise SchemaError(f"{where}: nominal_size must be a byte count, got {f['nominal_size']!r}")
-    media = _MEDIA_KINDS.get(f["media"])
-    if media is None:
-        raise SchemaError(f"{where}: unknown media kind {f['media']!r}")
+    if not nominal_size.isdecimal():
+        raise SchemaError(f"{where}: nominal_size must be a byte count, got {nominal_size!r}")
+    width, length = values["resolution"]
+    size = int(nominal_size)
     try:
-        os_source = parse_os(f["os"])
-        width, length = values["resolution"]
-        size = int(f["nominal_size"])
         if media is MediaKind.IMAGE:
             attributes: VideoAttributes | ImageAttributes = ImageAttributes(width, length, size)
         else:
             # A quoted empty item (`extension = ""`) counts as left out.
             filled = {key: values.get(key) or default for key, default in VIDEO_DEFAULTS.items()}
             attributes = VideoAttributes(**filled, width=width, length=length, byte_size=size)
-    except ValueError as exc:  # an OS, extension or size the vector rejects
+    except ValueError as exc:  # an extension or size the vector rejects
         raise SchemaError(f"{where}: {exc}") from None
     return OriginalProfile(block.name or "", os_source, attributes)
 

@@ -194,12 +194,13 @@ class CorpusFormatError(OracleError):
 def _parse_label(text: str) -> SingleLabel | ChainLabel:
     kind, _, body = text.partition(":")
     parts = body.split("|")
-    if kind == "single" and len(parts) == 3:
+    if kind == "single" and len(parts) == 3 and parts[0] and parts[2]:
         app, os_token, quality = parts
         return SingleLabel(app, parse_os(os_token), quality)
-    if kind == "chain" and len(parts) == 2 and ">" in parts[0]:
+    if kind == "chain" and len(parts) == 2:
         nth, _, napp = parts[0].partition(">")
-        return ChainLabel(nth, napp, parse_os(parts[1]))
+        if nth and napp:  # no ">" leaves napp empty
+            return ChainLabel(nth, napp, parse_os(parts[1]))
     raise ValueError(f"bad label {text!r}")
 
 

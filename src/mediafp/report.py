@@ -34,17 +34,14 @@ SCHEMA_VERSION = 1
 # read by positioned reads, so no read depends on a file offset.  A file of
 # HEAD_READ bytes or less is read whole by the first read; a larger one
 # first reads one page, which serves sniffing the kind and the start of the
-# JPEG walk.  A larger video tops that head up to HEAD_READ bytes and is
-# parsed through a _FileView, which reads only what the box walk asks for; a
-# larger JPEG is parsed through a _FileView over its first JPEG_HEAD_WINDOW
-# bytes, read a page at each segment header the walk lands on.  Either
-# way, read cost follows the file's structure.  A file that ends inside its
-# first read (a video: inside its head) is parsed as read; one that ends
-# before its fstat size further on fails with TruncatedFile.
+# JPEG walk, and a video tops that head up to HEAD_READ bytes.  A file that
+# ends inside its head is parsed as read.  Any other is parsed through one
+# _FileView of the whole file, which reads only what the parser asks for: a
+# box walk the boxes it opens, a JPEG walk a page at each segment header it
+# lands on, up to jpeg.HEAD_WINDOW.  Either way, read cost follows the
+# file's structure.  A file that ends before its fstat size past its head
+# fails with TruncatedFile.
 HEAD_READ = 64 * 1024
-# The frame header of a real photo sits near the start; a JPEG walk never
-# reads past this window, however far hostile entropy data runs.
-JPEG_HEAD_WINDOW = 16 * 1024 * 1024
 
 
 @dataclass(frozen=True)
@@ -77,18 +74,18 @@ def _pread(fd: int, limit: int, offset: int, want: int) -> bytes:
 
 
 class _FileView:
-    """The first ``length`` bytes of a file of fstat ``size``: slices inside
+    """A file of fstat ``size`` whose first bytes are ``head``: slices inside
     the head come from the head, others are read when asked for, and a
     short read is a TruncatedFile."""
 
-    def __init__(self, fd: int, head: bytes, size: int, length: int) -> None:
-        self._fd, self._head, self._size, self._length = fd, head, size, length
+    def __init__(self, fd: int, head: bytes, size: int) -> None:
+        self._fd, self._head, self._size = fd, head, size
 
     def __len__(self) -> int:
-        return self._length
+        return self._size
 
     def __getitem__(self, index: slice) -> bytes:
-        start, stop, _ = index.indices(self._length)
+        start, stop, _ = index.indices(self._size)
         if stop <= len(self._head) or stop <= start:
             return self._head[start:stop]
         data = _pread(self._fd, stop - start, start, stop - start)
@@ -116,15 +113,14 @@ def scan_file(path: str | os.PathLike[str], kb: KnowledgeBase, chains: bool = Tr
             first = HEAD_READ if size <= HEAD_READ else jpeg.PAGE
             head = _pread(fd, first, 0, min(first, size))
             kind = sniff_media_kind(head)
-            whole = len(head) < first or size <= HEAD_READ
+            want = first if kind is MediaKind.IMAGE else HEAD_READ
+            if len(head) == first < want:
+                head += _pread(fd, want - first, first, want - first)
+            data = _FileView(fd, head, size) if len(head) == want < size else head
             if kind is MediaKind.IMAGE:
-                data = head if whole else _FileView(fd, head, size, min(size, JPEG_HEAD_WINDOW))
-                attrs: VideoAttributes | ImageAttributes = jpeg.extract_image_attributes(data, byte_size=size)
+                attrs: VideoAttributes | ImageAttributes = jpeg.extract_image_attributes(data)
                 verdict = match_image(attrs, kb)
             else:
-                if not whole:
-                    head += _pread(fd, HEAD_READ - first, first, HEAD_READ - first)
-                data = _FileView(fd, head, size, size) if HEAD_READ <= len(head) < size else head
                 attrs = container.extract_video_attributes(data, name_hint=os.path.basename(path))
                 verdict = match_video(attrs, kb, chains=chains)
         finally:
@@ -329,7 +325,7 @@ def render_report(reports: list[FileReport], fmt: str = "text", timestamp: str |
 
 
 __all__ = [
-    "SCHEMA_VERSION", "HEAD_READ", "JPEG_HEAD_WINDOW", "FileReport",
+    "SCHEMA_VERSION", "HEAD_READ", "FileReport",
     "sniff_media_kind", "scan_file",
     "render_json", "render_text", "render_report",
 ]

@@ -25,7 +25,7 @@ from mediafp.oracle import (
     replay_corpus,
     synthesize_container,
 )
-from mediafp.report import JPEG_HEAD_WINDOW, scan_file
+from mediafp.report import scan_file
 
 from conftest import make_jpeg
 
@@ -236,11 +236,11 @@ def test_criterion_8_scan_determinism(tmp_path, kb):
 def test_criterion_9_hostile_jpeg_parse_time(tmp_path, kb):
     rng = random.Random(0x5CA9)
     sos = b"\xff\xda" + struct.pack(">HB", 8, 1) + bytes([1, 0x00, 0, 63, 0])
-    entropy = rng.randbytes(JPEG_HEAD_WINDOW).replace(b"\xff", b"\xff\x00")
+    entropy = rng.randbytes(jpeg.HEAD_WINDOW).replace(b"\xff", b"\xff\x00")
     hostile = {
-        "scan-before-frame": (b"\xff\xd8" + sos + entropy)[:JPEG_HEAD_WINDOW],
-        "fill-run": b"\xff\xd8" + b"\xff" * JPEG_HEAD_WINDOW,
-        "fill-run-after-scan": b"\xff\xd8" + sos + b"\xff" * JPEG_HEAD_WINDOW,
+        "scan-before-frame": (b"\xff\xd8" + sos + entropy)[:jpeg.HEAD_WINDOW],
+        "fill-run": b"\xff\xd8" + b"\xff" * jpeg.HEAD_WINDOW,
+        "fill-run-after-scan": b"\xff\xd8" + sos + b"\xff" * jpeg.HEAD_WINDOW,
     }
     timings = []
     for name, data in hostile.items():

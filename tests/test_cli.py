@@ -447,7 +447,12 @@ class TestSelftest:
         (b"r1 image 100 100 5000\n", "CorpusFormatError: line 1: unknown media kind or field count\n"),
         (b"r1\timage\t100\t100\t5000\tsingle:A|iOS\n", "CorpusFormatError: line 1: bad label 'single:A|iOS'\n"),
         (b"r1\timage\t100\t100\t5000\tchain:AB|iOS\n", "CorpusFormatError: line 1: bad label 'chain:AB|iOS'\n"),
-    ], ids=["malformed", "bad-label-kind", "not-utf-8", "no-tab", "single-label-two-parts", "chain-label-no-arrow"])
+        (b"r1\timage\t100\t100\t5000\tchain:>|iOS\n", "CorpusFormatError: line 1: bad label 'chain:>|iOS'\n"),
+        (b"r1\timage\t100\t100\t5000\tchain:A>|iOS\n", "CorpusFormatError: line 1: bad label 'chain:A>|iOS'\n"),
+        (b"r1\timage\t100\t100\t5000\tsingle:|iOS|D\n", "CorpusFormatError: line 1: bad label 'single:|iOS|D'\n"),
+        (b"r1\timage\t100\t100\t5000\tsingle:A|iOS|\n", "CorpusFormatError: line 1: bad label 'single:A|iOS|'\n"),
+    ], ids=["malformed", "bad-label-kind", "not-utf-8", "no-tab", "single-label-two-parts", "chain-label-no-arrow",
+            "chain-label-no-apps", "chain-label-no-second-app", "single-label-no-app", "single-label-no-quality"])
     def test_bad_corpus_is_one_error_line(self, runner, tmp_path, content, error):
         corpus = tmp_path / "corpus.tsv"
         corpus.write_bytes(content)

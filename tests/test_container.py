@@ -1216,5 +1216,5 @@ def test_extraction_matches_the_flat_walk_extraction(split):
         file.flush()
         size = file.tell()
         head = os.pread(file.fileno(), HEAD_READ, 0)
-        view = _FileView(file.fileno(), head, size, size)
+        view = _FileView(file.fileno(), head, size)
         assert _extracted(extract_video_attributes, view) == _extracted(_flat_extract, view)

@@ -51,11 +51,6 @@ def test_byte_size_is_input_length():
     assert extract_image_attributes(data).byte_size == 100_000
 
 
-def test_byte_size_override_for_head_window():
-    data = make_jpeg(720, 960)
-    assert extract_image_attributes(data, byte_size=123_456).byte_size == 123_456
-
-
 _BASE = len(make_jpeg(1, 1))
 
 
@@ -279,32 +274,34 @@ def _reference_extract(data, byte_size=None):
 @given(_segment_streams(), st.data())
 def test_any_segment_stream_raises_only_jpeg_errors_and_a_view_equals_the_reference(data, draw):
     # Over bytes, at every cut; over a file view, at every first-read
-    # length, with a drawn page size and a window of the file's first
-    # `length` bytes, as report.scan_file builds it.
+    # length, with a drawn page size and a drawn HEAD_WINDOW.
     for cut in range(len(data) + 1):
         assert _outcome(extract_image_attributes, data[:cut]) == _outcome(_reference_extract, data[:cut]), cut
     # Pages shorter than a frame header are drawn as often as longer ones.
     page = draw.draw(st.integers(min_value=4, max_value=12) | st.integers(min_value=13, max_value=64), label="page")
-    length = draw.draw(st.just(len(data)) | st.integers(min_value=0, max_value=len(data)), label="length")
-    _assert_views_equal_the_reference(data, [page], length)
+    window = draw.draw(st.just(len(data)) | st.integers(min_value=0, max_value=len(data)), label="window")
+    _assert_views_equal_the_reference(data, [page], window)
 
 
-def _assert_views_equal_the_reference(data, pages, length=None):
-    """A view over the first ``length`` bytes of a file of ``data``, at every
-    first-read length and each page size, parses as those bytes do."""
-    length = len(data) if length is None else length
-    expected = _outcome(_reference_extract, data[:length], len(data))
+def _assert_views_equal_the_reference(data, pages, window=None):
+    """With ``jpeg.HEAD_WINDOW`` at ``window``, the bytes of ``data`` and a
+    view of a file of them, at every first-read length and each page size,
+    parse as the bytes up to the window do, with the whole size reported."""
+    window = len(data) if window is None else window
+    expected = _outcome(_reference_extract, data[:window], len(data))
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "photo.jpg")
         with open(path, "wb") as out:
             out.write(data)
         fd = os.open(path, os.O_RDONLY)
         try:
-            for page in pages:
-                with mock.patch.object(jpeg, "PAGE", page):
-                    for first in range(len(data) + 1):
-                        view = report._FileView(fd, data[:first], len(data), length)
-                        assert _outcome(extract_image_attributes, view, len(data)) == expected, (page, first)
+            with mock.patch.object(jpeg, "HEAD_WINDOW", window):
+                assert _outcome(extract_image_attributes, data) == expected
+                for page in pages:
+                    with mock.patch.object(jpeg, "PAGE", page):
+                        for first in range(len(data) + 1):
+                            view = report._FileView(fd, data[:first], len(data))
+                            assert _outcome(extract_image_attributes, view) == expected, (page, first)
         finally:
             os.close(fd)
 
@@ -377,3 +374,27 @@ def test_scan_before_frame_is_parsed_once(tmp_path, kb, monkeypatch):
     result = report.scan_file(path, kb)
     assert result.attributes == _reference_extract(data) == ImageAttributes(640, 480, len(data))
     assert len(calls) == 1
+
+
+# The frame header's segment starts 10 bytes before the window's end, 2
+# bytes before it (its length lies past it) and at it.
+@pytest.mark.parametrize("sof_start", [jpeg.HEAD_WINDOW - 10, jpeg.HEAD_WINDOW - 2, jpeg.HEAD_WINDOW])
+def test_a_frame_header_past_the_window_is_missed_by_bytes_and_by_a_scan(tmp_path, kb, sof_start):
+    # make_jpeg pads before the frame header, which is followed by 12 bytes
+    # of scan header and end marker.
+    data = make_jpeg(640, 480, total_size=sof_start + 25)
+    assert data[sof_start:sof_start + 2] == b"\xff\xc0"
+    with pytest.raises(NoFrameHeader) as parsed:
+        extract_image_attributes(data)
+    path = tmp_path / "photo.jpg"
+    path.write_bytes(data)
+    assert report.scan_file(path, kb).error == f"NoFrameHeader: {parsed.value}"
+
+
+def test_a_file_past_the_window_with_its_frame_header_first_reports_its_size(tmp_path, kb):
+    path = tmp_path / "photo.jpg"
+    with open(path, "wb") as out:
+        out.write(make_jpeg(720, 960))
+        out.truncate(2 * jpeg.HEAD_WINDOW + 1)  # a hole, not written bytes
+    result = report.scan_file(path, kb)
+    assert result.attributes == ImageAttributes(720, 960, path.stat().st_size)

@@ -179,6 +179,20 @@ def test_manifest_mismatch_names_only_the_groups_that_drifted():
     pytest.param("os = iOS", "resolution = 100x100",
                  IMAGE_ORIGINAL.replace("media = image", "media = audio") + "nominal_size = 2000000",
                  r"^\[original o-img\] \(line 13\): unknown media kind 'audio'$", id="original-unknown-media"),
+    pytest.param("os = iOS", "resolution = 100x100", IMAGE_ORIGINAL.replace("media = image", "media = audio"),
+                 r"^\[original o-img\] \(line 13\): unknown media kind 'audio'$",
+                 id="original-unknown-media-before-missing-size"),
+    *[pytest.param("os = iOS", "resolution = 100x100", f"indistinguishable = {value}",
+                   rf"^\[record t7-x\] \(line 2\): indistinguishable must be 'true', got '{value}'$",
+                   id=f"indistinguishable-{value}") for value in ("no", "yes", "false")],
+    pytest.param("os = iOS", "resolution = 100x100", "size_band = 5 +- 1\nindistinguishable = maybe",
+                 r"^\[record t7-x\] \(line 2\): keys \['size_band'\] not valid for video records$",
+                 id="wrong-kind-key-before-indistinguishable"),
+    *[pytest.param("os = iOS", "resolution = 100x100", record, rf"^\[record t6-y\] \(line 13\): empty {key}$",
+                   id=f"empty-{key}")
+      for key, record in [("app", IMAGE_RECORD.replace("app = Y", "app =")),
+                          ("quality", IMAGE_RECORD.replace("quality = Default", "quality =")),
+                          ("nth_app", IMAGE_RECORD + "nth_app =")]],
 ])
 def test_schema_errors(tmp_path, os_line, resolution_line, extra, needle):
     # Through a file, so text that is not UTF-8 (written here from a lone
@@ -817,7 +831,8 @@ def test_records_share_the_parsed_value_of_one_load():
 # deliberate change since: an original with an unknown media kind fails with
 # the message a record gives, not with the enum's own text.  The live loader
 # also reads a quoted marker literally (``" Copyright"`` is unknown), where
-# this one strips it; no generated text quotes a marker.
+# this one strips it; no generated text quotes a marker.  Four more, marked
+# (a) to (d) below, since records and originals share one block checker.
 
 _PARENT_SECTION_RE = re.compile(r"^\[(\w+)(?:\s+(\S+))?\]$")
 _PARENT_RESOLUTION_RE = re.compile(r"^(\d+)x(\d+)$")
@@ -848,15 +863,6 @@ def _parent_parse_resolutions(value, where):
             raise SchemaError(f"{where}: resolution sides must be positive")
         pairs.append((width, height))
     return tuple(pairs)
-
-
-def _parent_parse_bool(value, where):
-    lowered = value.strip().lower()
-    if lowered in ("true", "yes", "on"):
-        return True
-    if lowered in ("false", "no", "off"):
-        return False
-    raise SchemaError(f"{where}: expected a boolean, got {value!r}")
 
 
 def _parent_parse_format_profiles(value, where):
@@ -962,12 +968,16 @@ def _parent_build_record(block):
     except ValueError as exc:
         raise SchemaError(f"{where}: {exc}") from None
     nth_app = f.get("nth_app") or None  # changed on purpose: no hop agreement checks
-    indistinguishable = _parent_parse_bool(f["indistinguishable"], where) if "indistinguishable" in f else False
 
     wrong_kind = _PARENT_VIDEO_ONLY_KEYS if media is MediaKind.IMAGE else _PARENT_IMAGE_ONLY_KEYS
     used_wrong = wrong_kind & set(f)
     if used_wrong:
         raise SchemaError(f"{where}: keys {sorted(used_wrong)} not valid for {media.value} records")
+    # Changed on purpose: (a) checked after the keys wrong for the media
+    # kind, and (b) only "true" is a value.
+    indistinguishable = "indistinguishable" in f
+    if indistinguishable and f["indistinguishable"] != "true":
+        raise SchemaError(f"{where}: indistinguishable must be 'true', got {f['indistinguishable']!r}")
 
     constraint_keys = set(f) & (_PARENT_VIDEO_ONLY_KEYS | _PARENT_IMAGE_ONLY_KEYS | {"resolution"})
     if indistinguishable:
@@ -1005,12 +1015,16 @@ def _parent_build_record(block):
         if constraints.is_empty():
             raise SchemaError(f"{where}: distinguishable video record carries no constraints")
 
+    app, quality = require("app"), require("quality")
+    for key, name in (("app", app), ("quality", quality), ("nth_app", f.get("nth_app"))):
+        if name == "":  # changed on purpose: (d) a name is never empty
+            raise SchemaError(f"{where}: empty {key}")
     return FingerprintRecord(
         record_id=block.name or "",
         media_kind=media,
-        app=require("app"),
+        app=app,
         os=rec_os,
-        quality=require("quality"),
+        quality=quality,
         nth_app=nth_app,
         constraints=constraints,
     )
@@ -1022,12 +1036,23 @@ def _parent_build_original(block):
     if unknown:
         raise SchemaError(f"{where}: unknown keys {sorted(unknown)}")
     f = block.fields
-    for key in ("media", "os", "resolution", "nominal_size"):
+    # Changed on purpose: (c) media, OS and the keys wrong for the media kind
+    # are checked as a record's are, before the other keys.
+    for key in ("media", "os"):
         if key not in f:
             raise SchemaError(f"{where}: missing key {key!r}")
+        if key == "media" and f["media"] not in ("image", "video"):  # the message a record gives
+            raise SchemaError(f"{where}: unknown media kind {f['media']!r}")
+    try:
+        os_source = parse_os(f["os"])
+    except ValueError as exc:
+        raise SchemaError(f"{where}: {exc}") from None
     used_wrong = _PARENT_VIDEO_ONLY_KEYS & set(f) if f["media"] == MediaKind.IMAGE.value else None
     if used_wrong:
         raise SchemaError(f"{where}: keys {sorted(used_wrong)} not valid for image originals")
+    for key in ("resolution", "nominal_size"):
+        if key not in f:
+            raise SchemaError(f"{where}: missing key {key!r}")
     values = {}
     for key, _, parse in _PARENT_VIDEO_FIELDS:
         if key in f:
@@ -1037,10 +1062,7 @@ def _parent_build_original(block):
             values[key] = parsed[0]
     if not f["nominal_size"].isdecimal():
         raise SchemaError(f"{where}: nominal_size must be a byte count, got {f['nominal_size']!r}")
-    if f["media"] not in ("image", "video"):  # changed on purpose: the message a record gives
-        raise SchemaError(f"{where}: unknown media kind {f['media']!r}")
     try:
-        os_source = parse_os(f["os"])
         # Changed on purpose: an original is its attribute vector, built here
         # with the defaults the parent's property filled in on every read.
         width, length = values["resolution"]
@@ -1221,5 +1243,12 @@ def _loadable_kb_texts(draw):
 @example("[original o-a]\nmedia = audio\nos = iOS\nresolution = 1x1\nnominal_size = 5\n")
 @example("\u3000[record t6-a]\xa0\n\xa0media\u3000=\u3000image\xa0\n")
 @example('[record t7-a]\nmedia = video\napp = A\nos = iOS\nquality = D\nextension = mp4, ""\n')
+# (a) to (d): a bad indistinguishable value on a record with a key wrong for
+# its kind; a value other than "true"; an original's media kind before its
+# missing keys; an empty name.
+@example("[record t6-a]\nmedia = image\napp = A\nos = iOS\nquality = X\nindistinguishable = maybe\nencoder = x\n")
+@example("[record t6-a]\nmedia = image\napp = A\nos = iOS\nquality = X\nindistinguishable = no\n")
+@example("[original o-a]\nmedia = audio\nos = iOS\n")
+@example("[record t6-a]\nmedia = image\napp = A\nos = iOS\nquality = X\nnth_app =\nresolution = 1x1\n")
 def test_loader_matches_the_frozen_parent(text):
     assert _outcome(load_kb, text) == _outcome(_parent_load_kb, text)
