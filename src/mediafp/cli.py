@@ -105,7 +105,9 @@ def scan(paths: tuple[Path, ...], fmt: str, kb_path: str | None,
     files: set[str] = set()
     for path in paths:
         files.update(_files_under(str(path)) if path.is_dir() else (str(path),))
-    reports = [report.scan_file(path, knowledge, chains=chains) for path in sorted(files)]
+    # One verdict memo per scan: each distinct video attribute vector is matched once.
+    verdicts: dict = {}
+    reports = [report.scan_file(path, knowledge, chains=chains, verdicts=verdicts) for path in sorted(files)]
     stamp = datetime.now(timezone.utc).isoformat() if timestamps else None
     click.echo(report.render_report(reports, fmt, stamp), nl=False)
     sys.exit(1 if any(r.error for r in reports) else 0)

@@ -18,7 +18,8 @@ to the KB.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from operator import attrgetter
 
 from .attributes import ImageAttributes, VideoAttributes
 from .kb import (
@@ -163,9 +164,17 @@ def match_video(attrs: VideoAttributes, kb: KnowledgeBase, chains: bool = True) 
     return Verdict(tuple(candidates), outcome, tuple(hypotheses))
 
 
+# What match_video reads of a video: every VideoAttributes field but
+# byte_size, which neither the compiled rows (``kb.VIDEO_FIELDS`` and the
+# marker row) nor ``kb``'s original profiles read.  So two videos with equal
+# keys get equal verdicts from one KB and one ``chains`` value.  A field
+# added to VideoAttributes joins the key unless it is excluded here.
+video_verdict_key = attrgetter(*(f.name for f in fields(VideoAttributes) if f.name != "byte_size"))
+
+
 __all__ = [
     "Outcome", "Candidate", "ChainHypothesis", "Verdict",
     "satisfies_video", "satisfies_image", "disambiguate_by_size",
     "classify_outcome", "match_image", "match_video", "infer_chain",
-    "RESOLUTION_TOLERANCE",
+    "video_verdict_key", "RESOLUTION_TOLERANCE",
 ]

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import os as _os
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations
 from operator import attrgetter
@@ -709,9 +710,8 @@ def _load_blocks(blocks: list[_Block]) -> KnowledgeBase:
 
 def _verify_manifest(kb: KnowledgeBase) -> None:
     # A group missing from either side counts as 0 there.
-    counts: dict[str, int] = {"originals": len(kb.originals)}
-    for rec in kb.records:
-        counts[rec.group] = counts.get(rec.group, 0) + 1
+    counts = Counter(rec.group for rec in kb.records)
+    counts["originals"] += len(kb.originals)
     declared = dict(kb.manifest or ())
     drift = [
         f"{key}: declared {declared.get(key, 0)}, loaded {counts.get(key, 0)}"

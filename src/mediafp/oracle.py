@@ -191,16 +191,21 @@ class CorpusFormatError(OracleError):
     pass
 
 
+def _is_name(text: str) -> bool:
+    """Whether ``text`` can be a label's app or quality: not blank, no space at either end."""
+    return text != "" and text == text.strip()
+
+
 def _parse_label(text: str) -> SingleLabel | ChainLabel:
     kind, _, body = text.partition(":")
     parts = body.split("|")
-    if kind == "single" and len(parts) == 3 and parts[0] and parts[2]:
+    if kind == "single" and len(parts) == 3 and _is_name(parts[0]) and _is_name(parts[2]):
         app, os_token, quality = parts
         return SingleLabel(app, parse_os(os_token), quality)
     if kind == "chain" and len(parts) == 2:
-        nth, _, napp = parts[0].partition(">")
-        if nth and napp:  # no ">" leaves napp empty
-            return ChainLabel(nth, napp, parse_os(parts[1]))
+        apps = parts[0].split(">")
+        if len(apps) == 2 and all(map(_is_name, apps)):
+            return ChainLabel(apps[0], apps[1], parse_os(parts[1]))
     raise ValueError(f"bad label {text!r}")
 
 

@@ -14,6 +14,14 @@ Verdicts share their evidence: each ``Candidate`` and ``ChainHypothesis``
 a match returns is one object owned by the knowledge base.  So each render
 call renders each evidence object once and reuses its text for every report
 that holds it.
+
+A video verdict never reads the file's byte size, so files with the same
+video attribute vector in every other field get the same verdict
+(``engine.video_verdict_key``).  ``scan_file(..., verdicts=memo)`` matches
+each such vector once per memo and ``chains`` value, and hands the one
+frozen ``Verdict`` to every file that has it; ``mediafp scan`` keeps one
+memo per invocation.  Image verdicts read the byte size through the size
+bands and are matched per file.
 """
 
 from __future__ import annotations
@@ -26,7 +34,7 @@ from stat import S_ISDIR, S_ISREG
 
 from . import container, jpeg
 from .attributes import ImageAttributes, MediaKind, VideoAttributes
-from .engine import Candidate, ChainHypothesis, Verdict, match_image, match_video
+from .engine import Candidate, ChainHypothesis, Verdict, match_image, match_video, video_verdict_key
 from .kb import KnowledgeBase
 
 SCHEMA_VERSION = 1
@@ -94,8 +102,15 @@ class _FileView:
         return data
 
 
-def scan_file(path: str | os.PathLike[str], kb: KnowledgeBase, chains: bool = True) -> FileReport:
-    """Parse and match one file, named by a str or path-like; parse and I/O failures become per-file errors."""
+def scan_file(path: str | os.PathLike[str], kb: KnowledgeBase, chains: bool = True, *,
+              verdicts: dict[tuple, Verdict] | None = None) -> FileReport:
+    """Parse and match one file, named by a str or path-like; parse and I/O failures become per-file errors.
+
+    ``verdicts``, when given, memoizes video verdicts by ``chains`` and
+    ``engine.video_verdict_key`` (see the module docstring).  It belongs to
+    one KB: pass it only with the ``kb`` of every call that filled it.
+    Without it, a call matches against a memo of its own.
+    """
     path = os.fspath(path)
     kind: MediaKind | None = None
     try:
@@ -122,7 +137,11 @@ def scan_file(path: str | os.PathLike[str], kb: KnowledgeBase, chains: bool = Tr
                 verdict = match_image(attrs, kb)
             else:
                 attrs = container.extract_video_attributes(data, name_hint=os.path.basename(path))
-                verdict = match_video(attrs, kb, chains=chains)
+                memo = {} if verdicts is None else verdicts
+                key = (chains, video_verdict_key(attrs))
+                verdict = memo.get(key)
+                if verdict is None:
+                    verdict = memo[key] = match_video(attrs, kb, chains=chains)
         finally:
             os.close(fd)
     except (container.ParseError, jpeg.JpegError, OSError) as exc:

@@ -1,9 +1,11 @@
+import dataclasses
 import os
 import struct
 
 import pytest
 
 from mediafp.kb import MediaKind, load_kb, load_kb_path
+from mediafp.oracle import InconsistentAttrs, generate_corpus, synthesize_container
 
 
 @pytest.fixture(scope="session")
@@ -112,3 +114,31 @@ def write_sparse_video(path, movie, mdat_size, moov_last):
         handle.seek(mdat_size, os.SEEK_CUR)
         handle.write(rest if moov_last else b"")
         handle.truncate()
+
+
+# A file name suffix that scans back to each video extension value.
+_SUFFIXES = {"mp4": "mp4", "MOV": "mov", "other": "3gp"}
+
+
+def write_repeated_vectors(root, kb, copies=3):
+    """Write each KB-generated video vector that a container can hold
+    ``copies`` times under ``root``, each copy padded to its own byte size,
+    and two JPEGs; return the paths, as strings, in sorted order.  A scan's
+    verdict memo shares one verdict between the copies of a vector."""
+    paths = []
+    for entry in generate_corpus(kb):
+        if entry.media_kind is not MediaKind.VIDEO:
+            continue
+        for copy in range(copies):
+            attrs = dataclasses.replace(entry.attributes, byte_size=8192 + 512 * copy)
+            try:
+                data = synthesize_container(attrs)
+            except InconsistentAttrs:
+                break
+            path = root / f"{entry.record_id}-{copy}.{_SUFFIXES[attrs.extension]}"
+            path.write_bytes(data)
+            paths.append(str(path))
+    for name, size in (("photo-a.jpg", 100_000), ("photo-b.jpg", 120_000)):
+        (root / name).write_bytes(make_jpeg(720, 960, total_size=size))
+        paths.append(str(root / name))
+    return sorted(paths)

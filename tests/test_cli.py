@@ -16,7 +16,7 @@ from mediafp.cli import _files_under, main
 from mediafp.kb import default_kb_path, load_kb_path
 from mediafp.oracle import expected_attributes, synthesize_container
 
-from conftest import make_jpeg, write_sparse_video
+from conftest import make_jpeg, write_repeated_vectors, write_sparse_video
 
 
 @pytest.fixture()
@@ -323,6 +323,33 @@ class TestScan:
         assert result.exit_code == 0
         assert [r["path"] for r in json.loads(result.output)["reports"]] == [str(clip)]
 
+    def test_scan_calls_the_module_scan_file_once_per_file_with_one_memo(self, runner, tmp_path, kb, monkeypatch):
+        # perfbench times and traces each file by rebinding report.scan_file.
+        paths = write_repeated_vectors(tmp_path, kb, copies=2)
+        calls, real = [], report.scan_file
+
+        def recorded(path, knowledge, chains=True, **kwargs):
+            calls.append((path, chains, kwargs))
+            return real(path, knowledge, chains, **kwargs)
+
+        monkeypatch.setattr(report, "scan_file", recorded)
+        result = runner.invoke(main, ["scan", str(tmp_path), "--no-chains"])
+        assert result.exit_code == 0
+        assert [path for path, _, _ in calls] == paths
+        assert all(chains is False for _, chains, _ in calls)
+        memo = calls[0][2]["verdicts"]
+        assert isinstance(memo, dict) and all(kwargs["verdicts"] is memo for _, _, kwargs in calls)
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("chains", [True, False], ids=["chains", "no-chains"])
+    def test_memo_output_equals_per_file_scans(self, runner, tmp_path, kb, fmt, chains):
+        paths = write_repeated_vectors(tmp_path, kb)
+        flag = "--chains" if chains else "--no-chains"
+        result = runner.invoke(main, ["scan", str(tmp_path), "--format", fmt, flag])
+        assert result.exit_code == 0
+        reports = [report.scan_file(path, kb, chains=chains) for path in paths]
+        assert result.output == report.render_report(reports, fmt)
+
 
 def _scan_in_subprocess(path):
     # In a child with a timeout, so a scan that blocks on a path fails the
@@ -451,8 +478,11 @@ class TestSelftest:
         (b"r1\timage\t100\t100\t5000\tchain:A>|iOS\n", "CorpusFormatError: line 1: bad label 'chain:A>|iOS'\n"),
         (b"r1\timage\t100\t100\t5000\tsingle:|iOS|D\n", "CorpusFormatError: line 1: bad label 'single:|iOS|D'\n"),
         (b"r1\timage\t100\t100\t5000\tsingle:A|iOS|\n", "CorpusFormatError: line 1: bad label 'single:A|iOS|'\n"),
+        (b"r1\timage\t100\t100\t5000\tchain:A>B>C|iOS\n", "CorpusFormatError: line 1: bad label 'chain:A>B>C|iOS'\n"),
+        (b"r1\timage\t100\t100\t5000\tsingle: |iOS|D\n", "CorpusFormatError: line 1: bad label 'single: |iOS|D'\n"),
     ], ids=["malformed", "bad-label-kind", "not-utf-8", "no-tab", "single-label-two-parts", "chain-label-no-arrow",
-            "chain-label-no-apps", "chain-label-no-second-app", "single-label-no-app", "single-label-no-quality"])
+            "chain-label-no-apps", "chain-label-no-second-app", "single-label-no-app", "single-label-no-quality",
+            "chain-label-three-apps", "single-label-blank-app"])
     def test_bad_corpus_is_one_error_line(self, runner, tmp_path, content, error):
         corpus = tmp_path / "corpus.tsv"
         corpus.write_bytes(content)

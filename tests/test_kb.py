@@ -130,6 +130,15 @@ def test_manifest_mismatch_names_only_the_groups_that_drifted():
     assert re.search(r"declared (\d+), loaded \1\b", message) is None
 
 
+def test_manifest_check_finds_each_record_group_once(monkeypatch):
+    calls = []
+    real = kb_mod.group_key
+    monkeypatch.setattr(kb_mod, "group_key", lambda record_id: calls.append(record_id) or real(record_id))
+    kb = kb_mod.load_kb_path()
+    assert kb.manifest is not None
+    assert sorted(calls) == sorted(rec.record_id for rec in kb.records)
+
+
 @pytest.mark.parametrize("os_line,resolution_line,extra,needle", [
     ("os = iOS", "resolution = 100x100", "unknown_key = 1", "unknown keys"),
     ("os = windows", "resolution = 100x100", "", "unknown OS"),

@@ -14,13 +14,13 @@ from mediafp.attributes import (
     EXTENSIONS, OS, FormatProfile, ImageAttributes, Marker, MediaKind, VideoAttributes,
 )
 from mediafp.container import ParseError, extract_video_attributes
-from mediafp.engine import Candidate, ChainHypothesis, Outcome, Verdict
+from mediafp.engine import Candidate, ChainHypothesis, Outcome, Verdict, match_video, video_verdict_key
 from mediafp.jpeg import NoFrameHeader, extract_image_attributes
 from mediafp.kb import KnowledgeBase
-from mediafp.oracle import expected_attributes, synthesize_container
+from mediafp.oracle import expected_attributes, generate_corpus, synthesize_container
 from mediafp.report import HEAD_READ, FileReport, render_json, scan_file
 
-from conftest import make_jpeg, partial_video_originals, write_sparse_video
+from conftest import make_jpeg, partial_video_originals, write_repeated_vectors, write_sparse_video
 from test_container import _hostile_buffers
 
 # make_jpeg ends with SOF (13 bytes), SOS (10 bytes) and EOI (2 bytes).
@@ -353,6 +353,73 @@ class TestTracedNames:
         monkeypatch.setattr(container, "extract_video_attributes", counted)
         assert _scan_video(tmp_path, kb, _discord(kb, size)).verdict.outcome.value == "Identified"
         assert len(calls) == 1
+
+
+class TestVerdictMemo:
+    """``scan_file(..., verdicts=memo)`` matches each video vector but its
+    byte size once per memo and shares that frozen verdict."""
+
+    def test_the_key_is_every_field_but_byte_size(self):
+        attrs = VideoAttributes("mp4", FormatProfile.BASE_MEDIA, "isom (isom/mp42)", "High@L4", 1280, 720,
+                                encoder="Lavf58.20.100", markers=frozenset({Marker.COPYRIGHT}), byte_size=4096)
+        names = [f.name for f in dataclasses.fields(VideoAttributes)]
+        assert video_verdict_key(attrs) == tuple(getattr(attrs, n) for n in names if n != "byte_size")
+        assert video_verdict_key(dataclasses.replace(attrs, byte_size=1)) == video_verdict_key(attrs)
+        changed = {"extension": "MOV", "format_profile": FormatProfile.QUICKTIME, "codec_id": "qt",
+                   "video_format_profile": "", "width": 1920, "length": 1080, "encoder": None,
+                   "markers": frozenset()}
+        assert set(changed) == set(names) - {"byte_size"}
+        for name, value in changed.items():
+            assert video_verdict_key(dataclasses.replace(attrs, **{name: value})) != video_verdict_key(attrs)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data(), st.integers(0, 2**40), st.booleans())
+    def test_a_video_verdict_does_not_depend_on_byte_size(self, kb, data, byte_size, chains):
+        vectors = [e.attributes for e in generate_corpus(kb) if e.media_kind is MediaKind.VIDEO]
+        attrs = data.draw(st.sampled_from(vectors))
+        resized = dataclasses.replace(attrs, byte_size=byte_size)
+        assert match_video(resized, kb, chains=chains) == match_video(attrs, kb, chains=chains)
+
+    def test_equal_vectors_share_one_verdict(self, tmp_path, kb):
+        memo = {}
+        reports = [scan_file(path, kb, verdicts=memo) for path in write_repeated_vectors(tmp_path, kb)]
+        by_key = {}
+        for r in reports:
+            assert r.verdict == scan_file(r.path, kb).verdict
+            if r.media_kind is MediaKind.VIDEO:
+                by_key.setdefault((True, video_verdict_key(r.attributes)), []).append(r)
+        assert len(memo) == len(by_key) < len(reports)
+        for key, group in by_key.items():
+            assert len({r.attributes.byte_size for r in group}) > 1
+            assert all(r.verdict is memo[key] for r in group)
+
+    def test_other_extension_or_encoder_gets_its_own_verdict(self, tmp_path, kb):
+        attrs = expected_attributes(kb.record("t7-instagram-default"))
+        files = {}
+        for suffix in ("mp4", "mov", "3gp"):
+            files[f"clip.{suffix}"] = synthesize_container(attrs)
+        for encoder in (None, "Lavf58.76.100"):
+            files[f"{encoder}.mp4"] = synthesize_container(dataclasses.replace(attrs, encoder=encoder))
+        memo = {}
+        verdicts = []
+        for name, data in files.items():
+            (tmp_path / name).write_bytes(data)
+            scanned = scan_file(tmp_path / name, kb, verdicts=memo)
+            assert scanned.verdict == scan_file(tmp_path / name, kb).verdict
+            verdicts.append(scanned.verdict)
+        assert len(memo) == len({id(v) for v in verdicts}) == len(files)
+        assert len(set(verdicts)) > 1
+
+    def test_one_memo_keeps_chains_and_no_chains_verdicts_apart(self, tmp_path, kb):
+        chain = next(r for r in kb.records if r.nth_app is not None and r.media_kind is MediaKind.VIDEO)
+        path = tmp_path / "relayed.mp4"
+        path.write_bytes(synthesize_container(expected_attributes(chain)))
+        memo = {}
+        for chains in (True, False, True, False):
+            scanned = scan_file(path, kb, chains, verdicts=memo)
+            assert scanned.verdict == scan_file(path, kb, chains).verdict
+            assert bool(scanned.verdict.chain_hypotheses) is chains
+        assert len(memo) == 2
 
 
 # Frozen reference for the JSON report: the dict form the report had when it
