@@ -22,7 +22,6 @@ from .attributes import (
     MediaKind,
     OS,
     VideoAttributes,
-    parse_os,
     parse_video_format_profile,
 )
 from .container import codec_id_brands, classify_format_profile, UnknownBrand
@@ -196,16 +195,21 @@ def _is_name(text: str) -> bool:
     return text != "" and text == text.strip()
 
 
+# A label's OS is the exact value ``render`` writes: no alias, case or padding.
+_LABEL_OS = {os.value: os for os in OS}
+
+
 def _parse_label(text: str) -> SingleLabel | ChainLabel:
     kind, _, body = text.partition(":")
     parts = body.split("|")
-    if kind == "single" and len(parts) == 3 and _is_name(parts[0]) and _is_name(parts[2]):
-        app, os_token, quality = parts
-        return SingleLabel(app, parse_os(os_token), quality)
-    if kind == "chain" and len(parts) == 2:
+    if kind == "single" and len(parts) == 3 and _is_name(parts[0]) and _is_name(parts[2]) \
+            and parts[1] in _LABEL_OS:
+        app, os_value, quality = parts
+        return SingleLabel(app, _LABEL_OS[os_value], quality)
+    if kind == "chain" and len(parts) == 2 and parts[1] in _LABEL_OS:
         apps = parts[0].split(">")
         if len(apps) == 2 and all(map(_is_name, apps)):
-            return ChainLabel(apps[0], apps[1], parse_os(parts[1]))
+            return ChainLabel(apps[0], apps[1], _LABEL_OS[parts[1]])
     raise ValueError(f"bad label {text!r}")
 
 

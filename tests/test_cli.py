@@ -480,9 +480,12 @@ class TestSelftest:
         (b"r1\timage\t100\t100\t5000\tsingle:A|iOS|\n", "CorpusFormatError: line 1: bad label 'single:A|iOS|'\n"),
         (b"r1\timage\t100\t100\t5000\tchain:A>B>C|iOS\n", "CorpusFormatError: line 1: bad label 'chain:A>B>C|iOS'\n"),
         (b"r1\timage\t100\t100\t5000\tsingle: |iOS|D\n", "CorpusFormatError: line 1: bad label 'single: |iOS|D'\n"),
+        (b"r1\timage\t100\t100\t5000\tsingle:A| ios |D\n", "CorpusFormatError: line 1: bad label 'single:A| ios |D'\n"),
+        (b"r1\timage\t100\t100\t5000\tchain:A>B|android\n",
+         "CorpusFormatError: line 1: bad label 'chain:A>B|android'\n"),
     ], ids=["malformed", "bad-label-kind", "not-utf-8", "no-tab", "single-label-two-parts", "chain-label-no-arrow",
             "chain-label-no-apps", "chain-label-no-second-app", "single-label-no-app", "single-label-no-quality",
-            "chain-label-three-apps", "single-label-blank-app"])
+            "chain-label-three-apps", "single-label-blank-app", "single-label-padded-os", "chain-label-os-alias"])
     def test_bad_corpus_is_one_error_line(self, runner, tmp_path, content, error):
         corpus = tmp_path / "corpus.tsv"
         corpus.write_bytes(content)

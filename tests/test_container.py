@@ -30,12 +30,7 @@ from mediafp.container import (
     extract_video_attributes,
     parse_avc_config,
     render_codec_id,
-    _CONTAINERS,
-    _MARKER_ATOMS,
-    _NON_MARKER_ATOMS,
-    _brand_line,
     _ftyp_signal,
-    _fullbox_skip,
     _ilst_encoder,
     _parse_hdlr_type,
     _stsd_video_entry,
@@ -735,7 +730,7 @@ _brand = st.one_of(
 @st.composite
 def _video_attributes(draw):
     major = draw(st.sampled_from(_MAJORS))
-    codec_id = render_codec_id(FtypInfo(major, 0, tuple(draw(st.lists(_brand, max_size=5)))))
+    codec_id = _reference_brand_line(major, draw(st.lists(_brand, max_size=5)))
     try:
         derived = classify_format_profile(major)
     except UnknownBrand:
@@ -780,11 +775,49 @@ def test_synthesized_containers_extract_to_their_vector(attrs):
     assert extract_video_attributes(bytearray(data), name_hint=_HINT_FOR[attrs.extension]) == extracted
 
 
-# The avcC search and the encoder search as hand-written box loops, frozen
-# as they were before both moved onto the package's one box-run reader.  The
-# reference extractions below use them, so they compare against code that
-# shares no box reader with the package.
-def _parent_stsd_video_entry(data, offset, stsd_end):
+# The extraction under test as the rules it follows, over the reference walk
+# above: each step searches the node tree box by box, and the ftyp, stsd and
+# encoder readers are hand-written loops that share no box-run reader or
+# brand-line renderer with the package.  The hdlr and tkhd readers are the
+# package's own; test_leaf_readers_read_only_their_own_payload and the
+# extraction tests above cover them.
+def _reference_find(boxes, box_type):
+    return next((b for b in boxes if b.box_type == box_type), None)
+
+
+def _reference_path(boxes, *path):
+    node = None
+    for box_type in path:
+        node = _reference_find(boxes, box_type)
+        if node is None:
+            return None
+        boxes = node.children
+    return node
+
+
+def _reference_brand_line(major, brands):
+    """The codec id as media analyzers print it: the major brand alone when
+    there are no compatible brands or only itself, else "major (b1/b2/...)"
+    in file order, each brand without its padding."""
+    major, brands = major.strip(), [brand.strip() for brand in brands]
+    if brands in ([], [major]):
+        return major
+    return f"{major} ({'/'.join(brands)})"
+
+
+def _reference_ftyp(data, node):
+    if node.payload_length > 4096:
+        raise MalformedBox(f"ftyp payload of {node.payload_length} bytes exceeds 4096")
+    payload = data[node.payload_offset:node.payload_end]
+    if len(payload) < 8:
+        raise MalformedBox("ftyp payload shorter than 8 bytes")
+    major = bytes(payload[0:4]).decode("latin-1")
+    text = bytes(payload[8:8 + (len(payload) - 8) // 4 * 4]).decode("latin-1")
+    brands = [text[i:i + 4] for i in range(0, len(text), 4)]
+    return classify_format_profile(major), _reference_brand_line(major, brands)
+
+
+def _reference_stsd(data, offset, stsd_end):
     entry = offset + 8
     fields = data[entry:min(entry + 36, stsd_end)]
     if len(fields) < 36:
@@ -810,7 +843,7 @@ def _parent_stsd_video_entry(data, offset, stsd_end):
     return width, height, profile
 
 
-def _parent_ilst_encoder(data, offset, end):
+def _reference_ilst_encoder(data, offset, end):
     pos = offset
     while pos + 8 <= end:
         size, item_type = struct.unpack(">I4s", data[pos:pos + 8])
@@ -833,77 +866,20 @@ def _parent_ilst_encoder(data, offset, end):
     return None
 
 
-_FROZEN_LEAF_READERS = {b"stsd": _parent_stsd_video_entry, b"ilst": _parent_ilst_encoder}
+_REFERENCE_LEAF_READERS = {b"stsd": _reference_stsd, b"ilst": _reference_ilst_encoder}
 
 
 @settings(max_examples=400, deadline=None)
-@given(st.sampled_from(sorted(_FROZEN_LEAF_READERS)).flatmap(
+@given(st.sampled_from(sorted(_REFERENCE_LEAF_READERS)).flatmap(
     lambda box_type: st.tuples(st.just(box_type), _LEAF_READERS[box_type][1])), _hostile_bytes)
-def test_box_run_readers_match_the_frozen_loops(leaf, sibling):
+def test_box_run_readers_match_the_reference_readers(leaf, sibling):
     # Over the leaf payloads, alone and followed by hostile bytes, and over a
     # payload that runs to the end of those bytes: the same result or error.
     box_type, payload = leaf
     data = box(box_type, payload) + sibling
     for end in (len(data) - len(sibling), len(data)):
-        expected = _outcome(lambda d: _FROZEN_LEAF_READERS[box_type](d, 8, end), data)
+        expected = _outcome(lambda d: _REFERENCE_LEAF_READERS[box_type](d, 8, end), data)
         assert _outcome(lambda d: _LEAF_READERS[box_type][0](d, 8, end), data) == expected
-
-
-# A tree-based extraction over the frozen reference walk, kept as the
-# reference of the extraction under test: it searches the node tree box by
-# box.  Leaf readers whose bytes did not change are shared; the ftyp, stsd
-# and encoder readers are kept as they were.
-def _reference_find(boxes, box_type):
-    return next((b for b in boxes if b.box_type == box_type), None)
-
-
-def _reference_path(boxes, *path):
-    node = None
-    for box_type in path:
-        node = _reference_find(boxes, box_type)
-        if node is None:
-            return None
-        boxes = node.children
-    return node
-
-
-def _reference_ftyp(data, node):
-    if node.payload_length > 4096:
-        raise MalformedBox(f"ftyp payload of {node.payload_length} bytes exceeds 4096")
-    payload = data[node.payload_offset:node.payload_end]
-    if len(payload) < 8:
-        raise MalformedBox("ftyp payload shorter than 8 bytes")
-    text = bytes(payload[8:8 + (len(payload) - 8) // 4 * 4]).decode("latin-1")
-    brands = tuple(text[i:i + 4] for i in range(0, len(text), 4))
-    return FtypInfo(bytes(payload[0:4]).decode("latin-1"), struct.unpack_from(">I", payload, 4)[0], brands)
-
-
-def _reference_stsd(data, stsd):
-    entry = stsd.payload_offset + 8
-    fields = data[entry:min(entry + 36, stsd.payload_end)]
-    if len(fields) < 36:
-        return None
-    entry_size = struct.unpack_from(">I", fields)[0]
-    end = entry + entry_size
-    if entry_size < 36 or end > stsd.payload_end:
-        return None
-    width, height = struct.unpack_from(">HH", fields, 32)
-    signal = None
-    pos = entry + 86
-    while pos + 8 <= end:
-        child_size, child_type = struct.unpack(">I4s", data[pos:pos + 8])
-        if child_size < 8 or pos + child_size > end:
-            break
-        if child_type == b"avcC":
-            try:
-                signal = parse_avc_config(data[pos + 8:pos + min(child_size, 12)])
-            except MalformedBox:
-                signal = None
-            break
-        pos += child_size
-    if width < 1 or height < 1:
-        return None
-    return width, height, signal
 
 
 def _reference_is_video(data, trak):
@@ -922,8 +898,7 @@ def _reference_extract(data, name_hint=None):
     if ftyp is None:
         profile, codec_id = FormatProfile.QUICKTIME, "qt"
     else:
-        info = _reference_ftyp(data, ftyp)
-        profile, codec_id = classify_format_profile(info.major_brand), render_codec_id(info)
+        profile, codec_id = _reference_ftyp(data, ftyp)
     moov = _reference_find(tree, "moov")
     if moov is None:
         raise NoVideoTrack("no moov box")
@@ -931,15 +906,15 @@ def _reference_extract(data, name_hint=None):
     if video is None:
         raise NoVideoTrack("no video track in moov")
     stsd = _reference_path(video.children, "mdia", "minf", "stbl", "stsd")
-    entry = _reference_stsd(data, stsd) if stsd is not None else None
+    entry = _reference_stsd(data, stsd.payload_offset, stsd.payload_end) if stsd is not None else None
     if entry is None:
         tkhd = _reference_find(video.children, "tkhd")
         fallback = _tkhd_dimensions(data, tkhd.payload_offset, tkhd.payload_end) if tkhd is not None else None
         if fallback is None:
             raise NoVideoTrack("video track carries no usable dimensions")
-        (width, height), signal = fallback, None
+        (width, height), video_format_profile = fallback, ""
     else:
-        width, height, signal = entry
+        width, height, video_format_profile = entry
     udta = _reference_find(moov.children, "udta")
     markers = frozenset(_REFERENCE_MARKERS.get(c.box_type, Marker.MOVIE_MORE) for c in udta.children
                         if c.box_type not in ("meta", "free", "skip")) if udta is not None else frozenset()
@@ -947,14 +922,14 @@ def _reference_extract(data, name_hint=None):
     for parent in (udta, moov):
         ilst = _reference_path(parent.children, "meta", "ilst") if parent is not None else None
         if ilst is not None:
-            encoder = _parent_ilst_encoder(data, ilst.payload_offset, ilst.payload_end)
+            encoder = _reference_ilst_encoder(data, ilst.payload_offset, ilst.payload_end)
             if encoder:
                 break
     return VideoAttributes(
         extension=extension_from_hint(name_hint, profile),
         format_profile=profile,
         codec_id=codec_id,
-        video_format_profile=signal.render() if signal is not None else "",
+        video_format_profile=video_format_profile,
         width=width,
         length=height,
         encoder=encoder,
@@ -1061,140 +1036,6 @@ def test_reference_extraction_covers_the_track_shapes():
         assert _extracted(extract_video_attributes, data) == _extracted(_reference_extract, data)
 
 
-# The flat-walk extraction the nested one replaced, frozen as its parity
-# reference: one flat list of (parent index, raw type, payload offset,
-# payload end) in depth-first pre-order, a {(parent index, raw type): first
-# such child} index, and the ftyp read on every call.  Leaf readers whose
-# bytes did not change are shared.
-_FLAT_ROOT = -1
-
-
-def _flat_walk(data):
-    end = len(data)
-    if end < 8:
-        raise MalformedBox("input shorter than one box header")
-    boxes, first, resume = [], {}, []
-    pos, parent, depth = 0, _FLAT_ROOT, 0
-    while True:
-        while pos < end:
-            remain = end - pos
-            if remain < 8:
-                if data[pos:end].count(0) == remain:
-                    break
-                raise MalformedBox(f"{remain} trailing bytes at offset {pos}, need 8 for a header")
-            size, raw_type = struct.unpack(">I4s", data[pos:pos + 8])
-            header = 8
-            if size < 8:
-                if size == 0:
-                    size = remain
-                elif size == 1:
-                    if remain < 16:
-                        raise TruncatedFile(f"extended size header at offset {pos} exceeds buffer")
-                    size = struct.unpack(">Q", data[pos + 8:pos + 16])[0]
-                    header = 16
-                    if size < 16:
-                        raise MalformedBox(f"extended size {size} at offset {pos} is below header size")
-                else:
-                    raise MalformedBox(f"box size {size} at offset {pos} is below header size")
-            if size > remain:
-                raise TruncatedFile(
-                    f"box {str(raw_type, 'latin-1')!r} at offset {pos} declares {size} bytes, {remain} remain")
-            index = len(boxes)
-            payload_offset = pos + header
-            pos += size
-            boxes.append((parent, raw_type, payload_offset, pos))
-            first.setdefault((parent, raw_type), index)
-            if raw_type in _CONTAINERS:
-                if raw_type == b"meta":
-                    payload_offset += _fullbox_skip(data, payload_offset, pos)
-                if depth >= 32:
-                    raise MalformedBox("box nesting deeper than 32")
-                resume.append((pos, end, parent, depth))
-                pos, end, parent, depth = payload_offset, pos, index, depth + 1
-        if not resume:
-            return boxes, first
-        pos, end, parent, depth = resume.pop()
-
-
-def _flat_children(boxes, parent):
-    for index in range(parent + 1, len(boxes)):
-        owner = boxes[index][0]
-        if owner < parent:
-            return
-        if owner == parent:
-            yield index
-
-
-def _flat_lookup(first, index, *path):
-    for raw_type in path:
-        index = first.get((index, raw_type))
-    return index
-
-
-def _flat_extract(data, name_hint=None):
-    boxes, first = _flat_walk(data)
-    ftyp = first.get((_FLAT_ROOT, b"ftyp"))
-    if ftyp is None:
-        profile, codec_id = FormatProfile.QUICKTIME, "qt"
-    else:
-        offset, end = boxes[ftyp][2:]
-        if end - offset > 4096:
-            raise MalformedBox(f"ftyp payload of {end - offset} bytes exceeds 4096")
-        payload = data[offset:end]
-        if len(payload) < 8:
-            raise MalformedBox("ftyp payload shorter than 8 bytes")
-        text = str(payload, "latin-1")
-        brands = [text[i:i + 4] for i in range(8, len(text) - 3, 4)]
-        profile, codec_id = classify_format_profile(text[:4]), _brand_line(text[:4], brands)
-    moov = first.get((_FLAT_ROOT, b"moov"))
-    if moov is None:
-        raise NoVideoTrack("no moov box")
-    for trak in _flat_children(boxes, moov):
-        if boxes[trak][1] != b"trak":
-            continue
-        mdia = first.get((trak, b"mdia"))
-        hdlr = first.get((mdia, b"hdlr"))
-        if hdlr is not None:
-            if _parse_hdlr_type(data, *boxes[hdlr][2:]) == b"vide":
-                break
-        elif _flat_lookup(first, mdia, b"minf", b"vmhd") is not None:
-            break
-    else:
-        raise NoVideoTrack("no video track in moov")
-    stsd = _flat_lookup(first, mdia, b"minf", b"stbl", b"stsd")
-    entry = _parent_stsd_video_entry(data, *boxes[stsd][2:]) if stsd is not None else None
-    if entry is None:
-        tkhd = first.get((trak, b"tkhd"))
-        fallback = _tkhd_dimensions(data, *boxes[tkhd][2:]) if tkhd is not None else None
-        if fallback is None:
-            raise NoVideoTrack("video track carries no usable dimensions")
-        (width, height), video_format_profile = fallback, ""
-    else:
-        width, height, video_format_profile = entry
-    udta = first.get((moov, b"udta"))
-    markers = frozenset() if udta is None else frozenset(
-        _MARKER_ATOMS.get(boxes[child][1], Marker.MOVIE_MORE)
-        for child in _flat_children(boxes, udta) if boxes[child][1] not in _NON_MARKER_ATOMS)
-    encoder = None
-    for parent in (udta, moov):
-        ilst = _flat_lookup(first, parent, b"meta", b"ilst")
-        if ilst is not None:
-            encoder = _parent_ilst_encoder(data, *boxes[ilst][2:])
-            if encoder:
-                break
-    return VideoAttributes(
-        extension=extension_from_hint(name_hint, profile),
-        format_profile=profile,
-        codec_id=codec_id,
-        video_format_profile=video_format_profile,
-        width=width,
-        length=height,
-        encoder=encoder,
-        markers=markers,
-        byte_size=len(data),
-    )
-
-
 # A buffer and how many of its bytes fall inside the head read when a free
 # box puts it at the end of the head: from past a movie buffer's 20-byte
 # ftyp to all but its last byte, so a movie's moov straddles the head's end.
@@ -1204,17 +1045,15 @@ _split_buffers = (_hostile_buffers | _movie_buffers).flatmap(lambda data: st.tup
 
 @settings(max_examples=300, deadline=None)
 @given(_split_buffers)
-def test_extraction_matches_the_flat_walk_extraction(split):
-    # The same attributes, or the same error class and message, as the flat
-    # walk: over bytes, and over a file view that reads past the head.
+def test_file_view_extraction_matches_the_reference_extraction(split):
+    # The same attributes, or the same error class and message, as the
+    # reference over the buffer and over a file view that reads past the head.
     data, inside = split
-    expected = _extracted(_flat_extract, data)
-    assert _extracted(extract_video_attributes, data) == expected
+    assert _extracted(extract_video_attributes, data) == _extracted(_reference_extract, data)
     padding = HEAD_READ - inside
+    padded = struct.pack(">I", padding) + b"free" + bytes(padding - 8) + data
     with tempfile.TemporaryFile() as file:
-        file.write(struct.pack(">I", padding) + b"free" + bytes(padding - 8) + data)
+        file.write(padded)
         file.flush()
-        size = file.tell()
-        head = os.pread(file.fileno(), HEAD_READ, 0)
-        view = _FileView(file.fileno(), head, size)
-        assert _extracted(extract_video_attributes, view) == _extracted(_flat_extract, view)
+        view = _FileView(file.fileno(), os.pread(file.fileno(), HEAD_READ, 0), len(padded))
+        assert _extracted(extract_video_attributes, view) == _extracted(_reference_extract, padded)

@@ -17,7 +17,6 @@ from mediafp.engine import (
     infer_chain,
     match_image,
     match_video,
-    satisfies_image,
     satisfies_video,
 )
 from mediafp.kb import (
@@ -405,34 +404,129 @@ class TestTracedNames:
         assert 2 <= len(indexed) < len(brute_force_records(kb)["image_records"])
 
 
-class _LinearKb:
-    """A KB whose candidate lookups hand back every video or image record."""
-
+# The matcher written out from its rules, as the reference the indexed
+# matcher must equal, order and fields included.  It checks every record a
+# KB without indexes would (conftest.brute_force_records), each video field
+# on its own rather than through the compiled rows, and builds each
+# Candidate and ChainHypothesis afresh.
+class _Reference:
     def __init__(self, kb):
         self.kb = kb
         records = brute_force_records(kb)
-        self._video = records["video_singles"], records["video_chains"]
+        self.singles, self.chains = records["video_singles"], records["video_chains"]
         self.image_records = records["image_records"]
 
-    def __getattr__(self, name):
-        return getattr(self.kb, name)
+    @staticmethod
+    def satisfies_video(c, attrs):
+        """The matched fields, in field order, or None once a field the record lists excludes the file."""
+        matched = []
+        if c.extensions:
+            if attrs.extension not in c.extensions:
+                return None
+            matched.append("extension")
+        if c.format_profiles:
+            if attrs.format_profile not in c.format_profiles:
+                return None
+            matched.append("format_profile")
+        if c.codec_ids:
+            if attrs.codec_id not in c.codec_ids:
+                return None
+            matched.append("codec_id")
+        if c.video_format_profiles:
+            if attrs.video_format_profile not in c.video_format_profiles:
+                return None
+            matched.append("video_format_profile")
+        if c.resolutions:
+            if (attrs.width, attrs.length) not in c.resolutions:
+                return None
+            matched.append("resolution")
+        if c.encoders:
+            if attrs.encoder not in c.encoders:
+                return None
+            matched.append("encoder")
+        # None allows any markers; a marker list passes only its subsets, and
+        # is evidence for a file that carries some.
+        if c.markers is not None:
+            if not attrs.markers <= frozenset(c.markers):
+                return None
+            if attrs.markers:
+                matched.append("markers")
+        return tuple(matched)
 
-    def video_candidates(self, codec_id, video_format_profile):
-        return self._video
+    @staticmethod
+    def satisfies_image(c, attrs):
+        tol = RESOLUTION_TOLERANCE
+        if any(abs(attrs.width - w) <= tol and abs(attrs.length - l) <= tol for w, l in c.resolutions):
+            return ("resolution",)
+        return None
 
-    def image_candidates(self, width, length):
-        return self.image_records
+    @staticmethod
+    def outcome(candidates, hypotheses, original_like):
+        explanations = {c.app for c in candidates} | {(h.nth_app, h.nplus1_app) for h in hypotheses}
+        if explanations:
+            return Outcome.IDENTIFIED if len(explanations) == 1 else Outcome.NARROWED
+        return Outcome.ORIGINAL_LIKE if original_like else Outcome.UNKNOWN
+
+    def original_like(self, attrs):
+        if isinstance(attrs, ImageAttributes):
+            key = ("width", "length")
+        else:
+            key = ("extension", "format_profile", "codec_id", "video_format_profile", "width", "length")
+        return any(type(o.attributes) is type(attrs)
+                   and all(getattr(o.attributes, name) == getattr(attrs, name) for name in key)
+                   for o in self.kb.originals)
+
+    def infer_chain(self, attrs):
+        hypotheses = []
+        for rec in self.chains:
+            matched = self.satisfies_video(rec.constraints, attrs)
+            if matched is not None:
+                hypotheses.append(ChainHypothesis(rec.nth_app, rec.app, rec.os, rec.quality, matched))
+        return hypotheses
+
+    def match_video(self, attrs, chains=True):
+        # More matched fields first; the sort is stable, so ties keep KB file order.
+        matches = ((rec, self.satisfies_video(rec.constraints, attrs)) for rec in self.singles)
+        candidates = tuple(sorted((Candidate(rec.record_id, rec.app, rec.os, rec.quality, matched)
+                                   for rec, matched in matches if matched is not None),
+                                  key=lambda cand: -len(cand.matched_fields)))
+        hypotheses = tuple(self.infer_chain(attrs)) if chains else ()
+        return engine.Verdict(candidates, self.outcome(candidates, hypotheses, self.original_like(attrs)), hypotheses)
+
+    def match_image(self, attrs):
+        # Every image match is a resolution match, so candidates keep KB file
+        # order; when several match, those whose size band holds the file
+        # replace them, if any does.
+        matched = [rec for rec in self.image_records if self.satisfies_image(rec.constraints, attrs)]
+        candidates = [Candidate(rec.record_id, rec.app, rec.os, rec.quality, ("resolution",)) for rec in matched]
+        if len(matched) > 1:
+            banded = [Candidate(rec.record_id, rec.app, rec.os, rec.quality, ("resolution", "byte_size"))
+                      for rec in matched if rec.constraints.size_band is not None
+                      and abs(attrs.byte_size - rec.constraints.size_band[0]) <= rec.constraints.size_band[1]]
+            candidates = banded or candidates
+        return engine.Verdict(tuple(candidates), self.outcome(candidates, (), self.original_like(attrs)), ())
 
 
 @pytest.fixture(scope="module")
-def linear_kb(kb):
-    return _LinearKb(kb)
+def reference(kb):
+    return _Reference(kb)
 
 
-def _assert_index_is_exact(linear, attrs):
-    kb = linear.kb
-    assert match_video(attrs, kb) == match_video(attrs, linear)
-    assert infer_chain(attrs, kb) == infer_chain(attrs, linear)
+def _assert_video_parity(reference, attrs):
+    kb = reference.kb
+    for chains in (True, False):
+        assert match_video(attrs, kb, chains=chains) == reference.match_video(attrs, chains=chains)
+    assert infer_chain(attrs, kb) == reference.infer_chain(attrs)
+
+
+def _assert_index_is_exact(reference, attrs):
+    # The single-hop and the chain records that match, in the order the index
+    # hands them over, are those a check of every record finds.
+    def hits(records):
+        return [rec for rec in records if reference.satisfies_video(rec.constraints, attrs) is not None]
+
+    indexed = reference.kb.video_candidates(attrs.codec_id, attrs.video_format_profile)
+    assert [hits(records) for records in indexed] == [hits(reference.singles), hits(reference.chains)]
 
 
 _OUTSIDE_CODECS = ("avc1 (avc1/isom)", "")
@@ -544,16 +638,16 @@ class TestCandidateIndex:
     @given(_video_attrs(_SHIPPED["codec_ids"], _SHIPPED["video_format_profiles"],
                         _SHIPPED["resolutions"], _SHIPPED["encoders"]))
     @settings(max_examples=300, deadline=None)
-    def test_shipped_kb(self, linear_kb, attrs):
-        _assert_index_is_exact(linear_kb, attrs)
+    def test_shipped_kb(self, reference, attrs):
+        _assert_index_is_exact(reference, attrs)
 
-    def test_every_shipped_record_against_its_own_fields(self, kb, linear_kb):
+    def test_every_shipped_record_against_its_own_fields(self, kb, reference):
         for rec in _video_records(kb):
             c = rec.constraints
             attrs = video("mp4", FormatProfile.BASE_MEDIA, c.codec_ids[0], c.video_format_profiles[0],
                           *(c.resolutions[0] if c.resolutions else (640, 360)),
                           encoder=c.encoders[0] if c.encoders else None, markers=c.markers or ())
-            _assert_index_is_exact(linear_kb, attrs)
+            _assert_index_is_exact(reference, attrs)
 
     def test_hand_built_kbs_draw_unpinned_resolutions_and_any_markers(self):
         # Records with no resolution row and records that allow any markers
@@ -568,24 +662,22 @@ class TestCandidateIndex:
     @settings(max_examples=150, deadline=None)
     def test_hand_built_kbs_with_wildcards_and_lists(self, data):
         kb = data.draw(_hand_built_kbs())
-        linear = _LinearKb(kb)
+        reference = _Reference(kb)
         for attrs in data.draw(_hand_built_queries(kb)):
-            _assert_index_is_exact(linear, attrs)
+            _assert_index_is_exact(reference, attrs)
 
 
 _T = RESOLUTION_TOLERANCE
 _SIDE = 2 * _T + 1  # the side of the KB's resolution cells
 
 
-def _assert_image_index_is_exact(linear, attrs):
-    kb = linear.kb
-    assert match_image(attrs, kb) == match_image(attrs, linear)
-
+def _assert_image_index_is_exact(reference, attrs):
+    # The records that match, in the order the index hands them over, are
+    # those a check of every record finds.
     def hits(records):
-        return [rec for rec in records if satisfies_image(rec.constraints, attrs) is not None]
+        return [rec for rec in records if reference.satisfies_image(rec.constraints, attrs) is not None]
 
-    # The records that match, in the order the index hands them over.
-    assert hits(kb.image_candidates(attrs.width, attrs.length)) == hits(linear.image_records)
+    assert hits(reference.kb.image_candidates(attrs.width, attrs.length)) == hits(reference.image_records)
 
 
 def _near(coord):
@@ -658,175 +750,69 @@ class TestImageCandidateIndex:
 
     @given(_image_queries(load_kb_path()))
     @settings(max_examples=500, deadline=None)
-    def test_shipped_kb(self, linear_kb, attrs):
-        _assert_image_index_is_exact(linear_kb, attrs)
+    def test_shipped_kb(self, reference, attrs):
+        _assert_image_index_is_exact(reference, attrs)
 
-    def test_every_shipped_resolution_at_every_offset(self, kb, linear_kb):
+    def test_every_shipped_resolution_at_every_offset(self, kb, reference):
         sizes = _band_edge_sizes(kb)
-        for rec in linear_kb.image_records:
+        for rec in reference.image_records:
             for width, length in rec.constraints.resolutions:
                 for dw in range(-_T - 2, _T + 3):
                     for dl in range(-_T - 2, _T + 3):
                         size = sizes[(dw + dl) % len(sizes)]
-                        _assert_image_index_is_exact(linear_kb, ImageAttributes(width + dw, length + dl, size))
+                        _assert_image_index_is_exact(reference, ImageAttributes(width + dw, length + dl, size))
 
     @given(st.data())
     @settings(max_examples=200, deadline=None)
     def test_generated_kbs(self, data):
         kb = data.draw(_image_kbs())
-        linear = _LinearKb(kb)
+        reference = _Reference(kb)
         for attrs in data.draw(st.lists(_image_queries(kb), min_size=1, max_size=10)):
-            _assert_image_index_is_exact(linear, attrs)
-
-
-# The matcher as it was before verdicts shared their evidence and video
-# constraints were checked row by row: a fresh frozen Candidate or
-# ChainHypothesis per match, one written-out check per video field, and
-# image candidates ranked like video ones.  Frozen here as the reference the
-# matcher must equal, order and fields included.
-
-def _ref_satisfies_video(c, attrs):
-    matched = []
-    if c.extensions:
-        if attrs.extension not in c.extensions:
-            return None
-        matched.append("extension")
-    if c.format_profiles:
-        if attrs.format_profile not in c.format_profiles:
-            return None
-        matched.append("format_profile")
-    if c.codec_ids:
-        if attrs.codec_id not in c.codec_ids:
-            return None
-        matched.append("codec_id")
-    if c.video_format_profiles:
-        if attrs.video_format_profile not in c.video_format_profiles:
-            return None
-        matched.append("video_format_profile")
-    if c.resolutions:
-        if (attrs.width, attrs.length) not in c.resolutions:
-            return None
-        matched.append("resolution")
-    if c.encoders:
-        if attrs.encoder not in c.encoders:
-            return None
-        matched.append("encoder")
-    allowed = frozenset(c.markers or ())
-    if c.markers is not None and attrs.markers - allowed:
-        return None
-    if attrs.markers and c.markers is not None and (attrs.markers & allowed):
-        matched.append("markers")
-    return tuple(matched)
-
-
-def _ref_candidate(rec, matched):
-    return Candidate(record_id=rec.record_id, app=rec.app, os=rec.os, quality=rec.quality,
-                     matched_fields=matched)
-
-
-def _ref_rank(pairs, kb):
-    # More matched fields first, ties by position in kb.records.
-    position = {id(rec): i for i, rec in enumerate(kb.records)}
-    pairs.sort(key=lambda rc: (-len(rc[1].matched_fields), position[id(rc[0])]))
-    return [cand for _, cand in pairs]
-
-
-def _ref_disambiguate_by_size(candidates, byte_size, kb):
-    kept = []
-    for cand in candidates:
-        constraints = kb.record(cand.record_id).constraints
-        band = constraints.size_band if isinstance(constraints, ImageConstraints) else None
-        if band is not None and abs(byte_size - band[0]) <= band[1]:
-            kept.append(Candidate(
-                record_id=cand.record_id, app=cand.app, os=cand.os, quality=cand.quality,
-                matched_fields=tuple(dict.fromkeys(cand.matched_fields + ("byte_size",))),
-            ))
-    return kept if kept else candidates
-
-
-def _ref_match_image(attrs, kb):
-    pairs = []
-    for rec in kb.image_candidates(attrs.width, attrs.length):
-        matched = satisfies_image(rec.constraints, attrs)
-        if matched is not None:
-            pairs.append((rec, _ref_candidate(rec, matched)))
-    candidates = _ref_rank(pairs, kb)
-    if len(candidates) > 1:
-        candidates = _ref_disambiguate_by_size(candidates, attrs.byte_size, kb)
-    outcome = classify_outcome(candidates, (), original_like=kb.image_original(attrs) is not None)
-    return engine.Verdict(tuple(candidates), outcome, ())
-
-
-def _ref_infer_chain(attrs, kb):
-    hypotheses = []
-    _, chains = kb.video_candidates(attrs.codec_id, attrs.video_format_profile)
-    for rec in chains:
-        matched = _ref_satisfies_video(rec.constraints, attrs)
-        if matched is not None:
-            hypotheses.append(ChainHypothesis(nth_app=rec.nth_app or "", nplus1_app=rec.app, os=rec.os,
-                                              quality=rec.quality, evidence_fields=matched))
-    return hypotheses
-
-
-def _ref_match_video(attrs, kb, chains=True):
-    pairs = []
-    singles, _ = kb.video_candidates(attrs.codec_id, attrs.video_format_profile)
-    for rec in singles:
-        matched = _ref_satisfies_video(rec.constraints, attrs)
-        if matched is not None:
-            pairs.append((rec, _ref_candidate(rec, matched)))
-    candidates = _ref_rank(pairs, kb)
-    hypotheses = _ref_infer_chain(attrs, kb) if chains else []
-    outcome = classify_outcome(candidates, hypotheses, original_like=kb.video_original(attrs) is not None)
-    return engine.Verdict(tuple(candidates), outcome, tuple(hypotheses))
-
-
-def _assert_video_parity(kb, attrs):
-    for chains in (True, False):
-        assert match_video(attrs, kb, chains=chains) == _ref_match_video(attrs, kb, chains=chains)
-    assert infer_chain(attrs, kb) == _ref_infer_chain(attrs, kb)
+            _assert_image_index_is_exact(reference, attrs)
 
 
 class TestSharedEvidenceParity:
-    """Verdicts built from the KB's shared evidence equal the frozen reference:
+    """Verdicts built from the KB's shared evidence equal the reference's:
     same outcome, candidates and chains in the same order, same matched fields
     and size-band flags."""
 
     @given(_video_attrs(_SHIPPED["codec_ids"], _SHIPPED["video_format_profiles"],
                         _SHIPPED["resolutions"], _SHIPPED["encoders"]))
     @settings(max_examples=300, deadline=None)
-    def test_shipped_kb_videos(self, kb, attrs):
-        _assert_video_parity(kb, attrs)
+    def test_shipped_kb_videos(self, reference, attrs):
+        _assert_video_parity(reference, attrs)
 
     @given(_image_queries(load_kb_path()))
     @settings(max_examples=300, deadline=None)
-    def test_shipped_kb_images(self, kb, attrs):
-        assert match_image(attrs, kb) == _ref_match_image(attrs, kb)
+    def test_shipped_kb_images(self, reference, attrs):
+        assert match_image(attrs, reference.kb) == reference.match_image(attrs)
 
-    def test_shipped_kb_generated_vectors(self, kb):
+    def test_shipped_kb_generated_vectors(self, kb, reference):
         for entry in generate_corpus(kb):
             attrs = entry.attributes
             if entry.media_kind is MediaKind.IMAGE:
                 for size in _band_edge_sizes(kb):
                     sized = dataclasses.replace(attrs, byte_size=size)
-                    assert match_image(sized, kb) == _ref_match_image(sized, kb)
+                    assert match_image(sized, kb) == reference.match_image(sized)
             else:
                 for markers in (attrs.markers, frozenset(), frozenset(Marker)):
-                    _assert_video_parity(kb, dataclasses.replace(attrs, markers=markers))
+                    _assert_video_parity(reference, dataclasses.replace(attrs, markers=markers))
 
     @given(st.data())
     @settings(max_examples=150, deadline=None)
     def test_hand_built_video_kbs(self, data):
         kb = data.draw(_hand_built_kbs())
+        reference = _Reference(kb)
         for attrs in data.draw(_hand_built_queries(kb)):
-            _assert_video_parity(kb, attrs)
+            _assert_video_parity(reference, attrs)
 
     @given(st.data())
     @settings(max_examples=150, deadline=None)
     def test_hand_built_image_kbs(self, data):
         kb = data.draw(_image_kbs())
+        reference = _Reference(kb)
         for attrs in data.draw(st.lists(_image_queries(kb), min_size=1, max_size=10)):
-            assert match_image(attrs, kb) == _ref_match_image(attrs, kb)
+            assert match_image(attrs, kb) == reference.match_image(attrs)
 
 
 def _snapshot(kb):
