@@ -14,12 +14,12 @@ its header or nested too deep fails the whole file, wherever it sits, before
 any field is read.  It gives each box as ``(raw type, payload offset, payload
 end, children)``, where children is the list of a container's own boxes in
 file order and None for a leaf.  Extraction then reads only what the
-fingerprint needs, each step a scan of one container's few children: the
-root ftyp and moov, moov's traks in order, each trak's mdia/hdlr handler (or
-mdia/minf/vmhd), the video trak's mdia/minf/stbl/stsd and tkhd, the children
-of moov/udta, and the ilst under udta/meta, then under moov/meta.  The ftyp
-payload goes straight to the format profile and codec id, once per distinct
-brand list.
+fingerprint needs, each step one ``_first`` scan of one container's few
+children: the root ftyp and moov, moov's traks in order, each trak's
+mdia/hdlr handler (or mdia/minf/vmhd), the video trak's mdia/minf/stbl/stsd
+and tkhd, the children of moov/udta, and the ilst under udta/meta, then
+under moov/meta.  The ftyp payload goes straight to the format profile and
+codec id, once per distinct brand list.
 
 All functions are pure, bounds-checked and never read outside the supplied
 buffer; hostile input fails with one of the declared exceptions below.  The
@@ -30,9 +30,13 @@ calls for.  The boxes inside an stsd sample entry and an ilst are not
 walked: ``_box_run`` reads them for the leaf readers, and a broken header
 there ends the search, not the file.  The two leaf payloads read whole, the
 ftyp brand list and the encoder text, are refused as MalformedBox above
-4 KiB, so no declared size makes a reader slice more than that.  The buffer
-is only sliced and measured by len(), so it may be bytes, a bytearray or a
-view that reads a large file on demand.
+4 KiB, so no declared size makes a reader slice more than that.
+
+The buffer may be bytes, a bytearray, a memoryview, or any view that
+slices into bytes and measures its length with len(), such as one that
+reads a large file on demand; each form gives the same boxes, attributes
+and errors.  The walk reads box headers in place from the three bytes-like
+forms and slices every other view.
 """
 
 from __future__ import annotations
@@ -83,11 +87,20 @@ _MAX_DEPTH = 32
 _MAX_TEXT_PAYLOAD = 4096
 _BOX_HEADER = struct.Struct(">I4s")
 _EXTENDED_SIZE = struct.Struct(">Q")
+# A visual sample entry's size, then its width and height at offsets 32/34.
+_VISUAL_ENTRY = struct.Struct(">I28xHH")
+_TKHD_DIMENSIONS = struct.Struct(">II")
+_BYTES_LIKE = (bytes, bytearray, memoryview)
 
 
 def _decode_fourcc(raw) -> str:
     # latin-1 never fails and round-trips arbitrary bytes, incl. 0xA9 "(c)".
     return str(raw, "latin-1")
+
+
+def _sliced_header(data, pos: int) -> tuple[int, bytes]:
+    # A view that reads on demand gives the header as a slice.
+    return _BOX_HEADER.unpack(data[pos:pos + 8])
 
 
 def _walk(data) -> list[tuple[bytes, int, int, list | None]]:
@@ -103,54 +116,54 @@ def _walk(data) -> list[tuple[bytes, int, int, list | None]]:
     end = len(data)
     if end < 8:
         raise MalformedBox("input shorter than one box header")
+    header_at = _BOX_HEADER.unpack_from if isinstance(data, _BYTES_LIKE) else _sliced_header
     roots: list[tuple[bytes, int, int, list | None]] = []
     boxes = roots
-    # Where to go on in each enclosing container: (pos, end, siblings, depth).
-    resume: list[tuple[int, int, list, int]] = []
-    pos, depth = 0, 0
+    # Where to go on in each enclosing container: (pos, end, siblings).  Its
+    # length is the nesting depth.
+    resume: list[tuple[int, int, list]] = []
+    pos = 0
     while True:
         while pos < end:
-            remain = end - pos
-            if remain < 8:
+            if end - pos < 8:
                 # A short all-zero tail is the classic user-data terminator /
                 # padding; anything else is a broken header.
-                if data[pos:end].count(0) == remain:
+                if not any(data[pos:end]):
                     break
-                raise MalformedBox(f"{remain} trailing bytes at offset {pos}, need 8 for a header")
-            size, raw_type = _BOX_HEADER.unpack(data[pos:pos + 8])
-            header = 8
+                raise MalformedBox(f"{end - pos} trailing bytes at offset {pos}, need 8 for a header")
+            size, raw_type = header_at(data, pos)
+            payload_offset = pos + 8
             if size < 8:
                 if size == 0:
-                    size = remain  # box runs to the end of its container
+                    size = end - pos  # box runs to the end of its container
                 elif size == 1:
-                    if remain < 16:
+                    if end - pos < 16:
                         raise TruncatedFile(f"extended size header at offset {pos} exceeds buffer")
-                    size = _EXTENDED_SIZE.unpack(data[pos + 8:pos + 16])[0]
-                    header = 16
+                    size = _EXTENDED_SIZE.unpack(data[payload_offset:pos + 16])[0]
+                    payload_offset += 8
                     if size < 16:
                         raise MalformedBox(f"extended size {size} at offset {pos} is below header size")
                 else:
                     raise MalformedBox(f"box size {size} at offset {pos} is below header size")
-            if size > remain:
+            if size > end - pos:
                 raise TruncatedFile(
-                    f"box {_decode_fourcc(raw_type)!r} at offset {pos} declares {size} bytes, {remain} remain"
+                    f"box {_decode_fourcc(raw_type)!r} at offset {pos} declares {size} bytes, {end - pos} remain"
                 )
-            payload_offset = pos + header
             pos += size
             if raw_type in _CONTAINERS:
                 children: list = []
                 boxes.append((raw_type, payload_offset, pos, children))
                 if raw_type == b"meta":
                     payload_offset += _fullbox_skip(data, payload_offset, pos)
-                if depth >= _MAX_DEPTH:
+                if len(resume) >= _MAX_DEPTH:
                     raise MalformedBox(f"box nesting deeper than {_MAX_DEPTH}")
-                resume.append((pos, end, boxes, depth))
-                pos, end, boxes, depth = payload_offset, pos, children, depth + 1
+                resume.append((pos, end, boxes))
+                pos, end, boxes = payload_offset, pos, children
             else:
                 boxes.append((raw_type, payload_offset, pos, None))
         if not resume:
             return roots
-        pos, end, boxes, depth = resume.pop()
+        pos, end, boxes = resume.pop()
 
 
 def _box_run(data, pos: int, end: int):
@@ -175,21 +188,12 @@ def _fullbox_skip(data, payload_offset: int, payload_end: int) -> int:
     return 4
 
 
-def _lookup(boxes: list, *path: bytes) -> tuple | None:
-    """The first box of type ``path[0]`` among `boxes`, then the first of
-    ``path[1]`` among its children, and so on; None once one is missing.
-
-    Every type on the path but the last is a container type, so each step
-    scans one container's own children.
-    """
-    for raw_type in path:
-        for box in boxes:
-            if box[0] == raw_type:
-                boxes = box[3]
-                break
-        else:
-            return None
-    return box
+def _first(boxes: list, raw_type: bytes) -> tuple | None:
+    """The first box of type `raw_type` among `boxes`, or None."""
+    for box in boxes:
+        if box[0] == raw_type:
+            return box
+    return None
 
 
 @dataclass(frozen=True)
@@ -301,11 +305,10 @@ def _stsd_video_entry(data, offset: int, stsd_end: int) -> tuple[int, int, str] 
     fields = data[entry:min(entry + 36, stsd_end)]
     if len(fields) < 36:
         return None
-    entry_size = struct.unpack_from(">I", fields)[0]
+    entry_size, width, height = _VISUAL_ENTRY.unpack(fields)
     end = entry + entry_size
     if entry_size < 36 or end > stsd_end:
         return None
-    width, height = struct.unpack_from(">HH", fields, 32)
     profile = ""
     for child_type, payload, child_end in _box_run(data, entry + 86, end):
         if child_type == b"avcC":
@@ -324,7 +327,7 @@ def _tkhd_dimensions(data, offset: int, end: int) -> tuple[int, int] | None:
     field_offset = 88 if payload[:1] == b"\x01" else 76
     if len(payload) < field_offset + 8:
         return None
-    w_fixed, h_fixed = struct.unpack_from(">II", payload, field_offset)
+    w_fixed, h_fixed = _TKHD_DIMENSIONS.unpack_from(payload, field_offset)
     width, height = round(w_fixed / 65536), round(h_fixed / 65536)
     if width < 1 or height < 1:
         return None
@@ -351,7 +354,7 @@ def _ilst_encoder(data, offset: int, end: int) -> str | None:
                 if d_type == b"data" and d_end - payload >= 8:
                     if d_end - payload - 8 > _MAX_TEXT_PAYLOAD:
                         raise MalformedBox(f"encoder text of {d_end - payload - 8} bytes exceeds {_MAX_TEXT_PAYLOAD}")
-                    text = data[payload + 8:d_end].decode("utf-8", errors="replace")
+                    text = str(data[payload + 8:d_end], "utf-8", "replace")
                     return text.rstrip("\x00") or None
             return None
     return None
@@ -381,7 +384,7 @@ def extract_video_attributes(data, name_hint: str | None = None) -> VideoAttribu
     as bare QuickTime.  Raises NoVideoTrack and propagates parser errors.
     """
     roots = _walk(data)
-    ftyp = _lookup(roots, b"ftyp")
+    ftyp = _first(roots, b"ftyp")
     if ftyp is None:
         profile, codec_id = FormatProfile.QUICKTIME, "qt"
     else:
@@ -390,7 +393,7 @@ def extract_video_attributes(data, name_hint: str | None = None) -> VideoAttribu
             raise MalformedBox(f"ftyp payload of {end - offset} bytes exceeds {_MAX_TEXT_PAYLOAD}")
         profile, codec_id = _ftyp_signal(bytes(data[offset:end]))
 
-    moov = _lookup(roots, b"moov")
+    moov = _first(roots, b"moov")
     if moov is None:
         raise NoVideoTrack("no moov box")
     for trak in moov[3]:
@@ -398,22 +401,24 @@ def extract_video_attributes(data, name_hint: str | None = None) -> VideoAttribu
             continue
         # The first mdia's hdlr names the handler; without one, a vmhd
         # (video media header) marks a video track.
-        mdia = _lookup(trak[3], b"mdia")
+        mdia = _first(trak[3], b"mdia")
         if mdia is None:
             continue
-        hdlr = _lookup(mdia[3], b"hdlr")
+        hdlr = _first(mdia[3], b"hdlr")
+        minf = _first(mdia[3], b"minf")
         if hdlr is not None:
             if _parse_hdlr_type(data, hdlr[1], hdlr[2]) == b"vide":
                 break
-        elif _lookup(mdia[3], b"minf", b"vmhd") is not None:
+        elif minf is not None and _first(minf[3], b"vmhd") is not None:
             break
     else:
         raise NoVideoTrack("no video track in moov")
 
-    stsd = _lookup(mdia[3], b"minf", b"stbl", b"stsd")
+    stbl = minf and _first(minf[3], b"stbl")
+    stsd = stbl and _first(stbl[3], b"stsd")
     entry = _stsd_video_entry(data, stsd[1], stsd[2]) if stsd is not None else None
     if entry is None:
-        tkhd = _lookup(trak[3], b"tkhd")
+        tkhd = _first(trak[3], b"tkhd")
         fallback = _tkhd_dimensions(data, tkhd[1], tkhd[2]) if tkhd is not None else None
         if fallback is None:
             raise NoVideoTrack("video track carries no usable dimensions")
@@ -422,26 +427,18 @@ def extract_video_attributes(data, name_hint: str | None = None) -> VideoAttribu
     else:
         width, height, video_format_profile = entry
 
-    udta = _lookup(moov[3], b"udta")
+    udta = _first(moov[3], b"udta")
     markers = frozenset() if udta is None else frozenset(
         _MARKER_ATOMS.get(child[0], Marker.MOVIE_MORE) for child in udta[3] if child[0] not in _NON_MARKER_ATOMS
     )
     encoder = None
     for parent in (udta, moov):
-        ilst = _lookup(parent[3], b"meta", b"ilst") if parent is not None else None
+        meta = _first(parent[3], b"meta") if parent is not None else None
+        ilst = meta and _first(meta[3], b"ilst")
         if ilst is not None:
             encoder = _ilst_encoder(data, ilst[1], ilst[2])
             if encoder:
                 break
 
-    return VideoAttributes(
-        extension=extension_from_hint(name_hint, profile),
-        format_profile=profile,
-        codec_id=codec_id,
-        video_format_profile=video_format_profile,
-        width=width,
-        length=height,
-        encoder=encoder,
-        markers=markers,
-        byte_size=len(data),
-    )
+    return VideoAttributes(extension_from_hint(name_hint, profile), profile, codec_id, video_format_profile,
+                           width, height, encoder, markers, len(data))

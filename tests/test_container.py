@@ -1,6 +1,7 @@
 import os
 import struct
 import tempfile
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
 import pytest
@@ -94,6 +95,27 @@ class TestBoxTree:
     def test_unknown_box_skipped_not_recursed(self):
         data = box(b"wxyz", box(b"trak", b""))
         assert _walk(data) == [(b"wxyz", 8, 16, None)]
+
+    @pytest.mark.parametrize("levels,refused", [(32, False), (33, True)])
+    def test_nesting_limit(self, levels, refused):
+        data = b""
+        for _ in range(levels):
+            data = box(b"moov", data)
+        if refused:
+            with pytest.raises(MalformedBox, match="^box nesting deeper than 32$"):
+                _walk(data)
+        else:
+            assert len(_walk(data)) == 1
+        assert _outcome(_walk, data) == _outcome(_reference_boxes, data)
+
+    @pytest.mark.parametrize("tail,expected", [
+        (b"\x00" * 3, [(b"free", 8, 8, None)]),
+        (b"\x00\x01\x00", (MalformedBox, "3 trailing bytes at offset 8, need 8 for a header")),
+    ])
+    def test_short_tail_of_a_memoryview(self, tail, expected):
+        data = box(b"free", b"") + tail
+        assert _outcome(_walk, data) == expected
+        assert _outcome(_walk, memoryview(data)) == expected
 
 
 def _ftyp(data):
@@ -236,6 +258,12 @@ class TestExtraction:
     def test_no_user_data_no_markers(self):
         attrs = extract_video_attributes(synthesize_container(discord_attrs()))
         assert attrs.markers == frozenset()
+
+    def test_memoryview_encoder_reads_like_bytes(self):
+        data = synthesize_container(replace(discord_attrs(), encoder="Lavf58.20.100"))
+        attrs = extract_video_attributes(memoryview(data), name_hint="clip.mov")
+        assert attrs == extract_video_attributes(data, name_hint="clip.mov")
+        assert attrs.encoder == "Lavf58.20.100"
 
     def test_constraint_suffix_round_trip(self):
         base = VideoAttributes(
@@ -484,10 +512,11 @@ _hostile_buffers = st.builds(
 @given(_hostile_buffers)
 def test_hostile_box_trees_raise_only_declared_errors(data):
     for parse in (_walk, lambda d: extract_video_attributes(d, name_hint="g.mp4")):
-        try:
-            parse(data)
-        except ParseError:
-            pass
+        for form in (data, memoryview(data)):
+            try:
+                parse(form)
+            except ParseError:
+                pass
 
 
 # A plain box walk, kept as the reference the walk under test must match:
@@ -577,14 +606,32 @@ def _outcome(walk, data):
         return type(exc), str(exc)
 
 
+def _with_head(buffers):
+    """Each buffer with how many of its first bytes a file view holds in hand."""
+    return buffers.flatmap(lambda data: st.tuples(st.just(data), st.integers(min_value=0, max_value=len(data))))
+
+
+@contextmanager
+def _buffer_forms(data, head):
+    """The buffer as bytes, a bytearray and a memoryview, whose box headers
+    the walk reads in place, and as a file view holding its first `head`
+    bytes and reading the rest on demand, which the walk slices."""
+    with tempfile.TemporaryFile() as file:
+        file.write(data)
+        file.flush()
+        yield data, bytearray(data), memoryview(data), _FileView(file.fileno(), data[:head], len(data))
+
+
 @settings(max_examples=500, deadline=None)
-@given(_hostile_buffers)
-def test_box_walk_matches_the_reference_walk(data):
+@given(_with_head(_hostile_buffers))
+def test_box_walk_matches_the_reference_walk(headed):
     # Node for node (type, offsets, children), or the same error class and
-    # message.
+    # message, whatever form the buffer takes.
+    data, head = headed
     expected = _outcome(_reference_boxes, data)
-    assert _outcome(_walk, data) == expected
-    assert _outcome(_walk, bytearray(data)) == expected
+    with _buffer_forms(data, head) as forms:
+        for form in forms:
+            assert _outcome(_walk, form) == expected
 
 
 @settings(max_examples=300, deadline=None)
@@ -1004,13 +1051,15 @@ _movie_buffers = st.builds(_hostile_buffer, st.just((b"isom", [b"isom"])), _movi
 
 
 @settings(max_examples=400, deadline=None)
-@given(st.one_of(_hostile_buffers, _movie_buffers, _video_attributes().map(_synthesized)))
-def test_extraction_matches_the_reference_extraction(data):
+@given(_with_head(st.one_of(_hostile_buffers, _movie_buffers, _video_attributes().map(_synthesized))))
+def test_extraction_matches_the_reference_extraction(headed):
     # The same attributes, or the same error class and message, as the
-    # tree-based extraction, over bytes and over a bytearray.
+    # tree-based extraction, whatever form the buffer takes.
+    data, head = headed
     expected = _extracted(_reference_extract, data)
-    assert _extracted(extract_video_attributes, data) == expected
-    assert _extracted(extract_video_attributes, bytearray(data)) == expected
+    with _buffer_forms(data, head) as forms:
+        for form in forms:
+            assert _extracted(extract_video_attributes, form) == expected
 
 
 def test_reference_extraction_covers_the_track_shapes():

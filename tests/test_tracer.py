@@ -1,0 +1,52 @@
+"""The benchmark's tracer reaches every layer of an in-process scan.
+
+``perfbench/tracer.py`` wraps the package's functions by rebinding the names
+their callers resolve at call time, and reports 0 calls for a name it
+cannot reach.  A caller that binds one of them locally, say an extractor
+imported into ``report`` by name, would zero that layer's metrics without
+failing a benchmark run, so these counts must stay above 0.
+"""
+
+import dataclasses
+import importlib.util
+from pathlib import Path
+
+from click.testing import CliRunner
+
+from mediafp.cli import main
+from mediafp.oracle import expected_attributes, synthesize_container
+
+from conftest import make_jpeg
+
+TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def _tracer_module():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_scan_reaches_every_layer(tmp_path, kb):
+    # One relay video, two videos of one vector (matched once between
+    # them), and a JPEG whose resolution several size-banded records share.
+    relay = expected_attributes(kb.record("t12-kakaotalk"))
+    discord = expected_attributes(kb.record("t7-discord-default"))
+    (tmp_path / "relay.mp4").write_bytes(synthesize_container(relay))
+    for copy in range(2):
+        attrs = dataclasses.replace(discord, byte_size=8192 + 512 * copy)
+        (tmp_path / f"discord-{copy}.mov").write_bytes(synthesize_container(attrs))
+    (tmp_path / "photo.jpg").write_bytes(make_jpeg(720, 960, total_size=100_000))
+
+    tracer = _tracer_module()
+    with tracer.Tracer() as trace:
+        result = CliRunner().invoke(main, ["scan", str(tmp_path)])
+    assert result.exit_code == 0, result.output
+    calls = {name: row["calls"] for name, row in tracer.aggregate(trace.spans).items()}
+    assert calls.get("report.scan_file") == 4
+    assert calls.get("container.extract_video_attributes") == 3
+    assert calls.get("jpeg.extract_image_attributes") == 1
+    assert calls.get("engine.infer_chain") == 2  # once per distinct video vector
+    assert calls.get("engine.disambiguate_by_size", 0) > 0
+    assert trace.counts["engine.satisfies_video.calls"] > 0
