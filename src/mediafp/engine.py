@@ -18,6 +18,7 @@ to the KB.
 from __future__ import annotations
 
 import enum
+from bisect import bisect_right
 from dataclasses import dataclass, fields
 from operator import attrgetter
 
@@ -144,6 +145,20 @@ def match_image(attrs: ImageAttributes, kb: KnowledgeBase) -> Verdict:
     return Verdict(tuple(candidates), outcome, ())
 
 
+def image_verdict_key(attrs: ImageAttributes, kb: KnowledgeBase) -> tuple[int, int, int]:
+    """What match_image reads of an image: its resolution, and which interval
+    between ``kb.image_band_edges`` its byte size falls in.
+
+    ``satisfies_image``, the cell lookup and ``image_original`` read only
+    width and length.  ``disambiguate_by_size`` reads the byte size only
+    through ``abs(size - c) <= t``, which holds exactly on the half-open
+    interval ``[c - t, c + t + 1)``, so every band holds all of an interval
+    between consecutive edges or none of it.  So two images with equal keys
+    get equal verdicts from ``kb``.
+    """
+    return attrs.width, attrs.length, bisect_right(kb.image_band_edges, attrs.byte_size)
+
+
 def infer_chain(attrs: VideoAttributes, kb: KnowledgeBase) -> list[ChainHypothesis]:
     """All (N-th, N+1st) relay paths consistent with the attributes."""
     _, chains = kb.video_candidates(attrs.codec_id, attrs.video_format_profile)
@@ -176,5 +191,5 @@ __all__ = [
     "Outcome", "Candidate", "ChainHypothesis", "Verdict",
     "satisfies_video", "satisfies_image", "disambiguate_by_size",
     "classify_outcome", "match_image", "match_video", "infer_chain",
-    "video_verdict_key", "RESOLUTION_TOLERANCE",
+    "image_verdict_key", "video_verdict_key", "RESOLUTION_TOLERANCE",
 ]

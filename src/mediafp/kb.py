@@ -237,9 +237,10 @@ class KnowledgeBase:
     ``image_candidates`` narrows the image records to those listed in the
     resolution's cell of a square grid.  ``image_original`` and
     ``video_original`` look up the camera original whose own attribute
-    vector has the file's key fields, each with one dict lookup.  Neither the
-    records nor the indexes change after construction, so a KB is safe to
-    share between threads.
+    vector has the file's key fields, each with one dict lookup.
+    ``image_band_edges`` holds, sorted, the edges of the size bands of the
+    image records that can match.  Neither the records nor the indexes
+    change after construction, so a KB is safe to share between threads.
     """
 
     records: tuple[FingerprintRecord, ...]
@@ -255,6 +256,7 @@ class KnowledgeBase:
         init=False, repr=False, compare=False)
     _image_cells: dict[tuple[int, int], tuple[FingerprintRecord, ...]] = field(
         init=False, repr=False, compare=False)
+    image_band_edges: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         by_id: dict[str, FingerprintRecord] = {}
@@ -303,6 +305,7 @@ class KnowledgeBase:
             "_video_originals": video_originals,
             "_video_index": _compile_video_index(singles, chains),
             "_image_cells": _compile_image_cells(images),
+            "image_band_edges": _compile_band_edges(images),
         }
         for name, value in compiled.items():
             object.__setattr__(self, name, value)
@@ -394,6 +397,14 @@ def _compile_image_cells(records: list[FingerprintRecord]) -> dict[tuple[int, in
         for key in keys:
             cells.setdefault(key, []).append(rec)
     return {key: tuple(cell) for key, cell in cells.items()}
+
+
+def _compile_band_edges(records: list[FingerprintRecord]) -> tuple[int, ...]:
+    """The sorted edges of every size band: a band (c, t) holds the sizes in
+    [c - t, c + t + 1), so membership in every band is constant between
+    consecutive edges."""
+    bands = [rec.constraints.size_band for rec in records if rec.constraints.size_band]
+    return tuple(sorted({edge for c, t in bands for edge in (c - t, c + t + 1)}))
 
 
 _GROUP_RE = re.compile(r"^t(\d+)$")

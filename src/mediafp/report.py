@@ -17,11 +17,13 @@ that holds it.
 
 A video verdict never reads the file's byte size, so files with the same
 video attribute vector in every other field get the same verdict
-(``engine.video_verdict_key``).  ``scan_file(..., verdicts=memo)`` matches
-each such vector once per memo and ``chains`` value, and hands the one
-frozen ``Verdict`` to every file that has it; ``mediafp scan`` keeps one
-memo per invocation.  Image verdicts read the byte size through the size
-bands and are matched per file.
+(``engine.video_verdict_key``).  An image verdict reads the resolution, and
+the byte size only through the size bands that hold it, so images with one
+resolution and a byte size in one interval between band edges get the same
+verdict (``engine.image_verdict_key``).  ``scan_file(..., verdicts=memo)``
+matches each such video vector once per memo and ``chains`` value, and each
+such image class once per memo, and hands the one frozen ``Verdict`` to
+every file that has it; ``mediafp scan`` keeps one memo per invocation.
 """
 
 from __future__ import annotations
@@ -34,7 +36,9 @@ from stat import S_ISDIR, S_ISREG
 
 from . import container, jpeg
 from .attributes import ImageAttributes, MediaKind, VideoAttributes
-from .engine import Candidate, ChainHypothesis, Verdict, match_image, match_video, video_verdict_key
+from .engine import (
+    Candidate, ChainHypothesis, Verdict, image_verdict_key, match_image, match_video, video_verdict_key,
+)
 from .kb import KnowledgeBase
 
 SCHEMA_VERSION = 1
@@ -107,7 +111,8 @@ def scan_file(path: str | os.PathLike[str], kb: KnowledgeBase, chains: bool = Tr
     """Parse and match one file, named by a str or path-like; parse and I/O failures become per-file errors.
 
     ``verdicts``, when given, memoizes video verdicts by ``chains`` and
-    ``engine.video_verdict_key`` (see the module docstring).  It belongs to
+    ``engine.video_verdict_key``, and image verdicts by
+    ``engine.image_verdict_key`` (see the module docstring).  It belongs to
     one KB: pass it only with the ``kb`` of every call that filled it.
     Without it, a call matches against a memo of its own.
     """
@@ -134,14 +139,15 @@ def scan_file(path: str | os.PathLike[str], kb: KnowledgeBase, chains: bool = Tr
             data = _FileView(fd, head, size) if len(head) == want < size else head
             if kind is MediaKind.IMAGE:
                 attrs: VideoAttributes | ImageAttributes = jpeg.extract_image_attributes(data)
-                verdict = match_image(attrs, kb)
+                key: tuple = image_verdict_key(attrs, kb)
             else:
                 attrs = container.extract_video_attributes(data, name_hint=os.path.basename(path))
-                memo = {} if verdicts is None else verdicts
                 key = (chains, video_verdict_key(attrs))
-                verdict = memo.get(key)
-                if verdict is None:
-                    verdict = memo[key] = match_video(attrs, kb, chains=chains)
+            memo = {} if verdicts is None else verdicts
+            verdict = memo.get(key)
+            if verdict is None:
+                verdict = memo[key] = (match_image(attrs, kb) if kind is MediaKind.IMAGE
+                                       else match_video(attrs, kb, chains=chains))
         finally:
             os.close(fd)
     except (container.ParseError, jpeg.JpegError, OSError) as exc:

@@ -123,8 +123,10 @@ _SUFFIXES = {"mp4": "mp4", "MOV": "mov", "other": "3gp"}
 def write_repeated_vectors(root, kb, copies=3):
     """Write each KB-generated video vector that a container can hold
     ``copies`` times under ``root``, each copy padded to its own byte size,
-    and two JPEGs; return the paths, as strings, in sorted order.  A scan's
-    verdict memo shares one verdict between the copies of a vector."""
+    and four 720x960 JPEGs, two sizes inside the ``100000 +- 10000`` band
+    and two past its upper edge; return the paths, as strings, in sorted
+    order.  A scan's verdict memo shares one verdict between the
+    copies of a vector and between the JPEGs of one interval."""
     paths = []
     for entry in generate_corpus(kb):
         if entry.media_kind is not MediaKind.VIDEO:
@@ -138,7 +140,8 @@ def write_repeated_vectors(root, kb, copies=3):
             path = root / f"{entry.record_id}-{copy}.{_SUFFIXES[attrs.extension]}"
             path.write_bytes(data)
             paths.append(str(path))
-    for name, size in (("photo-a.jpg", 100_000), ("photo-b.jpg", 120_000)):
+    for name, size in (("photo-a.jpg", 100_000), ("photo-a2.jpg", 105_000),
+                       ("photo-b.jpg", 120_000), ("photo-b2.jpg", 125_000)):
         (root / name).write_bytes(make_jpeg(720, 960, total_size=size))
         paths.append(str(root / name))
     return sorted(paths)

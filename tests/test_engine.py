@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import pickle
+from bisect import bisect_right
 
 import pytest
 from hypothesis import find, given, settings, strategies as st
@@ -14,6 +15,7 @@ from mediafp.engine import (
     Outcome,
     classify_outcome,
     disambiguate_by_size,
+    image_verdict_key,
     infer_chain,
     match_image,
     match_video,
@@ -769,6 +771,77 @@ class TestImageCandidateIndex:
         reference = _Reference(kb)
         for attrs in data.draw(st.lists(_image_queries(kb), min_size=1, max_size=10)):
             _assert_image_index_is_exact(reference, attrs)
+
+
+def _band_edges(kb):
+    """Both edges of every size band an image match can reach, found
+    from the records rather than from the KB's index."""
+    bands = {rec.constraints.size_band for rec in _image_records(kb) if rec.constraints.size_band is not None}
+    return sorted({edge for center, tol in bands for edge in (center - tol, center + tol + 1)})
+
+
+def _assert_interval_shares_the_verdict(kb, attrs, draw):
+    """``attrs`` at another byte size, drawn from the interval between band
+    edges its own size falls in, has its key and its verdict."""
+    edges = kb.image_band_edges
+    i = bisect_right(edges, attrs.byte_size)
+    low = max(edges[i - 1] if i else 4, 4)  # a band may reach below the least byte size
+    high = edges[i] - 1 if i < len(edges) else attrs.byte_size + 10**9
+    other = dataclasses.replace(attrs, byte_size=draw(st.integers(low, high)))
+    assert image_verdict_key(other, kb) == image_verdict_key(attrs, kb)
+    assert match_image(other, kb) == match_image(attrs, kb)
+
+
+def _assert_equal_keys_give_equal_verdicts(kb, queries):
+    verdicts = {}
+    for attrs in queries:
+        verdict = match_image(attrs, kb)
+        assert verdicts.setdefault(image_verdict_key(attrs, kb), verdict) == verdict, attrs
+
+
+# Both sides of each tolerance border and the centre, up to T + 2 away.
+_SHIFTS = (-_T - 2, -_T - 1, -_T, 0, _T, _T + 1, _T + 2)
+
+
+class TestImageVerdictKey:
+    """Two images with equal ``image_verdict_key`` get equal verdicts, so a
+    scan may match each key once."""
+
+    def test_the_key_is_the_resolution_and_the_band_interval(self, kb):
+        attrs = ImageAttributes(720, 960, 98_000)
+        assert image_verdict_key(attrs, kb) == (720, 960, bisect_right(kb.image_band_edges, 98_000))
+        assert kb.image_band_edges == tuple(_band_edges(kb))
+
+    def test_every_band_edge_changes_the_key(self, kb):
+        for edge in kb.image_band_edges:
+            below, at = (image_verdict_key(ImageAttributes(720, 960, size), kb) for size in (edge - 1, edge))
+            assert below != at, edge
+            assert image_verdict_key(ImageAttributes(720, 960, edge + 1), kb) == at
+
+    def test_every_shipped_resolution_near_each_band_edge(self, kb):
+        resolutions = {res for rec in _image_records(kb) for res in rec.constraints.resolutions}
+        resolutions |= {(o.attributes.width, o.attributes.length) for o in kb.originals
+                        if o.media_kind is MediaKind.IMAGE}
+        sizes = sorted({edge + d for edge in kb.image_band_edges for d in (-1, 0, 1)} | {4, 10**8})
+        for width, length in sorted(resolutions):
+            for dw in _SHIFTS:
+                for dl in _SHIFTS:
+                    _assert_equal_keys_give_equal_verdicts(
+                        kb, [ImageAttributes(width + dw, length + dl, size) for size in sizes])
+
+    @given(st.data(), _image_queries(load_kb_path()), st.integers(4, 10**7))
+    @settings(max_examples=500, deadline=None)
+    def test_shipped_kb_random_sizes(self, kb, data, attrs, size):
+        for query in (attrs, dataclasses.replace(attrs, byte_size=size)):
+            _assert_interval_shares_the_verdict(kb, query, data.draw)
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_generated_kbs(self, data):
+        kb = data.draw(_image_kbs())
+        assert kb.image_band_edges == tuple(_band_edges(kb))
+        for attrs in data.draw(st.lists(_image_queries(kb), min_size=1, max_size=10)):
+            _assert_interval_shares_the_verdict(kb, attrs, data.draw)
 
 
 class TestSharedEvidenceParity:

@@ -1,4 +1,5 @@
-"""Pinned reports of ``mediafp scan`` over the seed-1 benchmark trees.
+"""Pinned reports of ``mediafp scan`` over the seed-1 benchmark trees, and
+``mediafp kb`` output that must not depend on the hash seed.
 
 The three trees are built once per session by ``perfbench/workloads.py``
 (about 290 MB, removed at the end of the session), so these pins follow the
@@ -51,13 +52,23 @@ def _limit_open_files():
     resource.setrlimit(resource.RLIMIT_NOFILE, (MAX_OPEN_FILES, MAX_OPEN_FILES))
 
 
-def _scan(args, hash_seed, cwd=None, limit_open_files=False):
+def _mediafp(args, hash_seed, cwd=None, limit_open_files=False):
     src = str(ROOT / "src")
     path = os.pathsep.join([src, os.environ["PYTHONPATH"]]) if os.environ.get("PYTHONPATH") else src
     env = dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=str(hash_seed))
-    return subprocess.run([sys.executable, "-c", "from mediafp.cli import main; main()", "scan", *args],
+    return subprocess.run([sys.executable, "-c", "from mediafp.cli import main; main()", *args],
                           cwd=cwd, env=env, capture_output=True,
                           preexec_fn=_limit_open_files if limit_open_files else None)
+
+
+@pytest.mark.parametrize("command", ["validate", "list"])
+def test_kb_output_does_not_depend_on_the_hash_seed(command):
+    # validate groups records by a hashed key, and list prints fields the
+    # records derive.
+    first, second = (_mediafp(["kb", command], hash_seed=seed) for seed in (0, 1))
+    for result in (first, second):
+        assert result.returncode == 0, result.stderr.decode(errors="replace")
+    assert first.stdout and first.stdout == second.stdout
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
@@ -65,9 +76,9 @@ def _scan(args, hash_seed, cwd=None, limit_open_files=False):
 def test_reports_do_not_depend_on_the_hash_seed(trees, workload, fmt):
     # Two renderings in one process share one hash seed, so set or dict order
     # that follows PYTHONHASHSEED shows only across processes.
-    args = [str(trees / workload / "tree"), "--format", fmt]
-    first = _scan(args, hash_seed=0)
-    second = _scan(args, hash_seed=1, limit_open_files=True)
+    args = ["scan", str(trees / workload / "tree"), "--format", fmt]
+    first = _mediafp(args, hash_seed=0)
+    second = _mediafp(args, hash_seed=1, limit_open_files=True)
     for result in (first, second):
         assert result.returncode == EXIT_STATUS[workload], result.stderr.decode(errors="replace")
     assert first.stdout == second.stdout
@@ -75,6 +86,6 @@ def test_reports_do_not_depend_on_the_hash_seed(trees, workload, fmt):
 
 @pytest.mark.parametrize("workload,fmt,options,sha256", PINS)
 def test_scan_inside_the_tree_gives_the_pinned_report(trees, workload, fmt, options, sha256):
-    result = _scan([".", *options, "--format", fmt], hash_seed=0, cwd=trees / workload / "tree")
+    result = _mediafp(["scan", ".", *options, "--format", fmt], hash_seed=0, cwd=trees / workload / "tree")
     assert result.returncode == EXIT_STATUS[workload], result.stderr.decode(errors="replace")
     assert hashlib.sha256(result.stdout).hexdigest() == sha256

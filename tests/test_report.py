@@ -14,7 +14,9 @@ from mediafp.attributes import (
     EXTENSIONS, OS, FormatProfile, ImageAttributes, Marker, MediaKind, VideoAttributes,
 )
 from mediafp.container import ParseError, extract_video_attributes
-from mediafp.engine import Candidate, ChainHypothesis, Outcome, Verdict, match_video, video_verdict_key
+from mediafp.engine import (
+    Candidate, ChainHypothesis, Outcome, Verdict, image_verdict_key, match_video, video_verdict_key,
+)
 from mediafp.jpeg import NoFrameHeader, extract_image_attributes
 from mediafp.kb import KnowledgeBase
 from mediafp.oracle import expected_attributes, generate_corpus, synthesize_container
@@ -357,7 +359,8 @@ class TestTracedNames:
 
 class TestVerdictMemo:
     """``scan_file(..., verdicts=memo)`` matches each video vector but its
-    byte size once per memo and shares that frozen verdict."""
+    byte size, and each image resolution and size-band interval, once per
+    memo and shares that frozen verdict."""
 
     def test_the_key_is_every_field_but_byte_size(self):
         attrs = VideoAttributes("mp4", FormatProfile.BASE_MEDIA, "isom (isom/mp42)", "High@L4", 1280, 720,
@@ -387,11 +390,31 @@ class TestVerdictMemo:
         for r in reports:
             assert r.verdict == scan_file(r.path, kb).verdict
             if r.media_kind is MediaKind.VIDEO:
-                by_key.setdefault((True, video_verdict_key(r.attributes)), []).append(r)
+                key = (True, video_verdict_key(r.attributes))
+            else:
+                key = image_verdict_key(r.attributes, kb)
+            by_key.setdefault(key, []).append(r)
+        assert sum(r.media_kind is MediaKind.IMAGE for r in reports) == 4
         assert len(memo) == len(by_key) < len(reports)
         for key, group in by_key.items():
             assert len({r.attributes.byte_size for r in group}) > 1
             assert all(r.verdict is memo[key] for r in group)
+
+    def test_images_share_a_verdict_within_a_size_band_interval(self, tmp_path, kb):
+        # 720x960 is shared by records told apart by their size bands:
+        # 100000 +- 10000 (KakaoTalk) and 50000 +- 10000 (Facebook).
+        sizes = {"kakao-a.jpg": 98_000, "kakao-b.jpg": 91_000, "facebook.jpg": 52_000}
+        memo = {}
+        scanned = {}
+        for name, size in sizes.items():
+            (tmp_path / name).write_bytes(make_jpeg(720, 960, total_size=size))
+            scanned[name] = scan_file(tmp_path / name, kb, verdicts=memo)
+            assert scanned[name].attributes.byte_size == size
+            assert scanned[name].verdict == scan_file(tmp_path / name, kb).verdict
+        assert scanned["kakao-a.jpg"].verdict is scanned["kakao-b.jpg"].verdict
+        assert {c.app for c in scanned["kakao-a.jpg"].verdict.candidates} == {"KakaoTalk"}
+        assert {c.app for c in scanned["facebook.jpg"].verdict.candidates} == {"Facebook"}
+        assert len(memo) == 2
 
     def test_other_extension_or_encoder_gets_its_own_verdict(self, tmp_path, kb):
         attrs = expected_attributes(kb.record("t7-instagram-default"))

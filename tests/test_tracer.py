@@ -30,23 +30,26 @@ def _tracer_module():
 
 def test_traced_scan_reaches_every_layer(tmp_path, kb):
     # One relay video, two videos of one vector (matched once between
-    # them), and a JPEG whose resolution several size-banded records share.
+    # them), and two JPEGs of a resolution several size-banded records
+    # share, with sizes in one band interval (matched once between them).
     relay = expected_attributes(kb.record("t12-kakaotalk"))
     discord = expected_attributes(kb.record("t7-discord-default"))
     (tmp_path / "relay.mp4").write_bytes(synthesize_container(relay))
     for copy in range(2):
         attrs = dataclasses.replace(discord, byte_size=8192 + 512 * copy)
         (tmp_path / f"discord-{copy}.mov").write_bytes(synthesize_container(attrs))
-    (tmp_path / "photo.jpg").write_bytes(make_jpeg(720, 960, total_size=100_000))
+    for name, size in (("photo.jpg", 100_000), ("photo-2.jpg", 105_000)):
+        (tmp_path / name).write_bytes(make_jpeg(720, 960, total_size=size))
 
     tracer = _tracer_module()
     with tracer.Tracer() as trace:
         result = CliRunner().invoke(main, ["scan", str(tmp_path)])
     assert result.exit_code == 0, result.output
     calls = {name: row["calls"] for name, row in tracer.aggregate(trace.spans).items()}
-    assert calls.get("report.scan_file") == 4
+    assert calls.get("report.scan_file") == 5
     assert calls.get("container.extract_video_attributes") == 3
-    assert calls.get("jpeg.extract_image_attributes") == 1
+    assert calls.get("jpeg.extract_image_attributes") == 2
     assert calls.get("engine.infer_chain") == 2  # once per distinct video vector
+    assert calls.get("engine.match_image") == 1  # once per distinct image class
     assert calls.get("engine.disambiguate_by_size", 0) > 0
     assert trace.counts["engine.satisfies_video.calls"] > 0
