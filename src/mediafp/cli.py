@@ -33,6 +33,26 @@ def _load_kb(kb_path: str | None) -> kb_mod.KnowledgeBase:
         _fail(exc)
 
 
+def _write_report(text: str) -> None:
+    """Write a report to standard output as its UTF-8 bytes.
+
+    The bytes are the same on a terminal, in a pipe and under any locale:
+    ``click.echo(str)`` would strip ANSI sequences from what is not a
+    terminal and encode with the locale's codec, which fails on a path it
+    cannot encode.  A stdout with no binary buffer, such as an in-process
+    caller's ``io.StringIO``, gets the text.
+    """
+    stdout = sys.stdout
+    binary = getattr(stdout, "buffer", None)
+    if binary is None:
+        stdout.write(text)
+        stdout.flush()
+        return
+    stdout.flush()
+    binary.write(text.encode("utf-8"))
+    binary.flush()
+
+
 def _files_under(root: str) -> list[str]:
     """Every file below ``root``, as the path string ``str(Path(directory) / name)`` gives.
 
@@ -96,6 +116,9 @@ def scan(paths: tuple[Path, ...], fmt: str, kb_path: str | None,
          chains: bool, timestamps: bool) -> None:
     """Fingerprint every file under PATHS and report verdicts.
 
+    The report goes to standard output as UTF-8 bytes, the same on a
+    terminal or a pipe and under any locale.
+
     Exit status: 0 when every file parsed (Unknown verdicts included),
     1 when any file failed to parse, 2 on bad invocation.
     """
@@ -109,7 +132,7 @@ def scan(paths: tuple[Path, ...], fmt: str, kb_path: str | None,
     verdicts: dict = {}
     reports = [report.scan_file(path, knowledge, chains=chains, verdicts=verdicts) for path in sorted(files)]
     stamp = datetime.now(timezone.utc).isoformat() if timestamps else None
-    click.echo(report.render_report(reports, fmt, stamp), nl=False)
+    _write_report(report.render_report(reports, fmt, stamp))
     sys.exit(1 if any(r.error for r in reports) else 0)
 
 

@@ -55,6 +55,7 @@ from .attributes import (
     MediaKind,
     OS,
     VideoAttributes,
+    _OS_ALIASES,
     parse_os,
 )
 
@@ -130,10 +131,10 @@ class VideoConstraints:
     def __post_init__(self) -> None:
         # Built now, not on first use: a lazy build would land in the latency
         # of whichever scanned file first reaches the record.
-        rows = [(name, getattr(self, attr), get) for name, attr, get, _ in VIDEO_FIELDS if getattr(self, attr)]
-        matched = tuple(name for name, _, _ in rows)
+        rows = [(name, values, get) for name, attr, get, _ in VIDEO_FIELDS if (values := getattr(self, attr))]
+        matched = tuple([name for name, _, _ in rows])
         if self.markers is not None:
-            rows.append(("markers", _MARKER_SUBSETS[frozenset(self.markers)], attrgetter("markers")))
+            rows.append(("markers", _MARKER_SUBSETS[frozenset(self.markers)], _MARKERS))
         object.__setattr__(self, "rows", tuple(rows))
         object.__setattr__(self, "matched", matched)
         object.__setattr__(self, "matched_with_markers", matched + ("markers",) if self.markers else matched)
@@ -421,10 +422,18 @@ def group_key(record_id: str) -> str:
 # parsing
 
 _SECTION_RE = re.compile(r"^\[(\w+)(?:\s+(\S+))?\]$")
-_RESOLUTION_RE = re.compile(r"^(\d+)x(\d+)$")
-_SIZE_BAND_RE = re.compile(r"^(\d+)\s*\+-\s*(\d+)$")
+# Every number in a KB is written in ASCII decimal digits (see _is_count):
+# ``\d`` would also take the digits of other scripts, which int() reads.
+_RESOLUTION_RE = re.compile(r"^([0-9]+)x([0-9]+)$")
+_SIZE_BAND_RE = re.compile(r"^([0-9]+)\s*\+-\s*([0-9]+)$")
 # A run of characters that are neither comma nor quote, or quoted strings.
 _LIST_ITEM_RE = re.compile(r'(?:[^,"]+|"[^"]*")+')
+
+
+def _is_count(text: str) -> bool:
+    """Whether ``text`` is a count written in ASCII decimal digits.  int() also
+    reads a sign, underscores and other scripts' digits; a KB number holds none."""
+    return text.isascii() and text.isdigit()
 
 
 def _unquote(item: str) -> str:
@@ -481,6 +490,7 @@ def _subsets(items) -> list[frozenset]:
 # subsets: the values a record's marker row passes.  Built once, so records
 # with equal marker sets share one object.
 _MARKER_SUBSETS = {marker_set: frozenset(_subsets(marker_set)) for marker_set in _subsets(tuple(Marker))}
+_MARKERS = attrgetter("markers")  # the getter of every marker row
 
 
 # The video membership fields in check order: (KB key, also the field's name
@@ -528,6 +538,7 @@ def _split_blocks(text: str, source: str = "") -> list[_Block]:
     at = f"{source} line " if source else "line "
     blocks: list[_Block] = []
     current: _Block | None = None
+    fields: dict[str, str] | None = None  # current.fields
     for line_no, line in enumerate(map(str.strip, text.splitlines()), start=1):
         if not line or line[0] == "#":
             continue
@@ -540,6 +551,7 @@ def _split_blocks(text: str, source: str = "") -> list[_Block]:
                 if kind in ("record", "original") and not name:
                     raise SchemaError(f"{at}{line_no}: [{kind}] block needs an id")
                 current = _Block(kind, name, f"{at}{line_no}")
+                fields = current.fields
                 blocks.append(current)
                 continue
         # The line is stripped, so the key can only end, and the value only
@@ -548,12 +560,12 @@ def _split_blocks(text: str, source: str = "") -> list[_Block]:
         if not eq:
             raw = text.splitlines()[line_no - 1]
             raise SchemaError(f"{at}{line_no}: expected 'key = value', got {raw!r}")
-        if current is None:
+        if fields is None:
             raise SchemaError(f"{at}{line_no}: field outside any block")
         key = key.rstrip()
-        if key in current.fields:
+        if key in fields:
             raise SchemaError(f"{current.where()}: duplicate key {key!r}")
-        current.fields[key] = value.lstrip()
+        fields[key] = value.lstrip()
     return blocks
 
 
@@ -581,19 +593,21 @@ def _check_block(block: _Block, keys: frozenset[str]) -> tuple[str, dict[str, st
     the other media kind.  Returns the block's where, fields, kind and OS."""
     where = block.where()
     f = block.fields
-    unknown = f.keys() - keys
-    if unknown:
-        raise SchemaError(f"{where}: unknown keys {sorted(unknown)}")
+    if not keys.issuperset(f):
+        raise SchemaError(f"{where}: unknown keys {sorted(f.keys() - keys)}")
     media = _MEDIA_KINDS.get(_required(f, "media", where))
     if media is None:
         raise SchemaError(f"{where}: unknown media kind {f['media']!r}")
-    try:
-        block_os = parse_os(_required(f, "os", where))
-    except ValueError as exc:
-        raise SchemaError(f"{where}: {exc}") from None
-    used_wrong = (_VIDEO_ONLY_KEYS if media is MediaKind.IMAGE else _IMAGE_ONLY_KEYS).intersection(f)
-    if used_wrong:
-        raise SchemaError(f"{where}: keys {sorted(used_wrong)} not valid for {media.value} {block.kind}s")
+    # parse_os's own lookup; it is called only for its error message.
+    block_os = _OS_ALIASES.get(_required(f, "os", where).strip().lower())
+    if block_os is None:
+        try:
+            parse_os(f["os"])
+        except ValueError as exc:
+            raise SchemaError(f"{where}: {exc}") from None
+    wrong = _VIDEO_ONLY_KEYS if media is MediaKind.IMAGE else _IMAGE_ONLY_KEYS
+    if not wrong.isdisjoint(f):
+        raise SchemaError(f"{where}: keys {sorted(wrong.intersection(f))} not valid for {media.value} {block.kind}s")
     return where, f, media, block_os
 
 
@@ -634,13 +648,11 @@ def _build_record(block: _Block, parsed: dict) -> FingerprintRecord:
         if constraints.is_empty():
             raise SchemaError(f"{where}: distinguishable video record carries no constraints")
 
-    names = {"app": _required(f, "app", where), "quality": _required(f, "quality", where),
-             "nth_app": f.get("nth_app")}
-    for key, name in names.items():
-        if name == "":
-            raise SchemaError(f"{where}: empty {key}")
-    return FingerprintRecord(record_id=block.name or "", media_kind=media, os=rec_os,
-                             constraints=constraints, **names)
+    names = (_required(f, "app", where), _required(f, "quality", where), f.get("nth_app"))
+    if "" in names:
+        raise SchemaError(f"{where}: empty {('app', 'quality', 'nth_app')[names.index('')]}")
+    app, quality, nth_app = names
+    return FingerprintRecord(block.name or "", media, app, rec_os, quality, nth_app, constraints)
 
 
 def _build_original(block: _Block, parsed: dict) -> OriginalProfile:
@@ -655,7 +667,7 @@ def _build_original(block: _Block, parsed: dict) -> OriginalProfile:
             if len(items) != 1:
                 raise SchemaError(f"{where}: originals carry exactly one {key.replace('_', ' ')}")
             values[key] = items[0]
-    if not nominal_size.isdecimal():
+    if not _is_count(nominal_size):
         raise SchemaError(f"{where}: nominal_size must be a byte count, got {nominal_size!r}")
     width, length = values["resolution"]
     size = int(nominal_size)
@@ -698,10 +710,9 @@ def _load_blocks(blocks: list[_Block]) -> KnowledgeBase:
                 raise SchemaError(f"{block.where()}: duplicate manifest block")
             manifest = []
             for key, value in block.fields.items():
-                try:
-                    manifest.append((key, int(value)))
-                except ValueError:
-                    raise SchemaError(f"{block.where()}: count for {key!r} is not an integer") from None
+                if not _is_count(value):
+                    raise SchemaError(f"{block.where()}: count for {key!r} is not an integer")
+                manifest.append((key, int(value)))
 
     seen: set[str] = set()
     for rec in records:

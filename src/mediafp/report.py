@@ -10,10 +10,13 @@ templates, and its bytes are exactly those of ``json.dumps(doc, indent=2)``
 over the equivalent dict (``tests/test_report.py`` pins this against a
 frozen dict form).
 
-Verdicts share their evidence: each ``Candidate`` and ``ChainHypothesis``
-a match returns is one object owned by the knowledge base.  So each render
-call renders each evidence object once and reuses its text for every report
-that holds it.
+Reports share their verdicts, and verdicts their evidence: under a verdict
+memo (below) every file of one class holds one ``Verdict`` object, and each
+``Candidate`` and ``ChainHypothesis`` a match returns is one object owned by
+the knowledge base.  So each render call renders each distinct verdict's
+cells (JSON: "outcome" to "error"; text: OUTCOME on, with the chain lines)
+and each evidence object once, and reuses the text on every row that holds
+it; rendering cost follows the distinct verdicts, not the rows.
 
 A video verdict never reads the file's byte size, so files with the same
 video attribute vector in every other field get the same verdict
@@ -174,7 +177,9 @@ def _array(items: list[str], indent: str) -> str:
     if not items:
         return "[]"
     inner = ",\n" + indent + "  "
-    return "[\n" + indent + "  " + inner.join(items) + "\n" + indent + "]"
+    # One f-string copies the joined items once; a chain of + would copy
+    # them once per operand, and the report's body is the largest array.
+    return f"[\n{indent}  {inner.join(items)}\n{indent}]"
 
 
 def _video_json(a: VideoAttributes) -> str:
@@ -248,8 +253,24 @@ def _rendered(objs: tuple[Candidate | ChainHypothesis, ...], render, memo: dict[
     return texts
 
 
+_KIND_JSON = {None: "null", **{kind: _str(kind.value) for kind in MediaKind}}
+_NO_VERDICT_JSON = '      "outcome": null,\n      "candidates": [],\n      "chains": [],\n'
+
+
+def _verdict_json(v: Verdict, memo: dict[int, tuple]) -> str:
+    """The lines of a report object from "outcome" to "error", for a report with this verdict."""
+    candidates = _array(_rendered(v.candidates, _candidate_json, memo), "      ")
+    chains = _array(_rendered(v.chain_hypotheses, _chain_json, memo), "      ")
+    return (
+        f'      "outcome": {_str(v.outcome.value)},\n'
+        f'      "candidates": {candidates},\n'
+        f'      "chains": {chains},\n'
+        '      "error": null\n'
+    )
+
+
 def _report_json(r: FileReport, memo: dict[int, tuple]) -> str:
-    """One report's JSON object; ``memo`` is the render call's, for ``_rendered``."""
+    """One report's JSON object; ``memo`` is the render call's (see ``render_json``)."""
     attrs = r.attributes
     if attrs is None:
         attributes = "null"
@@ -259,26 +280,32 @@ def _report_json(r: FileReport, memo: dict[int, tuple]) -> str:
         attributes = _image_json(attrs)
     verdict = r.verdict
     if verdict is None:
-        outcome, candidates, chains = "null", "[]", "[]"
-    else:
-        outcome = _str(verdict.outcome.value)
-        candidates = _array(_rendered(verdict.candidates, _candidate_json, memo), "      ")
-        chains = _array(_rendered(verdict.chain_hypotheses, _chain_json, memo), "      ")
-    kind = "null" if r.media_kind is None else _str(r.media_kind.value)
+        result = f'{_NO_VERDICT_JSON}      "error": {_str(r.error)}\n'
+    else:  # the one lookup _rendered makes, for the row's verdict
+        hit = memo.get(id(verdict))
+        if hit is None:
+            hit = memo[id(verdict)] = (verdict, _verdict_json(verdict, memo))
+        result = hit[1]
     return (
         "{\n"
         f'      "path": {_str(r.path)},\n'
-        f'      "kind": {kind},\n'
+        f'      "kind": {_KIND_JSON[r.media_kind]},\n'
         f'      "attributes": {attributes},\n'
-        f'      "outcome": {outcome},\n'
-        f'      "candidates": {candidates},\n'
-        f'      "chains": {chains},\n'
-        f'      "error": {_nullable(r.error)}\n'
+        f"{result}"
         "    }"
     )
 
 
 def render_json(reports: list[FileReport], timestamp: str | None = None) -> str:
+    """The JSON report.
+
+    Each distinct ``Verdict`` object's lines, and each evidence object's
+    text, are rendered once per call and reused on every row that holds
+    them.  The call's memo is keyed by ``id()`` and keeps each keyed object
+    alive (see ``_rendered``); it holds one entry per distinct verdict and
+    per distinct evidence object among ``reports``, so at most one per report
+    plus the evidence the KB owns, and it is dropped when the call returns.
+    """
     stamp = "" if timestamp is None else f'  "generated_at": {_str(timestamp)},\n'
     memo: dict[int, tuple] = {}
     body = _array([_report_json(r, memo) for r in reports], "  ")
@@ -314,7 +341,17 @@ def _text_path(path: str) -> str:
     )
 
 
+_KIND_CELL = {None: f"{'-':5}", **{kind: f"{kind.value:5}" for kind in MediaKind}}
+_ERROR_CELL = f"{'error':17}  "
+
+
 def render_text(reports: list[FileReport], timestamp: str | None = None) -> str:
+    """The text report: one row per report, then one line per chain hypothesis.
+
+    Each distinct ``Verdict`` object's cells from OUTCOME on, with its chain
+    lines, are rendered once per call and reused on every row that holds
+    it; the call's memo is bounded as ``render_json``'s is.
+    """
     lines: list[str] = []
     if timestamp is not None:
         lines.append(f"generated at {timestamp}")
@@ -323,24 +360,28 @@ def render_text(reports: list[FileReport], timestamp: str | None = None) -> str:
     width = max(width, len("PATH"))
     lines.append(f"{'PATH'.ljust(width)}  {'KIND':5}  {'OUTCOME':17}  TOP CANDIDATE")
     indent = " " * width
+    # For _rendered: the verdict cells, top-candidate labels and chain lines.
+    memo: dict[int, tuple] = {}
 
     def chain_line(h: ChainHypothesis) -> str:
-        return f"{indent}  chain: {h.nth_app} -> {h.nplus1_app} ({h.os.value})"
+        return f"\n{indent}  chain: {h.nth_app} -> {h.nplus1_app} ({h.os.value})"
 
-    memo: dict[int, tuple] = {}  # for _rendered: the top-candidate labels and chain lines
+    def verdict_cells(v: Verdict) -> str:
+        chains = "".join(_rendered(v.chain_hypotheses, chain_line, memo))
+        return f"{v.outcome.value:17}  {_top_candidate(v, memo)}{chains}"
+
     for report, path in zip(reports, paths):
-        if report.error is not None:
-            kind = report.media_kind.value if report.media_kind else '-'
-            lines.append(f"{path.ljust(width)}  {kind:5}  {'error':17}  {report.error}")
-            continue
         verdict = report.verdict
-        assert verdict is not None
-        lines.append(
-            f"{path.ljust(width)}  {report.media_kind.value if report.media_kind else '-':5}  "
-            f"{verdict.outcome.value:17}  {_top_candidate(verdict, memo)}"
-        )
-        lines += _rendered(verdict.chain_hypotheses, chain_line, memo)
-    return "\n".join(lines) + "\n"
+        if verdict is None:
+            cells = _ERROR_CELL + report.error
+        else:  # as in _report_json
+            hit = memo.get(id(verdict))
+            if hit is None:
+                hit = memo[id(verdict)] = (verdict, verdict_cells(verdict))
+            cells = hit[1]
+        lines.append(f"{path.ljust(width)}  {_KIND_CELL[report.media_kind]}  {cells}")
+    lines.append("")  # the final newline, without a second copy of the report
+    return "\n".join(lines)
 
 
 def render_report(reports: list[FileReport], fmt: str = "text", timestamp: str | None = None) -> str:

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import io
 import json
 import os
 import shutil
@@ -349,6 +350,52 @@ class TestScan:
         assert result.exit_code == 0
         reports = [report.scan_file(path, kb, chains=chains) for path in paths]
         assert result.output == report.render_report(reports, fmt)
+
+
+class TestReportBytes:
+    """The report reaches stdout as its UTF-8 bytes, wherever stdout goes."""
+
+    def test_terminal_controls_in_kb_names_survive_color_off(self, runner, tmp_path, fixture_dir):
+        # click strips ANSI sequences from what it writes when color is off,
+        # as it is for a pipe; the report is written as bytes and keeps them.
+        kb_dir = tmp_path / "kbdir"
+        shutil.copytree(default_kb_path(), kb_dir)
+        table7 = kb_dir / "table07.kb"
+        text = table7.read_text(encoding="utf-8")
+        start = text.index("[record t7-discord-default]")
+        block = text[start:].replace("app = Discord", "app = \x1b[1mDiscord", 1)
+        table7.write_text(text[:start] + block, encoding="utf-8")
+        args = ["scan", str(fixture_dir / "discord.mov"), "--kb", str(kb_dir)]
+        plain, colored = (runner.invoke(main, args, color=color) for color in (False, True))
+        assert plain.exit_code == colored.exit_code == 0
+        assert "\x1b[1mDiscord (" in plain.stdout
+        assert plain.stdout_bytes == colored.stdout_bytes
+
+    def test_report_is_utf8_under_any_stdout_encoding(self, tmp_path, kb):
+        clip = synthesize_container(expected_attributes(kb.record("t7-discord-default")))
+        for directory in ("日本", "é"):
+            (tmp_path / directory).mkdir()
+            (tmp_path / directory / "clip.mov").write_bytes(clip)
+        env = dict(os.environ, PYTHONPATH=str(Path(mediafp.__file__).parents[1]))
+        runs = {
+            encoding: subprocess.run([sys.executable, "-m", "mediafp.cli", "scan", "."], cwd=tmp_path,
+                                     capture_output=True, timeout=60, env=dict(env, PYTHONIOENCODING=encoding))
+            for encoding in ("utf-8", "latin-1")
+        }
+        for run in runs.values():
+            assert run.returncode == 0, run.stderr
+        assert runs["latin-1"].stdout == runs["utf-8"].stdout
+        assert "日本/clip.mov".encode("utf-8") in runs["utf-8"].stdout
+        assert "é/clip.mov".encode("utf-8") in runs["utf-8"].stdout
+
+    def test_stdout_without_a_binary_buffer_gets_the_text(self, runner, fixture_dir, monkeypatch):
+        args = ["scan", str(fixture_dir), "--format", "json"]
+        expected = runner.invoke(main, args).output
+        monkeypatch.setattr(sys, "stdout", io.StringIO())
+        with pytest.raises(SystemExit) as exited:
+            main.main(args, standalone_mode=False)
+        assert exited.value.code == 0
+        assert sys.stdout.getvalue() == expected
 
 
 def _scan_in_subprocess(path):

@@ -250,6 +250,22 @@ quality = Default
                  id="manifest-count-not-integer"),
     pytest.param("os = iOS", "resolution = 100x100", _VIDEO_RECORD.replace("t7-y", "t7-x") + 'codec_id = "qt"',
                  r"^duplicate record id 't7-x'$", id="duplicate-record-id"),
+    # Every KB number is ASCII decimal digits: int() and \d would also read
+    # these, the first two as 100x100 and (5, 1).
+    pytest.param("os = iOS", "resolution = \u0661\u0660\u0660x\u0661\u0660\u0660", "",
+                 r"^\[record t7-x\] \(line 2\): bad resolution '\u0661\u0660\u0660x\u0661\u0660\u0660'$",
+                 id="resolution-arabic-indic-digits"),
+    pytest.param("os = iOS", "resolution = 100x100", IMAGE_RECORD + "size_band = \u0665 +- 1",
+                 r"^\[record t6-y\] \(line 13\): size_band must look like '100000 \+- 10000'$",
+                 id="size-band-arabic-indic-digits"),
+    pytest.param("os = iOS", "resolution = 100x100", IMAGE_ORIGINAL + "nominal_size = \u0662\u0660\u0660\u0660",
+                 r"^\[original o-img\] \(line 13\): nominal_size must be a byte count, got '\u0662\u0660\u0660\u0660'$",
+                 id="nominal-size-arabic-indic-digits"),
+    *[pytest.param("os = iOS", "resolution = 100x100", f"[manifest]\ntable7 = {count}",
+                   rf"^\[manifest manifest\] \(line 12\): count for 'table7' is not an integer$",
+                   id=f"manifest-count-{name}")
+      for name, count in [("plus-sign", "+1"), ("underscore", "1_0"), ("minus-sign", "-1"),
+                          ("fullwidth-digit", "\uff11")]],
 ])
 def test_schema_errors(tmp_path, os_line, resolution_line, extra, needle):
     # Through a file, so text that is not UTF-8 (written here from a lone

@@ -651,6 +651,44 @@ def test_kb_owned_evidence_shared_by_many_reports(kb):
     _assert_both_formats_match_the_references(reports[::-1], "2026-01-01T00:00:00+00:00")
 
 
+def _verdict_rows(kb, distinct):
+    """Reports whose verdicts include lookalikes: no candidates as Unknown
+    and as OriginalLike, and the same candidates with and without chain
+    hypotheses.  Each verdict is held by several rows, of every kind and
+    among error rows; with ``distinct`` each row holds its own equal copy."""
+    evidence = [e for rec in kb.records for e in rec.evidence.values()]
+    candidates = tuple(e for e in evidence if isinstance(e, Candidate))[:3]
+    chains = tuple(e for e in evidence if isinstance(e, ChainHypothesis))[:2]
+    verdicts = [
+        Verdict((), Outcome.UNKNOWN), Verdict((), Outcome.ORIGINAL_LIKE),
+        Verdict(candidates[:1], Outcome.IDENTIFIED), Verdict(candidates[:1], Outcome.IDENTIFIED, chains),
+        Verdict(candidates, Outcome.NARROWED), Verdict(candidates, Outcome.NARROWED, chains[:1]),
+        Verdict(candidates[:1], Outcome.ORIGINAL_LIKE),
+    ]
+    kinds = [MediaKind.VIDEO, MediaKind.IMAGE, None]
+    attributes = [None, ImageAttributes(720, 960, 100_000), expected_attributes(kb.record("t7-discord-default"))]
+    reports = []
+    for i in range(4 * len(verdicts)):
+        if i % 5 == 4:
+            reports.append(FileReport(f"bad-{i}.mov", kinds[i % 3], None, None, "MalformedBox: x"))
+            continue
+        verdict = verdicts[i % len(verdicts)]
+        reports.append(FileReport(f"file-{i:02}", kinds[i % 3], attributes[i % 3],
+                                  dataclasses.replace(verdict) if distinct else verdict, None))
+    return reports
+
+
+@pytest.mark.parametrize("timestamp", [None, "2026-01-01T00:00:00+00:00"], ids=["plain", "timestamp"])
+@pytest.mark.parametrize("distinct", [False, True], ids=["shared-verdicts", "equal-distinct-verdicts"])
+def test_verdict_lookalikes_render_as_the_references(kb, distinct, timestamp):
+    # Each render call renders a verdict's cells once and reuses them on
+    # every row holding that object; lookalike verdicts must each keep their own.
+    reports = _verdict_rows(kb, distinct)
+    held = [id(r.verdict) for r in reports if r.verdict is not None]
+    assert (len(set(held)) == len(held)) is distinct
+    _assert_both_formats_match_the_references(reports, timestamp)
+
+
 def _toggle_size_band(fields):
     if "byte_size" in fields:
         return tuple(f for f in fields if f != "byte_size")

@@ -46,6 +46,11 @@ def test_traced_scan_reaches_every_layer(tmp_path, kb):
         result = CliRunner().invoke(main, ["scan", str(tmp_path)])
     assert result.exit_code == 0, result.output
     calls = {name: row["calls"] for name, row in tracer.aggregate(trace.spans).items()}
+    # The KB is loaded once and the report rendered once, each through the
+    # module attribute the tracer rebinds: a scan that bound either name
+    # locally would read 0 for its layer.
+    assert calls.get("kb.load_kb_path") == 1
+    assert calls.get("report.render_report") == 1
     assert calls.get("report.scan_file") == 5
     assert calls.get("container.extract_video_attributes") == 3
     assert calls.get("jpeg.extract_image_attributes") == 2
