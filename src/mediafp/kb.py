@@ -6,7 +6,8 @@ profile) or ``[manifest]``, followed by ``key = value`` lines.
 List values are comma separated, resolution pairs are ``WxH``, strings that
 must match exactly (codec ids, format-profile strings, encoders) are quoted,
 and a comma inside quotes belongs to its item.  Whole lines starting with
-``#`` are comments.  Encoding UTF-8, LF endings.
+``#`` are comments.  Encoding UTF-8 (a leading byte-order mark is dropped),
+LF endings.
 
 Record ids carry a group prefix (``t7-...``); the ``[manifest]`` block pins
 the expected record count per group (``table7 = 20``) so any row lost or
@@ -20,13 +21,17 @@ markers, and ``engine`` matches by looping over those rows.  A field without
 a row is unconstrained; no flag says so a second time.  A record is a relay
 (two-hop) record exactly when it names ``nth_app``.
 
-A ``[record]`` and an ``[original]`` block pass one checker for their key
-set, media kind, OS and the keys of the other media kind, before each
-builder parses what is its own.  Each distinct field value is parsed once
-per load: records that list the same value share one parsed tuple.  A
-directory is read one ``*.kb`` file at a time, in sorted name order, so a
-block never continues into the next file; names starting with ``.``
-(editor locks and hidden copies) are skipped.
+A load makes one pass over each file's lines, one over the blocks and one
+over the records.  The line pass splits each distinct ``key = value`` line
+once per load (most lines repeat) and gathers the fields into blocks.  The
+block pass puts each ``[record]`` and ``[original]`` block through one
+checker for its key set, media kind, OS and the keys of the other media
+kind, then builds it, parsing each distinct field value once.  The record
+pass is ``KnowledgeBase.__post_init__``, whose id index also finds a
+duplicate id and counts the records of each manifest group.  A directory is
+read one ``*.kb`` file at a time, in sorted name order, so a block never
+continues into the next file; names starting with ``.`` (editor locks and
+hidden copies) are skipped.
 
 Each ``FingerprintRecord`` builds, when it is built, the frozen ``Candidate``
 or ``ChainHypothesis`` every match of it yields, and a ``KnowledgeBase``
@@ -131,8 +136,14 @@ class VideoConstraints:
     def __post_init__(self) -> None:
         # Built now, not on first use: a lazy build would land in the latency
         # of whichever scanned file first reaches the record.
-        rows = [(name, values, get) for name, attr, get, _ in VIDEO_FIELDS if (values := getattr(self, attr))]
-        matched = tuple([name for name, _, _ in rows])
+        rows = []
+        names = []
+        for name, attr, get, _ in VIDEO_FIELDS:
+            values = getattr(self, attr)
+            if values:
+                rows.append((name, values, get))
+                names.append(name)
+        matched = tuple(names)
         if self.markers is not None:
             rows.append(("markers", _MARKER_SUBSETS[frozenset(self.markers)], _MARKERS))
         object.__setattr__(self, "rows", tuple(rows))
@@ -190,16 +201,15 @@ class FingerprintRecord:
     evidence: dict[tuple[str, ...], Candidate | ChainHypothesis] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        evidence = {}
         c = self.constraints
-        if c is None:
-            keys = {}
-        else:
+        if c is not None:
             full = c.matched_with_size_band if isinstance(c, ImageConstraints) else c.matched_with_markers
-            keys = dict.fromkeys((c.matched, full))
-        if self.nth_app and self.media_kind is MediaKind.VIDEO:
-            evidence = {k: ChainHypothesis(self.nth_app, self.app, self.os, self.quality, k) for k in keys}
-        else:
-            evidence = {k: Candidate(self.record_id, self.app, self.os, self.quality, k) for k in keys}
+            for key in (c.matched, full) if full != c.matched else (full,):
+                if self.nth_app and self.media_kind is MediaKind.VIDEO:
+                    evidence[key] = ChainHypothesis(self.nth_app, self.app, self.os, self.quality, key)
+                else:
+                    evidence[key] = Candidate(self.record_id, self.app, self.os, self.quality, key)
         object.__setattr__(self, "evidence", evidence)
 
     @property
@@ -270,15 +280,17 @@ class KnowledgeBase:
         single_constraints: dict[tuple, list[Constraints | None]] = {}
         for rec in self.records:
             by_id.setdefault(rec.record_id, rec)
-            if not rec.distinguishable:
+            constraints = rec.constraints
+            if constraints is None:
                 continue
-            if rec.media_kind is MediaKind.IMAGE:
+            kind = rec.media_kind
+            if kind is MediaKind.IMAGE:
                 images.append(rec)
             if rec.nth_app:
                 relays.append(rec)
             else:
-                single_constraints.setdefault((rec.media_kind, rec.app, rec.os), []).append(rec.constraints)
-                if rec.media_kind is MediaKind.VIDEO:
+                single_constraints.setdefault((kind, rec.app, rec.os), []).append(constraints)
+                if kind is MediaKind.VIDEO:
                     singles.append(rec)
         # A chain record is overwritten when the N+1st messenger's re-encode
         # erased every trace of the N-th hop: its constraints equal a
@@ -371,9 +383,8 @@ def _split_by(pair: tuple[list, list], name: str) -> dict[str | None, tuple[list
     A record joins the bucket of each value it names, or every bucket when it
     names none; ``set`` keeps a value listed twice from adding it twice.
     """
-    named = (value for records in pair for rec in records for value in getattr(rec.constraints, name))
-    buckets = {value: ([], []) for value in named}
-    buckets[None] = ([], [])
+    named = dict.fromkeys(value for records in pair for rec in records for value in getattr(rec.constraints, name))
+    buckets = {value: ([], []) for value in [*named, None]}
     for side, records in enumerate(pair):
         for rec in records:
             for value in set(getattr(rec.constraints, name)) or buckets:
@@ -388,7 +399,7 @@ def _compile_image_cells(records: list[FingerprintRecord]) -> dict[tuple[int, in
     order.
     """
     tol, side = RESOLUTION_TOLERANCE, _CELL_SIDE
-    cells: dict[tuple[int, int], list[FingerprintRecord]] = {}
+    cells: dict[tuple[int, int], tuple[FingerprintRecord, ...]] = {}
     for rec in records:
         keys = set()
         for width, length in rec.constraints.resolutions:
@@ -396,8 +407,8 @@ def _compile_image_cells(records: list[FingerprintRecord]) -> dict[tuple[int, in
             y0, y1 = (length - tol) // side, (length + tol) // side
             keys.update(((x0, y0), (x0, y1), (x1, y0), (x1, y1)))
         for key in keys:
-            cells.setdefault(key, []).append(rec)
-    return {key: tuple(cell) for key, cell in cells.items()}
+            cells[key] = cells.get(key, ()) + (rec,)
+    return cells
 
 
 def _compile_band_edges(records: list[FingerprintRecord]) -> tuple[int, ...]:
@@ -408,14 +419,14 @@ def _compile_band_edges(records: list[FingerprintRecord]) -> tuple[int, ...]:
     return tuple(sorted({edge for c, t in bands for edge in (c - t, c + t + 1)}))
 
 
-_GROUP_RE = re.compile(r"^t(\d+)$")
+_GROUP_RE = re.compile(r"^t([0-9]+)$")
 
 
 def group_key(record_id: str) -> str:
     """Manifest group of a record id: ``t7-discord-default`` → ``table7``."""
-    prefix = record_id.split("-", 1)[0]
+    prefix = record_id.partition("-")[0]
     m = _GROUP_RE.match(prefix)
-    return f"table{m.group(1)}" if m else prefix
+    return f"table{m[1]}" if m else prefix
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +435,6 @@ def group_key(record_id: str) -> str:
 _SECTION_RE = re.compile(r"^\[(\w+)(?:\s+(\S+))?\]$")
 # Every number in a KB is written in ASCII decimal digits (see _is_count):
 # ``\d`` would also take the digits of other scripts, which int() reads.
-_RESOLUTION_RE = re.compile(r"^([0-9]+)x([0-9]+)$")
 _SIZE_BAND_RE = re.compile(r"^([0-9]+)\s*\+-\s*([0-9]+)$")
 # A run of characters that are neither comma nor quote, or quoted strings.
 _LIST_ITEM_RE = re.compile(r'(?:[^,"]+|"[^"]*")+')
@@ -445,6 +455,10 @@ def _unquote(item: str) -> str:
 
 def _parse_list(value: str, where: str) -> tuple[str, ...]:
     """Comma-separated items; a comma between double quotes belongs to its item."""
+    if '"' not in value:  # every comma separates
+        return tuple([item for part in value.split(",") if (item := part.strip())])
+    if value[0] == '"' and value.find('"', 1) == len(value) - 1:  # one quoted item
+        return (value[1:-1],)
     if value.count('"') % 2:
         raise SchemaError(f"{where}: unbalanced quote in {value!r}")
     return tuple([_unquote(part) for part in _LIST_ITEM_RE.findall(value) if part.strip()])
@@ -453,10 +467,10 @@ def _parse_list(value: str, where: str) -> tuple[str, ...]:
 def _parse_resolutions(value: str, where: str) -> tuple[tuple[int, int], ...]:
     pairs = []
     for part in _parse_list(value, where):
-        m = _RESOLUTION_RE.match(part)
-        if m is None:
+        w, x, h = part.partition("x")
+        if not (x and _is_count(w) and _is_count(h)):
             raise SchemaError(f"{where}: bad resolution {part!r}")
-        width, height = int(m.group(1)), int(m.group(2))
+        width, height = int(w), int(h)
         if width < 1 or height < 1:
             raise SchemaError(f"{where}: resolution sides must be positive")
         pairs.append((width, height))
@@ -493,10 +507,10 @@ _MARKER_SUBSETS = {marker_set: frozenset(_subsets(marker_set)) for marker_set in
 _MARKERS = attrgetter("markers")  # the getter of every marker row
 
 
-# The video membership fields in check order: (KB key, also the field's name
-# in ``matched_fields``; VideoConstraints attribute; getter on
-# VideoAttributes; parser of the KB value).  A record that populates one
-# matches only the values it lists.
+# The video membership fields in check order, also VideoConstraints' field
+# order: (KB key, also the field's name in ``matched_fields``; VideoConstraints
+# attribute; getter on VideoAttributes; parser of the KB value).  A record
+# that populates one matches only the values it lists.
 VIDEO_FIELDS = (
     ("extension", "extensions", attrgetter("extension"), _parse_list),
     ("format_profile", "format_profiles", attrgetter("format_profile"), _parse_format_profiles),
@@ -521,51 +535,46 @@ _ORIGINAL_KEYS = frozenset({"media", "os", "resolution", "nominal_size"}) | VIDE
 _MEDIA_KINDS = {kind.value: kind for kind in MediaKind}
 
 
-class _Block:
-    def __init__(self, kind: str, name: str | None, at: str):
-        self.kind = kind
-        self.name = name
-        self.at = at  # "line 7", or "table07.kb line 7" in a directory load
-        self.fields: dict[str, str] = {}  # in file order
-
-    def where(self) -> str:
-        label = self.name or self.kind
-        return f"[{self.kind} {label}] ({self.at})"
-
-
-def _split_blocks(text: str, source: str = "") -> list[_Block]:
-    """The blocks of one KB text; ``source`` names its file in error locations."""
+def _split_blocks(text: str, seen: dict[str, tuple[str, str]], source: str = "") -> list[tuple]:
+    """The blocks of one KB text, each (kind, id or None, where, fields in file
+    order).  ``where`` names the block in errors, and ``source`` its file; ``seen``
+    maps each field line this load has split, as written, to its (key, value)."""
     at = f"{source} line " if source else "line "
-    blocks: list[_Block] = []
-    current: _Block | None = None
-    fields: dict[str, str] | None = None  # current.fields
-    for line_no, line in enumerate(map(str.strip, text.splitlines()), start=1):
-        if not line or line[0] == "#":
-            continue
-        if line[0] == "[":
-            m = _SECTION_RE.match(line)
-            if m:
-                kind, name = m.groups()
-                if kind not in ("record", "original", "manifest"):
-                    raise SchemaError(f"{at}{line_no}: unknown block {line!r}")
-                if kind in ("record", "original") and not name:
-                    raise SchemaError(f"{at}{line_no}: [{kind}] block needs an id")
-                current = _Block(kind, name, f"{at}{line_no}")
-                fields = current.fields
-                blocks.append(current)
-                continue
-        # The line is stripped, so the key can only end, and the value only
-        # start, with whitespace.
-        key, eq, value = line.partition("=")
-        if not eq:
-            raw = text.splitlines()[line_no - 1]
-            raise SchemaError(f"{at}{line_no}: expected 'key = value', got {raw!r}")
+    blocks: list[tuple] = []
+    fields: dict[str, str] | None = None  # the current block's
+    where = ""
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        pair = seen.get(raw)
+        if pair is None:
+            line = raw.strip()
+            # Only a blank line ("" is in every string), a comment or a
+            # header starts with one of these.
+            if line[:1] in "#[":
+                if not line or line[0] == "#":
+                    continue
+                m = _SECTION_RE.match(line)
+                if m:  # else a field whose key starts with "["
+                    kind, name = m.groups()
+                    if kind not in ("record", "original", "manifest"):
+                        raise SchemaError(f"{at}{line_no}: unknown block {line!r}")
+                    if kind != "manifest" and not name:
+                        raise SchemaError(f"{at}{line_no}: [{kind}] block needs an id")
+                    where = f"[{kind} {name or kind}] ({at}{line_no})"
+                    fields = {}
+                    blocks.append((kind, name, where, fields))
+                    continue
+            # The line is stripped, so the key can only end, and the value
+            # only start, with whitespace.
+            key, eq, value = line.partition("=")
+            if not eq:
+                raise SchemaError(f"{at}{line_no}: expected 'key = value', got {raw!r}")
+            pair = seen[raw] = (key.rstrip(), value.lstrip())
         if fields is None:
             raise SchemaError(f"{at}{line_no}: field outside any block")
-        key = key.rstrip()
+        key, value = pair
         if key in fields:
-            raise SchemaError(f"{current.where()}: duplicate key {key!r}")
-        fields[key] = value.lstrip()
+            raise SchemaError(f"{where}: duplicate key {key!r}")
+        fields[key] = value
     return blocks
 
 
@@ -587,32 +596,30 @@ def _required(f: dict[str, str], key: str, where: str) -> str:
     return f[key]
 
 
-def _check_block(block: _Block, keys: frozenset[str]) -> tuple[str, dict[str, str], MediaKind, OS]:
+def _check_block(kind: str, where: str, f: dict[str, str], keys: frozenset[str]) -> tuple[MediaKind, OS]:
     """The checks a ``[record]`` and an ``[original]`` block share, in order:
     no key outside ``keys``, a known media kind, a valid OS, and no key of
-    the other media kind.  Returns the block's where, fields, kind and OS."""
-    where = block.where()
-    f = block.fields
+    the other media kind.  Returns the block's media kind and OS."""
     if not keys.issuperset(f):
         raise SchemaError(f"{where}: unknown keys {sorted(f.keys() - keys)}")
-    media = _MEDIA_KINDS.get(_required(f, "media", where))
+    media = _MEDIA_KINDS.get(f.get("media"))
     if media is None:
-        raise SchemaError(f"{where}: unknown media kind {f['media']!r}")
-    # parse_os's own lookup; it is called only for its error message.
-    block_os = _OS_ALIASES.get(_required(f, "os", where).strip().lower())
+        raise SchemaError(f"{where}: unknown media kind {_required(f, 'media', where)!r}")
+    # parse_os's own lookup on a stripped value; parse_os runs only for its message.
+    block_os = _OS_ALIASES.get(f.get("os", "").lower())
     if block_os is None:
         try:
-            parse_os(f["os"])
+            parse_os(_required(f, "os", where))
         except ValueError as exc:
             raise SchemaError(f"{where}: {exc}") from None
     wrong = _VIDEO_ONLY_KEYS if media is MediaKind.IMAGE else _IMAGE_ONLY_KEYS
     if not wrong.isdisjoint(f):
-        raise SchemaError(f"{where}: keys {sorted(wrong.intersection(f))} not valid for {media.value} {block.kind}s")
-    return where, f, media, block_os
+        raise SchemaError(f"{where}: keys {sorted(wrong.intersection(f))} not valid for {media.value} {kind}s")
+    return media, block_os
 
 
-def _build_record(block: _Block, parsed: dict) -> FingerprintRecord:
-    where, f, media, rec_os = _check_block(block, _RECORD_KEYS)
+def _build_record(name: str, where: str, f: dict[str, str], parsed: dict) -> FingerprintRecord:
+    media, rec_os = _check_block("record", where, f, _RECORD_KEYS)
     if "indistinguishable" in f:
         if f["indistinguishable"] != "true":
             raise SchemaError(f"{where}: indistinguishable must be 'true', got {f['indistinguishable']!r}")
@@ -631,20 +638,17 @@ def _build_record(block: _Block, parsed: dict) -> FingerprintRecord:
             size_band = (int(m.group(1)), int(m.group(2)))
         constraints = ImageConstraints(resolutions, size_band)
     else:
-        values = {
-            attr: _parse(parsed, parse, f[key], where)
-            for key, attr, _, parse in VIDEO_FIELDS
-            if key in f
-        }
+        # One value per VideoConstraints field, in its order; () leaves it empty.
+        values = [_parse(parsed, parse, f[key], where) if key in f else () for key, _, _, parse in VIDEO_FIELDS]
         # An omitted line means no markers; values come stripped from _split_blocks.
         markers_value = f.get("markers", "")
         markers = None if markers_value.lower() == "any" else _parse(parsed, _parse_markers, markers_value, where)
         # Checked here, not by the parser originals share: there a quoted
         # empty extension means the field is left out.
-        for ext in values.get("extensions", ()):
+        for ext in values[0]:
             if ext not in EXTENSIONS:
                 raise SchemaError(f"{where}: unknown extension {ext!r}")
-        constraints = VideoConstraints(**values, markers=markers)
+        constraints = VideoConstraints(*values, markers)
         if constraints.is_empty():
             raise SchemaError(f"{where}: distinguishable video record carries no constraints")
 
@@ -652,11 +656,11 @@ def _build_record(block: _Block, parsed: dict) -> FingerprintRecord:
     if "" in names:
         raise SchemaError(f"{where}: empty {('app', 'quality', 'nth_app')[names.index('')]}")
     app, quality, nth_app = names
-    return FingerprintRecord(block.name or "", media, app, rec_os, quality, nth_app, constraints)
+    return FingerprintRecord(name, media, app, rec_os, quality, nth_app, constraints)
 
 
-def _build_original(block: _Block, parsed: dict) -> OriginalProfile:
-    where, f, media, os_source = _check_block(block, _ORIGINAL_KEYS)
+def _build_original(name: str, where: str, f: dict[str, str], parsed: dict) -> OriginalProfile:
+    media, os_source = _check_block("original", where, f, _ORIGINAL_KEYS)
     _required(f, "resolution", where)
     nominal_size = _required(f, "nominal_size", where)
     # Each video field an original names is parsed as a record's would be.
@@ -680,7 +684,7 @@ def _build_original(block: _Block, parsed: dict) -> OriginalProfile:
             attributes = VideoAttributes(**filled, width=width, length=length, byte_size=size)
     except ValueError as exc:  # an extension or size the vector rejects
         raise SchemaError(f"{where}: {exc}") from None
-    return OriginalProfile(block.name or "", os_source, attributes)
+    return OriginalProfile(name, os_source, attributes)
 
 
 def load_kb(text: str) -> KnowledgeBase:
@@ -689,10 +693,10 @@ def load_kb(text: str) -> KnowledgeBase:
     Raises SchemaError on malformed blocks and ManifestMismatch when the
     per-group record counts drift from the manifest.
     """
-    return _load_blocks(_split_blocks(text))
+    return _load_blocks(_split_blocks(text, {}))
 
 
-def _load_blocks(blocks: list[_Block]) -> KnowledgeBase:
+def _load_blocks(blocks: list[tuple]) -> KnowledgeBase:
     records: list[FingerprintRecord] = []
     originals: list[OriginalProfile] = []
     manifest: list[tuple[str, int]] | None = None
@@ -700,48 +704,38 @@ def _load_blocks(blocks: list[_Block]) -> KnowledgeBase:
     # parses everything again, as a new process would.
     parsed: dict[tuple, object] = {}
 
-    for block in blocks:
-        if block.kind == "record":
-            records.append(_build_record(block, parsed))
-        elif block.kind == "original":
-            originals.append(_build_original(block, parsed))
+    for kind, name, where, f in blocks:
+        if kind == "record":
+            records.append(_build_record(name, where, f, parsed))
+        elif kind == "original":
+            originals.append(_build_original(name, where, f, parsed))
         else:  # manifest
             if manifest is not None:
-                raise SchemaError(f"{block.where()}: duplicate manifest block")
+                raise SchemaError(f"{where}: duplicate manifest block")
             manifest = []
-            for key, value in block.fields.items():
+            for key, value in f.items():
                 if not _is_count(value):
-                    raise SchemaError(f"{block.where()}: count for {key!r} is not an integer")
+                    raise SchemaError(f"{where}: count for {key!r} is not an integer")
                 manifest.append((key, int(value)))
-
-    seen: set[str] = set()
-    for rec in records:
-        if rec.record_id in seen:
-            raise SchemaError(f"duplicate record id {rec.record_id!r}")
-        seen.add(rec.record_id)
 
     kb = KnowledgeBase(
         records=tuple(records),
         originals=tuple(originals),
         manifest=tuple(manifest) if manifest is not None else None,
     )
+    if len(kb._by_id) < len(records):  # the id index keeps each id's first record
+        dup = next(rec for rec in records if kb._by_id[rec.record_id] is not rec)
+        raise SchemaError(f"duplicate record id {dup.record_id!r}")
     if manifest is not None:
-        _verify_manifest(kb)
+        counts = Counter(map(group_key, kb._by_id))
+        counts["originals"] += len(originals)
+        declared = dict(manifest)
+        # A group missing from either side counts as 0 there.
+        drift = [f"{key}: declared {declared.get(key, 0)}, loaded {counts[key]}"
+                 for key in sorted(declared.keys() | counts.keys()) if declared.get(key, 0) != counts[key]]
+        if drift:
+            raise ManifestMismatch("; ".join(drift))
     return kb
-
-
-def _verify_manifest(kb: KnowledgeBase) -> None:
-    # A group missing from either side counts as 0 there.
-    counts = Counter(rec.group for rec in kb.records)
-    counts["originals"] += len(kb.originals)
-    declared = dict(kb.manifest or ())
-    drift = [
-        f"{key}: declared {declared.get(key, 0)}, loaded {counts.get(key, 0)}"
-        for key in sorted(set(declared) | set(counts))
-        if declared.get(key, 0) != counts.get(key, 0)
-    ]
-    if drift:
-        raise ManifestMismatch("; ".join(drift))
 
 
 def default_kb_path() -> Path:
@@ -764,17 +758,23 @@ def load_kb_path(path: str | Path | None = None) -> KnowledgeBase:
     """
     target = Path(path) if path is not None else default_kb_path()
     if target.is_dir():
-        paths = [p for p in sorted(target.glob("*.kb")) if not p.name.startswith(".")]
-        texts = [(p.name, _read_text(p)) for p in paths]
-        if not texts:
+        try:
+            names = sorted(name for name in _os.listdir(target) if name.endswith(".kb") and name[0] != ".")
+        except PermissionError:  # as a glob finds nothing in a directory it cannot list
+            names = []
+        if not names:
             raise KbError(f"no .kb files under {target}")
-        return _load_blocks([block for name, text in texts for block in _split_blocks(text, name)])
+        texts = [(name, _read_text(target / name)) for name in names]
+        seen: dict[str, tuple[str, str]] = {}
+        return _load_blocks([block for name, text in texts for block in _split_blocks(text, seen, name)])
     return load_kb(_read_text(target))
 
 
 def _read_text(path: Path) -> str:
+    """The file's text, without the UTF-8 byte-order mark it may start with."""
     try:
-        return path.read_text(encoding="utf-8")
+        with open(path, "rb", buffering=0) as file:
+            return file.read().decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise SchemaError(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from None
     except OSError as exc:

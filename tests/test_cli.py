@@ -444,6 +444,18 @@ class TestKbCommands:
         assert result.exit_code == 0
         assert hashlib.sha256(result.output.encode("utf-8")).hexdigest() == sha256
 
+    def test_hidden_names_in_a_kb_directory_are_skipped(self, runner, tmp_path):
+        # An editor's dangling lock link and a hidden copy of a table beside
+        # the tables change nothing: validate prints what it prints for the
+        # shipped KB.
+        data = tmp_path / "kb"
+        shutil.copytree(default_kb_path(), data)
+        (data / ".#table07.kb").symlink_to("user@host.1234:1700000000")
+        shutil.copy(data / "table07.kb", data / ".table07.kb")
+        shipped, copy = (runner.invoke(main, ["kb", "validate", *args]) for args in ([], ["--kb", str(data)]))
+        assert shipped.exit_code == copy.exit_code == 0
+        assert copy.output == shipped.output
+
     def test_list_telegram_ios(self, runner):
         result = runner.invoke(main, ["kb", "list", "--app", "Telegram", "--os", "ios", "--kind", "video"])
         assert result.exit_code == 0

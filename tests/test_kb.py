@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import re
 import shutil
 
@@ -357,9 +358,10 @@ def test_video_rows_follow_the_field_table():
     assert [key for key, *_ in VIDEO_FIELDS] == [
         "extension", "format_profile", "codec_id", "video_format_profile", "resolution", "encoder",
     ]
-    # A field table attribute per field, and markers: no flag restates a row.
-    assert ({f.name for f in dataclasses.fields(VideoConstraints) if f.init}
-            == {attr for _, attr, *_ in VIDEO_FIELDS} | {"markers"})
+    # A field table attribute per field, in the table's order, and markers:
+    # no flag restates a row, and the loader passes the values positionally.
+    assert ([f.name for f in dataclasses.fields(VideoConstraints) if f.init]
+            == [attr for _, attr, *_ in VIDEO_FIELDS] + ["markers"])
     constraints = VideoConstraints(
         extensions=("mp4",), resolutions=((640, 360),), encoders=("Lavf58.20.100",), markers=(Marker.COPYRIGHT,),
     )
@@ -530,12 +532,22 @@ resolution = 100x100
 def test_duplicate_record_id_rejected():
     with pytest.raises(SchemaError, match="duplicate record id"):
         load_kb(WHATSAPP_IMAGE_BLOCK + WHATSAPP_IMAGE_BLOCK)
+    # The error names the first record, in file order, whose id came before.
+    a, b = IMAGE_RECORD.replace("t6-y", "t6-a"), IMAGE_RECORD.replace("t6-y", "t6-b")
+    with pytest.raises(SchemaError, match="^duplicate record id 't6-b'$"):
+        load_kb(a + b + b + a)
 
 
 def test_group_key():
     assert group_key("t6-whatsapp-default-ios") == "table6"
     assert group_key("t12-wickrme") == "table12"
     assert group_key("custom-record") == "custom"
+    # A group number is ASCII digits, as every KB number is: \d would also
+    # take this Arabic-Indic seven and count the record toward table\u0667.
+    assert group_key("t\u0667-x") == "t\u0667"
+    text = IMAGE_RECORD.replace("t6-y", "t\u0667-x") + "[manifest]\ntable\u0667 = 1\n"
+    with pytest.raises(ManifestMismatch, match="^table\u0667: declared 1, loaded 0; t\u0667: declared 0, loaded 1$"):
+        load_kb(text)
 
 
 def findings(kb, kind):
@@ -862,6 +874,35 @@ class TestCompiledIndexes:
         _assert_candidates_match_brute_force(narrowed)
 
 
+def _index_summary(kb):
+    """Every compiled index as record and profile ids, and every record's
+    evidence, in an order that depends neither on how an index was built nor
+    on the hash seed."""
+    def ids(records):
+        return [rec.record_id for rec in records]
+
+    return repr((
+        sorted(kb.overwritten_chain_ids),
+        sorted(((codec, profile, ids(single), ids(chain)) for codec, by_profile in kb._video_index.items()
+                for profile, (single, chain) in by_profile.items()), key=repr),
+        sorted(((cell, ids(records)) for cell, records in kb._image_cells.items()), key=repr),
+        kb.image_band_edges,
+        sorted(((key, orig.profile_id) for key, orig in kb._image_originals.items()), key=repr),
+        sorted(((key, orig.profile_id) for key, orig in kb._video_originals.items()), key=repr),
+        list(kb._by_id),
+        [sorted(rec.evidence.items(), key=repr) for rec in kb.records],
+    ))
+
+
+def test_shipped_kb_loads_the_pinned_records_and_indexes(kb):
+    # sha256 of the records, originals and manifest in file order, and of
+    # every index a query reads; neither depends on the hash seed.
+    loaded = repr((kb.records, kb.originals, kb.manifest)).encode()
+    assert hashlib.sha256(loaded).hexdigest() == "3476d8b1cf1b601633a3ba05a093e461d7b6aa5eb8cf1c6dfd9832de68cade1c"
+    indexes = _index_summary(kb).encode()
+    assert hashlib.sha256(indexes).hexdigest() == "eb6b2c8130e40c03abe7d1247e3be511021f1287a204fbff669ef715713e5647"
+
+
 # ---------------------------------------------------------------------------
 # Directory loads: each file is split on its own.
 
@@ -895,6 +936,26 @@ def test_directory_load_skips_hidden_names(tmp_path, kb):
     (data / ".#table07.kb").rename(data / "#table07.kb")
     with pytest.raises(KbError, match="#table07.kb"):
         load_kb_path(data)
+
+
+def test_byte_order_mark_is_dropped(tmp_path, kb):
+    # A file may start with the UTF-8 byte-order mark; it is read as if the
+    # mark were not there, in a single-file load and in a directory load.
+    bom = "\ufeff".encode("utf-8")
+    (tmp_path / "one.kb").write_bytes(bom + ("# c\n" + WHATSAPP_IMAGE_BLOCK).encode("utf-8"))
+    assert load_kb_path(tmp_path / "one.kb") == load_kb(WHATSAPP_IMAGE_BLOCK)
+    data = tmp_path / "data"
+    shutil.copytree(default_kb_path(), data)
+    for path in data.glob("*.kb"):
+        path.write_bytes(bom + path.read_bytes())
+    assert load_kb_path(data) == kb
+    # Only the first mark is dropped, and a byte offset counts it.
+    (tmp_path / "two.kb").write_bytes(bom + bom + b"# c\n")
+    with pytest.raises(SchemaError, match=r"^line 1: expected 'key = value', got '\\ufeff# c'$"):
+        load_kb_path(tmp_path / "two.kb")
+    (tmp_path / "bad.kb").write_bytes(bom + b"# \xff\n")
+    with pytest.raises(SchemaError, match=r"bad\.kb: not UTF-8 text \(byte 5: invalid start byte\)$"):
+        load_kb_path(tmp_path / "bad.kb")
 
 
 def test_block_does_not_continue_into_the_next_file(tmp_path):
