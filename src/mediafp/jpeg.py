@@ -9,9 +9,11 @@ regex searches, not by a Python step per byte.  Nothing is decoded.
 
 The stream may be a view of a file in place of a buffer; then only the
 pages where the walk lands are read, so a skipped segment costs nothing
-however long it is.  Either way the walk stops at ``HEAD_WINDOW``: the
-frame header of a real photo sits near the start, and hostile entropy data
-may run on for gigabytes.
+however long it is, and entropy data and fill runs past the bytes in hand
+are read ``READ_WINDOW`` bytes at a time, so no read grows with them.
+Either way the walk stops at ``HEAD_WINDOW``: the frame header of a real
+photo sits near the start, and hostile entropy data may run on for
+gigabytes.
 """
 
 from __future__ import annotations
@@ -33,12 +35,16 @@ _SOS = 0xDA
 # followed by anything else is a real marker or starts a fill run, which
 # _skip_entropy crosses to see what follows it.
 _NEXT_MARKER = re.compile(rb"\xff[^\x00\x01\xd0-\xd7]")
-_FILL_RUN = re.compile(rb"\xff+")
+# Empty where the first byte is not 0xFF, so a match always ends somewhere.
+_FILL_RUN = re.compile(rb"\xff*")
 # A view is read PAGE bytes at a time, each page from a segment header on.  A
 # header with no fill run before it takes _HEADER bytes up to the end of a
 # frame header's dimensions, so one page covers it.
 PAGE = 4 * 1024
 _HEADER = 9
+# Entropy data and fill runs that reach past the bytes in hand are read
+# READ_WINDOW bytes at a time.
+READ_WINDOW = 64 * 1024
 # No walk reads or searches past this offset, however far the stream runs.
 HEAD_WINDOW = 16 * 1024 * 1024
 
@@ -72,6 +78,50 @@ def _skip_entropy(data, pos: int) -> int:
             return match.start()
 
 
+def _read_past_fill(data, pos: int, end: int):
+    """Read on past a fill run that reaches ``pos``, a window at a time:
+    ``(window, its offset, the offset where the run ends)``, the last
+    ``end`` when the run reaches it.  The window holds the run's end."""
+    while True:
+        buf = data[pos:min(pos + READ_WINDOW, end)]
+        run_end = _FILL_RUN.match(buf).end()
+        if run_end < len(buf) or pos + len(buf) == end:
+            return buf, pos, pos + run_end
+        pos += len(buf)
+
+
+def _skip_entropy_windows(data, buf, base: int, pos: int, end: int):
+    """``_skip_entropy(data[:end], pos)``, searched from ``buf``, the bytes
+    ``data[base:base + len(buf)]`` in hand, then a window at a time:
+    ``(window, its offset, the offset found)``, the window holding it.
+
+    A window's result stands when the window reaches ``end`` or holds the
+    byte after the fill run found.  A fill run, or a lone 0xFF, that ends
+    the window is crossed by ``_read_past_fill`` to the byte that decides
+    it: stuffing, TEM or a restart marker resumes the search there; a marker
+    code or the end returns the run's start, in the window that holds it.
+    """
+    while True:
+        have = base + len(buf)
+        found = base + _skip_entropy(buf, pos - base)
+        if have == end:
+            return buf, base, found
+        if found < have:
+            if base + _FILL_RUN.match(buf, found - base).end() < have:
+                return buf, base, found
+            run = found
+        elif pos < have and buf[-1] == 0xFF:
+            run = have - 1
+        else:
+            buf, base, pos = data[have:min(have + READ_WINDOW, end)], have, have
+            continue
+        after_buf, after_base, after = _read_past_fill(data, have, end)
+        code = after_buf[after - after_base] if after < end else None
+        if not (code == 0x00 or code in _STANDALONE):
+            return buf, base, run
+        buf, base, pos = after_buf, after_base, after
+
+
 def extract_image_attributes(data) -> ImageAttributes:
     """Read width, length and byte size from JPEG bytes.
 
@@ -80,8 +130,8 @@ def extract_image_attributes(data) -> ImageAttributes:
     bytes it stands for.  A view is read a page at a time from each segment
     header the walk lands on past the bytes in hand, so segments it skips
     are never read; a fill run that reaches past those bytes, and the
-    entropy data after a start-of-scan, are read to the window's end in one
-    piece.
+    entropy data after a start-of-scan, are read on ``READ_WINDOW`` bytes
+    at a time up to where they end.
 
     The walk ends at ``HEAD_WINDOW`` bytes as it would at the end of the
     stream; the reported size is ``len(data)``.  Raises NotJpeg on bad magic
@@ -103,14 +153,13 @@ def extract_image_attributes(data) -> ImageAttributes:
             have = pos + len(buf)
         if buf[pos - base] != 0xFF:
             raise NoFrameHeader(f"expected marker at offset {pos}")
-        run_end = _FILL_RUN.match(buf, pos - base).end()  # fill bytes before the code
-        if base + run_end == have < end:
-            buf, base, have = data[pos:end], pos, end
-            run_end = _FILL_RUN.match(buf).end()
-        pos = base + run_end
+        pos = base + _FILL_RUN.match(buf, pos - base).end()  # fill bytes before the code
+        if pos == have < end:
+            buf, base, pos = _read_past_fill(data, have, end)
+            have = base + len(buf)
         if pos >= end:
             break
-        marker = buf[run_end]
+        marker = buf[pos - base]
         pos += 1
         if marker == 0x00 or marker in _STANDALONE:
             continue
@@ -133,7 +182,8 @@ def extract_image_attributes(data) -> ImageAttributes:
             return ImageAttributes(width=width, length=height, byte_size=size)
         pos += seg_len
         if marker == _SOS:
-            if have < end:
-                buf, base, have = data[pos:end], pos, end
-            pos = base + _skip_entropy(buf, pos - base)
+            if pos > have:  # the scan header ran past the bytes in hand
+                buf, base = b"", pos
+            buf, base, pos = _skip_entropy_windows(data, buf, base, pos, end)
+            have = base + len(buf)
     raise NoFrameHeader("no start-of-frame segment before end of stream")

@@ -51,11 +51,14 @@ SCHEMA_VERSION = 1
 # first reads one page, which serves sniffing the kind and the start of the
 # JPEG walk, and a video tops that head up to HEAD_READ bytes.  A file that
 # ends inside its head is parsed as read.  Any other is parsed through one
-# _FileView of the whole file, which reads only what the parser asks for: a
-# box walk the boxes it opens, a JPEG walk a page at each segment header it
-# lands on, up to jpeg.HEAD_WINDOW.  Either way, read cost follows the
-# file's structure.  A file that ends before its fstat size past its head
-# fails with TruncatedFile.
+# _FileView of the whole file, which reads only what the parser asks for,
+# at least a page at a time, and serves a slice inside its last read from
+# it: a box walk reads a page of box headers at a time, and a JPEG walk a
+# page at each segment header it lands on and jpeg.READ_WINDOW bytes at a
+# time of entropy data or fill bytes, up to jpeg.HEAD_WINDOW.  Either way,
+# read cost follows the file's structure, and no read grows with the file.
+# A file that ends before its fstat size past its head fails with
+# TruncatedFile.
 HEAD_READ = 64 * 1024
 
 
@@ -90,11 +93,15 @@ def _pread(fd: int, limit: int, offset: int, want: int) -> bytes:
 
 class _FileView:
     """A file of fstat ``size`` whose first bytes are ``head``: slices inside
-    the head come from the head, others are read when asked for, and a
-    short read is a TruncatedFile."""
+    the head come from the head, and slices inside the last bytes read from
+    those bytes.  Any other slice is read from its start, at least
+    ``jpeg.PAGE`` bytes of it where the file holds them, so the headers that
+    follow it come from the same read; a read short of the slice's end is a
+    TruncatedFile."""
 
     def __init__(self, fd: int, head: bytes, size: int) -> None:
         self._fd, self._head, self._size = fd, head, size
+        self._last, self._last_at = b"", 0
 
     def __len__(self) -> int:
         return self._size
@@ -103,10 +110,16 @@ class _FileView:
         start, stop, _ = index.indices(self._size)
         if stop <= len(self._head) or stop <= start:
             return self._head[start:stop]
-        data = _pread(self._fd, stop - start, start, stop - start)
-        if len(data) < stop - start:
+        at = self._last_at
+        if at <= start and stop <= at + len(self._last):
+            return self._last[start - at:stop - at]
+        want = stop - start
+        page = jpeg.PAGE  # read at least a page, where the file holds one
+        data = _pread(self._fd, want if want >= page else min(page, self._size - start), start, want)
+        if len(data) < want:
             raise container.TruncatedFile(f"file ends before offset {stop}, short of its size {self._size}")
-        return data
+        self._last, self._last_at = data, start
+        return data[:want]
 
 
 def scan_file(path: str | os.PathLike[str], kb: KnowledgeBase, chains: bool = True, *,

@@ -7,6 +7,7 @@ fails the suite.
 import random
 import struct
 import time
+import tracemalloc
 
 import pytest
 from click.testing import CliRunner
@@ -258,4 +259,17 @@ def test_criterion_9_hostile_jpeg_parse_time(tmp_path, kb):
         assert parse_s < 0.25, f"{name}: parse took {parse_s:.3f}s"
         assert scan_s < 0.25, f"{name}: scan_file took {scan_s:.3f}s"
         timings.append(f"{name} {parse_s * 1000:.0f}/{scan_s * 1000:.0f} ms")
-    print(f"PASS criterion 9: 16 MiB hostile JPEGs rejected fast, parse/scan_file: {', '.join(timings)}")
+    # Read from a file, each is walked a window at a time, not held whole.
+    peaks = []
+    for name in hostile:
+        tracemalloc.start()
+        try:
+            report = scan_file(tmp_path / f"{name}.jpg", kb)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.error is not None and report.error.startswith("NoFrameHeader:"), name
+        assert peak < 1 << 20, f"{name}: scan_file peaked at {peak / (1 << 20):.2f} MiB traced"
+        peaks.append(f"{name} {peak / (1 << 20):.2f} MiB")
+    print(f"PASS criterion 9: 16 MiB hostile JPEGs rejected fast, parse/scan_file: {', '.join(timings)}; "
+          f"scan_file traced peak: {', '.join(peaks)}")

@@ -19,6 +19,7 @@ from mediafp.jpeg import (
     NoFrameHeader,
     NotJpeg,
     _skip_entropy,
+    _skip_entropy_windows,
     extract_image_attributes,
 )
 
@@ -141,6 +142,22 @@ _ENTROPY_BYTES = st.one_of(
 def test_skip_entropy_matches_byte_walk(data):
     for pos in range(len(data) + 1):
         assert _skip_entropy(data, pos) == _reference_skip_entropy(data, pos), pos
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_ENTROPY_BYTES, max_size=48).map(bytes), st.integers(min_value=1, max_value=6), st.data())
+def test_skip_entropy_in_windows_matches_the_whole_search(data, read_window, draw):
+    # The bytes in hand run from `base` to `have`; the rest is read in
+    # windows of `read_window` bytes, so stuffing, restart markers and fill
+    # runs straddle every edge.  The offset found is that of one search over
+    # all the bytes, and the window given back holds it.
+    pos = draw.draw(st.integers(min_value=0, max_value=len(data)), label="pos")
+    base = draw.draw(st.integers(min_value=0, max_value=pos), label="base")
+    have = draw.draw(st.integers(min_value=pos, max_value=len(data)), label="have")
+    with mock.patch.object(jpeg, "READ_WINDOW", read_window):
+        buf, at, found = _skip_entropy_windows(data, data[base:have], base, pos, len(data))
+    assert found == _skip_entropy(data, pos)
+    assert buf == data[at:at + len(buf)] and at <= found <= at + len(buf)
 
 
 # Segment streams: APPn, DQT, DHT and COM segments and scans (SOS plus entropy
@@ -274,19 +291,21 @@ def _reference_extract(data, byte_size=None):
 @given(_segment_streams(), st.data())
 def test_any_segment_stream_raises_only_jpeg_errors_and_a_view_equals_the_reference(data, draw):
     # Over bytes, at every cut; over a file view, at every first-read
-    # length, with a drawn page size and a drawn HEAD_WINDOW.
+    # length, with a drawn page size, read window and HEAD_WINDOW.
     for cut in range(len(data) + 1):
         assert _outcome(extract_image_attributes, data[:cut]) == _outcome(_reference_extract, data[:cut]), cut
     # Pages shorter than a frame header are drawn as often as longer ones.
     page = draw.draw(st.integers(min_value=4, max_value=12) | st.integers(min_value=13, max_value=64), label="page")
+    read_window = draw.draw(st.integers(min_value=4, max_value=64), label="read_window")
     window = draw.draw(st.just(len(data)) | st.integers(min_value=0, max_value=len(data)), label="window")
-    _assert_views_equal_the_reference(data, [page], window)
+    _assert_views_equal_the_reference(data, [(page, read_window)], window)
 
 
-def _assert_views_equal_the_reference(data, pages, window=None):
+def _assert_views_equal_the_reference(data, sizes, window=None):
     """With ``jpeg.HEAD_WINDOW`` at ``window``, the bytes of ``data`` and a
-    view of a file of them, at every first-read length and each page size,
-    parse as the bytes up to the window do, with the whole size reported."""
+    view of a file of them, at every first-read length and each pair of
+    ``jpeg.PAGE`` and ``jpeg.READ_WINDOW`` in ``sizes``, parse as the bytes
+    up to the window do, with the whole size reported."""
     window = len(data) if window is None else window
     expected = _outcome(_reference_extract, data[:window], len(data))
     with tempfile.TemporaryDirectory() as tmp:
@@ -297,11 +316,11 @@ def _assert_views_equal_the_reference(data, pages, window=None):
         try:
             with mock.patch.object(jpeg, "HEAD_WINDOW", window):
                 assert _outcome(extract_image_attributes, data) == expected
-                for page in pages:
-                    with mock.patch.object(jpeg, "PAGE", page):
+                for page, read_window in sizes:
+                    with mock.patch.object(jpeg, "PAGE", page), mock.patch.object(jpeg, "READ_WINDOW", read_window):
                         for first in range(len(data) + 1):
                             view = report._FileView(fd, data[:first], len(data))
-                            assert _outcome(extract_image_attributes, view) == expected, (page, first)
+                            assert _outcome(extract_image_attributes, view) == expected, (page, read_window, first)
         finally:
             os.close(fd)
 
@@ -320,7 +339,9 @@ _SCAN = _segment(0xDA, bytes([1, 1, 0x00, 0, 63, 0]))
     b"\xff\xd8" + _segment(0xE1, bytes(30)) + _segment(0xDB, bytes(8), declared=200),
 ], ids=["long-fill-run", "fill-to-end", "scan-first", "overlong-segment"])
 def test_a_view_at_every_page_size_equals_the_reference(data):
-    _assert_views_equal_the_reference(data, range(4, 65))
+    # Every page size from 4 to 64 bytes, each with a read window from 64
+    # down to 4 bytes, so that entropy data and fill runs cross window edges.
+    _assert_views_equal_the_reference(data, zip(range(4, 65), range(64, 3, -1)))
 
 
 @pytest.mark.parametrize("entropy", [b"\x12\xff\xd0\x34", b"\x12\xff\xff\xd0\x34", b"\x12\xff\xff\x00\x34",
@@ -333,13 +354,13 @@ def test_fill_bytes_inside_entropy_data_stay_in_the_scan(entropy):
 
 
 def _count_preads(monkeypatch):
+    """The byte count each positioned read by scan_file asks for, in order."""
     reads = []
     real = os.pread
 
     def counted(fd, count, offset):
-        data = real(fd, count, offset)
-        reads.append(len(data))
-        return data
+        reads.append(count)
+        return real(fd, count, offset)
 
     monkeypatch.setattr(report.os, "pread", counted)
     return reads
@@ -360,6 +381,20 @@ def test_segments_the_walk_skips_are_never_read(tmp_path, kb, monkeypatch, app1_
     result = report.scan_file(path, kb)
     assert result.attributes == _reference_extract(data) == ImageAttributes(720, 960, 200_000)
     assert 0 < sum(reads) <= 2 * 4096 and len(reads) == 2
+
+
+def test_no_read_of_a_scan_before_frame_asks_for_more_than_the_read_window(tmp_path, kb, monkeypatch):
+    # A scan header, then entropy data (a hole of zero bytes) to 16 MiB:
+    # the walk reads it to the end of HEAD_WINDOW, a window at a time.
+    path = tmp_path / "photo.jpg"
+    with open(path, "wb") as out:
+        out.write(b"\xff\xd8" + _SCAN)
+        out.truncate(jpeg.HEAD_WINDOW)
+    reads = _count_preads(monkeypatch)
+    result = report.scan_file(path, kb)
+    assert result.error == "NoFrameHeader: no start-of-frame segment before end of stream"
+    assert max(reads) <= jpeg.READ_WINDOW
+    assert jpeg.HEAD_WINDOW <= sum(reads) <= jpeg.HEAD_WINDOW + jpeg.READ_WINDOW
 
 
 def test_scan_before_frame_is_parsed_once(tmp_path, kb, monkeypatch):

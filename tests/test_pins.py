@@ -1,5 +1,6 @@
-"""Pinned reports of ``mediafp scan`` over the seed-1 benchmark trees, and
-``mediafp kb`` output that must not depend on the hash seed.
+"""Pinned reports of ``mediafp scan`` over the seed-1 benchmark trees,
+``mediafp kb`` output that must not depend on the hash seed, and scans of
+files with huge declared sizes in a bounded address space.
 
 The three trees are built once per session by ``perfbench/workloads.py``
 (about 290 MB, removed at the end of the session), so these pins follow the
@@ -11,13 +12,17 @@ pins below.
 
 import hashlib
 import os
+import re
 import resource
+import struct
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
 import pytest
+
+from mediafp.oracle import expected_attributes, synthesize_container
 
 ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ("evidence-mixed", "photo-dump", "hostile-large")
@@ -52,13 +57,13 @@ def _limit_open_files():
     resource.setrlimit(resource.RLIMIT_NOFILE, (MAX_OPEN_FILES, MAX_OPEN_FILES))
 
 
-def _mediafp(args, hash_seed, cwd=None, limit_open_files=False):
+def _mediafp(args, hash_seed, cwd=None, preexec_fn=None):
     src = str(ROOT / "src")
     path = os.pathsep.join([src, os.environ["PYTHONPATH"]]) if os.environ.get("PYTHONPATH") else src
     env = dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=str(hash_seed))
     return subprocess.run([sys.executable, "-c", "from mediafp.cli import main; main()", *args],
                           cwd=cwd, env=env, capture_output=True,
-                          preexec_fn=_limit_open_files if limit_open_files else None)
+                          preexec_fn=preexec_fn)
 
 
 @pytest.mark.parametrize("command", ["validate", "list"])
@@ -78,7 +83,7 @@ def test_reports_do_not_depend_on_the_hash_seed(trees, workload, fmt):
     # that follows PYTHONHASHSEED shows only across processes.
     args = ["scan", str(trees / workload / "tree"), "--format", fmt]
     first = _mediafp(args, hash_seed=0)
-    second = _mediafp(args, hash_seed=1, limit_open_files=True)
+    second = _mediafp(args, hash_seed=1, preexec_fn=_limit_open_files)
     for result in (first, second):
         assert result.returncode == EXIT_STATUS[workload], result.stderr.decode(errors="replace")
     assert first.stdout == second.stdout
@@ -89,3 +94,56 @@ def test_scan_inside_the_tree_gives_the_pinned_report(trees, workload, fmt, opti
     result = _mediafp(["scan", ".", *options, "--format", fmt], hash_seed=0, cwd=trees / workload / "tree")
     assert result.returncode == EXIT_STATUS[workload], result.stderr.decode(errors="replace")
     assert hashlib.sha256(result.stdout).hexdigest() == sha256
+
+
+@pytest.fixture(scope="module")
+def large_files(tmp_path_factory, kb):
+    """Four files whose declared sizes are holes that cost no disk.
+
+    big.mov: a 4 GiB mdat, seeked over, then the moov.  ftyp.mov: an ftyp
+    declaring a 1 GiB brand list.  scan.jpg and frame.jpg: a start-of-scan
+    or a frame header, then a 4 GiB hole.
+    """
+    work = tmp_path_factory.mktemp("large")
+    movie = synthesize_container(expected_attributes(kb.record("t7-discord-default")))
+    ftyp_end = struct.unpack_from(">I", movie)[0]
+    mdat = 4 << 30
+    with open(work / "big.mov", "wb") as out:
+        out.write(movie[:ftyp_end] + struct.pack(">I", 1) + b"mdat" + struct.pack(">Q", 16 + mdat))
+        out.seek(mdat, 1)
+        out.write(movie[ftyp_end:])
+    brands = 1 << 30
+    with open(work / "ftyp.mov", "wb") as out:
+        out.write(struct.pack(">I", 8 + brands) + b"ftyp")
+        out.seek(brands, 1)
+        out.write(movie[ftyp_end:])
+    sos = b"\xff\xda" + struct.pack(">HB", 8, 1) + bytes([1, 0x00, 0, 63, 0])
+    sof = b"\xff\xc0" + struct.pack(">HBHHB", 11, 8, 1080, 1920, 1) + bytes([1, 0x11, 0])
+    for name, segment in (("scan.jpg", sos), ("frame.jpg", sof)):
+        with open(work / name, "wb") as out:
+            out.write(b"\xff\xd8" + segment)
+            out.seek(4 << 30, 1)
+            out.truncate()
+    return work
+
+
+def _limit_address_space(mib):
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (mib << 20, mib << 20))
+    return limit
+
+
+# (file, address-space limit in MiB, exit status, a pattern of its report row).
+# The mdat and the hole are never read; the 1 GiB brand list is refused
+# before it is read, with no MemoryError traceback; the JPEG walk stops at
+# its 16 MiB window, where a walk bounded by the file would run out of memory.
+@pytest.mark.parametrize("name,limit_mib,status,row", [
+    ("big.mov", 1024, 0, r"big\.mov  video  Identified"),
+    ("ftyp.mov", 512, 1, r"ftyp\.mov  video  error  +MalformedBox: ftyp payload of 1073741824 bytes exceeds 4096"),
+    ("scan.jpg", 1024, 1, r"scan\.jpg  image  error  +NoFrameHeader: no start-of-frame segment before end of stream"),
+    ("frame.jpg", 1024, 0, r"frame\.jpg  image  Identified  +WeChat \(Android169, General\)"),
+])
+def test_large_declared_sizes_scan_in_bounded_address_space(large_files, name, limit_mib, status, row):
+    result = _mediafp(["scan", str(large_files / name)], hash_seed=0, preexec_fn=_limit_address_space(limit_mib))
+    assert (result.returncode, result.stderr) == (status, b"")
+    assert re.search(row, result.stdout.decode()), result.stdout.decode()

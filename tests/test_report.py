@@ -24,6 +24,7 @@ from mediafp.report import HEAD_READ, FileReport, render_json, scan_file
 
 from conftest import make_jpeg, partial_video_originals, write_repeated_vectors, write_sparse_video
 from test_container import _hostile_buffers
+from test_jpeg import _count_preads
 
 # make_jpeg ends with SOF (13 bytes), SOS (10 bytes) and EOI (2 bytes).
 _TAIL_LEN = 25
@@ -147,6 +148,17 @@ def test_moov_after_a_large_mdat(tmp_path, kb, short_reads):
     result = _scan_video(tmp_path, kb, moved)
     assert (result.attributes.width, result.attributes.length) == (960, 540)
     assert 0 < short_reads.read_total < 2 * HEAD_READ
+
+
+def test_moov_past_the_head_is_read_a_page_at_a_time(tmp_path, kb, monkeypatch):
+    # ftyp, a sparse mdat larger than the head, then the moov: two reads for
+    # the head, and the moov's box headers and leaf payloads from one page.
+    path = tmp_path / "clip.mov"
+    write_sparse_video(path, _discord(kb, 0), 2 * HEAD_READ, moov_last=True)
+    reads = _count_preads(monkeypatch)
+    result = scan_file(path, kb)
+    assert result.attributes == extract_video_attributes(path.read_bytes(), name_hint=path.name)
+    assert len(reads) <= 4
 
 
 @pytest.mark.parametrize("data,kind,error", [
