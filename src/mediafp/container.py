@@ -27,16 +27,18 @@ box walk reads inside each box's own payload only: a child's header within
 its parent, the QuickTime-or-ISO 'meta' sniff within the meta box, a leaf
 reader within its own payload, slicing no more of it than its structure
 calls for.  The boxes inside an stsd sample entry and an ilst are not
-walked: ``_box_run`` reads them for the leaf readers, and a broken header
-there ends the search, not the file.  The two leaf payloads read whole, the
-ftyp brand list and the encoder text, are refused as MalformedBox above
-4 KiB, so no declared size makes a reader slice more than that.
+walked: ``_find_box`` finds the avcC, (c)too and 'data' boxes the leaf
+readers need in a run of them, and a broken header there ends the search,
+not the file.  The two leaf payloads read whole, the ftyp brand list and
+the encoder text, are refused as MalformedBox above 4 KiB, so no declared
+size makes a reader slice more than that.
 
 The buffer may be bytes, a bytearray, a memoryview, or any view that
 slices into bytes and measures its length with len(), such as one that
 reads a large file on demand; each form gives the same boxes, attributes
 and errors.  The walk reads box headers in place from the three bytes-like
-forms and slices every other view.
+forms, and so does the sample-entry reader its size and dimensions; every
+other view is sliced.
 """
 
 from __future__ import annotations
@@ -166,16 +168,19 @@ def _walk(data) -> list[tuple[bytes, int, int, list | None]]:
         pos, end, boxes = resume.pop()
 
 
-def _box_run(data, pos: int, end: int):
-    """Each box in ``data[pos:end]`` as (raw type, payload offset, box end),
-    up to the first header that is cut short or declares less than 8 bytes
-    or more than the run holds: that ends the run, silently."""
+def _find_box(data, pos: int, end: int, raw_type: bytes, least: int = 0) -> tuple[int, int] | None:
+    """(payload offset, box end) of the first box in ``data[pos:end]`` of
+    type ``raw_type`` with ``least`` payload bytes or more, or None.  The
+    run ends, silently, at the first header that is cut short or declares
+    less than 8 bytes or more than the run holds."""
     while pos + 8 <= end:
-        size, raw_type = _BOX_HEADER.unpack(data[pos:pos + 8])
+        size, box_type = _BOX_HEADER.unpack(data[pos:pos + 8])
         if size < 8 or pos + size > end:
-            return
-        yield raw_type, pos + 8, pos + size
+            return None
+        if box_type == raw_type and size - 8 >= least:
+            return pos + 8, pos + size
         pos += size
+    return None
 
 
 def _fullbox_skip(data, payload_offset: int, payload_end: int) -> int:
@@ -302,19 +307,19 @@ def _stsd_video_entry(data, offset: int, stsd_end: int) -> tuple[int, int, str] 
     # boxes from entry offset 86 on.  Reads stay inside the first entry.  The
     # video format profile is rendered from avcC, or "" when there is none.
     entry = offset + 8
-    fields = data[entry:min(entry + 36, stsd_end)]
-    if len(fields) < 36:
+    if entry + 36 > stsd_end:
         return None
-    entry_size, width, height = _VISUAL_ENTRY.unpack(fields)
+    if isinstance(data, _BYTES_LIKE):
+        entry_size, width, height = _VISUAL_ENTRY.unpack_from(data, entry)
+    else:
+        entry_size, width, height = _VISUAL_ENTRY.unpack(data[entry:entry + 36])
     end = entry + entry_size
     if entry_size < 36 or end > stsd_end:
         return None
+    avcc = _find_box(data, entry + 86, end, b"avcC")
     profile = ""
-    for child_type, payload, child_end in _box_run(data, entry + 86, end):
-        if child_type == b"avcC":
-            if child_end - payload >= 4:
-                profile = _render_avc_config(bytes(data[payload:payload + 4]))
-            break
+    if avcc is not None and avcc[1] - avcc[0] >= 4:
+        profile = _render_avc_config(bytes(data[avcc[0]:avcc[0] + 4]))
     if width < 1 or height < 1:
         return None
     return width, height, profile
@@ -348,16 +353,14 @@ def _ilst_encoder(data, offset: int, end: int) -> str | None:
     # ilst items: the first (c)too item wraps 'data' boxes, and the first of
     # those with 8 bytes of payload or more holds type(4) + locale(4) + utf-8
     # text.
-    for item_type, inner, inner_end in _box_run(data, offset, end):
-        if item_type == b"\xa9too":
-            for d_type, payload, d_end in _box_run(data, inner, inner_end):
-                if d_type == b"data" and d_end - payload >= 8:
-                    if d_end - payload - 8 > _MAX_TEXT_PAYLOAD:
-                        raise MalformedBox(f"encoder text of {d_end - payload - 8} bytes exceeds {_MAX_TEXT_PAYLOAD}")
-                    text = str(data[payload + 8:d_end], "utf-8", "replace")
-                    return text.rstrip("\x00") or None
-            return None
-    return None
+    item = _find_box(data, offset, end, b"\xa9too")
+    found = item and _find_box(data, item[0], item[1], b"data", 8)
+    if found is None:
+        return None
+    payload, d_end = found
+    if d_end - payload - 8 > _MAX_TEXT_PAYLOAD:
+        raise MalformedBox(f"encoder text of {d_end - payload - 8} bytes exceeds {_MAX_TEXT_PAYLOAD}")
+    return str(data[payload + 8:d_end], "utf-8", "replace").rstrip("\x00") or None
 
 
 def extension_from_hint(name_hint: str | None, profile: FormatProfile) -> str:
@@ -428,9 +431,9 @@ def extract_video_attributes(data, name_hint: str | None = None) -> VideoAttribu
         width, height, video_format_profile = entry
 
     udta = _first(moov[3], b"udta")
-    markers = frozenset() if udta is None else frozenset(
+    markers = frozenset() if udta is None else frozenset([
         _MARKER_ATOMS.get(child[0], Marker.MOVIE_MORE) for child in udta[3] if child[0] not in _NON_MARKER_ATOMS
-    )
+    ])
     encoder = None
     for parent in (udta, moov):
         meta = _first(parent[3], b"meta") if parent is not None else None

@@ -173,7 +173,8 @@ def match_video(attrs: VideoAttributes, kb: KnowledgeBase, chains: bool = True) 
     """
     singles, _ = kb.video_candidates(attrs.codec_id, attrs.video_format_profile)
     _, candidates = _matches(singles, satisfies_video, attrs)
-    candidates.sort(key=lambda cand: -len(cand.matched_fields))
+    if len(candidates) > 1:
+        candidates.sort(key=lambda cand: -len(cand.matched_fields))
     hypotheses = infer_chain(attrs, kb) if chains else []
     outcome = classify_outcome(candidates, hypotheses, original_like=kb.video_original(attrs) is not None)
     return Verdict(tuple(candidates), outcome, tuple(hypotheses))

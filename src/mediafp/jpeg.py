@@ -5,12 +5,14 @@ reads the stored dimensions from it (ITU T.81 layout: precision byte, then
 16-bit lines and samples-per-line).  Marker segments are skipped by their
 declared length; entropy-coded data after a start-of-scan is searched for the
 next real marker.  Entropy data and fill-byte runs are crossed by compiled
-regex searches, not by a Python step per byte.  Nothing is decoded.
+regex searches, not by a Python step per byte; a marker with no fill byte
+before it takes no search.  Nothing is decoded.
 
 The stream may be a view of a file in place of a buffer; then only the
 pages where the walk lands are read, so a skipped segment costs nothing
 however long it is, and entropy data and fill runs past the bytes in hand
-are read ``READ_WINDOW`` bytes at a time, so no read grows with them.
+are read ``READ_WINDOW`` bytes at a time, each once, so no read grows with
+them.
 Either way the walk stops at ``HEAD_WINDOW``: the frame header of a real
 photo sits near the start, and hostile entropy data may run on for
 gigabytes.
@@ -91,34 +93,36 @@ def _read_past_fill(data, pos: int, end: int):
 
 
 def _skip_entropy_windows(data, buf, base: int, pos: int, end: int):
-    """``_skip_entropy(data[:end], pos)``, searched from ``buf``, the bytes
-    ``data[base:base + len(buf)]`` in hand, then a window at a time:
-    ``(window, its offset, the offset found)``, the window holding it.
+    """Where ``_skip_entropy(data[:end], pos)`` finds a marker, the last
+    byte of the fill run there, or ``end`` when it finds none; searched from
+    ``buf``, the bytes ``data[base:base + len(buf)]`` in hand, then a window
+    at a time: ``(window, its offset, the offset found)``, the window
+    holding it.
 
     A window's result stands when the window reaches ``end`` or holds the
     byte after the fill run found.  A fill run, or a lone 0xFF, that ends
     the window is crossed by ``_read_past_fill`` to the byte that decides
     it: stuffing, TEM or a restart marker resumes the search there; a marker
-    code or the end returns the run's start, in the window that holds it.
+    code or the end returns the run's last byte, so the segment walk goes on
+    at the code without crossing the run again.
     """
     while True:
         have = base + len(buf)
         found = base + _skip_entropy(buf, pos - base)
-        if have == end:
-            return buf, base, found
         if found < have:
-            if base + _FILL_RUN.match(buf, found - base).end() < have:
-                return buf, base, found
-            run = found
-        elif pos < have and buf[-1] == 0xFF:
-            run = have - 1
-        else:
+            run_end = base + _FILL_RUN.match(buf, found - base).end()
+            if run_end < have or have == end:
+                return buf, base, run_end - 1
+        elif have == end:
+            return buf, base, end
+        elif not (pos < have and buf[-1] == 0xFF):
             buf, base, pos = data[have:min(have + READ_WINDOW, end)], have, have
             continue
         after_buf, after_base, after = _read_past_fill(data, have, end)
         code = after_buf[after - after_base] if after < end else None
         if not (code == 0x00 or code in _STANDALONE):
-            return buf, base, run
+            # A run that ended with the window before has its last byte alone.
+            return (after_buf, after_base, after - 1) if after > after_base else (b"\xff", after - 1, after - 1)
         buf, base, pos = after_buf, after_base, after
 
 
@@ -153,10 +157,12 @@ def extract_image_attributes(data) -> ImageAttributes:
             have = pos + len(buf)
         if buf[pos - base] != 0xFF:
             raise NoFrameHeader(f"expected marker at offset {pos}")
-        pos = base + _FILL_RUN.match(buf, pos - base).end()  # fill bytes before the code
-        if pos == have < end:
-            buf, base, pos = _read_past_fill(data, have, end)
-            have = base + len(buf)
+        pos += 1
+        if pos == have or buf[pos - base] == 0xFF:  # fill bytes before the code
+            pos = base + _FILL_RUN.match(buf, pos - base).end()
+            if pos == have < end:
+                buf, base, pos = _read_past_fill(data, have, end)
+                have = base + len(buf)
         if pos >= end:
             break
         marker = buf[pos - base]

@@ -46,8 +46,9 @@ from .kb import KnowledgeBase
 
 SCHEMA_VERSION = 1
 # Each file is opened once as a raw descriptor, sized by fstat on it, and
-# read by positioned reads, so no read depends on a file offset.  A file of
-# HEAD_READ bytes or less is read whole by the first read; a larger one
+# read by positioned reads, so no read depends on a file offset.  The first
+# read is one os.pread call, read on only when it comes back short.  A file
+# of HEAD_READ bytes or less is read whole by the first read; a larger one
 # first reads one page, which serves sniffing the kind and the start of the
 # JPEG walk, and a video tops that head up to HEAD_READ bytes.  A file that
 # ends inside its head is parsed as read.  Any other is parsed through one
@@ -79,10 +80,10 @@ def sniff_media_kind(head: bytes) -> MediaKind:
     return MediaKind.IMAGE if head[:2] == jpeg.SOI else MediaKind.VIDEO
 
 
-def _pread(fd: int, limit: int, offset: int, want: int) -> bytes:
-    # Up to `limit` bytes at `offset`.  A read may return short; read on
-    # until the bytes hold `want`, or the file ends.
-    data = os.pread(fd, limit, offset)
+def _pread(fd: int, limit: int, offset: int, want: int, data: bytes = b"") -> bytes:
+    # Up to `limit` bytes at `offset`, of which `data` are already read.  A
+    # read may return short; read on until the bytes hold `want`, or the
+    # file ends.
     while len(data) < want:
         more = os.pread(fd, limit - len(data), offset + len(data))
         if not more:
@@ -147,7 +148,9 @@ def scan_file(path: str | os.PathLike[str], kb: KnowledgeBase, chains: bool = Tr
                 raise OSError(f"not a regular file: {path!r}")
             size = stat.st_size
             first = HEAD_READ if size <= HEAD_READ else jpeg.PAGE
-            head = _pread(fd, first, 0, min(first, size))
+            head = os.pread(fd, first, 0)
+            if len(head) < first and len(head) < size:
+                head = _pread(fd, first, 0, min(first, size), head)
             kind = sniff_media_kind(head)
             want = first if kind is MediaKind.IMAGE else HEAD_READ
             if len(head) == first < want:
@@ -320,9 +323,16 @@ def render_json(reports: list[FileReport], timestamp: str | None = None) -> str:
     plus the evidence the KB owns, and it is dropped when the call returns.
     """
     stamp = "" if timestamp is None else f'  "generated_at": {_str(timestamp)},\n'
+    head = f'{{\n  "schema_version": {SCHEMA_VERSION},\n{stamp}  "reports": '
     memo: dict[int, tuple] = {}
-    body = _array([_report_json(r, memo) for r in reports], "  ")
-    return f'{{\n  "schema_version": {SCHEMA_VERSION},\n{stamp}  "reports": {body}\n}}\n'
+    rows = [_report_json(r, memo) for r in reports]
+    if not rows:
+        return head + "[]\n}\n"
+    # The one join copies the rows once; _array and f-strings around it
+    # would copy the whole report twice more.
+    rows[0] = f"{head}[\n    {rows[0]}"
+    rows[-1] += "\n  ]\n}\n"
+    return ",\n    ".join(rows)
 
 
 def _candidate_label(c: Candidate) -> str:

@@ -1,6 +1,8 @@
 import dataclasses
+import importlib.util
 import os
 import struct
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +13,15 @@ from mediafp.oracle import InconsistentAttrs, generate_corpus, synthesize_contai
 @pytest.fixture(scope="session")
 def kb():
     return load_kb_path()
+
+
+def load_tracer():
+    """The benchmark's ``perfbench/tracer.py``, loaded from its file, as the benchmark runs it."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def brute_force_records(kb):

@@ -916,17 +916,47 @@ def _reference_ilst_encoder(data, offset, end):
 _REFERENCE_LEAF_READERS = {b"stsd": _reference_stsd, b"ilst": _reference_ilst_encoder}
 
 
+# The buffer forms a leaf reader is given: the walk reads bytes-like forms
+# in place and slices any other view.
+_BUFFER_FORMS = (bytes, bytearray, memoryview, _RecordingBuffer)
+
+
 @settings(max_examples=400, deadline=None)
 @given(st.sampled_from(sorted(_REFERENCE_LEAF_READERS)).flatmap(
     lambda box_type: st.tuples(st.just(box_type), _LEAF_READERS[box_type][1])), _hostile_bytes)
-def test_box_run_readers_match_the_reference_readers(leaf, sibling):
+def test_leaf_readers_match_the_reference_readers_on_every_buffer_form(leaf, sibling):
     # Over the leaf payloads, alone and followed by hostile bytes, and over a
-    # payload that runs to the end of those bytes: the same result or error.
+    # payload that runs to the end of those bytes, each as bytes, a
+    # bytearray, a memoryview and a view that only slices: the same result
+    # or error as the reference over the bytes.
     box_type, payload = leaf
     data = box(box_type, payload) + sibling
     for end in (len(data) - len(sibling), len(data)):
         expected = _outcome(lambda d: _REFERENCE_LEAF_READERS[box_type](d, 8, end), data)
-        assert _outcome(lambda d: _LEAF_READERS[box_type][0](d, 8, end), data) == expected
+        for form in _BUFFER_FORMS:
+            assert _outcome(lambda d: _LEAF_READERS[box_type][0](d, 8, end), form(data)) == expected, form
+
+
+def _visual_entry(declared, width=640, height=360):
+    # A visual sample entry's size, format, 24 bytes, then width and height.
+    return struct.pack(">I", declared) + b"avc1" + bytes(24) + struct.pack(">HH", width, height)
+
+
+@pytest.mark.parametrize("form", _BUFFER_FORMS)
+@pytest.mark.parametrize("stsd_end,expected", [(8 + 36, (640, 360, "")), (8 + 35, None)])
+def test_sample_entry_fields_at_the_stsd_end(form, stsd_end, expected):
+    # The entry's 36 fixed bytes end exactly at the stsd end, then one byte
+    # past it; the bytes after the stsd end are there but not the stsd's.
+    data = struct.pack(">II", 0, 1) + _visual_entry(36) + bytes(8)
+    assert _stsd_video_entry(form(data), 0, stsd_end) == expected
+
+
+@pytest.mark.parametrize("form", _BUFFER_FORMS)
+def test_a_short_data_box_before_the_encoder_is_passed_over(form):
+    # A data box with 7 payload bytes is too short for type and locale.
+    item = box(b"\xa9too", box(b"data", bytes(7)) + box(b"data", bytes(8) + b"Lavf58.20.100"))
+    data = box(b"ilst", item)
+    assert _ilst_encoder(form(data), 8, len(data)) == "Lavf58.20.100"
 
 
 def _reference_is_video(data, trak):

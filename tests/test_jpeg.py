@@ -149,15 +149,21 @@ def test_skip_entropy_matches_byte_walk(data):
 def test_skip_entropy_in_windows_matches_the_whole_search(data, read_window, draw):
     # The bytes in hand run from `base` to `have`; the rest is read in
     # windows of `read_window` bytes, so stuffing, restart markers and fill
-    # runs straddle every edge.  The offset found is that of one search over
-    # all the bytes, and the window given back holds it.
+    # runs straddle every edge.  The offset found is the last byte of the
+    # fill run where one search over all the bytes finds a marker, or the
+    # end when it finds none, and the window given back holds it.
     pos = draw.draw(st.integers(min_value=0, max_value=len(data)), label="pos")
     base = draw.draw(st.integers(min_value=0, max_value=pos), label="base")
     have = draw.draw(st.integers(min_value=pos, max_value=len(data)), label="have")
     with mock.patch.object(jpeg, "READ_WINDOW", read_window):
         buf, at, found = _skip_entropy_windows(data, data[base:have], base, pos, len(data))
-    assert found == _skip_entropy(data, pos)
-    assert buf == data[at:at + len(buf)] and at <= found <= at + len(buf)
+    marker = _skip_entropy(data, pos)
+    if marker == len(data):
+        assert found == len(data) and at <= found <= at + len(buf)
+    else:
+        assert found == _FILL_RUN.match(data, marker).end() - 1 and data[found] == 0xFF
+        assert at <= found < at + len(buf)
+    assert buf == data[at:at + len(buf)]
 
 
 # Segment streams: APPn, DQT, DHT and COM segments and scans (SOS plus entropy
@@ -344,6 +350,16 @@ def test_a_view_at_every_page_size_equals_the_reference(data):
     _assert_views_equal_the_reference(data, zip(range(4, 65), range(64, 3, -1)))
 
 
+# The APP0 payload puts the frame marker's 0xFF, after 0, 1 or 2 fill bytes,
+# on the last byte of a 16-byte page read from the APP0 header, and on the
+# last byte of the head at one of the first-read lengths.
+@pytest.mark.parametrize("fill", [0, 1, 2])
+def test_a_marker_whose_0xff_ends_a_page_equals_the_reference(fill):
+    data = b"\xff\xd8" + _segment(0xE0, bytes(11 - fill)) + b"\xff" * fill + _frame_header(0xC0, 640, 480, 1)
+    assert data[2 + 16 - 1:2 + 16 + 1] == b"\xff\xc0"
+    _assert_views_equal_the_reference(data, [(page, 64) for page in (14, 15, 16, 17, 18)])
+
+
 @pytest.mark.parametrize("entropy", [b"\x12\xff\xd0\x34", b"\x12\xff\xff\xd0\x34", b"\x12\xff\xff\x00\x34",
                                      b"\x12\xff\xff\xff\x01\x34"])
 def test_fill_bytes_inside_entropy_data_stay_in_the_scan(entropy):
@@ -395,6 +411,19 @@ def test_no_read_of_a_scan_before_frame_asks_for_more_than_the_read_window(tmp_p
     assert result.error == "NoFrameHeader: no start-of-frame segment before end of stream"
     assert max(reads) <= jpeg.READ_WINDOW
     assert jpeg.HEAD_WINDOW <= sum(reads) <= jpeg.HEAD_WINDOW + jpeg.READ_WINDOW
+
+
+def test_a_fill_run_after_a_scan_is_read_once(tmp_path, kb, monkeypatch):
+    # A scan header, then fill bytes to 16 MiB: the entropy search crosses
+    # the run a window at a time, and the segment walk goes on at its end
+    # without reading it again.
+    path = tmp_path / "photo.jpg"
+    path.write_bytes(b"\xff\xd8" + _SCAN + b"\xff" * jpeg.HEAD_WINDOW)
+    reads = _count_preads(monkeypatch)
+    result = report.scan_file(path, kb)
+    assert result.error == "NoFrameHeader: no start-of-frame segment before end of stream"
+    assert len(reads) <= 1 + jpeg.HEAD_WINDOW // jpeg.READ_WINDOW
+    assert sum(reads) <= jpeg.HEAD_WINDOW + jpeg.READ_WINDOW
 
 
 def test_scan_before_frame_is_parsed_once(tmp_path, kb, monkeypatch):

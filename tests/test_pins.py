@@ -1,13 +1,15 @@
-"""Pinned reports of ``mediafp scan`` over the seed-1 benchmark trees,
-``mediafp kb`` output that must not depend on the hash seed, and scans of
-files with huge declared sizes in a bounded address space.
+"""Pinned reports of ``mediafp scan`` over the seed-1 benchmark trees, the
+calls a traced scan of each tree makes, ``mediafp kb`` output that must not
+depend on the hash seed, and scans of files with huge declared sizes in a
+bounded address space.
 
 The three trees are built once per session by ``perfbench/workloads.py``
 (about 290 MB, removed at the end of the session), so these pins follow the
-benchmark's tree generator as well as the program.  Every scan runs in a
-child process, which alone gets the hash seed and descriptor limit under
-test.  A change that alters verdicts or report bytes on purpose updates the
-pins below.
+benchmark's tree generator as well as the program.  Every untraced scan
+runs in a child process, which alone gets the hash seed and descriptor
+limit under test; the traced scans run in process, under
+``perfbench/tracer.py``.  A change that alters verdicts or report bytes on
+purpose updates the pins below.
 """
 
 import hashlib
@@ -21,8 +23,12 @@ import tempfile
 from pathlib import Path
 
 import pytest
+from click.testing import CliRunner
 
+from mediafp.cli import main
 from mediafp.oracle import expected_attributes, synthesize_container
+
+from conftest import load_tracer
 
 ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ("evidence-mixed", "photo-dump", "hostile-large")
@@ -37,6 +43,11 @@ PINS = [
     ("hostile-large", "json", (), "5c27c20005e7fcdf87e83f00c77e998ef29a90038601e51cea20d0217459cb62"),
     ("evidence-mixed", "text", ("--no-chains",), "450dcb6ba68200b25b710d7ae1c8a47416d17f359b2ea8b36400f82ec0976bc8"),
     ("evidence-mixed", "json", ("--no-chains",), "aebfb6cdf71188023c5e5cb80d9cc9ca15ac2b54a4b6ff6d9d3954d61a11895b"),
+    # Each workload in the format perfbench/run.py renders it, so these equal
+    # its seed-1 outputs.report_sha256.
+    ("evidence-mixed", "text", (), "48e757e7649d6609b70ef4d77cbf6caf2a98c2175d23fbf8701b1873cfb5b156"),
+    ("photo-dump", "json", (), "6720c64facda953419a0d6b0ca9a0aab98d378a84af7d16b145357e7860b856d"),
+    ("hostile-large", "text", (), "5dcd1d4ad4f9c802d27beb7198c7c40f68741aef27295c25bc83273d82bdc16a"),
 ]
 # Descriptors a scan may hold open in the seed-1 run.  Files are read through
 # raw descriptors, which no ResourceWarning reports; one left open per file
@@ -94,6 +105,38 @@ def test_scan_inside_the_tree_gives_the_pinned_report(trees, workload, fmt, opti
     result = _mediafp(["scan", ".", *options, "--format", fmt], hash_seed=0, cwd=trees / workload / "tree")
     assert result.returncode == EXIT_STATUS[workload], result.stderr.decode(errors="replace")
     assert hashlib.sha256(result.stdout).hexdigest() == sha256
+
+
+# Calls of each span and counter of perfbench/tracer.py in one traced scan,
+# which matches each distinct video vector and image class once.
+TRACED_CALLS = {
+    "evidence-mixed": {
+        "engine.infer_chain": 243, "engine.match_video": 243, "container.extract_video_attributes": 940,
+        "engine.match_image": 23, "engine.disambiguate_by_size": 11,
+        "engine.satisfies_video.calls": 577, "engine.satisfies_video.hits": 134,
+    },
+    "photo-dump": {
+        "engine.match_image": 44, "engine.disambiguate_by_size": 22, "jpeg.extract_image_attributes": 1100,
+    },
+    "hostile-large": {
+        "container.extract_video_attributes": 690, "jpeg.extract_image_attributes": 410,
+    },
+}
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_traced_scan_inside_the_tree_makes_the_pinned_calls(trees, workload, monkeypatch):
+    # The tracer rebinds names and reports 0 calls for one it cannot reach,
+    # so a locally bound or renamed target would zero its layer unseen.
+    tracer = load_tracer()
+    monkeypatch.chdir(trees / workload / "tree")
+    with tracer.Tracer() as trace:
+        result = CliRunner().invoke(main, ["scan", "."])
+    assert result.exit_code == EXIT_STATUS[workload], result.output
+    calls = {name: row["calls"] for name, row in tracer.aggregate(trace.spans).items()}
+    calls.update(trace.counts)
+    expected = {"report.render_report": 1, "kb.load_kb_path": 1, **TRACED_CALLS[workload]}
+    assert {name: calls.get(name, 0) for name in expected} == expected
 
 
 @pytest.fixture(scope="module")

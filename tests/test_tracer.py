@@ -8,24 +8,13 @@ failing a benchmark run, so these counts must stay above 0.
 """
 
 import dataclasses
-import importlib.util
-from pathlib import Path
 
 from click.testing import CliRunner
 
 from mediafp.cli import main
 from mediafp.oracle import expected_attributes, synthesize_container
 
-from conftest import make_jpeg
-
-TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
-
-
-def _tracer_module():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PATH)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+from conftest import load_tracer, make_jpeg
 
 
 def test_traced_scan_reaches_every_layer(tmp_path, kb):
@@ -41,7 +30,7 @@ def test_traced_scan_reaches_every_layer(tmp_path, kb):
     for name, size in (("photo.jpg", 100_000), ("photo-2.jpg", 105_000)):
         (tmp_path / name).write_bytes(make_jpeg(720, 960, total_size=size))
 
-    tracer = _tracer_module()
+    tracer = load_tracer()
     with tracer.Tracer() as trace:
         result = CliRunner().invoke(main, ["scan", str(tmp_path)])
     assert result.exit_code == 0, result.output
