@@ -4,9 +4,11 @@ Scans the marker-segment stream up to the first start-of-frame header and
 reads the stored dimensions from it (ITU T.81 layout: precision byte, then
 16-bit lines and samples-per-line).  Marker segments are skipped by their
 declared length; entropy-coded data after a start-of-scan is searched for the
-next real marker.  Entropy data and fill-byte runs are crossed by compiled
-regex searches, not by a Python step per byte; a marker with no fill byte
-before it takes no search.  Nothing is decoded.
+next real marker, and the walk goes on at that marker's code.  One function
+crosses every run of 0xFF fill bytes, before a marker or inside entropy
+data, and one searches entropy data; both step by compiled regex, not by a
+Python step per byte, and a marker with no fill byte before it takes no
+search.  Nothing is decoded.
 
 The stream may be a view of a file in place of a buffer; then only the
 pages where the walk lands are read, so a skipped segment costs nothing
@@ -34,8 +36,9 @@ _EOI = 0xD9
 _SOS = 0xDA
 # Inside entropy-coded data a 0xFF, alone or ending a run of 0xFF fill bytes,
 # is always followed by 0x00 stuffing, TEM or a restart marker.  A 0xFF
-# followed by anything else is a real marker or starts a fill run, which
-# _skip_entropy crosses to see what follows it.
+# followed by anything else, or by nothing in the bytes searched, is a real
+# marker or starts a fill run, which _skip_entropy crosses with _past_fill
+# to see what follows it.
 _NEXT_MARKER = re.compile(rb"\xff[^\x00\x01\xd0-\xd7]")
 # Empty where the first byte is not 0xFF, so a match always ends somewhere.
 _FILL_RUN = re.compile(rb"\xff*")
@@ -63,67 +66,48 @@ class NoFrameHeader(JpegError):
     """No start-of-frame segment found before the stream ends or breaks."""
 
 
-def _skip_entropy(data, pos: int) -> int:
-    """Offset of the next real marker, or of the fill run before it, at or
-    after ``pos``; ``len(data)`` when there is none.
-
-    A fill run that ends in stuffing, TEM or a restart marker is still entropy
-    data (T.81 B.1.1.2), so the search resumes after it.  Each search starts
-    past the previous run, which keeps the walk linear in the input.
-    """
+def _past_fill(data, buf, base: int, pos: int, end: int):
+    """Cross the run of 0xFF fill bytes that starts at ``pos``, if any:
+    ``(window, its offset, the offset after the run)``, the last ``end``
+    when the run reaches it.  ``buf`` holds ``data[base:base + len(buf)]``,
+    the bytes in hand; a run that reaches past them is read on a
+    ``READ_WINDOW`` at a time, and the window given back holds the run's
+    end."""
     while True:
-        match = _NEXT_MARKER.search(data, pos)
-        if match is None:
-            return len(data)
-        pos = _FILL_RUN.match(data, match.start()).end()
-        if pos == len(data) or not (data[pos] == 0x00 or data[pos] in _STANDALONE):
-            return match.start()
+        after = base + _FILL_RUN.match(buf, pos - base).end()
+        if after < base + len(buf) or after == end:
+            return buf, base, after
+        buf, base, pos = data[after:min(after + READ_WINDOW, end)], after, after
 
 
-def _read_past_fill(data, pos: int, end: int):
-    """Read on past a fill run that reaches ``pos``, a window at a time:
-    ``(window, its offset, the offset where the run ends)``, the last
-    ``end`` when the run reaches it.  The window holds the run's end."""
-    while True:
-        buf = data[pos:min(pos + READ_WINDOW, end)]
-        run_end = _FILL_RUN.match(buf).end()
-        if run_end < len(buf) or pos + len(buf) == end:
-            return buf, pos, pos + run_end
-        pos += len(buf)
+def _skip_entropy(data, buf, base: int, pos: int, end: int):
+    """Cross entropy-coded data from ``pos`` to the code of the next real
+    marker: ``(window, its offset, the code's offset)``, the window holding
+    the code, or ``end`` when no marker comes before it.
 
-
-def _skip_entropy_windows(data, buf, base: int, pos: int, end: int):
-    """Where ``_skip_entropy(data[:end], pos)`` finds a marker, the last
-    byte of the fill run there, or ``end`` when it finds none; searched from
-    ``buf``, the bytes ``data[base:base + len(buf)]`` in hand, then a window
-    at a time: ``(window, its offset, the offset found)``, the window
-    holding it.
-
-    A window's result stands when the window reaches ``end`` or holds the
-    byte after the fill run found.  A fill run, or a lone 0xFF, that ends
-    the window is crossed by ``_read_past_fill`` to the byte that decides
-    it: stuffing, TEM or a restart marker resumes the search there; a marker
-    code or the end returns the run's last byte, so the segment walk goes on
-    at the code without crossing the run again.
+    The search runs over ``buf``, the bytes ``data[base:base + len(buf)]``
+    in hand, then a ``READ_WINDOW`` at a time.  Each 0xFF that may start a
+    marker, a 0xFF that ends the window among them, is crossed with the fill
+    run after it by ``_past_fill``; stuffing, TEM or a restart marker after
+    the run is still entropy data (T.81 B.1.1.2), so the search resumes
+    there.  Each search starts past the previous run, which keeps the walk
+    linear in the input.
     """
     while True:
         have = base + len(buf)
-        found = base + _skip_entropy(buf, pos - base)
-        if found < have:
-            run_end = base + _FILL_RUN.match(buf, found - base).end()
-            if run_end < have or have == end:
-                return buf, base, run_end - 1
+        match = _NEXT_MARKER.search(buf, pos - base)
+        if match is not None:
+            pos = base + match.start()
+        elif pos < have and buf[-1] == 0xFF:
+            pos = have - 1
         elif have == end:
             return buf, base, end
-        elif not (pos < have and buf[-1] == 0xFF):
+        else:
             buf, base, pos = data[have:min(have + READ_WINDOW, end)], have, have
             continue
-        after_buf, after_base, after = _read_past_fill(data, have, end)
-        code = after_buf[after - after_base] if after < end else None
-        if not (code == 0x00 or code in _STANDALONE):
-            # A run that ended with the window before has its last byte alone.
-            return (after_buf, after_base, after - 1) if after > after_base else (b"\xff", after - 1, after - 1)
-        buf, base, pos = after_buf, after_base, after
+        buf, base, pos = _past_fill(data, buf, base, pos, end)
+        if pos == end or not (buf[pos - base] == 0x00 or buf[pos - base] in _STANDALONE):
+            return buf, base, pos
 
 
 def extract_image_attributes(data) -> ImageAttributes:
@@ -159,37 +143,35 @@ def extract_image_attributes(data) -> ImageAttributes:
             raise NoFrameHeader(f"expected marker at offset {pos}")
         pos += 1
         if pos == have or buf[pos - base] == 0xFF:  # fill bytes before the code
-            pos = base + _FILL_RUN.match(buf, pos - base).end()
-            if pos == have < end:
-                buf, base, pos = _read_past_fill(data, have, end)
-                have = base + len(buf)
-        if pos >= end:
-            break
-        marker = buf[pos - base]
-        pos += 1
-        if marker == 0x00 or marker in _STANDALONE:
-            continue
-        if marker == _EOI:
-            break
-        if pos + 2 > end:
-            break
-        if pos + 7 > have < end:  # the length, and a frame header's dimensions
-            buf, base = data[pos:min(pos + max(PAGE, 7), end)], pos
-            have = pos + len(buf)
-        seg_len = struct.unpack_from(">H", buf, pos - base)[0]
-        if seg_len < 2 or pos + seg_len > end:
-            raise NoFrameHeader(f"segment length {seg_len} at offset {pos} breaks the stream")
-        if marker in _SOF_MARKERS:
-            if seg_len < 7:
-                raise NoFrameHeader("start-of-frame segment too short")
-            height, width = struct.unpack_from(">HH", buf, pos - base + 3)
-            if width < 1 or height < 1:
-                raise NoFrameHeader("start-of-frame declares zero dimensions")
-            return ImageAttributes(width=width, length=height, byte_size=size)
-        pos += seg_len
-        if marker == _SOS:
+            buf, base, pos = _past_fill(data, buf, base, pos, end)
+            have = base + len(buf)
+        # At a marker code: a segment, or a scan and the codes that end its
+        # entropy data, until a standalone marker or a segment not a scan.
+        while pos < end:
+            marker = buf[pos - base]
+            pos += 1
+            if marker == 0x00 or marker in _STANDALONE:
+                break
+            if marker == _EOI or pos + 2 > end:
+                raise NoFrameHeader("no start-of-frame segment before end of stream")
+            if pos + 7 > have < end:  # the length, and a frame header's dimensions
+                buf, base = data[pos:min(pos + max(PAGE, 7), end)], pos
+                have = pos + len(buf)
+            seg_len = struct.unpack_from(">H", buf, pos - base)[0]
+            if seg_len < 2 or pos + seg_len > end:
+                raise NoFrameHeader(f"segment length {seg_len} at offset {pos} breaks the stream")
+            if marker in _SOF_MARKERS:
+                if seg_len < 7:
+                    raise NoFrameHeader("start-of-frame segment too short")
+                height, width = struct.unpack_from(">HH", buf, pos - base + 3)
+                if width < 1 or height < 1:
+                    raise NoFrameHeader("start-of-frame declares zero dimensions")
+                return ImageAttributes(width=width, length=height, byte_size=size)
+            pos += seg_len
+            if marker != _SOS:
+                break
             if pos > have:  # the scan header ran past the bytes in hand
                 buf, base = b"", pos
-            buf, base, pos = _skip_entropy_windows(data, buf, base, pos, end)
+            buf, base, pos = _skip_entropy(data, buf, base, pos, end)
             have = base + len(buf)
     raise NoFrameHeader("no start-of-frame segment before end of stream")

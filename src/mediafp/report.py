@@ -10,12 +10,10 @@ templates, and its bytes are exactly those of ``json.dumps(doc, indent=2)``
 over the equivalent dict (``tests/test_report.py`` pins this against a
 frozen dict form).
 
-Reports share their verdicts, and verdicts their evidence: under a verdict
-memo (below) every file of one class holds one ``Verdict`` object, and each
-``Candidate`` and ``ChainHypothesis`` a match returns is one object owned by
-the knowledge base.  So each render call renders each distinct verdict's
-cells (JSON: "outcome" to "error"; text: OUTCOME on, with the chain lines)
-and each evidence object once, and reuses the text on every row that holds
+Reports share their verdicts: under a verdict memo (below) every file of
+one class holds one ``Verdict`` object.  So each render call renders each
+distinct verdict's cells (JSON: "outcome" to "error"; text: OUTCOME on,
+with the chain lines) once, and reuses the text on every row that holds
 it; rendering cost follows the distinct verdicts, not the rows.
 
 A video verdict never reads the file's byte size, so files with the same
@@ -250,33 +248,14 @@ def _chain_json(h: ChainHypothesis) -> str:
     )
 
 
-def _rendered(objs: tuple[Candidate | ChainHypothesis, ...], render, memo: dict[int, tuple]) -> list[str]:
-    """``render(obj)`` for each of ``objs``, computed once per ``memo``.
-
-    ``memo`` maps the ``id()`` of each object already rendered to the object
-    and its text.  An id names one object only while that object lives, and
-    the memo keeps each object it holds alive, so no later object can take
-    over its id, however soon its report is dropped.  Keying by the object
-    itself would run a frozen dataclass's generated hash, in Python, on every
-    lookup.
-    """
-    texts = []
-    for obj in objs:
-        hit = memo.get(id(obj))
-        if hit is None:
-            hit = memo[id(obj)] = (obj, render(obj))
-        texts.append(hit[1])
-    return texts
-
-
 _KIND_JSON = {None: "null", **{kind: _str(kind.value) for kind in MediaKind}}
 _NO_VERDICT_JSON = '      "outcome": null,\n      "candidates": [],\n      "chains": [],\n'
 
 
-def _verdict_json(v: Verdict, memo: dict[int, tuple]) -> str:
+def _verdict_json(v: Verdict) -> str:
     """The lines of a report object from "outcome" to "error", for a report with this verdict."""
-    candidates = _array(_rendered(v.candidates, _candidate_json, memo), "      ")
-    chains = _array(_rendered(v.chain_hypotheses, _chain_json, memo), "      ")
+    candidates = _array([_candidate_json(c) for c in v.candidates], "      ")
+    chains = _array([_chain_json(h) for h in v.chain_hypotheses], "      ")
     return (
         f'      "outcome": {_str(v.outcome.value)},\n'
         f'      "candidates": {candidates},\n'
@@ -297,10 +276,10 @@ def _report_json(r: FileReport, memo: dict[int, tuple]) -> str:
     verdict = r.verdict
     if verdict is None:
         result = f'{_NO_VERDICT_JSON}      "error": {_str(r.error)}\n'
-    else:  # the one lookup _rendered makes, for the row's verdict
+    else:
         hit = memo.get(id(verdict))
         if hit is None:
-            hit = memo[id(verdict)] = (verdict, _verdict_json(verdict, memo))
+            hit = memo[id(verdict)] = (verdict, _verdict_json(verdict))
         result = hit[1]
     return (
         "{\n"
@@ -315,12 +294,15 @@ def _report_json(r: FileReport, memo: dict[int, tuple]) -> str:
 def render_json(reports: list[FileReport], timestamp: str | None = None) -> str:
     """The JSON report.
 
-    Each distinct ``Verdict`` object's lines, and each evidence object's
-    text, are rendered once per call and reused on every row that holds
-    them.  The call's memo is keyed by ``id()`` and keeps each keyed object
-    alive (see ``_rendered``); it holds one entry per distinct verdict and
-    per distinct evidence object among ``reports``, so at most one per report
-    plus the evidence the KB owns, and it is dropped when the call returns.
+    Each distinct ``Verdict`` object's lines are rendered once per call and
+    reused on every row that holds it.  The call's memo maps the ``id()`` of
+    each verdict rendered to the verdict and its text.  An id names one
+    object only while that object lives, and the memo keeps each verdict it
+    holds alive, so no later verdict can take over its id, however soon its
+    report is dropped; keying by the verdict itself would run a frozen
+    dataclass's generated hash, in Python, on every row.  The memo holds one
+    entry per distinct verdict among ``reports`` and is dropped when the
+    call returns.
     """
     stamp = "" if timestamp is None else f'  "generated_at": {_str(timestamp)},\n'
     head = f'{{\n  "schema_version": {SCHEMA_VERSION},\n{stamp}  "reports": '
@@ -335,14 +317,11 @@ def render_json(reports: list[FileReport], timestamp: str | None = None) -> str:
     return ",\n    ".join(rows)
 
 
-def _candidate_label(c: Candidate) -> str:
-    return f"{c.app} ({c.os.value}, {c.quality})"
-
-
-def _top_candidate(verdict: Verdict, memo: dict[int, tuple]) -> str:
+def _top_candidate(verdict: Verdict) -> str:
     if not verdict.candidates:
         return "-"
-    [label] = _rendered(verdict.candidates[:1], _candidate_label, memo)
+    top = verdict.candidates[0]
+    label = f"{top.app} ({top.os.value}, {top.quality})"
     if len(verdict.candidates) > 1:
         label += f" +{len(verdict.candidates) - 1}"
     return label
@@ -373,7 +352,7 @@ def render_text(reports: list[FileReport], timestamp: str | None = None) -> str:
 
     Each distinct ``Verdict`` object's cells from OUTCOME on, with its chain
     lines, are rendered once per call and reused on every row that holds
-    it; the call's memo is bounded as ``render_json``'s is.
+    it, through a memo like ``render_json``'s.
     """
     lines: list[str] = []
     if timestamp is not None:
@@ -383,15 +362,12 @@ def render_text(reports: list[FileReport], timestamp: str | None = None) -> str:
     width = max(width, len("PATH"))
     lines.append(f"{'PATH'.ljust(width)}  {'KIND':5}  {'OUTCOME':17}  TOP CANDIDATE")
     indent = " " * width
-    # For _rendered: the verdict cells, top-candidate labels and chain lines.
     memo: dict[int, tuple] = {}
 
-    def chain_line(h: ChainHypothesis) -> str:
-        return f"\n{indent}  chain: {h.nth_app} -> {h.nplus1_app} ({h.os.value})"
-
     def verdict_cells(v: Verdict) -> str:
-        chains = "".join(_rendered(v.chain_hypotheses, chain_line, memo))
-        return f"{v.outcome.value:17}  {_top_candidate(v, memo)}{chains}"
+        chains = "".join(f"\n{indent}  chain: {h.nth_app} -> {h.nplus1_app} ({h.os.value})"
+                         for h in v.chain_hypotheses)
+        return f"{v.outcome.value:17}  {_top_candidate(v)}{chains}"
 
     for report, path in zip(reports, paths):
         verdict = report.verdict
@@ -410,7 +386,9 @@ def render_text(reports: list[FileReport], timestamp: str | None = None) -> str:
 def render_report(reports: list[FileReport], fmt: str = "text", timestamp: str | None = None) -> str:
     if fmt == "json":
         return render_json(reports, timestamp)
-    return render_text(reports, timestamp)
+    if fmt == "text":
+        return render_text(reports, timestamp)
+    raise ValueError(f"unknown report format {fmt!r}; expected 'text' or 'json'")
 
 
 __all__ = [

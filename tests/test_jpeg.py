@@ -19,7 +19,6 @@ from mediafp.jpeg import (
     NoFrameHeader,
     NotJpeg,
     _skip_entropy,
-    _skip_entropy_windows,
     extract_image_attributes,
 )
 
@@ -140,8 +139,14 @@ _ENTROPY_BYTES = st.one_of(
 @settings(max_examples=500, deadline=None)
 @given(st.lists(_ENTROPY_BYTES, max_size=48).map(bytes))
 def test_skip_entropy_matches_byte_walk(data):
+    # With all the bytes in hand, the offset found is the code after the fill
+    # run where the byte walk stops, or the end when it does not.
     for pos in range(len(data) + 1):
-        assert _skip_entropy(data, pos) == _reference_skip_entropy(data, pos), pos
+        stop = _reference_skip_entropy(data, pos)
+        code = stop if stop == len(data) else _FILL_RUN.match(data, stop).end()
+        buf, at, found = _skip_entropy(data, data, 0, pos, len(data))
+        assert found == code, pos
+        assert (buf, at) == (data, 0)
 
 
 @settings(max_examples=300, deadline=None)
@@ -149,21 +154,16 @@ def test_skip_entropy_matches_byte_walk(data):
 def test_skip_entropy_in_windows_matches_the_whole_search(data, read_window, draw):
     # The bytes in hand run from `base` to `have`; the rest is read in
     # windows of `read_window` bytes, so stuffing, restart markers and fill
-    # runs straddle every edge.  The offset found is the last byte of the
-    # fill run where one search over all the bytes finds a marker, or the
-    # end when it finds none, and the window given back holds it.
+    # runs straddle every edge.  The offset found is that of one search over
+    # all the bytes, and the window given back holds it, but for the end.
     pos = draw.draw(st.integers(min_value=0, max_value=len(data)), label="pos")
     base = draw.draw(st.integers(min_value=0, max_value=pos), label="base")
     have = draw.draw(st.integers(min_value=pos, max_value=len(data)), label="have")
     with mock.patch.object(jpeg, "READ_WINDOW", read_window):
-        buf, at, found = _skip_entropy_windows(data, data[base:have], base, pos, len(data))
-    marker = _skip_entropy(data, pos)
-    if marker == len(data):
-        assert found == len(data) and at <= found <= at + len(buf)
-    else:
-        assert found == _FILL_RUN.match(data, marker).end() - 1 and data[found] == 0xFF
-        assert at <= found < at + len(buf)
+        buf, at, found = _skip_entropy(data, data[base:have], base, pos, len(data))
+    assert found == _skip_entropy(data, data, 0, pos, len(data))[2]
     assert buf == data[at:at + len(buf)]
+    assert at <= found < at + len(buf) or found == len(data)
 
 
 # Segment streams: APPn, DQT, DHT and COM segments and scans (SOS plus entropy
@@ -256,8 +256,9 @@ def test_well_formed_stream_yields_its_frame_dimensions_at_every_cut(stream):
 
 
 def _reference_extract(data, byte_size=None):
-    """The parser as it was when it took only a buffer in hand: the frozen
-    reference a walk over a view or over bytes must equal, errors included."""
+    """The parser over a buffer in hand, written from the rule with
+    ``_reference_skip_entropy``: the reference a walk over a view or over
+    bytes must equal, errors included."""
     if bytes(data[:2]) != SOI:
         raise NotJpeg("missing start-of-image marker")
     size = len(data) if byte_size is None else byte_size
@@ -289,7 +290,7 @@ def _reference_extract(data, byte_size=None):
             return ImageAttributes(width=width, length=height, byte_size=size)
         pos += seg_len
         if marker == _SOS:
-            pos = _skip_entropy(data, pos)
+            pos = _reference_skip_entropy(data, pos)
     raise NoFrameHeader("no start-of-frame segment before end of stream")
 
 
@@ -382,6 +383,16 @@ def _count_preads(monkeypatch):
     return reads
 
 
+def _assert_read_once_a_window_at_a_time(path, kb, monkeypatch):
+    """A JPEG of 16 MiB or more with no frame header is read to the end of
+    HEAD_WINDOW once, a page and then READ_WINDOW bytes at a time."""
+    reads = _count_preads(monkeypatch)
+    result = report.scan_file(path, kb)
+    assert result.error == "NoFrameHeader: no start-of-frame segment before end of stream"
+    assert max(reads) <= jpeg.READ_WINDOW
+    assert (len(reads), sum(reads)) == (257, 16_777_216)
+
+
 # An APP1 segment of 48 KiB, and one that ends a byte before the first page
 # does, so that the next segment header straddles the page's end.
 @pytest.mark.parametrize("app1_payload", [48 * 1024, 4096 - 1 - 6])
@@ -406,11 +417,7 @@ def test_no_read_of_a_scan_before_frame_asks_for_more_than_the_read_window(tmp_p
     with open(path, "wb") as out:
         out.write(b"\xff\xd8" + _SCAN)
         out.truncate(jpeg.HEAD_WINDOW)
-    reads = _count_preads(monkeypatch)
-    result = report.scan_file(path, kb)
-    assert result.error == "NoFrameHeader: no start-of-frame segment before end of stream"
-    assert max(reads) <= jpeg.READ_WINDOW
-    assert jpeg.HEAD_WINDOW <= sum(reads) <= jpeg.HEAD_WINDOW + jpeg.READ_WINDOW
+    _assert_read_once_a_window_at_a_time(path, kb, monkeypatch)
 
 
 def test_a_fill_run_after_a_scan_is_read_once(tmp_path, kb, monkeypatch):
@@ -419,11 +426,33 @@ def test_a_fill_run_after_a_scan_is_read_once(tmp_path, kb, monkeypatch):
     # without reading it again.
     path = tmp_path / "photo.jpg"
     path.write_bytes(b"\xff\xd8" + _SCAN + b"\xff" * jpeg.HEAD_WINDOW)
+    _assert_read_once_a_window_at_a_time(path, kb, monkeypatch)
+
+
+@pytest.mark.parametrize("data", [
+    # Fill bytes from the first segment header to 16 MiB.
+    b"\xff\xd8" + b"\xff" * jpeg.HEAD_WINDOW,
+    # Scan data with a stuffed 0xFF in every three bytes, cut at 16 MiB.
+    (b"\xff\xd8" + _SCAN + b"\x12\xff\x00" * (jpeg.HEAD_WINDOW // 3))[:jpeg.HEAD_WINDOW],
+], ids=["fill-run", "stuffed-scan"])
+def test_a_16_mib_run_with_no_frame_header_is_read_once(tmp_path, kb, monkeypatch, data):
+    path = tmp_path / "photo.jpg"
+    path.write_bytes(data)
+    _assert_read_once_a_window_at_a_time(path, kb, monkeypatch)
+
+
+def test_a_fill_run_that_ends_a_read_in_scan_data_is_not_read_again(tmp_path, kb, monkeypatch):
+    # The fill run ends with the first page; the window read after it to
+    # find its marker code holds the frame header as well.
+    photo = b"\xff\xd8" + _SCAN + bytes(jpeg.PAGE - 3 - 2 - len(_SCAN)) + b"\xff" * 3
+    photo += _frame_header(0xC0, 640, 480, 1)[1:]
+    data = photo + bytes(200_000 - len(photo))
+    path = tmp_path / "photo.jpg"
+    path.write_bytes(data)
     reads = _count_preads(monkeypatch)
     result = report.scan_file(path, kb)
-    assert result.error == "NoFrameHeader: no start-of-frame segment before end of stream"
-    assert len(reads) <= 1 + jpeg.HEAD_WINDOW // jpeg.READ_WINDOW
-    assert sum(reads) <= jpeg.HEAD_WINDOW + jpeg.READ_WINDOW
+    assert result.attributes == _reference_extract(data) == ImageAttributes(640, 480, 200_000)
+    assert reads == [jpeg.PAGE, jpeg.READ_WINDOW]
 
 
 def test_scan_before_frame_is_parsed_once(tmp_path, kb, monkeypatch):

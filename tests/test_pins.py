@@ -1,7 +1,7 @@
 """Pinned reports of ``mediafp scan`` over the seed-1 benchmark trees, the
-calls a traced scan of each tree makes, ``mediafp kb`` output that must not
-depend on the hash seed, and scans of files with huge declared sizes in a
-bounded address space.
+calls a traced scan of each tree makes, the reads a scan of each tree
+makes, ``mediafp kb`` output that must not depend on the hash seed, and
+scans of files with huge declared sizes in a bounded address space.
 
 The three trees are built once per session by ``perfbench/workloads.py``
 (about 290 MB, removed at the end of the session), so these pins follow the
@@ -137,6 +137,31 @@ def test_traced_scan_inside_the_tree_makes_the_pinned_calls(trees, workload, mon
     calls.update(trace.counts)
     expected = {"report.render_report": 1, "kb.load_kb_path": 1, **TRACED_CALLS[workload]}
     assert {name: calls.get(name, 0) for name in expected} == expected
+
+
+# os.pread calls, and the bytes they ask for, in one scan of each tree: each
+# file's head, then the pages and windows its walk lands on.
+READS = {
+    "evidence-mixed": (1231, 63_102_976),
+    "photo-dump": (2163, 11_132_928),
+    "hostile-large": (1210, 78_978_169),
+}
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_scan_inside_the_tree_makes_the_pinned_reads(trees, workload, monkeypatch):
+    reads = []
+    real = os.pread
+
+    def counted(fd, count, offset):
+        reads.append(count)
+        return real(fd, count, offset)
+
+    monkeypatch.setattr(os, "pread", counted)
+    monkeypatch.chdir(trees / workload / "tree")
+    result = CliRunner().invoke(main, ["scan", "."])
+    assert result.exit_code == EXIT_STATUS[workload], result.output
+    assert (len(reads), sum(reads)) == READS[workload]
 
 
 @pytest.fixture(scope="module")

@@ -755,6 +755,12 @@ def test_render_memo_holds_its_objects_when_their_reports_are_dropped():
         del candidate, row
 
 
+@pytest.mark.parametrize("fmt", ["JSON", "Text", "", "xml"])
+def test_an_unknown_report_format_is_refused(fmt):
+    with pytest.raises(ValueError, match=f"^unknown report format {fmt!r}; expected 'text' or 'json'$"):
+        report.render_report([], fmt)
+
+
 @pytest.mark.parametrize("verdict,error", [
     (Verdict((), Outcome.UNKNOWN), "MalformedBox: x"), (None, None),
 ], ids=["both", "neither"])
