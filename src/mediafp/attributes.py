@@ -52,6 +52,11 @@ def parse_os(token: str) -> OS:
         raise ValueError(f"unknown OS {token!r}") from None
 
 
+# Each OS by the exact value reports print: the one spelling KB text and
+# corpus labels take.  parse_os is for command-line input.
+OS_BY_VALUE = {member.value: member for member in OS}
+
+
 class FormatProfile(str, enum.Enum):
     """Container lineage as media analyzers report it, decided by the major brand."""
 

@@ -17,21 +17,24 @@ shifting verdicts.
 ``VIDEO_FIELDS`` is the one list of video membership fields and of how each
 is parsed; each ``VideoConstraints`` compiles one row per field it
 populates, plus a last row for the marker rule unless the record allows any
-markers, and ``engine`` matches by looping over those rows.  A field without
-a row is unconstrained; no flag says so a second time.  A record is a relay
-(two-hop) record exactly when it names ``nth_app``.
+markers, and ``engine`` matches by looping over those rows.  Every video
+record and video original names the four container fields
+(``CONTAINER_FIELDS``); a record may leave out resolution and encoder, which
+then have no row and constrain nothing.  A record is a relay (two-hop)
+record exactly when it names ``nth_app``, and only a video record may.
 
 A load makes one pass over each file's lines, one over the blocks and one
 over the records.  The line pass splits each distinct ``key = value`` line
 once per load (most lines repeat) and gathers the fields into blocks.  The
 block pass puts each ``[record]`` and ``[original]`` block through one
 checker for its key set, media kind, OS and the keys of the other media
-kind, then builds it, parsing each distinct field value once.  The record
-pass is ``KnowledgeBase.__post_init__``, whose id index also finds a
-duplicate id and counts the records of each manifest group.  A directory is
-read one ``*.kb`` file at a time, in sorted name order, so a block never
-continues into the next file; names starting with ``.`` (editor locks and
-hidden copies) are skipped.
+kind, then builds it, parsing each distinct field value once; a value the
+types refuse with ``ValueError`` fails the load as a ``SchemaError`` that
+names the block.  The record pass is ``KnowledgeBase.__post_init__``, whose
+id index also finds a duplicate id and counts the records of each manifest
+group.  A directory is read one ``*.kb`` file at a time, in sorted name
+order, so a block never continues into the next file; names starting with
+``.`` (editor locks and hidden copies) are skipped.
 
 Each ``FingerprintRecord`` builds, when it is built, the frozen ``Candidate``
 or ``ChainHypothesis`` every match of it yields, and a ``KnowledgeBase``
@@ -47,7 +50,7 @@ import os as _os
 import re
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, product
 from operator import attrgetter
 from pathlib import Path
 from typing import ClassVar
@@ -59,8 +62,8 @@ from .attributes import (
     Marker,
     MediaKind,
     OS,
+    OS_BY_VALUE,
     VideoAttributes,
-    _OS_ALIASES,
     parse_os,
 )
 
@@ -90,34 +93,31 @@ class ImageConstraints:
     """Evidence an image fingerprint matches on.
 
     ``matched`` is a resolution match's evidence, and ``matched_with_size_band``
-    that of a file the size band holds (``matched`` when there is no band).
+    that of a file the size band holds.
     """
 
     resolutions: tuple[tuple[int, int], ...]
     size_band: tuple[int, int] | None = None  # (center, tolerance) in bytes
 
     matched: ClassVar[tuple[str, ...]] = ("resolution",)
-    # Not part of equality, repr or the constructor.
-    matched_with_size_band: tuple[str, ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "matched_with_size_band",
-                           self.matched + ("byte_size",) if self.size_band else self.matched)
+    matched_with_size_band: ClassVar[tuple[str, ...]] = ("resolution", "byte_size")
 
 
 @dataclass(frozen=True)
 class VideoConstraints:
     """Evidence a video fingerprint matches on.
 
-    A field left empty constrains nothing.  ``markers`` is the
-    characteristic marker set of the transformed file: a file matches only
-    when its markers are a subset of it; ``None`` allows any markers.
+    Each container field names at least one value, or construction raises
+    ValueError; resolutions or encoders left empty constrain nothing.
+    ``markers`` is the characteristic marker set of the transformed file: a
+    file matches only when its markers are a subset of it; ``None`` allows
+    any markers.
     """
 
-    extensions: tuple[str, ...] = ()
-    format_profiles: tuple[FormatProfile, ...] = ()
-    codec_ids: tuple[str, ...] = ()
-    video_format_profiles: tuple[str, ...] = ()
+    extensions: tuple[str, ...]
+    format_profiles: tuple[FormatProfile, ...]
+    codec_ids: tuple[str, ...]
+    video_format_profiles: tuple[str, ...]
     resolutions: tuple[tuple[int, int], ...] = ()
     encoders: tuple[str, ...] = ()
     markers: tuple[Marker, ...] | None = ()
@@ -143,15 +143,14 @@ class VideoConstraints:
             if values:
                 rows.append((name, values, get))
                 names.append(name)
+            elif name in CONTAINER_FIELDS:
+                raise ValueError(f"video records need at least one {name.replace('_', ' ')}")
         matched = tuple(names)
         if self.markers is not None:
             rows.append(("markers", _MARKER_SUBSETS[frozenset(self.markers)], _MARKERS))
         object.__setattr__(self, "rows", tuple(rows))
         object.__setattr__(self, "matched", matched)
         object.__setattr__(self, "matched_with_markers", matched + ("markers",) if self.markers else matched)
-
-    def is_empty(self) -> bool:
-        return not self.matched
 
 
 Constraints = ImageConstraints | VideoConstraints
@@ -183,11 +182,12 @@ class ChainHypothesis:
 class FingerprintRecord:
     """One knowledge-base entry: (app, OS, quality) → attribute constraints.
 
-    A record with ``nth_app`` is a relay (two-hop) record; one without
-    ``constraints`` is a placeholder for a combination that leaves no
-    footprint.  ``evidence`` maps each matched-field tuple a match of the
-    record can return, its constraints' plain and full ``matched`` tuples,
-    to the frozen ``Candidate`` it yields, or for a relay video record the
+    A record with ``nth_app`` is a relay (two-hop) record, and only a video
+    record may be one (ValueError otherwise); one without ``constraints`` is
+    a placeholder for a combination that leaves no footprint.  ``evidence``
+    maps each matched-field tuple a match of the record can return, its
+    constraints' ``matched`` tuple and, with markers or a size band, the
+    full one, to the frozen ``Candidate`` it yields, or for a relay the
     ``ChainHypothesis``.
     """
 
@@ -201,12 +201,17 @@ class FingerprintRecord:
     evidence: dict[tuple[str, ...], Candidate | ChainHypothesis] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        if self.nth_app and self.media_kind is MediaKind.IMAGE:
+            raise ValueError("only video records may name nth_app")
         evidence = {}
         c = self.constraints
         if c is not None:
-            full = c.matched_with_size_band if isinstance(c, ImageConstraints) else c.matched_with_markers
-            for key in (c.matched, full) if full != c.matched else (full,):
-                if self.nth_app and self.media_kind is MediaKind.VIDEO:
+            if isinstance(c, ImageConstraints):
+                keys = (c.matched, c.matched_with_size_band) if c.size_band else (c.matched,)
+            else:
+                keys = (c.matched, c.matched_with_markers) if c.markers else (c.matched,)
+            for key in keys:
+                if self.nth_app:
                     evidence[key] = ChainHypothesis(self.nth_app, self.app, self.os, self.quality, key)
                 else:
                     evidence[key] = Candidate(self.record_id, self.app, self.os, self.quality, key)
@@ -223,8 +228,7 @@ class FingerprintRecord:
 
 @dataclass(frozen=True)
 class OriginalProfile:
-    """A Table-of-originals row: the attribute vector of untouched camera
-    output, with ``VIDEO_DEFAULTS`` for the video fields left out."""
+    """A Table-of-originals row: the attribute vector of untouched camera output."""
 
     profile_id: str
     os_source: OS
@@ -263,7 +267,7 @@ class KnowledgeBase:
     _image_originals: dict[tuple[int, int], OriginalProfile] = field(init=False, repr=False, compare=False)
     _video_originals: dict[tuple, OriginalProfile] = field(init=False, repr=False, compare=False)
     _by_id: dict[str, FingerprintRecord] = field(init=False, repr=False, compare=False)
-    _video_index: dict[str | None, dict[str | None, tuple[tuple[FingerprintRecord, ...], ...]]] = field(
+    _video_index: dict[tuple[str, str], tuple[tuple[FingerprintRecord, ...], ...]] = field(
         init=False, repr=False, compare=False)
     _image_cells: dict[tuple[int, int], tuple[FingerprintRecord, ...]] = field(
         init=False, repr=False, compare=False)
@@ -274,24 +278,22 @@ class KnowledgeBase:
         images: list[FingerprintRecord] = []
         singles: list[FingerprintRecord] = []
         relays: list[FingerprintRecord] = []
-        # Single-hop constraints by (media kind, app, OS).  A relay's
-        # constraints are compared by equality within its own bucket, so no
-        # constraints dataclass is hashed: its generated hash runs in Python.
-        single_constraints: dict[tuple, list[Constraints | None]] = {}
+        # Single-hop video constraints by (app, OS).  A relay's constraints
+        # are compared by equality within its own bucket, so no constraints
+        # dataclass is hashed: its generated hash runs in Python.
+        single_constraints: dict[tuple, list[VideoConstraints]] = {}
         for rec in self.records:
             by_id.setdefault(rec.record_id, rec)
             constraints = rec.constraints
             if constraints is None:
                 continue
-            kind = rec.media_kind
-            if kind is MediaKind.IMAGE:
+            if rec.media_kind is MediaKind.IMAGE:
                 images.append(rec)
-            if rec.nth_app:
+            elif rec.nth_app:
                 relays.append(rec)
             else:
-                single_constraints.setdefault((kind, rec.app, rec.os), []).append(constraints)
-                if kind is MediaKind.VIDEO:
-                    singles.append(rec)
+                singles.append(rec)
+                single_constraints.setdefault((rec.app, rec.os), []).append(constraints)
         # A chain record is overwritten when the N+1st messenger's re-encode
         # erased every trace of the N-th hop: its constraints equal a
         # single-hop record of the same (N+1) app and OS, so the single-hop
@@ -299,9 +301,9 @@ class KnowledgeBase:
         overwritten: set[str] = set()
         chains: list[FingerprintRecord] = []
         for rec in relays:
-            if rec.constraints in single_constraints.get((rec.media_kind, rec.app, rec.os), ()):
+            if rec.constraints in single_constraints.get((rec.app, rec.os), ()):
                 overwritten.add(rec.record_id)
-            elif rec.media_kind is MediaKind.VIDEO:
+            else:
                 chains.append(rec)
         image_originals: dict[tuple[int, int], OriginalProfile] = {}
         video_originals: dict[tuple, OriginalProfile] = {}
@@ -339,13 +341,10 @@ class KnowledgeBase:
     ) -> tuple[tuple[FingerprintRecord, ...], tuple[FingerprintRecord, ...]]:
         """(single-hop, chain) records a video with these two fields can match.
 
-        Every other video record constrains codec id or video format profile
-        to values that exclude these, so it cannot match.  Both tuples keep
-        KB file order.  A value no record names falls to its level's ``None``
-        bucket.
+        Every other video record names other values of codec id or video
+        format profile, so it cannot match.  Both tuples keep KB file order.
         """
-        by_profile = self._video_index.get(codec_id) or self._video_index[None]
-        return by_profile.get(video_format_profile) or by_profile[None]
+        return self._video_index.get((codec_id, video_format_profile), _NO_CANDIDATES)
 
     def image_candidates(self, width: int, length: int) -> tuple[FingerprintRecord, ...]:
         """Image records that may hold a resolution within tolerance of this one.
@@ -360,36 +359,22 @@ class KnowledgeBase:
 # The fields a video must share with an original's attribute vector to look
 # like it: every field but encoder, markers and byte size.
 _original_key = attrgetter("extension", "format_profile", "codec_id", "video_format_profile", "width", "length")
+_NO_CANDIDATES: tuple[tuple[FingerprintRecord, ...], tuple[FingerprintRecord, ...]] = ((), ())
 
 
 def _compile_video_index(singles: list[FingerprintRecord], chains: list[FingerprintRecord]) -> dict:
-    """(single-hop, chain) candidates by codec id, then by video format profile.
+    """(single-hop, chain) candidates by (codec id, video format profile).
 
-    At each level, the bucket for a value some record names holds every
-    record that names it or leaves the field empty; the ``None`` bucket holds
-    only the records that leave the field empty and serves every value no
-    record names.  Buckets keep KB file order.
+    A record joins the bucket of each pair of values it names, once however
+    often it lists a value.  Buckets keep KB file order.
     """
-    index = {}
-    for codec, pair in _split_by((singles, chains), "codec_ids").items():
-        by_profile = _split_by(pair, "video_format_profiles")
-        index[codec] = {profile: (tuple(single), tuple(chain)) for profile, (single, chain) in by_profile.items()}
-    return index
-
-
-def _split_by(pair: tuple[list, list], name: str) -> dict[str | None, tuple[list, list]]:
-    """Split (singles, chains) into one such pair per value of constraint field ``name``.
-
-    A record joins the bucket of each value it names, or every bucket when it
-    names none; ``set`` keeps a value listed twice from adding it twice.
-    """
-    named = dict.fromkeys(value for records in pair for rec in records for value in getattr(rec.constraints, name))
-    buckets = {value: ([], []) for value in [*named, None]}
-    for side, records in enumerate(pair):
+    index: dict[tuple[str, str], tuple[list, list]] = {}
+    for side, records in enumerate((singles, chains)):
         for rec in records:
-            for value in set(getattr(rec.constraints, name)) or buckets:
-                buckets[value][side].append(rec)
-    return buckets
+            c = rec.constraints
+            for pair in dict.fromkeys(product(c.codec_ids, c.video_format_profiles)):
+                index.setdefault(pair, ([], []))[side].append(rec)
+    return {pair: (tuple(single), tuple(chain)) for pair, (single, chain) in index.items()}
 
 
 def _compile_image_cells(records: list[FingerprintRecord]) -> dict[tuple[int, int], tuple[FingerprintRecord, ...]]:
@@ -492,6 +477,13 @@ def _member_parser(kind: type, what: str):
     return parse
 
 
+def _extension(item: str) -> str:
+    if item not in EXTENSIONS:
+        raise ValueError(item)
+    return item
+
+
+_parse_extensions = _member_parser(_extension, "extension")
 _parse_format_profiles = _member_parser(FormatProfile, "format profile")
 _parse_markers = _member_parser(Marker, "marker")
 
@@ -512,13 +504,16 @@ _MARKERS = attrgetter("markers")  # the getter of every marker row
 # attribute; getter on VideoAttributes; parser of the KB value).  A record
 # that populates one matches only the values it lists.
 VIDEO_FIELDS = (
-    ("extension", "extensions", attrgetter("extension"), _parse_list),
+    ("extension", "extensions", attrgetter("extension"), _parse_extensions),
     ("format_profile", "format_profiles", attrgetter("format_profile"), _parse_format_profiles),
     ("codec_id", "codec_ids", attrgetter("codec_id"), _parse_list),
     ("video_format_profile", "video_format_profiles", attrgetter("video_format_profile"), _parse_list),
     ("resolution", "resolutions", attrgetter("width", "length"), _parse_resolutions),
     ("encoder", "encoders", attrgetter("encoder"), _parse_list),
 )
+# The container fields the messenger's transcoder stamps: every video record
+# and video original names each of them.
+CONTAINER_FIELDS = ("extension", "format_profile", "codec_id", "video_format_profile")
 
 # Resolution is the one constraint key both media kinds take.
 _VIDEO_ONLY_KEYS = frozenset(key for key, *_ in VIDEO_FIELDS if key != "resolution") | {"markers"}
@@ -527,11 +522,7 @@ _RECORD_KEYS = frozenset({
     "media", "app", "os", "quality", "nth_app", "indistinguishable", "resolution",
 }) | _VIDEO_ONLY_KEYS | _IMAGE_ONLY_KEYS
 _CONSTRAINT_KEYS = _VIDEO_ONLY_KEYS | _IMAGE_ONLY_KEYS | {"resolution"}
-# The video fields an original may leave out, and the value its vector takes
-# then; ``oracle`` fills a record's vector from the same table.
-VIDEO_DEFAULTS = {"extension": "mp4", "format_profile": FormatProfile.BASE_MEDIA,
-                  "codec_id": "", "video_format_profile": ""}
-_ORIGINAL_KEYS = frozenset({"media", "os", "resolution", "nominal_size"}) | VIDEO_DEFAULTS.keys()
+_ORIGINAL_KEYS = frozenset({"media", "os", "resolution", "nominal_size", *CONTAINER_FIELDS})
 _MEDIA_KINDS = {kind.value: kind for kind in MediaKind}
 
 
@@ -605,13 +596,9 @@ def _check_block(kind: str, where: str, f: dict[str, str], keys: frozenset[str])
     media = _MEDIA_KINDS.get(f.get("media"))
     if media is None:
         raise SchemaError(f"{where}: unknown media kind {_required(f, 'media', where)!r}")
-    # parse_os's own lookup on a stripped value; parse_os runs only for its message.
-    block_os = _OS_ALIASES.get(f.get("os", "").lower())
+    block_os = OS_BY_VALUE.get(f.get("os"))
     if block_os is None:
-        try:
-            parse_os(_required(f, "os", where))
-        except ValueError as exc:
-            raise SchemaError(f"{where}: {exc}") from None
+        raise SchemaError(f"{where}: unknown OS {_required(f, 'os', where)!r}")
     wrong = _VIDEO_ONLY_KEYS if media is MediaKind.IMAGE else _IMAGE_ONLY_KEYS
     if not wrong.isdisjoint(f):
         raise SchemaError(f"{where}: keys {sorted(wrong.intersection(f))} not valid for {media.value} {kind}s")
@@ -638,19 +625,12 @@ def _build_record(name: str, where: str, f: dict[str, str], parsed: dict) -> Fin
             size_band = (int(m.group(1)), int(m.group(2)))
         constraints = ImageConstraints(resolutions, size_band)
     else:
-        # One value per VideoConstraints field, in its order; () leaves it empty.
+        # One value per VideoConstraints field, in its order; () for a line left out.
         values = [_parse(parsed, parse, f[key], where) if key in f else () for key, _, _, parse in VIDEO_FIELDS]
         # An omitted line means no markers; values come stripped from _split_blocks.
         markers_value = f.get("markers", "")
-        markers = None if markers_value.lower() == "any" else _parse(parsed, _parse_markers, markers_value, where)
-        # Checked here, not by the parser originals share: there a quoted
-        # empty extension means the field is left out.
-        for ext in values[0]:
-            if ext not in EXTENSIONS:
-                raise SchemaError(f"{where}: unknown extension {ext!r}")
+        markers = None if markers_value == "any" else _parse(parsed, _parse_markers, markers_value, where)
         constraints = VideoConstraints(*values, markers)
-        if constraints.is_empty():
-            raise SchemaError(f"{where}: distinguishable video record carries no constraints")
 
     names = (_required(f, "app", where), _required(f, "quality", where), f.get("nth_app"))
     if "" in names:
@@ -671,19 +651,17 @@ def _build_original(name: str, where: str, f: dict[str, str], parsed: dict) -> O
             if len(items) != 1:
                 raise SchemaError(f"{where}: originals carry exactly one {key.replace('_', ' ')}")
             values[key] = items[0]
+    if media is MediaKind.VIDEO:
+        for key in CONTAINER_FIELDS:
+            _required(f, key, where)
     if not _is_count(nominal_size):
         raise SchemaError(f"{where}: nominal_size must be a byte count, got {nominal_size!r}")
-    width, length = values["resolution"]
+    width, length = values.pop("resolution")
     size = int(nominal_size)
-    try:
-        if media is MediaKind.IMAGE:
-            attributes: VideoAttributes | ImageAttributes = ImageAttributes(width, length, size)
-        else:
-            # A quoted empty item (`extension = ""`) counts as left out.
-            filled = {key: values.get(key) or default for key, default in VIDEO_DEFAULTS.items()}
-            attributes = VideoAttributes(**filled, width=width, length=length, byte_size=size)
-    except ValueError as exc:  # an extension or size the vector rejects
-        raise SchemaError(f"{where}: {exc}") from None
+    if media is MediaKind.IMAGE:
+        attributes: VideoAttributes | ImageAttributes = ImageAttributes(width, length, size)
+    else:
+        attributes = VideoAttributes(**values, width=width, length=length, byte_size=size)
     return OriginalProfile(name, os_source, attributes)
 
 
@@ -704,19 +682,26 @@ def _load_blocks(blocks: list[tuple]) -> KnowledgeBase:
     # parses everything again, as a new process would.
     parsed: dict[tuple, object] = {}
 
-    for kind, name, where, f in blocks:
-        if kind == "record":
-            records.append(_build_record(name, where, f, parsed))
-        elif kind == "original":
-            originals.append(_build_original(name, where, f, parsed))
-        else:  # manifest
-            if manifest is not None:
-                raise SchemaError(f"{where}: duplicate manifest block")
-            manifest = []
-            for key, value in f.items():
-                if not _is_count(value):
-                    raise SchemaError(f"{where}: count for {key!r} is not an integer")
-                manifest.append((key, int(value)))
+    # The types refuse, with ValueError, a value they cannot hold (a container
+    # field left empty, nth_app on an image, a byte size below an image's
+    # least), as int() refuses a number past its digit limit; the error
+    # names the block that holds it.
+    try:
+        for kind, name, where, f in blocks:
+            if kind == "record":
+                records.append(_build_record(name, where, f, parsed))
+            elif kind == "original":
+                originals.append(_build_original(name, where, f, parsed))
+            else:  # manifest
+                if manifest is not None:
+                    raise SchemaError(f"{where}: duplicate manifest block")
+                manifest = []
+                for key, value in f.items():
+                    if not _is_count(value):
+                        raise SchemaError(f"{where}: count for {key!r} is not an integer")
+                    manifest.append((key, int(value)))
+    except ValueError as exc:
+        raise SchemaError(f"{where}: {exc}") from None
 
     kb = KnowledgeBase(
         records=tuple(records),
@@ -797,8 +782,8 @@ def validate_kb(kb: KnowledgeBase) -> tuple[Finding, ...]:
     Collision groups (several records matching byte-identical evidence) are
     expected for deliberately ambiguous rows and are informational.  Records
     that match nothing are not reported: the loader already rejects an image
-    record without a resolution and a distinguishable video record without
-    constraints.
+    record without a resolution and a video record that leaves a container
+    field empty.
     """
     findings: list[Finding] = []
 
@@ -850,7 +835,7 @@ def list_records(
 
 
 __all__ = [
-    "KB_ENV_VAR", "RESOLUTION_TOLERANCE", "VIDEO_FIELDS", "VIDEO_DEFAULTS",
+    "KB_ENV_VAR", "RESOLUTION_TOLERANCE", "VIDEO_FIELDS", "CONTAINER_FIELDS",
     "KbError", "SchemaError", "ManifestMismatch",
     "ImageConstraints", "VideoConstraints", "Candidate", "ChainHypothesis", "FingerprintRecord",
     "OriginalProfile", "KnowledgeBase", "Finding",

@@ -21,19 +21,13 @@ from .attributes import (
     Marker,
     MediaKind,
     OS,
+    OS_BY_VALUE,
     VideoAttributes,
     parse_video_format_profile,
 )
 from .container import codec_id_brands, classify_format_profile, UnknownBrand
 from .engine import Verdict, match_image, match_video
-from .kb import (
-    VIDEO_DEFAULTS,
-    VIDEO_FIELDS,
-    FingerprintRecord,
-    ImageConstraints,
-    KnowledgeBase,
-    VideoConstraints,
-)
+from .kb import VIDEO_FIELDS, FingerprintRecord, ImageConstraints, KnowledgeBase, VideoConstraints
 
 # Fixed synthesis target: every oracle-emitted video vector carries this
 # byte_size and synthesize_container pads to it, so extraction round-trips
@@ -60,8 +54,8 @@ def expected_attributes(rec: FingerprintRecord) -> VideoAttributes | ImageAttrib
     """The representative attribute vector a record's transform produces.
 
     Multi-valued constraints contribute their first value in KB order; a
-    video field the record leaves empty takes ``kb.VIDEO_DEFAULTS``, a
-    resolution the synthetic stand-in.
+    video record that lists no resolution takes the synthetic stand-in, and
+    one that lists no encoder gets none.
     """
     if not rec.distinguishable:
         raise ValueError(f"{rec.record_id} is a placeholder record")
@@ -73,13 +67,13 @@ def expected_attributes(rec: FingerprintRecord) -> VideoAttributes | ImageAttrib
         return ImageAttributes(width=width, length=length, byte_size=size)
     c = rec.constraints
     assert isinstance(c, VideoConstraints)
+    # Keyed by VideoAttributes field name; every record names the container fields.
     firsts = {key: getattr(c, attr)[0] for key, attr, _, _ in VIDEO_FIELDS if getattr(c, attr)}
-    width, length = firsts.get("resolution", WILDCARD_RESOLUTION)
+    width, length = firsts.pop("resolution", WILDCARD_RESOLUTION)
     return VideoAttributes(
-        **{key: firsts.get(key, default) for key, default in VIDEO_DEFAULTS.items()},
+        **firsts,
         width=width,
         length=length,
-        encoder=firsts.get("encoder"),
         markers=frozenset(c.markers or ()),
         byte_size=SYNTH_CONTAINER_SIZE,
     )
@@ -195,21 +189,17 @@ def _is_name(text: str) -> bool:
     return text != "" and text == text.strip()
 
 
-# A label's OS is the exact value ``render`` writes: no alias, case or padding.
-_LABEL_OS = {os.value: os for os in OS}
-
-
 def _parse_label(text: str) -> SingleLabel | ChainLabel:
     kind, _, body = text.partition(":")
     parts = body.split("|")
     if kind == "single" and len(parts) == 3 and _is_name(parts[0]) and _is_name(parts[2]) \
-            and parts[1] in _LABEL_OS:
+            and parts[1] in OS_BY_VALUE:
         app, os_value, quality = parts
-        return SingleLabel(app, _LABEL_OS[os_value], quality)
-    if kind == "chain" and len(parts) == 2 and parts[1] in _LABEL_OS:
+        return SingleLabel(app, OS_BY_VALUE[os_value], quality)
+    if kind == "chain" and len(parts) == 2 and parts[1] in OS_BY_VALUE:
         apps = parts[0].split(">")
         if len(apps) == 2 and all(map(_is_name, apps)):
-            return ChainLabel(apps[0], apps[1], _LABEL_OS[parts[1]])
+            return ChainLabel(apps[0], apps[1], OS_BY_VALUE[parts[1]])
     raise ValueError(f"bad label {text!r}")
 
 

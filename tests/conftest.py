@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from mediafp.kb import MediaKind, load_kb, load_kb_path
+from mediafp.kb import MediaKind, load_kb_path
 from mediafp.oracle import InconsistentAttrs, generate_corpus, synthesize_container
 
 
@@ -52,27 +52,6 @@ def brute_force_records(kb):
             if r.media_kind is MediaKind.VIDEO and r.nth_app and r.record_id not in overwritten
         ),
     }
-
-
-def partial_video_originals():
-    """(file name, original) pairs: video originals that each leave out one
-    field the loader fills with its default (extension, format profile or
-    video format profile).  The name's suffix gives the vector's extension
-    and each codec id agrees with the format profile, so
-    ``synthesize_container`` of the vector scans back to that vector."""
-    named = [
-        ("no-extension.mp4", 'format_profile = QuickTime\ncodec_id = "qt"\nvideo_format_profile = "High@L4"'),
-        ("no-format-profile.mov",
-         'extension = MOV\ncodec_id = "isom (isom/iso2/avc1/mp41)"\nvideo_format_profile = "Main@L3"'),
-        ("no-video-format-profile.mp4",
-         'extension = mp4\nformat_profile = Base Media Version 2\ncodec_id = "mp42 (isom/mp42)"'),
-    ]
-    text = "".join(
-        f"[original {name.partition('.')[0]}]\nmedia = video\nos = iOS\nresolution = 1280x720\n"
-        f"nominal_size = 4096\n{fields}\n"
-        for name, fields in named
-    )
-    return [(name, original) for (name, _), original in zip(named, load_kb(text).originals)]
 
 
 def make_jpeg(width, length, total_size=None, progressive=False, leading_segments=0):

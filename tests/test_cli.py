@@ -433,6 +433,24 @@ class TestKbCommands:
         assert isinstance(result.exception, SystemExit)  # not an exception escaping the command
         assert result.output.startswith("SchemaError: ")
 
+    def test_validate_video_record_without_codec_id_exits_1(self, runner, tmp_path):
+        # A video record that leaves out a container field fails the load,
+        # naming the record, where it would otherwise match every codec id.
+        # CI makes the same edit with sed and runs the installed command.
+        broken = tmp_path / "kbdir"
+        shutil.copytree(default_kb_path(), broken)
+        table7 = broken / "table07.kb"
+        text = table7.read_text(encoding="utf-8")
+        start = text.index("[record t7-discord-default]")
+        codec = text.index("\ncodec_id = ", start) + 1
+        table7.write_text(text[:codec] + text[text.index("\n", codec) + 1:], encoding="utf-8")
+        result = runner.invoke(main, ["kb", "validate", "--kb", str(broken)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)  # not an exception escaping the command
+        header_line = text.count("\n", 0, start) + 1
+        assert result.output == (f"SchemaError: [record t7-discord-default] (table07.kb line {header_line}): "
+                                 "video records need at least one codec id\n")
+
     @pytest.mark.parametrize("command,sha256", [
         ("validate", "1bbabb7eef29ec4ba8fb276950ab841707c3bcd537a1a3a46c3e71c4eb61bf27"),
         ("list", "2bf2cb66bfcc1378a28046151de9d7a4f7ef9d2cbaf2e218bec58de03bc56764"),

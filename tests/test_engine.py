@@ -32,7 +32,7 @@ from mediafp.kb import (
 )
 from mediafp.oracle import expected_attributes, generate_corpus
 
-from conftest import brute_force_records, partial_video_originals
+from conftest import brute_force_records
 
 
 def video(ext, profile, codec, vfp, w, l, encoder=None, markers=(), size=4096):
@@ -177,22 +177,26 @@ class TestFindOriginal:
             assert kb.video_original(dataclasses.replace(attrs, **changed)) is None
 
     def test_every_original_is_found_by_its_own_vector(self, kb):
-        # An original is found by the attribute vector it describes, defaults
-        # filled in, or else by the first original before it with that vector;
-        # byte size is no part of an original's look.
+        # An original is found by the attribute vector it describes, or else
+        # by the first original before it with that vector; byte size is no
+        # part of an original's look.
         def look(o):
             return dataclasses.replace(o.attributes, byte_size=4)
 
-        partial = tuple(o for _, o in partial_video_originals())
-        twin = dataclasses.replace(partial[0], profile_id="twin",
-                                   attributes=dataclasses.replace(partial[0].attributes, byte_size=9999))
-        hand_built = KnowledgeBase((), originals=partial + (twin,) + kb.originals)
+        own = tuple(OriginalProfile(pid, OS.IOS, video(*fields, 1280, 720)) for pid, *fields in [
+            ("mov-qt", "MOV", FormatProfile.QUICKTIME, "qt", "High@L4"),
+            ("mp4-isom", "mp4", FormatProfile.BASE_MEDIA, "isom (isom/iso2/avc1/mp41)", "Main@L3"),
+            ("mp4-mp42", "mp4", FormatProfile.BASE_MEDIA_V2, "mp42 (isom/mp42)", "Baseline@L3"),
+        ])
+        twin = dataclasses.replace(own[0], profile_id="twin",
+                                   attributes=dataclasses.replace(own[0].attributes, byte_size=9999))
+        hand_built = KnowledgeBase((), originals=own + (twin,) + kb.originals)
         for base in (kb, hand_built):
             for o in base.originals:
                 first = next(p for p in base.originals if p.media_kind is o.media_kind and look(p) == look(o))
                 find = base.image_original if o.media_kind is MediaKind.IMAGE else base.video_original
                 assert find(o.attributes) is first, o.profile_id
-        assert hand_built.video_original(twin.attributes) is partial[0]
+        assert hand_built.video_original(twin.attributes) is own[0]
         assert kb.image_original(kb.originals[1].attributes) is kb.originals[0]
 
 
@@ -583,18 +587,18 @@ def _hand_built_kbs(draw):
         placeholder = i > 0 and draw(st.booleans())
 
         def values(choices, max_size):
-            # Empty half the time, so that records often match a query.
-            if draw(st.booleans()):
-                return ()
+            # A list that may repeat a value.
             return tuple(draw(st.lists(st.sampled_from(choices), min_size=1, max_size=max_size)))
 
+        # Every record names the container fields; resolutions and encoders
+        # are often empty, so that records often match a query.
         constraints = VideoConstraints(
             extensions=values(EXTENSIONS, 2),
             format_profiles=values(tuple(FormatProfile), 2),
             codec_ids=values(_CODECS, 3),
             video_format_profiles=values(_PROFILES, 3),
             resolutions=tuple(draw(st.lists(st.sampled_from(_RESOLUTIONS), max_size=2, unique=True))),
-            encoders=values(_ENCODERS, 2),
+            encoders=() if draw(st.booleans()) else values(_ENCODERS, 2),
             # None, half the time, allows any markers.
             markers=draw(st.none() | st.lists(st.sampled_from(Marker), max_size=2, unique=True).map(tuple)),
         )
@@ -653,12 +657,14 @@ class TestCandidateIndex:
 
     def test_hand_built_kbs_draw_unpinned_resolutions_and_any_markers(self):
         # Records with no resolution row and records that allow any markers
-        # are both among the KBs the index is checked against.
+        # are both among the KBs the index is checked against,
         def some_record(predicate):
             return lambda kb: any(rec.constraints is not None and predicate(rec.constraints) for rec in kb.records)
 
         assert find(_hand_built_kbs(), some_record(lambda c: not c.resolutions))
         assert find(_hand_built_kbs(), some_record(lambda c: c.markers is None))
+        # and so are records that list a codec id twice.
+        assert find(_hand_built_kbs(), some_record(lambda c: len(set(c.codec_ids)) < len(c.codec_ids)))
 
     @given(st.data())
     @settings(max_examples=150, deadline=None)
@@ -734,13 +740,11 @@ def _image_resolutions(draw):
 def _image_kbs(draw):
     records = []
     for i in range(draw(st.integers(min_value=1, max_value=10))):
-        chain = draw(st.booleans())
         placeholder = i > 0 and draw(st.booleans())
         band = draw(st.one_of(st.none(), st.tuples(st.sampled_from((50_000, 200_000)),
                                                    st.sampled_from((10_000, 100_000)))))
         records.append(FingerprintRecord(
             f"t6-r{i}", MediaKind.IMAGE, draw(st.sampled_from(["A", "B", "C"])), OS.IOS, "Default",
-            nth_app="N" if chain else None,
             constraints=None if placeholder else ImageConstraints(draw(_image_resolutions()), band),
         ))
     return KnowledgeBase(tuple(records))
@@ -954,7 +958,8 @@ class TestSharedEvidence:
     def test_records_sharing_an_index_keep_their_own_evidence(self):
         # Two records whose constraints are one object; each builds its own
         # evidence, naming itself.
-        constraints = VideoConstraints(codec_ids=("qt",), resolutions=((960, 540),))
+        constraints = VideoConstraints(("MOV",), (FormatProfile.QUICKTIME,), ("qt",), ("Main@L3.1",),
+                                       resolutions=((960, 540),))
         kb = KnowledgeBase(tuple(
             FingerprintRecord(f"t7-{app}", MediaKind.VIDEO, app, OS.IOS, "Default", constraints=constraints)
             for app in ("A", "B")

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import re
 import shutil
+import sys
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -9,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from mediafp import kb as kb_mod
 from mediafp.attributes import FormatProfile, ImageAttributes, Marker, MediaKind, OS, VideoAttributes
 from mediafp.kb import (
+    CONTAINER_FIELDS,
     RESOLUTION_TOLERANCE,
     VIDEO_FIELDS,
     Candidate,
@@ -146,6 +148,22 @@ os = iOS
 quality = Default
 """
 
+# The four container fields every video record and video original names.
+_CONTAINER_LINES = {
+    "extension": "extension = mp4",
+    "format_profile": "format_profile = Base Media",
+    "codec_id": 'codec_id = "isom (isom/iso2/avc1/mp41)"',
+    "video_format_profile": 'video_format_profile = "Main@L3"',
+}
+_CONTAINER = "".join(line + "\n" for line in _CONTAINER_LINES.values())
+_FULL_VIDEO_ORIGINAL = VIDEO_ORIGINAL + _CONTAINER
+
+
+def _without(text, key, empty):
+    """``text`` with its ``key`` line left out, or with an empty value."""
+    line = _CONTAINER_LINES[key]
+    return text.replace(line, f"{key} =" if empty else "")
+
 
 # A case with an anchored message for each SchemaError the loader raises; the
 # ManifestMismatch and the KbErrors of unreadable paths have theirs in the
@@ -220,8 +238,30 @@ quality = Default
     pytest.param("os = iOS", "resolution = 100x100", IMAGE_RECORD + "size_band = 5 +- big",
                  r"^\[record t6-y\] \(line 13\): size_band must look like '100000 \+- 10000'$", id="bad-size-band"),
     pytest.param("os = iOS", "", "[record t7-z]\nmedia = video\napp = Z\nos = iOS\nquality = Default",
-                 r"^\[record t7-z\] \(line 12\): distinguishable video record carries no constraints$",
+                 r"^\[record t7-z\] \(line 12\): video records need at least one extension$",
                  id="video-without-constraints"),
+    # Every video record and video original names each container field.
+    *[pytest.param(None, None, _without(_VIDEO_RECORD + _CONTAINER, key, empty),
+                   rf"^\[record t7-y\] \(line 2\): video records need at least one {key.replace('_', ' ')}$",
+                   id=f"video-record-{'empty' if empty else 'without'}-{key}")
+      for key in _CONTAINER_LINES for empty in (False, True)],
+    *[pytest.param(None, None, _without(_FULL_VIDEO_ORIGINAL, key, empty),
+                   rf"^\[original o-vid\] \(line 2\): originals carry exactly one {key.replace('_', ' ')}$"
+                   if empty else rf"^\[original o-vid\] \(line 2\): missing key '{key}'$",
+                   id=f"video-original-{'empty' if empty else 'without'}-{key}")
+      for key in _CONTAINER_LINES for empty in (False, True)],
+    pytest.param("os = iOS", "resolution = 100x100", IMAGE_RECORD + "nth_app = A",
+                 r"^\[record t6-y\] \(line 13\): only video records may name nth_app$", id="image-with-nth-app"),
+    pytest.param("os = iOS", "resolution = 100x100",
+                 IMAGE_RECORD.replace("resolution = 100x100", "indistinguishable = true") + "nth_app = A",
+                 r"^\[record t6-y\] \(line 13\): only video records may name nth_app$",
+                 id="image-placeholder-with-nth-app"),
+    # An OS is spelled as reports print it, and "any" markers are lower case.
+    *[pytest.param(f"os = {spelling}", "resolution = 100x100", "",
+                   rf"^\[record t7-x\] \(line 2\): unknown OS '{spelling}'$", id=f"os-{spelling}")
+      for spelling in ("ios", "IOS", "android", "androidany")],
+    pytest.param("os = iOS", "resolution = 100x100", "markers = ANY",
+                 r"^\[record t7-x\] \(line 2\): unknown marker 'ANY'$", id="markers-upper-case-any"),
     pytest.param("os = iOS", "resolution = 100x100", 'encoder = "Lavf, custom, "x"',
                  r"""^\[record t7-x\] \(line 2\): unbalanced quote in '"Lavf, custom, "x"'$""", id="unbalanced-quote"),
     pytest.param("os = iOS", "resolution = 100x100",
@@ -249,7 +289,7 @@ quality = Default
     pytest.param("os = iOS", "resolution = 100x100", "[manifest]\ntable7 = one",
                  r"^\[manifest manifest\] \(line 12\): count for 'table7' is not an integer$",
                  id="manifest-count-not-integer"),
-    pytest.param("os = iOS", "resolution = 100x100", _VIDEO_RECORD.replace("t7-y", "t7-x") + 'codec_id = "qt"',
+    pytest.param("os = iOS", "resolution = 100x100", _VIDEO_RECORD.replace("t7-y", "t7-x") + _CONTAINER,
                  r"^duplicate record id 't7-x'$", id="duplicate-record-id"),
     # Every KB number is ASCII decimal digits: int() and \d would also read
     # these, the first two as 100x100 and (5, 1).
@@ -290,68 +330,84 @@ video_format_profile = "Main@L3"
         load_kb_path(path)
 
 
+_MANY_DIGITS = "1" * 5000
+
+
+# int() refuses a number this long with ValueError; the loader names the block.
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="int() reads any number of digits")
+@pytest.mark.parametrize("text,where", [
+    (IMAGE_RECORD.replace("100x100", f"{_MANY_DIGITS}x1"), r"\[record t6-y\] \(line 2\)"),
+    (IMAGE_ORIGINAL + f"nominal_size = {_MANY_DIGITS}", r"\[original o-img\] \(line 2\)"),
+    (f"[manifest]\ntable6 = {_MANY_DIGITS}", r"\[manifest manifest\] \(line 1\)"),
+], ids=["resolution", "nominal-size", "manifest-count"])
+def test_a_number_past_the_int_digit_limit_is_a_schema_error(text, where):
+    with pytest.raises(SchemaError, match=f"^{where}: Exceeds the limit"):
+        load_kb(text)
+
+
+# The container fields of _CONTAINER, as VideoConstraints holds them.
+_CONTAINER_FIELDS = dict(extensions=("mp4",), format_profiles=(FormatProfile.BASE_MEDIA,),
+                         codec_ids=("isom (isom/iso2/avc1/mp41)",), video_format_profiles=("Main@L3",))
+
+
 def _video(record_id, app, os, quality, nth_app=None, **constraints):
     return FingerprintRecord(record_id, MediaKind.VIDEO, app, os, quality, nth_app=nth_app,
-                             constraints=VideoConstraints(**constraints))
+                             constraints=VideoConstraints(**{**_CONTAINER_FIELDS, **constraints}))
 
 
 # Texts that load, each with the KB it gives: every kind of block, every value
-# parser, the markers rule, the defaults an original fills in, and the line
-# breaks and padding a line may carry.
+# parser, the markers rule, originals, and the line breaks and padding a line
+# may carry.
 @pytest.mark.parametrize("text,expected", [
     pytest.param("[record t6-a]\r\nmedia = image\x85app = A\u2028os = iOS\u2029quality = X\vresolution = 1x1\x1c",
                  KnowledgeBase((FingerprintRecord("t6-a", MediaKind.IMAGE, "A", OS.IOS, "X",
                                                   constraints=ImageConstraints(((1, 1),))),)),
                  id="any-line-break"),
     pytest.param("# a comment = not a field\n\n\u3000[record t6-b]\xa0\n\xa0media\u3000=\u3000image\xa0\napp = B\n"
-                 "os = android43\nquality = High\nresolution = 1x2,, 30x40\nsize_band = 5 +-1\n",
+                 "os = Android43\nquality = High\nresolution = 1x2,, 30x40\nsize_band = 5 +-1\n",
                  KnowledgeBase((FingerprintRecord("t6-b", MediaKind.IMAGE, "B", OS.ANDROID43, "High",
                                                   constraints=ImageConstraints(((1, 2), (30, 40)), (5, 1))),)),
                  id="padding-comments-and-size-band"),
-    pytest.param('[record t7-a]\nmedia = video\napp = A\nos = android\nquality = D\nextension = MOV, mp4\n'
+    pytest.param('[record t7-a]\nmedia = video\napp = A\nos = AndroidAny\nquality = D\nextension = MOV, mp4\n'
                  'format_profile = QuickTime, "Base Media Version 2"\ncodec_id = "qt", "mp42 (isom/mp42)"\n'
-                 'video_format_profile = "Main@L3.1"\nresolution =\nencoder = "Lavf, custom", x\nmarkers = ANY\n',
+                 'video_format_profile = "Main@L3.1"\nresolution =\nencoder = "Lavf, custom", x\nmarkers = any\n',
                  KnowledgeBase((_video("t7-a", "A", OS.ANDROID_ANY, "D", extensions=("MOV", "mp4"),
                                        format_profiles=(FormatProfile.QUICKTIME, FormatProfile.BASE_MEDIA_V2),
                                        codec_ids=("qt", "mp42 (isom/mp42)"), video_format_profiles=("Main@L3.1",),
                                        encoders=("Lavf, custom", "x"), markers=None),)),
                  id="video-fields-and-any-markers"),
-    pytest.param('[record t7-b]\nmedia = video\napp = B\nos = iOS\nquality = D\nresolution = 640x360\n'
-                 '[record t9-c]\nmedia = video\napp = C\nos = iOS\nquality = Low\nnth_app = B\ncodec_id = "qt"\n'
-                 'markers = MovieName, Copyright\n[record t7-d]\nmedia = image\napp = D\nos = Any\nquality = D\n'
+    pytest.param('[record t7-b]\nmedia = video\napp = B\nos = iOS\nquality = D\nresolution = 640x360\n' + _CONTAINER
+                 + '[record t9-c]\nmedia = video\napp = C\nos = iOS\nquality = Low\nnth_app = B\n' + _CONTAINER
+                 + 'markers = MovieName, Copyright\n[record t7-d]\nmedia = image\napp = D\nos = Any\nquality = D\n'
                  'indistinguishable = true\n',
                  KnowledgeBase((
                      _video("t7-b", "B", OS.IOS, "D", resolutions=((640, 360),)),
-                     _video("t9-c", "C", OS.IOS, "Low", nth_app="B", codec_ids=("qt",),
-                            markers=(Marker.MOVIE_NAME, Marker.COPYRIGHT)),
+                     _video("t9-c", "C", OS.IOS, "Low", nth_app="B", markers=(Marker.MOVIE_NAME, Marker.COPYRIGHT)),
                      FingerprintRecord("t7-d", MediaKind.IMAGE, "D", OS.ANY, "D"),
                  )),
                  id="no-markers-relay-and-placeholder"),
+    # A quoted empty item is the empty string, as a video without an avcC
+    # box reports its video format profile.
     pytest.param('[original o-v]\nmedia = video\nos = iOS\nresolution = 1920x1080\nnominal_size = 5000000\n'
-                 'extension = ""\ncodec_id = "qt"\n[original o-i]\nmedia = image\nos = Android169\n'
+                 'extension = mp4\nformat_profile = "Base Media"\ncodec_id = "qt"\nvideo_format_profile = ""\n'
+                 '[original o-i]\nmedia = image\nos = Android169\n'
                  'resolution = 100x200\nnominal_size = 2000\n[manifest]\noriginals = 2\ntable7 = 0\n',
                  KnowledgeBase((), (
                      OriginalProfile("o-v", OS.IOS, VideoAttributes("mp4", FormatProfile.BASE_MEDIA, "qt", "",
                                                                     1920, 1080, byte_size=5_000_000)),
                      OriginalProfile("o-i", OS.ANDROID169, ImageAttributes(100, 200, 2000)),
                  ), (("originals", 2), ("table7", 0))),
-                 id="originals-with-defaults-and-manifest"),
+                 id="originals-and-manifest"),
 ])
 def test_loadable_texts(text, expected):
     assert load_kb(text) == expected
 
 
 def test_quoted_list_items_keep_their_commas():
-    kb = load_kb("""
-[record t7-x]
-media = video
-app = X
-os = iOS
-quality = Default
-codec_id = "isom (isom/iso2/avc1/mp41)"
-encoder = "Lavf, custom", "x" , plain,, "a,b,c"
+    kb = load_kb(_VIDEO_RECORD + _CONTAINER + """encoder = "Lavf, custom", "x" , plain,, "a,b,c"
 """)
     assert kb.records[0].constraints.encoders == ("Lavf, custom", "x", "plain", "a,b,c")
+    assert kb.records[0].constraints.codec_ids == ("isom (isom/iso2/avc1/mp41)",)
 
 
 def test_video_rows_follow_the_field_table():
@@ -362,28 +418,52 @@ def test_video_rows_follow_the_field_table():
     # no flag restates a row, and the loader passes the values positionally.
     assert ([f.name for f in dataclasses.fields(VideoConstraints) if f.init]
             == [attr for _, attr, *_ in VIDEO_FIELDS] + ["markers"])
+    assert CONTAINER_FIELDS == tuple(key for key, *_ in VIDEO_FIELDS[:4])
     constraints = VideoConstraints(
-        extensions=("mp4",), resolutions=((640, 360),), encoders=("Lavf58.20.100",), markers=(Marker.COPYRIGHT,),
+        **_CONTAINER_FIELDS, resolutions=((640, 360),), encoders=("Lavf58.20.100",), markers=(Marker.COPYRIGHT,),
     )
-    assert [name for name, _, _ in constraints.rows] == ["extension", "resolution", "encoder", "markers"]
+    fields = [key for key, *_ in VIDEO_FIELDS]
+    assert [name for name, _, _ in constraints.rows] == fields + ["markers"]
     # The field rows hold the record's own tuples, and every row reads the
     # file's value.
-    assert all(values is getattr(constraints, attr) for (_, values, _), attr in
-               zip(constraints.rows, ("extensions", "resolutions", "encoders")))
+    assert all(values is getattr(constraints, attr) for (_, values, _), (_, attr, *_) in
+               zip(constraints.rows, VIDEO_FIELDS))
     attrs = VideoAttributes("mp4", FormatProfile.BASE_MEDIA, "qt", "", 640, 360, encoder="Lavf58.20.100",
                             markers=frozenset({Marker.COPYRIGHT}))
     assert [get(attrs) for _, _, get in constraints.rows] == [
-        "mp4", (640, 360), "Lavf58.20.100", {Marker.COPYRIGHT},
+        "mp4", FormatProfile.BASE_MEDIA, "qt", "", (640, 360), "Lavf58.20.100", {Marker.COPYRIGHT},
     ]
-    assert constraints.matched == ("extension", "resolution", "encoder")
-    assert constraints.matched_with_markers == ("extension", "resolution", "encoder", "markers")
-    # A field left empty has no row: it constrains nothing.
-    unpinned = dataclasses.replace(constraints, resolutions=())
-    assert [name for name, _, _ in unpinned.rows] == ["extension", "encoder", "markers"]
-    assert unpinned.matched == ("extension", "encoder") and not unpinned.is_empty()
-    # The marker row alone is no evidence, whether it passes some markers or any.
-    assert VideoConstraints(markers=(Marker.COPYRIGHT,)).is_empty()
-    assert VideoConstraints(markers=None).is_empty() and VideoConstraints(markers=None).rows == ()
+    assert constraints.matched == tuple(fields)
+    assert constraints.matched_with_markers == (*fields, "markers")
+    # A resolution or encoder left empty has no row: it constrains nothing.
+    unpinned = dataclasses.replace(constraints, resolutions=(), encoders=())
+    assert [name for name, _, _ in unpinned.rows] == [*CONTAINER_FIELDS, "markers"]
+    assert unpinned.matched == CONTAINER_FIELDS
+    assert dataclasses.replace(unpinned, markers=None).rows == unpinned.rows[:-1]
+
+
+@pytest.mark.parametrize("attr", ["extensions", "format_profiles", "codec_ids", "video_format_profiles"])
+def test_video_constraints_refuse_an_empty_container_field(attr):
+    # Built by hand, as the loader builds them: no container field is a wildcard.
+    name = attr.removesuffix("s").replace("_", " ")
+    for markers in ((), None):
+        with pytest.raises(ValueError, match=f"^video records need at least one {name}$"):
+            VideoConstraints(**{**_CONTAINER_FIELDS, attr: ()}, resolutions=((640, 360),), markers=markers)
+    with pytest.raises(ValueError, match=f"^video records need at least one {name}$"):
+        dataclasses.replace(VideoConstraints(**_CONTAINER_FIELDS), **{attr: ()})
+    with pytest.raises(TypeError):
+        VideoConstraints(**{key: value for key, value in _CONTAINER_FIELDS.items() if key != attr})
+
+
+def test_only_video_records_are_relays():
+    banded = ImageConstraints(((100, 100),), (50_000, 5_000))
+    for constraints in (banded, None):
+        with pytest.raises(ValueError, match="^only video records may name nth_app$"):
+            FingerprintRecord("t10-img", MediaKind.IMAGE, "B", OS.IOS, "Default", nth_app="A",
+                              constraints=constraints)
+    single = FingerprintRecord("t6-img", MediaKind.IMAGE, "B", OS.IOS, "Default", constraints=banded)
+    with pytest.raises(ValueError, match="^only video records may name nth_app$"):
+        dataclasses.replace(single, nth_app="A")
 
 
 def _subsets(markers):
@@ -396,21 +476,22 @@ def test_marker_sets_are_built_with_the_constraints():
     assert compiled == {"rows", "matched", "matched_with_markers"}
     marker_lists = [(), (Marker.COPYRIGHT,), (Marker.COPYRIGHT, Marker.MOVIE_NAME), tuple(Marker)]
     for markers in marker_lists:
-        constraints = VideoConstraints(codec_ids=("qt",), markers=markers)
-        assert [name for name, _, _ in constraints.rows] == ["codec_id", "markers"]
+        constraints = VideoConstraints(**_CONTAINER_FIELDS, markers=markers)
+        assert [name for name, _, _ in constraints.rows] == [*CONTAINER_FIELDS, "markers"]
         name, values, get = constraints.rows[-1]
         # It passes exactly the subsets of the record's markers.
         assert values == _subsets(markers)
         assert get(VideoAttributes("mp4", FormatProfile.BASE_MEDIA, "qt", "", 1, 1,
                                    markers=frozenset(markers))) == frozenset(markers)
-        assert constraints.matched == ("codec_id",)
-        assert constraints.matched_with_markers == (("codec_id", "markers") if markers else ("codec_id",))
+        assert constraints.matched == CONTAINER_FIELDS
+        assert constraints.matched_with_markers == ((*CONTAINER_FIELDS, "markers") if markers else CONTAINER_FIELDS)
         lifted = dataclasses.replace(constraints, markers=None)
-        assert [name for name, _, _ in lifted.rows] == ["codec_id"]
-        assert lifted.matched == lifted.matched_with_markers == ("codec_id",)
+        assert [name for name, _, _ in lifted.rows] == list(CONTAINER_FIELDS)
+        assert lifted.matched == lifted.matched_with_markers == CONTAINER_FIELDS
     # Records with equal marker sets, in any order, share one subsets object.
-    first = VideoConstraints(codec_ids=("qt",), markers=(Marker.COPYRIGHT, Marker.MOVIE_NAME))
-    second = VideoConstraints(encoders=("x",), markers=(Marker.MOVIE_NAME, Marker.COPYRIGHT, Marker.MOVIE_NAME))
+    first = VideoConstraints(**_CONTAINER_FIELDS, markers=(Marker.COPYRIGHT, Marker.MOVIE_NAME))
+    second = VideoConstraints(**{**_CONTAINER_FIELDS, "codec_ids": ("qt",)}, encoders=("x",),
+                              markers=(Marker.MOVIE_NAME, Marker.COPYRIGHT, Marker.MOVIE_NAME))
     assert first.rows[-1][1] is second.rows[-1][1]
 
 
@@ -431,7 +512,9 @@ media = video
 app = X
 os = iOS
 quality = Default
+extension = MOV
 codec_id = "qt"
+video_format_profile = "Main@L3.1"
 """
     kb = load_kb(block + 'markers = "Copyright", MovieName\nformat_profile = "Base Media"\n')
     assert kb.records[0].constraints.markers == (Marker.COPYRIGHT, Marker.MOVIE_NAME)
@@ -458,29 +541,27 @@ def _reachable_evidence_keys(rec):
 
 
 def test_each_record_builds_exactly_its_reachable_evidence(kb):
-    marked = VideoConstraints(codec_ids=("qt",), markers=(Marker.COPYRIGHT,))
+    marked = VideoConstraints(**_CONTAINER_FIELDS, markers=(Marker.COPYRIGHT,))
     hand_built = [
         FingerprintRecord("t7-marked", MediaKind.VIDEO, "A", OS.IOS, "Default", constraints=marked),
         FingerprintRecord("t7-any", MediaKind.VIDEO, "A", OS.IOS, "Default",
                           constraints=dataclasses.replace(marked, markers=None)),
-        FingerprintRecord("t8-unpinned", MediaKind.VIDEO, "A", OS.IOS, "Default",
-                          constraints=VideoConstraints(markers=None)),
         FingerprintRecord("t9-relay", MediaKind.VIDEO, "B", OS.IOS, "Low", nth_app="A", constraints=marked),
         FingerprintRecord("t6-banded", MediaKind.IMAGE, "A", OS.IOS, "Default",
                           constraints=ImageConstraints(((100, 100),), (50_000, 5_000))),
-        FingerprintRecord("t10-img", MediaKind.IMAGE, "B", OS.IOS, "Default", nth_app="A",
+        FingerprintRecord("t6-plain", MediaKind.IMAGE, "B", OS.IOS, "Default",
                           constraints=ImageConstraints(((100, 100),))),
         FingerprintRecord("t6-none", MediaKind.IMAGE, "A", OS.IOS, "Default"),
     ]
     assert [sorted(rec.evidence) for rec in hand_built] == [
-        [("codec_id",), ("codec_id", "markers")], [("codec_id",)], [()],
-        [("codec_id",), ("codec_id", "markers")],
+        [CONTAINER_FIELDS, (*CONTAINER_FIELDS, "markers")], [CONTAINER_FIELDS],
+        [CONTAINER_FIELDS, (*CONTAINER_FIELDS, "markers")],
         [("resolution",), ("resolution", "byte_size")], [("resolution",)], [],
     ]
     for rec in kb.records + tuple(hand_built):
         assert set(rec.evidence) == _reachable_evidence_keys(rec), rec.record_id
         for key, value in rec.evidence.items():
-            if rec.nth_app and rec.media_kind is MediaKind.VIDEO:
+            if rec.nth_app:
                 assert value == ChainHypothesis(rec.nth_app, rec.app, rec.os, rec.quality, key)
             else:
                 assert value == Candidate(rec.record_id, rec.app, rec.os, rec.quality, key)
@@ -494,10 +575,11 @@ def test_hop_and_distinguishable_follow_nth_app_and_constraints():
     assert not {"hop", "distinguishable"} & fields
     assert not hasattr(FingerprintRecord, "hop") and not hasattr(kb_mod, "Hop")
     single = FingerprintRecord("t7-a", MediaKind.VIDEO, "A", OS.IOS, "Default")
-    relay = dataclasses.replace(single, nth_app="B", constraints=VideoConstraints(codec_ids=("qt",)))
+    relay = dataclasses.replace(single, nth_app="B", constraints=VideoConstraints(**_CONTAINER_FIELDS))
     assert (single.distinguishable, relay.distinguishable) == (False, True)
-    assert KnowledgeBase((single, relay)).video_candidates("qt", "") == ((), (relay,))
-    assert isinstance(relay.evidence[("codec_id",)], ChainHypothesis)
+    codec, profile = _CONTAINER_FIELDS["codec_ids"][0], _CONTAINER_FIELDS["video_format_profiles"][0]
+    assert KnowledgeBase((single, relay)).video_candidates(codec, profile) == ((), (relay,))
+    assert isinstance(relay.evidence[CONTAINER_FIELDS], ChainHypothesis)
 
 
 def test_unreadable_kb_raises_kb_error(tmp_path):
@@ -587,7 +669,7 @@ app = WeChat
 os = iOS
 quality = General
 resolution = 720x404
-""")
+""" + _CONTAINER)
         orphans = findings(kb, "orphan-chain")
         assert [f.record_ids for f in orphans] == [("t9-orphan",)]
 
@@ -764,9 +846,7 @@ def _assert_candidates_match_brute_force(kb):
     profiles = {v for _, vfps in named for v in vfps} | {"no such profile"}
 
     def admits(rec, codec, profile):
-        c = rec.constraints
-        return (not c.codec_ids or codec in c.codec_ids) and (
-            not c.video_format_profiles or profile in c.video_format_profiles)
+        return codec in rec.constraints.codec_ids and profile in rec.constraints.video_format_profiles
 
     for codec in codecs:
         for profile in profiles:
@@ -777,10 +857,7 @@ def _assert_candidates_match_brute_force(kb):
 
 
 def _hand_built_kb():
-    c1 = VideoConstraints(
-        extensions=("mp4",), format_profiles=(FormatProfile.BASE_MEDIA,),
-        codec_ids=("isom (isom/iso2/avc1/mp41)",), resolutions=((1280, 720),),
-    )
+    c1 = VideoConstraints(**_CONTAINER_FIELDS, resolutions=((1280, 720),))
     c2 = dataclasses.replace(c1, resolutions=((640, 360),))
 
     def video(rid, app, os, constraints, nth_app=None):
@@ -794,15 +871,18 @@ def _hand_built_kb():
         video("t9-equal", "B", OS.IOS, c1, nth_app="A"),
         video("t9-other-os", "B", OS.ANDROID_ANY, c1, nth_app="A"),
         video("t9-placeholder-single", "D", OS.IOS, c2, nth_app="A"),
-        # Relay matching covers videos only; image queries still see it.
-        FingerprintRecord("t10-img", MediaKind.IMAGE, "B", OS.IOS, "Default",
-                          nth_app="A", constraints=ImageConstraints(((200, 200),))),
+        FingerprintRecord("t6-far", MediaKind.IMAGE, "B", OS.IOS, "Default",
+                          constraints=ImageConstraints(((200, 200),))),
     )
     return KnowledgeBase(records)
 
 
 def _ids(records):
     return [r.record_id for r in records]
+
+
+# The (codec id, video format profile) pair every video record of _hand_built_kb names.
+_PAIR = (_CONTAINER_FIELDS["codec_ids"][0], _CONTAINER_FIELDS["video_format_profiles"][0])
 
 
 class TestCompiledIndexes:
@@ -814,10 +894,10 @@ class TestCompiledIndexes:
     def test_hand_built_kb_matches_brute_force(self):
         kb = _hand_built_kb()
         assert kb.overwritten_chain_ids == {"t9-equal"}
-        singles, chains = kb.video_candidates(kb.record("t8-b").constraints.codec_ids[0], "")
+        singles, chains = kb.video_candidates(*_PAIR)
         assert _ids(chains) == ["t9-other-os", "t9-placeholder-single"]
         assert _ids(singles) == ["t8-b"]
-        assert _ids(kb.image_candidates(100, 100) + kb.image_candidates(200, 200)) == ["t6-img", "t10-img"]
+        assert _ids(kb.image_candidates(100, 100) + kb.image_candidates(200, 200)) == ["t6-img", "t6-far"]
         assert _compiled_indexes(kb) == _brute_force_indexes(kb)
         _assert_candidates_match_brute_force(kb)
 
@@ -830,8 +910,7 @@ class TestCompiledIndexes:
         kb = _hand_built_kb()
         without_single = dataclasses.replace(kb, records=kb.records[1:])
         assert without_single.overwritten_chain_ids == frozenset()
-        codec = kb.record("t8-b").constraints.codec_ids[0]
-        assert _ids(without_single.video_candidates(codec, "")[1]) == [
+        assert _ids(without_single.video_candidates(*_PAIR)[1]) == [
             "t9-equal", "t9-other-os", "t9-placeholder-single",
         ]
         assert _compiled_indexes(without_single) == _brute_force_indexes(without_single)
@@ -850,27 +929,30 @@ class TestCompiledIndexes:
         assert _compiled_indexes(widened) == _brute_force_indexes(widened)
         narrowed = dataclasses.replace(widened, records=widened.records[2:])
         assert narrowed.image_candidates(100, 100) == (near,)
-        assert narrowed.image_candidates(200, 200) == (kb.record("t10-img"),)
+        assert narrowed.image_candidates(200, 200) == (kb.record("t6-far"),)
         assert _compiled_indexes(narrowed) == _brute_force_indexes(narrowed)
 
     def test_replace_rebuilds_candidate_index(self):
         kb = _hand_built_kb()
-        codec = kb.record("t8-b").constraints.codec_ids[0]
-        assert kb.video_candidates(codec, "") == (
+        assert kb.video_candidates(*_PAIR) == (
             (kb.record("t8-b"),), (kb.record("t9-other-os"), kb.record("t9-placeholder-single")),
         )
-        # A wildcard record appended later joins every bucket and the default.
-        wildcard = FingerprintRecord(
-            "t8-any", MediaKind.VIDEO, "E", OS.IOS, "Default",
-            constraints=VideoConstraints(resolutions=((640, 360),)),
+        # A record appended later joins the bucket of each pair it names,
+        # once for a value it lists twice; a pair no record names has none.
+        codec, profile = _PAIR
+        later = FingerprintRecord(
+            "t8-later", MediaKind.VIDEO, "E", OS.IOS, "Default",
+            constraints=VideoConstraints(**{**_CONTAINER_FIELDS, "codec_ids": (codec, "qt", codec)},
+                                         resolutions=((640, 360),)),
         )
-        widened = dataclasses.replace(kb, records=kb.records + (wildcard,))
-        assert widened.video_candidates(codec, "")[0] == (kb.record("t8-b"), wildcard)
-        assert widened.video_candidates("no such codec", "") == ((wildcard,), ())
-        assert kb.video_candidates("no such codec", "") == ((), ())
+        widened = dataclasses.replace(kb, records=kb.records + (later,))
+        assert widened.video_candidates(*_PAIR)[0] == (kb.record("t8-b"), later)
+        assert widened.video_candidates("qt", profile) == ((later,), ())
+        assert kb.video_candidates("qt", profile) == ((), ())
+        assert widened.video_candidates(codec, "") == widened.video_candidates("", profile) == ((), ())
         _assert_candidates_match_brute_force(widened)
         narrowed = dataclasses.replace(kb, records=kb.records[1:])
-        assert narrowed.video_candidates(codec, "")[0] == ()
+        assert narrowed.video_candidates(*_PAIR)[0] == ()
         _assert_candidates_match_brute_force(narrowed)
 
 
@@ -883,8 +965,8 @@ def _index_summary(kb):
 
     return repr((
         sorted(kb.overwritten_chain_ids),
-        sorted(((codec, profile, ids(single), ids(chain)) for codec, by_profile in kb._video_index.items()
-                for profile, (single, chain) in by_profile.items()), key=repr),
+        sorted(((codec, profile, ids(single), ids(chain))
+                for (codec, profile), (single, chain) in kb._video_index.items()), key=repr),
         sorted(((cell, ids(records)) for cell, records in kb._image_cells.items()), key=repr),
         kb.image_band_edges,
         sorted(((key, orig.profile_id) for key, orig in kb._image_originals.items()), key=repr),
@@ -900,7 +982,7 @@ def test_shipped_kb_loads_the_pinned_records_and_indexes(kb):
     loaded = repr((kb.records, kb.originals, kb.manifest)).encode()
     assert hashlib.sha256(loaded).hexdigest() == "3476d8b1cf1b601633a3ba05a093e461d7b6aa5eb8cf1c6dfd9832de68cade1c"
     indexes = _index_summary(kb).encode()
-    assert hashlib.sha256(indexes).hexdigest() == "eb6b2c8130e40c03abe7d1247e3be511021f1287a204fbff669ef715713e5647"
+    assert hashlib.sha256(indexes).hexdigest() == "6358f18f91060179ac20c34ddf3380962e33cf412fb3fb52d982688360281ee1"
 
 
 # ---------------------------------------------------------------------------
@@ -1093,7 +1175,10 @@ media = video
 app = {app}
 os = iOS
 quality = Default
+extension = MOV
+format_profile = QuickTime
 codec_id = "qt"
+video_format_profile = "Main@L3.1"
 resolution = {resolution}
 markers = {markers}
 """

@@ -18,11 +18,10 @@ from mediafp.engine import (
     Candidate, ChainHypothesis, Outcome, Verdict, image_verdict_key, match_video, video_verdict_key,
 )
 from mediafp.jpeg import NoFrameHeader, extract_image_attributes
-from mediafp.kb import KnowledgeBase
 from mediafp.oracle import expected_attributes, generate_corpus, synthesize_container
 from mediafp.report import HEAD_READ, FileReport, render_json, scan_file
 
-from conftest import make_jpeg, partial_video_originals, write_repeated_vectors, write_sparse_video
+from conftest import make_jpeg, write_repeated_vectors, write_sparse_video
 from test_container import _hostile_buffers
 from test_jpeg import _count_preads
 
@@ -34,15 +33,6 @@ def _scan(tmp_path, kb, data):
     path = tmp_path / "photo.jpg"
     path.write_bytes(data)
     return scan_file(path, kb)
-
-
-@pytest.mark.parametrize("name,original", [pytest.param(*pair, id=pair[0]) for pair in partial_video_originals()])
-def test_original_leaving_out_a_field_scans_as_original_like(tmp_path, name, original):
-    path = tmp_path / name
-    path.write_bytes(synthesize_container(original.attributes))
-    report = scan_file(path, KnowledgeBase((), originals=(original,)))
-    assert report.attributes == original.attributes
-    assert report.verdict == Verdict((), Outcome.ORIGINAL_LIKE)
 
 
 def test_frame_header_beyond_the_first_read(tmp_path, kb):
