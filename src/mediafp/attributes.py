@@ -5,13 +5,22 @@ fields a messenger's transcoder stamps onto everything it transmits.  For
 video that is extension, container format profile, codec ID (the ftyp brand
 line), AVC profile/level, frame dimensions, the writing application, and any
 surviving user-data markers.  For images it is just dimensions and byte size.
+
+Every scanned file builds one vector, so the two vector types are slotted
+frozen dataclasses with a written-out ``__init__``.  The generated frozen
+``__init__`` stores each field through ``object.__setattr__``, which looks
+the name up on the class on every store; these run their checks first and
+then store each field through its slot's own setter (``slot_setters``).
+Equality, hashing, ``repr``, ``dataclasses.fields``/``replace``/``asdict``,
+pickling and ``FrozenInstanceError`` are the dataclass's own.  An instance
+has no ``__dict__``: read it with ``dataclasses.fields`` or ``asdict``.
 """
 
 from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import ClassVar
 
 
@@ -86,6 +95,16 @@ EXT_OTHER = "other"
 EXTENSIONS = (EXT_MP4, EXT_MOV, EXT_OTHER)
 
 
+def slot_setters(cls: type) -> tuple:
+    """The ``__set__`` of each field's slot on the slotted dataclass ``cls``, in field order.
+
+    A frozen dataclass refuses ``setattr``; a slot's setter stores into the
+    instance directly.  Bind them once per class and call one per field: a
+    loop over them gives back much of what they save.
+    """
+    return tuple(cls.__dict__[f.name].__set__ for f in fields(cls))
+
+
 AVC_PROFILES = {66: "Baseline", 77: "Main", 100: "High"}
 _VFP_RE = re.compile(r"^(?P<profile>[A-Za-z0-9]+)@L(?P<level>\d+(?:\.\d)?)(?P<suffix>@.+)?$")
 
@@ -127,7 +146,7 @@ def parse_video_format_profile(text: str) -> AvcSignal:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class VideoAttributes:
     """The full video attribute vector one file reduces to."""
 
@@ -142,14 +161,30 @@ class VideoAttributes:
     markers: frozenset[Marker] = field(default_factory=frozenset)
     byte_size: int = 0
 
-    def __post_init__(self) -> None:
-        if self.width < 1 or self.length < 1:
+    def __init__(self, extension: str, format_profile: FormatProfile, codec_id: str, video_format_profile: str,
+                 width: int, length: int, encoder: str | None = None, markers: frozenset[Marker] = frozenset(),
+                 byte_size: int = 0) -> None:
+        if width < 1 or length < 1:
             raise ValueError("video dimensions must be >= 1")
-        if self.extension not in EXTENSIONS:
+        if extension not in EXTENSIONS:
             raise ValueError(f"extension must be one of {EXTENSIONS}")
+        (set_extension, set_format_profile, set_codec_id, set_video_format_profile, set_width, set_length,
+         set_encoder, set_markers, set_byte_size) = _VIDEO_SETTERS
+        set_extension(self, extension)
+        set_format_profile(self, format_profile)
+        set_codec_id(self, codec_id)
+        set_video_format_profile(self, video_format_profile)
+        set_width(self, width)
+        set_length(self, length)
+        set_encoder(self, encoder)
+        set_markers(self, markers)
+        set_byte_size(self, byte_size)
 
 
-@dataclass(frozen=True)
+_VIDEO_SETTERS = slot_setters(VideoAttributes)
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class ImageAttributes:
     """Width, length and byte size of one image."""
 
@@ -159,8 +194,16 @@ class ImageAttributes:
     byte_size: int
     extension: str = "JPG"
 
-    def __post_init__(self) -> None:
-        if self.width < 1 or self.length < 1:
+    def __init__(self, width: int, length: int, byte_size: int, extension: str = "JPG") -> None:
+        if width < 1 or length < 1:
             raise ValueError("image dimensions must be >= 1")
-        if self.byte_size < 4:
+        if byte_size < 4:
             raise ValueError("byte_size must be >= 4")
+        set_width, set_length, set_byte_size, set_extension = _IMAGE_SETTERS
+        set_width(self, width)
+        set_length(self, length)
+        set_byte_size(self, byte_size)
+        set_extension(self, extension)
+
+
+_IMAGE_SETTERS = slot_setters(ImageAttributes)

@@ -36,7 +36,7 @@ from json.encoder import encode_basestring_ascii
 from stat import S_ISDIR, S_ISREG
 
 from . import container, jpeg
-from .attributes import ImageAttributes, MediaKind, VideoAttributes
+from .attributes import ImageAttributes, MediaKind, VideoAttributes, slot_setters
 from .engine import (
     Candidate, ChainHypothesis, Verdict, image_verdict_key, match_image, match_video, video_verdict_key,
 )
@@ -61,17 +61,36 @@ SCHEMA_VERSION = 1
 HEAD_READ = 64 * 1024
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class FileReport:
+    """What scanning one file gave: its attributes and verdict, or an error.
+
+    Every scanned file builds one, so, like the attribute vectors (see
+    ``attributes``), it is a slotted frozen dataclass with a written-out
+    ``__init__``: the generated frozen one stores each field through
+    ``object.__setattr__``; this one checks its arguments, then stores each
+    field through its slot's setter.
+    """
+
     path: str
     media_kind: MediaKind | None  # None when the file could not even be read
     attributes: VideoAttributes | ImageAttributes | None
     verdict: Verdict | None
     error: str | None
 
-    def __post_init__(self) -> None:
-        if (self.verdict is None) == (self.error is None):
+    def __init__(self, path: str, media_kind: MediaKind | None, attributes: VideoAttributes | ImageAttributes | None,
+                 verdict: Verdict | None, error: str | None) -> None:
+        if (verdict is None) == (error is None):
             raise ValueError("exactly one of verdict/error must be set")
+        set_path, set_media_kind, set_attributes, set_verdict, set_error = _REPORT_SETTERS
+        set_path(self, path)
+        set_media_kind(self, media_kind)
+        set_attributes(self, attributes)
+        set_verdict(self, verdict)
+        set_error(self, error)
+
+
+_REPORT_SETTERS = slot_setters(FileReport)
 
 
 def sniff_media_kind(head: bytes) -> MediaKind:

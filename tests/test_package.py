@@ -12,7 +12,8 @@ from pathlib import Path
 import mediafp
 from mediafp.oracle import expected_attributes, synthesize_container
 
-README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+ROOT = Path(__file__).resolve().parents[1]
+README = (ROOT / "README.md").read_text(encoding="utf-8")
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 SUBMODULES = ("attributes", "container", "engine", "jpeg", "kb", "oracle", "report")
 
@@ -78,3 +79,18 @@ def test_every_library_name_the_benchmark_reaches_resolves():
     missing = [f"{module}.{name}" for module, name in sorted(reached)
                if not hasattr(importlib.import_module(module), name)]
     assert missing == []
+
+
+def test_package_data_globs_cover_every_data_file():
+    # The tests run against the source tree, so a data file the wheel leaves
+    # out fails nothing else: without corpus.tsv, selftest would fall back
+    # to the generated corpus.  pyproject.toml is read as text, since
+    # tomllib is new in Python 3.11.
+    pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    section = re.search(r"^\[tool\.setuptools\.package-data\]\n(.*?)(?=^\[|\Z)", pyproject, re.M | re.S).group(1)
+    globs = re.findall(r'"([^"]+)"', re.search(r"^mediafp = \[(.*?)\]", section, re.M | re.S).group(1))
+    package = ROOT / "src" / "mediafp"
+    shipped = {path for path in (package / "data").rglob("*") if path.is_file() and "__pycache__" not in path.parts}
+    assert {"corpus.tsv", "manifest.kb", "originals.kb"} <= {path.name for path in shipped}
+    packaged = {path for pattern in globs for path in package.glob(pattern)}
+    assert sorted(str(path.relative_to(package)) for path in shipped - packaged) == []
