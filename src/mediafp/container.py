@@ -309,10 +309,7 @@ def _stsd_video_entry(data, offset: int, stsd_end: int) -> tuple[int, int, str] 
     entry = offset + 8
     if entry + 36 > stsd_end:
         return None
-    if isinstance(data, _BYTES_LIKE):
-        entry_size, width, height = _VISUAL_ENTRY.unpack_from(data, entry)
-    else:
-        entry_size, width, height = _VISUAL_ENTRY.unpack(data[entry:entry + 36])
+    entry_size, width, height = _VISUAL_ENTRY.unpack(data[entry:entry + 36])
     end = entry + entry_size
     if entry_size < 36 or end > stsd_end:
         return None

@@ -79,15 +79,15 @@ def disambiguate_by_size(
 ) -> list[Candidate]:
     """Keep candidates whose size band contains byte_size.
 
-    ``records`` are the records the candidates came from, in the same order,
-    and each candidate is judged by its own record's band.  Bands are
-    approximate, so when none contains the size the input comes back
-    unchanged; survivors are flagged as having used size evidence.  Never
-    increases the candidate count, never empties a non-empty list.
+    ``records`` are the image records the candidates came from, in the
+    same order, and each candidate is judged by its own record's band.
+    Bands are approximate, so when none contains the size the input comes
+    back unchanged; survivors are flagged as having used size evidence.
+    Never increases the candidate count, never empties a non-empty list.
     """
     kept: list[Candidate] = []
     for rec in records:
-        band = rec.constraints.size_band if isinstance(rec.constraints, ImageConstraints) else None
+        band = rec.constraints.size_band
         if band is not None and abs(byte_size - band[0]) <= band[1]:
             kept.append(rec.evidence[rec.constraints.matched_with_size_band])
     return kept if kept else candidates

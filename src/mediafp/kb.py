@@ -30,11 +30,16 @@ block pass puts each ``[record]`` and ``[original]`` block through one
 checker for its key set, media kind, OS and the keys of the other media
 kind, then builds it, parsing each distinct field value once; a value the
 types refuse with ``ValueError`` fails the load as a ``SchemaError`` that
-names the block.  The record pass is ``KnowledgeBase.__post_init__``, whose
-id index also finds a duplicate id and counts the records of each manifest
-group.  A directory is read one ``*.kb`` file at a time, in sorted name
-order, so a block never continues into the next file; names starting with
-``.`` (editor locks and hidden copies) are skipped.
+names the block.  An error names a block by its header line as written and
+where that line is (``[manifest] (manifest.kb line 1): ...``).  Each
+enumerated value (extension, format profile, marker, media kind, OS) is
+looked up in a table from its one spelling to the value.  The record pass
+is ``KnowledgeBase.__post_init__``, whose id index also finds a duplicate id
+and counts the records of each manifest group.  A directory is read one
+``*.kb`` file at a time, in sorted name order, so a block never continues
+into the next file; names starting with ``.`` (editor locks and hidden
+copies) are skipped.  A directory that cannot be listed fails the load with
+``KbError``, as a file that cannot be read does.
 
 Each ``FingerprintRecord`` builds, when it is built, the frozen ``Candidate``
 or ``ChainHypothesis`` every match of it yields, and a ``KnowledgeBase``
@@ -440,10 +445,6 @@ def _unquote(item: str) -> str:
 
 def _parse_list(value: str, where: str) -> tuple[str, ...]:
     """Comma-separated items; a comma between double quotes belongs to its item."""
-    if '"' not in value:  # every comma separates
-        return tuple([item for part in value.split(",") if (item := part.strip())])
-    if value[0] == '"' and value.find('"', 1) == len(value) - 1:  # one quoted item
-        return (value[1:-1],)
     if value.count('"') % 2:
         raise SchemaError(f"{where}: unbalanced quote in {value!r}")
     return tuple([_unquote(part) for part in _LIST_ITEM_RE.findall(value) if part.strip()])
@@ -462,30 +463,25 @@ def _parse_resolutions(value: str, where: str) -> tuple[tuple[int, int], ...]:
     return tuple(pairs)
 
 
-def _member_parser(kind: type, what: str):
-    """A parser of lists of ``kind`` values; each item is one value, as written."""
+def _member_parser(by_spelling: dict, what: str):
+    """A parser of lists of the values of ``by_spelling``, which maps each
+    value's one spelling to the value; each item is looked up as written."""
 
     def parse(value: str, where: str) -> tuple:
         members = []
         for item in _parse_list(value, where):
-            try:
-                members.append(kind(item))
-            except ValueError:
-                raise SchemaError(f"{where}: unknown {what} {item!r}") from None
+            member = by_spelling.get(item)
+            if member is None:
+                raise SchemaError(f"{where}: unknown {what} {item!r}")
+            members.append(member)
         return tuple(members)
 
     return parse
 
 
-def _extension(item: str) -> str:
-    if item not in EXTENSIONS:
-        raise ValueError(item)
-    return item
-
-
-_parse_extensions = _member_parser(_extension, "extension")
-_parse_format_profiles = _member_parser(FormatProfile, "format profile")
-_parse_markers = _member_parser(Marker, "marker")
+_parse_extensions = _member_parser({ext: ext for ext in EXTENSIONS}, "extension")
+_parse_format_profiles = _member_parser({p.value: p for p in FormatProfile}, "format profile")
+_parse_markers = _member_parser({m.value: m for m in Marker}, "marker")
 
 
 def _subsets(items) -> list[frozenset]:
@@ -550,7 +546,7 @@ def _split_blocks(text: str, seen: dict[str, tuple[str, str]], source: str = "")
                         raise SchemaError(f"{at}{line_no}: unknown block {line!r}")
                     if kind != "manifest" and not name:
                         raise SchemaError(f"{at}{line_no}: [{kind}] block needs an id")
-                    where = f"[{kind} {name or kind}] ({at}{line_no})"
+                    where = f"{line} ({at}{line_no})"
                     fields = {}
                     blocks.append((kind, name, where, fields))
                     continue
@@ -739,14 +735,15 @@ def load_kb_path(path: str | Path | None = None) -> KnowledgeBase:
     tie-breaking) independently of the filesystem.
     Each file is split into blocks on its own, so a block ends with its file,
     and an error names the file and the line within it.  Raises only
-    KbError, also for a file that cannot be read or is not UTF-8.
+    KbError, also for a directory that cannot be listed (``<dir>: <reason>``,
+    as for a file) and for a file that cannot be read or is not UTF-8.
     """
     target = Path(path) if path is not None else default_kb_path()
     if target.is_dir():
         try:
             names = sorted(name for name in _os.listdir(target) if name.endswith(".kb") and name[0] != ".")
-        except PermissionError:  # as a glob finds nothing in a directory it cannot list
-            names = []
+        except OSError as exc:
+            raise KbError(f"{target}: {exc.strerror or exc}") from None
         if not names:
             raise KbError(f"no .kb files under {target}")
         texts = [(name, _read_text(target / name)) for name in names]

@@ -268,8 +268,8 @@ def _box(box_type: bytes, payload: bytes) -> bytes:
     return struct.pack(">I", 8 + len(payload)) + box_type + payload
 
 
-def _fullbox(box_type: bytes, payload: bytes, version: int = 0, flags: int = 0) -> bytes:
-    return _box(box_type, bytes([version]) + flags.to_bytes(3, "big") + payload)
+def _fullbox(box_type: bytes, payload: bytes, flags: int = 0) -> bytes:
+    return _box(box_type, flags.to_bytes(4, "big") + payload)  # version 0, then 24 bits of flags
 
 
 def _qt_text_atom(atom_type: bytes, text: bytes) -> bytes:

@@ -268,6 +268,16 @@ class TestScan:
         assert f"'{target}' is neither a directory nor a regular file" in result.stderr
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+    def test_fifo_argument_is_refused_before_it_is_opened(self, runner, tmp_path):
+        # In process: the argument check runs before anything is opened, so
+        # the scan cannot block on the pipe.
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        result = runner.invoke(main, ["scan", str(fifo)])
+        assert result.exit_code == 2
+        assert f"'{fifo}' is neither a directory nor a regular file" in result.output
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
     def test_directory_holding_a_fifo_is_scanned(self, tmp_path):
         os.mkfifo(tmp_path / "pipe")
         (tmp_path / "photo.jpg").write_bytes(make_jpeg(720, 960, total_size=100_000))
@@ -480,6 +490,30 @@ class TestKbCommands:
         assert result.output.strip().endswith("5 records")
         for quality in ("1080p", "720p", "480p", "360p", "240p"):
             assert quality in result.output
+
+    def test_list_unknown_os_is_usage_error(self, runner):
+        result = runner.invoke(main, ["kb", "list", "--os", "plan9"])
+        assert result.exit_code == 2
+        assert "unknown OS 'plan9'" in result.output
+
+    @pytest.mark.parametrize("error", [PermissionError, FileNotFoundError])
+    def test_validate_unlistable_kb_directory_is_one_error_line(self, runner, tmp_path, monkeypatch, error):
+        # os.listdir is patched, since a mode that refuses listing does not
+        # stop root.
+        data = tmp_path / "kb"
+        shutil.copytree(default_kb_path(), data)
+        real_listdir = os.listdir
+
+        def listdir(path):
+            if Path(path) == data:
+                raise error(13, "listing refused", str(path))
+            return real_listdir(path)
+
+        monkeypatch.setattr(os, "listdir", listdir)
+        result = runner.invoke(main, ["kb", "validate", "--kb", str(data)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)  # not an exception escaping the command
+        assert result.output == f"KbError: {data}: listing refused\n"
 
     def test_env_var_overrides_default(self, runner, tmp_path, monkeypatch):
         custom = tmp_path / "tiny.kb"

@@ -334,6 +334,11 @@ class TestExtraction:
         assert (attrs.width, attrs.length) == (640, 360)
         assert attrs.video_format_profile == ""
 
+    @pytest.mark.parametrize("length", [0, 1, 3])
+    def test_avc_config_shorter_than_four_bytes_is_malformed(self, length):
+        with pytest.raises(MalformedBox, match="^avcC payload shorter than 4 bytes$"):
+            parse_avc_config(bytes([1, 100, 0][:length]))
+
 
 class _RecordingBuffer:
     """Bytes that record the longest slice a reader asks them for."""

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import os
 import re
 import shutil
 import sys
@@ -285,9 +286,9 @@ def _without(text, key, empty):
                           ("quality", IMAGE_RECORD.replace("quality = Default", "quality =")),
                           ("nth_app", IMAGE_RECORD + "nth_app =")]],
     pytest.param("os = iOS", "resolution = 100x100", "[manifest]\ntable7 = 1\n[manifest]",
-                 r"^\[manifest manifest\] \(line 14\): duplicate manifest block$", id="duplicate-manifest"),
+                 r"^\[manifest\] \(line 14\): duplicate manifest block$", id="duplicate-manifest"),
     pytest.param("os = iOS", "resolution = 100x100", "[manifest]\ntable7 = one",
-                 r"^\[manifest manifest\] \(line 12\): count for 'table7' is not an integer$",
+                 r"^\[manifest\] \(line 12\): count for 'table7' is not an integer$",
                  id="manifest-count-not-integer"),
     pytest.param("os = iOS", "resolution = 100x100", _VIDEO_RECORD.replace("t7-y", "t7-x") + _CONTAINER,
                  r"^duplicate record id 't7-x'$", id="duplicate-record-id"),
@@ -303,7 +304,7 @@ def _without(text, key, empty):
                  r"^\[original o-img\] \(line 13\): nominal_size must be a byte count, got '\u0662\u0660\u0660\u0660'$",
                  id="nominal-size-arabic-indic-digits"),
     *[pytest.param("os = iOS", "resolution = 100x100", f"[manifest]\ntable7 = {count}",
-                   rf"^\[manifest manifest\] \(line 12\): count for 'table7' is not an integer$",
+                   rf"^\[manifest\] \(line 12\): count for 'table7' is not an integer$",
                    id=f"manifest-count-{name}")
       for name, count in [("plus-sign", "+1"), ("underscore", "1_0"), ("minus-sign", "-1"),
                           ("fullwidth-digit", "\uff11")]],
@@ -338,7 +339,7 @@ _MANY_DIGITS = "1" * 5000
 @pytest.mark.parametrize("text,where", [
     (IMAGE_RECORD.replace("100x100", f"{_MANY_DIGITS}x1"), r"\[record t6-y\] \(line 2\)"),
     (IMAGE_ORIGINAL + f"nominal_size = {_MANY_DIGITS}", r"\[original o-img\] \(line 2\)"),
-    (f"[manifest]\ntable6 = {_MANY_DIGITS}", r"\[manifest manifest\] \(line 1\)"),
+    (f"[manifest]\ntable6 = {_MANY_DIGITS}", r"\[manifest\] \(line 1\)"),
 ], ids=["resolution", "nominal-size", "manifest-count"])
 def test_a_number_past_the_int_digit_limit_is_a_schema_error(text, where):
     with pytest.raises(SchemaError, match=f"^{where}: Exceeds the limit"):
@@ -1020,6 +1021,27 @@ def test_directory_load_skips_hidden_names(tmp_path, kb):
     (data / ".#table07.kb").rename(data / "#table07.kb")
     with pytest.raises(KbError, match="#table07.kb"):
         load_kb_path(data)
+
+
+@pytest.mark.parametrize("error,reason", [
+    (PermissionError(13, "Permission denied"), "Permission denied"),
+    (FileNotFoundError(2, "No such file or directory"), "No such file or directory"),
+], ids=["permission", "missing"])
+def test_directory_that_cannot_be_listed_is_a_kb_error(tmp_path, monkeypatch, error, reason):
+    # os.listdir is patched, since a mode that refuses listing does not stop
+    # root.  The error names the directory as a file read error names the file.
+    data = _write_kb_dir(tmp_path, {"table06.kb": IMAGE_RECORD})
+    real_listdir = os.listdir
+
+    def listdir(path):
+        if path == data:
+            raise error
+        return real_listdir(path)
+
+    monkeypatch.setattr(os, "listdir", listdir)
+    with pytest.raises(KbError, match=f"^{re.escape(str(data))}: {reason}$") as caught:
+        load_kb_path(data)
+    assert caught.type is KbError
 
 
 def test_byte_order_mark_is_dropped(tmp_path, kb):

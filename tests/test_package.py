@@ -63,10 +63,9 @@ def test_import_exposes_every_submodule():
     assert result.stdout == "True\n"
 
 
-def test_every_library_name_the_benchmark_reaches_resolves():
-    # The benchmark scripts are read, not run.  A name they use that the
-    # package lost fails only the benchmark; a span target it lost leaves
-    # that span's timings at 0 with no error at all.
+def _benchmark_reached() -> set[tuple[str, str]]:
+    """(module, name) of each library name the benchmark scripts use.  The
+    scripts are read, not run."""
     reached = set()
     for script in PERFBENCH.glob("*.py"):
         source = script.read_text(encoding="utf-8")
@@ -74,11 +73,57 @@ def test_every_library_name_the_benchmark_reaches_resolves():
     for node in ast.parse((PERFBENCH / "tracer.py").read_text(encoding="utf-8")).body:
         if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["SPAN_TARGETS"]:
             reached |= {(module, name) for module, name, _ in ast.literal_eval(node.value)}
+    return reached
+
+
+def test_every_library_name_the_benchmark_reaches_resolves():
+    # A name the benchmark uses that the package lost fails only the
+    # benchmark; a span target it lost leaves that span's timings at 0 with
+    # no error at all.
+    reached = _benchmark_reached()
     assert {("mediafp.container", "render_codec_id"), ("mediafp.container", "FtypInfo"),
             ("mediafp.engine", "infer_chain")} <= reached
     missing = [f"{module}.{name}" for module, name in sorted(reached)
                if not hasattr(importlib.import_module(module), name)]
     assert missing == []
+
+
+def _is_click_command(decorator: ast.expr) -> bool:
+    # @main.command(), @kb_group.command(name=...), @click.group()
+    return isinstance(decorator, ast.Call) and getattr(decorator.func, "attr", None) in ("command", "group")
+
+
+def test_every_top_level_name_is_used():
+    # Each top-level function, class and constant of the package is loaded
+    # by name somewhere in it (a name or an attribute, also inside an
+    # f-string or an annotation), exported by an ``__all__``, reached by the
+    # benchmark or registered as a click command.  Anything else is code no
+    # caller reaches.
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted((ROOT / "src" / "mediafp").glob("*.py"))}
+    loaded, exported, defined = set(), set(), []
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                loaded.add(node.attr)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                if not any(map(_is_click_command, node.decorator_list)):
+                    defined.append((module, node.name))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [name.id for target in targets for name in ast.walk(target) if isinstance(name, ast.Name)]
+                if names == ["__all__"]:
+                    exported.update(ast.literal_eval(node.value))
+                defined += [(module, name) for name in names if not name.startswith("__")]
+    assert {("kb", "load_kb_path"), ("kb", "_MEDIA_KINDS"), ("report", "scan_file")} <= set(defined)
+    assert "scan" not in {name for _, name in defined}  # a click command
+    reached = _benchmark_reached()
+    unused = [f"{module}.{name}" for module, name in defined
+              if name not in loaded and name not in exported and (f"mediafp.{module}", name) not in reached]
+    assert unused == []
 
 
 def test_package_data_globs_cover_every_data_file():
