@@ -24,17 +24,20 @@ then have no row and constrain nothing.  A record is a relay (two-hop)
 record exactly when it names ``nth_app``, and only a video record may.
 
 A load makes one pass over each file's lines, one over the blocks and one
-over the records.  The line pass splits each distinct ``key = value`` line
-once per load (most lines repeat) and gathers the fields into blocks.  The
-block pass puts each ``[record]`` and ``[original]`` block through one
-checker for its key set, media kind, OS and the keys of the other media
-kind, then builds it, parsing each distinct field value once; a value the
-types refuse with ``ValueError`` fails the load as a ``SchemaError`` that
-names the block.  An error names a block by its header line as written and
-where that line is (``[manifest] (manifest.kb line 1): ...``).  Each
-enumerated value (extension, format profile, marker, media kind, OS) is
-looked up in a table from its one spelling to the value.  The record pass
-is ``KnowledgeBase.__post_init__``, whose id index also finds a duplicate id
+over the records, and keeps nothing for the next load.  The line pass skips
+blank and comment lines, splits each distinct ``key = value`` line once
+(most lines repeat) and gathers the fields into blocks.  The block pass puts
+each ``[record]`` and ``[original]`` block through one checker for its key
+set, media kind, OS and the keys of the other media kind, then builds it,
+looking each field value up in the load's memo: a value is parsed where it
+first appears, and the blocks that repeat it share the parsed object.  A
+value the types refuse with ``ValueError`` fails the load as a
+``SchemaError`` that names the block.  An error names a block by its header
+line as written and where that line is
+(``[manifest] (manifest.kb line 1): ...``).  Each enumerated value
+(extension, format profile, marker, media kind, OS) is looked up in a table
+from its one spelling to the value.  The record pass is
+``KnowledgeBase.__post_init__``, whose id index also finds a duplicate id
 and counts the records of each manifest group.  A directory is read one
 ``*.kb`` file at a time, in sorted name order, so a block never continues
 into the next file; names starting with ``.`` (editor locks and hidden
@@ -70,6 +73,7 @@ from .attributes import (
     OS_BY_VALUE,
     VideoAttributes,
     parse_os,
+    slot_setters,
 )
 
 KB_ENV_VAR = "MEDIAFP_KB"
@@ -93,7 +97,7 @@ class ManifestMismatch(KbError):
     """Loaded record counts differ from the manifest declaration."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ImageConstraints:
     """Evidence an image fingerprint matches on.
 
@@ -108,7 +112,7 @@ class ImageConstraints:
     matched_with_size_band: ClassVar[tuple[str, ...]] = ("resolution", "byte_size")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class VideoConstraints:
     """Evidence a video fingerprint matches on.
 
@@ -138,30 +142,40 @@ class VideoConstraints:
     # of a file that carries some.
     matched_with_markers: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
+    def __init__(self, extensions: tuple[str, ...], format_profiles: tuple[FormatProfile, ...],
+                 codec_ids: tuple[str, ...], video_format_profiles: tuple[str, ...],
+                 resolutions: tuple[tuple[int, int], ...] = (), encoders: tuple[str, ...] = (),
+                 markers: tuple[Marker, ...] | None = ()) -> None:
         # Built now, not on first use: a lazy build would land in the latency
         # of whichever scanned file first reaches the record.
         rows = []
-        names = []
-        for name, attr, get, _ in VIDEO_FIELDS:
-            values = getattr(self, attr)
+        for (name, _, get, _), values in zip(VIDEO_FIELDS, (extensions, format_profiles, codec_ids,
+                                                            video_format_profiles, resolutions, encoders)):
             if values:
                 rows.append((name, values, get))
-                names.append(name)
             elif name in CONTAINER_FIELDS:
                 raise ValueError(f"video records need at least one {name.replace('_', ' ')}")
-        matched = tuple(names)
-        if self.markers is not None:
-            rows.append(("markers", _MARKER_SUBSETS[frozenset(self.markers)], _MARKERS))
-        object.__setattr__(self, "rows", tuple(rows))
-        object.__setattr__(self, "matched", matched)
-        object.__setattr__(self, "matched_with_markers", matched + ("markers",) if self.markers else matched)
+        matched = tuple([name for name, _, _ in rows])
+        if markers is not None:
+            rows.append(("markers", _MARKER_SUBSETS[frozenset(markers)], _MARKERS))
+        (set_extensions, set_format_profiles, set_codec_ids, set_video_format_profiles, set_resolutions,
+         set_encoders, set_markers, set_rows, set_matched, set_matched_with_markers) = _VIDEO_CONSTRAINTS_SETTERS
+        set_extensions(self, extensions)
+        set_format_profiles(self, format_profiles)
+        set_codec_ids(self, codec_ids)
+        set_video_format_profiles(self, video_format_profiles)
+        set_resolutions(self, resolutions)
+        set_encoders(self, encoders)
+        set_markers(self, markers)
+        set_rows(self, tuple(rows))
+        set_matched(self, matched)
+        set_matched_with_markers(self, matched + ("markers",) if markers else matched)
 
 
 Constraints = ImageConstraints | VideoConstraints
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Candidate:
     record_id: str
     app: str
@@ -169,12 +183,20 @@ class Candidate:
     quality: str
     matched_fields: tuple[str, ...]
 
+    def __init__(self, record_id: str, app: str, os: OS, quality: str, matched_fields: tuple[str, ...]) -> None:
+        set_record_id, set_app, set_os, set_quality, set_matched_fields = _CANDIDATE_SETTERS
+        set_record_id(self, record_id)
+        set_app(self, app)
+        set_os(self, os)
+        set_quality(self, quality)
+        set_matched_fields(self, matched_fields)
+
     @property
     def used_size_band(self) -> bool:
         return "byte_size" in self.matched_fields
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class ChainHypothesis:
     nth_app: str
     nplus1_app: str
@@ -182,8 +204,16 @@ class ChainHypothesis:
     quality: str  # quality of the N-th hop
     evidence_fields: tuple[str, ...]
 
+    def __init__(self, nth_app: str, nplus1_app: str, os: OS, quality: str, evidence_fields: tuple[str, ...]) -> None:
+        set_nth_app, set_nplus1_app, set_os, set_quality, set_evidence_fields = _CHAIN_SETTERS
+        set_nth_app(self, nth_app)
+        set_nplus1_app(self, nplus1_app)
+        set_os(self, os)
+        set_quality(self, quality)
+        set_evidence_fields(self, evidence_fields)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True, init=False)
 class FingerprintRecord:
     """One knowledge-base entry: (app, OS, quality) → attribute constraints.
 
@@ -205,22 +235,32 @@ class FingerprintRecord:
     constraints: Constraints | None = None
     evidence: dict[tuple[str, ...], Candidate | ChainHypothesis] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        if self.nth_app and self.media_kind is MediaKind.IMAGE:
+    def __init__(self, record_id: str, media_kind: MediaKind, app: str, os: OS, quality: str,
+                 nth_app: str | None = None, constraints: Constraints | None = None) -> None:
+        if nth_app and media_kind is MediaKind.IMAGE:
             raise ValueError("only video records may name nth_app")
         evidence = {}
-        c = self.constraints
+        c = constraints
         if c is not None:
             if isinstance(c, ImageConstraints):
                 keys = (c.matched, c.matched_with_size_band) if c.size_band else (c.matched,)
             else:
                 keys = (c.matched, c.matched_with_markers) if c.markers else (c.matched,)
             for key in keys:
-                if self.nth_app:
-                    evidence[key] = ChainHypothesis(self.nth_app, self.app, self.os, self.quality, key)
+                if nth_app:
+                    evidence[key] = ChainHypothesis(nth_app, app, os, quality, key)
                 else:
-                    evidence[key] = Candidate(self.record_id, self.app, self.os, self.quality, key)
-        object.__setattr__(self, "evidence", evidence)
+                    evidence[key] = Candidate(record_id, app, os, quality, key)
+        (set_record_id, set_media_kind, set_app, set_os, set_quality, set_nth_app, set_constraints,
+         set_evidence) = _RECORD_SETTERS
+        set_record_id(self, record_id)
+        set_media_kind(self, media_kind)
+        set_app(self, app)
+        set_os(self, os)
+        set_quality(self, quality)
+        set_nth_app(self, nth_app)
+        set_constraints(self, constraints)
+        set_evidence(self, evidence)
 
     @property
     def distinguishable(self) -> bool:
@@ -231,7 +271,7 @@ class FingerprintRecord:
         return group_key(self.record_id)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OriginalProfile:
     """A Table-of-originals row: the attribute vector of untouched camera output."""
 
@@ -242,6 +282,12 @@ class OriginalProfile:
     @property
     def media_kind(self) -> MediaKind:
         return self.attributes.media_kind
+
+
+# The slot setters the written-out ``__init__``s store each field through, as
+# ``attributes``' vectors do: a load builds a few hundred of these objects.
+_VIDEO_CONSTRAINTS_SETTERS, _CANDIDATE_SETTERS, _CHAIN_SETTERS, _RECORD_SETTERS = map(
+    slot_setters, (VideoConstraints, Candidate, ChainHypothesis, FingerprintRecord))
 
 
 @dataclass(frozen=True)
@@ -318,17 +364,10 @@ class KnowledgeBase:
                 image_originals.setdefault((attrs.width, attrs.length), orig)
             else:
                 video_originals.setdefault(_original_key(attrs), orig)
-        compiled = {
-            "_by_id": by_id,
-            "overwritten_chain_ids": frozenset(overwritten),
-            "_image_originals": image_originals,
-            "_video_originals": video_originals,
-            "_video_index": _compile_video_index(singles, chains),
-            "_image_cells": _compile_image_cells(images),
-            "image_band_edges": _compile_band_edges(images),
-        }
-        for name, value in compiled.items():
-            object.__setattr__(self, name, value)
+        self.__dict__.update(  # past the frozen __setattr__, in one call
+            _by_id=by_id, overwritten_chain_ids=frozenset(overwritten), _image_originals=image_originals,
+            _video_originals=video_originals, _video_index=_compile_video_index(singles, chains),
+            _image_cells=_compile_image_cells(images), image_band_edges=_compile_band_edges(images))
 
     def record(self, record_id: str) -> FingerprintRecord:
         return self._by_id[record_id]
@@ -409,14 +448,11 @@ def _compile_band_edges(records: list[FingerprintRecord]) -> tuple[int, ...]:
     return tuple(sorted({edge for c, t in bands for edge in (c - t, c + t + 1)}))
 
 
-_GROUP_RE = re.compile(r"^t([0-9]+)$")
-
-
 def group_key(record_id: str) -> str:
     """Manifest group of a record id: ``t7-discord-default`` → ``table7``."""
     prefix = record_id.partition("-")[0]
-    m = _GROUP_RE.match(prefix)
-    return f"table{m[1]}" if m else prefix
+    number = prefix[1:]
+    return f"table{number}" if prefix[:1] == "t" and number.isascii() and number.isdigit() else prefix
 
 
 # ---------------------------------------------------------------------------
@@ -426,8 +462,6 @@ _SECTION_RE = re.compile(r"^\[(\w+)(?:\s+(\S+))?\]$")
 # Every number in a KB is written in ASCII decimal digits (see _is_count):
 # ``\d`` would also take the digits of other scripts, which int() reads.
 _SIZE_BAND_RE = re.compile(r"^([0-9]+)\s*\+-\s*([0-9]+)$")
-# A run of characters that are neither comma nor quote, or quoted strings.
-_LIST_ITEM_RE = re.compile(r'(?:[^,"]+|"[^"]*")+')
 
 
 def _is_count(text: str) -> bool:
@@ -436,18 +470,24 @@ def _is_count(text: str) -> bool:
     return text.isascii() and text.isdigit()
 
 
-def _unquote(item: str) -> str:
-    item = item.strip()
-    if len(item) >= 2 and item[0] == '"' and item[-1] == '"':
-        return item[1:-1]
-    return item
-
-
 def _parse_list(value: str, where: str) -> tuple[str, ...]:
-    """Comma-separated items; a comma between double quotes belongs to its item."""
-    if value.count('"') % 2:
+    """Comma-separated items, each stripped, then unquoted; a comma between double
+    quotes belongs to its item, and an item empty once stripped is dropped."""
+    items = []
+    open_item = ""  # the text since the last comma outside quotes, while a quote is open
+    for piece in value.split(","):
+        if open_item:
+            piece = f"{open_item},{piece}"
+        if piece.count('"') % 2:
+            open_item = piece
+            continue
+        open_item = ""
+        piece = piece.strip()
+        if piece:
+            items.append(piece[1:-1] if len(piece) >= 2 and piece[0] == '"' == piece[-1] else piece)
+    if open_item:
         raise SchemaError(f"{where}: unbalanced quote in {value!r}")
-    return tuple([_unquote(part) for part in _LIST_ITEM_RE.findall(value) if part.strip()])
+    return tuple(items)
 
 
 def _parse_resolutions(value: str, where: str) -> tuple[tuple[int, int], ...]:
@@ -507,6 +547,8 @@ VIDEO_FIELDS = (
     ("resolution", "resolutions", attrgetter("width", "length"), _parse_resolutions),
     ("encoder", "encoders", attrgetter("encoder"), _parse_list),
 )
+# The parser of each KB key of a video record's constraints, in VideoConstraints' field order.
+_RECORD_PARSERS = tuple((key, parse) for key, _, _, parse in VIDEO_FIELDS) + (("markers", _parse_markers),)
 # The container fields the messenger's transcoder stamps: every video record
 # and video original names each of them.
 CONTAINER_FIELDS = ("extension", "format_profile", "codec_id", "video_format_profile")
@@ -534,22 +576,19 @@ def _split_blocks(text: str, seen: dict[str, tuple[str, str]], source: str = "")
         pair = seen.get(raw)
         if pair is None:
             line = raw.strip()
-            # Only a blank line ("" is in every string), a comment or a
-            # header starts with one of these.
-            if line[:1] in "#[":
-                if not line or line[0] == "#":
-                    continue
-                m = _SECTION_RE.match(line)
-                if m:  # else a field whose key starts with "["
-                    kind, name = m.groups()
-                    if kind not in ("record", "original", "manifest"):
-                        raise SchemaError(f"{at}{line_no}: unknown block {line!r}")
-                    if kind != "manifest" and not name:
-                        raise SchemaError(f"{at}{line_no}: [{kind}] block needs an id")
-                    where = f"{line} ({at}{line_no})"
-                    fields = {}
-                    blocks.append((kind, name, where, fields))
-                    continue
+            if not line or line[0] == "#":  # a blank line or a comment
+                continue
+            m = _SECTION_RE.match(line) if line[0] == "[" else None
+            if m:  # else a field, whose key may start with "["
+                kind, name = m.groups()
+                if kind not in ("record", "original", "manifest"):
+                    raise SchemaError(f"{at}{line_no}: unknown block {line!r}")
+                if kind != "manifest" and not name:
+                    raise SchemaError(f"{at}{line_no}: [{kind}] block needs an id")
+                where = f"{line} ({at}{line_no})"
+                fields = {}
+                blocks.append((kind, name, where, fields))
+                continue
             # The line is stripped, so the key can only end, and the value
             # only start, with whitespace.
             key, eq, value = line.partition("=")
@@ -563,18 +602,6 @@ def _split_blocks(text: str, seen: dict[str, tuple[str, str]], source: str = "")
             raise SchemaError(f"{where}: duplicate key {key!r}")
         fields[key] = value
     return blocks
-
-
-def _parse(parsed: dict, parser, value: str, where: str):
-    """``parser(value, where)``, looked up in or added to the load's ``parsed``.
-
-    Only results are kept, so a bad value fails again, with its own block's
-    ``where``, at every block that holds it; the first one ends the load.
-    """
-    result = parsed.get((parser, value))
-    if result is None:
-        result = parsed[parser, value] = parser(value, where)
-    return result
 
 
 def _required(f: dict[str, str], key: str, where: str) -> str:
@@ -610,7 +637,9 @@ def _build_record(name: str, where: str, f: dict[str, str], parsed: dict) -> Fin
             raise SchemaError(f"{where}: indistinguishable records carry no constraints")
         constraints: Constraints | None = None
     elif media is MediaKind.IMAGE:
-        resolutions = _parse(parsed, _parse_resolutions, _required(f, "resolution", where), where)
+        text = _required(f, "resolution", where)
+        if (resolutions := parsed.get((_parse_resolutions, text))) is None:
+            resolutions = parsed[_parse_resolutions, text] = _parse_resolutions(text, where)
         if not resolutions:
             raise SchemaError(f"{where}: image records need at least one resolution")
         size_band = None
@@ -621,12 +650,20 @@ def _build_record(name: str, where: str, f: dict[str, str], parsed: dict) -> Fin
             size_band = (int(m.group(1)), int(m.group(2)))
         constraints = ImageConstraints(resolutions, size_band)
     else:
-        # One value per VideoConstraints field, in its order; () for a line left out.
-        values = [_parse(parsed, parse, f[key], where) if key in f else () for key, _, _, parse in VIDEO_FIELDS]
-        # An omitted line means no markers; values come stripped from _split_blocks.
-        markers_value = f.get("markers", "")
-        markers = None if markers_value == "any" else _parse(parsed, _parse_markers, markers_value, where)
-        constraints = VideoConstraints(*values, markers)
+        # One value per VideoConstraints field, in its order: () for a line left
+        # out (so no markers), None for ``markers = any``, else what this load
+        # parsed from the same text.
+        values = []
+        for key, parse in _RECORD_PARSERS:
+            text = f.get(key)
+            if text is None:
+                value = ()
+            elif parse is _parse_markers and text == "any":
+                value = None
+            elif (value := parsed.get((parse, text))) is None:
+                value = parsed[parse, text] = parse(text, where)
+            values.append(value)
+        constraints = VideoConstraints(*values)
 
     names = (_required(f, "app", where), _required(f, "quality", where), f.get("nth_app"))
     if "" in names:
@@ -643,7 +680,9 @@ def _build_original(name: str, where: str, f: dict[str, str], parsed: dict) -> O
     values = {}
     for key, _, _, parse in VIDEO_FIELDS:
         if key in f:
-            items = _parse(parsed, parse, f[key], where)
+            text = f[key]
+            if (items := parsed.get((parse, text))) is None:
+                items = parsed[parse, text] = parse(text, where)
             if len(items) != 1:
                 raise SchemaError(f"{where}: originals carry exactly one {key.replace('_', ' ')}")
             values[key] = items[0]
@@ -675,7 +714,8 @@ def _load_blocks(blocks: list[tuple]) -> KnowledgeBase:
     originals: list[OriginalProfile] = []
     manifest: list[tuple[str, int]] | None = None
     # (parser, raw value) -> parsed value, for this load only: a new load
-    # parses everything again, as a new process would.
+    # parses everything again, as a new process would.  Only results are kept,
+    # so a bad value fails again, with its own block's ``where``, at each block.
     parsed: dict[tuple, object] = {}
 
     # The types refuse, with ValueError, a value they cannot hold (a container

@@ -411,6 +411,42 @@ def test_quoted_list_items_keep_their_commas():
     assert kb.records[0].constraints.codec_ids == ("isom (isom/iso2/avc1/mp41)",)
 
 
+def _list_rule(value):
+    """What a KB list value holds, read one character at a time: the value
+    is cut at each comma outside double quotes, each item is stripped, an
+    item left empty is dropped, and the quotes around an item are removed
+    (so a quoted empty item stays, as "").  None for an odd number of
+    quotes, which fails the load."""
+    if value.count('"') % 2:
+        return None
+    items, item, quoted = [], "", False
+    for char in value:
+        if char == "," and not quoted:
+            items.append(item)
+            item = ""
+            continue
+        quoted ^= char == '"'
+        item += char
+    items.append(item)
+    kept = [item.strip() for item in items if item.strip()]
+    return tuple(item[1:-1] if len(item) >= 2 and item[0] == item[-1] == '"' else item for item in kept)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text(st.sampled_from(',", a\t'), max_size=12))
+@example('"Lavf, custom", "x" , plain,, "a,b,c"')
+@example('mov, ""')
+@example('"a""b", "x"y"z"')
+@example('a"b,c"d, "')
+def test_list_values_follow_the_list_rule(value):
+    expected = _list_rule(value)
+    if expected is None:
+        with pytest.raises(SchemaError, match=f"^w: unbalanced quote in {re.escape(repr(value))}$"):
+            kb_mod._parse_list(value, "w")
+    else:
+        assert kb_mod._parse_list(value, "w") == expected
+
+
 def test_video_rows_follow_the_field_table():
     assert [key for key, *_ in VIDEO_FIELDS] == [
         "extension", "format_profile", "codec_id", "video_format_profile", "resolution", "encoder",
